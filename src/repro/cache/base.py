@@ -114,6 +114,59 @@ class SetAssociativeCache:
         self._checksum += line_addr + 131 * self._clock + 7 * ord(state[0])
         return victim
 
+    def insert_range(self, first: int, stop: int) -> list[tuple[int, CacheLine]]:
+        """Install clean Shared lines ``first``, ``first + line_bytes``, ...
+        below ``stop`` (``first`` line-aligned), for cache pre-warming.
+
+        Leaves exactly the state that one ``insert(addr, "S")`` per line,
+        in address order, would leave, and returns the evicted
+        ``(line_addr, CacheLine)`` pairs in eviction order.  The set index
+        steps incrementally and the clock, resident count and checksum
+        live in locals.  :meth:`insert` stays the runtime path and the
+        reference this is tested against.
+        """
+        line_bytes = self.line_bytes
+        num_sets = self.num_sets
+        ways = self.ways
+        sets = self._sets
+        clock = self._clock
+        resident = self._resident
+        dirty = self._dirty
+        checksum = self._checksum
+        state = "S"
+        code = ord(state)
+        victims = []
+        index = (first // line_bytes) % num_sets
+        for line_addr in range(first, stop, line_bytes):
+            cache_set = sets[index]
+            index += 1
+            if index == num_sets:
+                index = 0
+            clock += 1
+            existing = cache_set.get(line_addr)
+            if existing is not None:
+                checksum += (7 * (code - ord(existing.state[0]))
+                             + 131 * (clock - existing.lru))
+                existing.state = state
+                existing.lru = clock
+                continue
+            if len(cache_set) >= ways:
+                victim_addr = min(cache_set, key=lambda a: cache_set[a].lru)
+                victim = cache_set.pop(victim_addr)
+                resident -= 1
+                if victim.dirty:
+                    dirty -= 1
+                checksum -= victim_addr + 131 * victim.lru + 7 * ord(victim.state[0])
+                victims.append((victim_addr, victim))
+            cache_set[line_addr] = CacheLine(state, False, clock)
+            resident += 1
+            checksum += line_addr + 131 * clock + 7 * code
+        self._clock = clock
+        self._resident = resident
+        self._dirty = dirty
+        self._checksum = checksum
+        return victims
+
     def invalidate(self, address: int) -> CacheLine | None:
         """Remove the line covering ``address``; returns it if present."""
         line_addr = self.line_addr(address)

@@ -493,23 +493,35 @@ class MemoryHierarchy:
         in the owning core's L1 (Shared) and in the L2; level-2 ranges go to
         the L2 only.  Insertion respects capacity (LRU evicts as usual), and
         the directory is kept consistent.
+
+        Each range goes in with one bulk ``insert_range`` per level; the
+        result equals inserting line by line, directory and back-
+        invalidations included (``tests/test_prewarm.py``).  Victims are
+        evicted after their level's bulk call, in eviction order.  That
+        is safe because an eviction never touches the cache being filled:
+        an L2 victim reaches the L1s, the directory and the DRAM write
+        queue, an L1 victim the directory and the L2's dirty bits.
         """
+        l1 = self.l1[core]
+        directory = self._dir
         for base, nbytes, level in ranges:
-            for line64 in range(
-                self.l2.line_addr(base), base + nbytes, self.config.l2.line_bytes
-            ):
-                victim = self.l2.insert(line64, state="S", dirty=False)
-                if victim is not None:
-                    self._evict_l2_line(*victim)
-            if level <= 1:
-                l1 = self.l1[core]
-                for line32 in range(
-                    l1.line_addr(base), base + nbytes, self.config.l1d.line_bytes
-                ):
-                    victim = l1.insert(line32, state="S", dirty=False)
-                    if victim is not None:
-                        self._evict_l1_line(core, *victim)
-                    self._dir.setdefault(line32, set()).add(core)
+            stop = base + nbytes
+            for victim in self.l2.insert_range(self.l2.line_addr(base), stop):
+                self._evict_l2_line(*victim)
+            if level > 1:
+                continue
+            first = l1.line_addr(base)
+            victims = l1.insert_range(first, stop)
+            for victim in victims:
+                self._evict_l1_line(core, *victim)
+            # Line by line, a line's directory entry is added at its insert
+            # and dropped again if a later insert of the range evicts it,
+            # so the final entry is added exactly for the lines still
+            # resident.
+            evicted = {line_addr for line_addr, _line in victims}
+            for line32 in range(first, stop, l1.line_bytes):
+                if line32 not in evicted or l1.peek(line32) is not None:
+                    directory.setdefault(line32, set()).add(core)
 
     def _covered_l1_lines(self, line64: int):
         return range(
@@ -583,3 +595,14 @@ class MemoryHierarchy:
     def bind_core_waker(self, wake_fn) -> None:
         """Install the per-core wake callback used by cycle skipping."""
         self._wake_core = wake_fn
+
+    def detach(self) -> None:
+        """Cut what a finished run leaves pointing back into the machine:
+        the clock and core-waker closures over the System, and the
+        callbacks of misses still in flight (DESIGN.md §6)."""
+        now = self._now()
+        self.bind_clock(lambda: now)
+        self.bind_core_waker(lambda core: None)
+        for mshr in self.l1_mshr:
+            mshr.abandon()
+        self.l2_mshr.abandon()

@@ -56,6 +56,17 @@ class MshrFile:
         """Remove and return the entry (miss completed)."""
         return self._entries.pop(line_addr)
 
+    def abandon(self) -> None:
+        """Drop the waiters and transaction callbacks of every entry.
+
+        For a finished run only: no miss will complete any more, and
+        these are the callbacks that reach back into the cores and the
+        hierarchy."""
+        for entry in self._entries.values():
+            entry.waiters.clear()
+            if entry.txn is not None:
+                entry.txn.callback = None
+
     def det_state(self) -> list[int]:
         """Architectural state words for the determinism hash-chain.
 

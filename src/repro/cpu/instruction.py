@@ -26,7 +26,10 @@ TYPE_NAMES = {INT: "int", FP: "fp", BRANCH: "branch", LOAD: "load", STORE: "stor
 class Trace:
     """One thread's dynamic instruction stream (parallel-list storage)."""
 
-    __slots__ = ("itypes", "pcs", "addrs", "dep1", "dep2", "misp", "name", "prewarm")
+    # ``_dclass_cache`` is the cores' dispatch-class bytes, computed once
+    # per trace (see OutOfOrderCore.__init__).
+    __slots__ = ("itypes", "pcs", "addrs", "dep1", "dep2", "misp", "name",
+                 "prewarm", "_dclass_cache")
 
     def __init__(self, name: str = "trace"):
         self.name = name

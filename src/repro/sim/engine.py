@@ -202,7 +202,13 @@ def store_cached(key: str, result: SimResult) -> None:
     hash; the atomic replace means the slot always holds one complete
     pickle — and since the payload is a pure function of the key, the
     bytes are identical whichever writer wins.
+
+    A run that hit the cycle cap (``hit_max_cycles``) is never stored:
+    it is a failure, not a result, and a cached one would be replayed
+    into every later figure.  Its caller still gets the flagged result.
     """
+    if result.hit_max_cycles:
+        return
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     atomicio.write_bytes(cache_path(key), _pickle_result(result))

@@ -51,6 +51,10 @@ class EventQueue:
             fired += 1
         return fired
 
+    def clear(self) -> None:
+        """Drop every pending callback (``_seq`` keeps counting)."""
+        self._heap.clear()
+
     def next_cycle(self) -> int | None:
         """Cycle of the earliest pending event, or None if empty."""
         return self._heap[0][0] if self._heap else None

@@ -193,18 +193,38 @@ class System:
         stream is finalized on success and aborted — torn tail removed,
         manifest marked ``failed`` — on any failure, so a crashed run
         never leaves an ambiguous half-written stream behind.
+
+        A System runs once: a successful run ends by releasing its pending
+        events and in-flight callbacks (:meth:`_release`), leaving its
+        state readable but no longer steppable.
         """
         engine = self.resolve_engine(engine, skip_cycles)
         stream = self.telemetry.stream
         if stream is None:
-            return self._dispatch(engine, max_cycles)
-        try:
             result = self._dispatch(engine, max_cycles)
-        except BaseException:
-            stream.abort()
-            raise
-        stream.finalize(result.cycles, result.trace_dropped)
+        else:
+            try:
+                result = self._dispatch(engine, max_cycles)
+            except BaseException:
+                stream.abort()
+                raise
+            stream.finalize(result.cycles, result.trace_dropped)
+        self._release()
         return result
+
+    def _release(self) -> None:
+        """Break the reference cycles of a finished run (DESIGN.md §6).
+
+        Pending event callbacks close over the models that scheduled
+        them; the hierarchy's clock and core-waker closures close over
+        this System, and its in-flight misses call back into the cores
+        and itself.  With those cut, reference counting frees a dead
+        System and its models the moment the last reference goes, rather
+        than leaving tens of thousands of objects to the cyclic
+        collector.
+        """
+        self.events.clear()
+        self.hierarchy.detach()
 
     def _dispatch(self, engine: str, max_cycles: int | None) -> SimResult:
         if engine == "event":

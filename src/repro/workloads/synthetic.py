@@ -70,8 +70,11 @@ class _Body:
         return len(self.specs)
 
 
-def _build_static_program(model: AppModel, seed: int):
+def build_static_program(model: AppModel, seed: int):
     """The loop bodies (lists of :class:`_StaticInstr`) for one app.
+
+    Pure and read-only once built, so every thread of a parallel app can
+    share one (see :func:`generate_trace`'s ``program``).
 
     Bodies come in two flavours, as real kernels do:
 
@@ -254,12 +257,19 @@ def generate_trace(
     seed: int = 1,
     pc_base: int = 0,
     address_base: int = 0,
+    program=None,
 ) -> Trace:
     """One thread's dynamic trace.
 
     ``pc_base``/``address_base`` keep multiprogrammed bundles disjoint in
     PC and address space; threads of one parallel app share PCs and the
     shared data region but have private footprints.
+
+    ``program`` is a memoised zero-argument builder of
+    ``build_static_program(model, seed)``.  A caller that generates
+    several threads of one app passes the same builder to each, so the
+    static program is built at most once, and only on a cache miss; None
+    builds it here.
     """
     # Key on the full frozen model, not just its name: a model derived via
     # dataclasses.replace (sensitivity sweeps) must never alias the cached
@@ -269,7 +279,7 @@ def generate_trace(
     if cached is not None:
         return cached
 
-    bodies = _build_static_program(model, seed)
+    bodies = build_static_program(model, seed) if program is None else program()
     rng = random.Random(f"dyn:{model.name}:{seed}:{thread_id}")
 
     shared_bytes = max(64 * 1024, model.footprint_bytes // 4)

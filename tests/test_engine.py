@@ -117,6 +117,33 @@ class TestDiskCache:
         assert not list(cache_dir.glob("*.pkl"))
 
 
+class TestCappedRunsNotCached:
+    """A run that hit the cycle cap is a failure: the caller gets the
+    flagged result, and the next call simulates it again."""
+
+    @pytest.fixture
+    def tiny_cap(self, monkeypatch):
+        from repro.sim import runner
+
+        monkeypatch.setattr(runner, "_max_cycles", lambda scale: 100)
+
+    def test_serial_path(self, cache_dir, tiny_cap):
+        engine.clear_metrics()
+        first = run_one_cached(_spec())
+        second = run_one_cached(_spec())
+        assert first.hit_max_cycles and second.hit_max_cycles
+        assert [m["source"] for m in engine.last_metrics] == ["run", "run"]
+        assert not list(cache_dir.glob("*.pkl"))
+
+    def test_run_many(self, cache_dir, tiny_cap):
+        engine.clear_metrics()
+        run_many([_spec()], jobs=1)
+        (again,) = run_many([_spec()], jobs=1)
+        assert again.hit_max_cycles
+        assert [m["source"] for m in engine.last_metrics] == ["run", "run"]
+        assert not list(cache_dir.glob("*.pkl"))
+
+
 class TestRunMany:
     def test_results_align_and_dedup(self, cache_dir):
         specs = [_spec(), _spec(workload="radix"), _spec()]

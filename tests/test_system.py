@@ -46,6 +46,14 @@ class TestSystem:
         assert result.total_committed == 1200
         assert all(f > 0 for f in result.finish_cycles)
 
+    def test_dispatch_classes_computed_once_per_trace(self):
+        cfg = SystemConfig(cores=2, dram=DramConfig(channels=2))
+        traces = small_traces()
+        first = System(cfg, traces)
+        again = System(cfg, traces)
+        for old, new in zip(first.cores, again.cores):
+            assert new._dclass is old._dclass
+
     def test_trace_count_must_match_cores(self):
         cfg = SystemConfig(cores=4)
         with pytest.raises(ValueError):

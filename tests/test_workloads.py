@@ -86,6 +86,54 @@ class TestStructure:
                 assert ty == BRANCH
 
 
+class TestSharedStaticProgram:
+    """``parallel_traces`` builds one static program for all threads."""
+
+    FIELDS = ("itypes", "pcs", "addrs", "dep1", "dep2", "misp", "prewarm")
+
+    @pytest.mark.parametrize("app", ["ocean", "fft"])
+    def test_threads_equal_standalone_traces(self, app):
+        shared = parallel_traces(app, 8, 1500, seed=3)
+        model = PARALLEL_APPS[app]
+        for thread_id, trace in enumerate(shared):
+            clear_trace_cache()
+            alone = generate_trace(model, 1500, thread_id=thread_id,
+                                   threads=8, seed=3)
+            assert alone is not trace
+            for field in self.FIELDS:
+                assert getattr(trace, field) == getattr(alone, field), field
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Names of the apps whose static program gets built."""
+        from repro.workloads import parallel, synthetic
+
+        built = []
+        build = synthetic.build_static_program
+
+        def counting(model, seed):
+            built.append(model.name)
+            return build(model, seed)
+
+        monkeypatch.setattr(parallel, "build_static_program", counting)
+        monkeypatch.setattr(synthetic, "build_static_program", counting)
+        return built
+
+    def test_built_once_and_not_on_cache_hits(self, builds):
+        first = parallel_traces("fft", 8, 1000, seed=1)
+        assert builds == ["fft"]
+        again = parallel_traces("fft", 8, 1000, seed=1)
+        assert builds == ["fft"]
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_partial_cache_hit_builds_once(self, builds):
+        alone = generate_trace(PARALLEL_APPS["fft"], 1000, 0, 8, seed=1)
+        assert builds == ["fft"]
+        shared = parallel_traces("fft", 8, 1000, seed=1)
+        assert builds == ["fft", "fft"]
+        assert shared[0] is alone
+
+
 class TestMix:
     def test_load_fraction_close_to_model(self):
         model = PARALLEL_APPS["swim"]
