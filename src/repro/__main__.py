@@ -8,10 +8,8 @@
     python -m repro analyze [paths...]         # whole-program semantic analysis
     python -m repro check-determinism fft      # cross-mode/-process chains
     python -m repro profile fft                # cProfile + component report
-    python -m repro profile fft --engines fast,event   # engine A/B timing
+    python -m repro profile fft --engines all  # engine A/B timing
     python -m repro profile fft --counters     # REPRO_PERF counter snapshot
-    python -m repro bench --quick              # wall-clock regression suite
-    python -m repro bench --compare OLD NEW    # exit 1 on regression
     python -m repro stats fft --sample-every 256   # telemetry summaries
     python -m repro trace fft --out timeline.json  # Chrome/Perfetto trace
     python -m repro trace fft --stream DIR         # stream events while running
@@ -23,10 +21,10 @@
 
 ``run`` and ``experiment`` accept engine flags: ``--jobs N`` (worker
 processes), ``--no-cache`` (bypass the on-disk result cache),
-``--no-skip`` (force the cycle-by-cycle loop), ``--verify-skip``
-(run everything twice and assert fast-forwarded results are
-bit-identical), and ``--stream DIR`` (spill telemetry to a stream
-directory during the run).  Each is the CLI face of the corresponding
+``--engine naive|batched`` (loop implementation), ``--verify-skip``
+(run everything on both engines and assert bit-identical results),
+and ``--stream DIR`` (spill telemetry to a stream directory during the
+run).  Each is the CLI face of the corresponding
 ``REPRO_*`` environment variable.
 """
 
@@ -43,14 +41,19 @@ def _apply_engine_flags(args) -> None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if getattr(args, "no_cache", False):
         os.environ["REPRO_NO_CACHE"] = "1"
-    if getattr(args, "no_skip", False):
-        os.environ["REPRO_NO_SKIP"] = "1"
     if getattr(args, "engine", None):
         os.environ["REPRO_ENGINE"] = args.engine
     if getattr(args, "verify_skip", False):
         os.environ["REPRO_VERIFY_SKIP"] = "1"
     if getattr(args, "stream", None):
         os.environ["REPRO_STREAM_DIR"] = args.stream
+
+
+def _add_engine_choice(parser: argparse.ArgumentParser, text: str) -> None:
+    from repro.sim.system import ENGINES
+
+    parser.add_argument("--engine", default=None, choices=ENGINES,
+                        help=f"{text} (env REPRO_ENGINE)")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,19 +63,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache "
                              "(env REPRO_NO_CACHE)")
-    parser.add_argument("--no-skip", action="store_true",
-                        help="disable cycle fast-forwarding "
-                             "(env REPRO_NO_SKIP)")
-    parser.add_argument("--engine", default=None,
-                        choices=("naive", "fast", "event", "batched"),
-                        help="simulation loop: naive cycle-by-cycle, "
-                             "fast (skip windows), event (wake heap; "
-                             "the default), or batched (windowed "
-                             "models) — all bit-identical "
-                             "(env REPRO_ENGINE)")
+    _add_engine_choice(parser, "simulation loop: naive cycle-by-cycle "
+                               "(the reference) or batched (windowed "
+                               "models; the default) — bit-identical")
     parser.add_argument("--verify-skip", action="store_true",
-                        help="cross-check fast-forwarded runs against the "
-                             "cycle-by-cycle loop (env REPRO_VERIFY_SKIP)")
+                        help="cross-check every run against the other "
+                             "engine (env REPRO_VERIFY_SKIP)")
     parser.add_argument("--stream", default=None, metavar="DIR",
                         help="stream telemetry to DIR during the run "
                              "(env REPRO_STREAM_DIR; watch it live with "
@@ -159,10 +155,6 @@ def _cmd_analyze(args) -> int:
         argv.append("--show-suppressed")
     if args.batchability:
         argv += ["--batchability", args.batchability]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
     return analyze_main(argv)
 
 
@@ -355,12 +347,6 @@ def _cmd_watch(args) -> int:
     )
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import main as bench_main
-
-    return bench_main(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -412,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--show-suppressed", action="store_true")
     analyze_p.add_argument("--batchability", default=None, metavar="PATH",
                            help="also write batchability.json to PATH")
-    analyze_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                           help="incremental analysis cache directory")
-    analyze_p.add_argument("--no-cache", action="store_true")
 
     stats_p = sub.add_parser(
         "stats", help="run one workload and print telemetry summaries"
@@ -476,34 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with a fleet root (REPRO_FLEET_DIR): drill "
                               "down into one registered run by id or label")
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the wall-clock regression suite, or compare two records",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="CI smoke subset: fewer cells, repeats, and "
-                              "instructions")
-    bench_p.add_argument("--repeats", type=int, default=None, metavar="N",
-                         help="runs per cell (default 3, --quick 2)")
-    bench_p.add_argument("--instructions", type=int, default=None,
-                         metavar="N",
-                         help="instructions per core "
-                              "(default 8000, --quick 3000)")
-    bench_p.add_argument("--seed", type=int, default=1)
-    bench_p.add_argument("--cells", default=None, metavar="A,B,...",
-                         help="comma-separated subset of suite cell names")
-    bench_p.add_argument("--out", default=None, metavar="PATH",
-                         help="record path (default: next free "
-                              "BENCH_<n>.json)")
-    bench_p.add_argument("--compare", nargs=2, default=None,
-                         metavar=("OLD", "NEW"),
-                         help="compare two bench records instead of "
-                              "running; exit 1 on regression")
-    bench_p.add_argument("--threshold", type=float, default=0.25,
-                         metavar="FRAC",
-                         help="relative slowdown treated as regression "
-                              "(default 0.25)")
-
     prof_p = sub.add_parser(
         "profile",
         help="profile one workload run and attribute time per component",
@@ -516,10 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--seed", type=int, default=1)
     prof_p.add_argument("--top", type=int, default=15, metavar="N",
                         help="top functions to list by tottime")
-    prof_p.add_argument("--engine", default=None,
-                        choices=("naive", "fast", "event", "batched"),
-                        help="loop implementation to profile "
-                             "(env REPRO_ENGINE)")
+    _add_engine_choice(prof_p, "loop implementation to profile")
     prof_p.add_argument("--engines", default=None, metavar="A,B,...",
                         help="instead of profiling, time one run per "
                              "engine and report speedups vs naive + "
@@ -542,10 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     det_p.add_argument("--seed", type=int, default=1)
     det_p.add_argument("--no-subprocess", action="store_true",
                        help="skip the fresh-subprocess comparison")
-    det_p.add_argument("--engine", default=None,
-                       choices=("naive", "fast", "event", "batched"),
-                       help="reference loop for the comparison "
-                            "(env REPRO_ENGINE)")
+    _add_engine_choice(det_p, "reference loop for the comparison")
 
     return parser
 
@@ -562,7 +511,6 @@ def main(argv=None) -> int:
         "stats": _cmd_stats,
         "trace": _cmd_trace,
         "watch": _cmd_watch,
-        "bench": _cmd_bench,
         "profile": _cmd_profile,
         "check-determinism": _cmd_check_determinism,
     }

@@ -122,9 +122,9 @@ class DetChain:
 def snapshot(system) -> tuple:
     """Architectural state vector of a :class:`~repro.sim.system.System`.
 
-    Everything sampled here is constant during quiescent fast-forward
-    windows and independent of the ``skip_cycles`` setting, so skip and
-    naive runs fold identical values at identical cycles.
+    Everything sampled here is constant during windows the batched
+    engine jumps, so batched and naive runs fold identical values at
+    identical cycles.
     """
     values: list[int] = []
     for core in system.cores:

@@ -43,13 +43,11 @@ HOOK_TABLE: dict[str, tuple[str, ...]] = {
     "MemoryHierarchy": ("load", "store", "can_accept_store", "det_state"),
     "ChannelController": (
         "step", "next_wake", "next_wake_window", "enqueue",
-        "account_idle", "account_window", "can_accept", "pending",
-        "det_state",
+        "account_window", "can_accept", "pending", "det_state",
     ),
     "MemorySystem": (
-        "step", "step_event", "step_window", "fast_forward",
-        "settle_idle", "try_enqueue", "presettle", "pending",
-        "next_wake_cpu", "wake_cpu",
+        "step", "step_window", "settle_idle", "try_enqueue", "presettle",
+        "pending", "wake_cpu",
     ),
 }
 

@@ -3,7 +3,7 @@
 ``run_many`` fans simulations out over a *fork* pool, the determinism
 verifier re-runs specs in a fresh subprocess, and several processes
 share rendezvous files (the engine result cache, stream manifests, the
-fleet registry, bench records, the incremental-analysis cache).  The
+fleet registry, the run log).  The
 ROADMAP's distributed experiment service promotes exactly these
 boundaries from "one host, one pool" to "many hosts, many queues" — so
 this pass certifies them statically, the way the cycle-domain and
@@ -103,8 +103,7 @@ ENV_ACCESSORS: dict[str, str] = {
         "the per-spec env bridge: exports RunSpec.stream_dir/.engine as "
         "REPRO_STREAM_DIR/REPRO_ENGINE for the run and restores after",
     "repro.sim.runner._env_flag":
-        "the sanctioned boolean-knob reader (REPRO_NO_SKIP, "
-        "REPRO_VERIFY_SKIP)",
+        "the sanctioned boolean-knob reader (REPRO_VERIFY_SKIP)",
     "repro.sim.runner._run_system":
         "lifts REPRO_STREAM_DIR/REPRO_FLEET_DIR around the verify-skip "
         "cross-check so the reference run cannot clobber the stream",
@@ -161,13 +160,11 @@ SHARED_ARTIFACT_TOKENS = (
     "index.json",
     "index_name",
     "registry",
-    "bench_",
     ".pkl",
     "cache_path",
     "_entry_path",
     "run_log",
     "segment",
-    "inccache",
 )
 
 #: Bare class names whose instances cross the pool/pickle boundary.

@@ -115,8 +115,8 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "and channel next_wake(), whose inputs (queues, refresh "
         "deadlines) are already folded via each channel's det_state",
     ("MemorySystem", "_chan_settled"):
-        "lazy settlement cursor for idle occupancy samples, which are "
-        "statistics excluded from the chain (see account_idle)",
+        "lazy settlement cursor for skipped occupancy samples, which "
+        "are statistics excluded from the chain (see account_window)",
     # -- MemoryHierarchy --------------------------------------------------
     ("MemoryHierarchy", "_now"):
         "mirror of the system clock installed via bind_clock; the "

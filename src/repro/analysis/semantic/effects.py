@@ -26,8 +26,8 @@ Summaries are computed by fixpoint over the call graph: ``self.x()``
 merges the callee's effects directly; calls on receivers whose class is
 known by convention (:data:`~repro.analysis.semantic.domains.VAR_CLASS_SEEDS`,
 loop targets over seeded attributes) fold the callee's self-mutations in
-as *foreign* effects, preserving monotonicity — so
-``MemorySystem.fast_forward`` inherits ``account_idle``'s
+as *foreign* effects, preserving monotonicity — so a method whose only
+effect is calling ``account_window`` on each channel inherits its
 monotone-accumulating character instead of degrading to unknown.
 
 From the summary each per-cycle hook is classified (see
@@ -104,11 +104,10 @@ CERTIFIED_PURE_METHODS = {
 #: Per-cycle model hooks: called every busy cycle, so randomness or io
 #: inside one poisons determinism/performance on the hot path (SEM031).
 PER_CYCLE_HOOKS = {
-    "step", "step_event", "step_window", "select", "load", "store",
-    "lookup", "tick", "on_command", "on_enqueue", "account_idle",
-    "account_window", "presettle", "_do_dispatch", "_do_commit",
-    "_do_load_issues", "_do_dispatch_window", "_do_commit_window",
-    "_execute", "_build_candidates", "_service_refresh",
+    "step", "step_window", "select", "load", "store", "lookup", "tick",
+    "on_command", "on_enqueue", "account_window", "presettle",
+    "_do_dispatch", "_do_commit", "_do_load_issues", "_do_dispatch_window",
+    "_do_commit_window", "_execute", "_build_candidates", "_service_refresh",
 }
 
 #: Name-chain parts marking a call as drawing randomness.

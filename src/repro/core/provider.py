@@ -126,17 +126,26 @@ class NaiveForwardingProvider(CriticalityProvider):
     def __init__(self, forward_latency: int = 24, defer=None):
         self.forward_latency = forward_latency
         self._defer = defer
+        self._presettle = None
         self.promotions = 0
 
-    def bind_defer(self, defer) -> None:
-        """Install the event-scheduling callable (done by the core)."""
+    def bind_defer(self, defer, presettle=None) -> None:
+        """Install the event-scheduling callable and the memory system's
+        ``presettle`` hook (done by the core; ``bind_defer(None)`` at run
+        end lets the machine go)."""
         self._defer = defer
+        self._presettle = presettle
 
     def on_block_start(self, pc: int, cycle: int, txn=None) -> None:
         if txn is None:
             return
+        due = cycle + self.forward_latency
 
         def promote():
+            if not txn.critical and self._presettle is not None:
+                # Batched engine: settle the channel's open gap before the
+                # flag flips, as MemoryHierarchy does for its own bumps.
+                self._presettle(txn, due, event_phase=True)
             txn.critical = True
             txn.magnitude = 1
             self.promotions += 1
@@ -144,4 +153,4 @@ class NaiveForwardingProvider(CriticalityProvider):
         if self._defer is None:
             promote()
         else:
-            self._defer(cycle + self.forward_latency, promote)
+            self._defer(due, promote)

@@ -116,7 +116,7 @@ class OutOfOrderCore:
         self.events = events
         self.provider = provider if provider is not None else CriticalityProvider()
         if isinstance(self.provider, NaiveForwardingProvider) and events is not None:
-            self.provider.bind_defer(events.schedule)
+            self.provider.bind_defer(events.schedule, hierarchy.memsys.presettle)
         self._n = len(trace)
         self._ptr = 0
         # The ROB always holds the consecutive trace indices
@@ -201,7 +201,7 @@ class OutOfOrderCore:
         # Duck-typed providers without next_tick_cycle have unknown tick
         # semantics; such cores are never skipped (skip_plan bails).
         self._next_tick = getattr(self.provider, "next_tick_cycle", None)
-        # Wake subscription (event engine): installed while the core is
+        # Wake subscription (batched engine): installed while the core is
         # quiescent; called whenever ``skip_until`` is cleared so the
         # engine learns about external wakes without scanning cores.
         self._wake_hook = None

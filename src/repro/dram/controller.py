@@ -223,10 +223,6 @@ class ChannelController:
                     return dram_now + 1
         return best if best > dram_now + 1 else dram_now + 1
 
-    def account_idle(self, cycles: int) -> None:
-        """Record ``cycles`` empty-queue DRAM cycles skipped by fast-forward."""
-        self.stats.queue_samples += cycles
-
     def account_window(self, cycles: int) -> None:
         """Settle ``cycles`` skipped DRAM cycles whose queues were constant.
 
@@ -260,9 +256,9 @@ class ChannelController:
         """Architectural state words for the determinism hash-chain.
 
         Everything here is constant while the channel is idle (queues and
-        bank state only change when commands execute), so fast-forwarded
-        and cycle-by-cycle runs sample identical values — statistics
-        counters are deliberately excluded.
+        bank state only change when commands execute), so batched and
+        cycle-by-cycle runs sample identical values — statistics counters
+        are deliberately excluded.
         """
         values = [len(self.read_queue), len(self.write_queue), self._seq,
                   1 if self._draining else 0]
@@ -497,12 +493,11 @@ class ChannelController:
         """Register this channel's instruments under ``prefix``.
 
         Sampled gauges are all command-driven (they change only when a
-        DRAM command executes, which never happens inside a quiescent
-        fast-forward window), so the interval sampler reads identical
-        values in skip and no-skip runs.  The per-cycle occupancy
-        accumulators (``queue_occupancy_sum``/``queue_samples``) are
-        settled lazily by :meth:`account_idle` and are deliberately NOT
-        sampled.
+        DRAM command executes, which never happens inside a skipped
+        window), so the interval sampler reads identical values on every
+        engine.  The per-cycle occupancy accumulators
+        (``queue_occupancy_sum``/``queue_samples``) are settled lazily by
+        :meth:`account_window` and are deliberately NOT sampled.
         """
         stats = self.stats
         registry.histogram(f"{prefix}.crit_wait", stats.crit_wait)
@@ -539,20 +534,19 @@ class MemorySystem:
             for c in range(config.channels)
         ]
         self._ratio = config.cpu_ratio
-        # Wake-driven clocking (the event engine, see repro.sim.system):
+        # Wake-driven clocking (the batched engine, see repro.sim.system):
         # per channel, the DRAM cycle at which it must next be stepped and
-        # the DRAM cycle *after* the last one whose idle occupancy sample
-        # has been accounted.  ``try_enqueue`` keeps the wake current in
-        # every engine, so the bookkeeping never needs re-wiring when the
-        # loop implementation is switched mid-experiment.
+        # the DRAM cycle *after* the last one whose occupancy sample has
+        # been accounted.  ``try_enqueue`` keeps the wake current in every
+        # engine, so the bookkeeping never needs re-wiring when the loop
+        # implementation is switched mid-experiment.
         self._chan_wake = [0] * config.channels
         self._chan_settled = [0] * config.channels
         # Batched-engine mode flag (set by System._run_batched before any
-        # stepping): gaps between channel wakes may then span cycles with
-        # *queued* work, so lazily settled samples must go through
-        # account_window (occupancy + criticality presence with the
-        # constant queue) instead of account_idle, and queue mutations
-        # must pre-settle the open gap first (try_enqueue / presettle).
+        # stepping): only then do channels skip edges whose samples are
+        # settled lazily, so only then must queue mutations pre-settle the
+        # open gap (try_enqueue / presettle).  The naive loop samples every
+        # edge itself through :meth:`step`.
         self._batched = False
         # Host-side perf counters (REPRO_PERF=1): set by System when
         # enabled, else None.  Host observability only — never part of
@@ -572,9 +566,9 @@ class MemorySystem:
             return False
         # Wake registration: the channel becomes serviceable at the first
         # DRAM edge at or after ``cpu_now``.  Enqueues only happen in the
-        # event phase — before :meth:`step_event` for the same cycle — so
+        # event phase — before :meth:`step_window` for the same cycle — so
         # an enqueue landing exactly on an edge is serviced at that edge,
-        # matching the per-cycle loops.
+        # matching the naive loop.
         wake = (cpu_now + self._ratio - 1) // self._ratio
         if self._batched:
             # Settle the open gap with the queue as it was: every edge
@@ -596,8 +590,8 @@ class MemorySystem:
         a queued transaction would otherwise be visible retroactively in
         the lazily-settled criticality counters.  Settling the bumped
         transaction's channel first — up to the last DRAM edge that
-        sampled the old flags — keeps them bit-identical to the per-cycle
-        loops.  The boundary depends on the caller's phase: a DRAM edge
+        sampled the old flags — keeps them bit-identical to the naive
+        loop.  The boundary depends on the caller's phase: a DRAM edge
         shares its CPU cycle with event-phase work that *precedes* it (the
         edge samples the new flags) but with core-phase work that
         *follows* it (the edge already sampled the old flags).
@@ -642,82 +636,23 @@ class MemorySystem:
     def pending(self) -> int:
         return sum(channel.pending() for channel in self.channels)
 
-    # -- cycle skipping ----------------------------------------------------------
+    # -- wake-driven clocking (batched engine) -----------------------------------
 
-    def next_wake_cpu(self, cpu_now: int) -> int:
-        """Earliest CPU cycle > ``cpu_now`` at which a controller must step."""
-        ratio = self._ratio
-        dram_now = cpu_now // ratio
-        next_edge = (dram_now + 1) * ratio
-        best = None
-        for channel in self.channels:
-            wake = channel.next_wake(dram_now) * ratio
-            if wake < next_edge:
-                wake = next_edge
-            if best is None or wake < best:
-                best = wake
-        return best if best is not None else next_edge
-
-    def fast_forward(self, start_cpu: int, end_cpu: int) -> None:
-        """Account for the DRAM clock edges inside ``[start_cpu, end_cpu)``.
-
-        Fast-forward windows never contain an edge with queued work (see
-        :meth:`next_wake_cpu`), so the only bookkeeping the skipped edges
-        would have done is sampling an occupancy of zero.
-        """
-        ratio = self._ratio
-        edges = (end_cpu - 1) // ratio - (start_cpu - 1) // ratio
-        if edges <= 0:
-            return
-        for channel in self.channels:
-            channel.account_idle(edges)
-
-    # -- wake-driven clocking (event engine) -------------------------------------
-
-    def step_event(self, cpu_now: int) -> None:
+    def step_window(self, cpu_now: int) -> None:
         """Like :meth:`step`, but only steps channels that are *due*.
 
         A channel is due when its registered wake (``_chan_wake``, kept
-        current by :meth:`try_enqueue` and by ``next_wake`` after every
-        step) has arrived.  A non-due channel has empty queues, no refresh
-        in flight, and every per-rank refresh deadline in the future, so
-        the step it skips would have done exactly one thing: sample an
-        occupancy of zero (``queue_samples += 1``).  That sample is
-        settled lazily — :meth:`ChannelController.account_idle` on the
-        next step or at :meth:`settle_idle` — which is bit-identical
-        because occupancy accumulators are statistics outside the
-        determinism chain and deliberately never sampled by telemetry
-        (see :meth:`ChannelController.register_metrics`).
-        """
-        if cpu_now % self._ratio:
-            return
-        dram_now = cpu_now // self._ratio
-        wakes = self._chan_wake
-        settled = self._chan_settled
-        perf = self._perf
-        for i, channel in enumerate(self.channels):
-            if wakes[i] > dram_now:
-                continue
-            gap = dram_now - settled[i]
-            if gap > 0:
-                channel.account_idle(gap)
-            channel.step(dram_now)
-            settled[i] = dram_now + 1
-            wakes[i] = channel.next_wake(dram_now)
-            if perf is not None:
-                perf.chan_wake_republishes += 1
-
-    def step_window(self, cpu_now: int) -> None:
-        """Batched-engine analog of :meth:`step_event`.
-
-        Identical structure, but wakes are timing-aware
-        (:meth:`ChannelController.next_wake_window`): a channel may sleep
-        across cycles with *queued* work when no command can legally issue
+        current by :meth:`try_enqueue` and by
+        :meth:`ChannelController.next_wake_window` after every step) has
+        arrived.  Wakes are timing-aware: a channel may sleep across
+        cycles with *queued* work when no command can legally issue
         before its registered wake.  Such gaps owe per-cycle occupancy and
         criticality statistics, settled in bulk by ``account_window``
         against the queue that was constant throughout the gap (enqueues
         and criticality bumps pre-settle, see :meth:`try_enqueue` /
-        :meth:`presettle`).
+        :meth:`presettle`).  Occupancy accumulators are statistics outside
+        the determinism chain and never sampled by telemetry (see
+        :meth:`ChannelController.register_metrics`).
         """
         if cpu_now % self._ratio:
             return
@@ -739,11 +674,13 @@ class MemorySystem:
             if perf is not None:
                 perf.chan_wake_republishes += 1
 
+    # The per-layer benchmark tracer (bench/spans.py) wraps this method by
+    # its former name; the alias keeps that harness installable.
+    step_event = step_window
+
     def wake_cpu(self, cpu_now: int) -> int:
-        """O(channels) equivalent of :meth:`next_wake_cpu` for the event
-        engine: earliest CPU cycle > ``cpu_now`` at which stepping a
-        channel matters, read from the registered wakes instead of
-        re-deriving every channel's ``next_wake``."""
+        """Earliest CPU cycle > ``cpu_now`` at which stepping a channel
+        matters, read in O(channels) from the registered wakes."""
         ratio = self._ratio
         next_edge = (cpu_now // ratio + 1) * ratio
         wake = min(self._chan_wake) * ratio
@@ -752,19 +689,15 @@ class MemorySystem:
     def settle_idle(self, cpu_end: int) -> None:
         """Account every not-yet-settled idle edge before ``cpu_end``.
 
-        The per-cycle loops sample channel occupancy at every DRAM edge in
-        ``[0, cpu_end)``; the event engine defers idle samples, so the end
-        of the run (or any point statistics are read) must settle the
+        The naive loop samples channel occupancy at every DRAM edge in
+        ``[0, cpu_end)``; the batched engine defers skipped samples, so the
+        end of the run (or any point statistics are read) must settle the
         tail.
         """
         edge_count = (cpu_end - 1) // self._ratio + 1 if cpu_end > 0 else 0
         settled = self._chan_settled
-        batched = self._batched
         for i, channel in enumerate(self.channels):
             gap = edge_count - settled[i]
             if gap > 0:
-                if batched:
-                    channel.account_window(gap)
-                else:
-                    channel.account_idle(gap)
+                channel.account_window(gap)
                 settled[i] = edge_count

@@ -13,10 +13,10 @@ plus a hash of the simulator's own source files, so editing the model
 invalidates every cached result automatically.  The telemetry
 configuration fingerprint (sampling interval, trace on/off and capacity)
 is part of the key too: a run cached without sampling must not satisfy a
-request that expects time-series on the result.  Since every loop
-implementation (naive, fast, event) is bit-identical, the engine
-selection (``RunSpec.engine`` / ``REPRO_ENGINE``) and the skip setting
-are deliberately *not* part of the key — and neither is the telemetry
+request that expects time-series on the result.  Since both loop
+implementations (naive, batched) are bit-identical, the engine
+selection (``RunSpec.engine`` / ``REPRO_ENGINE``) is deliberately *not*
+part of the key — and neither is the telemetry
 *streaming* configuration (``REPRO_STREAM_DIR`` / ``RunSpec.stream_dir``),
 which only mirrors telemetry to disk.
 
@@ -73,11 +73,10 @@ class RunSpec:
     ``cache-replay`` marker manifest instead, so ``repro watch`` can
     explain why no stream is coming.
 
-    ``engine`` pins the loop implementation (``naive``/``fast``/
-    ``event``) for this run; ``None`` defers to ``REPRO_ENGINE`` and
-    the default.  Like the skip setting, it is *not* part of the cache
-    key: all engines produce bit-identical results, so they share one
-    cache slot.
+    ``engine`` pins the loop implementation (``naive``/``batched``)
+    for this run; ``None`` defers to ``REPRO_ENGINE`` and the default.
+    It is *not* part of the cache key: both engines produce
+    bit-identical results, so they share one cache slot.
     """
 
     kind: str  # "parallel" | "bundle" | "alone"
@@ -232,10 +231,6 @@ def clear_disk_cache() -> int:
 
 def _pickle_result(result: SimResult) -> bytes:
     """Pickle a result, shedding unpicklable run-time attachments."""
-    for provider in result.providers:
-        # NaiveForwardingProvider holds the event queue's schedule hook.
-        if getattr(provider, "_defer", None) is not None:
-            provider._defer = None
     try:
         return pickle.dumps(result)
     except Exception:
@@ -448,47 +443,32 @@ def verify_determinism(spec: RunSpec, subprocess: bool = True) -> dict:
     """Run ``spec`` on every engine and compare determinism hash-chains.
 
     The reference run uses the spec's engine (default: the resolved
-    session engine, normally ``event``) in-process; it is compared
-    against (a) each of the other loop implementations in-process and
-    (b) the reference engine in a freshly forked worker process.
+    session engine, normally ``batched``) in-process; it is compared
+    against (a) the other loop implementation in-process and (b) the
+    reference engine in a freshly forked worker process.
     Returns a report dict: ``ok``, the reference ``chain`` digest, and a
     ``runs`` list with each comparison's verdict and — on divergence —
     the earliest diverging checkpoint from
     :func:`repro.analysis.detchain.first_divergence`.
     """
     from repro.analysis.detchain import first_divergence
-    from repro.sim.runner import _resolve_engine
     from repro.sim.stats import result_fingerprint
+    from repro.sim.system import ENGINES, System
 
-    ref_engine = spec.engine or _resolve_engine()
+    ref_engine = System.resolve_engine(spec.engine)
     reference = run_one(spec)
     comparisons: list[tuple[str, SimResult]] = []
 
-    # REPRO_NO_SKIP would force every comparison run back to the naive
-    # loop, making the cross-engine check vacuous; lift it while the
-    # explicitly-pinned engines run.
-    saved = os.environ.pop("REPRO_NO_SKIP", None)
-    try:
-        from repro.sim.system import ENGINES
-
-        names = {
-            "naive": "naive cycle-by-cycle loop",
-            "fast": "fast-forwarding loop",
-            "event": "event (wake-heap) loop",
-            "batched": "batched (windowed) loop",
-        }
-        for engine in ENGINES:
-            if engine == ref_engine:
-                continue
-            comparisons.append(
-                (
-                    names[engine],
-                    run_one(dataclasses.replace(spec, engine=engine)),
-                )
-            )
-    finally:
-        if saved is not None:
-            os.environ["REPRO_NO_SKIP"] = saved
+    names = {
+        "naive": "naive cycle-by-cycle loop",
+        "batched": "batched (windowed) loop",
+    }
+    for engine in ENGINES:
+        if engine == ref_engine:
+            continue
+        comparisons.append(
+            (names[engine], run_one(dataclasses.replace(spec, engine=engine)))
+        )
 
     if subprocess:
         import multiprocessing

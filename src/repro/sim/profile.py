@@ -6,8 +6,8 @@ Two observation modes over the same workload:
   :mod:`cProfile` and fold the per-function ``tottime`` into a
   per-component report (core model, DRAM, caches, scheduler, telemetry,
   determinism chain, engine loop), plus the top-N functions.  This is
-  the measurement the event-engine work is gated on — "where do the
-  cycles go" is answered by data, not assertion.
+  the measurement the engine work is gated on — "where do the cycles
+  go" is answered by data, not assertion.
 * **engine comparison** (``--engines all`` or ``--engines A,B,...``):
   run the same workload once per engine *without* the profiler and
   report wall clock, cycles/second, and speedup over the naive

@@ -3,10 +3,9 @@
 Environment knobs (also settable via ``python -m repro`` flags):
 
 * ``REPRO_ENGINE``        — loop implementation: ``naive`` (cycle by
-  cycle), ``fast`` (skip windows), or ``event`` (wake heap; default);
-* ``REPRO_NO_SKIP=1``     — force the cycle-by-cycle loop (no fast-forward);
+  cycle, the reference) or ``batched`` (wake-driven windows; default);
 * ``REPRO_VERIFY_SKIP=1`` — run every simulation twice (the selected
-  engine plus a reference engine) and assert bit-identical results.
+  engine plus the other one) and assert bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,31 +33,22 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "") not in ("", "0")
 
 
-def _resolve_engine() -> str:
-    """The loop implementation the env knobs select for this run."""
-    if _env_flag("REPRO_NO_SKIP"):
-        return "naive"
-    from repro.sim.system import System
-
-    return System.resolve_engine(None)
-
-
 def _run_system(make_system, max_cycles: int) -> SimResult:
     """Run a system built by ``make_system()``, honouring the env knobs.
 
     Wall-clock time is recorded on the result; with ``REPRO_VERIFY_SKIP``
     a second system is built and run on a reference engine (``naive``
-    unless that is the engine under test, then ``fast``) and the two
+    unless that is the engine under test, then ``batched``) and the two
     results are cross-checked for bit-identity.
     """
-    engine = _resolve_engine()
+    engine = System.resolve_engine(None)
     # Wall-clock observability only (the sanctioned host clock): never
     # feeds back into simulated state.
     start = hostclock.now()
     result = make_system().run(max_cycles=max_cycles, engine=engine)
     result.wall_seconds = hostclock.now() - start
     if _env_flag("REPRO_VERIFY_SKIP"):
-        reference = "naive" if engine != "naive" else "fast"
+        reference = "naive" if engine != "naive" else "batched"
         # The cross-check run must not clobber the primary run's streamed
         # telemetry (its stream would be bit-identical anyway — that is
         # the point of the check — but rewriting it would confuse a live

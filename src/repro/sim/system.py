@@ -1,25 +1,21 @@
 """System: cores + hierarchy + memory, and the global cycle loop.
 
-Four loop implementations produce bit-identical results (same
+Two loop implementations produce bit-identical results (same
 determinism chain, result fingerprint, and streamed telemetry bytes):
 
 * ``naive``   — the reference: step every component every cycle;
-* ``fast``    — scan every core each cycle but fast-forward over windows
-  where every core is quiescent and no event/DRAM edge has work;
-* ``event``   — the default: a wake-driven core that visits only cycles
+* ``batched`` — the default: a wake-driven loop that visits only cycles
   where something can happen, tracking skipping cores in a wake heap
-  and idle DRAM channels by registered wakes (see :meth:`_run_event`
-  and DESIGN.md §5.4 for the identity argument);
-* ``batched`` — the event loop plus model-level windowing: a single
-  active core steps whole ready-windows in one call
+  and idle DRAM channels by registered wakes, plus model-level
+  windowing: a single active core steps whole ready-windows in one call
   (:meth:`OutOfOrderCore.step_window`) and DRAM channels sleep through
   cycles at which no command can legally issue
   (:meth:`ChannelController.next_wake_window`), leaning on the
   batchability certificates (see :meth:`_run_batched` and DESIGN.md
-  §5.8).
+  §5.7).
 
 Select with ``System.run(engine=...)``, ``REPRO_ENGINE``, or the
-``--engine`` CLI flag; ``REPRO_NO_SKIP=1`` forces ``naive``.
+``--engine`` CLI flag.
 """
 
 from __future__ import annotations
@@ -31,7 +27,11 @@ import os
 from repro.analysis import detchain, effectcheck
 from repro.config import SystemConfig
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.provider import CriticalityProvider, NullProvider
+from repro.core.provider import (
+    CriticalityProvider,
+    NaiveForwardingProvider,
+    NullProvider,
+)
 from repro.cpu.core import OutOfOrderCore
 from repro.dram.controller import MemorySystem
 from repro.sched.registry import make_scheduler_factory
@@ -47,7 +47,7 @@ _FOREVER = 1 << 62
 #: Every registered loop implementation, in reference-first order.  The
 #: CLI, ``verify_determinism``, and ``profile --engines all`` enumerate
 #: this tuple rather than hard-coding engine names.
-ENGINES = ("naive", "fast", "event", "batched")
+ENGINES = ("naive", "batched")
 
 
 def make_provider_factory(spec):
@@ -66,7 +66,7 @@ def make_provider_factory(spec):
         return spec
     kind, kwargs = spec
     from repro.core.fields import FieldsLikeProvider
-    from repro.core.provider import CbpProvider, ClptProvider, NaiveForwardingProvider
+    from repro.core.provider import CbpProvider, ClptProvider
 
     classes = {
         "cbp": CbpProvider,
@@ -160,14 +160,11 @@ class System:
             effectcheck.instrument_system(self)
 
     @staticmethod
-    def resolve_engine(engine: str | None, skip_cycles: bool = True) -> str:
+    def resolve_engine(engine: str | None) -> str:
         """Pick the loop implementation: explicit argument, then the
-        ``REPRO_ENGINE`` environment knob, then the default (``event``).
-        ``skip_cycles=False`` is the legacy spelling of ``naive``."""
+        ``REPRO_ENGINE`` environment knob, then the default (``batched``)."""
         if engine is None:
-            if not skip_cycles:
-                return "naive"
-            engine = os.environ.get("REPRO_ENGINE", "").strip() or "event"
+            engine = os.environ.get("REPRO_ENGINE", "").strip() or "batched"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}: expected one of "
@@ -178,16 +175,13 @@ class System:
     def run(
         self,
         max_cycles: int | None = None,
-        skip_cycles: bool = True,
         engine: str | None = None,
     ) -> SimResult:
         """Run every core's trace to completion; returns the results.
 
         ``engine`` selects the loop implementation (see the module
-        docstring); all three are bit-identical, so the choice only
-        affects wall clock.  ``skip_cycles=False`` forces the plain
-        cycle-by-cycle loop (the reference for the cross-check mode) and
-        is equivalent to ``engine="naive"``.
+        docstring); both are bit-identical, so the choice only affects
+        wall clock.
 
         When a streaming writer is attached (``REPRO_STREAM_DIR``) the
         stream is finalized on success and aborted — torn tail removed,
@@ -198,7 +192,7 @@ class System:
         events and in-flight callbacks (:meth:`_release`), leaving its
         state readable but no longer steppable.
         """
-        engine = self.resolve_engine(engine, skip_cycles)
+        engine = self.resolve_engine(engine)
         stream = self.telemetry.stream
         if stream is None:
             result = self._dispatch(engine, max_cycles)
@@ -221,17 +215,19 @@ class System:
         and itself.  With those cut, reference counting frees a dead
         System and its models the moment the last reference goes, rather
         than leaving tens of thousands of objects to the cyclic
-        collector.
+        collector.  Providers outlive the run inside the result, so they
+        drop their hooks into the event queue and memory system.
         """
         self.events.clear()
         self.hierarchy.detach()
+        for provider in self.providers:
+            if isinstance(provider, NaiveForwardingProvider):
+                provider.bind_defer(None)
 
     def _dispatch(self, engine: str, max_cycles: int | None) -> SimResult:
-        if engine == "event":
-            return self._run_event(max_cycles)
         if engine == "batched":
             return self._run_batched(max_cycles)
-        return self._run_impl(max_cycles, skip_cycles=(engine == "fast"))
+        return self._run_naive(max_cycles)
 
     def _fold_telemetry(self, sampler, stream, limit: int) -> None:
         """Fold sampler and stream-flush points, interleaved on the
@@ -239,11 +235,10 @@ class System:
 
         The naive loop reaches this once per cycle, so a sample at cycle
         P lands *before* a flush point at P seals the segment.  The
-        skipping loop calls it with a whole quiescent window as
-        ``limit``; stepping the two point streams in merged cycle order
-        (sample first on ties) reproduces that per-cycle interleaving
-        exactly, keeping streamed segment boundaries bit-identical
-        across skip modes.
+        batched loop calls it with a whole jumped window as ``limit``;
+        stepping the two point streams in merged cycle order (sample
+        first on ties) reproduces that per-cycle interleaving exactly,
+        keeping streamed segment boundaries bit-identical across engines.
         """
         if stream is None:
             sampler.sample_upto(limit)
@@ -267,9 +262,8 @@ class System:
                         f"{stream.next_flush}"
                     )
 
-    def _run_impl(
-        self, max_cycles: int | None = None, skip_cycles: bool = True
-    ) -> SimResult:
+    def _run_naive(self, max_cycles: int | None = None) -> SimResult:
+        """The reference loop: step every component every cycle."""
         cores = self.cores
         events = self.events
         memory = self.memory
@@ -277,20 +271,15 @@ class System:
         remaining = len(cores)
         now = self._now
         hit_cap = False
-        forever = _FOREVER
         # Determinism hash-chain: fold a snapshot of architectural state
-        # every `every` cycles.  Sample cycles are defined on the virtual
-        # cycle axis, so fast-forwarded windows fold the same (constant)
-        # state at the same cycles the naive loop would have.
+        # every `every` cycles.  Sample points live on the virtual cycle
+        # axis, so the batched loop folds the same states at the same
+        # cycles even across windows it jumps.
         every = detchain.interval()
         chain = detchain.DetChain(every) if every else None
         next_sample = every
-        # Interval sampler: like the hash-chain, sample points live on the
-        # virtual cycle axis, so folding due points inside fast-forward
-        # windows (where every sampled instrument is constant) yields the
-        # exact stream the naive loop produces.  Stream-flush points live
-        # on the same axis and are interleaved with sample points in
-        # cycle order (see _fold_telemetry).
+        # Interval sampler and stream-flush points live on the same axis
+        # and are interleaved in cycle order (see _fold_telemetry).
         sampler = self.telemetry.sampler
         stream = self.telemetry.stream
         # Host perf counters (REPRO_PERF=1): phase brackets read the
@@ -314,58 +303,20 @@ class System:
             if clock is not None:
                 t2 = clock()
                 perf.ns_memory += t2 - t1
-            all_quiet = skip_cycles
             for core in cores:
                 if core.done:
                     continue
-                if core.skip_until > now:
-                    continue  # quiescent; stats settled by flush_skip later
-                if core._quiet_deltas is not None:
-                    core.flush_skip(now)
                 core.step(now)
                 if core.done:
                     finish[core.core_id] = now + 1
                     remaining -= 1
-                elif skip_cycles:
-                    if core.plan_defer:
-                        core.plan_defer -= 1
-                        all_quiet = False
-                    else:
-                        plan = core.skip_plan(now)
-                        if plan is None:
-                            core.plan_defer = 3
-                            all_quiet = False
-                        else:
-                            core.begin_skip(plan, now, forever)
-                            if perf is not None:
-                                perf.note_skip(core.skip_until, now)
-            nxt = now + 1
-            if all_quiet and remaining:
-                # Every live core is quiescent: jump straight to the next
-                # cycle at which anything can happen.
-                target = memory.next_wake_cpu(now)
-                event_cycle = events.next_cycle()
-                if event_cycle is not None and event_cycle < target:
-                    target = event_cycle
-                for core in cores:
-                    if not core.done and core.skip_until < target:
-                        target = core.skip_until
-                if max_cycles is not None and target > max_cycles:
-                    target = max_cycles
-                if target > nxt:
-                    memory.fast_forward(nxt, target)
-                    nxt = target
-            if chain is not None and next_sample < nxt:
-                # State at the end of every cycle in [now, nxt) equals the
-                # state right now (skipped cycles change nothing), so fold
-                # one sample per due sample point in the window.
-                state = detchain.snapshot(self)
-                while next_sample < nxt:
-                    chain.sample(next_sample, state)
-                    next_sample += every
+            if chain is not None and next_sample == now:
+                chain.sample(now, detchain.snapshot(self))
+                next_sample += every
             if clock is not None:
                 t3 = clock()
                 perf.ns_cores += t3 - t2
+            nxt = now + 1
             if sampler is not None or stream is not None:
                 self._fold_telemetry(sampler, stream, nxt)
             if clock is not None:
@@ -373,11 +324,13 @@ class System:
             self._now = now = nxt
         return self._finish_run(now, hit_cap, chain, sampler)
 
-    def _run_event(self, max_cycles: int | None = None) -> SimResult:
-        """Wake-driven loop: visit only cycles where something can happen.
+    def _run_batched(self, max_cycles: int | None = None) -> SimResult:
+        """Wake-driven, windowed loop: visit only cycles where something
+        can happen, and batch whole windows inside the models.
 
-        The per-cycle loops spend most of their time discovering that
-        nothing is due; this loop tracks *who is due when* instead:
+        The naive loop spends most of its time discovering that nothing
+        is due; this loop tracks *who is due when* instead (DESIGN.md
+        §5.7):
 
         * **Cores** are either active (stepped every visited cycle, in
           core-id order, forcing the next cycle to be visited) or
@@ -387,182 +340,8 @@ class System:
           early.  Since every wake originates inside an event callback
           (store-buffer retries, DRAM-bound promotions, the core's own
           completion events), hooks only fire during the ``run_due``
-          phase — before the core scan — so a core woken at cycle ``now``
-          is stepped at ``now``, exactly as the per-cycle scan's
-          ``skip_until > now`` test would have done.
-        * **DRAM channels** register wakes (:meth:`MemorySystem.wake_cpu`)
-          instead of being polled: an idle channel's skipped steps are
-          pure zero-occupancy samples, settled lazily by
-          ``account_idle``/``settle_idle``.
-        * **Events** run only when the queue's head is due.
-
-        Det-chain, sampler, and stream fold points live on the virtual
-        cycle axis and never force a visit: due points inside a jumped
-        window fold the same constant state the naive loop would have
-        read cycle by cycle (same argument as ``_run_impl``'s windows).
-        Together these make the loop bit-identical to the naive one —
-        the engine-differential suite and ``REPRO_VERIFY_SKIP`` hold it
-        to that.
-        """
-        cores = self.cores
-        events = self.events
-        memory = self.memory
-        finish = self._finish_cycles
-        remaining = len(cores)
-        now = self._now
-        hit_cap = False
-        forever = _FOREVER
-        every = detchain.interval()
-        chain = detchain.DetChain(every) if every else None
-        next_sample = every
-        sampler = self.telemetry.sampler
-        stream = self.telemetry.stream
-        fold_telemetry = sampler is not None or stream is not None
-        # Host perf counters (REPRO_PERF=1): same disabled-path discipline
-        # as _run_impl — branches only, no per-cycle allocations.
-        perf = self.perf
-        clock = hostclock.now_ns if perf is not None else None
-        t0 = t1 = t2 = t3 = 0
-
-        wake_heap: list = []  # (skip_until, core_id); stale entries dropped
-        woken: list = []  # skipping cores whose wake hook fired
-
-        def on_wake(core):
-            core._wake_hook = None
-            woken.append(core)
-            if perf is not None:
-                perf.wake_hook_fires += 1
-
-        is_active = [not core.done for core in cores]
-        active = [core for core in cores if not core.done]
-        dirty = False
-
-        while remaining:
-            if max_cycles is not None and now >= max_cycles:
-                hit_cap = True
-                break
-            if clock is not None:
-                perf.visited_cycles += 1
-                t0 = clock()
-            due = events.next_cycle()
-            if due is not None and due <= now:
-                events.run_due(now)
-                if woken:
-                    for core in woken:
-                        cid = core.core_id
-                        if not is_active[cid] and not core.done:
-                            is_active[cid] = True
-                            dirty = True
-                    del woken[:]
-            if clock is not None:
-                t1 = clock()
-                perf.ns_events += t1 - t0
-            memory.step_event(now)
-            if clock is not None:
-                t2 = clock()
-                perf.ns_memory += t2 - t1
-            while wake_heap:
-                cycle, cid = wake_heap[0]
-                core = cores[cid]
-                if core.done or core.skip_until != cycle:
-                    heapq.heappop(wake_heap)  # stale: woken or re-planned
-                    if perf is not None:
-                        perf.heap_stale_drops += 1
-                    continue
-                if cycle > now:
-                    break
-                heapq.heappop(wake_heap)
-                core._wake_hook = None
-                if not is_active[cid]:
-                    is_active[cid] = True
-                    dirty = True
-            if dirty:
-                active = [core for core in cores if is_active[core.core_id]]
-                dirty = False
-            for core in active:
-                if core._quiet_deltas is not None:
-                    core.flush_skip(now)
-                core.step(now)
-                if core.done:
-                    finish[core.core_id] = now + 1
-                    remaining -= 1
-                    is_active[core.core_id] = False
-                    dirty = True
-                elif core.plan_defer:
-                    core.plan_defer -= 1
-                else:
-                    plan = core.skip_plan(now)
-                    if plan is None:
-                        core.plan_defer = 3
-                    else:
-                        core.begin_skip(plan, now, forever)
-                        if perf is not None:
-                            perf.note_skip(core.skip_until, now)
-                        is_active[core.core_id] = False
-                        dirty = True
-                        core._wake_hook = on_wake
-                        if core.skip_until < forever:
-                            heapq.heappush(
-                                wake_heap, (core.skip_until, core.core_id)
-                            )
-                            if perf is not None:
-                                perf.heap_pushes += 1
-            if dirty:
-                active = [core for core in cores if is_active[core.core_id]]
-                dirty = False
-            nxt = now + 1
-            if not active and remaining:
-                # Every live core is skipping: jump to the next cycle at
-                # which anything can happen.
-                target = memory.wake_cpu(now)
-                event_cycle = events.next_cycle()
-                if event_cycle is not None and event_cycle < target:
-                    target = event_cycle
-                while wake_heap:
-                    cycle, cid = wake_heap[0]
-                    core = cores[cid]
-                    if core.done or core.skip_until != cycle:
-                        heapq.heappop(wake_heap)
-                        if perf is not None:
-                            perf.heap_stale_drops += 1
-                        continue
-                    if cycle < target:
-                        target = cycle
-                    break
-                if max_cycles is not None and target > max_cycles:
-                    target = max_cycles
-                if target > nxt:
-                    nxt = target
-            if chain is not None and next_sample < nxt:
-                state = detchain.snapshot(self)
-                while next_sample < nxt:
-                    chain.sample(next_sample, state)
-                    next_sample += every
-            if clock is not None:
-                t3 = clock()
-                perf.ns_cores += t3 - t2
-            if fold_telemetry:
-                self._fold_telemetry(sampler, stream, nxt)
-            if clock is not None:
-                perf.ns_telemetry += clock() - t3
-            self._now = now = nxt
-        for core in cores:
-            core._wake_hook = None
-        memory.settle_idle(now)
-        return self._finish_run(now, hit_cap, chain, sampler)
-
-    def _run_batched(self, max_cycles: int | None = None) -> SimResult:
-        """Windowed loop: the event engine plus model-level batching.
-
-        Two additions over :meth:`_run_event` (DESIGN.md §5.8):
-
-        * **DRAM command batching** — channels register timing-aware
-          wakes (:meth:`ChannelController.next_wake_window`): with only
-          reads queued, a channel sleeps until the first cycle a command
-          could legally issue; the skipped cycles' occupancy/criticality
-          statistics are settled in bulk (``account_window``) and their
-          det_state is provably constant, so the existing all-quiet jump
-          and fold-point machinery already handle them exactly.
+          phase — before the core phase — so a core woken at cycle
+          ``now`` is stepped at ``now``, exactly as the naive loop would.
         * **Core windows** — when exactly one core is active, it advances
           through :meth:`OutOfOrderCore.step_window` over the span in
           which no event, DRAM edge, or parked-core wake can intervene.
@@ -571,6 +350,20 @@ class System:
           a window may only end at a det-chain/sampler/stream fold point,
           never span one: fold points read end-of-cycle state on the
           virtual axis, and the limit computation clamps to the next one.
+        * **DRAM channels** register timing-aware wakes
+          (:meth:`ChannelController.next_wake_window`) instead of being
+          polled: a channel sleeps until the first cycle a command could
+          legally issue; the skipped cycles' occupancy/criticality
+          statistics are settled in bulk (``account_window``) and their
+          det_state is provably constant.
+        * **Events** run only when the queue's head is due.
+
+        When every live core is skipping, the loop jumps to the next
+        cycle at which anything can happen.  Det-chain, sampler, and
+        stream fold points due inside a jump fold the same constant state
+        the naive loop would have read cycle by cycle.  The engine
+        differential suite and ``REPRO_VERIFY_SKIP`` hold the loop to
+        bit-identity with the naive one.
 
         Only hooks certified in batchability.json are windowed (SEM032
         pins every shortcut site to its certificate; REPRO_VERIFY_EFFECTS

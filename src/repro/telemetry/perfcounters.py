@@ -4,16 +4,15 @@ The telemetry registry measures the *simulated machine*; this module
 measures the *simulator*: how many event-queue callbacks fired, how many
 wake-heap entries went stale, how long each engine phase took on the
 host clock.  That is the observability the model-batching work is judged
-against — ``repro profile --counters`` renders it, ``repro bench``
-records it next to wall clock.
+against — ``repro profile --counters`` renders it.
 
 Design constraints (enforced by ``tests/test_perfcounters.py``):
 
 * **Compiled out by default.**  With ``REPRO_PERF`` unset no
   :class:`PerfCounters` object is ever constructed and the hot paths see
   only ``perf is None`` / ``clock is None`` branches — zero new
-  allocations per cycle (the CI bench-smoke job pins this, and the
-  PERF001–003 lint rules stay clean on the instrumented code).
+  allocations per cycle (the PERF001–003 lint rules stay clean on the
+  instrumented code).
 * **Host-side only.**  Counter values and phase times never reach
   ``SimResult.metrics``, the determinism chain, ``result_fingerprint``,
   streamed telemetry bytes, or the engine cache key.  They land on the
@@ -80,7 +79,7 @@ class PerfCounters:
             self.skip_cycles_planned += skip_until - now
 
     def snapshot(self) -> dict:
-        """Plain-data form for ``SimResult.host_perf`` / bench records."""
+        """Plain-data form for ``SimResult.host_perf``."""
         counters = {name: getattr(self, name) for name, _ in FIELDS}
         phases = {phase: getattr(self, f"ns_{phase}") for phase in PHASES}
         return {"version": 1, "counters": counters, "phase_ns": phases}

@@ -3,8 +3,7 @@
 Several processes share rendezvous files: the engine result cache
 (``run_many`` workers and concurrent sweeps race the same content hash),
 stream ``MANIFEST.json`` files, the fleet ``.registry/`` entries and
-``INDEX.json`` materialized view, ``BENCH_<n>.json`` records, the
-incremental-analysis cache shards, and the ``REPRO_RUN_LOG`` metrics
+``INDEX.json`` materialized view, and the ``REPRO_RUN_LOG`` metrics
 log.  Every guarantee the repo sells — parse-clean artifacts after a
 SIGKILL, identical cache bytes whichever racing writer wins, a fleet
 index that is at worst one registration behind — reduces to two idioms:

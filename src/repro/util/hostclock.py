@@ -4,8 +4,8 @@ Host time must never reach simulated state: every architectural decision
 flows from the virtual cycle counter, and the DET002 lint rule flags any
 raw ``time.*`` clock read inside ``src/repro``.  Legitimate *host-side*
 observability — ``SimResult.wall_seconds``, the ``repro profile``
-reports, the ``REPRO_PERF=1`` counters, ``repro bench`` timing, fleet
-registry timestamps — still needs a clock, and routing every such read
+reports, the ``REPRO_PERF=1`` counters, fleet registry timestamps —
+still needs a clock, and routing every such read
 through this module keeps the boundary auditable in one place:
 
 * this file is the only module allowlisted by DET002, so a raw
@@ -13,11 +13,11 @@ through this module keeps the boundary auditable in one place:
 * nothing returned here may be folded into ``SimResult.metrics``, the
   determinism chain, ``result_fingerprint``, streamed telemetry bytes,
   or an engine cache key — the perf-counter identity tests enforce that
-  for every consumer (see DESIGN.md §5.6).
+  for every consumer (see DESIGN.md §5.5).
 
 ``now()``/``now_ns()`` are monotonic (interval measurement);
 ``walltime()`` is the epoch clock, for *metadata* timestamps only
-(bench records, fleet registry entries), never for measuring anything.
+(fleet registry entries), never for measuring anything.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Differential and property harness for the batched (windowed) engine.
 
-The fourth engine (``--engine batched``) steps the core and DRAM models
-over whole ready-windows instead of cycle by cycle, citing the
-batchability certificates of PR 7 at every shortcut site.  This module
-is the gate that keeps it honest:
+The default engine (``--engine batched``) steps the core and DRAM
+models over whole ready-windows instead of cycle by cycle, citing the
+batchability certificates at every shortcut site.  This module is the
+gate that keeps it honest:
 
-* **Four-engine differential** — det-chain, ``result_fingerprint``, and
-  byte-identical streamed telemetry for naive/fast/event/batched across
-  every registered scheduler, with the batched run additionally
-  instrumented by ``REPRO_VERIFY_EFFECTS=1`` (runtime purity brackets
-  around every certified hook).
+* **Engine differential** — det-chain, ``result_fingerprint``, and
+  byte-identical streamed telemetry for naive/batched across every
+  registered scheduler, with the batched run additionally instrumented
+  by ``REPRO_VERIFY_EFFECTS=1`` (runtime purity brackets around every
+  certified hook).
 * **Hypothesis properties** — randomly generated traces driven through
   `OutOfOrderCore.step_window` with random window spans (including
   spans cut short by mid-window wakes from the event queue and the DRAM
@@ -37,13 +37,11 @@ from repro.dram.controller import MemorySystem
 from repro.sched.frfcfs import FrFcfsScheduler
 from repro.sched.registry import SCHEDULERS
 from repro.sim.stats import _stat_items, result_fingerprint
-from repro.sim.system import System
+from repro.sim.system import ENGINES, System
 from repro.sim.events import EventQueue
 from repro.workloads.parallel import parallel_traces
 
 SCALE = SimScale(instructions_per_core=400, warmup_instructions=0, seed=11)
-
-ENGINES = ("naive", "fast", "event", "batched")
 
 
 def _provider_for(scheduler: str):
@@ -77,14 +75,14 @@ def telemetry_on(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
 
-# --------------------------------------------------- four-engine identity
+# ------------------------------------------------------- engine identity
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_all_four_engines_bit_identical_for_every_scheduler(
+def test_engines_bit_identical_for_every_scheduler(
     telemetry_on, tmp_path, monkeypatch, scheduler
 ):
-    """naive == fast == event == batched: det-chain, fingerprint, bytes.
+    """naive == batched: det-chain, fingerprint, bytes.
 
     The batched leg runs with the runtime effect checker on, so every
     window-invariance certificate it leans on is re-verified while the
@@ -105,7 +103,7 @@ def test_all_four_engines_bit_identical_for_every_scheduler(
     reference = results["naive"]
     fingerprint = result_fingerprint(reference)
     assert digests["naive"], "streaming produced no segments"
-    for engine in ("fast", "event", "batched"):
+    for engine in ENGINES[1:]:
         other = results[engine]
         assert other.det_chain == reference.det_chain, engine
         assert result_fingerprint(other) == fingerprint, engine

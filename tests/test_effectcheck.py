@@ -17,7 +17,7 @@ from repro.analysis.effectcheck import (
 )
 from repro.config import DramConfig, SystemConfig
 from repro.cpu.instruction import INT, LOAD, Trace
-from repro.sim.system import System
+from repro.sim.system import ENGINES, System
 
 
 def small_traces(cores=2, n=400):
@@ -72,7 +72,7 @@ class TestCertificatesHoldAtRuntime:
         assert checked.finish_cycles == bare.finish_cycles
 
     def test_every_engine_stays_clean(self):
-        for engine in ("naive", "fast", "event"):
+        for engine in ENGINES:
             system = make_system()
             instrument_system(system, every=3)
             result = system.run(max_cycles=400_000, engine=engine)
@@ -81,19 +81,22 @@ class TestCertificatesHoldAtRuntime:
 
 class TestInjectedViolation:
     def test_mutating_next_wake_is_caught(self):
+        # The default (batched) engine reads each channel's wake through
+        # next_wake_window after every step; next_wake is only its
+        # fallback during write drains and refreshes.
         system = make_system()
         channel = system.memory.channels[0]
-        real = channel.next_wake
+        real = channel.next_wake_window
 
         def poisoned(dram_now):
             channel._seq += 1  # the undeclared mutation SEM030 also flags
             return real(dram_now)
 
-        channel.next_wake = poisoned
+        channel.next_wake_window = poisoned
         instrument_system(system)
         with pytest.raises(EffectViolation) as err:
             system.run(max_cycles=400_000)
-        assert "next_wake" in str(err.value)
+        assert "next_wake_window" in str(err.value)
 
     def test_sampling_still_catches_repeated_mutation(self):
         system = make_system()

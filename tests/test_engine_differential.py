@@ -1,11 +1,12 @@
-"""Cross-engine differential oracle: naive vs fast vs event vs batched.
+"""Cross-engine differential oracle: naive vs batched.
 
-The four loop implementations in :mod:`repro.sim.system` must be
+The two loop implementations in :mod:`repro.sim.system` must be
 bit-identical — same determinism chain, same result fingerprint, and
-byte-identical streamed telemetry segments on disk.  This module holds
-the event engine to that for every registered scheduler, and pins the
-previously-untested ``max_cycles`` cap path (a capped run breaks out of
-the loop mid-flight, which must not perturb telemetry folding).
+byte-identical streamed telemetry segments on disk.  The per-scheduler
+identity lives in ``test_batched_differential.py``; this module pins
+the ``max_cycles`` cap path (a capped run breaks out of the loop
+mid-flight, which must not perturb telemetry folding) and engine
+selection.
 
 The satellite regressions ride along: the shared-kwargs aliasing fix in
 ``make_provider_factory`` and the stall guard in ``_fold_telemetry``.
@@ -19,14 +20,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import SimScale, SystemConfig
-from repro.sched.registry import SCHEDULERS
 from repro.sim.stats import result_fingerprint
-from repro.sim.system import System, make_provider_factory
+from repro.sim.system import ENGINES, System, make_provider_factory
 from repro.workloads.parallel import parallel_traces
 
 SCALE = SimScale(instructions_per_core=400, warmup_instructions=0, seed=11)
-
-ENGINES = ("naive", "fast", "event", "batched")
 
 
 def _provider_for(scheduler: str):
@@ -61,25 +59,6 @@ def telemetry_on(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_event_engine_bit_identical_for_every_scheduler(
-    telemetry_on, tmp_path, monkeypatch, scheduler
-):
-    """Det-chain, fingerprint, and streamed bytes: event == naive."""
-    results = {}
-    digests = {}
-    for engine in ("naive", "event"):
-        stream_dir = tmp_path / engine
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(stream_dir))
-        results[engine] = _make_system(scheduler).run(engine=engine)
-        digests[engine] = _stream_digest(stream_dir)
-    naive, event = results["naive"], results["event"]
-    assert naive.det_chain == event.det_chain
-    assert result_fingerprint(naive) == result_fingerprint(event)
-    assert digests["naive"], "streaming produced no segments"
-    assert digests["naive"] == digests["event"]
-
-
 class TestMaxCyclesCap:
     """``hit_max_cycles`` runs must stay differential-clean: the cap
     ``break`` leaves the loop between fold points, which previously had
@@ -104,7 +83,7 @@ class TestMaxCyclesCap:
         assert reference.hit_max_cycles, "cap too high to exercise the break"
         assert reference.cycles == self.CAP
         assert reference.sample_cycles, "sampler produced nothing under cap"
-        for engine in ("fast", "event", "batched"):
+        for engine in ENGINES[1:]:
             other = results[engine]
             assert other.hit_max_cycles
             assert other.det_chain == reference.det_chain, engine
@@ -143,19 +122,21 @@ def test_incremental_det_state_matches_scan_after_real_run():
 
 
 class TestEngineSelection:
-    def test_resolve_engine_defaults_to_event(self, monkeypatch):
+    def test_resolve_engine_defaults_to_batched(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert System.resolve_engine(None) == "event"
-        assert System.resolve_engine(None, skip_cycles=False) == "naive"
-        assert System.resolve_engine("fast") == "fast"
+        assert ENGINES == ("naive", "batched")
+        assert System.resolve_engine(None) == "batched"
+        assert System.resolve_engine("naive") == "naive"
 
     def test_resolve_engine_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "naive")
         assert System.resolve_engine(None) == "naive"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            System.resolve_engine("warp")
+        # Retired engine names are rejected like any other.
+        for name in ("warp", "fast", "event"):
+            with pytest.raises(ValueError, match="one of naive, batched"):
+                System.resolve_engine(name)
 
     def test_engine_not_part_of_cache_key(self):
         from repro.sim.engine import RunSpec, spec_key

@@ -521,7 +521,7 @@ class TestBatchabilityReport:
         cc = report["classes"]["ChannelController"]
         assert cc["next_wake"]["classification"] == "window-invariant"
         assert cc["can_accept"]["classification"] == "window-invariant"
-        assert cc["account_idle"]["classification"] == "monotone-accumulating"
+        assert cc["account_window"]["classification"] == "monotone-accumulating"
         assert cc["step"]["classification"] == "per-cycle-only"
         core = report["classes"]["OutOfOrderCore"]
         assert core["skip_plan"]["classification"] == "window-invariant"
@@ -539,83 +539,6 @@ class TestBatchabilityReport:
                 assert entry["classification"] in kinds
                 assert entry["line"] > 0
                 assert entry["path"]
-
-
-# ------------------------------------------------------------ incremental cache
-
-
-class TestIncrementalCache:
-    """Shard-wise cache: correct reuse, correct invalidation."""
-
-    def _tree(self, root):
-        pkg = root / "pkg"
-        for d in (pkg, pkg / "one", pkg / "two"):
-            d.mkdir(parents=True, exist_ok=True)
-            (d / "__init__.py").write_text("")
-        (pkg / "one" / "timing.py").write_text(
-            "def f(cpu_now, dram_now):\n    return cpu_now - dram_now\n"
-        )
-        (pkg / "two" / "uses.py").write_text(
-            "from pkg.one.timing import f\n\n\n"
-            "def g(cpu_now):\n    return f(cpu_now, 0)\n"
-        )
-        return pkg
-
-    def test_cold_then_warm_reuses_every_shard(self, tmp_path):
-        from repro.analysis.inccache import analyze_paths_cached
-
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        cold = analyze_paths_cached([pkg], cache_dir=cache)
-        assert not cold.hits and len(cold.misses) == 3
-        assert [f.rule for f in cold.report.findings] == ["SEM001"]
-
-        warm = analyze_paths_cached([pkg], cache_dir=cache)
-        assert not warm.misses and len(warm.hits) == 3
-        assert ([(f.rule, f.path, f.line) for f in warm.report.findings]
-                == [(f.rule, f.path, f.line) for f in cold.report.findings])
-        # Matches the whole-program answer.
-        whole = analyze_paths([pkg])
-        assert ([(f.rule, f.line) for f in whole.findings]
-                == [(f.rule, f.line) for f in warm.report.findings])
-
-    def test_single_file_change_invalidates_only_dependents(self, tmp_path):
-        from repro.analysis.inccache import analyze_paths_cached
-
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        analyze_paths_cached([pkg], cache_dir=cache)
-
-        # Editing the leaf package invalidates exactly its own shard.
-        leaf = pkg / "two" / "uses.py"
-        leaf.write_text(leaf.read_text() + "\n# touched\n")
-        after = analyze_paths_cached([pkg], cache_dir=cache)
-        assert after.misses == [str((pkg / "two").resolve())]
-        assert len(after.hits) == 2
-
-        # Editing a depended-on package also invalidates its importers.
-        base = pkg / "one" / "timing.py"
-        base.write_text(
-            "def f(cpu_now, dram_wake, cpu_ratio):\n"
-            "    return cpu_now - dram_wake * cpu_ratio\n"
-        )
-        fixed = analyze_paths_cached([pkg], cache_dir=cache)
-        assert set(fixed.misses) == {
-            str((pkg / "one").resolve()), str((pkg / "two").resolve()),
-        }
-        assert not fixed.report.findings
-
-    def test_select_is_part_of_the_key(self, tmp_path):
-        from repro.analysis.inccache import analyze_paths_cached
-
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        analyze_paths_cached([pkg], cache_dir=cache)
-        narrowed = analyze_paths_cached(
-            [pkg], select={"SEM021"}, cache_dir=cache
-        )
-        assert len(narrowed.misses) == 3
-        assert not narrowed.report.findings
 
 
 # -------------------------------------------------------------- inline sources

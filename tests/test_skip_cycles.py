@@ -1,10 +1,11 @@
-"""The fast-forwarding cycle loop must be bit-identical to the naive loop.
+"""The default (batched) loop must be bit-identical to the naive loop.
 
-``System.run(skip_cycles=True)`` jumps over dead cycles; every counter,
-finish cycle, and channel statistic must nonetheless come out exactly as
-if the loop had stepped cycle by cycle.  These tests pin that contract
-across schedulers, providers, workload shapes, and the max_cycles cap,
-plus determinism of repeated runs and runs in worker processes.
+``System.run()`` jumps over dead cycles and windows stalled ones; every
+counter, finish cycle, and channel statistic must nonetheless come out
+exactly as if the loop had stepped cycle by cycle.  These tests pin that
+contract across schedulers, providers, workload shapes, and the
+max_cycles cap, plus determinism of repeated runs and runs in worker
+processes.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def _parallel_system(app="fft", scheduler="fr-fcfs", provider_spec=None,
 
 
 def _both_modes(make_system, max_cycles=None):
-    naive = make_system().run(max_cycles=max_cycles, skip_cycles=False)
-    fast = make_system().run(max_cycles=max_cycles, skip_cycles=True)
+    naive = make_system().run(max_cycles=max_cycles, engine="naive")
+    fast = make_system().run(max_cycles=max_cycles)
     return naive, fast
 
 
@@ -126,9 +127,9 @@ class TestBitIdentity:
 
 class TestRunnerKnobs:
     def test_no_skip_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SKIP", "1")
+        monkeypatch.setenv("REPRO_ENGINE", "naive")
         forced = run_parallel_workload("fft", scale=SCALE)
-        monkeypatch.delenv("REPRO_NO_SKIP")
+        monkeypatch.delenv("REPRO_ENGINE")
         default = run_parallel_workload("fft", scale=SCALE)
         assert result_fingerprint(forced) == result_fingerprint(default)
 

@@ -217,14 +217,14 @@ class TestTornTailDeterministic:
 
             return step
 
-        # Cover every engine's DRAM clocking path (naive/fast use step,
-        # the event engine uses step_event).
+        # Cover both engines' DRAM clocking paths (naive uses step, the
+        # batched engine uses step_window).
         monkeypatch.setattr(
             system.memory, "step", exploding(system.memory.step)
         )
         monkeypatch.setattr(
-            system.memory, "step_event",
-            exploding(system.memory.step_event),
+            system.memory, "step_window",
+            exploding(system.memory.step_window),
         )
         with pytest.raises(RuntimeError, match="injected"):
             system.run()

@@ -17,7 +17,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.sched.registry import SCHEDULERS
-from repro.sim.system import System
+from repro.sim.system import ENGINES, System
 from repro.workloads.parallel import parallel_traces
 
 #: fft at this length ends with a store's read-for-ownership still in
@@ -38,7 +38,7 @@ def no_collector():
 
 @pytest.mark.parametrize("max_cycles", [None, CAP], ids=["complete", "capped"])
 @pytest.mark.parametrize("stream", [False, True], ids=["plain", "streamed"])
-@pytest.mark.parametrize("engine", ["naive", "event", "batched"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_finished_system_freed_without_collector(
     engine, stream, max_cycles, tmp_path, monkeypatch, no_collector
 ):

@@ -1,8 +1,8 @@
 """Telemetry output must be bit-identical across loop modes and processes.
 
-The interval sampler folds sample points inside fast-forward windows and
-the trace records only at stepped cycles, so histograms, sample streams,
-and trace events must come out exactly the same whether the loop skips,
+The interval sampler folds sample points inside jumped windows and the
+trace records only at stepped cycles, so histograms, sample streams, and
+trace events must come out exactly the same whether the loop skips,
 steps cycle by cycle, or runs in a forked worker.  ``result_fingerprint``
 covers all the new telemetry fields, so fingerprint equality pins every
 one of them at once.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import SimScale, SystemConfig
 from repro.sim.stats import result_fingerprint
-from repro.sim.system import System
+from repro.sim.system import ENGINES, System
 from repro.workloads.parallel import parallel_traces
 
 SCALE = SimScale(instructions_per_core=800, warmup_instructions=0, seed=11)
@@ -38,8 +38,8 @@ def telemetry_on(monkeypatch):
 
 class TestSkipIdentity:
     def test_samples_and_trace_identical_across_modes(self, telemetry_on):
-        naive = _system().run(skip_cycles=False)
-        fast = _system().run(skip_cycles=True)
+        naive = _system().run(engine="naive")
+        fast = _system().run()
         assert naive.sample_cycles, "sampler produced nothing"
         assert naive.trace_events, "trace produced nothing"
         assert naive.sample_cycles == fast.sample_cycles
@@ -53,16 +53,16 @@ class TestSkipIdentity:
             return _system(scheduler="casras-crit",
                            provider_spec=("cbp", {"entries": 64}))
 
-        naive = make().run(skip_cycles=False)
-        fast = make().run(skip_cycles=True)
+        naive = make().run(engine="naive")
+        fast = make().run()
         assert result_fingerprint(naive) == result_fingerprint(fast)
         # The criticality path exercises the prediction trace family.
         assert any(e[0] == "pred" for e in naive.trace_events)
 
     def test_histograms_identical_across_modes(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        naive = _system().run(skip_cycles=False)
-        fast = _system().run(skip_cycles=True)
+        naive = _system().run(engine="naive")
+        fast = _system().run()
         assert naive.hierarchy.noncrit_latency.state() == \
             fast.hierarchy.noncrit_latency.state()
         for a, b in zip(naive.channels, fast.channels):
@@ -73,8 +73,8 @@ class TestSkipIdentity:
         from repro.telemetry import sampler as sampler_mod
 
         monkeypatch.setattr(sampler_mod, "_SAMPLE_CAP", 16)
-        naive = _system().run(skip_cycles=False)
-        fast = _system().run(skip_cycles=True)
+        naive = _system().run(engine="naive")
+        fast = _system().run()
         assert len(naive.sample_cycles) < 32
         assert naive.sample_cycles == fast.sample_cycles
         assert naive.timeseries == fast.timeseries
@@ -156,14 +156,14 @@ class TestStreamingSkipIdentity:
     def test_streams_identical_across_modes(self, stream_env, tmp_path,
                                             monkeypatch):
         digests = {}
-        for mode, skip in (("naive", False), ("fast", True)):
-            directory = tmp_path / mode
+        for engine in ENGINES:
+            directory = tmp_path / engine
             monkeypatch.setenv("REPRO_STREAM_DIR", str(directory))
-            digests[mode] = (
-                _system().run(skip_cycles=skip), _stream_digest(directory)
+            digests[engine] = (
+                _system().run(engine=engine), _stream_digest(directory)
             )
         naive, naive_files = digests["naive"]
-        fast, fast_files = digests["fast"]
+        fast, fast_files = digests["batched"]
         assert len(naive_files) > 2, "expected multiple sealed segments"
         assert naive_files == fast_files
         assert result_fingerprint(naive) == result_fingerprint(fast)
