@@ -128,36 +128,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.lint import main as lint_main
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.select:
-        argv += ["--select", args.select]
-    if args.show_suppressed:
-        argv.append("--show-suppressed")
-    return lint_main(argv)
-
-
-def _cmd_analyze(args) -> int:
-    from repro.analysis.semantic import main as analyze_main
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.select:
-        argv += ["--select", args.select]
-    if args.concurrency:
-        argv.append("--concurrency")
-    if args.show_suppressed:
-        argv.append("--show-suppressed")
-    if args.batchability:
-        argv += ["--batchability", args.batchability]
-    return analyze_main(argv)
-
-
 def _cmd_check_determinism(args) -> int:
     from repro.config import SimScale
     from repro.sim.engine import RunSpec, verify_determinism
@@ -371,33 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--csv", action="store_true")
     _add_engine_flags(exp_p)
 
-    lint_p = sub.add_parser(
-        "lint", help="run the simulator-specific AST lint pass"
-    )
-    lint_p.add_argument("paths", nargs="*",
-                        help="files or directories (default: src/repro)")
-    lint_p.add_argument("--select", default=None, metavar="IDS",
-                        help="comma-separated rule ids to run")
-    lint_p.add_argument("--list-rules", action="store_true")
-    lint_p.add_argument("--show-suppressed", action="store_true")
-
-    analyze_p = sub.add_parser(
-        "analyze",
-        help="run the whole-program semantic analyzer (cycle domains, "
-             "det-state coverage, scheduler contracts, effect/purity "
-             "certificates, process-safety contracts)",
-    )
-    analyze_p.add_argument("paths", nargs="*",
-                           help="files or directories (default: src/repro)")
-    analyze_p.add_argument("--select", default=None, metavar="IDS",
-                           help="comma-separated rule ids to run")
-    analyze_p.add_argument("--concurrency", action="store_true",
-                           help="run only the process-safety rules "
-                                "(CONC001–CONC005)")
-    analyze_p.add_argument("--list-rules", action="store_true")
-    analyze_p.add_argument("--show-suppressed", action="store_true")
-    analyze_p.add_argument("--batchability", default=None, metavar="PATH",
-                           help="also write batchability.json to PATH")
+    # lint and analyze declare their own options; main() forwards the
+    # rest of argv to them, so these entries only document the commands.
+    sub.add_parser("lint", add_help=False,
+                   help="run the simulator-specific AST lint pass")
+    sub.add_parser("analyze", add_help=False,
+                   help="run the whole-program semantic analyzer (cycle "
+                        "domains, det-state coverage, scheduler contracts, "
+                        "effect/purity certificates)")
 
     stats_p = sub.add_parser(
         "stats", help="run one workload and print telemetry summaries"
@@ -500,14 +451,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Dispatch before parsing: argparse.REMAINDER would reject a leading
+    # option such as `repro lint --list-rules`.
+    if argv[:1] == ["lint"]:
+        from repro.analysis.lint import main as lint_main
+
+        return lint_main(argv[1:])
+    if argv[:1] == ["analyze"]:
+        from repro.analysis.semantic import main as analyze_main
+
+        return analyze_main(argv[1:])
     args = build_parser().parse_args(argv)
     _apply_engine_flags(args)
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,
         "experiment": _cmd_experiment,
-        "lint": _cmd_lint,
-        "analyze": _cmd_analyze,
         "stats": _cmd_stats,
         "trace": _cmd_trace,
         "watch": _cmd_watch,

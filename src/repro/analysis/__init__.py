@@ -4,9 +4,9 @@ Three independent sanitizers guard the reproduction as it scales:
 
 * :mod:`repro.analysis.lint` — a custom AST lint pass over ``src/repro``
   that flags simulator-specific hazards (nondeterminism sources, float
-  arithmetic on cycle counters, frozen-config mutation, schedulers
-  bypassing the ``sched.base`` interface, silent exception handling).
-  CLI: ``python -m repro lint`` / ``tools/lint.py``.
+  arithmetic on cycle counters, shared-artifact writes that bypass
+  :mod:`repro.util.atomicio`, silent exception handling, per-cycle
+  allocations).  CLI: ``python -m repro lint``.
 * :mod:`repro.analysis.protocol` — a shadow JEDEC DDR3 timing oracle
   that, under ``REPRO_SANITIZE=1``, observes every command the channel
   controllers issue and re-checks every Table-3 constraint from its own
@@ -14,7 +14,7 @@ Three independent sanitizers guard the reproduction as it scales:
 * :mod:`repro.analysis.detchain` — a rolling FNV-1a hash-chain of
   architectural state sampled every N cycles, recorded on every
   :class:`~repro.sim.stats.SimResult` and compared by
-  ``python -m repro check-determinism`` to pin down skip-vs-naive and
+  ``python -m repro check-determinism`` to pin down batched-vs-naive and
   cross-process divergence to a cycle window.
 """
 

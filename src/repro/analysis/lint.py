@@ -21,10 +21,9 @@ ARG001     mutable default argument — evaluated once at definition time
            and shared across calls, leaking state between runs
 FLT001     float arithmetic assigned to a cycle-counter-like name —
            cycles are exact integers; floats drift and break bit-identity
-CFG001     mutation of a frozen config object (``DramConfig`` /
-           ``CoreConfig`` / ``timings``) after construction
-SCH001     a ``*Scheduler`` class that does not inherit from the
-           ``sched.base`` interface
+IO001      raw ``os.replace``/``os.rename`` or an append-mode ``open()``
+           — shared artifacts are written only through
+           ``repro.util.atomicio`` (the only allowlisted module)
 EXC001     bare ``except:`` — swallows ``KeyboardInterrupt`` and hides bugs
 EXC002     silent exception handler (body is only ``pass``/``...``) —
            drops errors without a trace
@@ -45,8 +44,8 @@ registers is itself an error (SUP001) — a typo'd suppression would
 otherwise silently stop suppressing.  The grammar is shared with the
 semantic analyzer (see :mod:`repro.analysis.suppress`).
 
-CLI: ``python -m repro lint [paths...]`` or ``tools/lint.py``; exits
-nonzero when any unsuppressed finding remains.
+CLI: ``python -m repro lint [paths...]``; exits nonzero when any
+unsuppressed finding remains.
 """
 
 from __future__ import annotations
@@ -132,6 +131,11 @@ def _from_imports(tree: ast.Module, module: str, names: set[str]) -> dict[str, a
                 if item.name in names:
                     bound[item.asname or item.name] = node
     return bound
+
+
+def _is_module(path: str, suffix: str) -> bool:
+    """Is ``path`` the source file ``suffix`` (e.g. ``util/hostclock.py``)?"""
+    return str(path).replace("\\", "/").endswith(suffix)
 
 
 def _attr_chain(node: ast.AST) -> list[str]:
@@ -221,12 +225,9 @@ class WallClockRule(Rule):
                  "monotonic", "monotonic_ns", "process_time"}
     _DATETIME_FNS = {"now", "utcnow", "today"}
 
-    #: The one module allowed to read the host clock directly.
-    _SANCTIONED = ("util/hostclock.py", "util\\hostclock.py")
-
     def check_module(self, tree, path):
-        if str(path).replace("\\", "/").endswith(self._SANCTIONED[0]):
-            return []
+        if _is_module(path, "util/hostclock.py"):
+            return []  # the one module allowed to read the host clock
         findings = []
         time_aliases = _module_aliases(tree, "time")
         dt_aliases = _module_aliases(tree, "datetime")
@@ -559,87 +560,62 @@ class FloatCycleRule(Rule):
         return findings
 
 
-class ConfigMutationRule(Rule):
-    """CFG001: mutating a frozen config after construction.
+class RawPersistenceRule(Rule):
+    """IO001: raw rename or append-mode open outside ``repro.util.atomicio``.
 
-    ``DramConfig``/``CoreConfig``/``DramTimings`` are frozen dataclasses:
-    every run's cache key hashes them, so in-place mutation (including
-    ``object.__setattr__`` back doors) would silently desynchronise
-    results from their cache keys.  Use ``.scaled(...)`` /
-    ``dataclasses.replace`` to derive a new config instead.
+    Worker processes share on-disk artifacts (result cache, manifests,
+    fleet registry, ``REPRO_RUN_LOG``).  A buffered ``open(path, "a")``
+    can flush mid-record and interleave with another writer's lines; a
+    hand-rolled ``os.replace`` tends to skip tmp + fsync.  Both idioms
+    live in :mod:`repro.util.atomicio`, the only module allowlisted.
     """
 
-    id = "CFG001"
-    title = "mutation of a frozen config object"
+    id = "IO001"
+    title = "raw rename or append-mode open outside repro.util.atomicio"
 
-    _CONFIG_NAMES = {"config", "cfg", "timings", "dram_config", "core_config",
-                     "sysconfig", "system_config"}
+    _RENAMES = {"replace", "rename"}
 
-    @classmethod
-    def _is_config_expr(cls, node) -> bool:
-        chain = _attr_chain(node)
-        return bool(chain) and chain[-1].lower() in cls._CONFIG_NAMES
-
-    def check_module(self, tree, path):
-        findings = []
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Attribute) and self._is_config_expr(
-                        target.value
-                    ):
-                        chain = _attr_chain(target)
-                        findings.append(self._finding(
-                            path, node,
-                            f"assignment to {'.'.join(chain)} mutates a frozen "
-                            f"config; derive a copy with .scaled()/replace()",
-                        ))
-            elif isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if chain[-1:] == ["__setattr__"] and node.args:
-                    first = node.args[0]
-                    if self._is_config_expr(first):
-                        findings.append(self._finding(
-                            path, node,
-                            "object.__setattr__ on a config object bypasses "
-                            "dataclass freezing",
-                        ))
-        return findings
-
-
-class SchedulerInterfaceRule(Rule):
-    """SCH001: a scheduler class outside the ``sched.base`` interface.
-
-    The controller calls ``select`` / ``on_enqueue`` / ``on_command`` and
-    relies on the base class's precharge-admissibility policy; a
-    ``*Scheduler`` class that does not inherit from the shared base
-    silently opts out of those contracts.
-    """
-
-    id = "SCH001"
-    title = "scheduler class bypasses the sched.base interface"
+    @staticmethod
+    def _open_mode(node: ast.Call, chain: list[str], os_aliases) -> str:
+        """Constant mode of ``open(path, mode)`` or ``path.open(mode)``."""
+        if chain == ["open"]:
+            position = 1
+        elif (isinstance(node.func, ast.Attribute) and node.func.attr == "open"
+              and not (chain and chain[0] in os_aliases)):  # os.open: flags
+            position = 0
+        else:
+            return ""
+        mode = node.args[position] if len(node.args) > position else None
+        for kw in node.keywords:
+            if kw.arg == "mode":
+                mode = kw.value
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+            return mode.value
+        return ""
 
     def check_module(self, tree, path):
+        if _is_module(path, "util/atomicio.py"):
+            return []  # the one module allowed to hold the raw idioms
         findings = []
+        os_aliases = _module_aliases(tree, "os")
+        renames = set(_from_imports(tree, "os", self._RENAMES))
         for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
+            if not isinstance(node, ast.Call):
                 continue
-            if not node.name.endswith("Scheduler"):
+            chain = _attr_chain(node.func)
+            if (len(chain) == 1 and chain[0] in renames) or (
+                len(chain) == 2 and chain[0] in os_aliases
+                and chain[1] in self._RENAMES
+            ):
+                message = (f"raw os.{chain[-1]}() outside repro.util.atomicio;"
+                           f" call atomicio.write_bytes/write_text/write_json")
+            elif "a" in self._open_mode(node, chain, os_aliases):
+                message = ("append-mode open: buffered writes can interleave "
+                           "with another process's; call atomicio.append_line"
+                           "/append_jsonl")
+            else:
                 continue
-            if node.name.lstrip("_") == "Scheduler" and not node.bases:
-                continue  # the base interface itself
-            ok = False
-            for base in node.bases:
-                chain = _attr_chain(base)
-                if chain and "Scheduler" in chain[-1]:
-                    ok = True
-            if not ok:
-                findings.append(self._finding(
-                    path, node,
-                    f"class {node.name} defines a scheduler but does not "
-                    f"inherit from repro.sched.base.Scheduler",
-                ))
+            findings.append(self._finding(path, node, message))
         return findings
 
 
@@ -947,8 +923,7 @@ ALL_RULES: tuple[Rule, ...] = (
     DictOrderRule(),
     MutableDefaultRule(),
     FloatCycleRule(),
-    ConfigMutationRule(),
-    SchedulerInterfaceRule(),
+    RawPersistenceRule(),
     BareExceptRule(),
     SilentHandlerRule(),
     LoopAllocationRule(),

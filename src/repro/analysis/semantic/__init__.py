@@ -21,12 +21,6 @@ the passes here understand the *simulator's* semantics across modules:
   window-invariant / monotone-accumulating / per-cycle-only
   classification of every hot-path hook and scheduler, the proof
   surface for the model-batching work.
-* :mod:`repro.analysis.semantic.concurrency` — process-safety
-  contract (CONC001–CONC005): no fork-shared mutable globals, no
-  fork-captured resources, all shared-artifact writes through
-  :mod:`repro.util.atomicio`, a pickle-clean ``RunSpec``/``SimResult``
-  surface, and no post-fork ``os.environ`` reads outside sanctioned
-  accessors.
 
 Shared infrastructure — the module graph loader
 (:mod:`~repro.analysis.semantic.modgraph`), per-function CFG builder
@@ -34,13 +28,11 @@ Shared infrastructure — the module graph loader
 (:mod:`~repro.analysis.semantic.dataflow`) — is reusable by future
 passes.
 
-CLI: ``python -m repro analyze [paths...] [--batchability OUT]
-[--concurrency] [--cache-dir DIR | --no-cache]``.
+CLI: ``python -m repro analyze [paths...] [--batchability OUT]``.
 """
 
 from repro.analysis.semantic.driver import (  # noqa: F401
     AnalysisReport,
-    CONCURRENCY_RULES,
     SEMANTIC_RULES,
     analyze_paths,
     analyze_source,

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from repro.analysis import suppress
 from repro.analysis.lint import Finding, iter_python_files
-from repro.analysis.semantic.concurrency import ConcurrencyPass
 from repro.analysis.semantic.contract import SchedulerContractPass
 from repro.analysis.semantic.detcov import StateCoveragePass
 from repro.analysis.semantic.domains import CycleDomainPass
@@ -39,29 +38,13 @@ SEMANTIC_RULES: dict[str, str] = {
               "with an undeclared effect",
     "SEM031": "randomness or io inside per-cycle model code",
     "SEM032": "batching shortcut not backed by a current certificate",
-    "CONC001": "module-global mutable state written by worker-reachable "
-               "code (fork-shared state hazard)",
-    "CONC002": "fork-captured resource (handle/lock/RNG/lambda/bound "
-               "method) crossing the pool boundary",
-    "CONC003": "non-atomic write to a shared on-disk artifact outside "
-               "repro.util.atomicio",
-    "CONC004": "unpicklable or order-nondeterministic payload reachable "
-               "from RunSpec/SimResult",
-    "CONC005": "post-fork os.environ read outside a sanctioned "
-               "config-snapshot accessor",
 }
-
-#: Rule ids the ``--concurrency`` convenience flag selects.
-CONCURRENCY_RULES = frozenset(
-    rule for rule in SEMANTIC_RULES if rule.startswith("CONC")
-)
 
 ALL_PASSES = (
     CycleDomainPass(),
     StateCoveragePass(),
     SchedulerContractPass(),
     EffectPass(),
-    ConcurrencyPass(),
 )
 
 
@@ -158,9 +141,6 @@ def main(argv=None) -> int:
                         help="files or directories (default: src/repro)")
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument("--concurrency", action="store_true",
-                        help="run only the process-safety rules "
-                             "(CONC001–CONC005; shorthand for --select)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every rule id and its hazard description")
     parser.add_argument("--show-suppressed", action="store_true",
@@ -183,8 +163,6 @@ def main(argv=None) -> int:
             print(f"unknown rule ids: {', '.join(sorted(unknown))}",
                   file=sys.stderr)
             return 2
-    if args.concurrency:
-        select = (select or set()) | set(CONCURRENCY_RULES)
 
     targets = args.paths or _default_target()
     report = analyze_paths(targets, select=select)

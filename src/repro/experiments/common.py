@@ -50,23 +50,6 @@ def clear_run_cache() -> None:
     _RUN_CACHE.clear()
 
 
-def _config_key(config: SystemConfig | None):
-    if config is None:
-        return None
-    d = config.dram
-    return (
-        config.cores,
-        config.core.load_queue_entries,
-        config.l1d.mshr_entries,
-        config.l2.mshr_entries,
-        config.prefetcher.enabled,
-        config.prefetcher.streams,
-        d.timings.name,
-        d.channels,
-        d.ranks_per_channel,
-    )
-
-
 def _provider_key(spec):
     if spec is None or spec == "null":
         return None
@@ -95,7 +78,7 @@ def cached_run(
         workload,
         scheduler,
         _provider_key(provider_spec),
-        _config_key(config),
+        config,  # frozen and hashable: every field is part of the key
         seed,
         tuple(sorted((scheduler_kwargs or {}).items())),
         slot,

@@ -19,11 +19,11 @@ index that is at worst one registration behind — reduces to two idioms:
   way buffered ``open(path, "a")`` writes can.
 
 This module is the one place those idioms are allowed to live: the
-CONC003 analyzer rule (:mod:`repro.analysis.semantic.concurrency`)
-flags any raw ``os.replace`` — and any write-mode open of a shared
-artifact — outside this file, exactly as DET002 allowlists
-:mod:`repro.util.hostclock` for the host clock.  Keeping the idiom in
-one audited helper is what makes the contract checkable.
+IO001 lint rule (:mod:`repro.analysis.lint`) flags any raw
+``os.replace``/``os.rename`` and any append-mode ``open()`` outside
+this file, exactly as DET002 allowlists :mod:`repro.util.hostclock`
+for the host clock.  Keeping the idiom in one audited helper is what
+makes the contract checkable.
 
 Durability note: ``os.replace`` guarantees atomicity; making the new
 *name* survive a power failure would additionally need an fsync of the

@@ -1,17 +1,20 @@
 """Seeded hazard fixture for the simulator lint pass.
 
 Every rule in :mod:`repro.analysis.lint` must fire at least once on this
-file, so ``tools/lint.py tests/fixtures/lint_hazards.py`` exiting nonzero
-proves the linter actually detects each hazard class.  The file is never
-imported — it only needs to parse.
+file, so ``python -m repro lint tests/fixtures/lint_hazards.py`` exiting
+nonzero proves the linter actually detects each hazard class.  The file
+is never imported — it only needs to parse.
 
 Do NOT "fix" these; they are the test vectors.
 """
 
 import datetime
+import json
 import os
+import os as _os
 import random
 import time
+from pathlib import Path
 
 
 def unseeded_randomness(queue):
@@ -55,16 +58,20 @@ def float_cycles(total, banks):
     return next_ready_cycle
 
 
-def mutate_frozen(config):
-    # CFG001: frozen configs are hashed into cache keys.
-    config.tCL = 5
-    object.__setattr__(config, "tRP", 9)
+def _write_run_log(path, metrics):
+    # IO001: the run-log append before it moved onto repro.util.atomicio.
+    # A buffered append-mode handle can flush mid-record, so concurrent
+    # workers interleave partial lines.
+    with open(path, "a") as fh:
+        for metric in metrics:
+            fh.write(json.dumps(metric) + "\n")
 
 
-class RogueScheduler:
-    # SCH001: bypasses the sched.base interface contracts.
-    def select(self, candidates, controller, now):
-        return candidates[0] if candidates else None
+def publish_snapshot(tmp, target: Path):
+    # IO001: hand-rolled rename (via an aliased os) and a Path append.
+    _os.replace(tmp, target)
+    with target.with_suffix(".log").open(mode="a") as fh:
+        fh.write("published\n")
 
 
 def swallow_everything(action):

@@ -32,6 +32,15 @@ class TestSchedulerRegistry:
             "minimalist", "par-bs", "tcm", "tcm+crit", "morse-p", "crit-rl",
         }
 
+    def test_every_entry_implements_the_scheduler_interface(self):
+        from repro.sched.base import Scheduler
+        from repro.sched.registry import SCHEDULERS
+
+        for key, cls in SCHEDULERS.items():
+            assert issubclass(cls, Scheduler), key
+            assert cls.select is not Scheduler.select, key
+            assert cls.name == key
+
     def test_factory_builds_fresh_instances(self):
         from repro.sched.registry import make_scheduler_factory
 

@@ -1,11 +1,12 @@
 """Unit tests for :mod:`repro.util.atomicio` — the one sanctioned writer.
 
-CONC003 forces every shared-artifact write through this module, so its
-guarantees carry the whole persistence contract: replace-based writes
-are all-or-nothing (a failing serializer leaves the old content and no
-tmp litter), appends are one ``os.write`` per record (no interior
-newlines allowed in), and JSON is canonicalized with ``sort_keys`` so
-racing writers of the same payload produce identical bytes.
+The IO001 lint rule forces every shared-artifact rename and append
+through this module, so its guarantees carry the whole persistence
+contract: replace-based writes are all-or-nothing (a failing serializer
+leaves the old content and no tmp litter), appends are one ``os.write``
+per record (no interior newlines allowed in), and JSON is canonicalized
+with ``sort_keys`` so racing writers of the same payload produce
+identical bytes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Multiprocess stress gates from ``tools/conc_stress.py``, run in-tree.
 
-The analyzer (``analyze --concurrency``) certifies the persistence
-contract statically; these tests race real processes against the real
-writers to certify it at runtime:
+The IO001 lint rule keeps every shared-artifact write inside
+:mod:`repro.util.atomicio`; these tests race real processes against the
+real writers to certify the persistence contract at runtime:
 
 * the engine disk cache survives two processes racing one ``RunSpec``
   (one complete pickle, identical fingerprints — satellite of the

@@ -15,6 +15,7 @@ from repro.config import (
     SystemConfig,
     L1D_DEFAULT,
     L2_DEFAULT,
+    PrefetcherConfig,
 )
 
 
@@ -104,9 +105,19 @@ class TestSystemConfig:
         d = DramConfig().scaled(ranks_per_channel=1)
         assert d.ranks_per_channel == 1
 
-    def test_configs_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            SystemConfig().cores = 3
+    @pytest.mark.parametrize(
+        "config",
+        [DDR3_2133, DramConfig(), CoreConfig(), L1D_DEFAULT,
+         PrefetcherConfig(), SystemConfig(), SimScale()],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_configs_frozen(self, config):
+        """Every field of every config class rejects assignment: results
+        are cached under the config's value, so it must not change."""
+        assert dataclasses.fields(config)
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
 
 
 class TestClockRatio:

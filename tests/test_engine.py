@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,53 @@ class TestCachedRunIntegration:
         assert engine.last_metrics[-1]["source"] == "disk"
         assert result_fingerprint(first) == result_fingerprint(second)
         common.clear_run_cache()
+
+
+#: Runs one TCM spec and one Crit-CASRAS + CBP64 spec and writes each
+#: spec's pickle and its result's pickle (host wall time zeroed) to argv[1].
+_HASHSEED_CHILD = textwrap.dedent("""
+    import dataclasses
+    import pickle
+    import sys
+    from pathlib import Path
+
+    from repro.config import SimScale
+    from repro.sim import engine
+    from repro.sim.engine import RunSpec
+
+    out = Path(sys.argv[1])
+    scale = SimScale(instructions_per_core=600, warmup_instructions=0, seed=5)
+    specs = [
+        RunSpec(kind="parallel", workload="fft", scheduler="tcm", scale=scale),
+        RunSpec(kind="parallel", workload="fft", scheduler="casras-crit",
+                provider_spec=("cbp", {"entries": 64}), scale=scale),
+    ]
+    for i, spec in enumerate(specs):
+        result = dataclasses.replace(engine.run_one(spec), wall_seconds=0.0)
+        (out / f"spec{i}.pkl").write_bytes(pickle.dumps(spec))
+        (out / f"result{i}.pkl").write_bytes(engine._pickle_result(result))
+""")
+
+
+class TestHashSeedIndependence:
+    def test_pickles_are_identical_across_hash_seeds(self, tmp_path):
+        """What crosses the worker boundary pickles to the same bytes
+        whatever PYTHONHASHSEED is, so no set order leaks into a spec
+        or a result; host wall time is the only field that may differ."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            out.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed, REPRO_NO_CACHE="1",
+                       PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-c", _HASHSEED_CHILD, str(out)],
+                           env=env, check=True)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == [
+            "result0.pkl", "result1.pkl", "spec0.pkl", "spec1.pkl"
+        ]
+        assert outputs[0] == outputs[1]

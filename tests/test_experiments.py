@@ -173,3 +173,34 @@ class TestRunCache:
         size_after_fig1 = len(common._RUN_CACHE)
         run_experiment("fig1", apps=("radix",))
         assert len(common._RUN_CACHE) == size_after_fig1
+
+    def test_memo_keys_on_the_whole_config(self, monkeypatch):
+        """Configs that differ only outside the old hand-picked key
+        fields (ROB size, cache geometry, timings) must not share a
+        memoised result."""
+        import dataclasses
+
+        from repro.config import DDR3_2133, SystemConfig
+
+        simulated = []
+
+        def fake_run(spec):
+            simulated.append(spec.config)
+            return object()
+
+        monkeypatch.setattr(common, "run_one_cached", fake_run)
+        base = SystemConfig()
+        variants = [
+            base,
+            base.scaled(core=base.core.scaled(rob_entries=64)),
+            base.scaled(l2=dataclasses.replace(base.l2, ways=16)),
+            base.scaled(dram=base.dram.scaled(
+                timings=dataclasses.replace(DDR3_2133, tCL=15))),
+        ]
+        results = [common.cached_run("parallel", "fft", config=c)
+                   for c in variants]
+        assert len({id(r) for r in results}) == len(variants)
+        assert simulated == variants
+        again = common.cached_run("parallel", "fft", config=SystemConfig())
+        assert again is results[0]
+        assert len(simulated) == len(variants)

@@ -171,3 +171,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "speedup" in out
         clear_trace_cache()
+
+    @pytest.mark.parametrize("tool", ["lint", "analyze"])
+    def test_forwarded_tool_lists_its_rules(self, capsys, tool):
+        """lint and analyze parse their own argv, so a leading option
+        reaches them intact."""
+        from repro.__main__ import main
+        from repro.analysis.lint import RULES_BY_ID
+        from repro.analysis.semantic import SEMANTIC_RULES
+
+        assert main([tool, "--list-rules"]) == 0
+        out = capsys.readouterr().out
+        rules = RULES_BY_ID if tool == "lint" else SEMANTIC_RULES
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line[:1].isupper()}
+        assert listed == set(rules)

@@ -8,6 +8,7 @@ every rule fires on it, and ``src/repro`` at HEAD is clean.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -317,63 +318,77 @@ class TestFloatCycle:
         """)
 
 
-class TestConfigMutation:
-    def test_attribute_assignment(self):
-        assert "CFG001" in rules_hit("""
-            def tweak(config):
-                config.tCL = 5
+class TestRawPersistence:
+    def test_pre_fix_run_log_append_is_flagged(self):
+        """The buffered run-log append that interleaved records across
+        workers, as it stood before moving onto atomicio."""
+        assert "IO001" in rules_hit("""
+            import json
+            import os
+
+            def _write_run_log(metrics) -> None:
+                path = os.environ.get("REPRO_RUN_LOG")
+                if not path or not metrics:
+                    return
+                try:
+                    with open(path, "a") as fh:
+                        for metric in metrics:
+                            fh.write(json.dumps(metric) + "\\n")
+                except OSError:
+                    return
         """)
 
-    def test_nested_config_attribute(self):
-        assert "CFG001" in rules_hit("""
-            def tweak(self):
-                self.config.channels = 4
+    def test_aliased_os_replace_and_rename(self):
+        report = lint_source(textwrap.dedent("""
+            import os as _os
+            from os import rename
+
+            def publish(tmp, target):
+                _os.replace(tmp, target)
+                rename(tmp, target)
+        """), select={"IO001"})
+        assert [f.line for f in report.findings] == [6, 7]
+
+    def test_path_open_append(self):
+        assert "IO001" in rules_hit("""
+            from pathlib import Path
+
+            def log(line):
+                with Path("runs.jsonl").open("a") as fh:
+                    fh.write(line)
         """)
 
-    def test_setattr_backdoor(self):
-        assert "CFG001" in rules_hit("""
-            def tweak(config):
-                object.__setattr__(config, "tRP", 9)
+    def test_mode_keyword(self):
+        assert "IO001" in rules_hit("""
+            def log(path, line):
+                with open(path, mode="ab") as fh:
+                    fh.write(line)
         """)
 
-    def test_ordinary_attributes_are_clean(self):
-        assert "CFG001" not in rules_hit("""
-            def record(self, value):
-                self.result = value
-                self.stats.count = 3
+    def test_reads_writes_and_os_open_are_clean(self):
+        assert "IO001" not in rules_hit("""
+            import os
+            from pathlib import Path
+
+            def io(path, text):
+                with open(path) as fh:
+                    fh.read()
+                with open(path, "w") as fh:
+                    fh.write(text)
+                Path(path).open("rb").close()
+                os.close(os.open("data.bin", os.O_RDONLY))
+                return text.replace("a", "b")
         """)
 
-
-class TestSchedulerInterface:
-    def test_rogue_scheduler(self):
-        assert "SCH001" in rules_hit("""
-            class RogueScheduler:
-                def select(self, candidates, controller, now):
-                    return None
-        """)
-
-    def test_proper_subclass_is_clean(self):
-        assert "SCH001" not in rules_hit("""
-            from repro.sched.base import Scheduler
-
-            class GoodScheduler(Scheduler):
-                name = "good"
-        """)
-
-    def test_base_interface_itself_is_exempt(self):
-        assert "SCH001" not in rules_hit("""
-            class Scheduler:
-                def select(self, candidates, controller, now):
-                    raise NotImplementedError
-        """)
-
-    def test_subclass_of_subclass_is_clean(self):
-        assert "SCH001" not in rules_hit("""
-            from repro.sched.morse import MorseScheduler
-
-            class TunedScheduler(MorseScheduler):
-                name = "tuned"
-        """)
+    def test_atomicio_module_is_the_sanctioned_exception(self):
+        """repro/util/atomicio.py is the single allowlisted module: its
+        raw os.replace lints clean there, while the same source anywhere
+        else (lint_source uses a synthetic path) fires IO001."""
+        atomicio = REPO / "src" / "repro" / "util" / "atomicio.py"
+        report = lint_paths([atomicio])
+        assert not report.errors
+        assert "IO001" not in {f.rule for f in report.findings}
+        assert "IO001" in rules_hit(atomicio.read_text())
 
 
 class TestExceptionRules:
@@ -646,13 +661,14 @@ class TestRepoContract:
         assert {f.rule for f in report.suppressed} == {"DET002"}
 
     def test_cli_exits_nonzero_on_hazards(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "lint.py"),
-             str(HAZARD_FIXTURE)],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "repro", "lint", str(HAZARD_FIXTURE)],
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 1
         assert "DET001" in proc.stdout
+        assert "IO001" in proc.stdout
 
     def test_src_repro_is_clean_at_head(self):
         report = lint_paths([REPO / "src" / "repro"])

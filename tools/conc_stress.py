@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Runtime stress for the process-safety contract the analyzer certifies.
+"""Runtime stress for the shared-artifact persistence contract.
 
-``repro analyze --concurrency`` proves statically that every shared
-artifact is written through :mod:`repro.util.atomicio`; this harness
-proves the *runtime* half of the same contract by racing real writers
-and killing them mid-write.  Four gates, run by CI's determinism job:
+Every shared artifact is written through :mod:`repro.util.atomicio`
+(the IO001 lint rule keeps raw renames and append-mode opens out of
+everything else); this harness proves the contract holds at runtime by
+racing real writers and killing them mid-write.  Four gates, run by
+CI's lint-and-sanitize job:
 
 1. **Cache race** — two processes simulate the same ``RunSpec`` against
    one ``REPRO_CACHE_DIR``.  Whichever writer wins the ``os.replace``,
