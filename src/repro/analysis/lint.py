@@ -683,10 +683,10 @@ class SilentHandlerRule(Rule):
 HOT_METHODS = {
     "step", "step_window", "select", "load", "store", "lookup", "tick",
     "on_command", "on_enqueue", "account_window", "presettle",
-    "_do_dispatch", "_do_commit", "_do_load_issues", "_do_dispatch_window",
-    "_do_commit_window", "_execute", "_build_candidates", "_service_refresh",
+    "_do_dispatch", "_do_commit", "_do_load_issues", "_do_window",
+    "_execute", "_build_candidates", "_service_refresh",
     # hot helpers on the issue path, not per-cycle hooks themselves
-    "_resolve_deps", "try_enqueue",
+    "_complete_at", "try_enqueue",
 }
 
 

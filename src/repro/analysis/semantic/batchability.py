@@ -38,7 +38,7 @@ HOOK_TABLE: dict[str, tuple[str, ...]] = {
     "OutOfOrderCore": (
         "step", "step_window", "skip_plan", "begin_skip", "wake_skip",
         "flush_skip", "det_state", "_do_dispatch", "_do_commit",
-        "_do_load_issues", "_do_dispatch_window", "_do_commit_window",
+        "_do_load_issues", "_do_window", "_complete_at",
     ),
     "MemoryHierarchy": ("load", "store", "can_accept_store", "det_state"),
     "ChannelController": (

@@ -82,7 +82,35 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "issue schedule keyed by cycle (see _wake)",
     ("OutOfOrderCore", "_fu_booked"):
         "FU reservation table derived from the issue schedule; pruned "
-        "on a fixed cycle mask",
+        "of past cycles at the first step past each 16384-cycle boundary",
+    ("OutOfOrderCore", "_prune_at"):
+        "next FU-booking prune cycle: a prune drops only past cycles, "
+        "which no later booking reads, so it never changes results",
+    ("OutOfOrderCore", "_ready"):
+        "ROB column: issue floor of an entry waiting on producers, the "
+        "max of their _complete cycles; a divergence moves that entry's "
+        "completion and so the ROB-head/committed det_state words",
+    ("OutOfOrderCore", "_pending"):
+        "ROB column: in-flight producer count of a waiting entry (see "
+        "_ready)",
+    ("OutOfOrderCore", "_dispatched"):
+        "ROB column: dispatch cycle of a waiting entry, its issue floor "
+        "(see _ready)",
+    ("OutOfOrderCore", "_waiters"):
+        "ROB column: entries parked on an in-flight producer, emptied "
+        "when it completes; a lost or extra waiter moves a completion "
+        "(see _ready)",
+    ("OutOfOrderCore", "_handle"):
+        "ROB column: a load's hierarchy access, reset at retire; the "
+        "access itself is chained via the MSHR and channel det_state",
+    ("OutOfOrderCore", "_consumers"):
+        "ROB column: a load's direct-consumer count, reset at retire, "
+        "where it reaches the provider; its effect is the criticality "
+        "of later requests, folded via the channels' det_state",
+    ("OutOfOrderCore", "_bstart"):
+        "ROB column: cycle a load began blocking commit, reset at "
+        "retire; feeds the provider's stall record (see _consumers) "
+        "and lazily settled statistics",
     ("OutOfOrderCore", "_wake_hook"):
         "wiring-time engine callback installed while the core is "
         "quiescent (see MemoryHierarchy._wake_core); not simulation "

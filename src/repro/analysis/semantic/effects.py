@@ -106,8 +106,8 @@ CERTIFIED_PURE_METHODS = {
 PER_CYCLE_HOOKS = {
     "step", "step_window", "select", "load", "store", "lookup", "tick",
     "on_command", "on_enqueue", "account_window", "presettle",
-    "_do_dispatch", "_do_commit", "_do_load_issues", "_do_dispatch_window",
-    "_do_commit_window", "_execute", "_build_candidates", "_service_refresh",
+    "_do_dispatch", "_do_commit", "_do_load_issues", "_do_window",
+    "_execute", "_build_candidates", "_service_refresh",
 }
 
 #: Name-chain parts marking a call as drawing randomness.

@@ -22,12 +22,14 @@ consumer counts for the CLPT comparator.
 from __future__ import annotations
 
 from repro.config import CoreConfig
-from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE
+from repro.cpu.instruction import BRANCH, LOAD, STORE
 from repro.core.provider import CriticalityProvider, NaiveForwardingProvider
 
 _UNKNOWN = -1
 # Sentinel for "no locally scheduled wake/issue pending" (see _next_local).
 _FAR = 1 << 62
+# Functional-unit bookings are pruned once per 16384 cycles (see step).
+_PRUNE_MASK = 16383
 
 # Dispatch classes precomputed per trace index (_dclass): the per-cycle
 # dispatch gate only needs "load / store / mispredicted branch / other",
@@ -37,41 +39,6 @@ _DC_OTHER = 0
 _DC_LOAD = 1
 _DC_STORE = 2
 _DC_MISP_BRANCH = 3
-
-
-class _Slot:
-    """One ROB entry."""
-
-    __slots__ = (
-        "idx",
-        "itype",
-        "pc",
-        "addr",
-        "deps_pending",
-        "ready_base",
-        "dispatch_cycle",
-        "waiters",
-        "blocking_start",
-        "handle",
-        "consumers",
-        "is_misp_branch",
-        "issued",
-    )
-
-    def __init__(self, idx, itype, pc, addr, dispatch_cycle):
-        self.idx = idx
-        self.itype = itype
-        self.pc = pc
-        self.addr = addr
-        self.deps_pending = 0
-        self.ready_base = dispatch_cycle
-        self.dispatch_cycle = dispatch_cycle
-        self.waiters = None
-        self.blocking_start = -1
-        self.handle = None
-        self.consumers = 0
-        self.is_misp_branch = False
-        self.issued = False
 
 
 class CoreStats:
@@ -120,34 +87,44 @@ class OutOfOrderCore:
         self._n = len(trace)
         self._ptr = 0
         # The ROB always holds the consecutive trace indices
-        # [_ptr - _rob_len, _ptr), so the slot for index ``i`` lives at the
-        # fixed ring position ``i % rob_entries`` — no head pointer, no
-        # index map, no compaction.
-        self._rob: list[_Slot | None] = [None] * config.rob_entries
+        # [_ptr - _rob_len, _ptr), so index ``i`` occupies the fixed ring
+        # position ``i % rob_entries`` — no head pointer, no index map, no
+        # compaction.  An entry's static fields are read from the trace's
+        # own lists; its dynamic fields are the columns below, one list
+        # slot per ring position (DESIGN.md §6).
+        cap = config.rob_entries
         self._rob_len = 0
+        # Written only for an entry that waits on an in-flight producer:
+        self._ready = [0] * cap  # issue floor from the producers done so far
+        self._pending = [0] * cap  # producers still in flight
+        self._dispatched = [0] * cap  # dispatch cycle
+        # Trace indices of the entries waiting on this one, or None.
+        self._waiters: list[list[int] | None] = [None] * cap
+        # Load-only columns, reset when the load retires:
+        self._handle = [None] * cap  # hierarchy access, set at issue
+        self._consumers = [0] * cap  # direct consumers (the CLPT count)
+        self._bstart = [-1] * cap  # cycle the load began blocking commit
         self._complete: list[int] = [_UNKNOWN] * self._n
-        # Per-cycle wake lists for deterministic-latency completions.
-        self._wake: dict[int, list[_Slot]] = {}
-        # Loads scheduled to access the cache at a given cycle.
-        self._load_issue: dict[int, list[_Slot]] = {}
-        # Functional-unit reservation: per type, cycle -> issues booked.
-        self._fu_booked: dict[int, dict[int, int]] = {t: {} for t in range(5)}
-        self._fu_caps = {
-            INT: config.int_units,
-            FP: config.fp_units,
-            BRANCH: config.branch_units,
-            LOAD: config.load_ports,
-            STORE: config.store_ports,
-        }
-        self._latency = {
-            INT: config.int_latency,
-            FP: config.fp_latency,
-            BRANCH: config.branch_latency,
-            STORE: 1,
-        }
+        # Trace indices per cycle: deterministic-latency completions, and
+        # loads scheduled to access the cache.
+        self._wake: dict[int, list[int]] = {}
+        self._load_issue: dict[int, list[int]] = {}
+        # Per-itype tables, indexed by the itype codes INT..STORE (0..4):
+        # functional-unit reservations (cycle -> issues booked), their
+        # caps, and fixed latencies (loads complete when data returns).
+        self._fu_booked: list[dict[int, int]] = [{} for _ in range(5)]
+        self._fu_caps = (
+            config.int_units, config.fp_units, config.branch_units,
+            config.load_ports, config.store_ports,
+        )
+        self._latency = (
+            config.int_latency, config.fp_latency, config.branch_latency, 0, 1,
+        )
+        self._prune_at = _PRUNE_MASK + 1
         self._lq_used = 0
         self._sq_used = 0
-        self._fetch_blocker: _Slot | None = None
+        # Trace index of the mispredicted branch fetch waits on, or -1.
+        self._fetch_blocker = -1
         self._fetch_resume = 0
         # Precomputed dispatch class per trace index (see _DC_* above).
         # Cached on the trace object — the classes are a pure function of
@@ -182,7 +159,7 @@ class OutOfOrderCore:
         # in the per-cycle stages).
         self._fetch_width = config.fetch_width
         self._commit_width = config.commit_width
-        self._rob_entries = config.rob_entries
+        self._rob_entries = cap
         self._lq_entries = config.load_queue_entries
         self._sq_entries = config.store_queue_entries
         self._misp_penalty = config.branch_mispredict_penalty
@@ -227,64 +204,96 @@ class OutOfOrderCore:
 
     # ----------------------------------------------------------- completions
 
-    def _complete_at(self, slot: _Slot, cycle: int) -> None:
-        """Mark ``slot`` complete at ``cycle`` and wake its dependents."""
+    def _complete_at(self, finished, cycle: int) -> None:
+        """Mark the trace indices ``finished`` complete at ``cycle`` and
+        issue every dependent whose last operand that was."""
         self.skip_until = 0  # completions can unblock commit/dispatch
         hook = self._wake_hook
         if hook is not None:
             hook(self)
-        self._complete[slot.idx] = cycle
-        if slot is self._fetch_blocker:
-            self._fetch_blocker = None
-            self._fetch_resume = cycle + self._misp_penalty
-        waiters = slot.waiters
-        if waiters:
-            for dep in waiters:
-                if cycle > dep.ready_base:
-                    dep.ready_base = cycle
-                dep.deps_pending -= 1
-                if dep.deps_pending == 0:
-                    self._schedule_execute(dep, dep.ready_base)
-            slot.waiters = None
-
-    def _schedule_execute(self, slot: _Slot, earliest: int) -> None:
-        earliest = max(earliest, slot.dispatch_cycle + 1)
-        itype = slot.itype
-        issue = self._book_fu(itype, earliest)
-        if itype == LOAD:
-            self._load_issue.setdefault(issue, []).append(slot)
-            if issue < self._next_local:
-                self._next_local = issue
-        else:
-            done = issue + self._latency[itype]
-            self._wake.setdefault(done, []).append(slot)
-            if done < self._next_local:
-                self._next_local = done
-
-    def _on_load_done(self, slot: _Slot, cycle: int) -> None:
-        self._complete_at(slot, cycle)
+        complete = self._complete
+        waiters = self._waiters
+        cap = self._rob_entries
+        ready_col = self._ready
+        pending_col = self._pending
+        dispatched_col = self._dispatched
+        itypes = self.trace.itypes
+        fu_booked = self._fu_booked
+        fu_caps = self._fu_caps
+        latency = self._latency
+        next_local = self._next_local
+        for i in finished:
+            complete[i] = cycle
+            if i == self._fetch_blocker:
+                self._fetch_blocker = -1
+                self._fetch_resume = cycle + self._misp_penalty
+            pos = i % cap
+            deps = waiters[pos]
+            if deps is None:
+                continue
+            waiters[pos] = None
+            for d in deps:
+                dpos = d % cap
+                ready = ready_col[dpos]
+                if cycle > ready:
+                    ready = cycle
+                left = pending_col[dpos] - 1
+                pending_col[dpos] = left
+                if left:
+                    ready_col[dpos] = ready
+                    continue
+                # Last operand arrived: book a unit, schedule the result.
+                issue = dispatched_col[dpos] + 1
+                if ready > issue:
+                    issue = ready
+                itype = itypes[d]
+                booked = fu_booked[itype]
+                limit = fu_caps[itype]
+                used = booked.get(issue, 0)
+                while used >= limit:
+                    issue += 1
+                    used = booked.get(issue, 0)
+                booked[issue] = used + 1
+                if itype == LOAD:
+                    sched = self._load_issue
+                else:
+                    sched = self._wake
+                    issue += latency[itype]
+                bucket = sched.get(issue)
+                if bucket is None:
+                    # repro-lint: disable=PERF001 one owned list per cycle
+                    sched[issue] = [d]
+                else:
+                    bucket.append(d)
+                if issue < next_local:
+                    next_local = issue
+        self._next_local = next_local
 
     # ---------------------------------------------------------------- stages
 
-    def _do_load_issues(self, now: int) -> None:
-        slots = self._load_issue.pop(now, None)
-        if not slots:
-            return
+    def _do_load_issues(self, issues, now: int) -> None:
+        """Send the loads ``issues`` (trace indices) to the hierarchy."""
         hierarchy = self.hierarchy
         provider = self.provider
         load_issue = self._load_issue
         core_id = self.core_id
         stats = self.stats
         tracer = self.tracer
-        for slot in slots:
-            critical, magnitude = provider.annotate(slot.pc)
+        pcs = self.trace.pcs
+        addrs = self.trace.addrs
+        handles = self._handle
+        cap = self._rob_entries
+        complete_at = self._complete_at
+        for i in issues:
+            pc = pcs[i]
+            critical, magnitude = provider.annotate(pc)
             handle = hierarchy.load(
                 core_id,
-                slot.pc,
-                slot.addr,
+                pc,
+                addrs[i],
                 critical,
                 magnitude,
-                lambda done, s=slot: self._on_load_done(s, done),
+                lambda done, i=i: complete_at((i,), done),
                 now,
             )
             if handle is None:
@@ -296,154 +305,213 @@ class OutOfOrderCore:
                 if bucket is None:
                     # repro-lint: disable=PERF001 fresh owned bucket, first retry only
                     bucket = load_issue[retry] = []
-                bucket.append(slot)
+                bucket.append(i)
                 continue
-            slot.handle = handle
-            slot.issued = True
+            handles[i % cap] = handle
             if critical:
                 stats.critical_loads_sent += 1
                 if tracer is not None:
-                    tracer.prediction(now, core_id, slot.pc, magnitude)
+                    tracer.prediction(now, core_id, pc, magnitude)
             stats.loads += 1
 
-    def _do_commit(self, now: int) -> None:
+    def _do_commit(self, now: int) -> int:
+        """Retire up to ``commit_width`` entries in order; return how many."""
+        rob_len = self._rob_len
+        if not rob_len:
+            return 0
         stats = self.stats
-        rob = self._rob
-        cap = self._rob_entries
+        trace = self.trace
+        itypes = trace.itypes
+        pcs = trace.pcs
         complete = self._complete
         provider = self.provider
-        hierarchy = self.hierarchy
         core_id = self.core_id
-        tracer = self.tracer
-        committed = 0
-        width = self._commit_width
-        rob_len = self._rob_len
-        first = self._ptr - rob_len
-        while committed < width and rob_len:
-            head = rob[first % cap]
-            done_cycle = complete[head.idx]
+        cap = self._rob_entries
+        bstart = self._bstart
+        consumers = self._consumers
+        head = first = self._ptr - rob_len
+        stop = head + (rob_len if rob_len < self._commit_width else self._commit_width)
+        while head < stop:
+            done_cycle = complete[head]
             if done_cycle == _UNKNOWN or done_cycle > now:
-                if head.itype == LOAD:
-                    # Only long-latency (DRAM-serviced) loads count as
-                    # ROB-head blockers — the Runahead/CLEAR criterion the
-                    # CBP is built on.  Short L1/L2-hit head stalls are not
-                    # criticality events.
-                    dram_bound = head.handle is not None and head.handle.went_to_dram
-                    if head.blocking_start < 0 and dram_bound:
-                        head.blocking_start = now
-                        stats.blocking_loads += 1
-                        stats.blocking_dram_loads += 1
-                        provider.on_block_start(
-                            head.pc, now, head.handle.txn
-                        )
-                    stats.blocked_cycles += 1
-                    if dram_bound:
-                        stats.blocked_dram_cycles += 1
                 break
-            itype = head.itype
-            if itype == STORE and not hierarchy.can_accept_store(core_id):
-                # Store buffer full: commit stalls until it drains.
-                stats.sq_full_cycles += 1
-                break
+            itype = itypes[head]
             if itype == LOAD:
-                if head.blocking_start >= 0:
-                    stall = now - head.blocking_start
+                pos = head % cap
+                pc = pcs[head]
+                start = bstart[pos]
+                if start >= 0:
+                    stall = now - start
                     stats.total_block_stall += stall
+                    tracer = self.tracer
                     if tracer is not None:
-                        tracer.block_episode(
-                            head.blocking_start, core_id, head.pc, stall
-                        )
-                    provider.on_blocked_commit(head.pc, stall, now)
-                provider.on_load_consumers(head.pc, head.consumers)
+                        tracer.block_episode(start, core_id, pc, stall)
+                    provider.on_blocked_commit(pc, stall, now)
+                    bstart[pos] = -1
+                provider.on_load_consumers(pc, consumers[pos])
+                consumers[pos] = 0
+                self._handle[pos] = None
                 self._lq_used -= 1
             elif itype == STORE:
+                hierarchy = self.hierarchy
+                if not hierarchy.can_accept_store(core_id):
+                    # Store buffer full: commit stalls until it drains.
+                    stats.sq_full_cycles += 1
+                    break
                 self._sq_used -= 1
-                hierarchy.store(core_id, head.addr, now)
-            rob[first % cap] = None
-            first += 1
-            rob_len -= 1
-            committed += 1
-            stats.committed += 1
-        self._rob_len = rob_len
+                hierarchy.store(core_id, trace.addrs[head], now)
+            head += 1
+        committed = head - first
+        if committed:
+            self._rob_len = rob_len - committed
+            stats.committed += committed
+        if head < stop and itypes[head] == LOAD:
+            # An incomplete load blocks the head.  Only long-latency
+            # (DRAM-serviced) loads count as ROB-head blockers — the
+            # Runahead/CLEAR criterion the CBP is built on.  Short
+            # L1/L2-hit head stalls are not criticality events.
+            pos = head % cap
+            handle = self._handle[pos]
+            dram_bound = handle is not None and handle.went_to_dram
+            if dram_bound and bstart[pos] < 0:
+                bstart[pos] = now
+                stats.blocking_loads += 1
+                stats.blocking_dram_loads += 1
+                provider.on_block_start(pcs[head], now, handle.txn)
+            stats.blocked_cycles += 1
+            if dram_bound:
+                stats.blocked_dram_cycles += 1
+        return committed
 
-    def _do_dispatch(self, now: int) -> None:
-        if self._fetch_blocker is not None or now < self._fetch_resume:
+    def _do_dispatch(self, now: int) -> int:
+        """Dispatch up to ``fetch_width`` instructions; return how many.
+
+        Operands are resolved here: a producer still in flight gets the
+        new entry on its waiter list, and an entry whose operands are all
+        done books its functional unit and schedules its completion (or
+        its cache access) at once.
+        """
+        if self._fetch_blocker >= 0 or now < self._fetch_resume:
             self.stats.dispatch_stall_cycles += 1
-            return
+            return 0
+        ptr = start = self._ptr
+        stop = ptr + self._fetch_width
+        if stop > self._n:
+            stop = self._n
+        if ptr >= stop:
+            return 0  # trace exhausted
         trace = self.trace
-        rob = self._rob
-        cap = self._rob_entries
-        stats = self.stats
-        fetch_width = self._fetch_width
         itypes = trace.itypes
+        dep1 = trace.dep1
+        dep2 = trace.dep2
         dclass = self._dclass
-        n = self._n
-        dispatched = 0
-        counted_lq_full = False
-        ptr = self._ptr
-        rob_len = self._rob_len
+        complete = self._complete
+        cap = self._rob_entries
+        waiters = self._waiters
+        consumers = self._consumers
+        fu_booked = self._fu_booked
+        fu_caps = self._fu_caps
+        latency = self._latency
+        next_local = self._next_local
+        stats = self.stats
         # Constant across the loop: dispatch grows ptr and rob_len together.
-        first = ptr - rob_len
-        while dispatched < fetch_width and ptr < n:
-            if rob_len >= cap:
+        first = ptr - self._rob_len
+        while ptr < stop:
+            if ptr - first >= cap:
                 stats.rob_full_cycles += 1
                 break
             cls = dclass[ptr]
-            if cls == _DC_LOAD and self._lq_used >= self._lq_entries:
-                if not counted_lq_full:
-                    stats.lq_full_cycles += 1
-                    counted_lq_full = True
-                break
-            if cls == _DC_STORE and self._sq_used >= self._sq_entries:
-                break
-            slot = _Slot(ptr, itypes[ptr], trace.pcs[ptr], trace.addrs[ptr], now)
-            self._resolve_deps(slot, trace.dep1[ptr], trace.dep2[ptr], first)
-            rob[ptr % cap] = slot
-            rob_len += 1
             if cls == _DC_LOAD:
+                if self._lq_used >= self._lq_entries:
+                    stats.lq_full_cycles += 1
+                    break
                 self._lq_used += 1
             elif cls == _DC_STORE:
+                if self._sq_used >= self._sq_entries:
+                    break
                 self._sq_used += 1
-            if slot.deps_pending == 0:
-                self._schedule_execute(slot, slot.ready_base)
+            ready = now
+            pending = 0
+            # Producer ``p`` is in flight iff p >= first, and then sits at
+            # ring position p % cap; a retired producer is long complete.
+            p = ptr - dep1[ptr]
+            if p < ptr and p >= 0:
+                if p >= first:
+                    ppos = p % cap
+                    if itypes[p] == LOAD:
+                        # Direct-consumer count, as CLPT tracks at rename.
+                        consumers[ppos] += 1
+                    done = complete[p]
+                    if done == _UNKNOWN:
+                        deps = waiters[ppos]
+                        if deps is None:
+                            # repro-lint: disable=PERF001 one owned list per producer
+                            waiters[ppos] = [ptr]
+                        else:
+                            deps.append(ptr)
+                        pending = 1
+                    elif done > ready:
+                        ready = done
+                elif complete[p] > ready:
+                    ready = complete[p]
+            p = ptr - dep2[ptr]
+            if p < ptr and p >= 0:
+                if p >= first:
+                    ppos = p % cap
+                    if itypes[p] == LOAD:
+                        consumers[ppos] += 1
+                    done = complete[p]
+                    if done == _UNKNOWN:
+                        deps = waiters[ppos]
+                        if deps is None:
+                            # repro-lint: disable=PERF001 one owned list per producer
+                            waiters[ppos] = [ptr]
+                        else:
+                            deps.append(ptr)
+                        pending += 1
+                    elif done > ready:
+                        ready = done
+                elif complete[p] > ready:
+                    ready = complete[p]
+            if pending:
+                pos = ptr % cap
+                self._ready[pos] = ready
+                self._pending[pos] = pending
+                self._dispatched[pos] = now
+            else:
+                # Operands ready: book a unit, schedule the result.
+                issue = ready if ready > now else now + 1
+                itype = itypes[ptr]
+                booked = fu_booked[itype]
+                limit = fu_caps[itype]
+                used = booked.get(issue, 0)
+                while used >= limit:
+                    issue += 1
+                    used = booked.get(issue, 0)
+                booked[issue] = used + 1
+                if itype == LOAD:
+                    sched = self._load_issue
+                else:
+                    sched = self._wake
+                    issue += latency[itype]
+                bucket = sched.get(issue)
+                if bucket is None:
+                    # repro-lint: disable=PERF001 one owned list per cycle
+                    sched[issue] = [ptr]
+                else:
+                    bucket.append(ptr)
+                if issue < next_local:
+                    next_local = issue
             ptr += 1
-            dispatched += 1
             if cls == _DC_MISP_BRANCH:
                 # Fetch stalls until the branch resolves, plus the refill
                 # penalty (applied when the branch completes).
-                slot.is_misp_branch = True
-                self._fetch_blocker = slot
+                self._fetch_blocker = ptr - 1
                 break
         self._ptr = ptr
-        self._rob_len = rob_len
-
-    def _resolve_deps(self, slot: _Slot, d1: int, d2: int, first: int) -> None:
-        complete = self._complete
-        rob = self._rob
-        cap = self._rob_entries
-        for dist in (d1, d2):
-            if dist <= 0:
-                continue
-            p = slot.idx - dist
-            if p < 0:
-                continue
-            # In-flight iff still >= the oldest un-committed index; the ring
-            # slot at p % cap then necessarily holds producer p.
-            producer = rob[p % cap] if p >= first else None
-            if producer is not None and producer.itype == LOAD:
-                # Direct-consumer count, as CLPT tracks at rename time.
-                producer.consumers += 1
-            done = complete[p]
-            if done == _UNKNOWN:
-                if producer is None:
-                    continue
-                if producer.waiters is None:
-                    # repro-lint: disable=PERF001 one owned list per producer, amortised
-                    producer.waiters = []
-                producer.waiters.append(slot)
-                slot.deps_pending += 1
-            elif done > slot.ready_base:
-                slot.ready_base = done
+        self._rob_len = ptr - first
+        self._next_local = next_local
+        return ptr - start
 
     # ------------------------------------------------------------------ step
 
@@ -451,15 +519,18 @@ class OutOfOrderCore:
         """Advance one CPU cycle."""
         if self.done:
             return
-        wake = self._wake.pop(now, None)
-        if wake:
-            for slot in wake:
-                self._complete_at(slot, now)
-        self._do_load_issues(now)
+        finished = self._wake.pop(now, None)
+        if finished:
+            self._complete_at(finished, now)
+        issues = self._load_issue.pop(now, None)
+        if issues:
+            self._do_load_issues(issues, now)
         self._do_commit(now)
         self._do_dispatch(now)
         self.provider.tick(now)
-        if now & 16383 == 0 and now:
+        if now >= self._prune_at:
+            # The first stepped cycle at or past the boundary, not the
+            # boundary itself: the batched engine steps few such cycles.
             self._prune_fu_bookings(now)
         self.stats.cycles = now + 1
         if self._ptr >= self._n and not self._rob_len:
@@ -469,14 +540,14 @@ class OutOfOrderCore:
     #
     # The batched engine advances a core over spans of cycles in one call
     # instead of one step() per cycle.  Soundness rests on the batchability
-    # certificates (DESIGN.md section 5.8): during a span in which no global
+    # certificates (DESIGN.md section 5.7): during a span in which no global
     # event runs and no other core steps, the only state this core observes
     # changing is its own — local wakes (_wake/_load_issue), which the span
     # is clamped to, and global events the span's own cycles schedule, which
-    # are re-checked after every consumed cycle.  Within those clamps each
-    # windowed stage replays the naive per-cycle stage exactly, so every
-    # counter, provider callback, and tracer record lands on the same
-    # virtual cycle as in the per-cycle loop.
+    # are re-checked after every consumed cycle.  Between local wakes a
+    # cycle is step() minus its empty schedules, so every counter, provider
+    # callback, and tracer record lands on the same virtual cycle as in the
+    # per-cycle loop.
 
     def step_window(self, now: int, limit: int) -> int:
         """Advance from cycle ``now`` toward ``limit``; return cycles consumed.
@@ -486,7 +557,6 @@ class OutOfOrderCore:
         core is active.  At least one cycle is always consumed.
         """
         events = self.events
-        n = self._n
         wake_sched = self._wake
         load_issue = self._load_issue
         c = now
@@ -508,37 +578,7 @@ class OutOfOrderCore:
                 self.step(c)
                 c += 1
             else:
-                end = nl if nl < limit else limit
-                consumed = 0
-                blocker = self._fetch_blocker
-                resume = self._fetch_resume
-                rob_len = self._rob_len
-                ptr = self._ptr
-                if blocker is not None or c < resume or ptr >= n:
-                    # Dispatch provably inert through ``end``: commit-only
-                    # window.  The stall flag flips at fetch_resume, so the
-                    # span must not straddle it.
-                    if blocker is None and c < resume and resume < end:
-                        end = resume
-                    if rob_len:
-                        stalled = blocker is not None or c < resume
-                        consumed = self._do_commit_window(c, end, stalled)
-                elif rob_len:
-                    head = self._rob[(ptr - rob_len) % self._rob_entries]
-                    hdone = self._complete[head.idx]
-                    if hdone == _UNKNOWN or hdone >= end:
-                        consumed = self._do_dispatch_window(c, end)
-                    elif hdone > c:
-                        # Head completes mid-span: dispatch-only until then.
-                        consumed = self._do_dispatch_window(c, hdone)
-                    # else: commit can proceed at ``c`` too — mixed cycle.
-                else:
-                    consumed = self._do_dispatch_window(c, end)
-                if consumed:
-                    c += consumed
-                else:
-                    self.step(c)
-                    c += 1
+                c += self._do_window(c, nl if nl < limit else limit)
             if self.done or c >= limit:
                 break
             # Cycles just consumed may have scheduled global events
@@ -570,171 +610,29 @@ class OutOfOrderCore:
                     break
         return c - now
 
-    def _do_commit_window(self, now: int, end: int, stalled: bool) -> int:
-        """Run commit-only cycles over ``[now, end)``; return cycles consumed.
+    def _do_window(self, now: int, end: int) -> int:
+        """Run the cycles of ``[now, end)``; return cycles consumed (>= 1).
 
-        Caller guarantees dispatch cannot act over the consumed span and no
-        local wakes or load issues fall inside it.  Each consumed cycle
-        replays the naive cycle exactly: the commit stage (including
-        blocked-head accounting), the dispatch stall counter when
-        ``stalled``, and the provider tick.  Stops after the first cycle
-        that retires nothing — the engine's skip path handles the rest.
+        Caller guarantees no local wake or load issue falls inside the
+        span, so each cycle is the per-cycle commit and dispatch stages
+        and the provider tick — :meth:`step` without its schedule lookups
+        (empty here) and FU-table prune.  Stops after the first cycle that
+        neither retires nor dispatches (the skip path bulk-accounts quiet
+        stretches), and shrinks ``end`` to wakes this span's dispatches
+        schedule and to events its commits and ticks schedule.
         """
-        stats = self.stats
-        rob = self._rob
-        cap = self._rob_entries
-        complete = self._complete
         provider = self.provider
-        hierarchy = self.hierarchy
-        core_id = self.core_id
-        tracer = self.tracer
-        width = self._commit_width
         events = self.events
-        rob_len = self._rob_len
-        first = self._ptr - rob_len
         c = now
         while c < end:
-            committed = 0
-            while committed < width and rob_len:
-                head = rob[first % cap]
-                done_cycle = complete[head.idx]
-                if done_cycle == _UNKNOWN or done_cycle > c:
-                    if head.itype == LOAD:
-                        dram_bound = (
-                            head.handle is not None and head.handle.went_to_dram
-                        )
-                        if head.blocking_start < 0 and dram_bound:
-                            head.blocking_start = c
-                            stats.blocking_loads += 1
-                            stats.blocking_dram_loads += 1
-                            provider.on_block_start(head.pc, c, head.handle.txn)
-                        stats.blocked_cycles += 1
-                        if dram_bound:
-                            stats.blocked_dram_cycles += 1
-                    break
-                itype = head.itype
-                if itype == STORE and not hierarchy.can_accept_store(core_id):
-                    stats.sq_full_cycles += 1
-                    break
-                if itype == LOAD:
-                    if head.blocking_start >= 0:
-                        stall = c - head.blocking_start
-                        stats.total_block_stall += stall
-                        if tracer is not None:
-                            tracer.block_episode(
-                                head.blocking_start, core_id, head.pc, stall
-                            )
-                        provider.on_blocked_commit(head.pc, stall, c)
-                    provider.on_load_consumers(head.pc, head.consumers)
-                    self._lq_used -= 1
-                elif itype == STORE:
-                    self._sq_used -= 1
-                    hierarchy.store(core_id, head.addr, c)
-                rob[first % cap] = None
-                first += 1
-                rob_len -= 1
-                committed += 1
-                stats.committed += 1
-            if stalled:
-                stats.dispatch_stall_cycles += 1
+            busy = self._do_commit(c) + self._do_dispatch(c)
             provider.tick(c)
             c += 1
-            if self._ptr >= self._n and not rob_len:
+            if self._ptr >= self._n and not self._rob_len:
                 self.done = True
                 break
-            if committed == 0:
-                # Commit went quiet: hand the remaining span back so the
-                # engine's skip path can bulk-account it.
+            if not busy:
                 break
-            # Stores/provider ticks this cycle may have scheduled events.
-            if events is not None:
-                ev = events.next_cycle()
-                if ev is not None and ev < end:
-                    end = ev
-        self._rob_len = rob_len
-        self.stats.cycles = c
-        return c - now
-
-    def _do_dispatch_window(self, now: int, end: int) -> int:
-        """Run dispatch-only cycles over ``[now, end)``; return cycles consumed.
-
-        Caller guarantees the ROB head (if any) cannot commit before
-        ``end`` and dispatch is not fetch-stalled.  Each consumed cycle
-        replays the naive cycle exactly: the commit stage reduced to its
-        blocked-head accounting, then dispatch, then the provider tick.
-        Newly scheduled local wakes shrink the span as they appear.
-        """
-        stats = self.stats
-        trace = self.trace
-        rob = self._rob
-        cap = self._rob_entries
-        complete = self._complete
-        provider = self.provider
-        fetch_width = self._fetch_width
-        itypes = trace.itypes
-        dclass = self._dclass
-        events = self.events
-        n = self._n
-        ptr = self._ptr
-        rob_len = self._rob_len
-        first = ptr - rob_len
-        c = now
-        while c < end:
-            if rob_len:
-                head = rob[first % cap]
-                hdone = complete[head.idx]
-                if hdone != _UNKNOWN and hdone <= c:
-                    break  # head became committable: window over
-                if head.itype == LOAD:
-                    dram_bound = (
-                        head.handle is not None and head.handle.went_to_dram
-                    )
-                    if head.blocking_start < 0 and dram_bound:
-                        head.blocking_start = c
-                        stats.blocking_loads += 1
-                        stats.blocking_dram_loads += 1
-                        provider.on_block_start(head.pc, c, head.handle.txn)
-                    stats.blocked_cycles += 1
-                    if dram_bound:
-                        stats.blocked_dram_cycles += 1
-            dispatched = 0
-            counted_lq_full = False
-            while dispatched < fetch_width and ptr < n:
-                if rob_len >= cap:
-                    stats.rob_full_cycles += 1
-                    break
-                cls = dclass[ptr]
-                if cls == _DC_LOAD and self._lq_used >= self._lq_entries:
-                    if not counted_lq_full:
-                        stats.lq_full_cycles += 1
-                        counted_lq_full = True
-                    break
-                if cls == _DC_STORE and self._sq_used >= self._sq_entries:
-                    break
-                slot = _Slot(ptr, itypes[ptr], trace.pcs[ptr], trace.addrs[ptr], c)
-                self._resolve_deps(slot, trace.dep1[ptr], trace.dep2[ptr], first)
-                rob[ptr % cap] = slot
-                rob_len += 1
-                if cls == _DC_LOAD:
-                    self._lq_used += 1
-                elif cls == _DC_STORE:
-                    self._sq_used += 1
-                if slot.deps_pending == 0:
-                    self._schedule_execute(slot, slot.ready_base)
-                ptr += 1
-                dispatched += 1
-                if cls == _DC_MISP_BRANCH:
-                    slot.is_misp_branch = True
-                    self._fetch_blocker = slot
-                    break
-            provider.tick(c)
-            c += 1
-            if self._fetch_blocker is not None or dispatched == 0:
-                # Fetch just stalled, or dispatch went quiet: hand the rest
-                # of the span back to the engine's skip path.
-                break
-            # Clamp to wakes scheduled by this cycle's own dispatches and
-            # to events scheduled by the provider tick.
             nl = self._next_local
             if nl < end:
                 end = nl
@@ -742,8 +640,6 @@ class OutOfOrderCore:
                 ev = events.next_cycle()
                 if ev is not None and ev < end:
                     end = ev
-        self._ptr = ptr
-        self._rob_len = rob_len
         self.stats.cycles = c
         return c - now
 
@@ -752,8 +648,9 @@ class OutOfOrderCore:
     def skip_plan(self, now: int):
         """Classify the core's state after cycle ``now`` for fast-forwarding.
 
-        Returns ``None`` when the core could make progress at ``now + 1``
-        (the system must keep stepping cycle by cycle), otherwise a pair
+        Returns ``None`` when the core could make progress or wake at
+        ``now + 1`` (the system must keep stepping cycle by cycle: a skip
+        that ends next cycle would cover no cycle), otherwise a pair
         ``(wake, deltas)``:
 
         * ``wake`` — earliest future cycle at which stepping this core might
@@ -774,21 +671,22 @@ class OutOfOrderCore:
 
         rob_len = self._rob_len
         if rob_len:
-            head = self._rob[(self._ptr - rob_len) % self._rob_entries]
-            done_cycle = self._complete[head.idx]
+            head = self._ptr - rob_len
+            itype = self.trace.itypes[head]
+            done_cycle = self._complete[head]
             if done_cycle == _UNKNOWN or done_cycle > now:
                 head_done = done_cycle
-                if head.itype == LOAD:
-                    dram_bound = (
-                        head.handle is not None and head.handle.went_to_dram
-                    )
-                    if dram_bound and head.blocking_start < 0:
+                if itype == LOAD:
+                    pos = head % self._rob_entries
+                    handle = self._handle[pos]
+                    dram_bound = handle is not None and handle.went_to_dram
+                    if dram_bound and self._bstart[pos] < 0:
                         # First blocked cycle not yet accounted: step it.
                         return None
                     blocked = 1
                     if dram_bound:
                         blocked_dram = 1
-            elif head.itype == STORE and not self.hierarchy.can_accept_store(
+            elif itype == STORE and not self.hierarchy.can_accept_store(
                 self.core_id
             ):
                 sq_full = 1
@@ -796,7 +694,7 @@ class OutOfOrderCore:
                 return None  # head commits next cycle
 
         fetch_resume = 0
-        if self._fetch_blocker is not None:
+        if self._fetch_blocker >= 0:
             stall = 1
         elif now + 1 < self._fetch_resume:
             fetch_resume = self._fetch_resume
@@ -833,6 +731,8 @@ class OutOfOrderCore:
             tick = max(tick, now + 1)
             if wake is None or tick < wake:
                 wake = tick
+        if wake is not None and wake <= now + 1:
+            return None  # a skip that ends next cycle covers no cycle
         return wake, (blocked, blocked_dram, sq_full, stall, rob_full, lq_full)
 
     def begin_skip(self, plan, now: int, forever: int) -> None:
@@ -878,12 +778,16 @@ class OutOfOrderCore:
             stats.lq_full_cycles += skipped
 
     def _prune_fu_bookings(self, now: int) -> None:
-        """Drop functional-unit reservations for cycles already past."""
-        for itype, booked in self._fu_booked.items():
+        """Drop functional-unit reservations for cycles already past
+        and set the next prune at the next 16384-cycle boundary.  Called
+        at the end of a step, so every later booking looks up only cycles
+        after ``now``."""
+        for itype, booked in enumerate(self._fu_booked):
             if len(booked) > 64:
                 self._fu_booked[itype] = {
                     c: n for c, n in booked.items() if c > now
                 }
+        self._prune_at = (now | _PRUNE_MASK) + 1
 
     # -------------------------------------------------------------- telemetry
 
@@ -921,21 +825,16 @@ class OutOfOrderCore:
         settled lazily by :meth:`flush_skip`.
         """
         rob_len = self._rob_len
-        head = (
-            self._rob[(self._ptr - rob_len) % self._rob_entries]
-            if rob_len
-            else None
-        )
         return (
             1 if self.done else 0,
             self.stats.committed,
             self._ptr,
             rob_len,
-            -1 if head is None else head.idx,
+            self._ptr - rob_len if rob_len else -1,
             self._lq_used,
             self._sq_used,
             self._fetch_resume,
-            -1 if self._fetch_blocker is None else self._fetch_blocker.idx,
+            self._fetch_blocker,
         )
 
     def rob_occupancy(self) -> int:

@@ -15,6 +15,7 @@ import os
 import statistics
 
 from repro.config import SimScale, SystemConfig
+from repro.sim import runner
 from repro.sim.engine import RunSpec, run_one_cached
 from repro.workloads.parallel import PARALLEL_APP_NAMES
 
@@ -71,7 +72,8 @@ def cached_run(
 
     ``kind`` is "parallel", "bundle", or "alone".  Misses in the in-memory
     memo fall through to the engine's content-addressed disk cache before
-    simulating (see :mod:`repro.sim.engine`).
+    simulating (see :mod:`repro.sim.engine`).  A run that hit the livelock
+    cap raises ``RuntimeError`` instead of entering a figure.
     """
     key = (
         kind,
@@ -87,10 +89,16 @@ def cached_run(
     result = _RUN_CACHE.get(key)
     if result is not None:
         return result
-    result = run_one_cached(
-        _spec_for(kind, workload, scheduler, provider_spec, config, seed,
-                  scheduler_kwargs, slot)
-    )
+    spec = _spec_for(kind, workload, scheduler, provider_spec, config, seed,
+                     scheduler_kwargs, slot)
+    result = run_one_cached(spec)
+    if result.hit_max_cycles:
+        # A wedged run stops at the cap: its cycle count measures the
+        # cap, not the machine, so no figure may average it.
+        raise RuntimeError(
+            f"{result.label}: stopped at cycle {result.cycles}, the "
+            f"livelock cap of {runner._max_cycles(spec.scale)} cycles"
+        )
     _RUN_CACHE[key] = result
     return result
 

@@ -4,6 +4,8 @@ Runs at a drastically reduced scale (few hundred instructions) — these
 tests check structure, not measured values.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import common
@@ -186,7 +188,7 @@ class TestRunCache:
 
         def fake_run(spec):
             simulated.append(spec.config)
-            return object()
+            return SimpleNamespace(hit_max_cycles=False)
 
         monkeypatch.setattr(common, "run_one_cached", fake_run)
         base = SystemConfig()
@@ -204,3 +206,27 @@ class TestRunCache:
         again = common.cached_run("parallel", "fft", config=SystemConfig())
         assert again is results[0]
         assert len(simulated) == len(variants)
+
+    def test_capped_run_fails_its_figure(self, monkeypatch):
+        """A run stopped by the livelock cap raises, naming the run, its
+        cycle count and the cap, and is not memoised."""
+        from repro.sim.runner import _max_cycles
+
+        cap = _max_cycles(common.experiment_scale())
+        calls = []
+
+        def fake_run(spec):
+            calls.append(spec)
+            return SimpleNamespace(
+                hit_max_cycles=True, cycles=cap, label="fft/fr-fcfs"
+            )
+
+        monkeypatch.setattr(common, "run_one_cached", fake_run)
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as info:
+                common.mean_speedup("fft", "fr-fcfs", None)
+            message = str(info.value)
+            assert "fft/fr-fcfs" in message
+            assert f"cycle {cap}" in message
+            assert f"cap of {cap} cycles" in message
+        assert len(calls) == 2

@@ -124,6 +124,27 @@ class TestBitIdentity:
         )
         assert result_fingerprint(naive) == result_fingerprint(fast)
 
+    def test_fu_bookings_pruned_like_naive(self):
+        """Functional-unit reservations for past cycles are pruned once
+        per 16384 cycles.  The batched engine steps few of those boundary
+        cycles, so it prunes at the first cycle it steps past each one:
+        over a run that crosses several boundaries it must hold no more
+        entries than the naive engine, with identical results."""
+        from repro.workloads.multiprog import bundle_traces
+
+        config = SystemConfig.multiprogrammed_default()
+        traces = bundle_traces("RFGI", 66_000, seed=1)
+        solo = [traces[0]] + [Trace(name="idle")] * (config.cores - 1)
+        held, prints = {}, {}
+        for engine in ("naive", "batched"):
+            system = System(config, solo, scheduler="par-bs")
+            result = system.run(engine=engine)
+            assert result.cycles > 4 * 16384
+            held[engine] = sum(len(t) for t in system.cores[0]._fu_booked)
+            prints[engine] = result_fingerprint(result)
+        assert held["batched"] <= held["naive"]
+        assert prints["batched"] == prints["naive"]
+
 
 class TestRunnerKnobs:
     def test_no_skip_env(self, monkeypatch):
