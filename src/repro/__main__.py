@@ -103,6 +103,8 @@ def _cmd_run(args) -> int:
     result = run_parallel_workload(
         args.app, scheduler=args.scheduler, provider_spec=spec, scale=scale
     )
+    if _capped((base, result), scale):
+        return 1
     print(f"{args.app} / fr-fcfs      : {base.cycles:,} cycles "
           f"(IPC {base.system_ipc:.2f})")
     print(f"{args.app} / {args.scheduler:<12}: {result.cycles:,} cycles "
@@ -161,8 +163,22 @@ def _cmd_check_determinism(args) -> int:
     return 0
 
 
+def _capped(results, scale) -> bool:
+    """True, after naming each on stderr, if any run stopped at the
+    livelock cap: its cycle count measures the cap, not the machine."""
+    from repro.sim import runner
+
+    capped = [result for result in results if result.hit_max_cycles]
+    for result in capped:
+        print(f"error: {result.label}: stopped at cycle {result.cycles}, the "
+              f"livelock cap of {runner._max_cycles(scale)} cycles",
+              file=sys.stderr)
+    return bool(capped)
+
+
 def _run_for_telemetry(args):
-    """Run one workload for the stats/trace commands; returns the result."""
+    """Run one workload for the stats/trace commands; returns the result,
+    or None if it stopped at the livelock cap (see :func:`_capped`)."""
     from repro.config import SimScale
     from repro.sim.runner import run_parallel_workload
 
@@ -172,9 +188,10 @@ def _run_for_telemetry(args):
         seed=args.seed,
     )
     spec = ("cbp", {"entries": args.cbp}) if args.cbp else None
-    return run_parallel_workload(
+    result = run_parallel_workload(
         args.app, scheduler=args.scheduler, provider_spec=spec, scale=scale
     )
+    return None if _capped((result,), scale) else result
 
 
 def _cmd_stats(args) -> int:
@@ -190,6 +207,8 @@ def _cmd_stats(args) -> int:
     # this command existed would satisfy the spec without series; bypass.
     os.environ.setdefault("REPRO_NO_CACHE", "1")
     result = _run_for_telemetry(args)
+    if result is None:
+        return 1
 
     if args.csv:
         print(timeseries_to_csv(result), end="")
@@ -269,6 +288,8 @@ def _cmd_trace(args) -> int:
         os.environ["REPRO_TRACE_CAP"] = str(args.cap)
     os.environ.setdefault("REPRO_NO_CACHE", "1")
     result = _run_for_telemetry(args)
+    if result is None:
+        return 1
 
     doc = to_chrome_trace(
         result.trace_events, label=result.label,

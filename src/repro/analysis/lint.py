@@ -687,6 +687,10 @@ HOT_METHODS = {
     "_execute", "_build_candidates", "_service_refresh",
     # hot helpers on the issue path, not per-cycle hooks themselves
     "_complete_at", "try_enqueue",
+    # the cache hierarchy's per-miss path and the array fills under it
+    "_access_l2", "_fill_l1_and_respond", "_install_l2_fill",
+    "_resolve_remote_copies", "_invalidate_remote", "_evict_l2_line",
+    "insert", "insert_range",
 }
 
 

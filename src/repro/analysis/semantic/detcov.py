@@ -124,11 +124,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ("Bank", "row_conflicts"):
         "row-locality statistic (see row_hits)",
     # -- Caches -----------------------------------------------------------
-    ("SetAssociativeCache", "hits"):
-        "hit/miss statistic; tag-array contents are chained via "
-        "det_state's resident/dirty/checksum words instead",
-    ("SetAssociativeCache", "misses"):
-        "hit/miss statistic (see hits)",
     ("MshrFile", "peak"):
         "occupancy high-watermark statistic; live entries are chained "
         "via the MshrFile det_state words",

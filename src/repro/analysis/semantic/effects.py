@@ -356,6 +356,11 @@ class _EffectScan:
     def _record_call(self, node: ast.Call) -> None:
         fn = node.func
         chain = _call_chain(fn)
+        if chain and chain[-1] == "partial" and node.args:
+            # partial(f, ...) defers a call of f, as a lambda calling f
+            # does; the walk charges a lambda body's calls to the
+            # enclosing function, so charge f the same way.
+            self._record_call(ast.Call(func=node.args[0], args=[], keywords=[]))
         if chain and (
             any(part in _RNG_TOKENS for part in chain)
             or chain[0] == "random"

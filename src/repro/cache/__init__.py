@@ -1,12 +1,11 @@
 """Cache hierarchy: private L1Ds, shared L2, MSI coherence, stream prefetch."""
 
-from repro.cache.base import CacheLine, SetAssociativeCache
+from repro.cache.base import SetAssociativeCache
 from repro.cache.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.cache.mshr import MshrFile
 from repro.cache.prefetcher import StreamPrefetcher
 
 __all__ = [
-    "CacheLine",
     "HierarchyStats",
     "MemoryHierarchy",
     "MshrFile",

@@ -1,37 +1,35 @@
-"""Set-associative cache array with true-LRU replacement."""
+"""Set-associative cache array with true-LRU replacement, stored as columns."""
 
 from __future__ import annotations
 
 from repro.config import CacheConfig
 
-
-class CacheLine:
-    """One resident line: coherence state, dirtiness, recency.
-
-    ``state`` and ``dirty`` feed the owning cache's incrementally
-    maintained det-state words; mutate them through
-    :meth:`SetAssociativeCache.set_line_state` /
-    :meth:`SetAssociativeCache.set_line_dirty`, never directly.
-    """
-
-    __slots__ = ("state", "dirty", "lru")
-
-    def __init__(self, state: str = "S", dirty: bool = False, lru: int = 0):
-        self.state = state
-        self.dirty = dirty
-        self.lru = lru
+#: Coherence-state codes held in the ``state`` column: the ``ord()`` of
+#: the state letter, so the det-state checksum is the one letters gave.
+SHARED = ord("S")
+MODIFIED = ord("M")
 
 
 class SetAssociativeCache:
     """Tag array + LRU state.  Addresses are byte addresses; the cache
     computes its own line/set decomposition from its configuration.
 
+    Lines live in per-slot columns, slot ``set * ways + way``: ``tag``
+    (line address), ``lru`` (recency stamp), ``state`` (coherence-state
+    code) and ``dirty`` (0/1).  ``where`` maps each resident line to its
+    slot.  A set's resident lines always fill its first ``fill[set]``
+    slots; :meth:`invalidate` moves the set's last line into the hole.
+    The victim of a full set is its minimum-LRU slot: every touch and
+    insert takes a fresh ``clock`` value, so stamps are unique and the
+    victim does not depend on slot order.
+
     The determinism-chain words (resident count, dirty count, per-line
     checksum) are maintained incrementally on every mutation instead of
-    being recomputed by walking every set at each chain sample — the
-    walk was the single hottest function in whole-run profiles.  The
-    slow full scan survives as :meth:`det_state_scan` and is asserted
-    equal to the incremental words in the test suite.
+    being recomputed by walking every set at each chain sample.  The
+    full walk survives as :meth:`det_state_scan`, which also checks the
+    slot layout, and is asserted equal to the incremental words in the
+    test suite.  ``MemoryHierarchy`` touches L1 hits inline, so it
+    writes ``clock``, ``checksum`` and ``lru`` directly.
     """
 
     def __init__(self, config: CacheConfig):
@@ -41,164 +39,196 @@ class SetAssociativeCache:
         self.num_sets = config.sets
         if self.num_sets <= 0:
             raise ValueError(f"degenerate cache geometry: {config}")
-        self._sets: list[dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
+        slots = self.num_sets * self.ways
+        self.where: dict[int, int] = {}
+        self.tag = [0] * slots
+        self.lru = [0] * slots
+        self.state = bytearray(slots)
+        self.dirty = bytearray(slots)
+        self.fill = [0] * self.num_sets
         # Incremental det-state words (see det_state).
+        self.clock = 0
+        self.checksum = 0
         self._resident = 0
-        self._dirty = 0
-        self._checksum = 0
+        self._dirty_lines = 0
 
     # -- address helpers -----------------------------------------------------
 
     def line_addr(self, address: int) -> int:
         return address - (address % self.line_bytes)
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.num_sets
-
     # -- operations ------------------------------------------------------------
 
-    def lookup(self, address: int, touch: bool = True) -> CacheLine | None:
-        """Return the resident line covering ``address``, if any."""
-        line_addr = self.line_addr(address)
-        line = self._sets[self._set_index(line_addr)].get(line_addr)
-        if line is None:
-            self.misses += 1
-            return None
-        if touch:
-            self._clock += 1
-            self._checksum += 131 * (self._clock - line.lru)
-            line.lru = self._clock
-        self.hits += 1
-        return line
+    def lookup(self, address: int) -> int | None:
+        """Return the slot of the line covering ``address`` and touch its
+        LRU stamp; None on a miss."""
+        slot = self.where.get(address - address % self.line_bytes)
+        if slot is not None:
+            clock = self.clock + 1
+            self.clock = clock
+            self.checksum += 131 * (clock - self.lru[slot])
+            self.lru[slot] = clock
+        return slot
 
-    def peek(self, address: int) -> CacheLine | None:
-        """Lookup without touching LRU or hit/miss counters."""
-        line_addr = self.line_addr(address)
-        return self._sets[self._set_index(line_addr)].get(line_addr)
+    def peek(self, address: int) -> int | None:
+        """Lookup without touching LRU."""
+        return self.where.get(address - address % self.line_bytes)
 
     def insert(
-        self, address: int, state: str = "S", dirty: bool = False
-    ) -> tuple[int, CacheLine] | None:
+        self, address: int, state: int = SHARED, dirty: bool = False
+    ) -> tuple[int, int, int] | None:
         """Install the line covering ``address``.
 
-        Returns the evicted ``(line_addr, CacheLine)`` pair if a victim had
+        Returns the evicted ``(line_addr, state, dirty)`` if a victim had
         to make room, else None.  Inserting an already-resident line just
-        refreshes it.
+        refreshes it (and never cleans it).
         """
-        line_addr = self.line_addr(address)
-        cache_set = self._sets[self._set_index(line_addr)]
-        self._clock += 1
-        existing = cache_set.get(line_addr)
-        if existing is not None:
-            self._checksum += 7 * (ord(state[0]) - ord(existing.state[0]))
-            existing.state = state
-            if dirty and not existing.dirty:
-                self._dirty += 1
-                existing.dirty = True
-            self._checksum += 131 * (self._clock - existing.lru)
-            existing.lru = self._clock
+        line = address - address % self.line_bytes
+        clock = self.clock + 1
+        self.clock = clock
+        lru = self.lru
+        states = self.state
+        dirties = self.dirty
+        slot = self.where.get(line)
+        if slot is not None:
+            self.checksum += 7 * (state - states[slot]) + 131 * (clock - lru[slot])
+            states[slot] = state
+            lru[slot] = clock
+            if dirty and not dirties[slot]:
+                dirties[slot] = 1
+                self._dirty_lines += 1
             return None
+        ways = self.ways
+        index = (line // self.line_bytes) % self.num_sets
+        base = index * ways
+        used = self.fill[index]
         victim = None
-        if len(cache_set) >= self.ways:
-            victim_addr = min(cache_set, key=lambda a: cache_set[a].lru)
-            victim_line = cache_set.pop(victim_addr)
-            self._drop_words(victim_addr, victim_line)
-            victim = (victim_addr, victim_line)
-        cache_set[line_addr] = CacheLine(state=state, dirty=dirty, lru=self._clock)
-        self._resident += 1
+        if used < ways:
+            slot = base + used
+            self.fill[index] = used + 1
+            self._resident += 1
+        else:
+            slot = lru.index(min(lru[base:base + ways]), base, base + ways)
+            old = self.tag[slot]
+            del self.where[old]
+            victim = (old, states[slot], dirties[slot])
+            self._dirty_lines -= dirties[slot]
+            self.checksum -= old + 131 * lru[slot] + 7 * states[slot]
+        self.where[line] = slot
+        self.tag[slot] = line
+        lru[slot] = clock
+        states[slot] = state
+        dirties[slot] = dirty
         if dirty:
-            self._dirty += 1
-        self._checksum += line_addr + 131 * self._clock + 7 * ord(state[0])
+            self._dirty_lines += 1
+        self.checksum += line + 131 * clock + 7 * state
         return victim
 
-    def insert_range(self, first: int, stop: int) -> list[tuple[int, CacheLine]]:
+    def insert_range(self, first: int, stop: int) -> list[tuple[int, int, int]]:
         """Install clean Shared lines ``first``, ``first + line_bytes``, ...
         below ``stop`` (``first`` line-aligned), for cache pre-warming.
 
-        Leaves exactly the state that one ``insert(addr, "S")`` per line,
-        in address order, would leave, and returns the evicted
-        ``(line_addr, CacheLine)`` pairs in eviction order.  The set index
-        steps incrementally and the clock, resident count and checksum
+        Leaves exactly the state that one ``insert(addr)`` per line, in
+        address order, would leave, and returns the evicted
+        ``(line_addr, state, dirty)`` triples in eviction order.  The set
+        index steps incrementally and the columns and det-state words
         live in locals.  :meth:`insert` stays the runtime path and the
         reference this is tested against.
         """
         line_bytes = self.line_bytes
         num_sets = self.num_sets
         ways = self.ways
-        sets = self._sets
-        clock = self._clock
+        where = self.where
+        tag = self.tag
+        lru = self.lru
+        states = self.state
+        dirties = self.dirty
+        fill = self.fill
+        clock = self.clock
         resident = self._resident
-        dirty = self._dirty
-        checksum = self._checksum
-        state = "S"
-        code = ord(state)
+        dirty_lines = self._dirty_lines
+        checksum = self.checksum
         victims = []
         index = (first // line_bytes) % num_sets
-        for line_addr in range(first, stop, line_bytes):
-            cache_set = sets[index]
+        for line in range(first, stop, line_bytes):
+            clock += 1
+            slot = where.get(line)
+            if slot is not None:
+                checksum += 7 * (SHARED - states[slot]) + 131 * (clock - lru[slot])
+                states[slot] = SHARED
+                lru[slot] = clock
+            else:
+                base = index * ways
+                used = fill[index]
+                if used < ways:
+                    slot = base + used
+                    fill[index] = used + 1
+                    resident += 1
+                else:
+                    slot = lru.index(min(lru[base:base + ways]), base, base + ways)
+                    old = tag[slot]
+                    del where[old]
+                    victims.append((old, states[slot], dirties[slot]))
+                    dirty_lines -= dirties[slot]
+                    checksum -= old + 131 * lru[slot] + 7 * states[slot]
+                where[line] = slot
+                tag[slot] = line
+                lru[slot] = clock
+                states[slot] = SHARED
+                dirties[slot] = 0
+                checksum += line + 131 * clock + 7 * SHARED
             index += 1
             if index == num_sets:
                 index = 0
-            clock += 1
-            existing = cache_set.get(line_addr)
-            if existing is not None:
-                checksum += (7 * (code - ord(existing.state[0]))
-                             + 131 * (clock - existing.lru))
-                existing.state = state
-                existing.lru = clock
-                continue
-            if len(cache_set) >= ways:
-                victim_addr = min(cache_set, key=lambda a: cache_set[a].lru)
-                victim = cache_set.pop(victim_addr)
-                resident -= 1
-                if victim.dirty:
-                    dirty -= 1
-                checksum -= victim_addr + 131 * victim.lru + 7 * ord(victim.state[0])
-                victims.append((victim_addr, victim))
-            cache_set[line_addr] = CacheLine(state, False, clock)
-            resident += 1
-            checksum += line_addr + 131 * clock + 7 * code
-        self._clock = clock
+        self.clock = clock
         self._resident = resident
-        self._dirty = dirty
-        self._checksum = checksum
+        self._dirty_lines = dirty_lines
+        self.checksum = checksum
         return victims
 
-    def invalidate(self, address: int) -> CacheLine | None:
-        """Remove the line covering ``address``; returns it if present."""
-        line_addr = self.line_addr(address)
-        line = self._sets[self._set_index(line_addr)].pop(line_addr, None)
-        if line is not None:
-            self._drop_words(line_addr, line)
-        return line
-
-    def _drop_words(self, line_addr: int, line: CacheLine) -> None:
-        """Remove a departing line's contribution to the det-state words."""
+    def invalidate(self, address: int) -> tuple[int, int, int] | None:
+        """Remove the line covering ``address``; returns its
+        ``(line_addr, state, dirty)`` if it was resident."""
+        line = address - address % self.line_bytes
+        slot = self.where.pop(line, None)
+        if slot is None:
+            return None
+        lru = self.lru
+        states = self.state
+        dirties = self.dirty
+        gone = (line, states[slot], dirties[slot])
         self._resident -= 1
-        if line.dirty:
-            self._dirty -= 1
-        self._checksum -= line_addr + 131 * line.lru + 7 * ord(line.state[0])
+        self._dirty_lines -= dirties[slot]
+        self.checksum -= line + 131 * lru[slot] + 7 * states[slot]
+        index = slot // self.ways
+        last = index * self.ways + self.fill[index] - 1
+        self.fill[index] -= 1
+        if slot != last:
+            moved = self.tag[last]
+            self.tag[slot] = moved
+            lru[slot] = lru[last]
+            states[slot] = states[last]
+            dirties[slot] = dirties[last]
+            self.where[moved] = slot
+        return gone
 
     # -- mediated line mutation ----------------------------------------------
 
-    def set_line_state(self, line: CacheLine, state: str) -> None:
+    def set_state(self, slot: int, state: int) -> None:
         """Change a resident line's coherence state (keeps the checksum
-        current; never assign ``line.state`` directly)."""
-        self._checksum += 7 * (ord(state[0]) - ord(line.state[0]))
-        line.state = state
+        current; never assign the ``state`` column directly)."""
+        self.checksum += 7 * (state - self.state[slot])
+        self.state[slot] = state
 
-    def set_line_dirty(self, line: CacheLine, dirty: bool = True) -> None:
+    def set_dirty(self, slot: int, dirty: bool = True) -> None:
         """Change a resident line's dirty bit (keeps the dirty count
-        current; never assign ``line.dirty`` directly)."""
-        if line.dirty != dirty:
-            self._dirty += 1 if dirty else -1
-            line.dirty = dirty
+        current; never assign the ``dirty`` column directly)."""
+        if self.dirty[slot] != dirty:
+            self._dirty_lines += 1 if dirty else -1
+            self.dirty[slot] = dirty
 
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(self.fill)
 
     def det_state(self) -> list[int]:
         """Architectural state words for the determinism hash-chain.
@@ -207,25 +237,43 @@ class SetAssociativeCache:
         invalidate (and the mediated line mutators) — all driven from
         stepped cycles — so these words are constant across quiescent
         fast-forward windows.  The per-line checksum is a sum, making it
-        independent of set/dict iteration order.  Hit/miss counters are
-        statistics and stay excluded.
+        independent of slot order.
         """
-        return [self._clock, self._resident, self._dirty, self._checksum]
+        return [self.clock, self._resident, self._dirty_lines, self.checksum]
 
     def det_state_scan(self) -> list[int]:
         """The same four words recomputed by a full tag-array walk.
 
         Reference implementation for the incremental bookkeeping; the
         equivalence test drives a workload and asserts
-        ``det_state() == det_state_scan()`` for every cache.
+        ``det_state() == det_state_scan()`` for every cache.  The walk
+        also checks the slot layout, raising ``AssertionError`` unless
+        each set's first ``fill`` slots hold lines of that set whose
+        ``where`` entry points back at them, and ``where`` holds nothing
+        else.
         """
+        where = self.where
+        tag = self.tag
+        ways = self.ways
         resident = 0
         dirty = 0
         checksum = 0
-        for cache_set in self._sets:
-            resident += len(cache_set)
-            for line_addr, line in cache_set.items():
-                if line.dirty:
-                    dirty += 1
-                checksum += line_addr + 131 * line.lru + 7 * ord(line.state[0])
-        return [self._clock, resident, dirty, checksum]
+        for index, used in enumerate(self.fill):
+            if used > ways:
+                raise AssertionError(f"set {index} holds {used} > {ways} lines")
+            for slot in range(index * ways, index * ways + used):
+                line = tag[slot]
+                if (where.get(line) != slot
+                        or (line // self.line_bytes) % self.num_sets != index):
+                    raise AssertionError(
+                        f"slot {slot} of set {index} holds line {line:#x}, "
+                        f"which where maps to {where.get(line)}"
+                    )
+                resident += 1
+                dirty += self.dirty[slot]
+                checksum += line + 131 * self.lru[slot] + 7 * self.state[slot]
+        if resident != len(where):
+            raise AssertionError(
+                f"where holds {len(where)} lines, the sets {resident}"
+            )
+        return [self.clock, resident, dirty, checksum]

@@ -21,7 +21,9 @@ on-chip address bus), and merged MSHR requests take the maximum magnitude.
 
 from __future__ import annotations
 
-from repro.cache.base import SetAssociativeCache
+from functools import partial
+
+from repro.cache.base import MODIFIED, SHARED, SetAssociativeCache
 from repro.cache.mshr import MshrFile
 from repro.cache.prefetcher import StreamPrefetcher
 from repro.config import SystemConfig
@@ -35,24 +37,32 @@ RETRY_INTERVAL = 4
 
 
 class LoadAccess:
-    """Handle returned to the core for each accepted load.
+    """Handle returned to the core for each accepted L1-missing load.
 
     ``txn`` is filled in if/when the load reaches the DRAM queue, letting
     the naive forwarding mechanism (Section 5.1) promote it in place.
     """
 
-    __slots__ = ("core", "pc", "address", "issue_cycle", "critical", "magnitude",
-                 "txn", "went_to_dram")
+    __slots__ = ("pc", "issue_cycle", "critical", "txn", "went_to_dram")
 
-    def __init__(self, core, pc, address, issue_cycle, critical, magnitude):
-        self.core = core
+    def __init__(self, pc, issue_cycle, critical):
         self.pc = pc
-        self.address = address
         self.issue_cycle = issue_cycle
         self.critical = critical
-        self.magnitude = magnitude
         self.txn = None
         self.went_to_dram = False
+
+
+class _L1Hit:
+    """The handle of every L1 hit: it never reaches DRAM, so it never
+    gains a transaction, and one immutable instance serves them all."""
+
+    __slots__ = ()
+    txn = None
+    went_to_dram = False
+
+
+L1_HIT = _L1Hit()
 
 
 class HierarchyStats:
@@ -104,11 +114,18 @@ class MemoryHierarchy:
         self.l2_mshr = MshrFile(config.l2.mshr_entries)
         self.prefetcher = StreamPrefetcher(config.prefetcher, config.l2.line_bytes)
         self._prefetched_lines: set[int] = set()
-        # Directory: L1-line address -> set of core ids holding a copy.
-        self._dir: dict[int, set[int]] = {}
+        # Directory: L1-line address -> bitmask of the core ids holding a
+        # copy (bit c for core c).  A key stays, with mask 0, when its
+        # last sharer is dropped by coherence; only an L1 eviction or an
+        # L2 back-invalidation deletes it.
+        self._dir: dict[int, int] = {}
         self.stats = HierarchyStats()
+        self._l1_line = config.l1d.line_bytes
+        self._l2_line = config.l2.line_bytes
         self._l1_hit_lat = config.l1d.round_trip_latency
         self._l2_half = config.l2.round_trip_latency // 2
+        # Cycles from load/store issue to the L2 access.
+        self._l2_delay = self._l1_hit_lat + max(0, self._l2_half - self._l1_hit_lat)
         # Per-core count of stores awaiting an L1 MSHR (the post-commit
         # store buffer).  When it fills, the core must stall commit.
         self._store_backlog = [0] * config.cores
@@ -135,26 +152,33 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ loads
 
     def load(self, core, pc, address, critical, magnitude, callback, now):
-        """Issue a load.  Returns a :class:`LoadAccess`, or None if the L1
-        MSHR file is full (the core must replay the load)."""
+        """Issue a load.  Returns a handle (the shared :data:`L1_HIT` on
+        an L1 hit, else a :class:`LoadAccess`), or None if the L1 MSHR
+        file is full (the core must replay the load)."""
         stats = self.stats
         l1 = self.l1[core]
-        line = l1.lookup(address)
-        handle = LoadAccess(core, pc, address, now, critical, magnitude)
-        if line is not None:
+        line32 = address - address % self._l1_line
+        slot = l1.where.get(line32)
+        if slot is not None:
+            # L1 hit: the LRU touch of SetAssociativeCache.lookup, inline.
+            clock = l1.clock + 1
+            l1.clock = clock
+            lru = l1.lru
+            l1.checksum += 131 * (clock - lru[slot])
+            lru[slot] = clock
             stats.loads += 1
             stats.l1_load_hits += 1
             done = now + self._l1_hit_lat
-            self.events.schedule(done, lambda: callback(done))
-            return handle
+            self.events.schedule(done, partial(callback, done))
+            return L1_HIT
 
-        line32 = l1.line_addr(address)
         mshr = self.l1_mshr[core]
         entry = mshr.get(line32)
         if entry is not None:
             stats.loads += 1
+            handle = LoadAccess(pc, now, critical)
             entry.waiters.append((handle, callback))
-            l2_entry = self.l2_mshr.get(self.l2.line_addr(line32))
+            l2_entry = self.l2_mshr.get(line32 - line32 % self._l2_line)
             if l2_entry is not None and l2_entry.txn is not None:
                 handle.txn = l2_entry.txn
                 handle.went_to_dram = True
@@ -165,12 +189,11 @@ class MemoryHierarchy:
         if entry is None:
             return None
         stats.loads += 1
+        handle = LoadAccess(pc, now, critical)
         entry.waiters.append((handle, callback))
-        t_l2 = now + self._l1_hit_lat + max(0, self._l2_half - self._l1_hit_lat)
         self.events.schedule(
-            t_l2,
-            lambda: self._access_l2(core, line32, critical, magnitude,
-                                    is_rfo=False, pc=pc),
+            now + self._l2_delay,
+            partial(self._access_l2, core, line32, critical, magnitude, False, pc),
         )
         return handle
 
@@ -182,23 +205,27 @@ class MemoryHierarchy:
 
     def store(self, core, address, now, _retry=False) -> None:
         """Retire a store (called at commit; buffered, non-blocking)."""
-        stats = self.stats
         if not _retry:
-            stats.stores += 1
+            self.stats.stores += 1
         l1 = self.l1[core]
-        line = l1.lookup(address)
-        line32 = l1.line_addr(address)
-        if line is not None:
+        line32 = address - address % self._l1_line
+        slot = l1.where.get(line32)
+        if slot is not None:
+            # The LRU touch of SetAssociativeCache.lookup, inline.
+            clock = l1.clock + 1
+            l1.clock = clock
+            lru = l1.lru
+            l1.checksum += 131 * (clock - lru[slot])
+            lru[slot] = clock
             if _retry:
                 self._store_backlog[core] -= 1
                 self._wake_core(core)
-            if line.state == "M":
-                l1.set_line_dirty(line)
-                return
-            # Upgrade S -> M: invalidate remote sharers.
-            self._invalidate_remote(core, line32, now)
-            l1.set_line_state(line, "M")
-            l1.set_line_dirty(line)
+            if l1.state[slot] != MODIFIED:
+                # Upgrade S -> M: invalidate remote sharers.
+                self._invalidate_remote(core, line32, now)
+                l1.set_state(slot, MODIFIED)
+            if not l1.dirty[slot]:
+                l1.set_dirty(slot)
             return
         # Write-allocate: read-for-ownership through the miss path.
         mshr = self.l1_mshr[core]
@@ -217,26 +244,24 @@ class MemoryHierarchy:
                 self._store_backlog[core] += 1
             self.events.schedule(
                 now + RETRY_INTERVAL,
-                lambda: self.store(core, address, now + RETRY_INTERVAL, _retry=True),
+                partial(self.store, core, address, now + RETRY_INTERVAL, True),
             )
             return
         if _retry:
             self._store_backlog[core] -= 1
             self._wake_core(core)
         entry.rfo = True
-        t_l2 = now + self._l1_hit_lat + max(0, self._l2_half - self._l1_hit_lat)
         self.events.schedule(
-            t_l2, lambda: self._access_l2(core, line32, False, 0, is_rfo=True)
+            now + self._l2_delay,
+            partial(self._access_l2, core, line32, False, 0, True),
         )
 
     # -------------------------------------------------------------- L2 access
 
     def _access_l2(self, core, line32, critical, magnitude, is_rfo, pc=0) -> None:
         now = self._now()
-        l2 = self.l2
-        line64 = l2.line_addr(line32)
-        l2line = l2.lookup(line64)
-        hit = l2line is not None
+        line64 = line32 - line32 % self._l2_line
+        hit = self.l2.lookup(line64) is not None
         self._train_prefetcher(line64, is_miss=not hit)
         if hit:
             if line64 in self._prefetched_lines:
@@ -247,7 +272,7 @@ class MemoryHierarchy:
                 self.stats.l2_load_hits += 1
             done = now + self._l2_half + penalty
             self.events.schedule(
-                done, lambda: self._fill_l1_and_respond(core, line32, is_rfo, done, None)
+                done, partial(self._fill_l1_and_respond, core, line32, is_rfo, done)
             )
             return
         # L2 miss -> DRAM.
@@ -268,7 +293,7 @@ class MemoryHierarchy:
         if entry is None:
             self.events.schedule(
                 now + RETRY_INTERVAL,
-                lambda: self._access_l2(core, line32, critical, magnitude, is_rfo),
+                partial(self._access_l2, core, line32, critical, magnitude, is_rfo),
             )
             return
         entry.waiters.append((core, line32, is_rfo))
@@ -279,7 +304,7 @@ class MemoryHierarchy:
             pc=pc,
             critical=critical,
             magnitude=magnitude,
-            callback=lambda dram_done: self._dram_fill(line64, dram_done),
+            callback=partial(self._dram_fill, line64),
         )
         entry.txn = txn
         self._mark_handles_dram(core, line32, txn)
@@ -293,8 +318,7 @@ class MemoryHierarchy:
         caller's explicit cycle — the engine clock is stale here when the
         core is stepping inside a window.
         """
-        line64 = self.l2.line_addr(line32)
-        entry = self.l2_mshr.get(line64)
+        entry = self.l2_mshr.get(line32 - line32 % self._l2_line)
         if entry is not None and entry.txn is not None:
             txn = entry.txn
             if not txn.critical:
@@ -317,142 +341,167 @@ class MemoryHierarchy:
     def _enqueue_with_retry(self, txn) -> None:
         if not self.memsys.try_enqueue(txn, self._now()):
             self.events.schedule(
-                self._now() + RETRY_INTERVAL, lambda: self._enqueue_with_retry(txn)
+                self._now() + RETRY_INTERVAL, partial(self._enqueue_with_retry, txn)
             )
 
     # ----------------------------------------------------------- DRAM return
 
     def _dram_fill(self, line64, dram_done) -> None:
         cpu_done = self.memsys.dram_to_cpu(dram_done)
-        self.events.schedule(cpu_done, lambda: self._install_l2_fill(line64, cpu_done))
+        self.events.schedule(cpu_done, partial(self._install_l2_fill, line64, cpu_done))
 
     def _install_l2_fill(self, line64, now) -> None:
         entry = self.l2_mshr.release(line64)
         self._trace_cache("l2_fill", -1, line64)
-        victim = self.l2.insert(line64, state="S", dirty=False)
+        victim = self.l2.insert(line64)
         if victim is not None:
-            self._evict_l2_line(*victim)
+            self._evict_l2_line(victim[0], victim[2])
         respond_at = now + self._l2_half
+        schedule = self.events.schedule
+        fill = self._fill_l1_and_respond
         for core, line32, is_rfo in entry.waiters:
-            self.events.schedule(
-                respond_at,
-                lambda c=core, l=line32, r=is_rfo: self._fill_l1_and_respond(
-                    c, l, r, respond_at, line64
-                ),
-            )
+            schedule(respond_at, partial(fill, core, line32, is_rfo, respond_at))
         if entry.waiters:
             self.stats.dram_loads += 1
 
-    def _fill_l1_and_respond(self, core, line32, is_rfo, now, from_dram_line) -> None:
+    def _fill_l1_and_respond(self, core, line32, is_rfo, now) -> None:
         mshr = self.l1_mshr[core]
         entry = mshr.get(line32)
-        rfo = is_rfo or (entry is not None and getattr(entry, "rfo", False))
+        rfo = is_rfo or (entry is not None and entry.rfo)
         if rfo:
             self._invalidate_remote(core, line32)
-        state = "M" if rfo else "S"
-        victim = self.l1[core].insert(line32, state=state, dirty=rfo)
+        victim = self.l1[core].insert(line32, MODIFIED if rfo else SHARED, rfo)
         if victim is not None:
             self._evict_l1_line(core, *victim)
-        self._dir.setdefault(line32, set()).add(core)
+        directory = self._dir
+        directory[line32] = directory.get(line32, 0) | (1 << core)
         if entry is not None:
             released = mshr.release(line32)
+            stats = self.stats
+            pc_latency = stats.pc_latency
             for handle, callback in released.waiters:
                 if callback is None:
                     continue
                 if handle.went_to_dram:
                     latency = now - handle.issue_cycle
-                    stats = self.stats
                     if handle.critical:
                         stats.crit_latency.record(latency)
                     else:
                         stats.noncrit_latency.record(latency)
-                    hist = stats.pc_latency.get(handle.pc)
+                    hist = pc_latency.get(handle.pc)
                     if hist is None:
-                        hist = stats.pc_latency[handle.pc] = LatencyHistogram()
+                        hist = pc_latency[handle.pc] = LatencyHistogram()
                     hist.record(latency)
                 callback(now)
 
     # ----------------------------------------------------------- coherence
 
     def _resolve_remote_copies(self, core, line64, is_rfo) -> int:
-        """Handle remote L1 copies on an L2 hit; returns extra latency."""
+        """Handle remote L1 copies on an L2 hit; returns extra latency.
+
+        Sharers are visited in ascending core id."""
         penalty = 0
+        directory = self._dir
+        l1s = self.l1
+        l2 = self.l2
+        stats = self.stats
+        others = ~(1 << core)
         for line32 in self._covered_l1_lines(line64):
-            sharers = self._dir.get(line32)
+            sharers = directory.get(line32)
             if not sharers:
                 continue
-            for other in list(sharers):
-                if other == core:
+            todo = sharers & others
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                other = bit.bit_length() - 1
+                l1 = l1s[other]
+                slot = l1.peek(line32)
+                if slot is None:
+                    sharers ^= bit
                     continue
-                other_line = self.l1[other].peek(line32)
-                if other_line is None:
-                    sharers.discard(other)
-                    continue
-                if other_line.state == "M":
+                if l1.state[slot] == MODIFIED:
                     # Writeback to L2, downgrade (or invalidate on RFO).
-                    l2line = self.l2.peek(line64)
-                    if l2line is not None:
-                        self.l2.set_line_dirty(l2line)
+                    l2slot = l2.peek(line64)
+                    if l2slot is not None:
+                        l2.set_dirty(l2slot)
                     penalty = INTERVENTION_PENALTY
-                    self.stats.interventions += 1
-                    if is_rfo:
-                        self.l1[other].invalidate(line32)
-                        sharers.discard(other)
-                        self.stats.invalidations += 1
-                        self._trace_cache("inval", other, line32)
-                    else:
-                        self.l1[other].set_line_state(other_line, "S")
-                        self.l1[other].set_line_dirty(other_line, False)
-                elif is_rfo:
-                    self.l1[other].invalidate(line32)
-                    sharers.discard(other)
-                    self.stats.invalidations += 1
-                    self._trace_cache("inval", other, line32)
+                    stats.interventions += 1
+                    if not is_rfo:
+                        l1.set_state(slot, SHARED)
+                        l1.set_dirty(slot, False)
+                        continue
+                elif not is_rfo:
+                    continue
+                # RFO: the remote copy goes.
+                l1.invalidate(line32)
+                sharers ^= bit
+                stats.invalidations += 1
+                self._trace_cache("inval", other, line32)
+            directory[line32] = sharers
         return penalty
 
     def _invalidate_remote(self, core, line32, now=None) -> None:
-        sharers = self._dir.get(line32)
+        directory = self._dir
+        sharers = directory.get(line32)
         if not sharers:
             return
-        for other in list(sharers):
-            if other == core:
-                continue
-            other_line = self.l1[other].invalidate(line32)
-            if other_line is not None:
-                if other_line.state == "M":
-                    l2line = self.l2.peek(self.l2.line_addr(line32))
-                    if l2line is not None:
-                        self.l2.set_line_dirty(l2line)
-                self.stats.invalidations += 1
+        mine = sharers & (1 << core)
+        todo = sharers ^ mine
+        if not todo:
+            return
+        l1s = self.l1
+        l2 = self.l2
+        stats = self.stats
+        line64 = line32 - line32 % self._l2_line
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            other = bit.bit_length() - 1
+            gone = l1s[other].invalidate(line32)
+            if gone is not None:
+                if gone[1] == MODIFIED:
+                    l2slot = l2.peek(line64)
+                    if l2slot is not None:
+                        l2.set_dirty(l2slot)
+                stats.invalidations += 1
                 self._trace_cache("inval", other, line32, now)
-            sharers.discard(other)
+        directory[line32] = mine
 
     # ------------------------------------------------------------- evictions
 
-    def _evict_l1_line(self, core, line_addr, line) -> None:
-        sharers = self._dir.get(line_addr)
+    def _evict_l1_line(self, core, line_addr, state, dirty) -> None:
+        directory = self._dir
+        sharers = directory.get(line_addr)
         if sharers is not None:
-            sharers.discard(core)
-            if not sharers:
-                del self._dir[line_addr]
-        if line.dirty or line.state == "M":
-            l2line = self.l2.peek(self.l2.line_addr(line_addr))
-            if l2line is not None:
-                self.l2.set_line_dirty(l2line)
+            sharers &= ~(1 << core)
+            if sharers:
+                directory[line_addr] = sharers
+            else:
+                del directory[line_addr]
+        if dirty or state == MODIFIED:
+            l2 = self.l2
+            slot = l2.peek(line_addr - line_addr % self._l2_line)
+            if slot is not None:
+                l2.set_dirty(slot)
 
-    def _evict_l2_line(self, line64, line) -> None:
-        dirty = line.dirty
-        # Inclusive L2: back-invalidate every covered L1 line everywhere.
+    def _evict_l2_line(self, line64, dirty) -> None:
+        # Inclusive L2: back-invalidate every covered L1 line everywhere,
+        # in ascending core id.
+        directory = self._dir
+        l1s = self.l1
+        stats = self.stats
         for line32 in self._covered_l1_lines(line64):
-            sharers = self._dir.pop(line32, None)
-            if not sharers:
-                continue
-            for core in sharers:
-                l1line = self.l1[core].invalidate(line32)
-                if l1line is not None:
-                    if l1line.state == "M" or l1line.dirty:
+            sharers = directory.pop(line32, None)
+            while sharers:
+                bit = sharers & -sharers
+                sharers ^= bit
+                core = bit.bit_length() - 1
+                gone = l1s[core].invalidate(line32)
+                if gone is not None:
+                    if gone[1] == MODIFIED or gone[2]:
                         dirty = True
-                    self.stats.invalidations += 1
+                    stats.invalidations += 1
                     self._trace_cache("inval", core, line32)
         self._prefetched_lines.discard(line64)
         if dirty:
@@ -479,7 +528,7 @@ class MemoryHierarchy:
                 is_write=False,
                 core=-1,
                 is_prefetch=True,
-                callback=lambda dram_done, t=target: self._dram_fill(t, dram_done),
+                callback=partial(self._dram_fill, target),
             )
             entry.txn = txn
             self._prefetched_lines.add(target)
@@ -503,30 +552,31 @@ class MemoryHierarchy:
         queue, an L1 victim the directory and the L2's dirty bits.
         """
         l1 = self.l1[core]
+        l2 = self.l2
+        resident = l1.where
         directory = self._dir
+        bit = 1 << core
         for base, nbytes, level in ranges:
             stop = base + nbytes
-            for victim in self.l2.insert_range(self.l2.line_addr(base), stop):
-                self._evict_l2_line(*victim)
+            for line64, _state, dirty in l2.insert_range(
+                base - base % self._l2_line, stop
+            ):
+                self._evict_l2_line(line64, dirty)
             if level > 1:
                 continue
-            first = l1.line_addr(base)
-            victims = l1.insert_range(first, stop)
-            for victim in victims:
+            first = base - base % self._l1_line
+            for victim in l1.insert_range(first, stop):
                 self._evict_l1_line(core, *victim)
-            # Line by line, a line's directory entry is added at its insert
-            # and dropped again if a later insert of the range evicts it,
-            # so the final entry is added exactly for the lines still
+            # Line by line, a line's directory bit is set at its insert
+            # and cleared again if a later insert of the range evicts it,
+            # so the final bit is set exactly for the lines still
             # resident.
-            evicted = {line_addr for line_addr, _line in victims}
-            for line32 in range(first, stop, l1.line_bytes):
-                if line32 not in evicted or l1.peek(line32) is not None:
-                    directory.setdefault(line32, set()).add(core)
+            for line32 in range(first, stop, self._l1_line):
+                if line32 in resident:
+                    directory[line32] = directory.get(line32, 0) | bit
 
     def _covered_l1_lines(self, line64: int):
-        return range(
-            line64, line64 + self.config.l2.line_bytes, self.config.l1d.line_bytes
-        )
+        return range(line64, line64 + self._l2_line, self._l1_line)
 
     # -------------------------------------------------------------- telemetry
 

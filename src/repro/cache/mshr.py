@@ -6,13 +6,12 @@ from __future__ import annotations
 class MshrEntry:
     """One outstanding miss: the waiters to wake and the in-flight txn."""
 
-    __slots__ = ("line_addr", "waiters", "txn", "issued", "rfo")
+    __slots__ = ("line_addr", "waiters", "txn", "rfo")
 
     def __init__(self, line_addr: int):
         self.line_addr = line_addr
         self.waiters: list = []
         self.txn = None
-        self.issued = False
         # True when a store (read-for-ownership) is merged into this miss.
         self.rfo = False
 
@@ -26,7 +25,6 @@ class MshrFile:
         self.capacity = entries
         self._entries: dict[int, MshrEntry] = {}
         self.peak = 0
-        self.merges = 0
         self.full_rejections = 0
 
     def get(self, line_addr: int) -> MshrEntry | None:
@@ -80,9 +78,7 @@ class MshrFile:
         for line_addr, entry in self._entries.items():
             values.append(line_addr)
             values.append(len(entry.waiters))
-            values.append(
-                (1 if entry.rfo else 0) | (2 if entry.issued else 0)
-            )
+            values.append(1 if entry.rfo else 0)
             txn = entry.txn
             values.append(-1 if txn is None else txn.seq)
         return values

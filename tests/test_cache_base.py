@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.cache.base import SetAssociativeCache
+from repro.cache.base import MODIFIED, SHARED, SetAssociativeCache
 
 
 def small_cache(ways=2, sets=4, line=64):
@@ -32,20 +32,15 @@ class TestBasics:
         assert c.line_addr(130) == 128
         assert c.line_addr(64) == 64
 
-    def test_hit_miss_counters(self):
-        c = small_cache()
-        c.lookup(0)
-        c.insert(0)
-        c.lookup(0)
-        assert c.misses == 1
-        assert c.hits == 1
-
     def test_peek_does_not_touch(self):
+        """peek leaves the LRU stamps and det_state unchanged."""
         c = small_cache()
         c.insert(0)
-        hits = c.hits
+        stamps = list(c.lru)
+        words = c.det_state()
         assert c.peek(0) is not None
-        assert c.hits == hits
+        assert c.lru == stamps
+        assert c.det_state() == words
 
 
 class TestLru:
@@ -70,15 +65,14 @@ class TestLru:
         c = small_cache()
         c.insert(0, dirty=True)
         c.insert(0, dirty=False)
-        assert c.peek(0).dirty
+        assert c.dirty[c.peek(0)]
 
 
 class TestInvalidate:
     def test_removes_line(self):
         c = small_cache()
         c.insert(0)
-        line = c.invalidate(0)
-        assert line is not None
+        assert c.invalidate(0) == (0, SHARED, 0)
         assert c.peek(0) is None
 
     def test_absent_returns_none(self):
@@ -89,10 +83,10 @@ class TestInvalidate:
 class TestState:
     def test_state_stored(self):
         c = small_cache()
-        c.insert(0, state="M", dirty=True)
-        line = c.peek(0)
-        assert line.state == "M"
-        assert line.dirty
+        c.insert(0, state=MODIFIED, dirty=True)
+        slot = c.peek(0)
+        assert c.state[slot] == MODIFIED
+        assert c.dirty[slot]
 
     def test_resident_lines(self):
         c = small_cache()
@@ -111,14 +105,14 @@ class TestDetStateIncremental:
 
     def test_mediated_mutators_keep_words_consistent(self):
         c = small_cache()
-        c.insert(0, state="S")
-        c.insert(64, state="S", dirty=True)
-        line = c.peek(0)
-        c.set_line_state(line, "M")
+        c.insert(0, state=SHARED)
+        c.insert(64, state=SHARED, dirty=True)
+        slot = c.peek(0)
+        c.set_state(slot, MODIFIED)
         assert c.det_state() == c.det_state_scan()
-        c.set_line_dirty(line)
+        c.set_dirty(slot)
         assert c.det_state() == c.det_state_scan()
-        c.set_line_dirty(c.peek(64), False)
+        c.set_dirty(c.peek(64), False)
         assert c.det_state() == c.det_state_scan()
 
     @settings(max_examples=50)
@@ -145,43 +139,158 @@ class TestDetStateIncremental:
             elif op == "insert_dirty":
                 c.insert(addr, dirty=True)
             elif op == "insert_m":
-                c.insert(addr, state="M", dirty=True)
+                c.insert(addr, state=MODIFIED, dirty=True)
             elif op == "invalidate":
                 c.invalidate(addr)
             else:
-                line = c.peek(addr)
-                if line is None:
+                slot = c.peek(addr)
+                if slot is None:
                     continue
                 if op == "state":
-                    c.set_line_state(line, "E")
+                    c.set_state(slot, ord("E"))
                 elif op == "dirty":
-                    c.set_line_dirty(line)
+                    c.set_dirty(slot)
                 else:
-                    c.set_line_dirty(line, False)
+                    c.set_dirty(slot, False)
             assert c.det_state() == c.det_state_scan()
 
+    def test_scan_checks_the_slot_layout(self):
+        """A fill count that disagrees with ``where`` is caught even
+        though the incremental words cannot see it."""
+        c = small_cache(ways=2, sets=1)
+        c.insert(0)
+        c.insert(64)
+        c.fill[0] = 1   # slot 1 still holds line 64, which where maps to it
+        with pytest.raises(AssertionError):
+            c.det_state_scan()
 
-@settings(max_examples=50)
-@given(st.lists(st.integers(0, 4095), min_size=1, max_size=200))
-def test_capacity_and_contents_match_reference(addresses):
-    """Property: occupancy bounded; contents match a reference LRU model."""
-    ways, sets, line = 2, 4, 64
+
+class ReferenceCache:
+    """The per-set true-LRU model the columns must match: one list of
+    ``[line, state, dirty, lru]`` per set, victims by minimum stamp."""
+
+    def __init__(self, ways, sets, line):
+        self.ways, self.line = ways, line
+        self.sets = [[] for _ in range(sets)]
+        self.clock = 0
+
+    def find(self, address):
+        line = address - address % self.line
+        entries = self.sets[(line // self.line) % len(self.sets)]
+        for entry in entries:
+            if entry[0] == line:
+                return line, entries, entry
+        return line, entries, None
+
+    def lookup(self, address):
+        _line, _entries, entry = self.find(address)
+        if entry is not None:
+            self.clock += 1
+            entry[3] = self.clock
+        return entry is not None
+
+    def insert(self, address, state=SHARED, dirty=False):
+        line, entries, entry = self.find(address)
+        self.clock += 1
+        if entry is not None:
+            entry[1] = state
+            entry[2] = entry[2] or int(dirty)
+            entry[3] = self.clock
+            return None
+        victim = None
+        if len(entries) == self.ways:
+            old = min(entries, key=lambda e: e[3])
+            entries.remove(old)
+            victim = (old[0], old[1], old[2])
+        entries.append([line, state, int(dirty), self.clock])
+        return victim
+
+    def invalidate(self, address):
+        _line, entries, entry = self.find(address)
+        if entry is None:
+            return None
+        entries.remove(entry)
+        return (entry[0], entry[1], entry[2])
+
+    def contents(self):
+        return [{e[0]: (e[1], e[2], e[3]) for e in entries}
+                for entries in self.sets]
+
+    def words(self):
+        entries = [e for s in self.sets for e in s]
+        return [
+            self.clock,
+            len(entries),
+            sum(e[2] for e in entries),
+            sum(e[0] + 131 * e[3] + 7 * e[1] for e in entries),
+        ]
+
+
+def _contents(cache):
+    """Each set's resident lines, read from its first ``fill`` slots."""
+    view = []
+    for index, used in enumerate(cache.fill):
+        base = index * cache.ways
+        view.append({
+            cache.tag[slot]: (cache.state[slot], cache.dirty[slot], cache.lru[slot])
+            for slot in range(base, base + used)
+        })
+    return view
+
+
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["lookup", "insert", "insert_dirty", "insert_m", "invalidate",
+             "state", "dirty", "clean", "insert_range"]
+        ),
+        st.integers(0, 1023),
+        st.integers(1, 640),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ways=st.integers(1, 4), sets=st.integers(1, 4), ops=_ops)
+def test_capacity_and_contents_match_reference(ways, sets, ops):
+    """Property: every op sequence leaves the columns equal to the per-set
+    LRU reference (hit/miss answers, victims in order, resident lines
+    with their state, dirty bit and LRU stamp), and the incremental
+    det-state words equal both the reference's and the checked scan's."""
+    line = 64
     c = small_cache(ways=ways, sets=sets, line=line)
-    reference = {s: [] for s in range(sets)}  # per-set MRU-last lists
-    for addr in addresses:
-        la = addr - addr % line
-        s = (la // line) % sets
-        if c.lookup(la) is None:
-            c.insert(la)
-            if la in reference[s]:
-                reference[s].remove(la)
-            reference[s].append(la)
-            if len(reference[s]) > ways:
-                reference[s].pop(0)
+    ref = ReferenceCache(ways, sets, line)
+    for op, addr, nbytes in ops:
+        if op == "lookup":
+            assert (c.lookup(addr) is not None) == ref.lookup(addr)
+        elif op == "insert":
+            assert c.insert(addr) == ref.insert(addr)
+        elif op == "insert_dirty":
+            assert c.insert(addr, dirty=True) == ref.insert(addr, dirty=True)
+        elif op == "insert_m":
+            assert (c.insert(addr, state=MODIFIED, dirty=True)
+                    == ref.insert(addr, state=MODIFIED, dirty=True))
+        elif op == "invalidate":
+            assert c.invalidate(addr) == ref.invalidate(addr)
+        elif op == "insert_range":
+            first = addr - addr % line
+            want = [v for a in range(first, addr + nbytes, line)
+                    if (v := ref.insert(a)) is not None]
+            assert c.insert_range(first, addr + nbytes) == want
         else:
-            reference[s].remove(la)
-            reference[s].append(la)
-    for s in range(sets):
-        for la in reference[s]:
-            assert c.peek(la) is not None
-    assert c.resident_lines() == sum(len(v) for v in reference.values())
+            slot = c.peek(addr)
+            _line, _entries, entry = ref.find(addr)
+            assert (slot is None) == (entry is None)
+            if slot is None:
+                continue
+            if op == "state":
+                c.set_state(slot, ord("E"))
+                entry[1] = ord("E")
+            else:
+                c.set_dirty(slot, op == "dirty")
+                entry[2] = int(op == "dirty")
+        assert _contents(c) == ref.contents()
+        assert c.resident_lines() <= ways * sets
+        assert c.det_state() == c.det_state_scan() == ref.words()

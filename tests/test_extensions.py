@@ -172,6 +172,32 @@ class TestCli:
         assert "speedup" in out
         clear_trace_cache()
 
+    @pytest.mark.parametrize("command", ["run", "stats", "trace"])
+    def test_capped_run_fails_loudly(self, capsys, monkeypatch, tmp_path,
+                                     command):
+        """A run stopped at the livelock cap prints no figures: the
+        command names the run and the cap on stderr and fails."""
+        from repro.__main__ import main
+        from repro.sim import runner
+        from repro.workloads.synthetic import clear_trace_cache
+
+        # stats and trace set these for themselves; keep them scoped.
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        monkeypatch.setattr(runner, "_max_cycles", lambda scale: 500)
+        clear_trace_cache()
+        argv = [command, "radix", "--instructions", "700"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.json")]
+        assert main(argv) != 0
+        captured = capsys.readouterr()
+        assert "stopped at cycle" in captured.err
+        assert "livelock cap of 500 cycles" in captured.err
+        assert "speedup" not in captured.out
+        assert "IPC" not in captured.out
+        assert not (tmp_path / "t.json").exists()
+        clear_trace_cache()
+
     @pytest.mark.parametrize("tool", ["lint", "analyze"])
     def test_forwarded_tool_lists_its_rules(self, capsys, tool):
         """lint and analyze parse their own argv, so a leading option

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DramConfig, SystemConfig
+from repro.cache.base import MODIFIED, SHARED
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.dram.controller import MemorySystem
 from repro.sched.frfcfs import FrFcfsScheduler
@@ -139,9 +140,10 @@ class TestStoresAndCoherence:
         h = Harness()
         h.hier.prewarm(0, [(0, 4096, 1)])
         h.hier.store(0, 100, h.now)
-        line = h.hier.l1[0].peek(96)
-        assert line.state == "M"
-        assert line.dirty
+        l1 = h.hier.l1[0]
+        slot = l1.peek(96)
+        assert l1.state[slot] == MODIFIED
+        assert l1.dirty[slot]
 
     def test_store_upgrade_invalidates_remote_sharer(self):
         h = Harness()
@@ -155,9 +157,10 @@ class TestStoresAndCoherence:
         h = Harness()
         h.hier.store(0, 1 << 22, h.now)
         h.run(2_000)
-        line = h.hier.l1[0].peek(1 << 22)
-        assert line is not None
-        assert line.state == "M"
+        l1 = h.hier.l1[0]
+        slot = l1.peek(1 << 22)
+        assert slot is not None
+        assert l1.state[slot] == MODIFIED
 
     def test_load_after_remote_modified_gets_shared_copy(self):
         h = Harness()
@@ -165,7 +168,8 @@ class TestStoresAndCoherence:
         h.hier.store(0, 100, h.now)
         _handle, done = h.load(1, 100)
         h.complete(done)
-        assert h.hier.l1[0].peek(96).state == "S"
+        l1 = h.hier.l1[0]
+        assert l1.state[l1.peek(96)] == SHARED
         assert h.hier.l1[1].peek(96) is not None
         assert h.hier.stats.interventions >= 1
 

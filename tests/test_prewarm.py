@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.base import MODIFIED
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import CacheConfig, SystemConfig
 from repro.dram.controller import MemorySystem
@@ -46,22 +47,26 @@ def prewarm_per_line(hier, core, ranges):
     """The per-line reference: one ``insert`` per line, in order."""
     for base, nbytes, level in ranges:
         for line64 in range(hier.l2.line_addr(base), base + nbytes, L2_LINE):
-            victim = hier.l2.insert(line64, state="S", dirty=False)
+            victim = hier.l2.insert(line64)
             if victim is not None:
-                hier._evict_l2_line(*victim)
+                hier._evict_l2_line(victim[0], victim[2])
         if level <= 1:
             l1 = hier.l1[core]
             for line32 in range(l1.line_addr(base), base + nbytes, L1_LINE):
-                victim = l1.insert(line32, state="S", dirty=False)
+                victim = l1.insert(line32)
                 if victim is not None:
                     hier._evict_l1_line(core, *victim)
-                hier._dir.setdefault(line32, set()).add(core)
+                hier._dir[line32] = hier._dir.get(line32, 0) | (1 << core)
 
 
 def _cache_view(cache):
+    """Each set's ``(line, state, dirty, lru)`` rows, whatever their slots."""
     return [
-        [(addr, line.state, line.dirty, line.lru) for addr, line in s.items()]
-        for s in cache._sets
+        sorted(
+            (cache.tag[slot], cache.state[slot], cache.dirty[slot], cache.lru[slot])
+            for slot in range(index * cache.ways, index * cache.ways + used)
+        )
+        for index, used in enumerate(cache.fill)
     ]
 
 
@@ -87,7 +92,7 @@ def _run_both(geometry, dirty, plan):
     for hier in (bulk, ref):
         for level, addr in dirty:
             cache = hier.l2 if level == 2 else hier.l1[0]
-            cache.insert(addr, state="M", dirty=True)
+            cache.insert(addr, state=MODIFIED, dirty=True)
     for core, ranges in plan:
         bulk.prewarm(core, ranges)
         prewarm_per_line(ref, core, ranges)
@@ -139,15 +144,13 @@ def test_insert_range_matches_inserts():
     geometry = (4, 2, 4, 2)
     bulk, ref = _hierarchy(*geometry), _hierarchy(*geometry)
     for cache in (bulk.l2, ref.l2):
-        cache.insert(64, state="M", dirty=True)
+        cache.insert(64, state=MODIFIED, dirty=True)
     victims = bulk.l2.insert_range(0, 40 * L2_LINE)
     expected = []
     for addr in range(0, 40 * L2_LINE, L2_LINE):
-        victim = ref.l2.insert(addr, state="S", dirty=False)
+        victim = ref.l2.insert(addr)
         if victim is not None:
             expected.append(victim)
-    assert [(a, l.state, l.dirty, l.lru) for a, l in victims] == [
-        (a, l.state, l.dirty, l.lru) for a, l in expected
-    ]
+    assert victims == expected
     assert _cache_view(bulk.l2) == _cache_view(ref.l2)
     assert bulk.l2.det_state() == ref.l2.det_state() == bulk.l2.det_state_scan()

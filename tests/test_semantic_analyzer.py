@@ -422,6 +422,8 @@ class TestEffectInference:
     def table(self, tmp_path_factory):
         mod = tmp_path_factory.mktemp("effects") / "mod.py"
         mod.write_text(textwrap.dedent("""
+            from functools import partial
+
             class M:
                 def __init__(self):
                     self.total = 0
@@ -444,6 +446,9 @@ class TestEffectInference:
 
                 def report(self):
                     print(self.total)
+
+                def later(self, queue):
+                    queue.append(partial(self.bump))
 
             class Helper:
                 def poke(self, controller):
@@ -469,6 +474,9 @@ class TestEffectInference:
         eff = table["mod.M.relay"]
         assert "total" in eff.mutates
         assert classify(eff) == "monotone-accumulating"
+
+    def test_partial_defers_like_a_lambda(self, table):
+        assert "total" in table["mod.M.later"].mutates
 
     def test_rng_and_io_demote_to_per_cycle_only(self, table):
         assert table["mod.M.draw"].rng
