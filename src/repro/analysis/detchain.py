@@ -28,6 +28,10 @@ import os
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+#: ``_PRIME_POW[k]`` folds ``k`` zero bytes at once: FNV-1a's xor with a
+#: zero byte is the identity, so each such byte only multiplies by the
+#: prime.
+_PRIME_POW = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 
 #: Checkpoint lists longer than this are decimated (every other entry
 #: dropped) so long runs keep a bounded, evenly spaced history.
@@ -77,20 +81,27 @@ class DetChain:
 
         The fold is inlined (rather than one :meth:`_fold` call per
         word) because chain sampling sits on every engine loop's hot
-        path — a ~500-word snapshot is folded every interval.
+        path — a ~500-word snapshot is folded every interval.  Most
+        words are small, so each word's bytes above its last nonzero one
+        are folded by one multiply (see ``_PRIME_POW``).
         """
         h = self.digest
         prime = _FNV_PRIME
         mask = _MASK64
+        prime_pow = _PRIME_POW
         v = cycle & mask
         for _ in range(8):
             h = ((h ^ (v & 0xFF)) * prime) & mask
             v >>= 8
         for value in state:
             v = value & mask
-            for _ in range(8):
+            zeros = 8
+            while v:
                 h = ((h ^ (v & 0xFF)) * prime) & mask
                 v >>= 8
+                zeros -= 1
+            if zeros:
+                h = (h * prime_pow[zeros]) & mask
         self.digest = h
         self.samples += 1
         if self.samples % self._keep_stride == 0:

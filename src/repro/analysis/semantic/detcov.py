@@ -56,7 +56,9 @@ MUTATORS = {
 }
 
 #: ``(class name, attribute) -> rationale`` exemptions.  Every entry
-#: must say *why* the chain stays sound without the field.
+#: must say *why* the chain stays sound without the field, and must name
+#: an attribute its class assigns: a stale entry would silently exempt any
+#: future field of that name (``tests/test_semantic_analyzer.py`` checks).
 ALLOWLIST: dict[tuple[str, str], str] = {
     # -- OutOfOrderCore ---------------------------------------------------
     ("OutOfOrderCore", "skip_until"):
@@ -68,9 +70,10 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "fast-forward bookkeeping (see skip_until)",
     ("OutOfOrderCore", "plan_defer"):
         "fast-forward planning hint; never read by architectural state",
-    ("OutOfOrderCore", "_complete"):
-        "write-once completion timestamps; divergence surfaces in the "
-        "ROB-head/committed det_state words at the next retire",
+    ("OutOfOrderCore", "_done"):
+        "ROB column: set once when the entry completes, cleared when the "
+        "next entry dispatches into its slot; a divergence moves a retire "
+        "and so the ROB-head/committed det_state words",
     ("OutOfOrderCore", "_next_local"):
         "conservative lower bound on the next _wake/_load_issue cycle; "
         "recomputed from those schedules when stale, so it is fully "
@@ -86,20 +89,14 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ("OutOfOrderCore", "_prune_at"):
         "next FU-booking prune cycle: a prune drops only past cycles, "
         "which no later booking reads, so it never changes results",
-    ("OutOfOrderCore", "_ready"):
-        "ROB column: issue floor of an entry waiting on producers, the "
-        "max of their _complete cycles; a divergence moves that entry's "
-        "completion and so the ROB-head/committed det_state words",
     ("OutOfOrderCore", "_pending"):
-        "ROB column: in-flight producer count of a waiting entry (see "
-        "_ready)",
-    ("OutOfOrderCore", "_dispatched"):
-        "ROB column: dispatch cycle of a waiting entry, its issue floor "
-        "(see _ready)",
+        "ROB column: in-flight producer count of a waiting entry, which "
+        "issues when it reaches zero; a divergence moves that entry's "
+        "completion and so the ROB-head/committed det_state words",
     ("OutOfOrderCore", "_waiters"):
         "ROB column: entries parked on an in-flight producer, emptied "
         "when it completes; a lost or extra waiter moves a completion "
-        "(see _ready)",
+        "(see _pending)",
     ("OutOfOrderCore", "_handle"):
         "ROB column: a load's hierarchy access, reset at retire; the "
         "access itself is chained via the MSHR and channel det_state",
@@ -130,9 +127,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ("MshrFile", "full_rejections"):
         "back-pressure statistic (see peak)",
     # -- MemorySystem -----------------------------------------------------
-    ("MemorySystem", "_dram_done"):
-        "clock-boundary bookkeeping: a pure function of how far the "
-        "cpu clock has advanced, never of simulated state",
     ("MemorySystem", "_chan_wake"):
         "wake-driven clocking bookkeeping: derived from enqueue times "
         "and channel next_wake(), whose inputs (queues, refresh "

@@ -25,7 +25,6 @@ from repro.config import CoreConfig
 from repro.cpu.instruction import BRANCH, LOAD, STORE
 from repro.core.provider import CriticalityProvider, NaiveForwardingProvider
 
-_UNKNOWN = -1
 # Sentinel for "no locally scheduled wake/issue pending" (see _next_local).
 _FAR = 1 << 62
 # Functional-unit bookings are pruned once per 16384 cycles (see step).
@@ -33,12 +32,18 @@ _PRUNE_MASK = 16383
 
 # Dispatch classes precomputed per trace index (_dclass): the per-cycle
 # dispatch gate only needs "load / store / mispredicted branch / other",
-# not the full itype, and a bytes lookup beats two list indexes plus a
-# comparison chain in the hot loop.
+# not the full itype, and one byte lookup beats two column indexes plus
+# a comparison chain in the hot loop.
 _DC_OTHER = 0
 _DC_LOAD = 1
 _DC_STORE = 2
 _DC_MISP_BRANCH = 3
+# itype -> dispatch class, as a bytes.translate table; mispredicted
+# branches are marked separately.
+_DC_OF_ITYPE = bytes(
+    _DC_LOAD if t == LOAD else _DC_STORE if t == STORE else _DC_OTHER
+    for t in range(256)
+)
 
 
 class CoreStats:
@@ -90,21 +95,23 @@ class OutOfOrderCore:
         # [_ptr - _rob_len, _ptr), so index ``i`` occupies the fixed ring
         # position ``i % rob_entries`` — no head pointer, no index map, no
         # compaction.  An entry's static fields are read from the trace's
-        # own lists; its dynamic fields are the columns below, one list
+        # own columns; its dynamic fields are the columns below, one list
         # slot per ring position (DESIGN.md §6).
         cap = config.rob_entries
         self._rob_len = 0
-        # Written only for an entry that waits on an in-flight producer:
-        self._ready = [0] * cap  # issue floor from the producers done so far
-        self._pending = [0] * cap  # producers still in flight
-        self._dispatched = [0] * cap  # dispatch cycle
+        # Set when the entry completes, cleared when the next one
+        # dispatches into its slot.  A completion is recorded at the cycle
+        # it is processed, and completions run before dispatch, so a done
+        # producer never constrains a consumer's issue cycle.
+        self._done = [False] * cap
+        # Producers still in flight; written only for an entry waiting on one.
+        self._pending = [0] * cap
         # Trace indices of the entries waiting on this one, or None.
         self._waiters: list[list[int] | None] = [None] * cap
         # Load-only columns, reset when the load retires:
         self._handle = [None] * cap  # hierarchy access, set at issue
         self._consumers = [0] * cap  # direct consumers (the CLPT count)
         self._bstart = [-1] * cap  # cycle the load began blocking commit
-        self._complete: list[int] = [_UNKNOWN] * self._n
         # Trace indices per cycle: deterministic-latency completions, and
         # loads scheduled to access the cache.
         self._wake: dict[int, list[int]] = {}
@@ -126,29 +133,16 @@ class OutOfOrderCore:
         # Trace index of the mispredicted branch fetch waits on, or -1.
         self._fetch_blocker = -1
         self._fetch_resume = 0
-        # Precomputed dispatch class per trace index (see _DC_* above).
-        # Cached on the trace object — the classes are a pure function of
-        # the (append-only) trace contents, and benchmarks/repeat runs
-        # rebuild cores from the same traces; the length guard invalidates
-        # the cache if the trace grew since it was computed.
-        cached = getattr(trace, "_dclass_cache", None)
-        if cached is not None and cached[0] == self._n:
-            self._dclass = cached[1]
-        else:
-            itypes = trace.itypes
-            misp = trace.misp
-            self._dclass = bytes(
-                _DC_MISP_BRANCH if (itypes[i] == BRANCH and misp[i])
-                else _DC_LOAD if itypes[i] == LOAD
-                else _DC_STORE if itypes[i] == STORE
-                else _DC_OTHER
-                for i in range(self._n)
-            )
-            try:
-                trace._dclass_cache = (self._n, self._dclass)
-            # repro-lint: disable=EXC002 slotted stand-in traces need no cache
-            except AttributeError:
-                pass
+        # Dispatch class per trace index (see _DC_* above).
+        itypes = trace.itypes
+        dclass = bytearray(itypes).translate(_DC_OF_ITYPE)
+        misp = bytes(trace.misp)
+        i = misp.find(1)
+        while i >= 0:
+            if itypes[i] == BRANCH:
+                dclass[i] = _DC_MISP_BRANCH
+            i = misp.find(1, i + 1)
+        self._dclass = dclass
         # Conservative lower bound on the earliest cycle in _wake /
         # _load_issue.  Inserts lower it eagerly; consumers recompute the
         # exact minimum when the bound goes stale (<= current cycle).
@@ -211,41 +205,34 @@ class OutOfOrderCore:
         hook = self._wake_hook
         if hook is not None:
             hook(self)
-        complete = self._complete
+        done = self._done
         waiters = self._waiters
         cap = self._rob_entries
-        ready_col = self._ready
         pending_col = self._pending
-        dispatched_col = self._dispatched
         itypes = self.trace.itypes
         fu_booked = self._fu_booked
         fu_caps = self._fu_caps
         latency = self._latency
         next_local = self._next_local
         for i in finished:
-            complete[i] = cycle
+            pos = i % cap
+            done[pos] = True
             if i == self._fetch_blocker:
                 self._fetch_blocker = -1
                 self._fetch_resume = cycle + self._misp_penalty
-            pos = i % cap
             deps = waiters[pos]
             if deps is None:
                 continue
             waiters[pos] = None
             for d in deps:
                 dpos = d % cap
-                ready = ready_col[dpos]
-                if cycle > ready:
-                    ready = cycle
                 left = pending_col[dpos] - 1
                 pending_col[dpos] = left
                 if left:
-                    ready_col[dpos] = ready
                     continue
-                # Last operand arrived: book a unit, schedule the result.
-                issue = dispatched_col[dpos] + 1
-                if ready > issue:
-                    issue = ready
+                # Last operand arrived: book a unit from this cycle on (the
+                # waiter dispatched before it), schedule the result.
+                issue = cycle
                 itype = itypes[d]
                 booked = fu_booked[itype]
                 limit = fu_caps[itype]
@@ -323,7 +310,7 @@ class OutOfOrderCore:
         trace = self.trace
         itypes = trace.itypes
         pcs = trace.pcs
-        complete = self._complete
+        done = self._done
         provider = self.provider
         core_id = self.core_id
         cap = self._rob_entries
@@ -332,12 +319,11 @@ class OutOfOrderCore:
         head = first = self._ptr - rob_len
         stop = head + (rob_len if rob_len < self._commit_width else self._commit_width)
         while head < stop:
-            done_cycle = complete[head]
-            if done_cycle == _UNKNOWN or done_cycle > now:
+            pos = head % cap
+            if not done[pos]:
                 break
             itype = itypes[head]
             if itype == LOAD:
-                pos = head % cap
                 pc = pcs[head]
                 start = bstart[pos]
                 if start >= 0:
@@ -405,7 +391,7 @@ class OutOfOrderCore:
         dep1 = trace.dep1
         dep2 = trace.dep2
         dclass = self._dclass
-        complete = self._complete
+        done = self._done
         cap = self._rob_entries
         waiters = self._waiters
         consumers = self._consumers
@@ -430,57 +416,43 @@ class OutOfOrderCore:
                 if self._sq_used >= self._sq_entries:
                     break
                 self._sq_used += 1
-            ready = now
             pending = 0
             # Producer ``p`` is in flight iff p >= first, and then sits at
             # ring position p % cap; a retired producer is long complete.
             p = ptr - dep1[ptr]
-            if p < ptr and p >= 0:
-                if p >= first:
-                    ppos = p % cap
-                    if itypes[p] == LOAD:
-                        # Direct-consumer count, as CLPT tracks at rename.
-                        consumers[ppos] += 1
-                    done = complete[p]
-                    if done == _UNKNOWN:
-                        deps = waiters[ppos]
-                        if deps is None:
-                            # repro-lint: disable=PERF001 one owned list per producer
-                            waiters[ppos] = [ptr]
-                        else:
-                            deps.append(ptr)
-                        pending = 1
-                    elif done > ready:
-                        ready = done
-                elif complete[p] > ready:
-                    ready = complete[p]
+            if p < ptr and p >= first:
+                ppos = p % cap
+                if itypes[p] == LOAD:
+                    # Direct-consumer count, as CLPT tracks at rename.
+                    consumers[ppos] += 1
+                if not done[ppos]:
+                    deps = waiters[ppos]
+                    if deps is None:
+                        # repro-lint: disable=PERF001 one owned list per producer
+                        waiters[ppos] = [ptr]
+                    else:
+                        deps.append(ptr)
+                    pending = 1
             p = ptr - dep2[ptr]
-            if p < ptr and p >= 0:
-                if p >= first:
-                    ppos = p % cap
-                    if itypes[p] == LOAD:
-                        consumers[ppos] += 1
-                    done = complete[p]
-                    if done == _UNKNOWN:
-                        deps = waiters[ppos]
-                        if deps is None:
-                            # repro-lint: disable=PERF001 one owned list per producer
-                            waiters[ppos] = [ptr]
-                        else:
-                            deps.append(ptr)
-                        pending += 1
-                    elif done > ready:
-                        ready = done
-                elif complete[p] > ready:
-                    ready = complete[p]
+            if p < ptr and p >= first:
+                ppos = p % cap
+                if itypes[p] == LOAD:
+                    consumers[ppos] += 1
+                if not done[ppos]:
+                    deps = waiters[ppos]
+                    if deps is None:
+                        # repro-lint: disable=PERF001 one owned list per producer
+                        waiters[ppos] = [ptr]
+                    else:
+                        deps.append(ptr)
+                    pending += 1
+            pos = ptr % cap
+            done[pos] = False
             if pending:
-                pos = ptr % cap
-                self._ready[pos] = ready
                 self._pending[pos] = pending
-                self._dispatched[pos] = now
             else:
                 # Operands ready: book a unit, schedule the result.
-                issue = ready if ready > now else now + 1
+                issue = now + 1
                 itype = itypes[ptr]
                 booked = fu_booked[itype]
                 limit = fu_caps[itype]
@@ -667,17 +639,14 @@ class OutOfOrderCore:
         if next_tick is None:
             return None  # provider tick semantics unknown: never skip
         blocked = blocked_dram = sq_full = stall = rob_full = lq_full = 0
-        head_done = -1
 
         rob_len = self._rob_len
         if rob_len:
             head = self._ptr - rob_len
             itype = self.trace.itypes[head]
-            done_cycle = self._complete[head]
-            if done_cycle == _UNKNOWN or done_cycle > now:
-                head_done = done_cycle
+            pos = head % self._rob_entries
+            if not self._done[pos]:
                 if itype == LOAD:
-                    pos = head % self._rob_entries
                     handle = self._handle[pos]
                     dram_bound = handle is not None and handle.went_to_dram
                     if dram_bound and self._bstart[pos] < 0:
@@ -722,8 +691,6 @@ class OutOfOrderCore:
             first = min(self._load_issue)
             if wake is None or first < wake:
                 wake = first
-        if head_done > now and (wake is None or head_done < wake):
-            wake = head_done
         if fetch_resume and (wake is None or fetch_resume < wake):
             wake = fetch_resume
         tick = next_tick(now)

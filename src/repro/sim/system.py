@@ -578,6 +578,21 @@ class System:
         memory.settle_idle(now)
         return self._finish_run(now, hit_cap, chain, sampler)
 
+    def _check_core_ledger(self) -> None:
+        """Every core of a finished run committed its whole trace once and
+        left its ROB, load queue and store queue empty."""
+        for core in self.cores:
+            committed = core.stats.committed
+            expected = len(core.trace)
+            held = (core.rob_occupancy(), core._lq_used, core._sq_used)
+            if committed != expected or any(held):
+                raise RuntimeError(
+                    f"core {core.core_id} ledger broken at run end: "
+                    f"committed {committed} of {expected} trace "
+                    f"instructions; ROB/LQ/SQ hold {held[0]}/{held[1]}/"
+                    f"{held[2]} entries"
+                )
+
     def _finish_run(self, now, hit_cap, chain, sampler) -> SimResult:
         """Shared end-of-run settlement and result assembly."""
         cores = self.cores
@@ -587,6 +602,8 @@ class System:
                 core.flush_skip(now)
                 if finish[core.core_id] == 0:
                     finish[core.core_id] = now
+        if not hit_cap:
+            self._check_core_ledger()
         self.memory.finish_sanitize(now)
 
         if chain is not None:

@@ -25,6 +25,7 @@ many scheduler configurations.
 from __future__ import annotations
 
 import random
+from array import array
 
 from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE, Trace
 from repro.workloads.models import AppModel
@@ -302,7 +303,18 @@ def generate_trace(
         (hot_base, hot_bytes, 1),
         (warm_base, warm_bytes, 2),
     ]
-    append = trace.append
+    # Straight onto the typed columns: every value is in range by
+    # construction, so Trace.append's per-field checks are skipped.  A
+    # body's type, PC and dependency columns are the same on every
+    # iteration, so each iteration copies them in whole (built once per
+    # body, below); only addresses and mispredicts are drawn per instance.
+    extend_static = (
+        trace.itypes.extend, trace.pcs.extend,
+        trace.dep1.extend, trace.dep2.extend,
+    )
+    static_columns: list[tuple | None] = [None] * len(bodies)
+    add_addr = trace.addrs.append
+    add_misp = trace.misp.append
     body_weights = [1.0 / (i + 1) for i in range(len(bodies))]
     total_w = sum(body_weights)
     body_weights = [w / total_w for w in body_weights]
@@ -336,8 +348,17 @@ def generate_trace(
 
     n = 0
     while n < instructions:
-        body = bodies[_weighted_index(rng, body_weights)]
+        index = _weighted_index(rng, body_weights)
+        body = bodies[index]
         specs = body.specs
+        static = static_columns[index]
+        if static is None:
+            static = static_columns[index] = (
+                bytes(s.itype for s in specs),
+                array(trace.pcs.typecode, [pc_base + s.pc for s in specs]),
+                array(trace.dep1.typecode, [s.dep1 for s in specs]),
+                array(trace.dep2.typecode, [s.dep2 for s in specs]),
+            )
         burst = body.burst_order
         burst_size = len(burst)
         iterations = rng.randint(6, 28)
@@ -349,6 +370,8 @@ def generate_trace(
         active = rng.random() < activate_p
         for _ in range(iterations):
             burst_base = None
+            for extend, column in zip(extend_static, static):
+                extend(column)
             for pos, instr in enumerate(specs):
                 itype = instr.itype
                 addr = 0
@@ -409,8 +432,9 @@ def generate_trace(
                         addr = base + (rng.randrange(span) & ~7)
                 elif itype == BRANCH:
                     misp = rng.random() < model.mispredict_rate
-                append(itype, pc_base + instr.pc, addr, instr.dep1, instr.dep2, misp)
-                n += 1
+                add_addr(addr)
+                add_misp(misp)
+            n += len(specs)
             if n >= instructions:
                 break
 

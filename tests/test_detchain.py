@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import detchain
 from repro.analysis.detchain import (
     _CHECKPOINT_CAP,
     DetChain,
@@ -59,14 +60,27 @@ class TestDetChain:
         chain.sample(16, (-1, 1 << 80, 0))
         assert 0 < chain.digest < 1 << 64
 
-    def test_inlined_sample_matches_per_word_fold(self):
-        """The hot-path sample (inlined fold) must stay bit-identical to
-        the per-word _fold reference, including edge-case words."""
+    def test_inlined_sample_matches_per_word_fold(self, monkeypatch):
+        """The hot-path sample (inlined fold, each word's high zero bytes
+        folded by one multiply) must stay bit-identical to the per-word
+        _fold reference, on edge-case words (inner zero bytes included)
+        and on snapshots recorded from a real 8-core run."""
+        recorded = []
+        real_snapshot = detchain.snapshot
+
+        def record(system):
+            recorded.append(real_snapshot(system))
+            return recorded[-1]
+
+        monkeypatch.setattr(detchain, "snapshot", record)
+        make_system().run()
+        assert len(recorded) >= 2 and len(recorded[0]) > 1000
+        words = (0, 1, -1, 255, 256, 1 << 63, (1 << 64) - 1, 1 << 80, -42,
+                 0x100, 1 << 56, 0x01_0000_0001)
         a, b = DetChain(16), DetChain(16)
-        words = (0, 1, -1, 255, 256, 1 << 63, (1 << 64) - 1, 1 << 80, -42)
-        for cycle in range(16, 96, 16):
-            a.sample(cycle, words)
-            b.fold_words(cycle, words)
+        for k, state in enumerate([words] * 5 + recorded):
+            a.sample(16 * (k + 1), state)
+            b.fold_words(16 * (k + 1), state)
         assert a.digest == b.digest
         assert a.checkpoints == b.checkpoints
         assert a.samples == b.samples

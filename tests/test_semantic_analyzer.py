@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import ast
 import shutil
 import textwrap
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.analysis.semantic import (
 )
 from repro.analysis.semantic.batchability import build_report
 from repro.analysis.semantic.cfg import build_cfg, reachable_avoiding
+from repro.analysis.semantic.detcov import ALLOWLIST
 from repro.analysis.semantic.domains import (
     ATTR_SEEDS,
     CPU,
@@ -271,6 +273,27 @@ class TestRepoContract:
         finding = baseline.findings[0]
         assert "ChannelController" in finding.message
         assert "sneaky_probe" in finding.message
+
+    def test_allowlist_names_assigned_attributes(self):
+        """Every det-coverage exemption names a class in src/repro and an
+        attribute that class assigns (``__init__`` included): a stale
+        entry would silently exempt any future field of that name."""
+        assigned: dict[str, set[str]] = {}
+        for path in iter_python_files([SRC]):
+            for node in ast.walk(ast.parse(Path(path).read_text())):
+                if isinstance(node, ast.ClassDef):
+                    assigned.setdefault(node.name, set()).update(
+                        target.attr for target in ast.walk(node)
+                        if isinstance(target, ast.Attribute)
+                        and isinstance(target.ctx, ast.Store)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    )
+        stale = sorted(
+            f"{cls_name}.{attr}" for cls_name, attr in ALLOWLIST
+            if attr not in assigned.get(cls_name, ())
+        )
+        assert not stale
 
     def test_injected_purity_violation_caught_by_sem030(self, tmp_path):
         """A mutation smuggled into a certified-pure method is caught.

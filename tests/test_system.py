@@ -46,14 +46,6 @@ class TestSystem:
         assert result.total_committed == 1200
         assert all(f > 0 for f in result.finish_cycles)
 
-    def test_dispatch_classes_computed_once_per_trace(self):
-        cfg = SystemConfig(cores=2, dram=DramConfig(channels=2))
-        traces = small_traces()
-        first = System(cfg, traces)
-        again = System(cfg, traces)
-        for old, new in zip(first.cores, again.cores):
-            assert new._dclass is old._dclass
-
     def test_trace_count_must_match_cores(self):
         cfg = SystemConfig(cores=4)
         with pytest.raises(ValueError):
@@ -70,6 +62,20 @@ class TestSystem:
         cfg = SystemConfig(cores=2, dram=DramConfig(channels=2))
         result = System(cfg, small_traces()).run(max_cycles=50)
         assert result.hit_max_cycles
+
+    @pytest.mark.parametrize("engine", ["naive", "batched"])
+    def test_run_end_ledger_catches_a_lost_commit(self, engine):
+        cfg = SystemConfig(cores=2, dram=DramConfig(channels=2))
+        system = System(cfg, small_traces())
+        system.cores[1].stats.committed = -1  # one commit short at run end
+        with pytest.raises(RuntimeError, match="core 1 .* committed 599 of 600"):
+            system.run(max_cycles=500_000, engine=engine)
+
+    def test_capped_run_skips_the_ledger(self):
+        cfg = SystemConfig(cores=2, dram=DramConfig(channels=2))
+        system = System(cfg, small_traces())
+        system.cores[1].stats.committed = -1
+        assert system.run(max_cycles=50).hit_max_cycles
 
     def test_empty_trace_core_finishes_immediately(self):
         cfg = SystemConfig(cores=2, dram=DramConfig(channels=2))

@@ -1,8 +1,9 @@
 """Workload generators: determinism, mix, structure."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from repro.cpu.instruction import BRANCH, LOAD, STORE
+from repro.cpu.instruction import BRANCH, INT, LOAD, STORE, Trace
 from repro.workloads.models import PARALLEL_APPS, SPEC_APPS
 from repro.workloads.multiprog import BUNDLES, bundle_traces
 from repro.workloads.parallel import PARALLEL_APP_NAMES, parallel_traces
@@ -84,6 +85,54 @@ class TestStructure:
         for ty, m in zip(trace.itypes, trace.misp):
             if m:
                 assert ty == BRANCH
+
+
+COLUMNS = ("itypes", "pcs", "addrs", "dep1", "dep2", "misp")
+FIELDS = ("itype", "pc", "addr", "dep1", "dep2", "misp")
+LIMITS = (STORE + 1, 1 << 32, 1 << 64, 1 << 16, 1 << 16, 2)
+
+
+class TestTraceColumns:
+    @given(st.lists(st.tuples(
+        st.integers(INT, STORE),
+        st.integers(0, (1 << 32) - 1),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(0, (1 << 16) - 1),
+        st.integers(0, (1 << 16) - 1),
+        st.booleans(),
+    ), max_size=12))
+    # Bundle slot 3: PCs at 3 * 2**20, addresses at 3 * 2**40.
+    @example([(LOAD, 3 << 20, (3 << 40) + 4096, 1, 0, False),
+              (BRANCH, (3 << 20) + 1, 0, 0, 2, True)])
+    def test_in_range_values_round_trip(self, instructions):
+        trace = Trace()
+        for values in instructions:
+            trace.append(*values)
+        assert len(trace) == len(instructions)
+        got = [trace.instruction(i) for i in range(len(trace))]
+        assert got == instructions
+        assert all(type(values[5]) is bool for values in got)
+
+    @given(st.data())
+    def test_out_of_range_field_raises_and_grows_nothing(self, data):
+        field = data.draw(st.integers(0, len(FIELDS) - 1))
+        bad = data.draw(st.integers(max_value=-1)
+                        | st.integers(min_value=LIMITS[field]))
+        values = [LOAD, 7, 64, 1, 0, False]
+        values[field] = bad
+        trace = Trace()
+        trace.append(INT, 1)
+        with pytest.raises(ValueError, match=f"^{FIELDS[field]} "):
+            trace.append(*values)
+        assert [len(getattr(trace, c)) for c in COLUMNS] == [1] * 6
+
+    def test_generated_columns_stay_compact(self):
+        """An 8-thread set holds at most 24 bytes per instruction in its
+        columns, so they cannot silently turn back into lists."""
+        traces = parallel_traces("swim", 8, 3000, seed=1)
+        held = sum(memoryview(getattr(t, c)).nbytes
+                   for t in traces for c in COLUMNS)
+        assert held <= 24 * sum(len(t) for t in traces)
 
 
 class TestSharedStaticProgram:
