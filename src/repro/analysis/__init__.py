@@ -21,14 +21,11 @@ Three independent sanitizers guard the reproduction as it scales:
 from __future__ import annotations
 
 from repro.analysis.detchain import DetChain, first_divergence
-from repro.analysis.lint import lint_paths, lint_source
 from repro.analysis.protocol import ProtocolSanitizer, ProtocolViolation
 
 __all__ = [
     "DetChain",
     "first_divergence",
-    "lint_paths",
-    "lint_source",
     "ProtocolSanitizer",
     "ProtocolViolation",
 ]

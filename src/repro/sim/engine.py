@@ -352,10 +352,31 @@ def _resolve_jobs(jobs: int | None) -> int:
     return max(1, jobs)
 
 
-def _pool_entry(item):
-    key, spec = item
-    result = run_one(spec)
-    return key, pickle.loads(_pickle_result(result))
+def _by_trace_set(tasks) -> list:
+    """``(index, spec)`` tasks grouped by trace set, sets in order of
+    first appearance, tasks in their order within each set."""
+    from repro.sim.runner import trace_set
+
+    groups: dict[tuple, list] = {}
+    for task in tasks:
+        groups.setdefault(trace_set(task[1]), []).append(task)
+    return [task for group in groups.values() for task in group]
+
+
+def _run_task(task) -> tuple[int, SimResult]:
+    """Run one ``(index, spec)`` task, keeping only its trace set in this
+    process's trace memo."""
+    from repro.sim.runner import trace_set
+    from repro.workloads.synthetic import hold_trace_set
+
+    index, spec = task
+    hold_trace_set(trace_set(spec))
+    return index, run_one(spec)
+
+
+def _pool_entry(task) -> tuple[int, SimResult]:
+    index, result = _run_task(task)
+    return index, pickle.loads(_pickle_result(result))
 
 
 def run_many(
@@ -366,11 +387,21 @@ def run_many(
     Returns results aligned with ``specs``.  Identical specs are simulated
     once; cache hits cost no simulation at all.  Specs that cannot be
     hashed/pickled (callable provider specs) run inline and uncached.
+
+    Simulations run set by set (:func:`repro.sim.runner.trace_set` names
+    a spec's trace set), sets in order of first appearance, and each
+    process running them keeps only the current run's set in its trace
+    memo (:func:`repro.workloads.synthetic.hold_trace_set`).  A batch
+    thus holds one set per process and, as pool workers take tasks in
+    list order, generates each set at most once per process.  Results,
+    ``last_metrics`` and the run log follow ``specs``: one record per
+    cache hit, simulated spec or unportable spec, at the position of its
+    first occurrence.
     """
     specs = list(specs)
     use_cache = _cache_enabled(cache)
     results: list[SimResult | None] = [None] * len(specs)
-    metrics: list[dict] = []
+    records: list[dict | None] = [None] * len(specs)
     pending: dict[str, list[int]] = {}
     inline: list[int] = []
 
@@ -387,50 +418,46 @@ def run_many(
             hit = load_cached(key)
             if hit is not None:
                 results[i] = hit
-                metrics.append(_metric(spec, key, hit, "disk"))
+                records[i] = _metric(spec, key, hit, "disk")
                 _mark_cache_replay(spec)
                 continue
-        pending.setdefault(key, []).append(i)
+        pending[key] = [i]
 
-    todo = list(pending.items())
+    portable = [(idxs[0], specs[idxs[0]]) for idxs in pending.values()]
+    unportable = [(i, specs[i]) for i in inline]
+    fresh: dict[int, SimResult] = {}
     jobs = _resolve_jobs(jobs)
-    if len(todo) > 1 and jobs > 1:
+    context = None
+    if len(portable) > 1 and jobs > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         try:
             context = multiprocessing.get_context("fork")
-        except ValueError:
+        except ValueError:  # no fork on this platform: run serially
             context = None
-        if context is not None:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(todo)), mp_context=context
-            ) as pool:
-                fresh = dict(
-                    pool.map(
-                        _pool_entry,
-                        [(key, specs[idxs[0]]) for key, idxs in todo],
-                    )
-                )
-        else:
-            fresh = {
-                key: run_one(specs[idxs[0]]) for key, idxs in todo
-            }
-    else:
-        fresh = {key: run_one(specs[idxs[0]]) for key, idxs in todo}
+    if context is not None:
+        from concurrent.futures import ProcessPoolExecutor
 
-    for key, indices in todo:
-        result = fresh[key]
-        metrics.append(_metric(specs[indices[0]], key, result, "run"))
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(portable)), mp_context=context
+        ) as pool:
+            fresh.update(pool.map(_pool_entry, _by_trace_set(portable)))
+        fresh.update(map(_run_task, _by_trace_set(unportable)))
+    else:
+        fresh.update(map(_run_task, _by_trace_set(portable + unportable)))
+
+    for key, indices in pending.items():
+        result = fresh[indices[0]]
+        records[indices[0]] = _metric(specs[indices[0]], key, result, "run")
         if use_cache:
             store_cached(key, result)
         for i in indices:
             results[i] = result
     for i in inline:
-        result = run_one(specs[i])
-        metrics.append(_metric(specs[i], None, result, "run"))
-        results[i] = result
+        results[i] = fresh[i]
+        records[i] = _metric(specs[i], None, fresh[i], "run")
 
+    metrics = [record for record in records if record is not None]
     last_metrics.extend(metrics)
     _write_run_log(metrics)
     return results

@@ -83,6 +83,21 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
     return result
 
 
+def trace_set(spec) -> tuple:
+    """Name of the trace set a ``RunSpec`` runs on (its per-core traces).
+
+    Two specs with equal names simulate the same traces: a parallel run's
+    depend on the app, the core count, the trace length and the seed; a
+    bundle run and each of its alone runs use the bundle's traces.
+    """
+    scale = spec.scale
+    instructions = scale.instructions_per_core + scale.warmup_instructions
+    if spec.kind == "parallel":
+        cores = (spec.config or SystemConfig.parallel_default()).cores
+        return ("parallel", spec.workload, cores, instructions, scale.seed)
+    return ("bundle", spec.workload, instructions, scale.seed)
+
+
 def run_parallel_workload(
     app: str,
     scheduler: str = "fr-fcfs",

@@ -148,8 +148,20 @@ def result_fingerprint(result: SimResult):
     )
 
 
+def _check_uncapped(*results: SimResult) -> None:
+    """Raise ``ValueError`` if any run stopped at the cycle cap."""
+    for result in results:
+        if result.hit_max_cycles:
+            raise ValueError(
+                f"{result.label}: stopped at the cycle cap, at cycle "
+                f"{result.cycles}; its cycle count measures the cap, "
+                "not the machine"
+            )
+
+
 def speedup(baseline: SimResult, result: SimResult) -> float:
     """Run-time speedup of ``result`` over ``baseline`` (same workload)."""
+    _check_uncapped(baseline, result)
     if result.cycles == 0:
         raise ValueError("result has zero cycles")
     return baseline.cycles / result.cycles
@@ -157,6 +169,7 @@ def speedup(baseline: SimResult, result: SimResult) -> float:
 
 def weighted_speedup(result: SimResult, alone_ipcs: list[float]) -> float:
     """Sum of per-application normalised IPCs (Snavely & Tullsen)."""
+    _check_uncapped(result)
     if len(alone_ipcs) != len(result.committed):
         raise ValueError("alone_ipcs length must match core count")
     total = 0.0
@@ -169,6 +182,7 @@ def weighted_speedup(result: SimResult, alone_ipcs: list[float]) -> float:
 
 def maximum_slowdown(result: SimResult, alone_ipcs: list[float]) -> float:
     """max over applications of IPC_alone / IPC_shared (TCM's fairness metric)."""
+    _check_uncapped(result)
     worst = 0.0
     for core, alone in enumerate(alone_ipcs):
         shared = result.core_ipc(core)

@@ -19,7 +19,10 @@ dependency-annotated dynamic instruction stream with loop structure:
 
 Generation is pure: the same arguments always produce the same trace, and
 results are memoised because experiments re-run the same workload under
-many scheduler configurations.
+many scheduler configurations.  Inside a :func:`repro.sim.engine.run_many`
+batch each process keeps only the trace set of the run it executes
+(:func:`hold_trace_set`); outside one the memo keeps every trace until
+:func:`clear_trace_cache`.
 """
 
 from __future__ import annotations
@@ -243,11 +246,32 @@ def _poisson_at_least_zero(rng: random.Random, mean: float) -> int:
     return k
 
 
-_TRACE_CACHE: dict = {}
+class _TraceMemo(dict):
+    """Generated traces by their arguments; ``held`` names the trace set
+    :func:`hold_trace_set` last kept (None after :func:`clear_trace_cache`)."""
+
+    held = None
+
+
+_TRACE_CACHE = _TraceMemo()
 
 
 def clear_trace_cache() -> None:
     _TRACE_CACHE.clear()
+    _TRACE_CACHE.held = None
+
+
+def hold_trace_set(name) -> None:
+    """Keep trace set ``name`` (:func:`repro.sim.runner.trace_set`): empty
+    the memo first unless it already holds that set.
+
+    ``run_many`` calls this before each run, its runs grouped by set, so a
+    batch holds one set per process and generates each set once.  Traces
+    generated outside a batch stay until a call names another set.
+    """
+    if _TRACE_CACHE.held != name:
+        clear_trace_cache()
+        _TRACE_CACHE.held = name
 
 
 def generate_trace(

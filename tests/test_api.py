@@ -1,5 +1,10 @@
 """Public API surface: imports, registry completeness, docstrings."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 
@@ -21,6 +26,18 @@ class TestTopLevelExports:
 
         for name in names:
             assert hasattr(core, name), name
+
+    def test_import_does_not_load_the_linter(self):
+        """Every process that imports the simulator (pool workers, CLI
+        calls) would otherwise pay for the linter and argparse."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('repro.analysis.lint' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestSchedulerRegistry:

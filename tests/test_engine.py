@@ -21,6 +21,7 @@ from repro.sim.engine import (
     spec_key,
 )
 from repro.sim.stats import result_fingerprint
+from repro.workloads import synthetic
 
 SCALE = SimScale(instructions_per_core=600, warmup_instructions=0, seed=5)
 
@@ -147,6 +148,15 @@ class TestCappedRunsNotCached:
         assert [m["source"] for m in engine.last_metrics] == ["run", "run"]
         assert not list(cache_dir.glob("*.pkl"))
 
+    def test_no_speedup_from_capped_runs(self, cache_dir, tiny_cap):
+        from repro.sim.runner import parallel_average_speedup
+
+        with pytest.raises(ValueError, match="stopped at the cycle cap"):
+            parallel_average_speedup(
+                ["radix"], "casras-crit", ("cbp", {"entries": 64}),
+                scale=SCALE,
+            )
+
 
 class TestRunMany:
     def test_results_align_and_dedup(self, cache_dir):
@@ -190,6 +200,104 @@ class TestRunMany:
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert lines and lines[0]["source"] == "run"
         assert lines[0]["wall_s"] > 0
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty trace memo that records the key of every trace it stores."""
+
+    class Recording(type(synthetic._TRACE_CACHE)):
+        def __setitem__(self, key, value):
+            self.stored.append(key)
+            super().__setitem__(key, value)
+
+    recording = Recording()
+    recording.stored = []
+    monkeypatch.setattr(synthetic, "_TRACE_CACHE", recording)
+    return recording
+
+
+def _sets_held(memo) -> set:
+    """(app, length, threads, seed) of every trace set in the memo."""
+    return {(key[0].name, key[1], key[3], key[4]) for key in memo}
+
+
+#: Trace sets A (fft) and B (radix), interleaved as an experiment lists
+#: its baselines before its configurations.
+A_BASE, B_BASE = _spec(), _spec(workload="radix")
+A_CONF = _spec(scheduler="par-bs")
+B_CONF = _spec(workload="radix", scheduler="par-bs")
+SET_A, SET_B = ("fft", 600, 8, 5), ("radix", 600, 8, 5)
+
+
+class TestTraceSets:
+    """run_many runs set by set and holds one trace set per process, but
+    reports in spec order."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_and_metrics_in_spec_order(self, cache_dir, tmp_path,
+                                               monkeypatch, jobs):
+        import json
+
+        cached = _spec(scheduler="tcm")
+        run_many([cached], jobs=1)
+        log = tmp_path / "runs.jsonl"
+        monkeypatch.setenv("REPRO_RUN_LOG", str(log))
+        engine.clear_metrics()
+        results = run_many(
+            [A_BASE, B_BASE, A_CONF, B_CONF, A_BASE, cached], jobs=jobs
+        )
+        assert [r.label for r in results] == [
+            "fft/fr-fcfs", "radix/fr-fcfs", "fft/par-bs", "radix/par-bs",
+            "fft/fr-fcfs", "fft/tcm",
+        ]
+        assert results[4] is results[0]
+        records = [(m["label"], m["source"]) for m in engine.last_metrics]
+        assert records == [
+            ("fft/fr-fcfs", "run"), ("radix/fr-fcfs", "run"),
+            ("fft/par-bs", "run"), ("radix/par-bs", "run"),
+            ("fft/tcm", "disk"),
+        ]
+        logged = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(m["label"], m["source"]) for m in logged] == records
+
+    def test_serial_batch_holds_one_set(self, cache_dir, memo, monkeypatch):
+        held = []
+        run_one = engine.run_one
+
+        def observed(spec):
+            result = run_one(spec)
+            held.append((result.label, _sets_held(memo)))
+            return result
+
+        monkeypatch.setattr(engine, "run_one", observed)
+        run_many([A_BASE, B_BASE, A_CONF, B_CONF], jobs=1)
+        assert held == [
+            ("fft/fr-fcfs", {SET_A}), ("fft/par-bs", {SET_A}),
+            ("radix/fr-fcfs", {SET_B}), ("radix/par-bs", {SET_B}),
+        ]
+        assert len(memo.stored) == len(set(memo.stored)) == 2 * 8
+
+    def test_worker_holds_one_set(self, memo):
+        """A forked worker starts with what its parent memoised; its first
+        task drops that, and each set is generated once."""
+        from repro.workloads.parallel import parallel_traces
+
+        parallel_traces("mg", 8, 600, seed=5)
+        tasks = [A_BASE, A_CONF, B_BASE, B_CONF]
+        for index, spec in enumerate(tasks):
+            assert engine._pool_entry((index, spec))[0] == index
+            assert _sets_held(memo) == {SET_A if index < 2 else SET_B}
+        assert len(memo.stored) == len(set(memo.stored)) == 3 * 8
+
+    def test_alone_runs_share_their_bundle_set(self, cache_dir, memo):
+        specs = [_spec(kind="bundle", workload="RFGI", scheduler="par-bs")]
+        specs += [
+            _spec(kind="alone", workload="RFGI", scheduler="par-bs", slot=s)
+            for s in range(2)
+        ]
+        run_many(specs, jobs=1)
+        assert len(memo.stored) == len(set(memo.stored)) == 4
 
 
 class TestCachedRunIntegration:

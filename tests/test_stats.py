@@ -29,6 +29,31 @@ class TestSpeedup:
             speedup(base, broken)
 
 
+class TestCappedRunsRejected:
+    """A run stopped at the cycle cap measures the cap, not the machine,
+    so no metric may use it."""
+
+    ERROR = r"radix/casras-crit: stopped at the cycle cap, at cycle 100\b"
+
+    @staticmethod
+    def capped():
+        return SimResult(label="radix/casras-crit", cycles=100,
+                         finish_cycles=[100], committed=[10],
+                         hit_max_cycles=True)
+
+    def test_speedup_either_side(self):
+        done = result(2000, [2000], [100])
+        with pytest.raises(ValueError, match=self.ERROR):
+            speedup(self.capped(), done)
+        with pytest.raises(ValueError, match=self.ERROR):
+            speedup(done, self.capped())
+
+    @pytest.mark.parametrize("metric", [weighted_speedup, maximum_slowdown])
+    def test_fairness_metrics(self, metric):
+        with pytest.raises(ValueError, match=self.ERROR):
+            metric(self.capped(), [0.1])
+
+
 class TestCoreIpc:
     def test_uses_own_finish_time(self):
         r = result(2000, [1000, 2000], [500, 500])
