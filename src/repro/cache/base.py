@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import groupby, repeat
+
 from repro.config import CacheConfig
 
 #: Coherence-state codes held in the ``state`` column: the ``ord()`` of
@@ -130,13 +132,76 @@ class SetAssociativeCache:
 
         Leaves exactly the state that one ``insert(addr)`` per line, in
         address order, would leave, and returns the evicted
-        ``(line_addr, state, dirty)`` triples in eviction order.  The set
-        index steps incrementally and the columns and det-state words
-        live in locals.  :meth:`insert` stays the runtime path and the
-        reference this is tested against.
+        ``(line_addr, state, dirty)`` triples in eviction order.
+
+        A range's lines fall in consecutive sets.  It goes in as *sweeps*,
+        the stretches that do not wrap past the last set, so within a
+        sweep every line has a set of its own; each sweep is split into
+        runs of sets with equal ``fill``.  A run whose sets have room and
+        hold none of its lines is written in bulk (:meth:`_fill_run`), any
+        other run line by line (:meth:`_insert_lines`).  :meth:`insert`
+        stays the runtime path and the reference this is tested against.
         """
         line_bytes = self.line_bytes
         num_sets = self.num_sets
+        ways = self.ways
+        fill = self.fill
+        where = self.where
+        victims = []
+        line = first
+        index = (first // line_bytes) % num_sets
+        while line < stop:
+            end = min(num_sets, index + len(range(line, stop, line_bytes)))
+            for used, run in groupby(fill[index:end]):
+                count = len(list(run))  # repro-lint: disable=PERF001 one list per run of sets, not per line
+                run_stop = line + count * line_bytes
+                # One int per line, shared by the tag column and ``where``
+                # as the per-line loop shares it.
+                lines = list(range(line, run_stop, line_bytes))  # repro-lint: disable=PERF001 one list per run of sets, not per line
+                if used < ways and where.keys().isdisjoint(lines):
+                    self._fill_run(lines, index, used)
+                else:
+                    self._insert_lines(lines, index, victims)
+                line = run_stop
+                index += count
+            index = 0
+        return victims
+
+    def _fill_run(self, lines: list[int], index: int, used: int) -> None:
+        """Install ``lines`` in sets ``index``, ``index + 1``, ..., which
+        each hold ``used < ways`` lines and none of ``lines``: line k takes
+        slot ``(index + k) * ways + used``, so every column takes one
+        stride-``ways`` slice write and the det-state words a closed form."""
+        count = len(lines)
+        ways = self.ways
+        clock = self.clock
+        first_slot = index * ways + used
+        slots = range(first_slot, first_slot + count * ways, ways)
+        span = slice(first_slot, first_slot + count * ways, ways)
+        # ``where`` first, so its table grows before the stamps' ints
+        # exist: a lower peak of memory while a machine is built.
+        self.where.update(zip(lines, slots))
+        self.tag[span] = lines
+        self.lru[span] = range(clock + 1, clock + count + 1)
+        self.state[span] = bytes((SHARED,)) * count
+        self.dirty[span] = bytes(count)
+        self.fill[index:index + count] = repeat(used + 1, count)
+        self.clock = clock + count
+        self._resident += count
+        # Lines, stamps and states summed in closed form: the lines step
+        # by ``line_bytes``, the stamps by one.
+        self.checksum += (
+            count * lines[0] + self.line_bytes * count * (count - 1) // 2
+            + 131 * (count * clock + count * (count + 1) // 2)
+            + 7 * SHARED * count
+        )
+
+    def _insert_lines(
+        self, lines: list[int], index: int, victims: list[tuple[int, int, int]]
+    ) -> None:
+        """One :meth:`insert` per line of ``lines``, which fall in sets
+        ``index``, ``index + 1``, ..., with the columns and det-state
+        words in locals; appends each victim to ``victims``."""
         ways = self.ways
         where = self.where
         tag = self.tag
@@ -148,9 +213,7 @@ class SetAssociativeCache:
         resident = self._resident
         dirty_lines = self._dirty_lines
         checksum = self.checksum
-        victims = []
-        index = (first // line_bytes) % num_sets
-        for line in range(first, stop, line_bytes):
+        for line in lines:
             clock += 1
             slot = where.get(line)
             if slot is not None:
@@ -178,13 +241,10 @@ class SetAssociativeCache:
                 dirties[slot] = 0
                 checksum += line + 131 * clock + 7 * SHARED
             index += 1
-            if index == num_sets:
-                index = 0
         self.clock = clock
         self._resident = resident
         self._dirty_lines = dirty_lines
         self.checksum = checksum
-        return victims
 
     def invalidate(self, address: int) -> tuple[int, int, int] | None:
         """Remove the line covering ``address``; returns its

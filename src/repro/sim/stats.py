@@ -183,6 +183,8 @@ def weighted_speedup(result: SimResult, alone_ipcs: list[float]) -> float:
 def maximum_slowdown(result: SimResult, alone_ipcs: list[float]) -> float:
     """max over applications of IPC_alone / IPC_shared (TCM's fairness metric)."""
     _check_uncapped(result)
+    if len(alone_ipcs) != len(result.committed):
+        raise ValueError("alone_ipcs length must match core count")
     worst = 0.0
     for core, alone in enumerate(alone_ipcs):
         shared = result.core_ipc(core)

@@ -27,6 +27,7 @@ batch each process keeps only the trace set of the run it executes
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 
@@ -91,6 +92,7 @@ def build_static_program(model: AppModel, seed: int):
     matches ``(1 - hot_frac) * (1 - warm_frac)`` of all loads.
     """
     rng = random.Random(f"static:{model.name}:{seed}")
+    getrandbits = rng.getrandbits
     loads_per_body = max(1, round(model.body_len * model.load_frac))
     body_count = max(model.body_count, -(-model.static_loads // loads_per_body))
 
@@ -189,12 +191,24 @@ def build_static_program(model: AppModel, seed: int):
                 chain[1] -= 1
                 if chain[1] <= 0:
                     pending_consumers.pop(0)
+            # Distances draw as Random.randint(1, span) does: its
+            # getrandbits rejection loop, inline.
             if not dep_assigned and pos > 0 and rng.random() < 0.75:
-                dist = rng.randint(1, min(pos, 10))
+                span = min(pos, 10)
+                bits = span.bit_length()
+                r = getrandbits(bits)
+                while r >= span:
+                    r = getrandbits(bits)
+                dist = 1 + r
                 if (pos - dist) not in burst_positions:
                     instr.dep1 = dist
             if pos > 1 and rng.random() < 0.15:
-                dist = rng.randint(1, min(pos, 16))
+                span = min(pos, 16)
+                bits = span.bit_length()
+                r = getrandbits(bits)
+                while r >= span:
+                    r = getrandbits(bits)
+                dist = 1 + r
                 if (pos - dist) not in burst_positions:
                     instr.dep2 = dist
             if instr.itype == LOAD:
@@ -233,8 +247,6 @@ def _pick_warm_or_hot(model: AppModel, rng: random.Random, itype: int):
 
 def _poisson_at_least_zero(rng: random.Random, mean: float) -> int:
     """Small-mean Poisson sample (inverse-CDF; mean <= ~4 in practice)."""
-    import math
-
     u = rng.random()
     p = math.exp(-mean)
     cdf = p
@@ -317,10 +329,9 @@ def generate_trace(
     warm_bytes = model.warm_bytes
     cold_base = warm_base + warm_bytes
     cold_bytes = max(64 * 1024, private_bytes - hot_bytes - warm_bytes)
-
-    # Per-static-PC streaming positions.
-    stream_pos: dict[int, int] = {}
-    stride = model.stream_stride
+    if hot_bytes <= 0 or warm_bytes <= 0:
+        # The inline draws below would never end on an empty region.
+        raise ValueError(f"{model.name}: hot_bytes and warm_bytes must be positive")
 
     trace = Trace(name=f"{model.name}.t{thread_id}")
     trace.prewarm = [
@@ -330,15 +341,17 @@ def generate_trace(
     # Straight onto the typed columns: every value is in range by
     # construction, so Trace.append's per-field checks are skipped.  A
     # body's type, PC and dependency columns are the same on every
-    # iteration, so each iteration copies them in whole (built once per
-    # body, below); only addresses and mispredicts are drawn per instance.
-    extend_static = (
-        trace.itypes.extend, trace.pcs.extend,
-        trace.dep1.extend, trace.dep2.extend,
+    # iteration, so each iteration copies them in whole, together with a
+    # zero address and a zero mispredict column, and then writes in place
+    # only what its loads, stores and branches draw (both built once per
+    # body, by _body_plan).
+    columns = (
+        trace.itypes, trace.pcs, trace.dep1, trace.dep2, trace.addrs, trace.misp,
     )
-    static_columns: list[tuple | None] = [None] * len(bodies)
-    add_addr = trace.addrs.append
-    add_misp = trace.misp.append
+    extends = [column.extend for column in columns]
+    plans: list[tuple | None] = [None] * len(bodies)
+    addrs = trace.addrs
+    misp = trace.misp
     body_weights = [1.0 / (i + 1) for i in range(len(bodies))]
     total_w = sum(body_weights)
     body_weights = [w / total_w for w in body_weights]
@@ -366,7 +379,25 @@ def generate_trace(
         activate_p = min(1.0, activate_p * factor)
         solo_p = min(1.0, solo_p * factor)
 
-    # Per-body gather stream positions (bursts walk consecutive lines).
+    # (base, span, span.bit_length()) of each region addresses are drawn
+    # from; the bit length feeds the inline draws below.
+    regions = {
+        name: (base, span, span.bit_length())
+        for name, base, span in (
+            ("hot", hot_base, hot_bytes),
+            ("warm", warm_base, warm_bytes),
+            ("cold", cold_base, cold_bytes),
+            ("shared", shared_base, shared_bytes),
+        )
+    }
+    warm_bits = regions["warm"][2]
+    mispredict_rate = model.mispredict_rate
+    stride = model.stream_stride
+    getrandbits = rng.getrandbits
+    rand = rng.random
+    # Per-static-PC streaming positions; per-body gather stream positions
+    # (bursts walk consecutive lines).
+    stream_pos: dict[int, int] = {}
     LINE = 64
     body_stream_pos: dict[int, int] = {}
 
@@ -374,97 +405,144 @@ def generate_trace(
     while n < instructions:
         index = _weighted_index(rng, body_weights)
         body = bodies[index]
-        specs = body.specs
-        static = static_columns[index]
-        if static is None:
-            static = static_columns[index] = (
-                bytes(s.itype for s in specs),
-                array(trace.pcs.typecode, [pc_base + s.pc for s in specs]),
-                array(trace.dep1.typecode, [s.dep1 for s in specs]),
-                array(trace.dep2.typecode, [s.dep2 for s in specs]),
-            )
-        burst = body.burst_order
-        burst_size = len(burst)
+        plan = plans[index]
+        if plan is None:
+            plan = plans[index] = _body_plan(body, trace, pc_base, regions)
+        static, inactive_draws, active_draws = plan
+        length = len(body)
         iterations = rng.randint(6, 28)
         # Activation is per loop *visit*: a visit either sweeps DRAM-resident
         # data for all its iterations (a memory phase, hundreds of
         # instructions long) or runs entirely out of the caches.  Memory
         # phases from different threads overlap, producing the episodic
         # deep-queue contention real parallel apps exhibit between barriers.
-        active = rng.random() < activate_p
+        draws = active_draws if rand() < activate_p else inactive_draws
         for _ in range(iterations):
-            burst_base = None
-            for extend, column in zip(extend_static, static):
+            offset = len(addrs)
+            for extend, column in zip(extends, static):
                 extend(column)
-            for pos, instr in enumerate(specs):
-                itype = instr.itype
-                addr = 0
-                misp = False
-                if itype == LOAD or itype == STORE:
-                    k = burst.get(pos)
-                    if k is None:
-                        if pos == body.solo_position:
-                            if rng.random() < solo_p:
-                                base, span = (
-                                    (shared_base, shared_bytes)
-                                    if instr.shared
-                                    else (cold_base, cold_bytes)
-                                )
-                                addr = base + (rng.randrange(span) & ~7)
-                            else:
-                                addr = warm_base + (rng.randrange(warm_bytes) & ~7)
-                        else:
-                            addr = _gen_address(
-                                instr, rng, stream_pos,
-                                hot_base, hot_bytes, warm_base, warm_bytes,
-                                cold_base, cold_bytes,
-                                shared_base, shared_bytes, stride,
-                            )
-                    elif not active:
-                        # Inactive iteration: the burst reads cached data.
-                        addr = warm_base + (rng.randrange(warm_bytes) & ~7)
-                    elif instr.klass == _STREAM:
-                        # Gather over two arrays (c[i] = f(a[i], b[i])):
-                        # burst members alternate between two independent
-                        # line streams, so the burst spreads over two
-                        # channels and forms two concurrent row trains.
-                        if burst_base is None:
-                            base, span = (
-                                (shared_base, shared_bytes)
-                                if instr.shared
-                                else (cold_base, cold_bytes)
-                            )
-                            half = span // 2
-                            cursor = body_stream_pos.get(body.body_id)
-                            if cursor is None:
-                                cursor = rng.randrange(half) & ~(LINE - 1)
-                            burst_base = (
-                                base + cursor,
-                                base + half + ((cursor * 7) % half & ~(LINE - 1)),
-                            )
-                            advance = (burst_size // 2 + 1) * LINE
-                            limit = max(LINE, half - advance)
-                            body_stream_pos[body.body_id] = (cursor + advance) % limit
-                        addr = burst_base[k & 1] + (k >> 1) * LINE
-                    else:
-                        # Random / pointer-chase burst member.
-                        base, span = (
-                            (shared_base, shared_bytes)
-                            if instr.shared
-                            else (cold_base, cold_bytes)
+            gather = None
+            # Draws in position order, so the random stream is the one a
+            # walk over every instruction would consume.  A uniform draw
+            # is Random.randrange(span)'s getrandbits rejection loop,
+            # inline.
+            for pos, kind, base, span, bits, ref in draws:
+                if kind == _DRAW_UNIFORM:
+                    r = getrandbits(bits)
+                    while r >= span:
+                        r = getrandbits(bits)
+                    addrs[offset + pos] = base + (r & ~7)
+                elif kind == _DRAW_BRANCH:
+                    if rand() < mispredict_rate:
+                        misp[offset + pos] = 1
+                elif kind == _DRAW_SOLO:
+                    # The singleton misses with probability solo_p and
+                    # otherwise reads warm data.
+                    if rand() >= solo_p:
+                        base, span, bits = warm_base, warm_bytes, warm_bits
+                    r = getrandbits(bits)
+                    while r >= span:
+                        r = getrandbits(bits)
+                    addrs[offset + pos] = base + (r & ~7)
+                elif kind == _DRAW_STREAM:
+                    cursor = stream_pos.get(ref)
+                    if cursor is None:
+                        cursor = rng.randrange(span) & ~7
+                    addrs[offset + pos] = base + cursor
+                    stream_pos[ref] = (cursor + stride) % span
+                else:
+                    # Gather over two arrays (c[i] = f(a[i], b[i])): burst
+                    # members alternate between two independent line
+                    # streams, so the burst spreads over two channels and
+                    # forms two concurrent row trains.
+                    if gather is None:
+                        half = span // 2
+                        cursor = body_stream_pos.get(body.body_id)
+                        if cursor is None:
+                            cursor = rng.randrange(half) & ~(LINE - 1)
+                        gather = (
+                            base + cursor,
+                            base + half + ((cursor * 7) % half & ~(LINE - 1)),
                         )
-                        addr = base + (rng.randrange(span) & ~7)
-                elif itype == BRANCH:
-                    misp = rng.random() < model.mispredict_rate
-                add_addr(addr)
-                add_misp(misp)
-            n += len(specs)
+                        advance = (len(body.burst_order) // 2 + 1) * LINE
+                        limit = max(LINE, half - advance)
+                        body_stream_pos[body.body_id] = (cursor + advance) % limit
+                    addrs[offset + pos] = gather[ref & 1] + (ref >> 1) * LINE
+            n += length
             if n >= instructions:
                 break
 
     _truncate(trace, instructions)
     _TRACE_CACHE[key] = trace
     return trace
+
+
+#: What a drawing instruction draws (see _body_plan).
+_DRAW_UNIFORM, _DRAW_BRANCH, _DRAW_SOLO, _DRAW_STREAM, _DRAW_GATHER = range(5)
+
+
+def _body_plan(body: _Body, trace: Trace, pc_base: int, regions: dict):
+    """One body's columns and draws for one trace.
+
+    Returns ``(static, inactive, active)``: ``static`` holds the body's
+    type, PC and dependency columns and a zero address and mispredict
+    column, in the order of the trace's ``itypes, pcs, dep1, dep2, addrs,
+    misp``; ``inactive`` and ``active`` list the draws of an iteration of
+    a cache-resident and of a memory-phase visit.  A draw is ``(pos,
+    kind, base, span, bits, ref)`` for each load, store and branch, in
+    position order: a region to draw from (``_DRAW_UNIFORM``), a
+    mispredict (``_DRAW_BRANCH``), the singleton miss
+    (``_DRAW_SOLO``, its cold region), a static stream (``_DRAW_STREAM``,
+    keyed by PC) or a gather burst member (``_DRAW_GATHER``, keyed by its
+    index in the burst).
+    """
+    specs = body.specs
+    static = (
+        bytes(s.itype for s in specs),
+        array(trace.pcs.typecode, [pc_base + s.pc for s in specs]),
+        array(trace.dep1.typecode, [s.dep1 for s in specs]),
+        array(trace.dep2.typecode, [s.dep2 for s in specs]),
+        array(trace.addrs.typecode, [0]) * len(specs),
+        bytes(len(specs)),
+    )
+    warm = regions["warm"]
+    inactive = []
+    active = []
+    for pos, instr in enumerate(specs):
+        itype = instr.itype
+        if itype == BRANCH:
+            draw = (pos, _DRAW_BRANCH, 0, 0, 0, None)
+            inactive.append(draw)
+            active.append(draw)
+            continue
+        if itype != LOAD and itype != STORE:
+            continue
+        far = regions["shared" if instr.shared else "cold"]
+        k = body.burst_order.get(pos)
+        if k is None:
+            if pos == body.solo_position:
+                draw = (pos, _DRAW_SOLO) + far + (None,)
+            elif instr.klass == _HOT:
+                draw = (pos, _DRAW_UNIFORM) + regions["hot"] + (None,)
+            elif instr.klass == _WARM:
+                draw = (pos, _DRAW_UNIFORM) + warm + (None,)
+            elif instr.klass == _STREAM:
+                draw = (pos, _DRAW_STREAM) + far + (instr.pc,)
+            else:
+                # Random and pointer-chase loads: uniform over the region
+                # (the chase's serialising effect comes from its
+                # dependency, not its address).
+                draw = (pos, _DRAW_UNIFORM) + far + (None,)
+            inactive.append(draw)
+            active.append(draw)
+            continue
+        # Burst members read cached data on an inactive visit.
+        inactive.append((pos, _DRAW_UNIFORM) + warm + (None,))
+        if instr.klass == _STREAM:
+            active.append((pos, _DRAW_GATHER) + far + (k,))
+        else:
+            active.append((pos, _DRAW_UNIFORM) + far + (None,))
+    return static, inactive, active
 
 
 def _weighted_index(rng: random.Random, weights) -> int:
@@ -475,33 +553,6 @@ def _weighted_index(rng: random.Random, weights) -> int:
         if u <= acc:
             return i
     return len(weights) - 1
-
-
-def _gen_address(
-    instr, rng, stream_pos,
-    hot_base, hot_bytes, warm_base, warm_bytes,
-    cold_base, cold_bytes,
-    shared_base, shared_bytes, stride,
-):
-    klass = instr.klass
-    if klass == _HOT:
-        return hot_base + (rng.randrange(hot_bytes) & ~7)
-    if klass == _WARM:
-        return warm_base + (rng.randrange(warm_bytes) & ~7)
-    if instr.shared:
-        base, span = shared_base, shared_bytes
-    else:
-        base, span = cold_base, cold_bytes
-    if klass == _STREAM:
-        pos = stream_pos.get(instr.pc)
-        if pos is None:
-            pos = rng.randrange(span) & ~7
-        addr = base + pos
-        stream_pos[instr.pc] = (pos + stride) % span
-        return addr
-    # _RANDOM and _CHASE: uniform over the region (the chase's serialising
-    # effect comes from its dependency, not its address).
-    return base + (rng.randrange(span) & ~7)
 
 
 def _truncate(trace: Trace, length: int) -> None:

@@ -12,14 +12,17 @@ evict L1 and L2 lines, and re-insert resident lines.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.base import MODIFIED
+from repro.cache.base import MODIFIED, SetAssociativeCache
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import CacheConfig, SystemConfig
 from repro.dram.controller import MemorySystem
 from repro.sched.frfcfs import FrFcfsScheduler
 from repro.sim.events import EventQueue
+from repro.workloads.multiprog import BUNDLES, bundle_traces
+from repro.workloads.parallel import parallel_traces
 
 L1_LINE = 32
 L2_LINE = 64
@@ -154,3 +157,44 @@ def test_insert_range_matches_inserts():
     assert victims == expected
     assert _cache_view(bulk.l2) == _cache_view(ref.l2)
     assert bulk.l2.det_state() == ref.l2.det_state() == bulk.l2.det_state_scan()
+
+
+def _machine(config):
+    hier = MemoryHierarchy(
+        config, MemorySystem(config.dram, lambda c: FrFcfsScheduler()),
+        EventQueue(),
+    )
+    hier.bind_clock(lambda: 0)
+    return hier
+
+
+@pytest.mark.parametrize("workload", ["fft", "RFGI", "AELV"])
+def test_full_size_machines_match_per_line_reference(workload, monkeypatch):
+    """The real machines with real ranges: one parallel app's eight
+    threads on the Table 1 8-core machine, and two bundles on the 4-core
+    machine, whose warm ranges wrap the L2 and leave its sets unevenly
+    filled.  Every run of sets goes in by slice writes, and each resident
+    L2 line's tag entry is its ``where`` key, one int object per line."""
+    if workload in BUNDLES:
+        config = SystemConfig.multiprogrammed_default()
+        traces = bundle_traces(workload, 100)
+    else:
+        config = SystemConfig.parallel_default()
+        traces = parallel_traces(workload, config.cores, 100)
+    bulk, ref = _machine(config), _machine(config)
+    insert_lines = SetAssociativeCache._insert_lines
+    per_line = []
+
+    def counting(cache, lines, index, victims):
+        per_line.append(len(lines))
+        return insert_lines(cache, lines, index, victims)
+
+    monkeypatch.setattr(SetAssociativeCache, "_insert_lines", counting)
+    for core, trace in enumerate(traces):
+        bulk.prewarm(core, trace.prewarm)
+        prewarm_per_line(ref, core, trace.prewarm)
+    _assert_same(bulk, ref)
+    assert per_line == []
+    l2 = bulk.l2
+    assert len(l2.where) == sum(l2.fill) > 0
+    assert all(l2.tag[slot] is line for line, slot in l2.where.items())

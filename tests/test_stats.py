@@ -76,10 +76,17 @@ class TestWeightedSpeedup:
         alone = [0.3, 0.7]
         assert weighted_speedup(r, alone) == pytest.approx(1.0)
 
-    def test_length_mismatch_rejected(self):
-        r = result(1000, [1000], [300])
-        with pytest.raises(ValueError):
-            weighted_speedup(r, [1.0, 2.0])
+    @pytest.mark.parametrize("alone", [[0.1, 0.1], [0.1] * 5], ids=["short", "long"])
+    @pytest.mark.parametrize("metric", [weighted_speedup, maximum_slowdown])
+    def test_length_mismatch_rejected(self, metric, alone):
+        # Cores 2 and 3 run 10x slower than alone: two alone IPCs must not
+        # judge only cores 0 and 1, and five must not index a fifth core.
+        r = result(1000, [1000] * 4, [100, 100, 10, 10])
+        assert metric(r, [0.1] * 4) == pytest.approx(
+            2.2 if metric is weighted_speedup else 10.0
+        )
+        with pytest.raises(ValueError, match="length must match core count"):
+            metric(r, alone)
 
     def test_zero_alone_ipc_rejected(self):
         r = result(1000, [1000], [300])

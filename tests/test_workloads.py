@@ -1,4 +1,8 @@
-"""Workload generators: determinism, mix, structure."""
+"""Workload generators: determinism, mix, structure, pinned content."""
+
+import hashlib
+import random
+import struct
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -181,6 +185,121 @@ class TestSharedStaticProgram:
         shared = parallel_traces("fft", 8, 1000, seed=1)
         assert builds == ["fft", "fft"]
         assert shared[0] is alone
+
+
+def _digest(traces) -> str:
+    """Digest of every column and the prewarm hints of ``traces``; the
+    columns are packed little-endian at their standard item sizes, so the
+    digest does not depend on the host."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        for name in COLUMNS:
+            column = getattr(trace, name)
+            if isinstance(column, bytearray):
+                digest.update(column)
+            else:
+                digest.update(
+                    struct.pack(f"<{len(column)}{column.typecode}", *column)
+                )
+        digest.update(repr(trace.prewarm).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestPinnedTraces:
+    """Trace content pinned to recorded digests.
+
+    Each digest covers every column and prewarm hint of one workload's
+    traces at two lengths and several seeds.  A change meant to leave
+    generation bit-identical (an optimisation) must leave them all; the
+    golden runs alone would miss most apps, lengths and seeds.
+    """
+
+    #: Parallel app -> digest of its 8-thread sets at seeds 1, 7, 3000,
+    #: 12345 and 700 and 3500 instructions.
+    PARALLEL = {
+        "art": "04bbfcdaa19cbc95",
+        "cg": "170d9f23e934aa9c",
+        "equake": "6319fd4a55bebc05",
+        "fft": "9411f7245de9bdec",
+        "mg": "f5706589c2f95b05",
+        "ocean": "d6d3b47a37b8ecb6",
+        "radix": "c98bc260398dd817",
+        "scalparc": "6acf2e50a4910d30",
+        "swim": "ff6b0b7a52859646",
+    }
+    #: Bundle -> digest of its four traces at seeds 1, 9 and 700 and 2200
+    #: instructions.
+    BUNDLES = {
+        "AELV": "e2ed54c05343031c",
+        "CMLI": "7e164df615414e8c",
+        "GAMV": "f9763963a60e7b7e",
+        "GDPC": "44b9ac53a1ecf5c9",
+        "GSMV": "2e10f660b5749be7",
+        "RFEV": "74e2d6902768c834",
+        "RFGI": "414d6a78e98b89fd",
+        "RGTM": "5cd06a7d1c67c5db",
+    }
+
+    @staticmethod
+    def combined(make, seeds, lengths) -> str:
+        digest = hashlib.sha256()
+        for seed in seeds:
+            for instructions in lengths:
+                digest.update(_digest(make(instructions, seed)).encode())
+                clear_trace_cache()
+        return digest.hexdigest()[:16]
+
+    def test_every_workload_is_pinned(self):
+        assert sorted(self.PARALLEL) == sorted(PARALLEL_APP_NAMES)
+        assert sorted(self.BUNDLES) == sorted(BUNDLES)
+
+    @pytest.mark.parametrize("app", sorted(PARALLEL))
+    def test_parallel_app(self, app):
+        got = self.combined(
+            lambda n, seed: parallel_traces(app, 8, n, seed=seed),
+            (1, 7, 3000, 12345), (700, 3500),
+        )
+        assert got == self.PARALLEL[app]
+
+    @pytest.mark.parametrize("bundle", sorted(BUNDLES))
+    def test_bundle(self, bundle):
+        got = self.combined(
+            lambda n, seed: bundle_traces(bundle, n, seed=seed),
+            (1, 9), (700, 2200),
+        )
+        assert got == self.BUNDLES[bundle]
+
+
+class TestInlineDraws:
+    """Generation draws ``randrange(span)`` and ``randint(1, span)`` with
+    the ``getrandbits`` rejection loop of CPython's
+    ``Random._randbelow_with_getrandbits``, inline.  On this interpreter
+    that loop must give the library's sequence and leave the generator
+    where the library leaves it."""
+
+    SPANS = sorted(
+        set(range(1, 71))
+        | {2**k + d for k in range(1, 41) for d in (-1, 0, 1)}
+    )
+
+    @staticmethod
+    def below(rng, span):
+        bits = span.bit_length()
+        r = rng.getrandbits(bits)
+        while r >= span:
+            r = rng.getrandbits(bits)
+        return r
+
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    def test_matches_randrange_and_randint(self, seed):
+        for span in self.SPANS:
+            inline = random.Random(f"{seed}:{span}")
+            library = random.Random(f"{seed}:{span}")
+            assert ([self.below(inline, span) for _ in range(40)]
+                    == [library.randrange(span) for _ in range(40)]), span
+            assert ([1 + self.below(inline, span) for _ in range(40)]
+                    == [library.randint(1, span) for _ in range(40)]), span
+            assert inline.getstate() == library.getstate(), span
 
 
 class TestMix:
