@@ -120,12 +120,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "row-locality statistic (see row_hits)",
     ("Bank", "row_conflicts"):
         "row-locality statistic (see row_hits)",
-    # -- Caches -----------------------------------------------------------
-    ("MshrFile", "peak"):
-        "occupancy high-watermark statistic; live entries are chained "
-        "via the MshrFile det_state words",
-    ("MshrFile", "full_rejections"):
-        "back-pressure statistic (see peak)",
     # -- MemorySystem -----------------------------------------------------
     ("MemorySystem", "_chan_wake"):
         "wake-driven clocking bookkeeping: derived from enqueue times "

@@ -24,8 +24,6 @@ class MshrFile:
             raise ValueError(f"entries must be positive, got {entries}")
         self.capacity = entries
         self._entries: dict[int, MshrEntry] = {}
-        self.peak = 0
-        self.full_rejections = 0
 
     def get(self, line_addr: int) -> MshrEntry | None:
         return self._entries.get(line_addr)
@@ -43,11 +41,9 @@ class MshrFile:
         if line_addr in self._entries:
             raise ValueError(f"MSHR already tracks line {line_addr:#x}")
         if self.full:
-            self.full_rejections += 1
             return None
         entry = MshrEntry(line_addr)
         self._entries[line_addr] = entry
-        self.peak = max(self.peak, len(self._entries))
         return entry
 
     def release(self, line_addr: int) -> MshrEntry:

@@ -19,7 +19,7 @@ from repro.experiments.common import (
     ExperimentResult,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
     SENSITIVITY_APPS,
 )
 
@@ -40,14 +40,19 @@ CONFIGS = (
 
 def run(apps=SENSITIVITY_APPS, seeds=None) -> ExperimentResult:
     seeds = seeds or default_seeds()
-    rows = []
-    for label, scheduler, spec, kwargs in CONFIGS:
-        speeds = [
-            mean_speedup(app, scheduler, spec, seeds=seeds,
-                         scheduler_kwargs=kwargs)
-            for app in apps
-        ]
-        rows.append({"config": label, "speedup": geo_or_mean(speeds)})
+    speedup = mean_speedups({
+        (label, app): dict(app=app, scheduler=scheduler, provider_spec=spec,
+                           scheduler_kwargs=kwargs)
+        for label, scheduler, spec, kwargs in CONFIGS
+        for app in apps
+    }, seeds)
+    rows = [
+        {
+            "config": label,
+            "speedup": geo_or_mean(speedup[label, app] for app in apps),
+        }
+        for label, _, _, _ in CONFIGS
+    ]
     return ExperimentResult(
         "ablation",
         "Counter modes, excluded predictors, memory-side rankings",

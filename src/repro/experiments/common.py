@@ -1,8 +1,10 @@
 """Shared experiment machinery: run cache, seed averaging, result tables.
 
-Simulation runs are memoised process-wide, so the FR-FCFS baseline an
-experiment needs is computed once even when several figures share it.
-Scales are environment-tunable for the benchmark harness:
+Each figure lists its simulations first and hands them to
+:func:`cached_runs` as one batch, which simulates them on the engine's
+worker pool (``REPRO_JOBS``).  Results are memoised process-wide, so the
+FR-FCFS baseline an experiment needs is computed once even when several
+figures share it.  Scales are environment-tunable for the benchmark harness:
 
 * ``REPRO_INSTRUCTIONS`` — instructions per core (default 12,000);
 * ``REPRO_SEEDS``        — seeds averaged per data point (default 1);
@@ -15,8 +17,8 @@ import os
 import statistics
 
 from repro.config import SimScale, SystemConfig
-from repro.sim import runner
-from repro.sim.engine import RunSpec, run_one_cached
+from repro.sim import engine, runner
+from repro.sim.engine import RunSpec
 from repro.workloads.parallel import PARALLEL_APP_NAMES
 
 
@@ -58,24 +60,9 @@ def _provider_key(spec):
     return (kind, tuple(sorted((k, str(v)) for k, v in kwargs.items())))
 
 
-def cached_run(
-    kind: str,
-    workload: str,
-    scheduler: str = "fr-fcfs",
-    provider_spec=None,
-    config: SystemConfig | None = None,
-    seed: int = 1,
-    scheduler_kwargs: dict | None = None,
-    slot: int | None = None,
-):
-    """Run (or fetch) one simulation.
-
-    ``kind`` is "parallel", "bundle", or "alone".  Misses in the in-memory
-    memo fall through to the engine's content-addressed disk cache before
-    simulating (see :mod:`repro.sim.engine`).  A run that hit the livelock
-    cap raises ``RuntimeError`` instead of entering a figure.
-    """
-    key = (
+def _memo_key(kind, workload, scheduler="fr-fcfs", provider_spec=None,
+              config=None, seed=1, scheduler_kwargs=None, slot=None):
+    return (
         kind,
         workload,
         scheduler,
@@ -86,25 +73,11 @@ def cached_run(
         slot,
         int(os.environ.get("REPRO_INSTRUCTIONS", "12000")),
     )
-    result = _RUN_CACHE.get(key)
-    if result is not None:
-        return result
-    spec = _spec_for(kind, workload, scheduler, provider_spec, config, seed,
-                     scheduler_kwargs, slot)
-    result = run_one_cached(spec)
-    if result.hit_max_cycles:
-        # A wedged run stops at the cap: its cycle count measures the
-        # cap, not the machine, so no figure may average it.
-        raise RuntimeError(
-            f"{result.label}: stopped at cycle {result.cycles}, the "
-            f"livelock cap of {runner._max_cycles(spec.scale)} cycles"
-        )
-    _RUN_CACHE[key] = result
-    return result
 
 
-def _spec_for(kind, workload, scheduler, provider_spec, config, seed,
-              scheduler_kwargs, slot) -> RunSpec:
+def _spec_for(kind, workload, scheduler="fr-fcfs", provider_spec=None,
+              config=None, seed=1, scheduler_kwargs=None,
+              slot=None) -> RunSpec:
     if kind not in ("parallel", "bundle", "alone"):
         raise ValueError(f"unknown run kind {kind!r}")
     return RunSpec(
@@ -119,52 +92,125 @@ def _spec_for(kind, workload, scheduler, provider_spec, config, seed,
     )
 
 
-def prefetch_runs(requests) -> None:
-    """Warm the cache for a batch of upcoming :func:`cached_run` calls.
+def cached_runs(requests) -> list:
+    """Run (or fetch) a figure's simulations as one batch.
 
-    ``requests`` are dicts of ``cached_run`` keyword arguments (``kind``
-    and ``workload`` required).  Misses are simulated concurrently on the
-    engine's worker pool and land in the disk cache, so the figure's
-    subsequent serial ``cached_run`` calls all hit.  Purely an
-    optimisation: results are identical with or without prefetching.
+    ``requests`` are dicts of :func:`cached_run` keyword arguments
+    (``kind`` and ``workload`` required).  The requests missing from the
+    in-memory memo go to :func:`repro.sim.engine.run_many` together, so
+    they share its worker pool (``REPRO_JOBS``), its disk cache and its
+    one trace set per process; every result it returns is memoised.
+    Returns the results in request order.  A run that hit the livelock
+    cap raises ``RuntimeError`` as soon as the batch returns, instead of
+    entering a figure, and is not memoised.
     """
-    from repro.sim.engine import run_many
+    requests = list(requests)
+    keys = [_memo_key(**request) for request in requests]
+    missing = {}
+    for key, request in zip(keys, requests):
+        if key not in _RUN_CACHE:
+            missing.setdefault(key, request)
+    if missing:
+        specs = [_spec_for(**request) for request in missing.values()]
+        for key, spec, result in zip(missing, specs, engine.run_many(specs)):
+            if result.hit_max_cycles:
+                # A wedged run stops at the cap: its cycle count measures
+                # the cap, not the machine, so no figure may average it.
+                raise RuntimeError(
+                    f"{result.label}: stopped at cycle {result.cycles}, the "
+                    f"livelock cap of {runner._max_cycles(spec.scale)} cycles"
+                )
+            _RUN_CACHE[key] = result
+    return [_RUN_CACHE[key] for key in keys]
 
-    if os.environ.get("REPRO_NO_CACHE", "") not in ("", "0"):
-        return  # nowhere to park the results: prefetching would double work
-    specs = [
-        _spec_for(
-            req["kind"],
-            req["workload"],
-            req.get("scheduler", "fr-fcfs"),
-            req.get("provider_spec"),
-            req.get("config"),
-            req.get("seed", 1),
-            req.get("scheduler_kwargs"),
-            req.get("slot"),
-        )
-        for req in requests
+
+def cached_run(
+    kind: str,
+    workload: str,
+    scheduler: str = "fr-fcfs",
+    provider_spec=None,
+    config: SystemConfig | None = None,
+    seed: int = 1,
+    scheduler_kwargs: dict | None = None,
+    slot: int | None = None,
+):
+    """Run (or fetch) one simulation: a batch of one (:func:`cached_runs`).
+
+    ``kind`` is "parallel", "bundle", or "alone".  Misses in the in-memory
+    memo fall through to the engine's content-addressed disk cache before
+    simulating (see :mod:`repro.sim.engine`).
+    """
+    return cached_runs([dict(
+        kind=kind, workload=workload, scheduler=scheduler,
+        provider_spec=provider_spec, config=config, seed=seed,
+        scheduler_kwargs=scheduler_kwargs, slot=slot,
+    )])[0]
+
+
+def _speedup_runs(seed, app, scheduler, provider_spec, config=None,
+                  scheduler_kwargs=None, baseline_scheduler="fr-fcfs",
+                  baseline_config=None, baseline_provider=None):
+    """The baseline and configuration requests of one speedup cell."""
+    base = dict(
+        kind="parallel", workload=app, scheduler=baseline_scheduler,
+        provider_spec=baseline_provider, config=baseline_config or config,
+        seed=seed,
+    )
+    conf = dict(
+        kind="parallel", workload=app, scheduler=scheduler,
+        provider_spec=provider_spec, config=config, seed=seed,
+        scheduler_kwargs=scheduler_kwargs,
+    )
+    return base, conf
+
+
+def speedups(cells) -> list[float]:
+    """Speedups of many configurations over their baselines, as one batch.
+
+    Each cell is a dict of :func:`mean_speedup` keyword arguments, with
+    one ``seed`` in place of ``seeds`` (``seed``, ``app``, ``scheduler``
+    and ``provider_spec`` required).  Returns each cell's speedup, in
+    cell order.  The batch lists every baseline before any
+    configuration.
+    """
+    pairs = [_speedup_runs(**cell) for cell in cells]
+    runs = cached_runs([base for base, _ in pairs] + [conf for _, conf in pairs])
+    return [
+        base.cycles / conf.cycles
+        for base, conf in zip(runs[:len(pairs)], runs[len(pairs):])
     ]
-    run_many(specs)
+
+
+def mean_speedups(cells, seeds=None) -> dict:
+    """Seed-averaged speedups of many configurations, as one batch.
+
+    ``cells`` maps any key to a dict of :func:`mean_speedup` keyword
+    arguments other than ``seeds`` (``app``, ``scheduler`` and
+    ``provider_spec`` required); returns each key's speedup.  The batch
+    runs seed by seed, cells in order.
+    """
+    seeds = seeds or default_seeds()
+    ratios = speedups(
+        dict(cell, seed=seed) for seed in seeds for cell in cells.values()
+    )
+    # ``ratios`` is seed-major: cell i's value at each seed, in seed order.
+    return {
+        key: statistics.mean(ratios[i::len(cells)])
+        for i, key in enumerate(cells)
+    }
 
 
 def mean_speedup(app, scheduler, provider_spec, config=None, seeds=None,
                  scheduler_kwargs=None, baseline_scheduler="fr-fcfs",
                  baseline_config=None, baseline_provider=None) -> float:
     """Seed-averaged speedup of a configuration over its baseline."""
-    seeds = seeds or default_seeds()
-    values = []
-    for seed in seeds:
-        base = cached_run(
-            "parallel", app, baseline_scheduler,
-            baseline_provider, baseline_config or config, seed,
-        )
-        conf = cached_run(
-            "parallel", app, scheduler, provider_spec, config, seed,
-            scheduler_kwargs=scheduler_kwargs,
-        )
-        values.append(base.cycles / conf.cycles)
-    return statistics.mean(values)
+    return mean_speedups({app: dict(
+        app=app, scheduler=scheduler, provider_spec=provider_spec,
+        config=config, scheduler_kwargs=scheduler_kwargs,
+        baseline_scheduler=baseline_scheduler,
+        baseline_config=baseline_config,
+        baseline_provider=baseline_provider,
+    )}, seeds)[app]
 
 
 class ExperimentResult:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    cached_run,
+    cached_runs,
     default_apps,
     default_seeds,
     geo_or_mean,
@@ -19,11 +19,16 @@ from repro.experiments.common import (
 def run(apps=None, seeds=None) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
+    results = iter(cached_runs(
+        dict(kind="parallel", workload=app, seed=seed)
+        for app in apps
+        for seed in seeds
+    ))
     rows = []
     for app in apps:
         load_fracs, cycle_fracs = [], []
-        for seed in seeds:
-            result = cached_run("parallel", app, "fr-fcfs", seed=seed)
+        for _ in seeds:
+            result = next(results)
             load_fracs.append(result.blocking_load_fraction())
             cycle_fracs.append(result.blocked_cycle_fraction())
         rows.append(

@@ -14,7 +14,7 @@ from repro.experiments.common import (
     default_apps,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
 )
 
 SCHEDULERS = (
@@ -31,14 +31,18 @@ SCHEDULERS = (
 def run(apps=None, seeds=None) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
+    speedup = mean_speedups({
+        (label, app): dict(app=app, scheduler=scheduler, provider_spec=spec,
+                           scheduler_kwargs=kwargs)
+        for label, scheduler, spec, kwargs in SCHEDULERS
+        for app in apps
+    }, seeds)
     columns = ["scheduler"] + list(apps) + ["Average"]
     rows = []
-    for label, scheduler, spec, kwargs in SCHEDULERS:
+    for label, _, _, _ in SCHEDULERS:
         row = {"scheduler": label}
         for app in apps:
-            row[app] = mean_speedup(
-                app, scheduler, spec, seeds=seeds, scheduler_kwargs=kwargs
-            )
+            row[app] = speedup[label, app]
         row["Average"] = geo_or_mean(row[a] for a in apps)
         rows.append(row)
     return ExperimentResult(

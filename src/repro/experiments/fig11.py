@@ -11,7 +11,7 @@ from repro.experiments.common import (
     ExperimentResult,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
     SENSITIVITY_APPS,
 )
 
@@ -20,14 +20,19 @@ COMMAND_COUNTS = (6, 9, 12, 15, 18, 21, 24)
 
 def run(apps=SENSITIVITY_APPS, seeds=None) -> ExperimentResult:
     seeds = seeds or default_seeds()
-    rows = []
-    for n in COMMAND_COUNTS:
-        speeds = [
-            mean_speedup(app, "morse-p", None, seeds=seeds,
-                         scheduler_kwargs={"commands_checked": n})
-            for app in apps
-        ]
-        rows.append({"commands_checked": n, "speedup": geo_or_mean(speeds)})
+    speedup = mean_speedups({
+        (n, app): dict(app=app, scheduler="morse-p", provider_spec=None,
+                       scheduler_kwargs={"commands_checked": n})
+        for n in COMMAND_COUNTS
+        for app in apps
+    }, seeds)
+    rows = [
+        {
+            "commands_checked": n,
+            "speedup": geo_or_mean(speedup[n, app] for app in apps),
+        }
+        for n in COMMAND_COUNTS
+    ]
     return ExperimentResult(
         "fig11",
         "MORSE-P vs number of ready commands evaluated per DRAM cycle",

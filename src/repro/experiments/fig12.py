@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.cbp import CbpMetric
 from repro.experiments.common import (
     ExperimentResult,
-    cached_run,
+    cached_runs,
     default_seeds,
     geo_or_mean,
 )
@@ -29,31 +29,48 @@ SCHEDULERS = (
 )
 
 
-def _alone_ipcs(bundle: str, seed: int):
-    ipcs = []
-    for slot in range(len(BUNDLES[bundle])):
-        result = cached_run("alone", bundle, "par-bs", seed=seed, slot=slot)
-        ipcs.append(result.core_ipc(slot))
-    return ipcs
+def _requests(bundles, seeds) -> dict:
+    """Every run of the figure, keyed by ``(role, bundle, seed)`` (alone
+    runs add their slot); the role is ``alone``, ``base`` or a
+    scheduler label."""
+    requests = {}
+    for bundle in bundles:
+        for seed in seeds:
+            for slot in range(len(BUNDLES[bundle])):
+                requests["alone", bundle, seed, slot] = dict(
+                    kind="alone", workload=bundle, scheduler="par-bs",
+                    seed=seed, slot=slot,
+                )
+            requests["base", bundle, seed] = dict(
+                kind="bundle", workload=bundle, scheduler="par-bs", seed=seed
+            )
+            for label, scheduler, spec, kwargs in SCHEDULERS:
+                requests[label, bundle, seed] = dict(
+                    kind="bundle", workload=bundle, scheduler=scheduler,
+                    provider_spec=spec, seed=seed, scheduler_kwargs=kwargs,
+                )
+    return requests
 
 
 def run(bundles=None, seeds=None) -> ExperimentResult:
     bundles = bundles or tuple(sorted(BUNDLES))
     seeds = seeds or default_seeds()
+    requests = _requests(bundles, seeds)
+    runs = dict(zip(requests, cached_runs(requests.values())))
     columns = ["scheduler"] + list(bundles) + ["Average", "max_slowdown"]
     rows = []
-    for label, scheduler, spec, kwargs in SCHEDULERS:
+    for label, _, _, _ in SCHEDULERS:
         row = {"scheduler": label}
         slowdowns = []
         for bundle in bundles:
             values = []
             for seed in seeds:
-                alone = _alone_ipcs(bundle, seed)
-                base = cached_run("bundle", bundle, "par-bs", seed=seed)
-                conf = cached_run(
-                    "bundle", bundle, scheduler, spec, seed=seed,
-                    scheduler_kwargs=kwargs,
-                )
+                alone = [
+                    runs["alone", bundle, seed, slot].core_ipc(slot)
+                    for slot in range(len(BUNDLES[bundle]))
+                ]
+                base = runs["base", bundle, seed]
+                conf = runs[label, bundle, seed]
                 values.append(
                     weighted_speedup(conf, alone) / weighted_speedup(base, alone)
                 )

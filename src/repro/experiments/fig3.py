@@ -13,8 +13,7 @@ from repro.experiments.common import (
     default_apps,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
-    prefetch_runs,
+    mean_speedups,
 )
 
 TABLE_SIZES = (64, 256, 1024, None)
@@ -36,34 +35,21 @@ def _configs():
 def run(apps=None, seeds=None, algorithms=("crit-casras", "casras-crit")) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
-    prefetch_runs(
-        [
-            {"kind": "parallel", "workload": app, "seed": seed}
-            for seed in seeds
-            for app in apps
-        ]
-        + [
-            {
-                "kind": "parallel",
-                "workload": app,
-                "scheduler": algorithm,
-                "provider_spec": _normalise(spec),
-                "seed": seed,
-            }
-            for seed in seeds
-            for app in apps
-            for algorithm in algorithms
-            for _, spec in _configs()
-        ]
-    )
+    speedup = mean_speedups({
+        (app, algorithm, label): dict(
+            app=app, scheduler=algorithm, provider_spec=_normalise(spec)
+        )
+        for app in apps
+        for algorithm in algorithms
+        for label, spec in _configs()
+    }, seeds)
     columns = ["algorithm", "config"] + list(apps) + ["Average"]
     rows = []
     for algorithm in algorithms:
-        for label, spec in _configs():
-            spec = _normalise(spec)
+        for label, _ in _configs():
             row = {"algorithm": algorithm, "config": label}
             for app in apps:
-                row[app] = mean_speedup(app, algorithm, spec, seeds=seeds)
+                row[app] = speedup[app, algorithm, label]
             row["Average"] = geo_or_mean(row[a] for a in apps)
             rows.append(row)
     return ExperimentResult(

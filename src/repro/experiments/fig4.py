@@ -14,8 +14,7 @@ from repro.experiments.common import (
     default_apps,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
-    prefetch_runs,
+    mean_speedups,
 )
 
 PREDICTORS = (
@@ -31,31 +30,17 @@ PREDICTORS = (
 def run(apps=None, seeds=None, scheduler="casras-crit") -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
-    prefetch_runs(
-        [
-            {"kind": "parallel", "workload": app, "seed": seed}
-            for seed in seeds
-            for app in apps
-        ]
-        + [
-            {
-                "kind": "parallel",
-                "workload": app,
-                "scheduler": scheduler,
-                "provider_spec": spec,
-                "seed": seed,
-            }
-            for seed in seeds
-            for app in apps
-            for _, spec in PREDICTORS
-        ]
-    )
+    speedup = mean_speedups({
+        (app, label): dict(app=app, scheduler=scheduler, provider_spec=spec)
+        for app in apps
+        for label, spec in PREDICTORS
+    }, seeds)
     columns = ["predictor"] + list(apps) + ["Average"]
     rows = []
-    for label, spec in PREDICTORS:
+    for label, _ in PREDICTORS:
         row = {"predictor": label}
         for app in apps:
-            row[app] = mean_speedup(app, scheduler, spec, seeds=seeds)
+            row[app] = speedup[app, label]
         row["Average"] = geo_or_mean(row[a] for a in apps)
         rows.append(row)
     return ExperimentResult(

@@ -13,7 +13,7 @@ from repro.experiments.common import (
     default_apps,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
 )
 
 TABLE_SIZES = (64, 256, 1024, None)
@@ -22,14 +22,24 @@ TABLE_SIZES = (64, 256, 1024, None)
 def run(apps=None, seeds=None) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
+    speedup = mean_speedups({
+        (entries, app): dict(
+            app=app,
+            scheduler="casras-crit",
+            provider_spec=(
+                "cbp", {"entries": entries, "metric": CbpMetric.MAX_STALL}
+            ),
+        )
+        for entries in TABLE_SIZES
+        for app in apps
+    }, seeds)
     columns = ["table"] + list(apps) + ["Average"]
     rows = []
     for entries in TABLE_SIZES:
         label = "unlimited" if entries is None else f"{entries}-entry"
-        spec = ("cbp", {"entries": entries, "metric": CbpMetric.MAX_STALL})
         row = {"table": label}
         for app in apps:
-            row[app] = mean_speedup(app, "casras-crit", spec, seeds=seeds)
+            row[app] = speedup[entries, app]
         row["Average"] = geo_or_mean(row[a] for a in apps)
         rows.append(row)
     return ExperimentResult(

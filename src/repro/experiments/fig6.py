@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.cbp import CbpMetric
 from repro.experiments.common import (
     ExperimentResult,
-    cached_run,
+    cached_runs,
     default_apps,
     default_seeds,
     geo_or_mean,
@@ -31,16 +31,21 @@ def run(apps=None, seeds=None) -> ExperimentResult:
     columns = ["app"]
     for label, _s, _m in CONFIGS:
         columns += [f"{label} crit", f"{label} noncrit"]
+    results = iter(cached_runs(
+        dict(kind="parallel", workload=app, scheduler=scheduler,
+             provider_spec=("cbp", {"entries": 64, "metric": metric}),
+             seed=seed)
+        for app in apps
+        for _, scheduler, metric in CONFIGS
+        for seed in seeds
+    ))
     rows = []
     for app in apps:
         row = {"app": app}
-        for label, scheduler, metric in CONFIGS:
+        for label, _, _ in CONFIGS:
             crit_vals, noncrit_vals = [], []
-            for seed in seeds:
-                result = cached_run(
-                    "parallel", app, scheduler,
-                    ("cbp", {"entries": 64, "metric": metric}), seed=seed,
-                )
+            for _ in seeds:
+                result = next(results)
                 crit_vals.append(result.hierarchy.mean_latency(True))
                 noncrit_vals.append(result.hierarchy.mean_latency(False))
             row[f"{label} crit"] = geo_or_mean(crit_vals)

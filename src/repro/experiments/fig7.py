@@ -8,7 +8,6 @@ prefetching.  Paper: FR-FCFS-Prefetch 1.084; adding the CBP still helps
 
 from __future__ import annotations
 
-
 from repro.config import PrefetcherConfig, SystemConfig
 from repro.core.cbp import CbpMetric
 from repro.experiments.common import (
@@ -16,7 +15,7 @@ from repro.experiments.common import (
     default_apps,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
 )
 
 METRICS = (
@@ -39,16 +38,26 @@ def run(apps=None, seeds=None) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
     pf = prefetch_config()
+    speedup = mean_speedups({
+        (label, app): dict(
+            app=app,
+            scheduler=scheduler,
+            provider_spec=(
+                None if metric is None
+                else ("cbp", {"entries": 64, "metric": metric})
+            ),
+            config=pf,
+            baseline_config=SystemConfig(),  # no prefetch baseline
+        )
+        for label, metric, scheduler in METRICS
+        for app in apps
+    }, seeds)
     columns = ["config"] + list(apps) + ["Average"]
     rows = []
-    for label, metric, scheduler in METRICS:
-        spec = None if metric is None else ("cbp", {"entries": 64, "metric": metric})
+    for label, _, _ in METRICS:
         row = {"config": label}
         for app in apps:
-            row[app] = mean_speedup(
-                app, scheduler, spec, config=pf, seeds=seeds,
-                baseline_config=SystemConfig(),  # no prefetch baseline
-            )
+            row[app] = speedup[label, app]
         row["Average"] = geo_or_mean(row[a] for a in apps)
         rows.append(row)
     return ExperimentResult(

@@ -7,17 +7,19 @@ Paper: fewer ranks => more contention => larger criticality gains (e.g.
 
 from __future__ import annotations
 
+from itertools import islice
 
 from repro.config import DDR3_1600, DDR3_2133, DramConfig, SystemConfig
 from repro.core.cbp import CbpMetric
 from repro.experiments.common import (
     ExperimentResult,
-    cached_run,
     default_seeds,
     geo_or_mean,
+    speedups,
     SENSITIVITY_APPS,
 )
 
+DEVICES = (DDR3_1600, DDR3_2133)
 RANKS = (1, 2, 4)
 CONFIGS = (
     ("FR-FCFS", "fr-fcfs", None),
@@ -33,25 +35,25 @@ def _system(timings, ranks) -> SystemConfig:
 
 def run(apps=SENSITIVITY_APPS, seeds=None) -> ExperimentResult:
     seeds = seeds or default_seeds()
+    ratios = iter(speedups(
+        dict(
+            app=app, scheduler=scheduler, provider_spec=spec, seed=seed,
+            config=_system(timings, ranks),
+            # Baseline: single-rank FR-FCFS on the same device.
+            baseline_config=_system(timings, 1),
+        )
+        for timings in DEVICES
+        for ranks in RANKS
+        for _, scheduler, spec in CONFIGS
+        for app in apps
+        for seed in seeds
+    ))
     rows = []
-    for timings in (DDR3_1600, DDR3_2133):
-        # Baseline: single-rank FR-FCFS on the same device.
+    for timings in DEVICES:
         for ranks in RANKS:
             row = {"device": timings.name, "ranks": ranks}
-            for label, scheduler, spec in CONFIGS:
-                speeds = []
-                for app in apps:
-                    for seed in seeds:
-                        base = cached_run(
-                            "parallel", app, "fr-fcfs", None,
-                            _system(timings, 1), seed,
-                        )
-                        conf = cached_run(
-                            "parallel", app, scheduler, spec,
-                            _system(timings, ranks), seed,
-                        )
-                        speeds.append(base.cycles / conf.cycles)
-                row[label] = geo_or_mean(speeds)
+            for label, _, _ in CONFIGS:
+                row[label] = geo_or_mean(islice(ratios, len(apps) * len(seeds)))
             rows.append(row)
     return ExperimentResult(
         "fig8",

@@ -13,22 +13,31 @@ from repro.experiments.common import (
     default_apps,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
+)
+
+PROVIDERS = (
+    ("naive", ("naive", {})),
+    ("MaxStallTime CBP", ("cbp", {"entries": 64, "metric": CbpMetric.MAX_STALL})),
 )
 
 
 def run(apps=None, seeds=None) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
-    rows = []
-    for app in apps:
-        naive = mean_speedup(app, "casras-crit", ("naive", {}), seeds=seeds)
-        predicted = mean_speedup(
-            app, "casras-crit",
-            ("cbp", {"entries": 64, "metric": CbpMetric.MAX_STALL}),
-            seeds=seeds,
-        )
-        rows.append({"app": app, "naive": naive, "MaxStallTime CBP": predicted})
+    speedup = mean_speedups({
+        (app, label): dict(app=app, scheduler="casras-crit", provider_spec=spec)
+        for app in apps
+        for label, spec in PROVIDERS
+    }, seeds)
+    rows = [
+        {
+            "app": app,
+            "naive": speedup[app, "naive"],
+            "MaxStallTime CBP": speedup[app, "MaxStallTime CBP"],
+        }
+        for app in apps
+    ]
     rows.append(
         {
             "app": "Average",

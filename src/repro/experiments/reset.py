@@ -14,7 +14,7 @@ from repro.experiments.common import (
     ExperimentResult,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
 )
 from repro.workloads.parallel import PARALLEL_APP_NAMES
 
@@ -23,20 +23,37 @@ TEST_APPS = tuple(a for a in PARALLEL_APP_NAMES if a not in TRAIN_APPS)
 INTERVALS = (None, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000)
 
 
-def _speedup_over_apps(apps, interval, entries, metric, seeds):
-    spec = ("cbp", {"entries": entries, "metric": metric,
-                    "reset_interval": interval})
-    return geo_or_mean(
-        mean_speedup(app, "casras-crit", spec, seeds=seeds) for app in apps
-    )
+def _speedups_over_apps(apps, settings, metric, seeds):
+    """Per ``(interval, entries)`` setting, the average speedup over
+    ``apps``; all the settings' runs go in one batch."""
+    speedup = mean_speedups({
+        (interval, entries, app): dict(
+            app=app,
+            scheduler="casras-crit",
+            provider_spec=("cbp", {"entries": entries, "metric": metric,
+                                   "reset_interval": interval}),
+        )
+        for interval, entries in settings
+        for app in apps
+    }, seeds)
+    return {
+        (interval, entries): geo_or_mean(
+            speedup[interval, entries, app] for app in apps
+        )
+        for interval, entries in settings
+    }
 
 
 def run(seeds=None, metric=CbpMetric.BINARY) -> ExperimentResult:
     seeds = seeds or default_seeds()
+    # The test set's interval is the training set's best: two batches.
+    train = _speedups_over_apps(
+        TRAIN_APPS, [(interval, 64) for interval in INTERVALS], metric, seeds
+    )
     rows = []
     best_interval, best_value = None, -1.0
     for interval in INTERVALS:
-        value = _speedup_over_apps(TRAIN_APPS, interval, 64, metric, seeds)
+        value = train[interval, 64]
         rows.append(
             {
                 "set": "train",
@@ -48,15 +65,20 @@ def run(seeds=None, metric=CbpMetric.BINARY) -> ExperimentResult:
         if interval is not None and value > best_value:
             best_interval, best_value = interval, value
     # Test set: no-reset vs best interval, finite and unlimited tables.
+    test = _speedups_over_apps(
+        TEST_APPS,
+        [(interval, entries)
+         for interval in (None, best_interval) for entries in (64, None)],
+        metric,
+        seeds,
+    )
     for interval in (None, best_interval):
         rows.append(
             {
                 "set": "test",
                 "interval": "none" if interval is None else interval,
-                "speedup_64": _speedup_over_apps(TEST_APPS, interval, 64, metric, seeds),
-                "speedup_unlimited": _speedup_over_apps(
-                    TEST_APPS, interval, None, metric, seeds
-                ),
+                "speedup_64": test[interval, 64],
+                "speedup_unlimited": test[interval, None],
             }
         )
     return ExperimentResult(

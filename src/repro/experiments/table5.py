@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.cbp import CbpMetric, CommitBlockPredictor
 from repro.experiments.common import (
     ExperimentResult,
-    cached_run,
+    cached_runs,
     default_apps,
     default_seeds,
 )
@@ -29,17 +29,21 @@ PAPER_WIDTHS = {
 def run(apps=None, seeds=None) -> ExperimentResult:
     apps = apps or default_apps()
     seeds = seeds or default_seeds()
+    results = cached_runs(
+        dict(kind="parallel", workload=app, scheduler="casras-crit",
+             provider_spec=("cbp", {"entries": None, "metric": metric}),
+             seed=seed)
+        for metric in CbpMetric
+        for app in apps
+        for seed in seeds
+    )
+    per_metric = len(apps) * len(seeds)
     rows = []
-    for metric in CbpMetric:
+    for i, metric in enumerate(CbpMetric):
         max_observed = 0
-        for app in apps:
-            for seed in seeds:
-                result = cached_run(
-                    "parallel", app, "casras-crit",
-                    ("cbp", {"entries": None, "metric": metric}), seed=seed,
-                )
-                for provider in result.providers:
-                    max_observed = max(max_observed, provider.cbp.max_observed)
+        for result in results[i * per_metric:(i + 1) * per_metric]:
+            for provider in result.providers:
+                max_observed = max(max_observed, provider.cbp.max_observed)
         rows.append(
             {
                 "metric": metric.value,

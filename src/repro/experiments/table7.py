@@ -14,7 +14,7 @@ from repro.experiments.common import (
     ExperimentResult,
     default_seeds,
     geo_or_mean,
-    mean_speedup,
+    mean_speedups,
     SENSITIVITY_APPS,
 )
 from repro.experiments.overhead import predictor_overhead
@@ -49,12 +49,15 @@ def run(apps=SENSITIVITY_APPS, seeds=None, bundles=("AELV", "RFGI")) -> Experime
     multi_by_label = {
         row["scheduler"]: row["Average"] for row in multi.rows
     }
+    speedup = mean_speedups({
+        (label, app): dict(app=app, scheduler=scheduler, provider_spec=spec,
+                           scheduler_kwargs=kwargs)
+        for label, scheduler, spec, kwargs, _, _ in SCHEDULERS
+        for app in apps
+    }, seeds)
     rows = []
-    for label, scheduler, spec, kwargs, storage, scales in SCHEDULERS:
-        parallel = geo_or_mean(
-            mean_speedup(app, scheduler, spec, seeds=seeds, scheduler_kwargs=kwargs)
-            for app in apps
-        )
+    for label, scheduler, _, _, storage, scales in SCHEDULERS:
+        parallel = geo_or_mean(speedup[label, app] for app in apps)
         if storage is None:
             o = predictor_overhead(_CBP_BITS[label])
             storage = f"{o['total_bytes_low']}-{o['total_bytes_high']} B"

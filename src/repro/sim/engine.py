@@ -131,14 +131,32 @@ def code_version() -> str:
     if override:
         version = override
     else:
-        digest = hashlib.sha256()
-        root = Path(__file__).resolve().parent.parent  # src/repro
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-        version = digest.hexdigest()[:16]
+        root = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+        version = _source_digest(root)  # src/repro
     _CODE_VERSION_CACHE[override] = version
     return version
+
+
+def _source_digest(root: str) -> str:
+    """SHA-256 prefix over every ``*.py`` file under ``root``: each
+    file's relative path, then its bytes, files in the order of their
+    path components (the order of sorted ``Path.rglob`` paths)."""
+    files = []
+    pending = [()]
+    while pending:
+        parts = pending.pop()
+        with os.scandir(os.path.join(root, *parts)) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append(parts + (entry.name,))
+                elif entry.name.endswith(".py"):
+                    files.append(parts + (entry.name,))
+    digest = hashlib.sha256()
+    for parts in sorted(files):
+        digest.update("/".join(parts).encode())
+        with open(os.path.join(root, *parts), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()[:16]
 
 
 def spec_key(spec: RunSpec) -> str:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -85,6 +87,44 @@ class TestSpecKey:
     def test_callable_provider_is_unportable(self):
         with pytest.raises(UnportableSpec):
             spec_key(_spec(provider_spec=lambda core: None))
+
+
+def _rglob_digest(root: Path) -> str:
+    """The code version as first written: sorted ``rglob`` paths."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+class TestCodeVersion:
+    ROOT = Path(engine.__file__).resolve().parent.parent
+
+    def test_matches_the_rglob_digest(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        monkeypatch.setattr(engine, "_CODE_VERSION_CACHE", {})
+        assert engine.code_version() == _rglob_digest(self.ROOT)
+
+    def test_files_sort_by_path_components(self, tmp_path):
+        # By components "x/y.py" precedes "x-y.py"; as strings it follows.
+        for name in ("x.py", "x-y.py", "x/y.py", "x/z/a.py", "x0.py",
+                     ".h/b.py", "notes.txt"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(name)
+        assert engine._source_digest(str(tmp_path)) == _rglob_digest(tmp_path)
+
+    def test_one_changed_byte_changes_the_version(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(self.ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = engine._source_digest(str(copy))
+        assert before == _rglob_digest(self.ROOT)
+        target = copy / "cache" / "mshr.py"
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 1
+        target.write_bytes(bytes(data))
+        assert engine._source_digest(str(copy)) != before
 
 
 class TestDiskCache:

@@ -4,12 +4,14 @@ Runs at a drastically reduced scale (few hundred instructions) — these
 tests check structure, not measured values.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import common
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.sim import engine
 from repro.workloads.synthetic import clear_trace_cache
 
 
@@ -186,11 +188,11 @@ class TestRunCache:
 
         simulated = []
 
-        def fake_run(spec):
-            simulated.append(spec.config)
-            return SimpleNamespace(hit_max_cycles=False)
+        def fake_run_many(specs):
+            simulated.extend(spec.config for spec in specs)
+            return [SimpleNamespace(hit_max_cycles=False) for _ in specs]
 
-        monkeypatch.setattr(common, "run_one_cached", fake_run)
+        monkeypatch.setattr(engine, "run_many", fake_run_many)
         base = SystemConfig()
         variants = [
             base,
@@ -215,13 +217,16 @@ class TestRunCache:
         cap = _max_cycles(common.experiment_scale())
         calls = []
 
-        def fake_run(spec):
-            calls.append(spec)
-            return SimpleNamespace(
-                hit_max_cycles=True, cycles=cap, label="fft/fr-fcfs"
-            )
+        def fake_run_many(specs):
+            calls.extend(specs)
+            return [
+                SimpleNamespace(
+                    hit_max_cycles=True, cycles=cap, label="fft/fr-fcfs"
+                )
+                for _ in specs
+            ]
 
-        monkeypatch.setattr(common, "run_one_cached", fake_run)
+        monkeypatch.setattr(engine, "run_many", fake_run_many)
         for _ in range(2):
             with pytest.raises(RuntimeError) as info:
                 common.mean_speedup("fft", "fr-fcfs", None)
@@ -230,3 +235,115 @@ class TestRunCache:
             assert f"cycle {cap}" in message
             assert f"cap of {cap} cycles" in message
         assert len(calls) == 2
+
+    def test_capped_run_in_a_batch_fails_its_figure_at_once(self, monkeypatch):
+        """A figure whose batch returns one capped run raises naming that
+        run, does not memoise it, and simulates nothing more."""
+        from repro.sim.runner import _max_cycles
+
+        cap = _max_cycles(common.experiment_scale())
+        batches = []
+
+        def fake_run_many(specs):
+            batches.append(specs)
+            return [
+                SimpleNamespace(
+                    hit_max_cycles=i == 3, cycles=cap if i == 3 else 1000,
+                    label=f"run{i}",
+                )
+                for i, _ in enumerate(specs)
+            ]
+
+        def no_run(spec):
+            raise AssertionError(f"{spec.workload} simulated after its batch")
+
+        monkeypatch.setattr(engine, "run_many", fake_run_many)
+        monkeypatch.setattr(engine, "run_one", no_run)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment("fig4", apps=("radix",))
+        assert str(info.value) == (
+            f"run3: stopped at cycle {cap}, the livelock cap of {cap} cycles"
+        )
+        assert [len(specs) for specs in batches] == [7]
+        memoised = sorted(r.label for r in common._RUN_CACHE.values())
+        assert memoised == ["run0", "run1", "run2"]
+
+
+#: Small arguments for every experiment that simulates through the engine
+#: (``mechanism`` builds its own traces; ``overhead`` is analytic).
+BATCHED = {
+    "fig1": {"apps": TWO_APPS},
+    "fig3": {"apps": TWO_APPS, "algorithms": ("casras-crit",)},
+    "fig4": {"apps": TWO_APPS},
+    "fig5": {"apps": TWO_APPS},
+    "fig6": {"apps": TWO_APPS},
+    "fig7": {"apps": TWO_APPS},
+    "fig8": {"apps": TWO_APPS},
+    "fig9": {"apps": TWO_APPS},
+    "fig10": {"apps": TWO_APPS},
+    "fig11": {"apps": TWO_APPS},
+    "fig12": {"bundles": ("AELV",)},
+    "table5": {"apps": TWO_APPS},
+    "table7": {"apps": TWO_APPS, "bundles": ("AELV",)},
+    "naive": {"apps": TWO_APPS},
+    "reset": {},
+    "ablation": {"apps": TWO_APPS},
+}
+
+
+class TestBatching:
+    def test_every_simulating_experiment_is_listed(self):
+        assert set(BATCHED) == set(EXPERIMENTS) - {"mechanism", "overhead"}
+
+    @pytest.mark.parametrize("experiment_id", sorted(BATCHED))
+    def test_every_simulation_comes_from_run_many(
+        self, experiment_id, monkeypatch, tmp_path
+    ):
+        """Each experiment simulates only inside ``engine.run_many``, so
+        its runs share the worker pool, whatever ``REPRO_JOBS`` says."""
+        from repro.experiments import reset
+
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "300")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(reset, "TRAIN_APPS", ("radix",))
+        monkeypatch.setattr(reset, "TEST_APPS", ("fft",))
+        monkeypatch.setattr(reset, "INTERVALS", (None, 50_000))
+        run_many, run_one = engine.run_many, engine.run_one
+        depth, simulated = [0], []
+
+        def batch(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return run_many(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def checked(spec):
+            assert depth[0], f"{spec.workload} simulated outside run_many"
+            simulated.append(spec)
+            return run_one(spec)
+
+        monkeypatch.setattr(engine, "run_many", batch)
+        monkeypatch.setattr(engine, "run_one", checked)
+        run_experiment(experiment_id, **BATCHED[experiment_id])
+        assert simulated
+
+    def test_warm_figure_reads_each_result_once(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_experiment("fig4", apps=TWO_APPS)
+        common.clear_run_cache()
+        reads = Counter()
+        load_cached = engine.load_cached
+
+        def counted(key):
+            reads[key] += 1
+            return load_cached(key)
+
+        monkeypatch.setattr(engine, "load_cached", counted)
+        engine.clear_metrics()
+        run_experiment("fig4", apps=TWO_APPS)
+        runs = len(TWO_APPS) * 7  # the baseline and six predictors
+        assert len(reads) == runs and set(reads.values()) == {1}
+        assert [m["source"] for m in engine.last_metrics] == ["disk"] * runs
+        assert {m["key"] for m in engine.last_metrics} == set(reads)
