@@ -7,17 +7,13 @@
     python -m repro lint [paths...]            # simulator-specific AST lint
     python -m repro analyze [paths...]         # whole-program semantic analysis
     python -m repro check-determinism fft      # cross-mode/-process chains
-    python -m repro profile fft                # cProfile + component report
-    python -m repro profile fft --engines all  # engine A/B timing
-    python -m repro profile fft --counters     # REPRO_PERF counter snapshot
+    python -m repro profile fft                # engine timing + identity
     python -m repro stats fft --sample-every 256   # telemetry summaries
     python -m repro trace fft --out timeline.json  # Chrome/Perfetto trace
     python -m repro trace fft --stream DIR         # stream events while running
     python -m repro trace --from-stream DIR        # finalize a streamed trace
     python -m repro trace --from-stream DIR --follow   # tail raw events live
     python -m repro watch DIR                      # live dashboard of a stream
-    python -m repro watch ROOT                     # fleet table (REPRO_FLEET_DIR)
-    python -m repro watch ROOT --run ID            # drill into one fleet run
 
 ``run`` and ``experiment`` accept engine flags: ``--jobs N`` (worker
 processes), ``--no-cache`` (bypass the on-disk result cache),
@@ -248,18 +244,6 @@ def _cmd_trace(args) -> int:
     )
 
     if args.from_stream:
-        from repro.telemetry import fleet
-
-        if fleet.is_fleet_root(args.from_stream):
-            # a registry root holds many runs' streams, not one stream
-            runs = ", ".join(
-                e["run_id"]
-                for e in fleet.RunRegistry(args.from_stream).entries()
-            ) or "(none registered yet)"
-            print(f"error: {args.from_stream} is a fleet registry root, "
-                  f"not a stream directory; pass one of its runs "
-                  f"instead: {runs}", file=sys.stderr)
-            return 1
         if args.follow:
             from repro.telemetry.monitor import follow_events
 
@@ -334,7 +318,6 @@ def _cmd_watch(args) -> int:
         interval=args.interval,
         once=args.once,
         frames=args.frames,
-        run=args.run,
     )
 
 
@@ -427,32 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="render a single frame and exit")
     watch_p.add_argument("--frames", type=int, default=None, metavar="N",
                          help="exit after N refreshes (for CI)")
-    watch_p.add_argument("--run", default=None, metavar="ID",
-                         help="with a fleet root (REPRO_FLEET_DIR): drill "
-                              "down into one registered run by id or label")
 
     prof_p = sub.add_parser(
         "profile",
-        help="profile one workload run and attribute time per component",
+        help="time one workload run per engine and check they agree",
     )
-    prof_p.add_argument("app", help="parallel workload to profile")
+    prof_p.add_argument("app", help="parallel workload to time")
     prof_p.add_argument("--scheduler", default="fr-fcfs")
     prof_p.add_argument("--cbp", type=int, default=0,
                         help="CBP entries (0 disables the predictor)")
     prof_p.add_argument("--instructions", type=int, default=12_000)
     prof_p.add_argument("--seed", type=int, default=1)
-    prof_p.add_argument("--top", type=int, default=15, metavar="N",
-                        help="top functions to list by tottime")
-    _add_engine_choice(prof_p, "loop implementation to profile")
-    prof_p.add_argument("--engines", default=None, metavar="A,B,...",
-                        help="instead of profiling, time one run per "
-                             "engine and report speedups vs naive + "
-                             "identity ('all' enumerates every "
+    prof_p.add_argument("--engines", default="all", metavar="A,B,...",
+                        help="engines to time; speedups are reported vs "
+                             "naive ('all', the default, enumerates every "
                              "registered engine)")
-    prof_p.add_argument("--counters", action="store_true",
-                        help="instead of cProfile, run once with "
-                             "REPRO_PERF=1 and render the host "
-                             "perf-counter snapshot")
     prof_p.add_argument("--json", default=None, metavar="PATH",
                         help="also write the report as JSON")
 

@@ -564,7 +564,7 @@ class RawPersistenceRule(Rule):
     """IO001: raw rename or append-mode open outside ``repro.util.atomicio``.
 
     Worker processes share on-disk artifacts (result cache, manifests,
-    fleet registry, ``REPRO_RUN_LOG``).  A buffered ``open(path, "a")``
+    ``REPRO_RUN_LOG``).  A buffered ``open(path, "a")``
     can flush mid-record and interleave with another writer's lines; a
     hand-rolled ``os.replace`` tends to skip tmp + fsync.  Both idioms
     live in :mod:`repro.util.atomicio`, the only module allowlisted.

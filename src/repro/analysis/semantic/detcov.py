@@ -152,9 +152,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
 #: Attribute-name prefixes exempt everywhere, with one shared rationale.
 ALLOWLIST_PREFIXES: dict[str, str] = {
     "_m_": "telemetry instrument handle bound lazily at registration",
-    "_perf": "host-side perf counters (REPRO_PERF): simulator "
-    "observability, deliberately outside det_state and every "
-    "simulated-machine statistic",
 }
 
 #: Class-name substrings never audited (statistics are settled lazily

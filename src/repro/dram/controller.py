@@ -548,10 +548,6 @@ class MemorySystem:
         # open gap (try_enqueue / presettle).  The naive loop samples every
         # edge itself through :meth:`step`.
         self._batched = False
-        # Host-side perf counters (REPRO_PERF=1): set by System when
-        # enabled, else None.  Host observability only — never part of
-        # det_state or any simulated-machine statistic.
-        self._perf = None
 
     # -- request path -----------------------------------------------------------
 
@@ -659,7 +655,6 @@ class MemorySystem:
         dram_now = cpu_now // self._ratio
         wakes = self._chan_wake
         settled = self._chan_settled
-        perf = self._perf
         for i, channel in enumerate(self.channels):
             if wakes[i] > dram_now:
                 continue
@@ -671,8 +666,6 @@ class MemorySystem:
             settled[i] = dram_now + 1
             # repro-batch: cert=ChannelController.next_wake_window
             wakes[i] = channel.next_wake_window(dram_now)
-            if perf is not None:
-                perf.chan_wake_republishes += 1
 
     # The per-layer benchmark tracer (bench/spans.py) wraps this method by
     # its former name; the alias keeps that harness installable.

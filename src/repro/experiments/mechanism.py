@@ -70,6 +70,7 @@ def run(latency_cores: int = 1, cores: int = 2, instructions: int | None = None,
     scale = experiment_scale()
     n = instructions or max(24_000, scale.instructions_per_core)
     config = SystemConfig(cores=cores, dram=DramConfig(channels=channels))
+    cap = 60 * n * 10
     results = {}
     for scheduler in SCHEDULERS:
         traces = []
@@ -82,7 +83,14 @@ def run(latency_cores: int = 1, cores: int = 2, instructions: int | None = None,
             config, traces, scheduler=scheduler,
             provider_spec=("cbp", {"entries": None}),
         )
-        results[scheduler] = system.run(max_cycles=60 * n * 10)
+        result = system.run(max_cycles=cap)
+        if result.hit_max_cycles:
+            # A wedged run's finish cycles measure the cap, not the machine.
+            raise RuntimeError(
+                f"{result.label}: stopped at cycle {result.cycles}, the "
+                f"livelock cap of {cap} cycles"
+            )
+        results[scheduler] = result
     base = results["fr-fcfs"]
     lat = slice(0, latency_cores)
     bw = slice(latency_cores, config.cores)

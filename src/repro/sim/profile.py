@@ -1,24 +1,15 @@
-"""Profiler-driven hot-path reporting: ``python -m repro profile``.
+"""Engine comparison: ``python -m repro profile``.
 
-Two observation modes over the same workload:
+Runs the same workload once per engine (``--engines``, default ``all``:
+every registered engine) and reports wall clock, cycles/second, and
+speedup over the naive reference (or the first engine listed when naive
+is absent).  The runs must also agree on the determinism chain and
+result fingerprint, so the comparison doubles as a cheap cross-engine
+identity check; the command exits 1 when they diverge.
 
-* **cProfile attribution** (the default): run one simulation under
-  :mod:`cProfile` and fold the per-function ``tottime`` into a
-  per-component report (core model, DRAM, caches, scheduler, telemetry,
-  determinism chain, engine loop), plus the top-N functions.  This is
-  the measurement the engine work is gated on — "where do the cycles
-  go" is answered by data, not assertion.
-* **engine comparison** (``--engines all`` or ``--engines A,B,...``):
-  run the same workload once per engine *without* the profiler and
-  report wall clock, cycles/second, and speedup over the naive
-  reference (or the first engine listed when naive is absent).
-  ``all`` enumerates every registered engine.  The runs must also
-  agree on the determinism chain and result fingerprint, so the
-  comparison doubles as a cheap cross-engine identity check.
-* **perf counters** (``--counters``): run once with ``REPRO_PERF=1``
-  and render the :mod:`repro.telemetry.perfcounters` snapshot — engine
-  internals (event pushes/pops, wake-heap churn, skip windows) plus
-  per-phase wall-clock attribution, without cProfile's overhead.
+Per-layer host time is billed from outside the package by the benchmark
+tracer (``bench/spans.py``); ad-hoc profiling is
+``python -m cProfile -m repro run ...``.
 
 Wall-clock reads in this module are observability only — they go
 through :mod:`repro.util.hostclock` and are reported, never fed back
@@ -27,40 +18,10 @@ into simulated state.
 
 from __future__ import annotations
 
-import cProfile
 import json
-import pstats
 
 from repro.config import SimScale
 from repro.util import hostclock
-
-#: Maps source-path fragments to report components, first match wins.
-#: Order matters: the engine loop lives in sim/ but so do stats/report
-#: helpers, and detchain is the interesting part of analysis/.
-_COMPONENTS = (
-    ("repro/cpu/", "core-model"),
-    ("repro/core/", "criticality"),
-    ("repro/dram/", "dram"),
-    ("repro/cache/", "cache"),
-    ("repro/sched/", "scheduler"),
-    ("repro/telemetry/", "telemetry"),
-    ("repro/analysis/detchain", "det-chain"),
-    ("repro/analysis/", "analysis"),
-    ("repro/sim/system", "engine-loop"),
-    ("repro/sim/events", "engine-loop"),
-    ("repro/sim/", "engine-other"),
-    ("repro/workloads/", "workload-gen"),
-)
-
-
-def _component(path: str) -> str:
-    normalized = path.replace("\\", "/")
-    for fragment, component in _COMPONENTS:
-        if fragment in normalized:
-            return component
-    if "repro/" in normalized:
-        return "repro-other"
-    return "python/stdlib"
 
 
 def _run_workload(args):
@@ -77,58 +38,9 @@ def _run_workload(args):
     )
 
 
-def profile_run(args) -> dict:
-    """Profile one run; returns the report dict (also printed by the CLI)."""
-    profiler = cProfile.Profile()
-    start = hostclock.now()
-    profiler.enable()
-    result = _run_workload(args)
-    profiler.disable()
-    wall = hostclock.now() - start
-
-    stats = pstats.Stats(profiler)
-    components: dict[str, float] = {}
-    rows = []
-    total = 0.0
-    for (path, line, name), (cc, nc, tottime, cumtime, _) in stats.stats.items():
-        total += tottime
-        component = _component(path)
-        components[component] = components.get(component, 0.0) + tottime
-        rows.append(
-            {
-                "function": f"{path.replace(chr(92), '/').split('/')[-1]}"
-                            f":{line}({name})",
-                "component": component,
-                "calls": nc,
-                "tottime": tottime,
-                "cumtime": cumtime,
-            }
-        )
-    rows.sort(key=lambda r: r["tottime"], reverse=True)
-    return {
-        "label": result.label,
-        "engine": args.engine or "default",
-        "cycles": result.cycles,
-        "wall_seconds": round(wall, 4),
-        "cycles_per_second": round(result.cycles / wall if wall else 0.0, 1),
-        "profile_seconds": round(total, 4),
-        "components": {
-            k: round(v, 4)
-            for k, v in sorted(
-                components.items(), key=lambda kv: kv[1], reverse=True
-            )
-        },
-        "top_functions": [
-            {**row, "tottime": round(row["tottime"], 4),
-             "cumtime": round(row["cumtime"], 4)}
-            for row in rows[: args.top]
-        ],
-    }
-
-
 def compare_engines(args) -> dict:
-    """Run the workload once per requested engine (no profiler) and
-    cross-check det-chains/fingerprints while comparing wall clocks.
+    """Run the workload once per requested engine and cross-check
+    det-chains/fingerprints while comparing wall clocks.
 
     ``--engines all`` enumerates every registered loop implementation
     (:data:`repro.sim.system.ENGINES`) instead of a hand-maintained
@@ -191,55 +103,6 @@ def compare_engines(args) -> dict:
     return report
 
 
-def counters_run(args) -> dict:
-    """Run once with the perf counters on and report the snapshot."""
-    import os
-
-    saved = os.environ.get("REPRO_PERF")
-    os.environ["REPRO_PERF"] = "1"
-    try:
-        result = _run_workload(args)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_PERF", None)
-        else:
-            os.environ["REPRO_PERF"] = saved
-    return {
-        "label": result.label,
-        "engine": args.engine or "default",
-        "cycles": result.cycles,
-        "wall_seconds": round(result.wall_seconds, 4),
-        "cycles_per_second": round(result.cycles_per_second, 1),
-        "host_perf": result.host_perf,
-    }
-
-
-def _print_counters(report: dict) -> None:
-    from repro.telemetry.perfcounters import render
-
-    print(f"{report['label']} [{report['engine']}]: "
-          f"{report['cycles']:,} cycles in {report['wall_seconds']:.2f}s "
-          f"({report['cycles_per_second']:,.0f} cycles/s)")
-    print()
-    print(render(report["host_perf"], report["wall_seconds"]))
-
-
-def _print_profile(report: dict) -> None:
-    print(f"{report['label']} [{report['engine']}]: "
-          f"{report['cycles']:,} cycles in {report['wall_seconds']:.2f}s "
-          f"({report['cycles_per_second']:,.0f} cycles/s)")
-    print("\nper-component attribution (profiled tottime):")
-    total = report["profile_seconds"] or 1.0
-    for component, seconds in report["components"].items():
-        share = 100.0 * seconds / total
-        bar = "#" * max(1, int(share / 2)) if seconds else ""
-        print(f"  {component:<14} {seconds:>8.3f}s  {share:>5.1f}%  {bar}")
-    print("\ntop functions by tottime:")
-    for row in report["top_functions"]:
-        print(f"  {row['tottime']:>8.3f}s  {row['calls']:>9,}x  "
-              f"[{row['component']}] {row['function']}")
-
-
 def _print_comparison(report: dict) -> None:
     print(f"{report['label']}: engine comparison")
     print(f"  {'engine':<8} {'wall':>8} {'cycles/s':>12} {'speedup':>8}  identical")
@@ -253,22 +116,10 @@ def _print_comparison(report: dict) -> None:
 
 def main(args) -> int:
     """Entry point for ``python -m repro profile``."""
-    import os
-
-    os.environ.setdefault("REPRO_NO_CACHE", "1")
-    if args.engine:
-        os.environ["REPRO_ENGINE"] = args.engine
-    if args.engines:
-        report = compare_engines(args)
-        _print_comparison(report)
-    elif getattr(args, "counters", False):
-        report = counters_run(args)
-        _print_counters(report)
-    else:
-        report = profile_run(args)
-        _print_profile(report)
+    report = compare_engines(args)
+    _print_comparison(report)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
         print(f"\nreport -> {args.json}")
-    return 0 if report.get("identical", True) else 1
+    return 0 if report["identical"] else 1

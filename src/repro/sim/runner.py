@@ -52,10 +52,8 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
         # The cross-check run must not clobber the primary run's streamed
         # telemetry (its stream would be bit-identical anyway — that is
         # the point of the check — but rewriting it would confuse a live
-        # `repro watch` tailing the directory), and must not register a
-        # second phantom run in the fleet registry.
+        # `repro watch` tailing the directory).
         saved_stream = os.environ.pop("REPRO_STREAM_DIR", None)
-        saved_fleet = os.environ.pop("REPRO_FLEET_DIR", None)
         try:
             other = make_system().run(
                 max_cycles=max_cycles, engine=reference
@@ -63,8 +61,6 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
         finally:
             if saved_stream is not None:
                 os.environ["REPRO_STREAM_DIR"] = saved_stream
-            if saved_fleet is not None:
-                os.environ["REPRO_FLEET_DIR"] = saved_fleet
         if result_fingerprint(result) != result_fingerprint(other):
             from repro.analysis.detchain import first_divergence
 

@@ -43,12 +43,6 @@ class SimResult:
     #: (see :mod:`repro.telemetry.trace`), plus the drop-oldest count.
     trace_events: list = field(default_factory=list)
     trace_dropped: int = 0
-    #: Host-side perf-counter snapshot (``REPRO_PERF=1``, see
-    #: :mod:`repro.telemetry.perfcounters`); None when disabled.  A pure
-    #: side channel: deliberately excluded from ``result_fingerprint``,
-    #: the determinism chain, and the engine cache key — host timing
-    #: describes the simulator, never the simulated machine.
-    host_perf: dict | None = None
 
     @property
     def cycles_per_second(self) -> float:
@@ -126,10 +120,9 @@ def result_fingerprint(result: SimResult):
     Two runs of the same workload produce equal fingerprints iff their
     results are bit-identical — the contract the fast-forwarding loop is
     held to (``REPRO_VERIFY_SKIP``) and the determinism tests check.
-    Host-side observability (``wall_seconds``, ``host_perf``) is
-    deliberately excluded: it describes the simulator run, not the
-    simulated machine, so it must never make two identical runs compare
-    unequal.
+    The host-side ``wall_seconds`` is deliberately excluded: it describes
+    the simulator run, not the simulated machine, so it must never make
+    two identical runs compare unequal.
     """
     return (
         result.cycles,

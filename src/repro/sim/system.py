@@ -38,8 +38,6 @@ from repro.sched.registry import make_scheduler_factory
 from repro.sim.events import EventQueue
 from repro.sim.stats import SimResult
 from repro.telemetry import Telemetry
-from repro.telemetry.perfcounters import PerfCounters
-from repro.util import hostclock
 
 # Sentinel "wake cycle" for cores quiescent until externally woken.
 _FOREVER = 1 << 62
@@ -146,13 +144,6 @@ class System:
                 channel.trace = recorder
             self.hierarchy.trace = recorder
         self.telemetry.begin_stream(self.label)
-        # Host-side perf counters (REPRO_PERF=1, repro.telemetry.
-        # perfcounters): counters on simulator internals, landing on the
-        # SimResult.host_perf side channel.  None when disabled — the
-        # loops then carry only `is not None` branches, no allocations.
-        self.perf = PerfCounters.from_env()
-        if self.perf is not None:
-            self.memory._perf = self.perf
         # Purity-certificate cross-check (REPRO_VERIFY_EFFECTS=1): bracket
         # certified window-invariant hooks with det_state snapshots so an
         # undeclared mutation fails at the call, not as a later chain split.
@@ -282,27 +273,12 @@ class System:
         # and are interleaved in cycle order (see _fold_telemetry).
         sampler = self.telemetry.sampler
         stream = self.telemetry.stream
-        # Host perf counters (REPRO_PERF=1): phase brackets read the
-        # sanctioned host clock only when enabled; disabled runs pay a
-        # `perf is None` branch per phase and allocate nothing.
-        perf = self.perf
-        clock = hostclock.now_ns if perf is not None else None
-        t0 = t1 = t2 = t3 = 0
         while remaining:
             if max_cycles is not None and now >= max_cycles:
                 hit_cap = True
                 break
-            if clock is not None:
-                perf.visited_cycles += 1
-                t0 = clock()
             events.run_due(now)
-            if clock is not None:
-                t1 = clock()
-                perf.ns_events += t1 - t0
             memory.step(now)
-            if clock is not None:
-                t2 = clock()
-                perf.ns_memory += t2 - t1
             for core in cores:
                 if core.done:
                     continue
@@ -313,14 +289,9 @@ class System:
             if chain is not None and next_sample == now:
                 chain.sample(now, detchain.snapshot(self))
                 next_sample += every
-            if clock is not None:
-                t3 = clock()
-                perf.ns_cores += t3 - t2
             nxt = now + 1
             if sampler is not None or stream is not None:
                 self._fold_telemetry(sampler, stream, nxt)
-            if clock is not None:
-                perf.ns_telemetry += clock() - t3
             self._now = now = nxt
         return self._finish_run(now, hit_cap, chain, sampler)
 
@@ -384,9 +355,6 @@ class System:
         sampler = self.telemetry.sampler
         stream = self.telemetry.stream
         fold_telemetry = sampler is not None or stream is not None
-        perf = self.perf
-        clock = hostclock.now_ns if perf is not None else None
-        t0 = t1 = t2 = t3 = 0
 
         wake_heap: list = []  # (skip_until, core_id); stale entries dropped
         woken: list = []  # skipping cores whose wake hook fired
@@ -394,8 +362,6 @@ class System:
         def on_wake(core):
             core._wake_hook = None
             woken.append(core)
-            if perf is not None:
-                perf.wake_hook_fires += 1
 
         is_active = [not core.done for core in cores]
         active = [core for core in cores if not core.done]
@@ -405,9 +371,6 @@ class System:
             if max_cycles is not None and now >= max_cycles:
                 hit_cap = True
                 break
-            if clock is not None:
-                perf.visited_cycles += 1
-                t0 = clock()
             due = events.next_cycle()
             if due is not None and due <= now:
                 events.run_due(now)
@@ -418,20 +381,12 @@ class System:
                             is_active[cid] = True
                             dirty = True
                     del woken[:]
-            if clock is not None:
-                t1 = clock()
-                perf.ns_events += t1 - t0
             memory.step_window(now)
-            if clock is not None:
-                t2 = clock()
-                perf.ns_memory += t2 - t1
             while wake_heap:
                 cycle, cid = wake_heap[0]
                 core = cores[cid]
                 if core.done or core.skip_until != cycle:
                     heapq.heappop(wake_heap)  # stale: woken or re-planned
-                    if perf is not None:
-                        perf.heap_stale_drops += 1
                     continue
                 if cycle > now:
                     break
@@ -457,8 +412,6 @@ class System:
                     other = cores[cid]
                     if other.done or other.skip_until != cycle:
                         heapq.heappop(wake_heap)
-                        if perf is not None:
-                            perf.heap_stale_drops += 1
                         continue
                     if cycle < target:
                         target = cycle
@@ -493,8 +446,6 @@ class System:
                         core.plan_defer = 3
                     else:
                         core.begin_skip(plan, nxt - 1, forever)
-                        if perf is not None:
-                            perf.note_skip(core.skip_until, nxt - 1)
                         is_active[core.core_id] = False
                         dirty = True
                         core._wake_hook = on_wake
@@ -502,8 +453,6 @@ class System:
                             heapq.heappush(
                                 wake_heap, (core.skip_until, core.core_id)
                             )
-                            if perf is not None:
-                                perf.heap_pushes += 1
             else:
                 for core in active:
                     if core._quiet_deltas is not None:
@@ -522,8 +471,6 @@ class System:
                             core.plan_defer = 3
                         else:
                             core.begin_skip(plan, now, forever)
-                            if perf is not None:
-                                perf.note_skip(core.skip_until, now)
                             is_active[core.core_id] = False
                             dirty = True
                             core._wake_hook = on_wake
@@ -531,8 +478,6 @@ class System:
                                 heapq.heappush(
                                     wake_heap, (core.skip_until, core.core_id)
                                 )
-                                if perf is not None:
-                                    perf.heap_pushes += 1
             if dirty:
                 active = [core for core in cores if is_active[core.core_id]]
                 dirty = False
@@ -550,8 +495,6 @@ class System:
                     core = cores[cid]
                     if core.done or core.skip_until != cycle:
                         heapq.heappop(wake_heap)
-                        if perf is not None:
-                            perf.heap_stale_drops += 1
                         continue
                     if cycle < target:
                         target = cycle
@@ -565,13 +508,8 @@ class System:
                 while next_sample < nxt:
                     chain.sample(next_sample, state)
                     next_sample += every
-            if clock is not None:
-                t3 = clock()
-                perf.ns_cores += t3 - t2
             if fold_telemetry:
                 self._fold_telemetry(sampler, stream, nxt)
-            if clock is not None:
-                perf.ns_telemetry += clock() - t3
             self._now = now = nxt
         for core in cores:
             core._wake_hook = None
@@ -608,13 +546,6 @@ class System:
 
         if chain is not None:
             chain.finalize(now, detchain.snapshot(self))
-        perf = self.perf
-        if perf is not None:
-            # Event-queue accounting costs nothing on the hot path: the
-            # queue's monotonic tie-break sequence *is* the push count,
-            # and whatever is still enqueued was never popped.
-            perf.event_pushes = self.events._seq
-            perf.event_pops = self.events._seq - len(self.events)
         recorder = self.telemetry.trace
         result = SimResult(
             label=self.label,
@@ -637,6 +568,5 @@ class System:
             ),
             trace_events=list(recorder.events) if recorder is not None else [],
             trace_dropped=recorder.dropped if recorder is not None else 0,
-            host_perf=perf.snapshot() if perf is not None else None,
         )
         return result

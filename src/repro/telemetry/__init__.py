@@ -61,11 +61,7 @@ def config_fingerprint() -> dict:
     streaming only changes where telemetry additionally lands on disk,
     never what the run computes or what the result carries, so a
     streamed and an unstreamed run may share a cache slot (like the
-    skip setting).  The host-side observability knobs (``REPRO_PERF``,
-    ``REPRO_FLEET_DIR``) are excluded for the same reason: perf
-    counters land on the ``host_perf`` side channel (host timing, like
-    ``wall_seconds``, is never part of the cached outcome) and the
-    fleet registry only indexes where streams land.
+    skip setting).
     """
     return {
         "sample_every": sample_interval(),

@@ -153,36 +153,13 @@ def watch(
     once: bool = False,
     frames: int | None = None,
     out=None,
-    run: str | None = None,
 ) -> int:
     """Tail a stream directory and render the dashboard until done.
-
-    ``directory`` may be a single run's stream directory or a fleet
-    root (``REPRO_FLEET_DIR``): a root renders the multi-run fleet
-    table instead, and ``run`` drills back down into one of its
-    registered runs by registry id or label.
 
     ``once`` renders a single frame and returns; ``frames`` bounds the
     number of refreshes (for CI).  Returns a shell exit code.
     """
-    from repro.telemetry import fleet
-
     out = out or sys.stdout
-    if run is not None:
-        registry = fleet.RunRegistry(directory)
-        entry = registry.find(run)
-        if entry is None:
-            known = ", ".join(
-                e["run_id"] for e in registry.entries()
-            ) or "(none registered)"
-            out.write(f"error: no run {run!r} in fleet root {directory}; "
-                      f"known runs: {known}\n")
-            return 1
-        directory = entry["dir"]
-    elif fleet.is_fleet_root(directory):
-        return watch_fleet(
-            directory, interval=interval, once=once, frames=frames, out=out
-        )
     feed = _SampleFeed(directory)
     rendered = 0
     while True:
@@ -218,112 +195,6 @@ def watch(
         if status == "failed":
             out.write("run FAILED (stream aborted; tail was discarded).\n")
             return 1
-        time.sleep(interval)
-
-
-def _fleet_latest(info: dict, feed: _SampleFeed) -> tuple:
-    """Latest derived (ipc, row_hit) for one fleet run, or Nones."""
-    manifest = info.get("manifest") or {}
-    names = list(manifest.get("series", []))
-    ipc = hit = None
-    if names and feed.rows:
-        for title, values, _fmt in derive_series(
-            names, feed.cycles, feed.rows
-        ):
-            if not values:
-                continue
-            if ipc is None and title == "IPC (system)":
-                ipc = values[-1]
-            elif hit is None and title.endswith("row-hit rate"):
-                hit = values[-1]
-    return ipc, hit
-
-
-#: Fleet-table annotations for degraded registry states.
-_STATUS_NOTES = {
-    "starting": "no manifest yet",
-    "missing": "stream directory gone",
-    "corrupt": "manifest unreadable",
-    "failed": "crash/abort (torn tail discarded)",
-    "cache-replay": "served from result cache",
-}
-
-
-def render_fleet_frame(root, runs: list[dict], feeds: dict) -> str:
-    """One multi-run fleet table as text (no ANSI)."""
-    lines = [f"fleet {root}: {len(runs)} run(s)"]
-    if not runs:
-        lines.append("no runs registered yet — point REPRO_FLEET_DIR at "
-                     "this root and launch something.")
-        return "\n".join(lines)
-    lines.append("")
-    lines.append(f"  {'run':<26} {'status':<12} {'cycle':>12} "
-                 f"{'samples':>8} {'IPC':>6} {'row-hit':>8}  label")
-    notes: list[str] = []
-    for info in runs:
-        run_id = info["run_id"]
-        feed = feeds[run_id]
-        status = info.get("status", "?")
-        ipc, hit = _fleet_latest(info, feed)
-        cycle = f"{feed.cycles[-1]:,}" if feed.cycles else "-"
-        samples = str(len(feed.cycles)) if feed.cycles else "-"
-        ipc_text = f"{ipc:.2f}" if ipc is not None else "-"
-        hit_text = f"{hit:.2f}" if hit is not None else "-"
-        lines.append(
-            f"  {run_id[:26]:<26} {status:<12} {cycle:>12} {samples:>8} "
-            f"{ipc_text:>6} {hit_text:>8}  {info.get('label') or ''}"
-        )
-        note = _STATUS_NOTES.get(status)
-        if note:
-            notes.append(f"  ! {run_id}: {note}")
-    if notes:
-        lines.append("")
-        lines.extend(notes)
-    lines.append("")
-    lines.append("drill down: repro watch <root> --run <run>")
-    return "\n".join(lines)
-
-
-def watch_fleet(
-    root,
-    interval: float = 1.0,
-    once: bool = False,
-    frames: int | None = None,
-    out=None,
-) -> int:
-    """Render the fleet dashboard over a registry root until every
-    registered run reaches a terminal status.  Returns 1 if any run
-    failed, else 0."""
-    from repro.telemetry import fleet
-
-    out = out or sys.stdout
-    registry = fleet.RunRegistry(root)
-    feeds: dict[str, _SampleFeed] = {}
-    rendered = 0
-    while True:
-        runs = registry.runs()
-        for info in runs:
-            feed = feeds.get(info["run_id"])
-            if feed is None:
-                feed = feeds[info["run_id"]] = _SampleFeed(info["dir"])
-            feed.poll()
-        frame = render_fleet_frame(root, runs, feeds)
-        if once or frames is not None:
-            out.write(frame + "\n")
-        else:
-            out.write(_CLEAR + frame + "\n")
-        out.flush()
-        rendered += 1
-        statuses = [info.get("status") for info in runs]
-        any_failed = any(s in ("failed", "corrupt") for s in statuses)
-        if once or (frames is not None and rendered >= frames):
-            return 1 if any_failed else 0
-        if runs and all(
-            s in ("complete", "failed", "cache-replay", "missing", "corrupt")
-            for s in statuses
-        ):
-            out.write("fleet idle: every registered run is terminal.\n")
-            return 1 if any_failed else 0
         time.sleep(interval)
 
 

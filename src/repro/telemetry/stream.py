@@ -153,17 +153,7 @@ class StreamWriter:
     @classmethod
     def from_env(cls) -> "StreamWriter | None":
         directory = stream_dir()
-        if directory:
-            return cls(directory)
-        # No explicit stream directory, but a fleet root
-        # (REPRO_FLEET_DIR): allocate a run directory under it so every
-        # run of a sweep streams — and registers — automatically.
-        from repro.telemetry import fleet
-
-        root = fleet.fleet_root()
-        if root:
-            return cls(fleet.RunRegistry(root).allocate())
-        return None
+        return cls(directory) if directory else None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -175,14 +165,6 @@ class StreamWriter:
         for stale in self._stream_files():
             stale.unlink()
         self._write_manifest()
-        # Fleet registration (REPRO_FLEET_DIR): index this stream in the
-        # run registry so `repro watch <root>` can find it.  Imported
-        # lazily — fleet depends on this module for manifest reading.
-        from repro.telemetry import fleet
-
-        root = fleet.fleet_root()
-        if root:
-            fleet.RunRegistry(root).register(self.directory, label)
 
     def _stream_files(self):
         for kind in KINDS:

@@ -2,11 +2,10 @@
 
 Several processes share rendezvous files: the engine result cache
 (``run_many`` workers and concurrent sweeps race the same content hash),
-stream ``MANIFEST.json`` files, the fleet ``.registry/`` entries and
-``INDEX.json`` materialized view, and the ``REPRO_RUN_LOG`` metrics
-log.  Every guarantee the repo sells — parse-clean artifacts after a
-SIGKILL, identical cache bytes whichever racing writer wins, a fleet
-index that is at worst one registration behind — reduces to two idioms:
+stream ``MANIFEST.json`` files, and the ``REPRO_RUN_LOG`` metrics log.
+Every guarantee the repo sells — parse-clean artifacts after a SIGKILL,
+identical cache bytes whichever racing writer wins, whole log records
+from concurrent appenders — reduces to two idioms:
 
 * **replace**: write the full payload to a uniquely named temporary in
   the destination directory, flush, ``fsync``, then ``os.replace`` it
@@ -27,8 +26,8 @@ makes the contract checkable.
 
 Durability note: ``os.replace`` guarantees atomicity; making the new
 *name* survive a power failure would additionally need an fsync of the
-directory.  The artifacts here are all reconstructible (caches, derived
-indexes, observability logs), so we match the repo's long-standing
+directory.  The artifacts here are all reconstructible (caches, stream
+manifests, observability logs), so we match the repo's long-standing
 choice: file contents are fsync'd, directory entries are not.
 """
 

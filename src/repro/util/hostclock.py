@@ -3,21 +3,16 @@
 Host time must never reach simulated state: every architectural decision
 flows from the virtual cycle counter, and the DET002 lint rule flags any
 raw ``time.*`` clock read inside ``src/repro``.  Legitimate *host-side*
-observability — ``SimResult.wall_seconds``, the ``repro profile``
-reports, the ``REPRO_PERF=1`` counters, fleet registry timestamps —
-still needs a clock, and routing every such read
-through this module keeps the boundary auditable in one place:
+observability — ``SimResult.wall_seconds`` (also written to the
+``REPRO_RUN_LOG``) and the ``repro profile`` engine timings — still needs
+a clock, and routing every such read through this module keeps the
+boundary auditable in one place:
 
 * this file is the only module allowlisted by DET002, so a raw
   ``time.perf_counter()`` anywhere else in the tree still fires;
 * nothing returned here may be folded into ``SimResult.metrics``, the
   determinism chain, ``result_fingerprint``, streamed telemetry bytes,
-  or an engine cache key — the perf-counter identity tests enforce that
-  for every consumer (see DESIGN.md §5.5).
-
-``now()``/``now_ns()`` are monotonic (interval measurement);
-``walltime()`` is the epoch clock, for *metadata* timestamps only
-(fleet registry entries), never for measuring anything.
+  or an engine cache key (see DESIGN.md §5.5).
 """
 
 from __future__ import annotations
@@ -28,13 +23,3 @@ import time as _time
 def now() -> float:
     """Monotonic host seconds; for measuring host-side intervals."""
     return _time.perf_counter()
-
-
-def now_ns() -> int:
-    """Monotonic host nanoseconds; for hot-path interval accumulation."""
-    return _time.perf_counter_ns()
-
-
-def walltime() -> float:
-    """Epoch seconds; for metadata timestamps, never for measurement."""
-    return _time.time()

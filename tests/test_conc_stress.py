@@ -9,8 +9,6 @@ real writers to certify the persistence contract at runtime:
   ``store_cached`` atomic-replace conversion);
 * a SIGKILL mid-``write_json`` leaves the old-or-new snapshot, never a
   partial (mirrors ``test_stream_crash.py`` for the manifest path);
-* simultaneous fleet registrations all land with a parse-clean
-  ``INDEX.json``;
 * concurrent ``REPRO_RUN_LOG``-style appenders never tear or drop a
   record (regression for the buffered-append ``_write_run_log`` bug).
 """
@@ -46,11 +44,6 @@ def test_cache_race_single_clean_slot(tmp_path):
 
 def test_sigkill_mid_write_leaves_old_or_new(tmp_path):
     errors = conc_stress.check_sigkill_mid_write(tmp_path, kills=3)
-    assert errors == []
-
-
-def test_concurrent_fleet_registrations_all_land(tmp_path):
-    errors = conc_stress.check_fleet_registrations(tmp_path, writers=4)
     assert errors == []
 
 

@@ -110,6 +110,23 @@ class TestFigures:
             "casras-crit", "crit-casras"
         ]
 
+    def test_capped_mechanism_run_fails_its_figure(self, monkeypatch):
+        """A mechanism run stopped by the livelock cap raises, naming its
+        scheduler, instead of entering the table as a speedup."""
+        from repro.sim.system import System
+
+        original = System.run
+
+        def capped_run(self, max_cycles=None, engine=None):
+            return original(self, max_cycles=200, engine=engine)
+
+        monkeypatch.setattr(System, "run", capped_run)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment("mechanism", instructions=3000)
+        message = str(info.value)
+        assert message.startswith("fr-fcfs: stopped at cycle 200,")
+        assert "livelock cap" in message
+
 
 class TestSectionStudies:
     def test_naive_experiment(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.stats import (
     SimResult,
     maximum_slowdown,
+    result_fingerprint,
     speedup,
     weighted_speedup,
 )
@@ -111,3 +112,15 @@ class TestBlockingFractions:
         r = result(100, [100], [10])
         assert r.blocking_load_fraction() == 0.0
         assert r.blocked_cycle_fraction() == 0.0
+
+
+class TestFingerprint:
+    def test_wall_seconds_not_in_fingerprint(self):
+        """Host time describes the simulator run, not the machine: two
+        results that differ only in ``wall_seconds`` fingerprint equal."""
+        fast = result(1000, [900, 1000], [300, 300])
+        slow = result(1000, [900, 1000], [300, 300])
+        fast.wall_seconds, slow.wall_seconds = 0.25, 4.0
+        assert result_fingerprint(fast) == result_fingerprint(slow)
+        slow.cycles += 1
+        assert result_fingerprint(fast) != result_fingerprint(slow)

@@ -9,6 +9,7 @@ must refuse the torn tail with a clear error (not a stack trace), and
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.telemetry import monitor
 from repro.telemetry import stream as stream_mod
 from repro.telemetry.trace import validate_chrome_trace
 
@@ -238,3 +240,33 @@ class TestTornTailDeterministic:
                 for s in manifest[kind]["segments"]
             }
             assert path.name in sealed_names
+
+
+class TestReaderBugfixes:
+    """watch/trace on missing or broken inputs: one clear line, never a
+    traceback (Path.glob on a missing directory used to raise)."""
+
+    def _watch_cli(self, directory, *extra):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "watch", str(directory),
+             "--once", *extra],
+            env=_cli_env(), capture_output=True, text=True, timeout=60,
+        )
+
+    def test_watch_missing_dir_prints_placeholder(self, tmp_path):
+        proc = self._watch_cli(tmp_path / "never-created")
+        assert proc.returncode == 0
+        assert "waiting for a stream manifest" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_watch_corrupt_manifest_is_one_line_error(self, tmp_path):
+        (tmp_path / stream_mod.MANIFEST_NAME).write_text('{"status": ')
+        proc = self._watch_cli(tmp_path)
+        assert proc.returncode == 1
+        assert "error:" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_watch_dir_without_manifest_waits(self, tmp_path):
+        out = io.StringIO()
+        assert monitor.watch(tmp_path, once=True, out=out) == 0
+        assert "waiting for a stream manifest" in out.getvalue()

@@ -10,6 +10,8 @@ one of them at once.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.config import SimScale, SystemConfig
@@ -216,6 +218,8 @@ class TestStreamingSkipIdentity:
         assert manifest["cycles"] == result.cycles
         streamed = sum(1 for _ in stream_mod.iter_records(directory))
         assert streamed == len(result.trace_events)
+        # The reference run hides the stream knob; it must come back.
+        assert os.environ["REPRO_STREAM_DIR"] == str(directory)
 
 
 class TestDetStateCoverage:

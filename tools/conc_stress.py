@@ -4,7 +4,7 @@
 Every shared artifact is written through :mod:`repro.util.atomicio`
 (the IO001 lint rule keeps raw renames and append-mode opens out of
 everything else); this harness proves the contract holds at runtime by
-racing real writers and killing them mid-write.  Four gates, run by
+racing real writers and killing them mid-write.  Three gates, run by
 CI's lint-and-sanitize job:
 
 1. **Cache race** — two processes simulate the same ``RunSpec`` against
@@ -16,10 +16,7 @@ CI's lint-and-sanitize job:
    loop and is SIGKILL'd at a random moment, repeatedly.  The target
    must always parse clean as one complete snapshot (old or new, never
    a partial), which is exactly the tmp+fsync+replace guarantee.
-3. **Fleet registration race** — N processes register distinct runs
-   against one fleet root simultaneously.  All N entries must land and
-   ``INDEX.json`` must parse clean (at worst one registration behind).
-4. **Run-log interleaving** — N processes append M records each to one
+3. **Run-log interleaving** — N processes append M records each to one
    JSONL log through ``atomicio.append_jsonl``.  Every line must parse
    and every (writer, seq) pair must appear exactly once: ``O_APPEND``
    with one ``os.write`` per record cannot tear.
@@ -110,14 +107,6 @@ def _child_rewrite_loop(target: str) -> None:
         )
 
 
-def _child_register(fleet_root: str, stream_dir: str, go: str) -> None:
-    from repro.telemetry.fleet import RunRegistry
-
-    _wait_for(Path(go))
-    registry = RunRegistry(fleet_root)
-    print(registry.register(stream_dir, label=Path(stream_dir).name))
-
-
 def _child_append(log: str, writer: str, records: str, go: str) -> None:
     from repro.util import atomicio
 
@@ -129,7 +118,6 @@ def _child_append(log: str, writer: str, records: str, go: str) -> None:
 _CHILD_ROLES = {
     "cache-run": _child_cache_run,
     "rewrite-loop": _child_rewrite_loop,
-    "register": _child_register,
     "append": _child_append,
 }
 
@@ -207,51 +195,10 @@ def check_sigkill_mid_write(root: Path, kills: int = 5) -> list[str]:
     return errors
 
 
-def check_fleet_registrations(root: Path, writers: int = 4) -> list[str]:
-    """Gate 3: simultaneous registrations all land; INDEX.json parses."""
-    from repro.telemetry.fleet import INDEX_NAME, RunRegistry
-
-    errors = []
-    fleet_root = root / "fleet"
-    go = root / "fleet-go"
-    procs = []
-    for i in range(writers):
-        stream_dir = fleet_root / f"stress-{i}"
-        stream_dir.mkdir(parents=True, exist_ok=True)
-        procs.append(
-            _spawn_child(
-                "register", fleet_root, stream_dir, go,
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            )
-        )
-    go.write_text("go")
-    for proc in procs:
-        out, err = proc.communicate(timeout=120)
-        if proc.returncode != 0:
-            errors.append(f"register child rc={proc.returncode}: {err}")
-    entries = RunRegistry(fleet_root).entries()
-    if len(entries) != writers:
-        errors.append(
-            f"expected {writers} registrations, found {len(entries)}"
-        )
-    try:
-        index = json.loads((fleet_root / INDEX_NAME).read_text())
-    except ValueError as exc:
-        errors.append(f"INDEX.json is torn: {exc!r}")
-    else:
-        # Rebuilders race, so the index may trail the entry files by a
-        # registration — but it must never hold a torn or alien run.
-        run_ids = {run["run_id"] for run in index.get("runs", [])}
-        known = {entry["run_id"] for entry in entries}
-        if not run_ids or not run_ids <= known:
-            errors.append(f"INDEX.json runs {run_ids} not a snapshot")
-    return errors
-
-
 def check_run_log_interleaving(
     root: Path, writers: int = 4, records: int = 25
 ) -> list[str]:
-    """Gate 4: concurrent appenders never tear or drop a record."""
+    """Gate 3: concurrent appenders never tear or drop a record."""
     errors = []
     log = root / "run_log.jsonl"
     go = root / "log-go"
@@ -287,7 +234,6 @@ def check_run_log_interleaving(
 GATES = (
     ("cache-race", check_cache_race),
     ("sigkill-mid-write", check_sigkill_mid_write),
-    ("fleet-registrations", check_fleet_registrations),
     ("run-log-interleaving", check_run_log_interleaving),
 )
 
@@ -313,8 +259,6 @@ def main(argv=None) -> int:
             started = time.monotonic()
             if gate is check_run_log_interleaving:
                 errors = gate(root, args.writers, args.records)
-            elif gate is check_fleet_registrations:
-                errors = gate(root, args.writers)
             else:
                 errors = gate(root)
             elapsed = time.monotonic() - started
