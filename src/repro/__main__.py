@@ -199,9 +199,6 @@ def _cmd_stats(args) -> int:
 
     if args.sample_every:
         os.environ["REPRO_SAMPLE_EVERY"] = str(args.sample_every)
-    # Telemetry config is part of the cache key, but a run cached before
-    # this command existed would satisfy the spec without series; bypass.
-    os.environ.setdefault("REPRO_NO_CACHE", "1")
     result = _run_for_telemetry(args)
     if result is None:
         return 1
@@ -270,7 +267,6 @@ def _cmd_trace(args) -> int:
     os.environ["REPRO_TRACE"] = "1"
     if args.cap:
         os.environ["REPRO_TRACE_CAP"] = str(args.cap)
-    os.environ.setdefault("REPRO_NO_CACHE", "1")
     result = _run_for_telemetry(args)
     if result is None:
         return 1

@@ -1,0 +1,1348 @@
+/* Compiled per-cycle stages of the out-of-order core (repro.cpu.core).
+ *
+ * OutOfOrderCore.step, _complete_at, _do_dispatch and _do_commit each
+ * open with one guard that hands the call to the function of the same
+ * stage here; the Python body after the guard is the reference this
+ * file transliterates, statement for statement.  The kernel keeps no
+ * state of its own: it works on the core's objects, so skip_plan,
+ * step_window, det_state, the run-end ledger and both engines read the
+ * same state whichever path ran.
+ *
+ * - Containers.  The ROB columns (_done, _pending, _waiters, _consumers,
+ *   _bstart, _handle), the schedules (_wake, _load_issue), the FU tables
+ *   (_fu_booked) and the trace's typed columns are bound once per core in
+ *   a View, kept in the core's attribute _kernel_view.  The core binds
+ *   each of them once in __init__ and only mutates them in place; the
+ *   View holds the trace's columns as buffers, so they cannot be resized
+ *   while the core lives.
+ * - Scalars.  _ptr, _rob_len, _lq_used, _sq_used, _fetch_blocker,
+ *   _fetch_resume and _next_local are read from the core's __dict__ when
+ *   a stage is entered, kept in C while it runs, and written back before
+ *   every call out of the kernel and on return, so every caller and
+ *   callee sees the values the Python bodies would have written.
+ * - Calls out.  Hierarchy load/store/can_accept_store, the provider's
+ *   hooks, the tracer, the wake hook, and the core's own _do_load_issues
+ *   and _prune_fu_bookings stay Python calls, looked up by name on each
+ *   call (as the Python bodies do), in the bodies' order and with their
+ *   arguments.  Exceptions they raise propagate unchanged.
+ *
+ * Built by repro.cpu.native with the interpreter's compiler and headers;
+ * it uses only the C API of CPython 3.9 and later.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+/* Instruction types (repro.cpu.instruction). */
+#define LOAD 3
+#define STORE 4
+#define N_ITYPES 5
+/* Dispatch classes (_DC_* in repro.cpu.core). */
+#define DC_LOAD 1
+#define DC_STORE 2
+#define DC_MISP_BRANCH 3
+
+/* ------------------------------------------------------------------ names */
+
+enum {
+    S_PTR, S_ROB_LEN, S_LQ_USED, S_SQ_USED,
+    S_FETCH_BLOCKER, S_FETCH_RESUME, S_NEXT_LOCAL, N_SCALARS
+};
+
+static const char *const scalar_names[N_SCALARS] = {
+    "_ptr", "_rob_len", "_lq_used", "_sq_used",
+    "_fetch_blocker", "_fetch_resume", "_next_local",
+};
+static PyObject *scalar_keys[N_SCALARS];
+
+/* Interned attribute and method names, as NAME(identifier, text). */
+#define NAMES(NAME)                                                        \
+    NAME(kernel_view, "_kernel_view") NAME(done, "done")                  \
+    NAME(stats, "stats") NAME(provider, "provider")                       \
+    NAME(hierarchy, "hierarchy") NAME(tracer, "tracer")                   \
+    NAME(wake_hook, "_wake_hook") NAME(skip_until, "skip_until")          \
+    NAME(prune_at, "_prune_at") NAME(trace, "trace")                      \
+    NAME(dclass, "_dclass") NAME(core_id, "core_id")                      \
+    NAME(rob_entries, "_rob_entries") NAME(n, "_n")                       \
+    NAME(fetch_width, "_fetch_width") NAME(commit_width, "_commit_width") \
+    NAME(lq_entries, "_lq_entries") NAME(sq_entries, "_sq_entries")       \
+    NAME(misp_penalty, "_misp_penalty") NAME(fu_caps, "_fu_caps")         \
+    NAME(latency, "_latency") NAME(done_col, "_done")                     \
+    NAME(pending, "_pending") NAME(waiters, "_waiters")                   \
+    NAME(consumers, "_consumers") NAME(bstart, "_bstart")                 \
+    NAME(handle, "_handle") NAME(wake, "_wake")                           \
+    NAME(load_issue, "_load_issue") NAME(fu_booked, "_fu_booked")         \
+    NAME(on_block_start, "on_block_start")                                \
+    NAME(on_blocked_commit, "on_blocked_commit")                          \
+    NAME(on_load_consumers, "on_load_consumers") NAME(tick, "tick")       \
+    NAME(can_accept_store, "can_accept_store") NAME(store, "store")       \
+    NAME(block_episode, "block_episode")                                  \
+    NAME(went_to_dram, "went_to_dram") NAME(txn, "txn")                   \
+    NAME(do_load_issues, "_do_load_issues")                               \
+    NAME(prune_fu_bookings, "_prune_fu_bookings")                         \
+    NAME(cycles, "cycles") NAME(committed, "committed")                   \
+    NAME(total_block_stall, "total_block_stall")                          \
+    NAME(sq_full_cycles, "sq_full_cycles")                                \
+    NAME(blocking_loads, "blocking_loads")                                \
+    NAME(blocking_dram_loads, "blocking_dram_loads")                      \
+    NAME(blocked_cycles, "blocked_cycles")                                \
+    NAME(blocked_dram_cycles, "blocked_dram_cycles")                      \
+    NAME(dispatch_stall_cycles, "dispatch_stall_cycles")                  \
+    NAME(rob_full_cycles, "rob_full_cycles")                              \
+    NAME(lq_full_cycles, "lq_full_cycles")
+
+#define DECLARE_NAME(id, text) static PyObject *str_##id;
+NAMES(DECLARE_NAME)
+
+static PyObject *small_zero, *small_minus_one;
+
+/* ------------------------------------------------------------------- View */
+
+enum { B_ITYPES, B_DCLASS, B_PCS, B_ADDRS, B_DEP1, B_DEP2, N_BUFFERS };
+
+typedef struct {
+    PyObject_HEAD
+    /* ROB columns: lists of length cap, one slot per ring position. */
+    PyObject *done, *pending, *waiters, *consumers, *bstart, *handle;
+    /* Schedules (cycle -> list of trace indices) and the per-itype FU
+     * reservation dicts (a list of five; pruning replaces its items). */
+    PyObject *wake, *load_issue, *fu_booked;
+    PyObject *core_id;
+    Py_buffer buffers[N_BUFFERS];
+    int held;  /* buffers acquired so far */
+    const uint8_t *itypes, *dclass;
+    const uint32_t *pcs;
+    const uint64_t *addrs;
+    const uint16_t *dep1, *dep2;
+    long long cap, n, fetch_width, commit_width, lq_entries, sq_entries,
+        misp_penalty;
+    long long fu_caps[N_ITYPES], latency[N_ITYPES];
+} View;
+
+static int
+view_traverse(View *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->done);
+    Py_VISIT(self->pending);
+    Py_VISIT(self->waiters);
+    Py_VISIT(self->consumers);
+    Py_VISIT(self->bstart);
+    Py_VISIT(self->handle);
+    Py_VISIT(self->wake);
+    Py_VISIT(self->load_issue);
+    Py_VISIT(self->fu_booked);
+    Py_VISIT(self->core_id);
+    return 0;
+}
+
+static int
+view_clear(View *self)
+{
+    Py_CLEAR(self->done);
+    Py_CLEAR(self->pending);
+    Py_CLEAR(self->waiters);
+    Py_CLEAR(self->consumers);
+    Py_CLEAR(self->bstart);
+    Py_CLEAR(self->handle);
+    Py_CLEAR(self->wake);
+    Py_CLEAR(self->load_issue);
+    Py_CLEAR(self->fu_booked);
+    Py_CLEAR(self->core_id);
+    return 0;
+}
+
+static void
+view_dealloc(View *self)
+{
+    PyObject_GC_UnTrack(self);
+    view_clear(self);
+    for (int k = 0; k < self->held; k++) {
+        PyBuffer_Release(&self->buffers[k]);
+    }
+    PyObject_GC_Del(self);
+}
+
+static PyTypeObject ViewType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cpu._kernel.View",
+    .tp_basicsize = sizeof(View),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One core's containers and trace columns, bound for the kernel.",
+    .tp_traverse = (traverseproc)view_traverse,
+    .tp_clear = (inquiry)view_clear,
+    .tp_dealloc = (destructor)view_dealloc,
+};
+
+/* Borrowed ``dict[name]``, or NULL with AttributeError set. */
+static PyObject *
+dict_attr(PyObject *dict, PyObject *name)
+{
+    PyObject *value = PyDict_GetItemWithError(dict, name);
+    if (value == NULL && !PyErr_Occurred()) {
+        PyErr_Format(PyExc_AttributeError,
+                     "'OutOfOrderCore' object has no attribute '%U'", name);
+    }
+    return value;
+}
+
+static int
+as_ll(PyObject *value, long long *out)
+{
+    long long x = PyLong_AsLongLong(value);
+    if (x == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    *out = x;
+    return 0;
+}
+
+static int
+dict_ll(PyObject *dict, PyObject *name, long long *out)
+{
+    PyObject *value = dict_attr(dict, name);
+    return value == NULL ? -1 : as_ll(value, out);
+}
+
+/* A new reference to ``dict[name]`` if it is a list of ``size`` items. */
+static PyObject *
+bind_list(PyObject *dict, PyObject *name, Py_ssize_t size)
+{
+    PyObject *value = dict_attr(dict, name);
+    if (value == NULL) {
+        return NULL;
+    }
+    if (!PyList_CheckExact(value) || PyList_GET_SIZE(value) != size) {
+        PyErr_Format(PyExc_TypeError, "%U must be a list of %zd items",
+                     name, size);
+        return NULL;
+    }
+    Py_INCREF(value);
+    return value;
+}
+
+static PyObject *
+bind_dict(PyObject *dict, PyObject *name)
+{
+    PyObject *value = dict_attr(dict, name);
+    if (value == NULL) {
+        return NULL;
+    }
+    if (!PyDict_CheckExact(value)) {
+        PyErr_Format(PyExc_TypeError, "%U must be a dict", name);
+        return NULL;
+    }
+    Py_INCREF(value);
+    return value;
+}
+
+static int
+bind_table(PyObject *dict, PyObject *name, long long *out)
+{
+    PyObject *value = dict_attr(dict, name);
+    if (value == NULL) {
+        return -1;
+    }
+    if (!PyTuple_Check(value) || PyTuple_GET_SIZE(value) != N_ITYPES) {
+        PyErr_Format(PyExc_TypeError, "%U must be a tuple of %d ints",
+                     name, N_ITYPES);
+        return -1;
+    }
+    for (int k = 0; k < N_ITYPES; k++) {
+        if (as_ll(PyTuple_GET_ITEM(value, k), &out[k]) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Acquire the next buffer of ``self`` on ``column``: at least
+ * ``self->n`` items of struct ``format`` (one letter), ``itemsize`` bytes
+ * each. */
+static const void *
+bind_column(View *self, PyObject *column, const char *name,
+            const char *format, Py_ssize_t itemsize)
+{
+    Py_buffer *view = &self->buffers[self->held];
+    if (PyObject_GetBuffer(column, view, PyBUF_FORMAT) < 0) {
+        return NULL;
+    }
+    self->held++;
+    if (view->itemsize != itemsize || view->format == NULL
+        || strcmp(view->format, format) != 0
+        || view->len / itemsize < self->n) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s must hold %lld items of type '%s'", name, self->n,
+                     format);
+        return NULL;
+    }
+    return view->buf;
+}
+
+static PyObject *
+view_bind(PyObject *dict)
+{
+    View *self = PyObject_GC_New(View, &ViewType);
+    if (self == NULL) {
+        return NULL;
+    }
+    self->done = self->pending = self->waiters = NULL;
+    self->consumers = self->bstart = self->handle = NULL;
+    self->wake = self->load_issue = self->fu_booked = self->core_id = NULL;
+    self->held = 0;
+    PyObject_GC_Track(self);
+
+    PyObject *trace = NULL, *column = NULL;
+    if (dict_ll(dict, str_rob_entries, &self->cap) < 0
+        || dict_ll(dict, str_n, &self->n) < 0
+        || dict_ll(dict, str_fetch_width, &self->fetch_width) < 0
+        || dict_ll(dict, str_commit_width, &self->commit_width) < 0
+        || dict_ll(dict, str_lq_entries, &self->lq_entries) < 0
+        || dict_ll(dict, str_sq_entries, &self->sq_entries) < 0
+        || dict_ll(dict, str_misp_penalty, &self->misp_penalty) < 0
+        || bind_table(dict, str_fu_caps, self->fu_caps) < 0
+        || bind_table(dict, str_latency, self->latency) < 0) {
+        goto error;
+    }
+    if (self->cap <= 0 || self->n < 0) {
+        PyErr_SetString(PyExc_ValueError, "core sizes out of range");
+        goto error;
+    }
+    Py_ssize_t cap = (Py_ssize_t)self->cap;
+    if ((self->done = bind_list(dict, str_done_col, cap)) == NULL
+        || (self->pending = bind_list(dict, str_pending, cap)) == NULL
+        || (self->waiters = bind_list(dict, str_waiters, cap)) == NULL
+        || (self->consumers = bind_list(dict, str_consumers, cap)) == NULL
+        || (self->bstart = bind_list(dict, str_bstart, cap)) == NULL
+        || (self->handle = bind_list(dict, str_handle, cap)) == NULL
+        || (self->fu_booked = bind_list(dict, str_fu_booked, N_ITYPES)) == NULL
+        || (self->wake = bind_dict(dict, str_wake)) == NULL
+        || (self->load_issue = bind_dict(dict, str_load_issue)) == NULL) {
+        goto error;
+    }
+    if ((self->core_id = dict_attr(dict, str_core_id)) == NULL) {
+        goto error;
+    }
+    Py_INCREF(self->core_id);
+
+    if ((trace = dict_attr(dict, str_trace)) == NULL) {
+        goto error;
+    }
+    Py_INCREF(trace);
+    /* The trace's typed columns (repro.cpu.instruction.Trace) and the
+     * core's dispatch classes, in B_* order. */
+    static const struct {
+        const char *name;
+        const char *format;
+        Py_ssize_t size;
+    } columns[N_BUFFERS] = {
+        {"itypes", "B", 1}, {"_dclass", "B", 1}, {"pcs", "I", 4},
+        {"addrs", "Q", 8}, {"dep1", "H", 2}, {"dep2", "H", 2},
+    };
+    const void *bufs[N_BUFFERS];
+    for (int k = 0; k < N_BUFFERS; k++) {
+        if (k == B_DCLASS) {
+            column = dict_attr(dict, str_dclass);
+            Py_XINCREF(column);
+        }
+        else {
+            column = PyObject_GetAttrString(trace, columns[k].name);
+        }
+        if (column == NULL) {
+            goto error;
+        }
+        bufs[k] = bind_column(self, column, columns[k].name,
+                              columns[k].format, columns[k].size);
+        Py_CLEAR(column);
+        if (bufs[k] == NULL) {
+            goto error;
+        }
+    }
+    Py_CLEAR(trace);
+    self->itypes = bufs[B_ITYPES];
+    self->dclass = bufs[B_DCLASS];
+    self->pcs = bufs[B_PCS];
+    self->addrs = bufs[B_ADDRS];
+    self->dep1 = bufs[B_DEP1];
+    self->dep2 = bufs[B_DEP2];
+    return (PyObject *)self;
+
+error:
+    Py_XDECREF(column);
+    Py_XDECREF(trace);
+    Py_DECREF(self);
+    return NULL;
+}
+
+/* -------------------------------------------------------------- call state */
+
+/* One kernel call: the core, its __dict__, its View and its scalars. */
+typedef struct {
+    PyObject *core;  /* borrowed: the caller's argument */
+    PyObject *dict;
+    View *v;
+    long long s[N_SCALARS];
+    unsigned dirty;  /* scalars changed since the last write-back */
+} Ctx;
+
+#define SET(c, k, x)                                \
+    do {                                            \
+        long long x_ = (x);                         \
+        if ((c)->s[k] != x_) {                      \
+            (c)->s[k] = x_;                         \
+            (c)->dirty |= 1u << (k);                \
+        }                                           \
+    } while (0)
+
+static int
+ctx_open(Ctx *c, PyObject *core)
+{
+    c->core = core;
+    c->v = NULL;
+    c->dirty = 0;
+    c->dict = PyObject_GenericGetDict(core, NULL);
+    if (c->dict == NULL) {
+        return -1;
+    }
+    PyObject *view = PyDict_GetItemWithError(c->dict, str_kernel_view);
+    if (view != NULL && Py_IS_TYPE(view, &ViewType)) {
+        Py_INCREF(view);
+    }
+    else {
+        if (PyErr_Occurred()) {
+            goto error;
+        }
+        view = view_bind(c->dict);
+        if (view == NULL
+            || PyDict_SetItem(c->dict, str_kernel_view, view) < 0) {
+            Py_XDECREF(view);
+            goto error;
+        }
+    }
+    c->v = (View *)view;
+    if (c->v->done == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "the core's kernel view is cleared");
+        goto error;
+    }
+    return 0;
+
+error:
+    Py_CLEAR(c->v);
+    Py_CLEAR(c->dict);
+    return -1;
+}
+
+static void
+ctx_close(Ctx *c)
+{
+    Py_DECREF(c->v);
+    Py_DECREF(c->dict);
+}
+
+/* Read the scalars from the core, checking the ranges the kernel indexes
+ * by: 0 <= _rob_len <= min(_ptr, cap) and _ptr <= n. */
+static int
+load_scalars(Ctx *c)
+{
+    for (int k = 0; k < N_SCALARS; k++) {
+        if (dict_ll(c->dict, scalar_keys[k], &c->s[k]) < 0) {
+            return -1;
+        }
+    }
+    long long ptr = c->s[S_PTR], rob_len = c->s[S_ROB_LEN];
+    if (ptr < 0 || ptr > c->v->n || rob_len < 0 || rob_len > ptr
+        || rob_len > c->v->cap) {
+        PyErr_SetString(PyExc_RuntimeError, "core ROB state out of range");
+        return -1;
+    }
+    c->dirty = 0;
+    return 0;
+}
+
+static int
+write_back(Ctx *c)
+{
+    for (int k = 0; c->dirty; k++) {
+        unsigned bit = 1u << k;
+        if (!(c->dirty & bit)) {
+            continue;
+        }
+        PyObject *value = PyLong_FromLongLong(c->s[k]);
+        if (value == NULL) {
+            return -1;
+        }
+        int failed = PyDict_SetItem(c->dict, scalar_keys[k], value);
+        Py_DECREF(value);
+        if (failed) {
+            return -1;
+        }
+        c->dirty &= ~bit;
+    }
+    return 0;
+}
+
+/* Write the scalars back with an exception set, keeping that exception:
+ * the core holds what the Python bodies would have left when it raised. */
+static void
+write_back_raising(Ctx *c)
+{
+    if (!c->dirty) {
+        return;
+    }
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = PyErr_GetRaisedException();
+    if (write_back(c) < 0) {
+        PyErr_Clear();
+    }
+    PyErr_SetRaisedException(exc);
+#else
+    PyObject *type, *value, *tb;
+    PyErr_Fetch(&type, &value, &tb);
+    if (write_back(c) < 0) {
+        PyErr_Clear();
+    }
+    PyErr_Restore(type, value, tb);
+#endif
+}
+
+/* ``args[0].name(*args[1:nargs])`` after writing the scalars back; a new
+ * reference.  The callee may change ``args[0]`` while it runs. */
+static PyObject *
+call_out(Ctx *c, PyObject *name, PyObject **args, size_t nargs)
+{
+    if (c->dirty && write_back(c) < 0) {
+        return NULL;
+    }
+    return PyObject_VectorcallMethod(
+        name, args, nargs | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+}
+
+static int
+call_out_discard(Ctx *c, PyObject *name, PyObject **args, size_t nargs)
+{
+    PyObject *result = call_out(c, name, args, nargs);
+    if (result == NULL) {
+        return -1;
+    }
+    Py_DECREF(result);
+    return 0;
+}
+
+/* ``stats.name += delta`` */
+static int
+stat_add(PyObject *stats, PyObject *name, long long delta)
+{
+    PyObject *value = PyObject_GetAttr(stats, name);
+    PyObject *step = value ? PyLong_FromLongLong(delta) : NULL;
+    PyObject *sum = step ? PyNumber_InPlaceAdd(value, step) : NULL;
+    Py_XDECREF(step);
+    Py_XDECREF(value);
+    int failed = sum == NULL || PyObject_SetAttr(stats, name, sum) < 0;
+    Py_XDECREF(sum);
+    return failed ? -1 : 0;
+}
+
+/* ``list[index] = value`` for a list the View owns (index in range). */
+static inline void
+list_put(PyObject *list, Py_ssize_t index, PyObject *value)
+{
+    PyObject *old = PyList_GET_ITEM(list, index);
+    Py_INCREF(value);
+    PyList_SET_ITEM(list, index, value);
+    Py_DECREF(old);
+}
+
+static inline int
+list_put_ll(PyObject *list, Py_ssize_t index, long long x)
+{
+    PyObject *value = PyLong_FromLongLong(x);
+    if (value == NULL) {
+        return -1;
+    }
+    PyObject *old = PyList_GET_ITEM(list, index);
+    PyList_SET_ITEM(list, index, value);
+    Py_DECREF(old);
+    return 0;
+}
+
+static inline int
+list_ll(PyObject *list, Py_ssize_t index, long long *out)
+{
+    return as_ll(PyList_GET_ITEM(list, index), out);
+}
+
+/* A trace index read from a schedule or waiter list: 0 <= i < n. */
+static int
+trace_index(View *v, PyObject *item, long long *out)
+{
+    if (as_ll(item, out) < 0) {
+        return -1;
+    }
+    if (*out < 0 || *out >= v->n) {
+        PyErr_Format(PyExc_IndexError, "trace index %lld out of range", *out);
+        return -1;
+    }
+    return 0;
+}
+
+/* Book an FU slot of ``itype`` at or after ``issue`` and schedule the
+ * trace index ``item``: into _load_issue for a load, else into _wake after
+ * its fixed latency.  Lowers ``*next_local``. */
+static int
+book_and_schedule(View *v, long long issue, int itype, PyObject *item,
+                  long long *next_local)
+{
+    if (itype >= N_ITYPES) {
+        PyErr_SetString(PyExc_IndexError, "itype out of range");
+        return -1;
+    }
+    PyObject *booked = PyList_GET_ITEM(v->fu_booked, itype);
+    if (!PyDict_CheckExact(booked)) {
+        PyErr_SetString(PyExc_TypeError, "_fu_booked must hold dicts");
+        return -1;
+    }
+    long long limit = v->fu_caps[itype];
+    long long used;
+    PyObject *key = NULL, *value;
+    for (;;) {
+        key = PyLong_FromLongLong(issue);
+        if (key == NULL) {
+            return -1;
+        }
+        value = PyDict_GetItemWithError(booked, key);
+        if (value == NULL) {
+            if (PyErr_Occurred()) {
+                goto error;
+            }
+            used = 0;
+        }
+        else if (as_ll(value, &used) < 0) {
+            goto error;
+        }
+        if (used < limit) {
+            break;
+        }
+        Py_DECREF(key);
+        issue += 1;
+    }
+    value = PyLong_FromLongLong(used + 1);
+    if (value == NULL || PyDict_SetItem(booked, key, value) < 0) {
+        Py_XDECREF(value);
+        goto error;
+    }
+    Py_DECREF(value);
+    Py_DECREF(key);
+
+    PyObject *sched;
+    if (itype == LOAD) {
+        sched = v->load_issue;
+    }
+    else {
+        sched = v->wake;
+        issue += v->latency[itype];
+    }
+    key = PyLong_FromLongLong(issue);
+    if (key == NULL) {
+        return -1;
+    }
+    PyObject *bucket = PyDict_GetItemWithError(sched, key);
+    if (bucket == NULL) {
+        if (PyErr_Occurred()) {
+            goto error;
+        }
+        bucket = PyList_New(1);
+        if (bucket == NULL) {
+            goto error;
+        }
+        Py_INCREF(item);
+        PyList_SET_ITEM(bucket, 0, item);
+        int failed = PyDict_SetItem(sched, key, bucket);
+        Py_DECREF(bucket);
+        if (failed) {
+            goto error;
+        }
+    }
+    else if (!PyList_Check(bucket) || PyList_Append(bucket, item) < 0) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_TypeError, "schedule buckets must be lists");
+        }
+        goto error;
+    }
+    Py_DECREF(key);
+    if (issue < *next_local) {
+        *next_local = issue;
+    }
+    return 0;
+
+error:
+    Py_XDECREF(key);
+    return -1;
+}
+
+/* ------------------------------------------------------------------ stages */
+
+/* OutOfOrderCore._complete_at */
+static int
+complete_at(Ctx *c, PyObject *finished, long long cycle)
+{
+    View *v = c->v;
+    if (PyDict_SetItem(c->dict, str_skip_until, small_zero) < 0) {
+        return -1;
+    }
+    PyObject *hook = dict_attr(c->dict, str_wake_hook);
+    if (hook == NULL) {
+        return -1;
+    }
+    if (hook != Py_None) {
+        if (c->dirty && write_back(c) < 0) {
+            return -1;
+        }
+        Py_INCREF(hook);
+        PyObject *result = PyObject_CallOneArg(hook, c->core);
+        Py_DECREF(hook);
+        if (result == NULL) {
+            return -1;
+        }
+        Py_DECREF(result);
+    }
+    long long cap = v->cap;
+    long long next_local = c->s[S_NEXT_LOCAL];
+    PyObject *iter = PyObject_GetIter(finished);
+    if (iter == NULL) {
+        return -1;
+    }
+    PyObject *item;
+    while ((item = PyIter_Next(iter)) != NULL) {
+        long long i;
+        if (trace_index(v, item, &i) < 0) {
+            Py_DECREF(item);
+            goto error;
+        }
+        Py_DECREF(item);
+        Py_ssize_t pos = (Py_ssize_t)(i % cap);
+        list_put(v->done, pos, Py_True);
+        if (i == c->s[S_FETCH_BLOCKER]) {
+            SET(c, S_FETCH_BLOCKER, -1);
+            SET(c, S_FETCH_RESUME, cycle + v->misp_penalty);
+        }
+        PyObject *deps = PyList_GET_ITEM(v->waiters, pos);
+        if (deps == Py_None) {
+            continue;
+        }
+        if (!PyList_Check(deps)) {
+            PyErr_SetString(PyExc_TypeError, "_waiters must hold lists");
+            goto error;
+        }
+        Py_INCREF(deps);
+        list_put(v->waiters, pos, Py_None);
+        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(deps); k++) {
+            PyObject *dep = PyList_GET_ITEM(deps, k);
+            long long d, left;
+            if (trace_index(v, dep, &d) < 0) {
+                Py_DECREF(deps);
+                goto error;
+            }
+            Py_ssize_t dpos = (Py_ssize_t)(d % cap);
+            if (list_ll(v->pending, dpos, &left) < 0
+                || list_put_ll(v->pending, dpos, left - 1) < 0) {
+                Py_DECREF(deps);
+                goto error;
+            }
+            if (left - 1) {
+                continue;
+            }
+            /* Last operand arrived: book a unit from this cycle on, schedule
+             * the result. */
+            Py_INCREF(dep);
+            int failed = book_and_schedule(v, cycle, v->itypes[d], dep,
+                                           &next_local);
+            Py_DECREF(dep);
+            if (failed) {
+                Py_DECREF(deps);
+                goto error;
+            }
+        }
+        Py_DECREF(deps);
+    }
+    Py_DECREF(iter);
+    if (PyErr_Occurred()) {
+        return -1;
+    }
+    SET(c, S_NEXT_LOCAL, next_local);
+    return 0;
+
+error:
+    Py_DECREF(iter);
+    return -1;
+}
+
+/* OutOfOrderCore._do_commit: the number of entries retired, or -1. */
+static long long
+commit(Ctx *c, PyObject *now_obj, long long now)
+{
+    View *v = c->v;
+    long long rob_len = c->s[S_ROB_LEN];
+    if (!rob_len) {
+        return 0;
+    }
+    PyObject *stats = dict_attr(c->dict, str_stats);
+    PyObject *provider = stats ? dict_attr(c->dict, str_provider) : NULL;
+    if (provider == NULL) {
+        return -1;
+    }
+    Py_INCREF(stats);
+    Py_INCREF(provider);
+    PyObject *pc = NULL, *a = NULL, *b = NULL, *handle = NULL;
+    long long cap = v->cap;
+    long long head = c->s[S_PTR] - rob_len, first = head;
+    long long stop = head + (rob_len < v->commit_width ? rob_len
+                                                        : v->commit_width);
+    while (head < stop) {
+        Py_ssize_t pos = (Py_ssize_t)(head % cap);
+        int done = PyObject_IsTrue(PyList_GET_ITEM(v->done, pos));
+        if (done < 0) {
+            goto error;
+        }
+        if (!done) {
+            break;
+        }
+        int itype = v->itypes[head];
+        if (itype == LOAD) {
+            long long start;
+            if ((pc = PyLong_FromUnsignedLong(v->pcs[head])) == NULL
+                || list_ll(v->bstart, pos, &start) < 0) {
+                goto error;
+            }
+            if (start >= 0) {
+                long long stall = now - start;
+                if (stat_add(stats, str_total_block_stall, stall) < 0
+                    || (b = PyLong_FromLongLong(stall)) == NULL) {
+                    goto error;
+                }
+                PyObject *tracer = dict_attr(c->dict, str_tracer);
+                if (tracer == NULL) {
+                    goto error;
+                }
+                if (tracer != Py_None) {
+                    if ((a = PyLong_FromLongLong(start)) == NULL) {
+                        goto error;
+                    }
+                    Py_INCREF(tracer);
+                    PyObject *args[] = {tracer, a, v->core_id, pc, b};
+                    int failed = call_out_discard(c, str_block_episode, args,
+                                                  5);
+                    Py_DECREF(tracer);
+                    Py_CLEAR(a);
+                    if (failed) {
+                        goto error;
+                    }
+                }
+                PyObject *args[] = {provider, pc, b, now_obj};
+                if (call_out_discard(c, str_on_blocked_commit, args, 4) < 0) {
+                    goto error;
+                }
+                Py_CLEAR(b);
+                list_put(v->bstart, pos, small_minus_one);
+            }
+            a = PyList_GET_ITEM(v->consumers, pos);
+            Py_INCREF(a);
+            PyObject *args[] = {provider, pc, a};
+            if (call_out_discard(c, str_on_load_consumers, args, 3) < 0) {
+                goto error;
+            }
+            Py_CLEAR(a);
+            Py_CLEAR(pc);
+            list_put(v->consumers, pos, small_zero);
+            list_put(v->handle, pos, Py_None);
+            SET(c, S_LQ_USED, c->s[S_LQ_USED] - 1);
+        }
+        else if (itype == STORE) {
+            PyObject *hierarchy = dict_attr(c->dict, str_hierarchy);
+            if (hierarchy == NULL) {
+                goto error;
+            }
+            Py_INCREF(hierarchy);
+            PyObject *args[] = {hierarchy, v->core_id};
+            PyObject *result = call_out(c, str_can_accept_store, args, 2);
+            int accepts = result ? PyObject_IsTrue(result) : -1;
+            Py_XDECREF(result);
+            if (accepts <= 0) {
+                Py_DECREF(hierarchy);
+                if (accepts < 0) {
+                    goto error;
+                }
+                /* Store buffer full: commit stalls until it drains. */
+                if (stat_add(stats, str_sq_full_cycles, 1) < 0) {
+                    goto error;
+                }
+                break;
+            }
+            SET(c, S_SQ_USED, c->s[S_SQ_USED] - 1);
+            a = PyLong_FromUnsignedLongLong(v->addrs[head]);
+            PyObject *store_args[] = {hierarchy, v->core_id, a, now_obj};
+            int failed = a == NULL
+                || call_out_discard(c, str_store, store_args, 4) < 0;
+            Py_DECREF(hierarchy);
+            Py_CLEAR(a);
+            if (failed) {
+                goto error;
+            }
+        }
+        head += 1;
+    }
+    long long committed = head - first;
+    if (committed) {
+        SET(c, S_ROB_LEN, rob_len - committed);
+        if (stat_add(stats, str_committed, committed) < 0) {
+            goto error;
+        }
+    }
+    if (head < stop && v->itypes[head] == LOAD) {
+        /* An incomplete load blocks the head; only DRAM-bound loads count
+         * as ROB-head blockers (see the Python body). */
+        Py_ssize_t pos = (Py_ssize_t)(head % cap);
+        handle = PyList_GET_ITEM(v->handle, pos);
+        Py_INCREF(handle);
+        int dram_bound = 0;
+        if (handle != Py_None) {
+            PyObject *went = PyObject_GetAttr(handle, str_went_to_dram);
+            dram_bound = went ? PyObject_IsTrue(went) : -1;
+            Py_XDECREF(went);
+            if (dram_bound < 0) {
+                goto error;
+            }
+        }
+        long long start = 0;
+        if (dram_bound) {
+            if (list_ll(v->bstart, pos, &start) < 0) {
+                goto error;
+            }
+        }
+        if (dram_bound && start < 0) {
+            if (list_put_ll(v->bstart, pos, now) < 0
+                || stat_add(stats, str_blocking_loads, 1) < 0
+                || stat_add(stats, str_blocking_dram_loads, 1) < 0
+                || (pc = PyLong_FromUnsignedLong(v->pcs[head])) == NULL
+                || (a = PyObject_GetAttr(handle, str_txn)) == NULL) {
+                goto error;
+            }
+            PyObject *args[] = {provider, pc, now_obj, a};
+            if (call_out_discard(c, str_on_block_start, args, 4) < 0) {
+                goto error;
+            }
+            Py_CLEAR(a);
+            Py_CLEAR(pc);
+        }
+        Py_CLEAR(handle);
+        if (stat_add(stats, str_blocked_cycles, 1) < 0
+            || (dram_bound
+                && stat_add(stats, str_blocked_dram_cycles, 1) < 0)) {
+            goto error;
+        }
+    }
+    Py_DECREF(provider);
+    Py_DECREF(stats);
+    return committed;
+
+error:
+    Py_XDECREF(pc);
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    Py_XDECREF(handle);
+    Py_DECREF(provider);
+    Py_DECREF(stats);
+    return -1;
+}
+
+/* The dependency on producer ``p`` of the entry ``item`` being dispatched
+ * (see the Python body); adds one to ``*pending`` if ``p`` is in flight. */
+static int
+resolve_operand(View *v, long long p, long long ptr, long long first,
+                PyObject *item, int *pending)
+{
+    if (!(p < ptr && p >= first)) {
+        return 0;
+    }
+    Py_ssize_t ppos = (Py_ssize_t)(p % v->cap);
+    if (v->itypes[p] == LOAD) {
+        /* Direct-consumer count, as CLPT tracks at rename. */
+        long long consumers;
+        if (list_ll(v->consumers, ppos, &consumers) < 0
+            || list_put_ll(v->consumers, ppos, consumers + 1) < 0) {
+            return -1;
+        }
+    }
+    int done = PyObject_IsTrue(PyList_GET_ITEM(v->done, ppos));
+    if (done < 0) {
+        return -1;
+    }
+    if (done) {
+        return 0;
+    }
+    PyObject *deps = PyList_GET_ITEM(v->waiters, ppos);
+    if (deps == Py_None) {
+        deps = PyList_New(1);
+        if (deps == NULL) {
+            return -1;
+        }
+        Py_INCREF(item);
+        PyList_SET_ITEM(deps, 0, item);
+        PyObject *old = PyList_GET_ITEM(v->waiters, ppos);
+        PyList_SET_ITEM(v->waiters, ppos, deps);
+        Py_DECREF(old);
+    }
+    else if (!PyList_Check(deps) || PyList_Append(deps, item) < 0) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_TypeError, "_waiters must hold lists");
+        }
+        return -1;
+    }
+    *pending += 1;
+    return 0;
+}
+
+/* OutOfOrderCore._do_dispatch: the number dispatched, or -1. */
+static long long
+dispatch(Ctx *c, long long now)
+{
+    View *v = c->v;
+    PyObject *stats;
+    if (c->s[S_FETCH_BLOCKER] >= 0 || now < c->s[S_FETCH_RESUME]) {
+        stats = dict_attr(c->dict, str_stats);
+        if (stats == NULL
+            || stat_add(stats, str_dispatch_stall_cycles, 1) < 0) {
+            return -1;
+        }
+        return 0;
+    }
+    long long ptr = c->s[S_PTR], start = ptr;
+    long long stop = ptr + v->fetch_width;
+    if (stop > v->n) {
+        stop = v->n;
+    }
+    if (ptr >= stop) {
+        return 0;  /* trace exhausted */
+    }
+    long long cap = v->cap;
+    long long next_local = c->s[S_NEXT_LOCAL];
+    /* Constant across the loop: dispatch grows ptr and rob_len together. */
+    long long first = ptr - c->s[S_ROB_LEN];
+    while (ptr < stop) {
+        if (ptr - first >= cap) {
+            stats = dict_attr(c->dict, str_stats);
+            if (stats == NULL || stat_add(stats, str_rob_full_cycles, 1) < 0) {
+                return -1;
+            }
+            break;
+        }
+        int cls = v->dclass[ptr];
+        if (cls == DC_LOAD) {
+            if (c->s[S_LQ_USED] >= v->lq_entries) {
+                stats = dict_attr(c->dict, str_stats);
+                if (stats == NULL
+                    || stat_add(stats, str_lq_full_cycles, 1) < 0) {
+                    return -1;
+                }
+                break;
+            }
+            SET(c, S_LQ_USED, c->s[S_LQ_USED] + 1);
+        }
+        else if (cls == DC_STORE) {
+            if (c->s[S_SQ_USED] >= v->sq_entries) {
+                break;
+            }
+            SET(c, S_SQ_USED, c->s[S_SQ_USED] + 1);
+        }
+        PyObject *item = PyLong_FromLongLong(ptr);
+        if (item == NULL) {
+            return -1;
+        }
+        /* Producer p is in flight iff p >= first, and then sits at ring
+         * position p % cap; a retired producer is long complete. */
+        int pending = 0;
+        if (resolve_operand(v, ptr - v->dep1[ptr], ptr, first, item,
+                            &pending) < 0
+            || resolve_operand(v, ptr - v->dep2[ptr], ptr, first, item,
+                               &pending) < 0) {
+            Py_DECREF(item);
+            return -1;
+        }
+        Py_ssize_t pos = (Py_ssize_t)(ptr % cap);
+        list_put(v->done, pos, Py_False);
+        int failed;
+        if (pending) {
+            failed = list_put_ll(v->pending, pos, pending);
+        }
+        else {
+            /* Operands ready: book a unit, schedule the result. */
+            failed = book_and_schedule(v, now + 1, v->itypes[ptr], item,
+                                       &next_local);
+        }
+        Py_DECREF(item);
+        if (failed) {
+            return -1;
+        }
+        ptr += 1;
+        if (cls == DC_MISP_BRANCH) {
+            /* Fetch stalls until the branch resolves, plus the refill
+             * penalty (applied when the branch completes). */
+            SET(c, S_FETCH_BLOCKER, ptr - 1);
+            break;
+        }
+    }
+    SET(c, S_PTR, ptr);
+    SET(c, S_ROB_LEN, ptr - first);
+    SET(c, S_NEXT_LOCAL, next_local);
+    return ptr - start;
+}
+
+/* ``schedule.pop(key, None)``: a new reference, or NULL (error set or not). */
+static PyObject *
+pop_bucket(PyObject *schedule, PyObject *key)
+{
+    PyObject *bucket = PyDict_GetItemWithError(schedule, key);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    Py_INCREF(bucket);
+    if (PyDict_DelItem(schedule, key) < 0) {
+        Py_DECREF(bucket);
+        return NULL;
+    }
+    return bucket;
+}
+
+/* OutOfOrderCore.step */
+static int
+step(Ctx *c, PyObject *now_obj, long long now)
+{
+    View *v = c->v;
+    PyObject *bucket = pop_bucket(v->wake, now_obj);
+    if (bucket == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    if (bucket != NULL) {
+        int truth = PyObject_IsTrue(bucket);
+        int failed = truth < 0 || (truth && complete_at(c, bucket, now) < 0);
+        Py_DECREF(bucket);
+        if (failed) {
+            return -1;
+        }
+    }
+    bucket = pop_bucket(v->load_issue, now_obj);
+    if (bucket == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    if (bucket != NULL) {
+        /* The Python _do_load_issues may lower _next_local: read the
+         * scalars again after it. */
+        PyObject *args[] = {c->core, bucket, now_obj};
+        int truth = PyObject_IsTrue(bucket);
+        int failed = truth < 0
+            || (truth
+                && (call_out_discard(c, str_do_load_issues, args, 3) < 0
+                    || load_scalars(c) < 0));
+        Py_DECREF(bucket);
+        if (failed) {
+            return -1;
+        }
+    }
+    if (commit(c, now_obj, now) < 0 || dispatch(c, now) < 0) {
+        return -1;
+    }
+    PyObject *provider = dict_attr(c->dict, str_provider);
+    if (provider == NULL) {
+        return -1;
+    }
+    Py_INCREF(provider);
+    PyObject *tick_args[] = {provider, now_obj};
+    int failed = call_out_discard(c, str_tick, tick_args, 2);
+    Py_DECREF(provider);
+    if (failed) {
+        return -1;
+    }
+    long long prune_at;
+    if (dict_ll(c->dict, str_prune_at, &prune_at) < 0) {
+        return -1;
+    }
+    if (now >= prune_at) {
+        /* The first stepped cycle at or past the boundary, not the
+         * boundary itself: the batched engine steps few such cycles. */
+        PyObject *args[] = {c->core, now_obj};
+        if (call_out_discard(c, str_prune_fu_bookings, args, 2) < 0) {
+            return -1;
+        }
+    }
+    PyObject *stats = dict_attr(c->dict, str_stats);
+    PyObject *cycles = stats ? PyLong_FromLongLong(now + 1) : NULL;
+    if (cycles == NULL) {
+        return -1;
+    }
+    failed = PyObject_SetAttr(stats, str_cycles, cycles);
+    Py_DECREF(cycles);
+    if (failed) {
+        return -1;
+    }
+    if (c->s[S_PTR] >= v->n && !c->s[S_ROB_LEN]) {
+        return PyDict_SetItem(c->dict, str_done, Py_True);
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------ entry points */
+
+static int
+check_args(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                     name, want, nargs);
+        return -1;
+    }
+    return 0;
+}
+
+/* Open a call on ``core`` with its scalars loaded. */
+static int
+enter(Ctx *c, PyObject *core)
+{
+    if (ctx_open(c, core) < 0) {
+        return -1;
+    }
+    if (load_scalars(c) < 0) {
+        ctx_close(c);
+        return -1;
+    }
+    return 0;
+}
+
+/* Write the scalars back and close; ``result`` on success, else NULL. */
+static PyObject *
+leave(Ctx *c, PyObject *result)
+{
+    if (result == NULL) {
+        write_back_raising(c);
+    }
+    else if (write_back(c) < 0) {
+        Py_CLEAR(result);
+    }
+    ctx_close(c);
+    return result;
+}
+
+static PyObject *
+none_unless(int failed)
+{
+    if (failed) {
+        return NULL;
+    }
+    Py_INCREF(Py_None);
+    return Py_None;
+}
+
+static PyObject *
+k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now;
+    Ctx c;
+    if (check_args("step", nargs, 2) < 0 || as_ll(args[1], &now) < 0
+        || ctx_open(&c, args[0]) < 0) {
+        return NULL;
+    }
+    PyObject *done = dict_attr(c.dict, str_done);
+    int truth = done ? PyObject_IsTrue(done) : -1;
+    if (truth) {
+        ctx_close(&c);
+        if (truth < 0) {
+            return NULL;
+        }
+        Py_RETURN_NONE;
+    }
+    if (load_scalars(&c) < 0) {
+        ctx_close(&c);
+        return NULL;
+    }
+    return leave(&c, none_unless(step(&c, args[1], now) < 0));
+}
+
+static PyObject *
+k_complete_at(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long cycle;
+    Ctx c;
+    if (check_args("complete_at", nargs, 3) < 0 || as_ll(args[2], &cycle) < 0
+        || enter(&c, args[0]) < 0) {
+        return NULL;
+    }
+    return leave(&c, none_unless(complete_at(&c, args[1], cycle) < 0));
+}
+
+static PyObject *
+k_commit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now;
+    Ctx c;
+    if (check_args("commit", nargs, 2) < 0 || as_ll(args[1], &now) < 0
+        || enter(&c, args[0]) < 0) {
+        return NULL;
+    }
+    long long committed = commit(&c, args[1], now);
+    return leave(&c, committed < 0 ? NULL : PyLong_FromLongLong(committed));
+}
+
+static PyObject *
+k_dispatch(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now;
+    Ctx c;
+    if (check_args("dispatch", nargs, 2) < 0 || as_ll(args[1], &now) < 0
+        || enter(&c, args[0]) < 0) {
+        return NULL;
+    }
+    long long dispatched = dispatch(&c, now);
+    return leave(&c, dispatched < 0 ? NULL : PyLong_FromLongLong(dispatched));
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"step", (PyCFunction)(void (*)(void))k_step, METH_FASTCALL,
+     "step(core, now): OutOfOrderCore.step"},
+    {"complete_at", (PyCFunction)(void (*)(void))k_complete_at, METH_FASTCALL,
+     "complete_at(core, finished, cycle): OutOfOrderCore._complete_at"},
+    {"commit", (PyCFunction)(void (*)(void))k_commit, METH_FASTCALL,
+     "commit(core, now): OutOfOrderCore._do_commit"},
+    {"dispatch", (PyCFunction)(void (*)(void))k_dispatch, METH_FASTCALL,
+     "dispatch(core, now): OutOfOrderCore._do_dispatch"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "Compiled per-cycle stages of repro.cpu.core.OutOfOrderCore.",
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+#define INTERN_NAME(id, text)                                      \
+    if ((str_##id = PyUnicode_InternFromString(text)) == NULL) { \
+        return NULL;                                               \
+    }
+    NAMES(INTERN_NAME)
+    for (int k = 0; k < N_SCALARS; k++) {
+        scalar_keys[k] = PyUnicode_InternFromString(scalar_names[k]);
+        if (scalar_keys[k] == NULL) {
+            return NULL;
+        }
+    }
+    if ((small_zero = PyLong_FromLong(0)) == NULL
+        || (small_minus_one = PyLong_FromLong(-1)) == NULL
+        || PyType_Ready(&ViewType) < 0) {
+        return NULL;
+    }
+    return PyModule_Create(&kernel_module);
+}

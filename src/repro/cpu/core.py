@@ -17,13 +17,30 @@ Modeled structure, per cycle:
 The core reports three things to its criticality provider: annotations for
 issued loads, block starts, and blocked-commit stall times — plus direct-
 consumer counts for the CLPT comparator.
+
+:meth:`OutOfOrderCore.step` and the stages it runs every busy cycle
+(``_complete_at``, ``_do_commit``, ``_do_dispatch``) are also compiled
+(``_kernel.c``, built by :mod:`repro.cpu.native`).  Each opens with one
+guard that hands the call to the kernel when it is loaded; the Python body
+after the guard is the reference the kernel transliterates, and the core
+when no compiler is available.
 """
 
 from __future__ import annotations
 
 from repro.config import CoreConfig
+from repro.cpu import native
 from repro.cpu.instruction import BRANCH, LOAD, STORE
 from repro.core.provider import CriticalityProvider, NaiveForwardingProvider
+
+#: The compiled stages, or None: the Python bodies are the core.
+_kernel = native.load()
+
+
+def implementation() -> str:
+    """``"compiled"`` when the kernel runs the per-cycle stages, else
+    ``"python"``."""
+    return "python" if _kernel is None else "compiled"
 
 # Sentinel for "no locally scheduled wake/issue pending" (see _next_local).
 _FAR = 1 << 62
@@ -201,6 +218,8 @@ class OutOfOrderCore:
     def _complete_at(self, finished, cycle: int) -> None:
         """Mark the trace indices ``finished`` complete at ``cycle`` and
         issue every dependent whose last operand that was."""
+        if _kernel is not None:
+            return _kernel.complete_at(self, finished, cycle)
         self.skip_until = 0  # completions can unblock commit/dispatch
         hook = self._wake_hook
         if hook is not None:
@@ -303,6 +322,8 @@ class OutOfOrderCore:
 
     def _do_commit(self, now: int) -> int:
         """Retire up to ``commit_width`` entries in order; return how many."""
+        if _kernel is not None:
+            return _kernel.commit(self, now)
         rob_len = self._rob_len
         if not rob_len:
             return 0
@@ -377,6 +398,8 @@ class OutOfOrderCore:
         done books its functional unit and schedules its completion (or
         its cache access) at once.
         """
+        if _kernel is not None:
+            return _kernel.dispatch(self, now)
         if self._fetch_blocker >= 0 or now < self._fetch_resume:
             self.stats.dispatch_stall_cycles += 1
             return 0
@@ -489,6 +512,8 @@ class OutOfOrderCore:
 
     def step(self, now: int) -> None:
         """Advance one CPU cycle."""
+        if _kernel is not None:
+            return _kernel.step(self, now)
         if self.done:
             return
         finished = self._wake.pop(now, None)

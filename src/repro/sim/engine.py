@@ -138,9 +138,10 @@ def code_version() -> str:
 
 
 def _source_digest(root: str) -> str:
-    """SHA-256 prefix over every ``*.py`` file under ``root``: each
-    file's relative path, then its bytes, files in the order of their
-    path components (the order of sorted ``Path.rglob`` paths)."""
+    """SHA-256 prefix over every source file under ``root`` (``*.py``,
+    and ``*.c`` for the compiled core stages): each file's relative
+    path, then its bytes, files in the order of their path components
+    (the order of sorted ``Path.rglob`` paths)."""
     files = []
     pending = [()]
     while pending:
@@ -149,7 +150,7 @@ def _source_digest(root: str) -> str:
             for entry in entries:
                 if entry.is_dir(follow_symlinks=False):
                     pending.append(parts + (entry.name,))
-                elif entry.name.endswith(".py"):
+                elif entry.name.endswith((".py", ".c")):
                     files.append(parts + (entry.name,))
     digest = hashlib.sha256()
     for parts in sorted(files):

@@ -3,9 +3,13 @@
 Runs the same workload once per engine (``--engines``, default ``all``:
 every registered engine) and reports wall clock, cycles/second, and
 speedup over the naive reference (or the first engine listed when naive
-is absent).  The runs must also agree on the determinism chain and
-result fingerprint, so the comparison doubles as a cheap cross-engine
-identity check; the command exits 1 when they diverge.
+is absent), and which core ran them: ``compiled`` when the core's
+per-cycle stages ran in the kernel, ``python`` on their Python bodies.
+The runs must also agree on the determinism chain and result
+fingerprint, so the comparison doubles as a cheap cross-engine identity
+check; the command exits 1 when they diverge, and when a run stopped at
+the livelock cap (its cycle count then measures the cap, not the
+machine).
 
 Per-layer host time is billed from outside the package by the benchmark
 tracer (``bench/spans.py``); ad-hoc profiling is
@@ -19,22 +23,27 @@ into simulated state.
 from __future__ import annotations
 
 import json
+import sys
 
 from repro.config import SimScale
 from repro.util import hostclock
 
 
-def _run_workload(args):
-    from repro.sim.runner import run_parallel_workload
-
-    scale = SimScale(
+def _scale(args) -> SimScale:
+    return SimScale(
         instructions_per_core=args.instructions,
         warmup_instructions=max(200, args.instructions // 10),
         seed=args.seed,
     )
+
+
+def _run_workload(args):
+    from repro.sim.runner import run_parallel_workload
+
     spec = ("cbp", {"entries": args.cbp}) if args.cbp else None
     return run_parallel_workload(
-        args.app, scheduler=args.scheduler, provider_spec=spec, scale=scale
+        args.app, scheduler=args.scheduler, provider_spec=spec,
+        scale=_scale(args),
     )
 
 
@@ -50,6 +59,8 @@ def compare_engines(args) -> dict:
     """
     import os
 
+    from repro.cpu.core import implementation
+    from repro.sim import runner
     from repro.sim.stats import result_fingerprint
     from repro.sim.system import ENGINES
 
@@ -70,6 +81,7 @@ def compare_engines(args) -> dict:
                     "engine": engine,
                     "wall_seconds": round(wall, 4),
                     "cycles": result.cycles,
+                    "hit_max_cycles": result.hit_max_cycles,
                     "cycles_per_second": round(
                         result.cycles / wall if wall else 0.0, 1
                     ),
@@ -94,6 +106,8 @@ def compare_engines(args) -> dict:
         )
     report = {
         "label": f"{args.app}/{args.scheduler}",
+        "core": implementation(),
+        "max_cycles": runner._max_cycles(_scale(args)),
         "runs": [
             {k: v for k, v in run.items() if k != "fingerprint"}
             for run in runs
@@ -104,7 +118,7 @@ def compare_engines(args) -> dict:
 
 
 def _print_comparison(report: dict) -> None:
-    print(f"{report['label']}: engine comparison")
+    print(f"{report['label']}: engine comparison on the {report['core']} core")
     print(f"  {'engine':<8} {'wall':>8} {'cycles/s':>12} {'speedup':>8}  identical")
     for run in report["runs"]:
         print(f"  {run['engine']:<8} {run['wall_seconds']:>7.2f}s "
@@ -112,6 +126,17 @@ def _print_comparison(report: dict) -> None:
               f"{'yes' if run['identical'] else 'NO — DIVERGED'}")
     if not report["identical"]:
         print("engine comparison FAILED: results diverged")
+
+
+def _capped(report: dict) -> bool:
+    """True, after naming each on stderr, if any engine's run stopped at
+    the livelock cap (worded as the other commands word it)."""
+    capped = [run for run in report["runs"] if run["hit_max_cycles"]]
+    for run in capped:
+        print(f"error: {report['label']} ({run['engine']} engine): stopped "
+              f"at cycle {run['cycles']}, the livelock cap of "
+              f"{report['max_cycles']} cycles", file=sys.stderr)
+    return bool(capped)
 
 
 def main(args) -> int:
@@ -122,4 +147,5 @@ def main(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
         print(f"\nreport -> {args.json}")
-    return 0 if report["identical"] else 1
+    capped = _capped(report)
+    return 0 if report["identical"] and not capped else 1

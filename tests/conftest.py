@@ -32,6 +32,14 @@ TEST_SCALE = SimScale(instructions_per_core=1_200, warmup_instructions=100)
 
 
 @pytest.fixture
+def python_core(monkeypatch):
+    """Run the core's Python bodies instead of its compiled stages."""
+    from repro.cpu import core
+
+    monkeypatch.setattr(core, "_kernel", None)
+
+
+@pytest.fixture
 def dram_config():
     return DramConfig()
 

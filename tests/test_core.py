@@ -36,12 +36,15 @@ class CoreHarness:
             provider or CriticalityProvider(), self.events,
         )
 
+    def step(self):
+        self.events.run_due(self.now)
+        self.memory.step(self.now)
+        self.core.step(self.now)
+        self.now += 1
+
     def run(self, max_cycles=500_000):
         while not self.core.done and self.now < max_cycles:
-            self.events.run_due(self.now)
-            self.memory.step(self.now)
-            self.core.step(self.now)
-            self.now += 1
+            self.step()
         assert self.core.done, "core did not finish"
         return self.core.stats
 

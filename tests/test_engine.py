@@ -90,9 +90,10 @@ class TestSpecKey:
 
 
 def _rglob_digest(root: Path) -> str:
-    """The code version as first written: sorted ``rglob`` paths."""
+    """The code version as first written (sorted ``rglob`` paths), over
+    the Python and the C sources."""
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
@@ -109,7 +110,7 @@ class TestCodeVersion:
     def test_files_sort_by_path_components(self, tmp_path):
         # By components "x/y.py" precedes "x-y.py"; as strings it follows.
         for name in ("x.py", "x-y.py", "x/y.py", "x/z/a.py", "x0.py",
-                     ".h/b.py", "notes.txt"):
+                     ".h/b.py", "notes.txt", "x/k.c", "x-k.c", "x/k.so"):
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / name).write_text(name)
         assert engine._source_digest(str(tmp_path)) == _rglob_digest(tmp_path)
@@ -121,6 +122,21 @@ class TestCodeVersion:
         before = engine._source_digest(str(copy))
         assert before == _rglob_digest(self.ROOT)
         target = copy / "cache" / "mshr.py"
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 1
+        target.write_bytes(bytes(data))
+        assert engine._source_digest(str(copy)) != before
+
+    def test_one_changed_byte_of_the_kernel_source_changes_the_version(
+        self, tmp_path
+    ):
+        # The compiled core stages are simulator source too: a cache key
+        # blind to them would replay results of the old kernel.
+        copy = tmp_path / "repro"
+        shutil.copytree(self.ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = engine._source_digest(str(copy))
+        target = copy / "cpu" / "_kernel.c"
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 1
         target.write_bytes(bytes(data))

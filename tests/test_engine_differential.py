@@ -8,8 +8,10 @@ the ``max_cycles`` cap path (a capped run breaks out of the loop
 mid-flight, which must not perturb telemetry folding) and engine
 selection.
 
-The satellite regressions ride along: the shared-kwargs aliasing fix in
-``make_provider_factory`` and the stall guard in ``_fold_telemetry``.
+The capped-run cases run on the core's compiled stages and again on
+their Python bodies.  The satellite regressions ride along: the
+shared-kwargs aliasing fix in ``make_provider_factory`` and the stall
+guard in ``_fold_telemetry``.
 """
 
 from __future__ import annotations
@@ -109,6 +111,14 @@ class TestMaxCyclesCap:
         checkpoints = {len(r.det_checkpoints) for r in results}
         assert len(chains) == 1
         assert len(checkpoints) == 1
+
+
+class TestMaxCyclesCapOnPythonCore(TestMaxCyclesCap):
+    """The same on the Python bodies of the core's compiled stages."""
+
+    @pytest.fixture(autouse=True)
+    def _python_bodies(self, python_core):
+        pass
 
 
 def test_incremental_det_state_matches_scan_after_real_run():

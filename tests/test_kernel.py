@@ -1,0 +1,317 @@
+"""The core's compiled stages (``repro/cpu/_kernel.c``) and their loader.
+
+``OutOfOrderCore.step``, ``_complete_at``, ``_do_commit`` and
+``_do_dispatch`` hand each call to the kernel when it is loaded; the
+Python body after the guard is the reference.  This module pins the
+loader (where the kernel is built, that loading it compiles nothing,
+that a compile error selects the Python bodies) and holds the kernel
+to its reference: cycle by cycle on one core, and end to end with
+every telemetry stream on.  ``test_golden_fingerprints.py`` pins both
+cores against recorded values, and the Python bodies selected when
+the compiler is missing.
+
+Compiled-core cases skip only where no C compiler exists; where one
+does, a kernel that did not load fails them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.machinery
+import os
+import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from repro.config import SimScale, SystemConfig
+from repro.core.provider import CbpProvider
+from repro.cpu import core, native
+from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE, Trace
+from repro.sim.runner import (
+    run_multiprogrammed_workload,
+    run_parallel_workload,
+)
+from repro.sim.stats import result_fingerprint
+from repro.sim.system import ENGINES
+from tests.test_core import CoreHarness
+
+
+def _compiler_found() -> bool:
+    link = sysconfig.get_config_var("LDSHARED")
+    return bool(link) and shutil.which(shlex.split(link)[0]) is not None
+
+
+@pytest.fixture
+def kernel():
+    """The loaded kernel; skips without a compiler, fails without a kernel."""
+    if core._kernel is None:
+        if not _compiler_found():
+            pytest.skip("no C compiler: the Python bodies are the core")
+        pytest.fail(f"a C compiler exists but the kernel did not load: "
+                    f"{native.failure}")
+    return core._kernel
+
+
+@pytest.fixture
+def isolated_loader(monkeypatch, tmp_path):
+    """``native.load`` building into ``tmp_path`` (never the package's
+    ``__pycache__``), with its failure note restored afterwards."""
+    monkeypatch.setattr(native, "failure", native.failure)
+    monkeypatch.setattr(
+        native, "built_path", lambda source: str(tmp_path / "_kernel.so")
+    )
+    return tmp_path
+
+
+# ------------------------------------------------------------------ loading
+
+
+class TestLoad:
+    def test_built_file_is_named_by_source_digest_and_ext_suffix(self, kernel):
+        with open(native.SOURCE, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+        path = Path(kernel.__file__)
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        assert path.name == f"_kernel.{digest}{suffix}"
+        assert path.parent == Path(native.SOURCE).parent / "__pycache__"
+        assert kernel.__name__ == native.MODULE
+
+    def test_loading_a_built_kernel_runs_no_compiler(self, kernel,
+                                                     monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("loading a built kernel started a process")
+
+        monkeypatch.setattr(native, "_compile", forbidden)
+        monkeypatch.setattr(subprocess, "run", forbidden)
+        monkeypatch.setattr(subprocess, "Popen", forbidden)
+        monkeypatch.setattr(native, "failure", native.failure)
+        assert native.load() is not None
+        assert native.failure is None
+
+    def test_compile_error_selects_the_python_bodies(self, kernel,
+                                                     isolated_loader,
+                                                     monkeypatch):
+        broken = isolated_loader / "broken.c"
+        broken.write_text("#error this kernel does not build\n")
+        monkeypatch.setattr(native, "SOURCE", str(broken))
+        assert native.load() is None
+        assert "compiler failed" in native.failure
+        assert "does not build" in native.failure
+
+    def test_build_publishes_through_atomicio(self, kernel, isolated_loader,
+                                              monkeypatch):
+        from repro.util import atomicio
+
+        published = []
+        original = atomicio.write_bytes
+
+        def record(path, payload):
+            published.append(str(path))
+            original(path, payload)
+
+        monkeypatch.setattr(atomicio, "write_bytes", record)
+        target = str(isolated_loader / "built.so")
+        assert native.build(target)
+        assert published == [target]
+        assert os.path.getsize(target) > 0
+        assert [p.name for p in isolated_loader.iterdir()] == ["built.so"]
+
+
+# --------------------------------------------------------- cycle by cycle
+
+
+class _Recorder:
+    """Tracer stand-in: records what the core reports, in order."""
+
+    def __init__(self):
+        self.records = []
+
+    def block_episode(self, *args):
+        self.records.append(("block", *args))
+
+    def prediction(self, *args):
+        self.records.append(("prediction", *args))
+
+
+def _mixed_trace(n=3000, seed=5):
+    """Loads, stores, branches (some mispredicted) and compute with short
+    dependencies; a third of the accesses miss to DRAM, the rest stay in
+    a 16 KiB region."""
+    rng = random.Random(seed)
+    trace = Trace("mixed")
+    for i in range(n):
+        kind = rng.random()
+        dep1 = min(rng.randrange(0, 12), i) if rng.random() < 0.6 else 0
+        dep2 = min(rng.randrange(0, 30), i) if rng.random() < 0.2 else 0
+        span = (1 << 24) if rng.random() < 0.3 else (1 << 14)
+        if kind < 0.3:
+            trace.append(LOAD, 16 + i % 24, rng.randrange(span) & ~7,
+                         dep1, dep2)
+        elif kind < 0.45:
+            trace.append(STORE, 64 + i % 8, rng.randrange(span) & ~7,
+                         dep1, dep2)
+        elif kind < 0.55:
+            trace.append(BRANCH, 96 + i % 8, 0, dep1, 0,
+                         misp=rng.random() < 0.1)
+        else:
+            trace.append(INT if kind < 0.8 else FP, 128 + i % 32, 0, dep1,
+                         dep2)
+    return trace
+
+
+class _Machine(CoreHarness):
+    """One core with a CBP-64 provider and a recording tracer on its own
+    single-core memory system."""
+
+    def __init__(self, trace, config):
+        super().__init__(trace, config, CbpProvider(entries=64))
+        self.core.tracer = _Recorder()
+
+    def state(self):
+        c = self.core
+        return (
+            c.det_state(), dict(vars(c.stats)), list(c._done),
+            list(c._pending), [None if w is None else list(w)
+                               for w in c._waiters],
+            list(c._consumers), list(c._bstart),
+            [h is None for h in c._handle],
+            list(c._wake.items()), list(c._load_issue.items()),
+            [list(b.items()) for b in c._fu_booked],
+            c._next_local, c._prune_at, c.skip_until,
+            list(c.tracer.records),
+        )
+
+
+def test_stages_match_the_python_bodies_cycle_by_cycle(kernel, monkeypatch):
+    """Lockstep: after every cycle, every column, schedule (in insertion
+    order), FU table, scalar, statistic and tracer record of the kernel's
+    core equals the Python bodies' core.  The trace reaches every stall
+    the stages count, and a short prune interval the FU-table prune."""
+    config = SystemConfig(cores=1)
+    monkeypatch.setattr(core, "_PRUNE_MASK", 255)
+    trace = _mixed_trace()
+    compiled, python = _Machine(trace, config), _Machine(trace, config)
+    for machine in (compiled, python):
+        machine.core._prune_at = 256
+    cycles = 0
+    while not (compiled.core.done and python.core.done):
+        compiled.step()
+        monkeypatch.setattr(core, "_kernel", None)
+        python.step()
+        monkeypatch.setattr(core, "_kernel", kernel)
+        assert compiled.state() == python.state(), f"cycle {cycles}"
+        cycles += 1
+        assert cycles < 200_000, "run did not finish"
+    stats = python.core.stats
+    assert stats.committed == len(trace)
+    for counter in ("lq_full_cycles", "sq_full_cycles", "rob_full_cycles",
+                    "dispatch_stall_cycles", "blocking_dram_loads",
+                    "critical_loads_sent"):
+        assert getattr(stats, counter), counter
+    assert python.core.tracer.records
+
+
+def test_call_out_exceptions_propagate_unchanged(kernel, monkeypatch):
+    """A provider hook that raises surfaces from ``step`` as itself, and
+    leaves the same core state on both paths."""
+
+    class Boom(Exception):
+        pass
+
+    config = SystemConfig(cores=1)
+    trace = _mixed_trace(400)
+    states = []
+    for use_kernel in (True, False):
+        monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
+        machine = _Machine(trace, config)
+        for _ in range(40):
+            machine.step()
+
+        def tick(cycle):
+            raise Boom(cycle)
+
+        machine.core.provider.tick = tick
+        with pytest.raises(Boom) as raised:
+            machine.step()
+        assert raised.value.args == (40,)
+        states.append(machine.state())
+    assert states[0] == states[1]
+
+
+def test_internal_error_leaves_the_state_the_python_bodies_leave(
+    kernel, monkeypatch
+):
+    """Dispatch fails on the INT after a load: the load's LQ entry is
+    taken (the Python body writes it at once), the dispatch pointer is
+    not (written after the loop), on both paths."""
+    trace = Trace("two")
+    trace.append(LOAD, 1, 1 << 20)
+    trace.append(INT, 2)
+    states = []
+    for use_kernel in (True, False):
+        monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
+        machine = _Machine(trace, SystemConfig(cores=1))
+        machine.core._fu_booked[INT] = None
+        with pytest.raises((AttributeError, TypeError)):
+            machine.step()
+        states.append(machine.core.det_state())
+    assert states[0] == states[1]
+    assert states[0][5] == 1  # _lq_used
+    assert states[0][2] == 0  # _ptr
+
+
+# ------------------------------------------------------------- end to end
+
+SCALE = SimScale(instructions_per_core=800, warmup_instructions=100, seed=3)
+CBP64 = ("cbp", {"entries": 64})
+
+RUNS = {
+    "fft/FR-FCFS": lambda: run_parallel_workload("fft", "fr-fcfs",
+                                                 scale=SCALE),
+    "art/CASRAS-Crit+CBP64": lambda: run_parallel_workload(
+        "art", "casras-crit", CBP64, scale=SCALE),
+    "swim/Crit-CASRAS+CLPT": lambda: run_parallel_workload(
+        "swim", "crit-casras", ("clpt", {"ranked": True}), scale=SCALE),
+    "mg/CASRAS-Crit+naive": lambda: run_parallel_workload(
+        "mg", "casras-crit", ("naive", {}), scale=SCALE),
+    "RFGI/Crit-RL+CBP64": lambda: run_multiprogrammed_workload(
+        "RFGI", "crit-rl", CBP64, scale=SCALE),
+}
+
+
+def _stream_digest(directory: Path) -> dict[str, str]:
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.glob("*.jsonl"))
+    }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_compiled_core_matches_python_bodies(kernel, name, engine, tmp_path,
+                                             monkeypatch):
+    """Same result fingerprint, det-chain checkpoints, sampled series,
+    event trace and streamed segment bytes with every telemetry stream
+    on."""
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    monkeypatch.setenv("REPRO_SAMPLE_EVERY", "64")
+    monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "128")
+    observed = []
+    for use_kernel in (True, False):
+        monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
+        stream = tmp_path / ("compiled" if use_kernel else "python")
+        monkeypatch.setenv("REPRO_STREAM_DIR", str(stream))
+        result = RUNS[name]()
+        assert not result.hit_max_cycles
+        observed.append((
+            result_fingerprint(result), result.det_chain,
+            result.det_checkpoints, result.sample_cycles, result.timeseries,
+            result.trace_events, _stream_digest(stream),
+        ))
+    assert observed[0] == observed[1]

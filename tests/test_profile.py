@@ -6,7 +6,8 @@ import json
 import os
 
 from repro.__main__ import main
-from repro.sim import stats
+from repro.cpu import core
+from repro.sim import runner, stats
 from repro.sim.system import ENGINES
 
 
@@ -41,3 +42,30 @@ def test_divergent_engine_fails_the_command(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert report["identical"] is False
     assert "DIVERGED" in capsys.readouterr().out
+
+
+def test_capped_run_fails_the_command(tmp_path, capsys, monkeypatch):
+    # Two runs stopped at the cap agree with each other, so identity
+    # alone would pass them.
+    monkeypatch.setattr(runner, "_max_cycles", lambda scale: 300)
+    code, report = _profile(tmp_path)
+    assert code == 1
+    assert report["identical"] is True
+    assert [run["hit_max_cycles"] for run in report["runs"]] == [True] * len(
+        ENGINES)
+    err = capsys.readouterr().err
+    for engine in ENGINES:
+        assert (f"error: fft/fr-fcfs ({engine} engine): stopped at cycle 300, "
+                f"the livelock cap of 300 cycles") in err
+
+
+def test_report_names_the_core_that_ran(tmp_path, capsys, monkeypatch):
+    code, report = _profile(tmp_path)
+    assert code == 0
+    assert report["core"] == ("python" if core._kernel is None else "compiled")
+    assert all(run["hit_max_cycles"] is False for run in report["runs"])
+    monkeypatch.setattr(core, "_kernel", None)
+    code, report = _profile(tmp_path)
+    assert code == 0
+    assert report["core"] == "python"
+    assert "engine comparison on the python core" in capsys.readouterr().out
