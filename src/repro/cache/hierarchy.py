@@ -17,6 +17,14 @@ is granted.  Dirty L2 victims become DRAM write transactions.
 Criticality flows through this module untouched: the annotation attached at
 load issue is copied onto the DRAM transaction (Section 3.2's widened
 on-chip address bus), and merged MSHR requests take the maximum magnitude.
+
+The per-access path (:meth:`MemoryHierarchy.load`, ``store``,
+``can_accept_store``, the L2-access, fill, coherence and eviction
+handlers) is also compiled (``_kernel.c``, built by
+:mod:`repro.cpu.native`).  Each of those methods opens with one guard
+that hands the call to the kernel when it is loaded; the Python body
+after the guard is the reference the kernel transliterates, and the
+hierarchy when no compiler is available.
 """
 
 from __future__ import annotations
@@ -27,8 +35,20 @@ from repro.cache.base import MODIFIED, SHARED, SetAssociativeCache
 from repro.cache.mshr import MshrFile
 from repro.cache.prefetcher import StreamPrefetcher
 from repro.config import SystemConfig
+from repro.cpu import native
 from repro.dram.transaction import Transaction
 from repro.telemetry.registry import LatencyHistogram
+
+#: The compiled per-access path, or None: the Python bodies are the
+#: hierarchy.
+_kernel = native.CACHE.load()
+
+
+def implementation() -> str:
+    """``"compiled"`` when the kernel runs the per-access path, else
+    ``"python"``."""
+    return "python" if _kernel is None else "compiled"
+
 
 #: Extra CPU cycles when a remote L1 holds the line Modified.
 INTERVENTION_PENALTY = 12
@@ -105,6 +125,12 @@ class MemoryHierarchy:
     """Private L1Ds + shared L2 + directory, bridging cores to DRAM."""
 
     def __init__(self, config: SystemConfig, memsys, events):
+        if _kernel is not None and config.cores > _kernel.MAX_CORES:
+            # Sharer sets are 64-bit masks in the kernel.
+            raise ValueError(
+                f"the compiled cache hierarchy holds at most "
+                f"{_kernel.MAX_CORES} cores, not {config.cores}"
+            )
         self.config = config
         self.memsys = memsys
         self.events = events
@@ -155,6 +181,10 @@ class MemoryHierarchy:
         """Issue a load.  Returns a handle (the shared :data:`L1_HIT` on
         an L1 hit, else a :class:`LoadAccess`), or None if the L1 MSHR
         file is full (the core must replay the load)."""
+        if _kernel is not None:
+            return _kernel.load(
+                self, core, pc, address, critical, magnitude, callback, now
+            )
         stats = self.stats
         l1 = self.l1[core]
         line32 = address - address % self._l1_line
@@ -193,7 +223,7 @@ class MemoryHierarchy:
         entry.waiters.append((handle, callback))
         self.events.schedule(
             now + self._l2_delay,
-            partial(self._access_l2, core, line32, critical, magnitude, False, pc),
+            partial(self._access_l2, core, line32, critical, magnitude, False),
         )
         return handle
 
@@ -201,10 +231,14 @@ class MemoryHierarchy:
 
     def can_accept_store(self, core) -> bool:
         """False when the core's store buffer is full (commit must stall)."""
+        if _kernel is not None:
+            return _kernel.can_accept_store(self, core)
         return self._store_backlog[core] < self.store_buffer_entries
 
     def store(self, core, address, now, _retry=False) -> None:
         """Retire a store (called at commit; buffered, non-blocking)."""
+        if _kernel is not None:
+            return _kernel.store(self, core, address, now, _retry)
         if not _retry:
             self.stats.stores += 1
         l1 = self.l1[core]
@@ -258,7 +292,9 @@ class MemoryHierarchy:
 
     # -------------------------------------------------------------- L2 access
 
-    def _access_l2(self, core, line32, critical, magnitude, is_rfo, pc=0) -> None:
+    def _access_l2(self, core, line32, critical, magnitude, is_rfo) -> None:
+        if _kernel is not None:
+            return _kernel.access_l2(self, core, line32, critical, magnitude, is_rfo)
         now = self._now()
         line64 = line32 - line32 % self._l2_line
         hit = self.l2.lookup(line64) is not None
@@ -301,7 +337,6 @@ class MemoryHierarchy:
             line64,
             is_write=False,
             core=core,
-            pc=pc,
             critical=critical,
             magnitude=magnitude,
             callback=partial(self._dram_fill, line64),
@@ -351,6 +386,8 @@ class MemoryHierarchy:
         self.events.schedule(cpu_done, partial(self._install_l2_fill, line64, cpu_done))
 
     def _install_l2_fill(self, line64, now) -> None:
+        if _kernel is not None:
+            return _kernel.install_l2_fill(self, line64, now)
         entry = self.l2_mshr.release(line64)
         self._trace_cache("l2_fill", -1, line64)
         victim = self.l2.insert(line64)
@@ -365,6 +402,8 @@ class MemoryHierarchy:
             self.stats.dram_loads += 1
 
     def _fill_l1_and_respond(self, core, line32, is_rfo, now) -> None:
+        if _kernel is not None:
+            return _kernel.fill_l1_and_respond(self, core, line32, is_rfo, now)
         mshr = self.l1_mshr[core]
         entry = mshr.get(line32)
         rfo = is_rfo or (entry is not None and entry.rfo)
@@ -400,6 +439,8 @@ class MemoryHierarchy:
         """Handle remote L1 copies on an L2 hit; returns extra latency.
 
         Sharers are visited in ascending core id."""
+        if _kernel is not None:
+            return _kernel.resolve_remote_copies(self, core, line64, is_rfo)
         penalty = 0
         directory = self._dir
         l1s = self.l1
@@ -442,6 +483,8 @@ class MemoryHierarchy:
         return penalty
 
     def _invalidate_remote(self, core, line32, now=None) -> None:
+        if _kernel is not None:
+            return _kernel.invalidate_remote(self, core, line32, now)
         directory = self._dir
         sharers = directory.get(line32)
         if not sharers:
@@ -471,6 +514,8 @@ class MemoryHierarchy:
     # ------------------------------------------------------------- evictions
 
     def _evict_l1_line(self, core, line_addr, state, dirty) -> None:
+        if _kernel is not None:
+            return _kernel.evict_l1_line(self, core, line_addr, state, dirty)
         directory = self._dir
         sharers = directory.get(line_addr)
         if sharers is not None:
@@ -486,6 +531,8 @@ class MemoryHierarchy:
                 l2.set_dirty(slot)
 
     def _evict_l2_line(self, line64, dirty) -> None:
+        if _kernel is not None:
+            return _kernel.evict_l2_line(self, line64, dirty)
         # Inclusive L2: back-invalidate every covered L1 line everywhere,
         # in ascending core id.
         directory = self._dir

@@ -34,7 +34,7 @@ from repro.cpu.instruction import BRANCH, LOAD, STORE
 from repro.core.provider import CriticalityProvider, NaiveForwardingProvider
 
 #: The compiled stages, or None: the Python bodies are the core.
-_kernel = native.load()
+_kernel = native.CPU.load()
 
 
 def implementation() -> str:

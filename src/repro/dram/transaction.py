@@ -19,7 +19,6 @@ class Transaction:
         loc: decomposed DRAM coordinates.
         is_write: write transactions come from dirty L2 evictions.
         core: issuing core id (-1 for writes with no attributable core).
-        pc: static PC of the triggering load (reads only; 0 otherwise).
         critical: processor-side criticality flag.
         magnitude: ranked criticality magnitude (0 when binary/uncritical).
         arrival: DRAM-cycle arrival time at the controller.
@@ -34,7 +33,6 @@ class Transaction:
         "loc",
         "is_write",
         "core",
-        "pc",
         "critical",
         "magnitude",
         "arrival",
@@ -51,7 +49,6 @@ class Transaction:
         loc: DramLocation,
         is_write: bool = False,
         core: int = -1,
-        pc: int = 0,
         critical: bool = False,
         magnitude: int = 0,
         callback=None,
@@ -61,7 +58,6 @@ class Transaction:
         self.loc = loc
         self.is_write = is_write
         self.core = core
-        self.pc = pc
         self.critical = critical
         self.magnitude = magnitude
         self.arrival = 0

@@ -139,7 +139,7 @@ def code_version() -> str:
 
 def _source_digest(root: str) -> str:
     """SHA-256 prefix over every source file under ``root`` (``*.py``,
-    and ``*.c`` for the compiled core stages): each file's relative
+    and ``*.c`` for the compiled kernels): each file's relative
     path, then its bytes, files in the order of their path components
     (the order of sorted ``Path.rglob`` paths)."""
     files = []
@@ -155,7 +155,9 @@ def _source_digest(root: str) -> str:
     digest = hashlib.sha256()
     for parts in sorted(files):
         digest.update("/".join(parts).encode())
-        with open(os.path.join(root, *parts), "rb") as fh:
+        # Unbuffered: each file is read whole, and this digest is about
+        # half of a warm pass (a run read from the result cache).
+        with open(os.path.join(root, *parts), "rb", buffering=0) as fh:
             digest.update(fh.read())
     return digest.hexdigest()[:16]
 

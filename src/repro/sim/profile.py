@@ -3,8 +3,9 @@
 Runs the same workload once per engine (``--engines``, default ``all``:
 every registered engine) and reports wall clock, cycles/second, and
 speedup over the naive reference (or the first engine listed when naive
-is absent), and which core ran them: ``compiled`` when the core's
-per-cycle stages ran in the kernel, ``python`` on their Python bodies.
+is absent), and which core and cache hierarchy ran them: ``compiled``
+when the core's per-cycle stages (the hierarchy's per-access path) ran in
+its kernel, ``python`` on their Python bodies.
 The runs must also agree on the determinism chain and result
 fingerprint, so the comparison doubles as a cheap cross-engine identity
 check; the command exits 1 when they diverge, and when a run stopped at
@@ -59,7 +60,8 @@ def compare_engines(args) -> dict:
     """
     import os
 
-    from repro.cpu.core import implementation
+    from repro.cache import hierarchy
+    from repro.cpu import core
     from repro.sim import runner
     from repro.sim.stats import result_fingerprint
     from repro.sim.system import ENGINES
@@ -106,7 +108,8 @@ def compare_engines(args) -> dict:
         )
     report = {
         "label": f"{args.app}/{args.scheduler}",
-        "core": implementation(),
+        "core": core.implementation(),
+        "cache": hierarchy.implementation(),
         "max_cycles": runner._max_cycles(_scale(args)),
         "runs": [
             {k: v for k, v in run.items() if k != "fingerprint"}
@@ -118,7 +121,8 @@ def compare_engines(args) -> dict:
 
 
 def _print_comparison(report: dict) -> None:
-    print(f"{report['label']}: engine comparison on the {report['core']} core")
+    print(f"{report['label']}: engine comparison on the {report['core']} "
+          f"core and the {report['cache']} cache hierarchy")
     print(f"  {'engine':<8} {'wall':>8} {'cycles/s':>12} {'speedup':>8}  identical")
     for run in report["runs"]:
         print(f"  {run['engine']:<8} {run['wall_seconds']:>7.2f}s "

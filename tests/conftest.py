@@ -40,6 +40,15 @@ def python_core(monkeypatch):
 
 
 @pytest.fixture
+def python_cache(monkeypatch):
+    """Run the cache hierarchy's Python bodies instead of its compiled
+    per-access path."""
+    from repro.cache import hierarchy
+
+    monkeypatch.setattr(hierarchy, "_kernel", None)
+
+
+@pytest.fixture
 def dram_config():
     return DramConfig()
 

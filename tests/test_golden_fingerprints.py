@@ -7,8 +7,9 @@ criticality-provider kind, the values a run produced when they were
 recorded: total cycles, the determinism-chain digest, and a short
 digest of the whole ``result_fingerprint``.  A change that is meant to
 be bit-identical (a refactor or an optimisation) must leave every
-value here untouched on both engines, on the core's compiled stages
-and on their Python bodies alike; a change that is meant to alter
+value here untouched on both engines, on the compiled kernels (the
+core's per-cycle stages and the cache hierarchy's per-access path) and
+on each kernel's Python bodies alike; a change that is meant to alter
 results re-records them and says why.
 
 Scale: 600 measured + 100 warm-up instructions per core, seed 7, with
@@ -21,6 +22,7 @@ import hashlib
 
 import pytest
 
+from repro.cache import hierarchy
 from repro.config import SimScale
 from repro.core.cbp import CbpMetric
 from repro.cpu import core, native
@@ -150,7 +152,19 @@ def test_python_core_matches_recorded_values(
     default_knobs, python_core, monkeypatch, name, engine
 ):
     """The same values from the Python bodies of the core's compiled
-    stages (the test above runs the kernel wherever it builds)."""
+    stages (the test above runs both kernels wherever they build)."""
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    run, expected = GOLDEN[name]
+    assert observed(run()) == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_python_cache_matches_recorded_values(
+    default_knobs, python_cache, monkeypatch, name, engine
+):
+    """The same values from the Python bodies of the cache hierarchy's
+    compiled per-access path."""
     monkeypatch.setenv("REPRO_ENGINE", engine)
     run, expected = GOLDEN[name]
     assert observed(run()) == expected
@@ -160,21 +174,25 @@ def test_failed_build_selects_the_python_core(
     default_knobs, monkeypatch, tmp_path
 ):
     """With the compiler call failing and no built kernel on disk,
-    loading selects the Python bodies, and every recorded value holds."""
+    loading selects the Python bodies of both kernels, and every
+    recorded value holds on both engines."""
 
     def no_compiler(argv):
         raise FileNotFoundError(argv[0])
 
-    monkeypatch.setattr(native, "failure", native.failure)
     monkeypatch.setattr(native, "_compile", no_compiler)
-    monkeypatch.setattr(
-        native, "built_path", lambda source: str(tmp_path / "_kernel.so")
-    )
-    kernel = native.load()
-    assert kernel is None
-    assert "cannot build the kernel" in native.failure
+    for spec, owner in ((native.CPU, core), (native.CACHE, hierarchy)):
+        monkeypatch.setattr(spec, "failure", spec.failure)
+        monkeypatch.setattr(spec, "build_dir", str(tmp_path / spec.stem))
+        kernel = spec.load()
+        assert kernel is None
+        assert "cannot build the kernel" in spec.failure
+        monkeypatch.setattr(owner, "_kernel", kernel)
     assert not list(tmp_path.iterdir())
-    monkeypatch.setattr(core, "_kernel", kernel)
-    for name in sorted(GOLDEN):
-        run, expected = GOLDEN[name]
-        assert observed(run()) == expected, name
+    assert (core.implementation(), hierarchy.implementation()) == (
+        "python", "python")
+    for engine in ENGINES:
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        for name in sorted(GOLDEN):
+            run, expected = GOLDEN[name]
+            assert observed(run()) == expected, (name, engine)

@@ -114,7 +114,6 @@ class TestCriticalityPropagation:
         assert handle.txn is not None
         assert handle.txn.critical
         assert handle.txn.magnitude == 321
-        assert handle.txn.pc == 42
         h.complete(done)
 
     def test_latency_stats_split_by_class(self):

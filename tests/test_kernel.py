@@ -1,17 +1,19 @@
-"""The core's compiled stages (``repro/cpu/_kernel.c``) and their loader.
+"""The compiled kernels and their loader; the core's kernel
+(``repro/cpu/_kernel.c``) held to its Python bodies.
 
 ``OutOfOrderCore.step``, ``_complete_at``, ``_do_commit`` and
-``_do_dispatch`` hand each call to the kernel when it is loaded; the
-Python body after the guard is the reference.  This module pins the
-loader (where the kernel is built, that loading it compiles nothing,
-that a compile error selects the Python bodies) and holds the kernel
-to its reference: cycle by cycle on one core, and end to end with
-every telemetry stream on.  ``test_golden_fingerprints.py`` pins both
-cores against recorded values, and the Python bodies selected when
-the compiler is missing.
+``_do_dispatch`` hand each call to the core's kernel when it is loaded;
+the Python body after the guard is the reference.  This module pins the
+loader for both kernels (where each is built, that loading one compiles
+nothing, that a compile error selects the Python bodies, that a build
+prunes the builds it supersedes) and holds the core's kernel to its
+reference: cycle by cycle on one core, and end to end with every
+telemetry stream on.  ``test_cache_kernel.py`` does the same for the
+cache hierarchy's kernel, and ``test_golden_fingerprints.py`` pins both
+kernels and both sets of Python bodies against recorded values.
 
-Compiled-core cases skip only where no C compiler exists; where one
-does, a kernel that did not load fails them.
+Compiled cases skip only where no C compiler exists; where one does, a
+kernel that did not load fails them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache import hierarchy
 from repro.config import SimScale, SystemConfig
 from repro.core.provider import CbpProvider
 from repro.cpu import core, native
@@ -40,31 +43,47 @@ from repro.sim.stats import result_fingerprint
 from repro.sim.system import ENGINES
 from tests.test_core import CoreHarness
 
+#: Each kernel and the module whose ``_kernel`` it is.
+KERNELS = ((native.CPU, core), (native.CACHE, hierarchy))
+
 
 def _compiler_found() -> bool:
     link = sysconfig.get_config_var("LDSHARED")
     return bool(link) and shutil.which(shlex.split(link)[0]) is not None
 
 
+def loaded(spec, owner):
+    """``owner._kernel``; skips without a compiler, fails without a
+    kernel."""
+    if owner._kernel is None:
+        if not _compiler_found():
+            pytest.skip("no C compiler: the Python bodies run")
+        pytest.fail(f"a C compiler exists but {spec.module} did not load: "
+                    f"{spec.failure}")
+    return owner._kernel
+
+
 @pytest.fixture
 def kernel():
-    """The loaded kernel; skips without a compiler, fails without a kernel."""
-    if core._kernel is None:
-        if not _compiler_found():
-            pytest.skip("no C compiler: the Python bodies are the core")
-        pytest.fail(f"a C compiler exists but the kernel did not load: "
-                    f"{native.failure}")
-    return core._kernel
+    """The core's loaded kernel."""
+    return loaded(native.CPU, core)
+
+
+@pytest.fixture
+def kernels():
+    """Both loaded kernels, as ``(spec, module)`` pairs."""
+    return [(spec, loaded(spec, owner)) for spec, owner in KERNELS]
 
 
 @pytest.fixture
 def isolated_loader(monkeypatch, tmp_path):
-    """``native.load`` building into ``tmp_path`` (never the package's
-    ``__pycache__``), with its failure note restored afterwards."""
-    monkeypatch.setattr(native, "failure", native.failure)
-    monkeypatch.setattr(
-        native, "built_path", lambda source: str(tmp_path / "_kernel.so")
-    )
+    """Both kernels building into their own directories under
+    ``tmp_path`` (never the packages' ``__pycache__``), with their
+    failure notes restored afterwards."""
+    for spec, _owner in KERNELS:
+        monkeypatch.setattr(spec, "failure", spec.failure)
+        monkeypatch.setattr(spec, "build_dir",
+                            str(tmp_path / spec.module.split(".")[1]))
     return tmp_path
 
 
@@ -72,16 +91,20 @@ def isolated_loader(monkeypatch, tmp_path):
 
 
 class TestLoad:
-    def test_built_file_is_named_by_source_digest_and_ext_suffix(self, kernel):
-        with open(native.SOURCE, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-        path = Path(kernel.__file__)
+    def test_built_file_is_named_by_source_digest_and_ext_suffix(self,
+                                                                 kernels):
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        assert path.name == f"_kernel.{digest}{suffix}"
-        assert path.parent == Path(native.SOURCE).parent / "__pycache__"
-        assert kernel.__name__ == native.MODULE
+        for spec, module in kernels:
+            with open(spec.source, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+            path = Path(module.__file__)
+            assert path.name == f"_kernel.{digest}{suffix}"
+            assert path.parent == Path(spec.source).parent / "__pycache__"
+            assert module.__name__ == spec.module
+        assert [spec.module for spec, _ in kernels] == [
+            "repro.cpu._kernel", "repro.cache._kernel"]
 
-    def test_loading_a_built_kernel_runs_no_compiler(self, kernel,
+    def test_loading_a_built_kernel_runs_no_compiler(self, kernels,
                                                      monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("loading a built kernel started a process")
@@ -89,19 +112,21 @@ class TestLoad:
         monkeypatch.setattr(native, "_compile", forbidden)
         monkeypatch.setattr(subprocess, "run", forbidden)
         monkeypatch.setattr(subprocess, "Popen", forbidden)
-        monkeypatch.setattr(native, "failure", native.failure)
-        assert native.load() is not None
-        assert native.failure is None
+        for spec, _module in kernels:
+            monkeypatch.setattr(spec, "failure", spec.failure)
+            assert spec.load() is not None
+            assert spec.failure is None
 
-    def test_compile_error_selects_the_python_bodies(self, kernel,
+    def test_compile_error_selects_the_python_bodies(self, kernels,
                                                      isolated_loader,
                                                      monkeypatch):
         broken = isolated_loader / "broken.c"
         broken.write_text("#error this kernel does not build\n")
-        monkeypatch.setattr(native, "SOURCE", str(broken))
-        assert native.load() is None
-        assert "compiler failed" in native.failure
-        assert "does not build" in native.failure
+        for spec, _module in kernels:
+            monkeypatch.setattr(spec, "source", str(broken))
+            assert spec.load() is None
+            assert "compiler failed" in spec.failure
+            assert "does not build" in spec.failure
 
     def test_build_publishes_through_atomicio(self, kernel, isolated_loader,
                                               monkeypatch):
@@ -116,10 +141,91 @@ class TestLoad:
 
         monkeypatch.setattr(atomicio, "write_bytes", record)
         target = str(isolated_loader / "built.so")
-        assert native.build(target)
+        assert native.CPU.build(target)
         assert published == [target]
         assert os.path.getsize(target) > 0
-        assert [p.name for p in isolated_loader.iterdir()] == ["built.so"]
+        assert sorted(p.name for p in isolated_loader.iterdir()) == [
+            "built.so"]
+
+    def test_build_prunes_superseded_builds_of_the_same_kernel(
+        self, kernels, isolated_loader
+    ):
+        """A successful build deletes this kernel's builds of other
+        sources for this interpreter, and nothing else: not the other
+        kernel's, not other interpreters', not unrelated files."""
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        spec = native.CACHE
+        directory = Path(spec.build_dir)
+        directory.mkdir(parents=True)
+        stale = [f"_kernel.{'0' * 16}{suffix}", f"_kernel.{'a1' * 8}{suffix}"]
+        kept = [
+            f"_kernel.{'0' * 16}.cpython-27-other.so",
+            f"_kernel.{'0' * 15}{suffix}",
+            f"_kernel.{'0' * 16}{suffix}.tmp",
+            f"_other.{'0' * 16}{suffix}",
+            "notes.txt",
+        ]
+        for name in stale + kept:
+            (directory / name).write_bytes(b"old")
+        other = Path(native.CPU.build_dir)
+        other.mkdir(parents=True)
+        (other / stale[0]).write_bytes(b"old")
+        module = spec.load()
+        assert module is not None, spec.failure
+        built = Path(module.__file__).name
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            kept + [built])
+        assert [p.name for p in other.iterdir()] == [stale[0]]
+
+    def test_a_failed_unlink_is_ignored(self, kernels, isolated_loader,
+                                        monkeypatch):
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        spec = native.CACHE
+        directory = Path(spec.build_dir)
+        directory.mkdir(parents=True)
+        stale = f"_kernel.{'0' * 16}{suffix}"
+        (directory / stale).write_bytes(b"old")
+        unlink = os.unlink
+
+        def refuse_stale(path, *args, **kwargs):
+            if os.fspath(path).endswith(stale):
+                raise PermissionError(path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refuse_stale)
+        assert spec.load() is not None, spec.failure
+        assert spec.failure is None
+        assert stale in [p.name for p in directory.iterdir()]
+
+    def test_a_build_pruned_before_its_import_is_built_again(
+        self, kernels, isolated_loader, monkeypatch
+    ):
+        """Another process's build may delete this process's file between
+        the existence check and the import: the loader builds it again
+        rather than fall back to the Python bodies."""
+        spec = native.CACHE
+        with open(spec.source, "rb") as fh:
+            path = spec.built_path(fh.read())
+        assert spec.build(path), spec.failure
+        builds = []
+        original_build = native.Kernel.build
+        original_import = native._import
+
+        def counting_build(self, target):
+            builds.append(target)
+            return original_build(self, target)
+
+        def pruned_first(module, target):
+            if not builds:
+                os.unlink(target)  # pruned after the existence check
+            return original_import(module, target)
+
+        monkeypatch.setattr(native.Kernel, "build", counting_build)
+        monkeypatch.setattr(native, "_import", pruned_first)
+        assert spec.load() is not None, spec.failure
+        assert spec.failure is None
+        assert builds == [path]
+        assert os.path.exists(path)
 
 
 # --------------------------------------------------------- cycle by cycle

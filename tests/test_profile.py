@@ -6,6 +6,7 @@ import json
 import os
 
 from repro.__main__ import main
+from repro.cache import hierarchy
 from repro.cpu import core
 from repro.sim import runner, stats
 from repro.sim.system import ENGINES
@@ -63,9 +64,13 @@ def test_report_names_the_core_that_ran(tmp_path, capsys, monkeypatch):
     code, report = _profile(tmp_path)
     assert code == 0
     assert report["core"] == ("python" if core._kernel is None else "compiled")
+    assert report["cache"] == (
+        "python" if hierarchy._kernel is None else "compiled")
     assert all(run["hit_max_cycles"] is False for run in report["runs"])
     monkeypatch.setattr(core, "_kernel", None)
+    monkeypatch.setattr(hierarchy, "_kernel", None)
     code, report = _profile(tmp_path)
     assert code == 0
-    assert report["core"] == "python"
-    assert "engine comparison on the python core" in capsys.readouterr().out
+    assert (report["core"], report["cache"]) == ("python", "python")
+    assert ("engine comparison on the python core and the python cache "
+            "hierarchy") in capsys.readouterr().out

