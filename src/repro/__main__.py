@@ -15,13 +15,13 @@
     python -m repro trace --from-stream DIR --follow   # tail raw events live
     python -m repro watch DIR                      # live dashboard of a stream
 
-``run`` and ``experiment`` accept engine flags: ``--jobs N`` (worker
-processes), ``--no-cache`` (bypass the on-disk result cache),
+``run``, ``stats``, ``trace`` and ``experiment`` accept engine flags:
 ``--engine naive|batched`` (loop implementation), ``--verify-skip``
 (run everything on both engines and assert bit-identical results),
 and ``--stream DIR`` (spill telemetry to a stream directory during the
-run).  Each is the CLI face of the corresponding
-``REPRO_*`` environment variable.
+run); ``experiment`` also takes ``--jobs N`` (worker processes) and
+``--no-cache`` (bypass the on-disk result cache).  Each is the CLI face
+of the corresponding ``REPRO_*`` environment variable.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ def _add_engine_choice(parser: argparse.ArgumentParser, text: str) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for batched runs "
-                             "(default: all CPUs; env REPRO_JOBS)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache "
-                             "(env REPRO_NO_CACHE)")
     _add_engine_choice(parser, "simulation loop: naive cycle-by-cycle "
                                "(the reference) or batched (windowed "
                                "models; the default) — bit-identical")
@@ -84,22 +78,38 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _spec(args):
+    """The ``RunSpec`` of the parallel run a single-run command names
+    (no CBP when ``--cbp`` is 0 or absent; a tenth of warm-up)."""
     from repro.config import SimScale
-    from repro.sim.runner import run_parallel_workload
+    from repro.sim.engine import RunSpec
+
+    cbp = getattr(args, "cbp", 0)
+    return RunSpec(
+        kind="parallel",
+        workload=args.app,
+        scheduler=args.scheduler,
+        provider_spec=("cbp", {"entries": cbp}) if cbp else None,
+        scale=SimScale(
+            instructions_per_core=args.instructions,
+            warmup_instructions=max(200, args.instructions // 10),
+            seed=args.seed,
+        ),
+    )
+
+
+def _cmd_run(args) -> int:
+    import dataclasses
+
+    from repro.sim.engine import run_one
     from repro.sim.stats import speedup
 
-    scale = SimScale(
-        instructions_per_core=args.instructions,
-        warmup_instructions=max(200, args.instructions // 10),
-        seed=args.seed,
+    spec = _spec(args)
+    base = run_one(
+        dataclasses.replace(spec, scheduler="fr-fcfs", provider_spec=None)
     )
-    spec = ("cbp", {"entries": args.cbp}) if args.cbp else None
-    base = run_parallel_workload(args.app, scale=scale)
-    result = run_parallel_workload(
-        args.app, scheduler=args.scheduler, provider_spec=spec, scale=scale
-    )
-    if _capped((base, result), scale):
+    result = run_one(spec)
+    if _capped((base, result), spec.scale):
         return 1
     print(f"{args.app} / fr-fcfs      : {base.cycles:,} cycles "
           f"(IPC {base.system_ipc:.2f})")
@@ -127,18 +137,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check_determinism(args) -> int:
-    from repro.config import SimScale
-    from repro.sim.engine import RunSpec, verify_determinism
+    from repro.sim.engine import verify_determinism
 
-    scale = SimScale(
-        instructions_per_core=args.instructions,
-        warmup_instructions=max(200, args.instructions // 10),
-        seed=args.seed,
-    )
-    spec = RunSpec(
-        kind="parallel", workload=args.app, scheduler=args.scheduler, scale=scale
-    )
-    report = verify_determinism(spec, subprocess=not args.no_subprocess)
+    report = verify_determinism(_spec(args), subprocess=not args.no_subprocess)
     chain = report["chain"]
     chain_text = f"{chain:#018x}" if chain is not None else "disabled"
     print(f"{report['label']}: {report['cycles']:,} cycles, chain {chain_text}")
@@ -162,12 +163,11 @@ def _cmd_check_determinism(args) -> int:
 def _capped(results, scale) -> bool:
     """True, after naming each on stderr, if any run stopped at the
     livelock cap: its cycle count measures the cap, not the machine."""
-    from repro.sim import runner
+    from repro.sim.runner import livelock_message
 
     capped = [result for result in results if result.hit_max_cycles]
     for result in capped:
-        print(f"error: {result.label}: stopped at cycle {result.cycles}, the "
-              f"livelock cap of {runner._max_cycles(scale)} cycles",
+        print(f"error: {livelock_message(result.label, result.cycles, scale)}",
               file=sys.stderr)
     return bool(capped)
 
@@ -175,19 +175,11 @@ def _capped(results, scale) -> bool:
 def _run_for_telemetry(args):
     """Run one workload for the stats/trace commands; returns the result,
     or None if it stopped at the livelock cap (see :func:`_capped`)."""
-    from repro.config import SimScale
-    from repro.sim.runner import run_parallel_workload
+    from repro.sim.engine import run_one
 
-    scale = SimScale(
-        instructions_per_core=args.instructions,
-        warmup_instructions=max(200, args.instructions // 10),
-        seed=args.seed,
-    )
-    spec = ("cbp", {"entries": args.cbp}) if args.cbp else None
-    result = run_parallel_workload(
-        args.app, scheduler=args.scheduler, provider_spec=spec, scale=scale
-    )
-    return None if _capped((result,), scale) else result
+    spec = _spec(args)
+    result = run_one(spec)
+    return None if _capped((result,), spec.scale) else result
 
 
 def _cmd_stats(args) -> int:
@@ -303,7 +295,7 @@ def _cmd_trace(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.sim.profile import main as profile_main
 
-    return profile_main(args)
+    return profile_main(args, _spec(args))
 
 
 def _cmd_watch(args) -> int:
@@ -339,6 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("id", help="experiment id (e.g. fig4) or 'all'")
     exp_p.add_argument("--markdown", action="store_true")
     exp_p.add_argument("--csv", action="store_true")
+    exp_p.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="worker processes for batched runs "
+                            "(default: all CPUs; env REPRO_JOBS)")
+    exp_p.add_argument("--no-cache", action="store_true",
+                       help="bypass the on-disk result cache "
+                            "(env REPRO_NO_CACHE)")
     _add_engine_flags(exp_p)
 
     # lint and analyze declare their own options; main() forwards the

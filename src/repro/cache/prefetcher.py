@@ -98,8 +98,8 @@ class StreamPrefetcher:
                 nxt = line + 1 if nxt <= line else None
             elif direction < 0 and (nxt >= line or nxt < limit):
                 nxt = line - 1 if nxt >= line else None
-            if nxt is None:
-                break
+            if nxt is None or nxt < 0:
+                break  # a descending stream stops at line 0
             prefetches.append(nxt * self.line_bytes)
             stream.next_prefetch = nxt + direction
         self.issued += len(prefetches)

@@ -272,9 +272,10 @@ class SimScale:
     """Knobs trading fidelity for run time.
 
     The paper simulates 5x10^8 instructions per core; a pure-Python model
-    cannot.  ``instructions_per_core`` is the trace length each core runs to
-    completion; ``warmup_instructions`` are executed but excluded from
-    statistics.
+    cannot.  Each core runs a trace of ``instructions_per_core +
+    warmup_instructions`` instructions to completion.  Nothing excludes
+    the warm-up from statistics: it only lengthens each trace, and every
+    statistic covers the whole run.
     """
 
     instructions_per_core: int = 20_000

@@ -60,35 +60,33 @@ def _provider_key(spec):
     return (kind, tuple(sorted((k, str(v)) for k, v in kwargs.items())))
 
 
-def _memo_key(kind, workload, scheduler="fr-fcfs", provider_spec=None,
-              config=None, seed=1, scheduler_kwargs=None, slot=None):
-    return (
-        kind,
-        workload,
-        scheduler,
-        _provider_key(provider_spec),
-        config,  # frozen and hashable: every field is part of the key
-        seed,
-        tuple(sorted((scheduler_kwargs or {}).items())),
-        slot,
-        int(os.environ.get("REPRO_INSTRUCTIONS", "12000")),
-    )
-
-
 def _spec_for(kind, workload, scheduler="fr-fcfs", provider_spec=None,
-              config=None, seed=1, scheduler_kwargs=None,
-              slot=None) -> RunSpec:
-    if kind not in ("parallel", "bundle", "alone"):
-        raise ValueError(f"unknown run kind {kind!r}")
+              config=None, seed=1, scheduler_kwargs=None, slot=None,
+              scale=None) -> RunSpec:
+    """The ``RunSpec`` of one request; ``scale`` defaults to
+    :func:`experiment_scale` at ``seed``."""
     return RunSpec(
         kind=kind,
         workload=workload,
         scheduler=scheduler,
         provider_spec=provider_spec,
         config=config,
-        scale=experiment_scale(seed),
+        scale=scale or experiment_scale(seed),
         scheduler_kwargs=scheduler_kwargs,
         slot=slot,
+    )
+
+
+def _memo_key(spec: RunSpec) -> tuple:
+    return (
+        spec.kind,
+        spec.workload,
+        spec.scheduler,
+        _provider_key(spec.provider_spec),
+        spec.config,  # frozen and hashable: every field is part of the key
+        spec.scale,
+        tuple(sorted((spec.scheduler_kwargs or {}).items())),
+        spec.slot,
     )
 
 
@@ -96,30 +94,30 @@ def cached_runs(requests) -> list:
     """Run (or fetch) a figure's simulations as one batch.
 
     ``requests`` are dicts of :func:`cached_run` keyword arguments
-    (``kind`` and ``workload`` required).  The requests missing from the
-    in-memory memo go to :func:`repro.sim.engine.run_many` together, so
-    they share its worker pool (``REPRO_JOBS``), its disk cache and its
-    one trace set per process; every result it returns is memoised.
+    (``kind`` and ``workload`` required), plus an optional ``scale`` in
+    place of the experiment scale at ``seed``.  The requests missing from
+    the in-memory memo go to :func:`repro.sim.engine.run_many` together,
+    so they share its worker pool (``REPRO_JOBS``), its disk cache and
+    its one trace set per process; every result it returns is memoised.
     Returns the results in request order.  A run that hit the livelock
     cap raises ``RuntimeError`` as soon as the batch returns, instead of
     entering a figure, and is not memoised.
     """
-    requests = list(requests)
-    keys = [_memo_key(**request) for request in requests]
+    specs = [_spec_for(**request) for request in requests]
+    keys = [_memo_key(spec) for spec in specs]
     missing = {}
-    for key, request in zip(keys, requests):
+    for key, spec in zip(keys, specs):
         if key not in _RUN_CACHE:
-            missing.setdefault(key, request)
+            missing.setdefault(key, spec)
     if missing:
-        specs = [_spec_for(**request) for request in missing.values()]
-        for key, spec, result in zip(missing, specs, engine.run_many(specs)):
+        batch = list(missing.values())
+        for key, spec, result in zip(missing, batch, engine.run_many(batch)):
             if result.hit_max_cycles:
                 # A wedged run stops at the cap: its cycle count measures
                 # the cap, not the machine, so no figure may average it.
-                raise RuntimeError(
-                    f"{result.label}: stopped at cycle {result.cycles}, the "
-                    f"livelock cap of {runner._max_cycles(spec.scale)} cycles"
-                )
+                raise RuntimeError(runner.livelock_message(
+                    result.label, result.cycles, spec.scale
+                ))
             _RUN_CACHE[key] = result
     return [_RUN_CACHE[key] for key in keys]
 
@@ -136,9 +134,10 @@ def cached_run(
 ):
     """Run (or fetch) one simulation: a batch of one (:func:`cached_runs`).
 
-    ``kind`` is "parallel", "bundle", or "alone".  Misses in the in-memory
-    memo fall through to the engine's content-addressed disk cache before
-    simulating (see :mod:`repro.sim.engine`).
+    ``kind`` is a ``RunSpec`` kind ("parallel", "bundle", "alone" or
+    "scenario").  Misses in the in-memory memo fall through to the
+    engine's content-addressed disk cache before simulating (see
+    :mod:`repro.sim.engine`).
     """
     return cached_runs([dict(
         kind=kind, workload=workload, scheduler=scheduler,

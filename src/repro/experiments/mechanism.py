@@ -5,7 +5,9 @@ economics: latency-bound cores issuing sparse serial misses share the
 memory system with bandwidth-bound cores streaming continuously.
 Criticality-aware scheduling should accelerate the latency-bound cores
 substantially while costing the bandwidth-bound cores almost nothing
-(their finish time is total-bus-backlog-bound, not order-bound).
+(their finish time is total-bus-backlog-bound, not order-bound).  The
+traces are the ``scenario`` run kind's roles
+(:mod:`repro.workloads.scenario`).
 
 This is the regime in which the paper's 9-14% gains arise; at the scaled-
 down synthetic-app operating point the effect is strongly attenuated (see
@@ -17,47 +19,12 @@ from __future__ import annotations
 
 import statistics
 
-from repro.config import DramConfig, SystemConfig
-from repro.cpu.instruction import INT, LOAD, STORE, Trace
-from repro.experiments.common import ExperimentResult, experiment_scale
-from repro.sim.system import System
-
-
-def latency_bound_trace(n: int, gap: int = 120, core_id: int = 0) -> Trace:
-    """Sparse independent misses, each gating ~gap instructions of work."""
-    trace = Trace("latency-bound")
-    base = (core_id + 1) << 36
-    addr = base
-    while len(trace) < n:
-        for i in range(gap):
-            trace.append(INT, 1000 + (i % 32), 0, 1 if i else 0)
-        trace.append(LOAD, 2000, addr, 0)
-        trace.append(INT, 2001, 0, 1)
-        trace.append(INT, 2002, 0, 1)
-        addr += (1 << 14) + 1024
-    return trace
-
-
-def bandwidth_bound_trace(n: int, core_id: int = 0) -> Trace:
-    """A continuous line-granular store stream (memset/array-init-like).
-
-    Stores retire through the store buffer and never block commit, so this
-    core's DRAM traffic — read-for-ownership fetches plus eventual dirty
-    write-backs — is exactly the *non-critical* population the scheduler
-    should defer: the core is bandwidth-bound, and its finish time depends
-    on aggregate service, not per-request latency.
-    """
-    trace = Trace("bandwidth-bound")
-    addr = (core_id + 1) << 36 | (1 << 35)
-    k = 0
-    while len(trace) < n:
-        trace.append(STORE, 3000 + (k % 8), addr, 0)
-        for i in range(4):
-            trace.append(INT, 4000 + i, 0, 1 if i else 0)
-        addr += 64
-        k += 1
-    return trace
-
+from repro.config import DramConfig, SimScale, SystemConfig
+from repro.experiments.common import (
+    ExperimentResult,
+    cached_runs,
+    experiment_scale,
+)
 
 SCHEDULERS = ("fr-fcfs", "casras-crit", "crit-casras")
 
@@ -67,30 +34,16 @@ def run(latency_cores: int = 1, cores: int = 2, instructions: int | None = None,
     # This two-core scenario is cheap, and the predictor needs a few
     # thousand walker misses to stabilise: use a fixed floor rather than
     # the (possibly small) REPRO_INSTRUCTIONS experiment scale.
-    scale = experiment_scale()
-    n = instructions or max(24_000, scale.instructions_per_core)
+    n = instructions or max(24_000, experiment_scale().instructions_per_core)
+    roles = "L" * latency_cores + "S" * (cores - latency_cores)
     config = SystemConfig(cores=cores, dram=DramConfig(channels=channels))
-    cap = 60 * n * 10
-    results = {}
-    for scheduler in SCHEDULERS:
-        traces = []
-        for core in range(config.cores):
-            if core < latency_cores:
-                traces.append(latency_bound_trace(n, core_id=core))
-            else:
-                traces.append(bandwidth_bound_trace(n, core_id=core))
-        system = System(
-            config, traces, scheduler=scheduler,
-            provider_spec=("cbp", {"entries": None}),
-        )
-        result = system.run(max_cycles=cap)
-        if result.hit_max_cycles:
-            # A wedged run's finish cycles measure the cap, not the machine.
-            raise RuntimeError(
-                f"{result.label}: stopped at cycle {result.cycles}, the "
-                f"livelock cap of {cap} cycles"
-            )
-        results[scheduler] = result
+    scale = SimScale(instructions_per_core=n, warmup_instructions=0)
+    results = dict(zip(SCHEDULERS, cached_runs(
+        dict(kind="scenario", workload=roles, scheduler=scheduler,
+             provider_spec=("cbp", {"entries": None}), config=config,
+             scale=scale)
+        for scheduler in SCHEDULERS
+    )))
     base = results["fr-fcfs"]
     lat = slice(0, latency_cores)
     bw = slice(latency_cores, config.cores)

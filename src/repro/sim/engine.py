@@ -31,6 +31,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -64,6 +65,13 @@ class UnportableSpec(ValueError):
 class RunSpec:
     """Everything needed to reproduce one simulation run.
 
+    ``kind`` says where the per-core traces come from and ``workload``
+    names them: ``parallel`` (a Table 2 app), ``bundle`` (a Table 4
+    bundle), ``alone`` (app ``slot`` of a bundle, the other cores idle)
+    or ``scenario`` (one hand-built role per core, such as ``"LS"``:
+    :mod:`repro.workloads.scenario`).  One body runs every kind
+    (:func:`repro.sim.runner.run_spec`).
+
     ``stream_dir`` requests live telemetry streaming
     (:mod:`repro.telemetry.stream`) into that directory for this run.
     It is *not* part of the cache key — streaming changes where
@@ -79,7 +87,7 @@ class RunSpec:
     bit-identical results, so they share one cache slot.
     """
 
-    kind: str  # "parallel" | "bundle" | "alone"
+    kind: str  # "parallel" | "bundle" | "alone" | "scenario"
     workload: str
     scheduler: str = "fr-fcfs"
     provider_spec: object = None
@@ -261,25 +269,20 @@ def _pickle_result(result: SimResult) -> bytes:
 # ----------------------------------------------------------------- running
 
 
-def run_one(spec: RunSpec) -> SimResult:
-    """Execute one spec in-process (no caching).
-
-    A spec with ``stream_dir`` or ``engine`` set exports it as
-    ``REPRO_STREAM_DIR`` / ``REPRO_ENGINE`` for the duration of the run
-    (restored afterwards), so those requests survive the trip through
-    worker processes.
+@contextlib.contextmanager
+def exported(spec: RunSpec):
+    """Export the spec's ``stream_dir`` / ``engine`` as ``REPRO_STREAM_DIR``
+    / ``REPRO_ENGINE`` for the duration of the block, then restore both.
     """
     overrides = {}
     if spec.stream_dir is not None:
         overrides["REPRO_STREAM_DIR"] = spec.stream_dir
     if spec.engine is not None:
         overrides["REPRO_ENGINE"] = spec.engine
-    if not overrides:
-        return _dispatch(spec)
     saved = {name: os.environ.get(name) for name in overrides}
     os.environ.update(overrides)
     try:
-        return _dispatch(spec)
+        yield
     finally:
         for name, value in saved.items():
             if value is None:
@@ -288,47 +291,18 @@ def run_one(spec: RunSpec) -> SimResult:
                 os.environ[name] = value
 
 
-def _dispatch(spec: RunSpec) -> SimResult:
-    from repro.sim.runner import (
-        run_application_alone,
-        run_multiprogrammed_workload,
-        run_parallel_workload,
-    )
+def run_one(spec: RunSpec) -> SimResult:
+    """Execute one spec in-process (no caching), through the runner's one
+    body (:func:`repro.sim.runner.run_spec`).
 
-    if spec.kind == "parallel":
-        return run_parallel_workload(
-            spec.workload,
-            spec.scheduler,
-            spec.provider_spec,
-            spec.config,
-            spec.scale,
-            spec.scheduler_kwargs,
-            spec.label,
-        )
-    if spec.kind == "bundle":
-        return run_multiprogrammed_workload(
-            spec.workload,
-            spec.scheduler,
-            spec.provider_spec,
-            spec.config,
-            spec.scale,
-            spec.scheduler_kwargs,
-            spec.label,
-        )
-    if spec.kind == "alone":
-        if spec.slot is None:
-            raise ValueError("kind='alone' requires slot")
-        return run_application_alone(
-            spec.workload,
-            spec.slot,
-            spec.scheduler,
-            spec.config,
-            spec.scale,
-            spec.provider_spec,
-            spec.scheduler_kwargs,
-            spec.label,
-        )
-    raise ValueError(f"unknown run kind {spec.kind!r}")
+    A spec with ``stream_dir`` or ``engine`` set exports it for the
+    duration of the run (:func:`exported`), so those requests survive
+    the trip through worker processes.
+    """
+    from repro.sim.runner import run_spec
+
+    with exported(spec):
+        return run_spec(spec)
 
 
 def _requested_stream_dir(spec: RunSpec) -> str | None:
@@ -348,22 +322,9 @@ def _mark_cache_replay(spec: RunSpec) -> None:
 
 
 def run_one_cached(spec: RunSpec, cache: bool | None = None) -> SimResult:
-    """``run_one`` behind the disk cache (serial path)."""
-    try:
-        key = spec_key(spec)
-    except UnportableSpec:
-        return run_one(spec)
-    if _cache_enabled(cache):
-        hit = load_cached(key)
-        if hit is not None:
-            _record(spec, key, hit, source="disk")
-            _mark_cache_replay(spec)
-            return hit
-    result = run_one(spec)
-    _record(spec, key, result, source="run")
-    if _cache_enabled(cache):
-        store_cached(key, result)
-    return result
+    """``run_one`` behind the disk cache: a serial batch of one
+    (:func:`run_many`)."""
+    return run_many([spec], jobs=1, cache=cache)[0]
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -417,7 +378,10 @@ def run_many(
     list order, generates each set at most once per process.  Results,
     ``last_metrics`` and the run log follow ``specs``: one record per
     cache hit, simulated spec or unportable spec, at the position of its
-    first occurrence.
+    first occurrence.  A spec to simulate that the runner cannot run (an
+    unknown kind, an ``alone`` spec without ``slot``, a scenario whose
+    roles do not fit the machine) raises ``ValueError`` before any
+    simulation starts.
     """
     specs = list(specs)
     use_cache = _cache_enabled(cache)
@@ -456,16 +420,20 @@ def run_many(
             context = multiprocessing.get_context("fork")
         except ValueError:  # no fork on this platform: run serially
             context = None
+    # Both orders are made before anything runs, so a spec that names no
+    # runnable kind raises before any simulation starts.
     if context is not None:
+        pooled, serial = _by_trace_set(portable), _by_trace_set(unportable)
+    else:
+        pooled, serial = [], _by_trace_set(portable + unportable)
+    if pooled:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(portable)), mp_context=context
+            max_workers=min(jobs, len(pooled)), mp_context=context
         ) as pool:
-            fresh.update(pool.map(_pool_entry, _by_trace_set(portable)))
-        fresh.update(map(_run_task, _by_trace_set(unportable)))
-    else:
-        fresh.update(map(_run_task, _by_trace_set(portable + unportable)))
+            fresh.update(pool.map(_pool_entry, pooled))
+    fresh.update(map(_run_task, serial))
 
     for key, indices in pending.items():
         result = fresh[indices[0]]
@@ -564,12 +532,6 @@ def _metric(spec: RunSpec, key: str | None, result: SimResult, source: str):
         "cycles": result.cycles,
         "cycles_per_sec": round(result.cycles_per_second, 1),
     }
-
-
-def _record(spec: RunSpec, key: str | None, result: SimResult, source: str):
-    metric = _metric(spec, key, result, source)
-    last_metrics.append(metric)
-    _write_run_log([metric])
 
 
 def _write_run_log(metrics) -> None:

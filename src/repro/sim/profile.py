@@ -23,79 +23,58 @@ into simulated state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
-from repro.config import SimScale
 from repro.util import hostclock
 
 
-def _scale(args) -> SimScale:
-    return SimScale(
-        instructions_per_core=args.instructions,
-        warmup_instructions=max(200, args.instructions // 10),
-        seed=args.seed,
-    )
-
-
-def _run_workload(args):
-    from repro.sim.runner import run_parallel_workload
-
-    spec = ("cbp", {"entries": args.cbp}) if args.cbp else None
-    return run_parallel_workload(
-        args.app, scheduler=args.scheduler, provider_spec=spec,
-        scale=_scale(args),
-    )
-
-
-def compare_engines(args) -> dict:
-    """Run the workload once per requested engine and cross-check
+def compare_engines(spec, engines: str = "all") -> dict:
+    """Run ``spec`` once per requested engine and cross-check
     det-chains/fingerprints while comparing wall clocks.
 
-    ``--engines all`` enumerates every registered loop implementation
-    (:data:`repro.sim.system.ENGINES`) instead of a hand-maintained
-    list, so new engines join the comparison automatically.  Speedups
-    are reported against the ``naive`` run when present (the reference
-    implementation), falling back to the first engine listed.
+    Each engine runs as ``dataclasses.replace(spec, engine=...)`` through
+    :func:`repro.sim.engine.run_one`; ``engines`` is a comma-separated
+    list, or ``all`` to enumerate every registered loop implementation
+    (:data:`repro.sim.system.ENGINES`), so new engines join the
+    comparison automatically.  Speedups are reported against the
+    ``naive`` run when present (the reference implementation), falling
+    back to the first engine listed.
     """
-    import os
-
     from repro.cache import hierarchy
     from repro.cpu import core
-    from repro.sim import runner
+    from repro.sim import engine, runner
     from repro.sim.stats import result_fingerprint
     from repro.sim.system import ENGINES
 
-    if args.engines.strip() in ("all", "*"):
-        engines = list(ENGINES)
+    if engines.strip() in ("all", "*"):
+        names = list(ENGINES)
     else:
-        engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+        names = [e.strip() for e in engines.split(",") if e.strip()]
     runs = []
-    saved = os.environ.get("REPRO_ENGINE")
-    try:
-        for engine in engines:
-            os.environ["REPRO_ENGINE"] = engine
+    for name in names:
+        pinned = dataclasses.replace(spec, engine=name)
+        # Read the fingerprint under the run's REPRO_ENGINE as well, as a
+        # statistic that depends on the engine would be read.
+        with engine.exported(pinned):
             start = hostclock.now()
-            result = _run_workload(args)
+            result = engine.run_one(pinned)
             wall = hostclock.now() - start
-            runs.append(
-                {
-                    "engine": engine,
-                    "wall_seconds": round(wall, 4),
-                    "cycles": result.cycles,
-                    "hit_max_cycles": result.hit_max_cycles,
-                    "cycles_per_second": round(
-                        result.cycles / wall if wall else 0.0, 1
-                    ),
-                    "det_chain": result.det_chain,
-                    "fingerprint": result_fingerprint(result),
-                }
-            )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ENGINE", None)
-        else:
-            os.environ["REPRO_ENGINE"] = saved
+            fingerprint = result_fingerprint(result)
+        runs.append(
+            {
+                "engine": name,
+                "wall_seconds": round(wall, 4),
+                "cycles": result.cycles,
+                "hit_max_cycles": result.hit_max_cycles,
+                "cycles_per_second": round(
+                    result.cycles / wall if wall else 0.0, 1
+                ),
+                "det_chain": result.det_chain,
+                "fingerprint": fingerprint,
+            }
+        )
 
     reference = next((r for r in runs if r["engine"] == "naive"), runs[0])
     for run in runs:
@@ -107,10 +86,10 @@ def compare_engines(args) -> dict:
             and run["fingerprint"] == reference["fingerprint"]
         )
     report = {
-        "label": f"{args.app}/{args.scheduler}",
+        "label": f"{spec.workload}/{spec.scheduler}",
         "core": core.implementation(),
         "cache": hierarchy.implementation(),
-        "max_cycles": runner._max_cycles(_scale(args)),
+        "max_cycles": runner._max_cycles(spec.scale),
         "runs": [
             {k: v for k, v in run.items() if k != "fingerprint"}
             for run in runs
@@ -132,24 +111,27 @@ def _print_comparison(report: dict) -> None:
         print("engine comparison FAILED: results diverged")
 
 
-def _capped(report: dict) -> bool:
+def _capped(report: dict, scale) -> bool:
     """True, after naming each on stderr, if any engine's run stopped at
     the livelock cap (worded as the other commands word it)."""
+    from repro.sim.runner import livelock_message
+
     capped = [run for run in report["runs"] if run["hit_max_cycles"]]
     for run in capped:
-        print(f"error: {report['label']} ({run['engine']} engine): stopped "
-              f"at cycle {run['cycles']}, the livelock cap of "
-              f"{report['max_cycles']} cycles", file=sys.stderr)
+        label = f"{report['label']} ({run['engine']} engine)"
+        print(f"error: {livelock_message(label, run['cycles'], scale)}",
+              file=sys.stderr)
     return bool(capped)
 
 
-def main(args) -> int:
-    """Entry point for ``python -m repro profile``."""
-    report = compare_engines(args)
+def main(args, spec) -> int:
+    """Entry point for ``python -m repro profile``: ``spec`` is the run
+    the command line names."""
+    report = compare_engines(spec, args.engines)
     _print_comparison(report)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
         print(f"\nreport -> {args.json}")
-    capped = _capped(report)
+    capped = _capped(report, spec.scale)
     return 0 if report["identical"] and not capped else 1

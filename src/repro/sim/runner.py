@@ -1,4 +1,7 @@
-"""Convenience runners used by examples, tests, and every experiment.
+"""The one simulation body: :func:`run_spec` runs any ``RunSpec``.
+
+The engine's ``run_one`` and the one-spec wrappers below (for examples,
+tools and tests) call it; it is the only place a ``System`` is built.
 
 Environment knobs (also settable via ``python -m repro`` flags):
 
@@ -11,13 +14,17 @@ Environment knobs (also settable via ``python -m repro`` flags):
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from repro.config import DEFAULT_SCALE, SimScale, SystemConfig
+from repro.cpu.instruction import Trace
+from repro.sim.engine import RunSpec
 from repro.sim.stats import SimResult, result_fingerprint, speedup
 from repro.sim.system import System
 from repro.util import hostclock
-from repro.workloads.multiprog import BUNDLES, bundle_traces
+from repro.workloads.multiprog import bundle_traces
 from repro.workloads.parallel import parallel_traces
+from repro.workloads.scenario import check_roles, scenario_traces
 
 #: Safety cap: a run exceeding this many cycles per trace instruction is
 #: treated as a livelock and aborted (surfaces as ``hit_max_cycles``).
@@ -31,6 +38,16 @@ def _max_cycles(scale: SimScale) -> int:
 
 def _env_flag(name: str) -> bool:
     return os.environ.get(name, "") not in ("", "0")
+
+
+def livelock_message(label: str, cycles: int, scale: SimScale) -> str:
+    """How every caller reports a run that stopped at the livelock cap
+    (``hit_max_cycles``): its cycle count measures the cap, not the
+    machine."""
+    return (
+        f"{label}: stopped at cycle {cycles}, the livelock cap of "
+        f"{_max_cycles(scale)} cycles"
+    )
 
 
 def _run_system(make_system, max_cycles: int) -> SimResult:
@@ -79,19 +96,71 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
     return result
 
 
-def trace_set(spec) -> tuple:
-    """Name of the trace set a ``RunSpec`` runs on (its per-core traces).
+def _workload(spec):
+    """What ``spec`` simulates: ``(config, trace set, make_traces, label)``.
 
-    Two specs with equal names simulate the same traces: a parallel run's
-    depend on the app, the core count, the trace length and the seed; a
-    bundle run and each of its alone runs use the bundle's traces.
+    The one branch on ``RunSpec.kind``: the machine (``spec.config`` or
+    the kind's default), the name of the trace set (:func:`trace_set`),
+    a builder of the per-core traces, each ``instructions_per_core +
+    warmup_instructions`` long, and the default label.  Raises
+    ``ValueError`` for a spec no kind can run.
     """
-    scale = spec.scale
-    instructions = scale.instructions_per_core + scale.warmup_instructions
-    if spec.kind == "parallel":
-        cores = (spec.config or SystemConfig.parallel_default()).cores
-        return ("parallel", spec.workload, cores, instructions, scale.seed)
-    return ("bundle", spec.workload, instructions, scale.seed)
+    kind, name, seed = spec.kind, spec.workload, spec.scale.seed
+    length = spec.scale.instructions_per_core + spec.scale.warmup_instructions
+    label = f"{name}/{spec.scheduler}"
+    if kind in ("parallel", "scenario"):
+        config = spec.config or SystemConfig.parallel_default()
+        if kind == "parallel":
+            traces = partial(parallel_traces, name, config.cores, length, seed)
+            return config, (kind, name, config.cores, length, seed), traces, label
+        check_roles(name, config.cores)
+        traces = partial(scenario_traces, name, length)
+        return config, (kind, name, length), traces, label
+    if kind not in ("bundle", "alone"):
+        raise ValueError(f"unknown run kind {kind!r}")
+    config = spec.config or SystemConfig.multiprogrammed_default()
+    traces = partial(bundle_traces, name, length, seed)
+    if kind == "alone":
+        if spec.slot is None:
+            raise ValueError("kind='alone' requires slot")
+        traces = partial(_alone, traces, spec.slot, config.cores)
+        label = f"{name}[{spec.slot}]/alone"
+    return config, ("bundle", name, length, seed), traces, label
+
+
+def _alone(bundle, slot: int, cores: int) -> list:
+    """Trace ``slot`` of ``bundle()`` with every other core idle, so the
+    application has the whole memory system to itself."""
+    traces = bundle()
+    return [
+        traces[core] if core == slot else Trace(name="idle")
+        for core in range(cores)
+    ]
+
+
+def trace_set(spec) -> tuple:
+    """Name of the trace set a ``RunSpec`` runs on (its per-core traces):
+    specs with equal names simulate the same traces, as a bundle run and
+    each of its alone runs do."""
+    return _workload(spec)[1]
+
+
+def run_spec(spec) -> SimResult:
+    """Simulate one ``RunSpec`` in process, uncached, under the livelock
+    cap of :func:`_max_cycles`."""
+    config, _, make_traces, label = _workload(spec)
+    traces = make_traces()
+    return _run_system(
+        lambda: System(
+            config,
+            traces,
+            scheduler=spec.scheduler,
+            scheduler_kwargs=spec.scheduler_kwargs,
+            provider_spec=spec.provider_spec,
+            label=spec.label or label,
+        ),
+        _max_cycles(spec.scale),
+    )
 
 
 def run_parallel_workload(
@@ -104,20 +173,10 @@ def run_parallel_workload(
     label: str | None = None,
 ) -> SimResult:
     """Run one Table 2 parallel app (8 threads) on the Table 1/3 machine."""
-    config = config or SystemConfig.parallel_default()
-    instructions = scale.instructions_per_core + scale.warmup_instructions
-    traces = parallel_traces(app, config.cores, instructions, seed=scale.seed)
-    return _run_system(
-        lambda: System(
-            config,
-            traces,
-            scheduler=scheduler,
-            scheduler_kwargs=scheduler_kwargs,
-            provider_spec=provider_spec,
-            label=label or f"{app}/{scheduler}",
-        ),
-        _max_cycles(scale),
-    )
+    return run_spec(RunSpec(
+        "parallel", app, scheduler, provider_spec, config, scale,
+        scheduler_kwargs, label=label,
+    ))
 
 
 def run_multiprogrammed_workload(
@@ -130,20 +189,10 @@ def run_multiprogrammed_workload(
     label: str | None = None,
 ) -> SimResult:
     """Run one Table 4 bundle on the 4-core, 2-channel machine."""
-    config = config or SystemConfig.multiprogrammed_default()
-    instructions = scale.instructions_per_core + scale.warmup_instructions
-    traces = bundle_traces(bundle, instructions, seed=scale.seed)
-    return _run_system(
-        lambda: System(
-            config,
-            traces,
-            scheduler=scheduler,
-            scheduler_kwargs=scheduler_kwargs,
-            provider_spec=provider_spec,
-            label=label or f"{bundle}/{scheduler}",
-        ),
-        _max_cycles(scale),
-    )
+    return run_spec(RunSpec(
+        "bundle", bundle, scheduler, provider_spec, config, scale,
+        scheduler_kwargs, label=label,
+    ))
 
 
 def run_application_alone(
@@ -164,25 +213,10 @@ def run_application_alone(
     shared run being normalised, otherwise the alone baseline is simulated
     on a different machine than the one under test.
     """
-    from repro.cpu.instruction import Trace
-
-    config = config or SystemConfig.multiprogrammed_default()
-    instructions = scale.instructions_per_core + scale.warmup_instructions
-    traces = bundle_traces(bundle, instructions, seed=scale.seed)
-    solo = []
-    for core in range(config.cores):
-        solo.append(traces[core] if core == slot else Trace(name="idle"))
-    return _run_system(
-        lambda: System(
-            config,
-            solo,
-            scheduler=scheduler,
-            scheduler_kwargs=scheduler_kwargs,
-            provider_spec=provider_spec,
-            label=label or f"{bundle}[{slot}]/alone",
-        ),
-        _max_cycles(scale),
-    )
+    return run_spec(RunSpec(
+        "alone", bundle, scheduler, provider_spec, config, scale,
+        scheduler_kwargs, slot=slot, label=label,
+    ))
 
 
 def parallel_average_speedup(
@@ -201,7 +235,7 @@ def parallel_average_speedup(
     (:mod:`repro.sim.engine`), so repeated sweeps only pay for what
     changed.
     """
-    from repro.sim.engine import RunSpec, run_many
+    from repro.sim.engine import run_many
 
     apps = list(apps)
     specs = []

@@ -51,7 +51,3 @@ def bundle_traces(bundle: str, instructions: int, seed: int = 1):
             )
         )
     return traces
-
-
-def bundle_app_names(bundle: str) -> tuple[str, ...]:
-    return BUNDLES[bundle]

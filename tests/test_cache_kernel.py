@@ -198,7 +198,7 @@ def _watch(machine, reached):
     wrap(h.l2_mshr, "allocate", allocated)
 
 
-BASE = 1 << 20
+BASE = 0
 
 
 @st.composite
@@ -219,8 +219,7 @@ def streams(draw):
                                     distance=2, degree=2),
     )
     core = st.integers(0, cores - 1)
-    # 16 L1 lines, 8 L2 lines: sets of most geometries overflow.  Far
-    # enough from 0 that no descending prefetch stream goes negative.
+    # 16 L1 lines, 8 L2 lines: sets of most geometries overflow.
     address = st.integers(0, 31).map(lambda k: BASE + k * 16)
     op = st.one_of(
         st.tuples(st.just("load"), core, address, st.booleans(),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import SimScale
+from repro.config import DramConfig, SimScale, SystemConfig
 from repro.sim import engine
 from repro.sim.engine import (
     RunSpec,
@@ -22,8 +22,10 @@ from repro.sim.engine import (
     run_one_cached,
     spec_key,
 )
+from repro.sim.runner import trace_set
 from repro.sim.stats import result_fingerprint
 from repro.workloads import synthetic
+from repro.workloads.scenario import scenario_traces
 
 SCALE = SimScale(instructions_per_core=600, warmup_instructions=0, seed=5)
 
@@ -256,6 +258,60 @@ class TestRunMany:
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert lines and lines[0]["source"] == "run"
         assert lines[0]["wall_s"] > 0
+
+
+#: The mechanism experiment's machine: two cores, one channel.
+TWO_CORES = SystemConfig(cores=2, dram=DramConfig(channels=1))
+
+
+class TestRunKinds:
+    """The runner's one branch on ``RunSpec.kind``."""
+
+    def test_scenario_runs_its_roles(self, cache_dir):
+        spec = _spec(kind="scenario", workload="LS", config=TWO_CORES)
+        assert trace_set(spec) == ("scenario", "LS", 600)
+        (result,) = run_many([spec], jobs=1)
+        assert result.label == "LS/fr-fcfs"
+        assert not result.hit_max_cycles
+        assert list(result.committed) == [
+            len(trace) for trace in scenario_traces("LS", 600)
+        ]
+
+    def test_scenario_defaults_to_the_parallel_machine(self, cache_dir):
+        spec = _spec(kind="scenario", workload="LLLLSSSS")
+        (result,) = run_many([spec], jobs=1)
+        assert len(result.finish_cycles) == 8
+        assert not result.hit_max_cycles
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"kind": "bogus"}, "unknown run kind 'bogus'"),
+            ({"kind": "alone", "workload": "RFGI"}, "requires slot"),
+            ({"kind": "scenario", "workload": "LX", "config": TWO_CORES},
+             "scenario 'LX' must name one role of LS for each of its 2 "),
+            ({"kind": "scenario", "workload": "LSS", "config": TWO_CORES},
+             "scenario 'LSS' must name one role of LS for each of its 2 "),
+            ({"kind": "scenario", "workload": "LS"},
+             "scenario 'LS' must name one role of LS for each of its 8 "),
+        ],
+        ids=["kind", "slot", "role", "too-many-roles", "too-few-roles"],
+    )
+    def test_unrunnable_spec_raises_before_any_run(
+        self, cache_dir, monkeypatch, over, message, jobs
+    ):
+        spec = _spec(**over)
+        with pytest.raises(ValueError, match=message):
+            engine.run_one(spec)
+
+        def no_run(spec):
+            raise AssertionError(f"{spec.workload} simulated")
+
+        # Raised in a pool worker, this would reach the caller too.
+        monkeypatch.setattr(engine, "run_one", no_run)
+        with pytest.raises(ValueError, match=message):
+            run_many([_spec(), _spec(workload="radix"), spec], jobs=jobs)
 
 
 @pytest.fixture

@@ -110,9 +110,11 @@ class TestFigures:
             "casras-crit", "crit-casras"
         ]
 
-    def test_capped_mechanism_run_fails_its_figure(self, monkeypatch):
+    def test_capped_mechanism_run_fails_its_figure(self, monkeypatch,
+                                                   tmp_path):
         """A mechanism run stopped by the livelock cap raises, naming its
-        scheduler, instead of entering the table as a speedup."""
+        scenario and scheduler, instead of entering the table as a
+        speedup."""
         from repro.sim.system import System
 
         original = System.run
@@ -120,12 +122,54 @@ class TestFigures:
         def capped_run(self, max_cycles=None, engine=None):
             return original(self, max_cycles=200, engine=engine)
 
+        # test_mechanism_runs leaves these runs in the shared test cache.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(System, "run", capped_run)
         with pytest.raises(RuntimeError) as info:
             run_experiment("mechanism", instructions=3000)
         message = str(info.value)
-        assert message.startswith("fr-fcfs: stopped at cycle 200,")
+        assert message.startswith("LS/fr-fcfs: stopped at cycle 200,")
         assert "livelock cap" in message
+
+    def test_mechanism_verifies_every_run_on_both_engines(
+        self, monkeypatch, tmp_path
+    ):
+        """Under REPRO_VERIFY_SKIP each of the three scenario runs is
+        simulated on both engines."""
+        from repro.sim.system import System
+
+        original, engines = System.run, Counter()
+
+        def recorded(self, max_cycles=None, engine=None):
+            engines[self.label, System.resolve_engine(engine)] += 1
+            return original(self, max_cycles=max_cycles, engine=engine)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_VERIFY_SKIP", "1")
+        monkeypatch.setattr(System, "run", recorded)
+        run_experiment("mechanism", instructions=300)
+        assert engines == {
+            (f"LS/{scheduler}", engine): 1
+            for scheduler in ("fr-fcfs", "casras-crit", "crit-casras")
+            for engine in ("batched", "naive")
+        }
+
+    def test_warm_mechanism_simulates_nothing(self, monkeypatch, tmp_path):
+        from repro.sim.system import System
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = run_experiment("mechanism", instructions=300).table()
+        common.clear_run_cache()
+        engine.clear_metrics()
+
+        def no_run(self, max_cycles=None, engine=None):
+            raise AssertionError(f"{self.label} simulated on a warm rerun")
+
+        monkeypatch.setattr(System, "run", no_run)
+        assert run_experiment("mechanism", instructions=300).table() == cold
+        assert [m["source"] for m in engine.last_metrics] == ["disk"] * 3
+        assert len({m["key"] for m in engine.last_metrics}) == 3
 
 
 class TestSectionStudies:
@@ -287,7 +331,7 @@ class TestRunCache:
 
 
 #: Small arguments for every experiment that simulates through the engine
-#: (``mechanism`` builds its own traces; ``overhead`` is analytic).
+#: (``overhead`` is analytic).
 BATCHED = {
     "fig1": {"apps": TWO_APPS},
     "fig3": {"apps": TWO_APPS, "algorithms": ("casras-crit",)},
@@ -305,12 +349,13 @@ BATCHED = {
     "naive": {"apps": TWO_APPS},
     "reset": {},
     "ablation": {"apps": TWO_APPS},
+    "mechanism": {"instructions": 300},
 }
 
 
 class TestBatching:
     def test_every_simulating_experiment_is_listed(self):
-        assert set(BATCHED) == set(EXPERIMENTS) - {"mechanism", "overhead"}
+        assert set(BATCHED) == set(EXPERIMENTS) - {"overhead"}
 
     @pytest.mark.parametrize("experiment_id", sorted(BATCHED))
     def test_every_simulation_comes_from_run_many(

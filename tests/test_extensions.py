@@ -198,6 +198,19 @@ class TestCli:
         assert not (tmp_path / "t.json").exists()
         clear_trace_cache()
 
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-cache"]])
+    @pytest.mark.parametrize("command", ["run", "stats", "trace"])
+    def test_batch_flags_are_experiment_only(self, capsys, command, flag):
+        """run, stats and trace simulate one spec in process, never
+        through the worker pool or the disk cache: neither flag exists
+        for them."""
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "radix", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        build_parser().parse_args(["experiment", "fig4", *flag])
+
     @pytest.mark.parametrize("tool", ["lint", "analyze"])
     def test_forwarded_tool_lists_its_rules(self, capsys, tool):
         """lint and analyze parse their own argv, so a leading option

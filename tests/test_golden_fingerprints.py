@@ -23,13 +23,15 @@ import hashlib
 import pytest
 
 from repro.cache import hierarchy
-from repro.config import SimScale
+from repro.config import DramConfig, SimScale, SystemConfig
 from repro.core.cbp import CbpMetric
 from repro.cpu import core, native
+from repro.sim.engine import RunSpec
 from repro.sim.runner import (
     run_application_alone,
     run_multiprogrammed_workload,
     run_parallel_workload,
+    run_spec,
 )
 from repro.sim.stats import result_fingerprint
 from repro.sim.system import ENGINES
@@ -120,6 +122,17 @@ GOLDEN = {
     "RFGI[1]/PAR-BS-alone": (
         lambda: run_application_alone("RFGI", 1, "par-bs", scale=SCALE),
         (752, 15377587593544245303, "1be03a3cafda6033"),
+    ),
+    # The mechanism experiment's machine and predictor; recorded by
+    # running System directly on that experiment's own traces.
+    "LS/Crit-CASRAS+CBP-unlimited": (
+        lambda: run_spec(RunSpec(
+            kind="scenario", workload="LS", scheduler="crit-casras",
+            provider_spec=("cbp", {"entries": None}),
+            config=SystemConfig(cores=2, dram=DramConfig(channels=1)),
+            scale=SCALE,
+        )),
+        (2238, 3918409919191970232, "ebbf8faea07a8fa5"),
     ),
 }
 

@@ -61,6 +61,30 @@ class TestTraining:
         lines = [a // 64 for a in issued]
         assert lines and all(line < 200 for line in lines)
 
+    def test_descending_stream_stops_at_line_zero(self):
+        pf = make_pf()
+        issued = []
+        for line in (3, 2, 1, 0):
+            issued.extend(pf.observe(line * 64, True))
+        assert issued == [0]
+
+    def test_descending_stream_near_zero_runs_on_a_system(self):
+        """Prefetches of a stream walking down to address 0 reach DRAM
+        as real addresses (a negative one would fail to map)."""
+        from repro.config import SystemConfig
+        from repro.cpu.instruction import INT, LOAD, Trace
+        from repro.sim.system import System
+
+        trace = Trace("descending")
+        for address in (192, 128, 64, 0):
+            trace.append(LOAD, 1, address, 0)
+            trace.append(INT, 2, 0, 1)
+        config = SystemConfig(cores=1, prefetcher=PrefetcherConfig(
+            enabled=True, streams=4, distance=16, degree=4))
+        result = System(config, [trace]).run(max_cycles=200_000)
+        assert not result.hit_max_cycles
+        assert result.hierarchy.prefetches_issued == 1
+
 
 class TestStreamTable:
     def test_stream_capacity_evicts_lru(self):

@@ -11,6 +11,7 @@ from repro.cpu.instruction import BRANCH, INT, LOAD, STORE, Trace
 from repro.workloads.models import PARALLEL_APPS, SPEC_APPS
 from repro.workloads.multiprog import BUNDLES, bundle_traces
 from repro.workloads.parallel import PARALLEL_APP_NAMES, parallel_traces
+from repro.workloads.scenario import ROLES, scenario_traces
 from repro.workloads.synthetic import clear_trace_cache, generate_trace
 
 
@@ -239,6 +240,13 @@ class TestPinnedTraces:
         "RFGI": "414d6a78e98b89fd",
         "RGTM": "5cd06a7d1c67c5db",
     }
+    #: Scenario roles -> digest of its traces at 700 and 24,000
+    #: instructions (recorded from the mechanism experiment's own trace
+    #: builders, before they moved to ``repro.workloads.scenario``).
+    SCENARIOS = {
+        "LS": "30fb496bbec2bbf7",
+        "SL": "7807aaf68973cb54",
+    }
 
     @staticmethod
     def combined(make, seeds, lengths) -> str:
@@ -252,6 +260,7 @@ class TestPinnedTraces:
     def test_every_workload_is_pinned(self):
         assert sorted(self.PARALLEL) == sorted(PARALLEL_APP_NAMES)
         assert sorted(self.BUNDLES) == sorted(BUNDLES)
+        assert sorted(set("".join(self.SCENARIOS))) == sorted(ROLES)
 
     @pytest.mark.parametrize("app", sorted(PARALLEL))
     def test_parallel_app(self, app):
@@ -268,6 +277,13 @@ class TestPinnedTraces:
             (1, 9), (700, 2200),
         )
         assert got == self.BUNDLES[bundle]
+
+    @pytest.mark.parametrize("roles", sorted(SCENARIOS))
+    def test_scenario(self, roles):
+        got = self.combined(
+            lambda n, seed: scenario_traces(roles, n), (1,), (700, 24_000),
+        )
+        assert got == self.SCENARIOS[roles]
 
 
 class TestInlineDraws:
