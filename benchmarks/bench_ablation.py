@@ -1,5 +1,5 @@
-"""Benchmark: ablations — counter modes, excluded predictors, memory-side
-rankings (reproduction extension)."""
+"""Benchmark: ablations — counter modes and excluded predictors
+(reproduction extension)."""
 
 from repro.experiments import ablation
 

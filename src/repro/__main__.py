@@ -345,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the simulator-specific AST lint pass")
     sub.add_parser("analyze", add_help=False,
                    help="run the whole-program semantic analyzer (cycle "
-                        "domains, det-state coverage, scheduler contracts, "
-                        "effect/purity certificates)")
+                        "domains, det-state coverage, effect/purity "
+                        "certificates)")
 
     stats_p = sub.add_parser(
         "stats", help="run one workload and print telemetry summaries"

@@ -104,9 +104,9 @@ class ProtocolSanitizer:
         self.bus_last_rank = -1
         self.checks = 0
         self.commands = 0
-        env = os.environ.get("REPRO_SANITIZE_STARVATION", "")
-        factor = int(env) if env else starvation_factor
-        self.starvation_limit = factor * config.starvation_cap_dram_cycles
+        self.starvation_limit = (
+            starvation_factor * config.starvation_cap_dram_cycles
+        )
         self.max_read_wait = 0
 
     # -- internals ----------------------------------------------------------

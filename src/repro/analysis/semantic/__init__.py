@@ -9,9 +9,6 @@ the passes here understand the *simulator's* semantics across modules:
 * :mod:`repro.analysis.semantic.detcov` — det-state coverage audit
   (SEM010): every mutable field on a simulator class must be folded
   into the determinism hash-chain or explicitly allowlisted.
-* :mod:`repro.analysis.semantic.contract` — scheduler contract
-  verification (SEM020–SEM022): an age/starvation *ordering* on every
-  issue path, no direct bank/bus mutation, required overrides present.
 * :mod:`repro.analysis.semantic.effects` — interprocedural
   effect/purity inference (SEM030–SEM032): certified-pure hooks must
   stay pure, RNG/IO must not reach per-cycle model code, and
@@ -21,6 +18,12 @@ the passes here understand the *simulator's* semantics across modules:
   window-invariant / monotone-accumulating / per-cycle-only
   classification of every hot-path hook and scheduler, the proof
   surface for the model-batching work.
+
+The scheduler contract (bounded queueing delay, no writes to controller
+state) is checked at run time rather than here: by the starvation
+adversary in ``tests/test_starvation_adversary.py`` and by the
+controller snapshots :mod:`repro.analysis.effectcheck` takes around
+every scheduler hook.
 
 Shared infrastructure — the module graph loader
 (:mod:`~repro.analysis.semantic.modgraph`), per-function CFG builder

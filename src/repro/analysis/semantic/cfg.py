@@ -64,13 +64,6 @@ class CFG:
             src.succs.append(dst)
             dst.preds.append(src)
 
-    def returns(self) -> list[Node]:
-        """Every node holding a ``return`` statement."""
-        return [
-            n for n in self.nodes
-            if n.kind == STMT and isinstance(n.stmt, ast.Return)
-        ]
-
 
 class _Builder:
     def __init__(self) -> None:
@@ -169,26 +162,3 @@ def build_cfg(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
     """Build the CFG of one function definition."""
     return _Builder().build(fn)
 
-
-def reachable_avoiding(
-    cfg: CFG, blocked: set[Node], start: Node | None = None
-) -> set[Node]:
-    """Nodes reachable from ``start`` (default entry) along paths that
-    never leave a node in ``blocked``.
-
-    A blocked node is itself reachable (a path may *end* there), but its
-    successors are not explored through it — the standard formulation
-    for "does every path from entry to X pass through the blocked set".
-    """
-    start = start if start is not None else cfg.entry
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node in blocked and node is not start:
-            continue  # paths do not continue through a blocked node
-        for succ in node.succs:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return seen

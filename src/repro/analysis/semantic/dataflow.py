@@ -7,10 +7,8 @@ are plain ``dict[str, value]``; the engine iterates a worklist until no
 out-environment changes, which terminates as long as the client's value
 lattice has finite height (the cycle-domain lattice has height 2).
 
-The engine is deliberately small — passes that need path sensitivity
-(the scheduler contract pass) use :func:`cfg.reachable_avoiding`
-instead, and passes that need whole-program context run this engine per
-function after computing global summaries.
+The engine is deliberately small: passes that need whole-program
+context run it per function after computing global summaries.
 """
 
 from __future__ import annotations

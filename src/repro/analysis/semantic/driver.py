@@ -16,7 +16,6 @@ from pathlib import Path
 
 from repro.analysis import suppress
 from repro.analysis.lint import Finding, iter_python_files
-from repro.analysis.semantic.contract import SchedulerContractPass
 from repro.analysis.semantic.detcov import StateCoveragePass
 from repro.analysis.semantic.domains import CycleDomainPass
 from repro.analysis.semantic.effects import EffectPass
@@ -30,10 +29,6 @@ SEMANTIC_RULES: dict[str, str] = {
               "parameter boundary",
     "SEM010": "mutable simulator state not covered by det_state()/"
               "telemetry registration",
-    "SEM020": "scheduler issue path that never consults an age/"
-              "starvation signal",
-    "SEM021": "scheduler mutates bank/bus/queue state directly",
-    "SEM022": "scheduler missing a required override (select/name)",
     "SEM030": "certified-pure method (det_state/next_wake/can_accept…) "
               "with an undeclared effect",
     "SEM031": "randomness or io inside per-cycle model code",
@@ -43,7 +38,6 @@ SEMANTIC_RULES: dict[str, str] = {
 ALL_PASSES = (
     CycleDomainPass(),
     StateCoveragePass(),
-    SchedulerContractPass(),
     EffectPass(),
 )
 
@@ -134,7 +128,7 @@ def main(argv=None) -> int:
         prog="repro analyze",
         description=(
             "whole-program semantic analyzer: cycle domains, det-state "
-            "coverage, scheduler contracts (see repro.analysis.semantic)"
+            "coverage, effect certificates (see repro.analysis.semantic)"
         ),
     )
     parser.add_argument("paths", nargs="*",

@@ -574,7 +574,6 @@ class MemoryHierarchy:
                 target,
                 is_write=False,
                 core=-1,
-                is_prefetch=True,
                 callback=partial(self._dram_fill, target),
             )
             entry.txn = txn

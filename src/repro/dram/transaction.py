@@ -39,7 +39,6 @@ class Transaction:
         "seq",
         "callback",
         "row_hit",
-        "is_prefetch",
         "marked",
     )
 
@@ -52,7 +51,6 @@ class Transaction:
         critical: bool = False,
         magnitude: int = 0,
         callback=None,
-        is_prefetch: bool = False,
     ):
         self.address = address
         self.loc = loc
@@ -64,7 +62,6 @@ class Transaction:
         self.seq = 0
         self.callback = callback
         self.row_hit = False
-        self.is_prefetch = is_prefetch
         # PAR-BS batch mark; unused by other schedulers.
         self.marked = False
 

@@ -8,8 +8,6 @@
    long-latency criticality, reproduced quantitatively: the Fields-like
    predictor marks essentially *all* DRAM loads critical (no
    differentiation), so its speedup collapses toward FR-FCFS.
-3. **Memory-side rankings** — ATLAS and Minimalist Open-page, the related
-   work's controller-side notions of importance, on the same workloads.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ CONFIGS = (
      ("cbp", {"entries": 64, "metric": CbpMetric.MAX_STALL,
               "counter": "probabilistic"}), None),
     ("Fields-like (excluded)", "casras-crit", ("fields", {}), None),
-    ("ATLAS", "atlas", None, None),
-    ("Minimalist Open-page", "minimalist", None, None),
 )
 
 
@@ -55,7 +51,7 @@ def run(apps=SENSITIVITY_APPS, seeds=None) -> ExperimentResult:
     ]
     return ExperimentResult(
         "ablation",
-        "Counter modes, excluded predictors, memory-side rankings",
+        "Counter modes and excluded predictors",
         ["config", "speedup"],
         rows,
         notes=(

@@ -29,6 +29,15 @@ from repro.experiments.common import (
 SCHEDULERS = ("fr-fcfs", "casras-crit", "crit-casras")
 
 
+def _role_speedup(base, res, cores: slice) -> float | None:
+    """Mean finish-time speedup over one role's cores; None when the
+    scenario gives that role no core."""
+    before, after = base.finish_cycles[cores], res.finish_cycles[cores]
+    if not before:
+        return None
+    return statistics.mean(before) / statistics.mean(after)
+
+
 def run(latency_cores: int = 1, cores: int = 2, instructions: int | None = None,
         channels: int = 1) -> ExperimentResult:
     # This two-core scenario is cheap, and the predictor needs a few
@@ -53,10 +62,8 @@ def run(latency_cores: int = 1, cores: int = 2, instructions: int | None = None,
         rows.append(
             {
                 "scheduler": scheduler,
-                "latency_core_speedup": statistics.mean(base.finish_cycles[lat])
-                / statistics.mean(res.finish_cycles[lat]),
-                "bandwidth_core_speedup": statistics.mean(base.finish_cycles[bw])
-                / statistics.mean(res.finish_cycles[bw]),
+                "latency_core_speedup": _role_speedup(base, res, lat),
+                "bandwidth_core_speedup": _role_speedup(base, res, bw),
             }
         )
     return ExperimentResult(

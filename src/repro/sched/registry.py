@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from repro.core.critsched import CasRasCritScheduler, CritCasRasScheduler
 from repro.sched.ahb import AhbScheduler
-from repro.sched.atlas import AtlasScheduler
 from repro.sched.fcfs import FcfsScheduler
 from repro.sched.frfcfs import FrFcfsScheduler
-from repro.sched.minimalist import MinimalistScheduler
 from repro.sched.morse import CritRlScheduler, MorseScheduler
 from repro.sched.parbs import ParBsScheduler
 from repro.sched.tcm import TcmScheduler
@@ -26,8 +24,6 @@ SCHEDULERS = {
     "crit-casras": CritCasRasScheduler,
     "casras-crit": CasRasCritScheduler,
     "ahb": AhbScheduler,
-    "atlas": AtlasScheduler,
-    "minimalist": MinimalistScheduler,
     "par-bs": ParBsScheduler,
     "tcm": TcmScheduler,
     "tcm+crit": TcmCritScheduler,

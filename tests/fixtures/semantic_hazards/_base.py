@@ -2,8 +2,8 @@
 
 The analyzer resolves base classes statically inside the analysis
 roots, so the fixture package carries its own interface root: the
-scheduler fixtures subclass this and are checked against the same
-contract clauses as the real policies.
+scheduler fixtures subclass this and are checked by the same passes
+as the real policies.
 """
 
 

@@ -1,8 +1,8 @@
 """Legal counter-examples: none of these may produce a finding.
 
 Each mirrors one hazard module with the sanctioned version of the same
-pattern — conversions through the clock ratio, chained state, an
-age-guarded scheduler — so the analyzer's precision is pinned alongside
+pattern — conversions through the clock ratio, chained state, a
+scheduler that draws no randomness — so the analyzer's precision is pinned alongside
 its recall.
 """
 
@@ -47,7 +47,7 @@ class WindowReader:
 
 
 class OldestFirstScheduler(Scheduler):
-    """Legal policy: every issue path breaks ties by age (txn.seq)."""
+    """Legal version of the SEM031 fixture: a deterministic ranking."""
 
     name = "oldest-first"
 

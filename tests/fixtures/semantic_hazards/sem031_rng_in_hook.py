@@ -2,9 +2,8 @@
 
 ``select`` runs every DRAM cycle; drawing from an RNG there (even a
 seeded one) without the documented suppression-with-rationale makes
-the per-cycle path nondeterministic by default.  The sort-by-seq step
-keeps SEM020 satisfied, and the scheduler holds no state of its own,
-so this fixture isolates the RNG hazard.
+the per-cycle path nondeterministic by default.  The scheduler holds
+no state of its own, so this fixture isolates the RNG hazard.
 """
 
 from tests.fixtures.semantic_hazards._base import Scheduler

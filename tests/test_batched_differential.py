@@ -45,7 +45,7 @@ SCALE = SimScale(instructions_per_core=400, warmup_instructions=0, seed=11)
 
 
 def _provider_for(scheduler: str):
-    if "crit" in scheduler or scheduler == "minimalist":
+    if "crit" in scheduler:
         return ("cbp", {"entries": 64})
     return None
 

@@ -110,7 +110,7 @@ class Machine:
             return ("function", obj.__name__)
         if isinstance(obj, Transaction):
             return ("txn", obj.address, obj.is_write, obj.core, obj.critical,
-                    obj.magnitude, obj.seq, obj.arrival, obj.is_prefetch,
+                    obj.magnitude, obj.seq, obj.arrival,
                     self.describe(obj.callback))
         if isinstance(obj, LoadAccess):
             return ("handle", obj.pc, obj.issue_cycle, obj.critical,

@@ -1,9 +1,13 @@
-"""Runtime verification of purity certificates (REPRO_VERIFY_EFFECTS).
+"""Runtime verification of purity certificates and of the scheduler
+contract (REPRO_VERIFY_EFFECTS).
 
-Three layers: an instrumented run of the real simulator stays clean
+Four layers: an instrumented run of the real simulator stays clean
 (the certificates hold at runtime, not just statically); an injected
 mutation in a certified hook raises :class:`EffectViolation` at the
-call; and the instrumented run remains bit-identical to the bare run.
+call; the instrumented run remains bit-identical to the bare run; and
+a scheduler hook that touches its controller's state raises (every
+registered scheduler runs clean under the bracket in
+``test_batched_differential.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from repro.analysis.effectcheck import (
 )
 from repro.config import DramConfig, SystemConfig
 from repro.cpu.instruction import INT, LOAD, Trace
+from repro.sched.frfcfs import FrFcfsScheduler
 from repro.sim.system import ENGINES, System
 
 
@@ -111,3 +116,41 @@ class TestInjectedViolation:
         instrument_system(system, every=4)
         with pytest.raises(EffectViolation):
             system.run(max_cycles=400_000)
+
+
+class ReadThief(FrFcfsScheduler):
+    """Seeded bug: ``select`` drops the newest queued read."""
+
+    def select(self, candidates, controller, now):
+        if len(controller.read_queue) > 1:
+            controller.read_queue.pop()
+        return super().select(candidates, controller, now)
+
+
+class HastyActivator(FrFcfsScheduler):
+    """Seeded bug: ``select`` clears a bank's ACTIVATE timer (tRC/tRP)."""
+
+    def select(self, candidates, controller, now):
+        for rank_banks in controller.banks:
+            for bank in rank_banks:
+                if bank.act_ready > now:
+                    bank.act_ready = now
+        return super().select(candidates, controller, now)
+
+
+class TestSchedulerBracket:
+    def _run_with(self, scheduler, **kwargs):
+        system = make_system()
+        system.memory.channels[0].scheduler = scheduler
+        instrument_system(system)
+        return system.run(max_cycles=400_000, **kwargs)
+
+    def test_removing_a_queued_read_is_caught(self):
+        with pytest.raises(EffectViolation) as err:
+            self._run_with(ReadThief())
+        assert "select() changed the queues of channel0" in str(err.value)
+
+    def test_writing_a_banks_act_ready_is_caught(self):
+        with pytest.raises(EffectViolation) as err:
+            self._run_with(HastyActivator())
+        assert "select() changed the banks of channel0" in str(err.value)

@@ -110,6 +110,24 @@ class TestFigures:
             "casras-crit", "crit-casras"
         ]
 
+    @pytest.mark.parametrize("latency_cores", [0, 2])
+    def test_mechanism_reports_an_empty_role_as_none(self, latency_cores):
+        """All streamers (k = 0) or all walkers (k = cores): the role
+        with no core has no speedup, printed as "-"."""
+        from repro.experiments import mechanism
+
+        res = mechanism.run(latency_cores=latency_cores, cores=2,
+                            instructions=300)
+        empty, full = (
+            ("latency_core_speedup", "bandwidth_core_speedup")
+            if latency_cores == 0
+            else ("bandwidth_core_speedup", "latency_core_speedup")
+        )
+        for row in res.rows:
+            assert row[empty] is None
+            assert row[full] > 0
+        assert "-" in res.table().splitlines()[2].split()
+
     def test_capped_mechanism_run_fails_its_figure(self, monkeypatch,
                                                    tmp_path):
         """A mechanism run stopped by the livelock cap raises, naming its

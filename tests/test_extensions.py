@@ -1,77 +1,8 @@
-"""Extension modules: ATLAS, Minimalist, Fields-like predictor, report, CLI."""
+"""Extension modules: Fields-like predictor, report, CLI."""
 
 import pytest
 
 from repro.core.fields import FieldsLikePredictor, FieldsLikeProvider
-from repro.dram.addressmap import DramLocation
-from repro.dram.command import CandidateCommand, CommandKind
-from repro.dram.transaction import Transaction
-from repro.sched.atlas import AtlasScheduler
-from repro.sched.minimalist import MinimalistScheduler
-
-
-class FakeController:
-    def __init__(self, reads=()):
-        self.read_queue = list(reads)
-        self.write_queue = []
-
-    class config:
-        row_idle_precharge_cycles = 12
-
-
-def txn(seq, core=0, is_prefetch=False):
-    t = Transaction(0, DramLocation(0, 0, 0, 0, 0), core=core,
-                    is_prefetch=is_prefetch)
-    t.seq = seq
-    t.arrival = 0
-    return t
-
-
-def cas(t):
-    return CandidateCommand(CommandKind.READ, t, 0, 0, 0)
-
-
-class TestAtlas:
-    def test_least_attained_service_first(self):
-        sched = AtlasScheduler(threads=2)
-        # Core 1 consumed lots of bus time.
-        for i in range(20):
-            sched.on_command(cas(txn(i, core=1)), 0)
-        a = txn(100, core=0)
-        b = txn(50, core=1)
-        chosen = sched.select([cas(a), cas(b)], FakeController([a, b]), 0)
-        assert chosen.txn is a
-
-    def test_quantum_decays_history(self):
-        sched = AtlasScheduler(quantum=10, decay=0.5, threads=2)
-        for i in range(8):
-            sched.on_command(cas(txn(i, core=0)), 0)
-        before = sched._rank(0)
-        sched._tick(10)
-        assert sched._rank(0) < before
-        assert sched.quanta == 1
-
-    def test_invalid_decay(self):
-        with pytest.raises(ValueError):
-            AtlasScheduler(decay=0.0)
-
-
-class TestMinimalist:
-    def test_low_mlp_thread_first(self):
-        sched = MinimalistScheduler()
-        heavy = [txn(i, core=0) for i in range(5)]
-        light = txn(10, core=1)
-        ctrl = FakeController(heavy + [light])
-        chosen = sched.select([cas(heavy[0]), cas(light)], ctrl, 0)
-        assert chosen.txn is light
-
-    def test_demand_beats_prefetch(self):
-        sched = MinimalistScheduler()
-        pf = txn(1, core=0, is_prefetch=True)
-        demand = txn(2, core=0)
-        ctrl = FakeController([pf, demand])
-        chosen = sched.select([cas(pf), cas(demand)], ctrl, 0)
-        assert chosen.txn is demand
 
 
 class TestFieldsLike:

@@ -21,7 +21,7 @@ def _fresh():
 class TestFunctionalInvariance:
     """Scheduling policy must never change *what* executes, only *when*."""
 
-    @pytest.mark.parametrize("sched", ["fcfs", "casras-crit", "par-bs", "atlas"])
+    @pytest.mark.parametrize("sched", ["fcfs", "casras-crit", "par-bs", "tcm"])
     def test_commit_counts_identical_across_schedulers(self, sched):
         base = run_parallel_workload("radix", scheduler="fr-fcfs", scale=TINY)
         other = run_parallel_workload(

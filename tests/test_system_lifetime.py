@@ -63,7 +63,10 @@ def test_finished_system_freed_without_collector(
 @pytest.mark.parametrize(
     "scheduler,provider",
     [(name, None) for name in sorted(SCHEDULERS)]
-    + [("crit-casras", (kind, {})) for kind in ("cbp", "clpt", "naive", "fields")],
+    # Explicit ids pin each provider case's name; pytest would otherwise
+    # number it by list position, which shifts with the scheduler registry.
+    + [pytest.param("crit-casras", (kind, {}), id=f"crit-casras-provider{number}")
+       for number, kind in enumerate(("cbp", "clpt", "naive", "fields"), start=12)],
 )
 def test_no_policy_or_provider_keeps_the_machine(scheduler, provider, no_collector):
     """No scheduler keeps its channel alive, and no criticality provider,

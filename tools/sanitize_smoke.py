@@ -40,11 +40,7 @@ def clean_sweep(apps, instructions) -> int:
     failures = 0
     for scheduler in sorted(SCHEDULERS):
         for app in apps:
-            provider = (
-                ("cbp", {"entries": 64})
-                if "crit" in scheduler or scheduler == "minimalist"
-                else None
-            )
+            provider = ("cbp", {"entries": 64}) if "crit" in scheduler else None
             try:
                 result = run_parallel_workload(
                     app, scheduler=scheduler, provider_spec=provider, scale=scale
