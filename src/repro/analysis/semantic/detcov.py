@@ -75,20 +75,29 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "next entry dispatches into its slot; a divergence moves a retire "
         "and so the ROB-head/committed det_state words",
     ("OutOfOrderCore", "_next_local"):
-        "conservative lower bound on the next _wake/_load_issue cycle; "
-        "recomputed from those schedules when stale, so it is fully "
-        "derived state (see _wake)",
-    ("OutOfOrderCore", "_wake"):
-        "completion schedule keyed by cycle; folded indirectly via the "
-        "det_state occupancy words and the event-queue length",
-    ("OutOfOrderCore", "_load_issue"):
-        "issue schedule keyed by cycle (see _wake)",
-    ("OutOfOrderCore", "_fu_booked"):
-        "FU reservation table derived from the issue schedule; pruned "
-        "of past cycles at the first step past each 16384-cycle boundary",
-    ("OutOfOrderCore", "_prune_at"):
-        "next FU-booking prune cycle: a prune drops only past cycles, "
-        "which no later booking reads, so it never changes results",
+        "earliest cycle in the two schedules, lowered by every insert and "
+        "recomputed from the rings when a bucket is taken, so it is fully "
+        "derived state (see _wake_head)",
+    ("OutOfOrderCore", "_wake_head"):
+        "completion schedule ring (first entry of each cycle's bucket); "
+        "folded indirectly via the det_state occupancy words and the "
+        "event-queue length",
+    ("OutOfOrderCore", "_wake_tail"):
+        "last entry of each completion bucket, for appends (see "
+        "_wake_head)",
+    ("OutOfOrderCore", "_issue_head"):
+        "load-issue schedule ring (see _wake_head)",
+    ("OutOfOrderCore", "_issue_tail"):
+        "last entry of each load-issue bucket (see _wake_tail)",
+    ("OutOfOrderCore", "_link"):
+        "bucket order of the schedule rings, one link per ROB position "
+        "(see _wake_head)",
+    ("OutOfOrderCore", "_fu_tag"):
+        "FU reservation ring (cycle tag per slot) derived from the "
+        "issue schedule; a slot is reused once its cycle has passed, "
+        "which no later booking reads",
+    ("OutOfOrderCore", "_fu_count"):
+        "units booked per FU ring slot (see _fu_tag)",
     ("OutOfOrderCore", "_pending"):
         "ROB column: in-flight producer count of a waiting entry, which "
         "issues when it reaches zero; a divergence moves that entry's "

@@ -198,6 +198,19 @@ class CoreConfig:
     branch_latency: int = 1
     branch_mispredict_penalty: int = 9
 
+    def __post_init__(self):
+        # A type with no unit never issues (its booking loop never ends),
+        # and a zero latency completes an instruction in the cycle whose
+        # completions have already run.
+        for name in ("int_units", "fp_units", "branch_units", "load_ports",
+                     "store_ports", "int_latency", "fp_latency",
+                     "branch_latency"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"CoreConfig.{name} must be at least 1, "
+                    f"not {getattr(self, name)}"
+                )
+
     def scaled(self, **changes) -> "CoreConfig":
         return dataclasses.replace(self, **changes)
 

@@ -1,30 +1,43 @@
 /* Compiled per-cycle stages of the out-of-order core (repro.cpu.core).
  *
- * OutOfOrderCore.step, _complete_at, _do_dispatch and _do_commit each
- * open with one guard that hands the call to the function of the same
- * stage here; the Python body after the guard is the reference this
+ * OutOfOrderCore.step, _complete_at, _do_load_issues, _do_dispatch,
+ * _do_commit and the ring helpers _book_and_schedule and _take_bucket
+ * each open with one guard that hands the call to the function of the
+ * same stage here; the Python body after the guard is the reference this
  * file transliterates, statement for statement.  The kernel keeps no
  * state of its own: it works on the core's objects, so skip_plan,
  * step_window, det_state, the run-end ledger and both engines read the
  * same state whichever path ran.
  *
  * - Containers.  The ROB columns (_done, _pending, _waiters, _consumers,
- *   _bstart, _handle), the schedules (_wake, _load_issue), the FU tables
- *   (_fu_booked) and the trace's typed columns are bound once per core in
- *   a View, kept in the core's attribute _kernel_view.  The core binds
- *   each of them once in __init__ and only mutates them in place; the
- *   View holds the trace's columns as buffers, so they cannot be resized
- *   while the core lives.
+ *   _bstart, _handle), the cycle rings and the trace's typed columns are
+ *   bound once per core in a View, kept in the core's attribute
+ *   _kernel_view.  The core binds each of them once in __init__ and only
+ *   mutates them in place.  The View holds the trace's columns and the
+ *   rings as buffers, so none of them can be resized while the core
+ *   lives.
+ * - Rings.  Slot c & _ring_mask serves cycle c, for every cycle from the
+ *   current one to the ring's reach (ring_size in core.py): per itype the
+ *   units booked at c when the slot's tag (_fu_tag) is c (_fu_count), and
+ *   for each schedule (_wake_head/_wake_tail, _issue_head/_issue_tail)
+ *   the first and last trace index of c's bucket, chained in order
+ *   through _link at the entries' ROB positions.  An insert at or beyond
+ *   the current cycle plus the ring size, a completion before the core's
+ *   clock (stats.cycles) and a scheduled cycle that was never stepped
+ *   raise RuntimeError, on both paths.
  * - Scalars.  _ptr, _rob_len, _lq_used, _sq_used, _fetch_blocker,
  *   _fetch_resume and _next_local are read from the core's __dict__ when
  *   a stage is entered, kept in C while it runs, and written back before
  *   every call out of the kernel and on return, so every caller and
  *   callee sees the values the Python bodies would have written.
  * - Calls out.  Hierarchy load/store/can_accept_store, the provider's
- *   hooks, the tracer, the wake hook, and the core's own _do_load_issues
- *   and _prune_fu_bookings stay Python calls, looked up by name on each
- *   call (as the Python bodies do), in the bodies' order and with their
- *   arguments.  Exceptions they raise propagate unchanged.
+ *   hooks, the tracer and the wake hook stay Python calls, looked up by
+ *   name on each call (as the Python bodies do), in the bodies' order and
+ *   with their arguments.  Exceptions they raise propagate unchanged.
+ * - Completions.  The callback a load hands the hierarchy is a
+ *   Completion: a GC-tracked callable holding the core and the trace
+ *   index, which runs _complete_at((index,), cycle) here when called with
+ *   the cycle its data returns, where the Python body builds a lambda.
  *
  * Built by repro.cpu.native with the interpreter's compiler and headers;
  * it uses only the C API of CPython 3.9 and later.
@@ -32,6 +45,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -43,6 +57,8 @@
 #define DC_LOAD 1
 #define DC_STORE 2
 #define DC_MISP_BRANCH 3
+/* Nothing scheduled (_FAR in repro.cpu.core). */
+#define FAR (1LL << 62)
 
 /* ------------------------------------------------------------------ names */
 
@@ -63,8 +79,7 @@ static PyObject *scalar_keys[N_SCALARS];
     NAME(stats, "stats") NAME(provider, "provider")                       \
     NAME(hierarchy, "hierarchy") NAME(tracer, "tracer")                   \
     NAME(wake_hook, "_wake_hook") NAME(skip_until, "skip_until")          \
-    NAME(prune_at, "_prune_at") NAME(trace, "trace")                      \
-    NAME(dclass, "_dclass") NAME(core_id, "core_id")                      \
+    NAME(trace, "trace") NAME(dclass, "_dclass") NAME(core_id, "core_id") \
     NAME(rob_entries, "_rob_entries") NAME(n, "_n")                       \
     NAME(fetch_width, "_fetch_width") NAME(commit_width, "_commit_width") \
     NAME(lq_entries, "_lq_entries") NAME(sq_entries, "_sq_entries")       \
@@ -72,17 +87,20 @@ static PyObject *scalar_keys[N_SCALARS];
     NAME(latency, "_latency") NAME(done_col, "_done")                     \
     NAME(pending, "_pending") NAME(waiters, "_waiters")                   \
     NAME(consumers, "_consumers") NAME(bstart, "_bstart")                 \
-    NAME(handle, "_handle") NAME(wake, "_wake")                           \
-    NAME(load_issue, "_load_issue") NAME(fu_booked, "_fu_booked")         \
+    NAME(handle, "_handle") NAME(ring_mask, "_ring_mask")                 \
+    NAME(wake_head, "_wake_head") NAME(wake_tail, "_wake_tail")           \
+    NAME(issue_head, "_issue_head") NAME(issue_tail, "_issue_tail")       \
+    NAME(link, "_link") NAME(fu_tag, "_fu_tag")                           \
+    NAME(fu_count, "_fu_count")                                           \
     NAME(on_block_start, "on_block_start")                                \
     NAME(on_blocked_commit, "on_blocked_commit")                          \
     NAME(on_load_consumers, "on_load_consumers") NAME(tick, "tick")       \
+    NAME(annotate, "annotate") NAME(load, "load")                         \
     NAME(can_accept_store, "can_accept_store") NAME(store, "store")       \
-    NAME(block_episode, "block_episode")                                  \
+    NAME(block_episode, "block_episode") NAME(prediction, "prediction")   \
     NAME(went_to_dram, "went_to_dram") NAME(txn, "txn")                   \
-    NAME(do_load_issues, "_do_load_issues")                               \
-    NAME(prune_fu_bookings, "_prune_fu_bookings")                         \
     NAME(cycles, "cycles") NAME(committed, "committed")                   \
+    NAME(loads, "loads") NAME(critical_loads_sent, "critical_loads_sent") \
     NAME(total_block_stall, "total_block_stall")                          \
     NAME(sq_full_cycles, "sq_full_cycles")                                \
     NAME(blocking_loads, "blocking_loads")                                \
@@ -100,15 +118,20 @@ static PyObject *small_zero, *small_minus_one;
 
 /* ------------------------------------------------------------------- View */
 
-enum { B_ITYPES, B_DCLASS, B_PCS, B_ADDRS, B_DEP1, B_DEP2, N_BUFFERS };
+enum { B_ITYPES, B_DCLASS, B_PCS, B_ADDRS, B_DEP1, B_DEP2, N_COLUMNS };
+/* The cycle rings, each an array("q"): the schedules' heads and tails,
+ * the bucket links, and per itype the FU tags and counts. */
+enum {
+    R_WAKE_HEAD, R_WAKE_TAIL, R_ISSUE_HEAD, R_ISSUE_TAIL, R_LINK,
+    R_FU_TAG, R_FU_COUNT = R_FU_TAG + N_ITYPES,
+    N_RINGS = R_FU_COUNT + N_ITYPES
+};
+#define N_BUFFERS (N_COLUMNS + N_RINGS)
 
 typedef struct {
     PyObject_HEAD
     /* ROB columns: lists of length cap, one slot per ring position. */
     PyObject *done, *pending, *waiters, *consumers, *bstart, *handle;
-    /* Schedules (cycle -> list of trace indices) and the per-itype FU
-     * reservation dicts (a list of five; pruning replaces its items). */
-    PyObject *wake, *load_issue, *fu_booked;
     PyObject *core_id;
     Py_buffer buffers[N_BUFFERS];
     int held;  /* buffers acquired so far */
@@ -116,8 +139,9 @@ typedef struct {
     const uint32_t *pcs;
     const uint64_t *addrs;
     const uint16_t *dep1, *dep2;
+    long long *ring[N_RINGS];
     long long cap, n, fetch_width, commit_width, lq_entries, sq_entries,
-        misp_penalty;
+        misp_penalty, mask;
     long long fu_caps[N_ITYPES], latency[N_ITYPES];
 } View;
 
@@ -130,9 +154,6 @@ view_traverse(View *self, visitproc visit, void *arg)
     Py_VISIT(self->consumers);
     Py_VISIT(self->bstart);
     Py_VISIT(self->handle);
-    Py_VISIT(self->wake);
-    Py_VISIT(self->load_issue);
-    Py_VISIT(self->fu_booked);
     Py_VISIT(self->core_id);
     return 0;
 }
@@ -146,9 +167,6 @@ view_clear(View *self)
     Py_CLEAR(self->consumers);
     Py_CLEAR(self->bstart);
     Py_CLEAR(self->handle);
-    Py_CLEAR(self->wake);
-    Py_CLEAR(self->load_issue);
-    Py_CLEAR(self->fu_booked);
     Py_CLEAR(self->core_id);
     return 0;
 }
@@ -222,21 +240,6 @@ bind_list(PyObject *dict, PyObject *name, Py_ssize_t size)
     return value;
 }
 
-static PyObject *
-bind_dict(PyObject *dict, PyObject *name)
-{
-    PyObject *value = dict_attr(dict, name);
-    if (value == NULL) {
-        return NULL;
-    }
-    if (!PyDict_CheckExact(value)) {
-        PyErr_Format(PyExc_TypeError, "%U must be a dict", name);
-        return NULL;
-    }
-    Py_INCREF(value);
-    return value;
-}
-
 static int
 bind_table(PyObject *dict, PyObject *name, long long *out)
 {
@@ -280,6 +283,65 @@ bind_column(View *self, PyObject *column, const char *name,
     return view->buf;
 }
 
+/* Acquire the next buffer of ``self`` on the ring ``ring``: exactly
+ * ``size`` writable items of type 'q'. */
+static long long *
+bind_ring(View *self, PyObject *ring, PyObject *name, Py_ssize_t size)
+{
+    Py_buffer *view = &self->buffers[self->held];
+    if (PyObject_GetBuffer(ring, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+        return NULL;
+    }
+    self->held++;
+    if (view->itemsize != sizeof(long long) || view->format == NULL
+        || strcmp(view->format, "q") != 0
+        || view->len != size * (Py_ssize_t)sizeof(long long)) {
+        PyErr_Format(PyExc_TypeError, "%U must hold %zd items of type 'q'",
+                     name, size);
+        return NULL;
+    }
+    return view->buf;
+}
+
+/* Bind the rings in R_* order. */
+static int
+bind_rings(View *self, PyObject *dict)
+{
+    Py_ssize_t ring = (Py_ssize_t)(self->mask + 1);
+    PyObject *schedules[] = {str_wake_head, str_wake_tail, str_issue_head,
+                             str_issue_tail, str_link};
+    for (int k = 0; k <= R_LINK; k++) {
+        PyObject *value = dict_attr(dict, schedules[k]);
+        Py_ssize_t size = k == R_LINK ? (Py_ssize_t)self->cap : ring;
+        if (value == NULL
+            || (self->ring[k] = bind_ring(self, value, schedules[k], size))
+                   == NULL) {
+            return -1;
+        }
+    }
+    PyObject *names[] = {str_fu_tag, str_fu_count};
+    for (int t = 0; t < 2; t++) {
+        PyObject *table = dict_attr(dict, names[t]);
+        if (table == NULL) {
+            return -1;
+        }
+        if (!PyTuple_Check(table) || PyTuple_GET_SIZE(table) != N_ITYPES) {
+            PyErr_Format(PyExc_TypeError, "%U must be a tuple of %d rings",
+                         names[t], N_ITYPES);
+            return -1;
+        }
+        for (int k = 0; k < N_ITYPES; k++) {
+            long long *buf = bind_ring(self, PyTuple_GET_ITEM(table, k),
+                                       names[t], ring);
+            if (buf == NULL) {
+                return -1;
+            }
+            self->ring[(t ? R_FU_COUNT : R_FU_TAG) + k] = buf;
+        }
+    }
+    return 0;
+}
+
 static PyObject *
 view_bind(PyObject *dict)
 {
@@ -288,8 +350,7 @@ view_bind(PyObject *dict)
         return NULL;
     }
     self->done = self->pending = self->waiters = NULL;
-    self->consumers = self->bstart = self->handle = NULL;
-    self->wake = self->load_issue = self->fu_booked = self->core_id = NULL;
+    self->consumers = self->bstart = self->handle = self->core_id = NULL;
     self->held = 0;
     PyObject_GC_Track(self);
 
@@ -301,11 +362,19 @@ view_bind(PyObject *dict)
         || dict_ll(dict, str_lq_entries, &self->lq_entries) < 0
         || dict_ll(dict, str_sq_entries, &self->sq_entries) < 0
         || dict_ll(dict, str_misp_penalty, &self->misp_penalty) < 0
+        || dict_ll(dict, str_ring_mask, &self->mask) < 0
         || bind_table(dict, str_fu_caps, self->fu_caps) < 0
         || bind_table(dict, str_latency, self->latency) < 0) {
         goto error;
     }
-    if (self->cap <= 0 || self->n < 0) {
+    /* A ring is a power of two; a type needs a unit to book (its booking
+     * scan would not end) and no latency goes back in time. */
+    int sizes_ok = self->cap > 0 && self->n >= 0 && self->mask > 0
+        && (self->mask & (self->mask + 1)) == 0;
+    for (int k = 0; k < N_ITYPES; k++) {
+        sizes_ok = sizes_ok && self->fu_caps[k] >= 1 && self->latency[k] >= 0;
+    }
+    if (!sizes_ok) {
         PyErr_SetString(PyExc_ValueError, "core sizes out of range");
         goto error;
     }
@@ -315,10 +384,7 @@ view_bind(PyObject *dict)
         || (self->waiters = bind_list(dict, str_waiters, cap)) == NULL
         || (self->consumers = bind_list(dict, str_consumers, cap)) == NULL
         || (self->bstart = bind_list(dict, str_bstart, cap)) == NULL
-        || (self->handle = bind_list(dict, str_handle, cap)) == NULL
-        || (self->fu_booked = bind_list(dict, str_fu_booked, N_ITYPES)) == NULL
-        || (self->wake = bind_dict(dict, str_wake)) == NULL
-        || (self->load_issue = bind_dict(dict, str_load_issue)) == NULL) {
+        || (self->handle = bind_list(dict, str_handle, cap)) == NULL) {
         goto error;
     }
     if ((self->core_id = dict_attr(dict, str_core_id)) == NULL) {
@@ -336,12 +402,12 @@ view_bind(PyObject *dict)
         const char *name;
         const char *format;
         Py_ssize_t size;
-    } columns[N_BUFFERS] = {
+    } columns[N_COLUMNS] = {
         {"itypes", "B", 1}, {"_dclass", "B", 1}, {"pcs", "I", 4},
         {"addrs", "Q", 8}, {"dep1", "H", 2}, {"dep2", "H", 2},
     };
-    const void *bufs[N_BUFFERS];
-    for (int k = 0; k < N_BUFFERS; k++) {
+    const void *bufs[N_COLUMNS];
+    for (int k = 0; k < N_COLUMNS; k++) {
         if (k == B_DCLASS) {
             column = dict_attr(dict, str_dclass);
             Py_XINCREF(column);
@@ -366,6 +432,9 @@ view_bind(PyObject *dict)
     self->addrs = bufs[B_ADDRS];
     self->dep1 = bufs[B_DEP1];
     self->dep2 = bufs[B_DEP2];
+    if (bind_rings(self, dict) < 0) {
+        goto error;
+    }
     return (PyObject *)self;
 
 error:
@@ -587,107 +656,190 @@ trace_index(View *v, PyObject *item, long long *out)
     return 0;
 }
 
-/* Book an FU slot of ``itype`` at or after ``issue`` and schedule the
- * trace index ``item``: into _load_issue for a load, else into _wake after
- * its fixed latency.  Lowers ``*next_local``. */
+/* A trace index read from a ring: below n, or RuntimeError (a negative
+ * one ends a bucket). */
 static int
-book_and_schedule(View *v, long long issue, int itype, PyObject *item,
-                  long long *next_local)
+ring_index(View *v, long long i)
 {
+    if (i >= v->n) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "trace index %lld in a schedule ring is out of range", i);
+        return -1;
+    }
+    return 0;
+}
+
+/* The trace index after ``i`` in its bucket into ``*next`` (-1: none). */
+static inline int
+bucket_next(View *v, long long i, long long *next)
+{
+    *next = v->ring[R_LINK][i % v->cap];
+    return ring_index(v, *next);
+}
+
+/* OutOfOrderCore._book_and_schedule; ``i`` is a trace index. */
+static int
+book_and_schedule(Ctx *c, long long i, long long earliest, long long now)
+{
+    View *v = c->v;
+    int itype = v->itypes[i];
     if (itype >= N_ITYPES) {
         PyErr_SetString(PyExc_IndexError, "itype out of range");
         return -1;
     }
-    PyObject *booked = PyList_GET_ITEM(v->fu_booked, itype);
-    if (!PyDict_CheckExact(booked)) {
-        PyErr_SetString(PyExc_TypeError, "_fu_booked must hold dicts");
-        return -1;
-    }
+    long long *tags = v->ring[R_FU_TAG + itype];
+    long long *counts = v->ring[R_FU_COUNT + itype];
     long long limit = v->fu_caps[itype];
-    long long used;
-    PyObject *key = NULL, *value;
-    for (;;) {
-        key = PyLong_FromLongLong(issue);
-        if (key == NULL) {
-            return -1;
-        }
-        value = PyDict_GetItemWithError(booked, key);
-        if (value == NULL) {
-            if (PyErr_Occurred()) {
-                goto error;
-            }
-            used = 0;
-        }
-        else if (as_ll(value, &used) < 0) {
-            goto error;
-        }
-        if (used < limit) {
-            break;
-        }
-        Py_DECREF(key);
-        issue += 1;
+    long long mask = v->mask;
+    long long cycle = earliest;
+    long long slot = cycle & mask;
+    long long used = tags[slot] == cycle ? counts[slot] : 0;
+    while (used >= limit) {
+        cycle += 1;
+        slot = cycle & mask;
+        used = tags[slot] == cycle ? counts[slot] : 0;
     }
-    value = PyLong_FromLongLong(used + 1);
-    if (value == NULL || PyDict_SetItem(booked, key, value) < 0) {
-        Py_XDECREF(value);
-        goto error;
-    }
-    Py_DECREF(value);
-    Py_DECREF(key);
-
-    PyObject *sched;
+    long long at, *head, *tail;
     if (itype == LOAD) {
-        sched = v->load_issue;
+        at = cycle;
+        head = v->ring[R_ISSUE_HEAD];
+        tail = v->ring[R_ISSUE_TAIL];
     }
     else {
-        sched = v->wake;
-        issue += v->latency[itype];
+        at = cycle + v->latency[itype];
+        head = v->ring[R_WAKE_HEAD];
+        tail = v->ring[R_WAKE_TAIL];
     }
-    key = PyLong_FromLongLong(issue);
-    if (key == NULL) {
+    if (at - now > mask) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "core %S: cycle %lld is beyond its %lld-slot cycle "
+                     "rings at cycle %lld", v->core_id, at, mask + 1, now);
         return -1;
     }
-    PyObject *bucket = PyDict_GetItemWithError(sched, key);
-    if (bucket == NULL) {
-        if (PyErr_Occurred()) {
-            goto error;
-        }
-        bucket = PyList_New(1);
-        if (bucket == NULL) {
-            goto error;
-        }
-        Py_INCREF(item);
-        PyList_SET_ITEM(bucket, 0, item);
-        int failed = PyDict_SetItem(sched, key, bucket);
-        Py_DECREF(bucket);
-        if (failed) {
-            goto error;
-        }
+    tags[slot] = cycle;
+    counts[slot] = used + 1;
+    long long *link = v->ring[R_LINK];
+    slot = at & mask;
+    if (head[slot] < 0) {
+        head[slot] = i;
     }
-    else if (!PyList_Check(bucket) || PyList_Append(bucket, item) < 0) {
-        if (!PyErr_Occurred()) {
-            PyErr_SetString(PyExc_TypeError, "schedule buckets must be lists");
+    else {
+        long long last = tail[slot];
+        if (last < 0 || last >= v->n) {
+            PyErr_Format(PyExc_RuntimeError, "trace index %lld in a "
+                         "schedule ring is out of range", last);
+            return -1;
         }
-        goto error;
+        link[last % v->cap] = i;
     }
-    Py_DECREF(key);
-    if (issue < *next_local) {
-        *next_local = issue;
+    tail[slot] = i;
+    link[i % v->cap] = -1;
+    if (at < c->s[S_NEXT_LOCAL]) {
+        SET(c, S_NEXT_LOCAL, at);
     }
     return 0;
+}
 
-error:
-    Py_XDECREF(key);
-    return -1;
+/* OutOfOrderCore._take_bucket up to its list: detach the bucket of cycle
+ * ``now`` from the schedule ``head`` and return its first trace index
+ * (-1: empty) into ``*first``. */
+static int
+take_bucket(Ctx *c, long long *head, long long now, long long *first)
+{
+    View *v = c->v;
+    long long mask = v->mask;
+    long long slot = now & mask;
+    *first = head[slot];
+    head[slot] = -1;
+    /* Every scheduled cycle lies in [now, now + ring size). */
+    const long long *wake = v->ring[R_WAKE_HEAD];
+    const long long *issue = v->ring[R_ISSUE_HEAD];
+    long long next = FAR;
+    for (long long cycle = now; cycle <= now + mask; cycle++) {
+        slot = cycle & mask;
+        if (wake[slot] >= 0 || issue[slot] >= 0) {
+            next = cycle;
+            break;
+        }
+    }
+    SET(c, S_NEXT_LOCAL, next);
+    return ring_index(v, *first);
+}
+
+/* ----------------------------------------------------------- completions */
+
+/* The callback a load hands the hierarchy: calling it with the cycle the
+ * load's data returns runs _complete_at((index,), cycle) in the kernel. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *core;
+    long long index;
+    vectorcallfunc vectorcall;
+} Completion;
+
+static PyTypeObject CompletionType;
+static PyObject *completion_call(PyObject *callable, PyObject *const *args,
+                                 size_t nargsf, PyObject *kwnames);
+
+static PyObject *
+completion_new(PyObject *core, long long index)
+{
+    Completion *self = PyObject_GC_New(Completion, &CompletionType);
+    if (self == NULL) {
+        return NULL;
+    }
+    Py_INCREF(core);
+    self->core = core;
+    self->index = index;
+    self->vectorcall = completion_call;
+    PyObject_GC_Track(self);
+    return (PyObject *)self;
+}
+
+static int
+completion_traverse(Completion *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->core);
+    return 0;
+}
+
+static int
+completion_clear(Completion *self)
+{
+    Py_CLEAR(self->core);
+    return 0;
+}
+
+static void
+completion_dealloc(Completion *self)
+{
+    PyObject_GC_UnTrack(self);
+    completion_clear(self);
+    PyObject_GC_Del(self);
 }
 
 /* ------------------------------------------------------------------ stages */
 
-/* OutOfOrderCore._complete_at */
+/* OutOfOrderCore._complete_at up to its loop: the clock check, then
+ * skip_until and the wake hook. */
 static int
-complete_at(Ctx *c, PyObject *finished, long long cycle)
+complete_begin(Ctx *c, long long cycle)
 {
-    View *v = c->v;
+    PyObject *stats = dict_attr(c->dict, str_stats);
+    PyObject *value = stats ? PyObject_GetAttr(stats, str_cycles) : NULL;
+    long long clock;
+    int failed = value == NULL || as_ll(value, &clock) < 0;
+    Py_XDECREF(value);
+    if (failed) {
+        return -1;
+    }
+    if (cycle < clock) {
+        /* The rings serve cycles from the current one on. */
+        PyErr_Format(PyExc_RuntimeError,
+                     "core %S: completion at cycle %lld, before its clock "
+                     "%lld", c->v->core_id, cycle, clock);
+        return -1;
+    }
     if (PyDict_SetItem(c->dict, str_skip_until, small_zero) < 0) {
         return -1;
     }
@@ -707,75 +859,47 @@ complete_at(Ctx *c, PyObject *finished, long long cycle)
         }
         Py_DECREF(result);
     }
-    long long cap = v->cap;
-    long long next_local = c->s[S_NEXT_LOCAL];
-    PyObject *iter = PyObject_GetIter(finished);
-    if (iter == NULL) {
-        return -1;
-    }
-    PyObject *item;
-    while ((item = PyIter_Next(iter)) != NULL) {
-        long long i;
-        if (trace_index(v, item, &i) < 0) {
-            Py_DECREF(item);
-            goto error;
-        }
-        Py_DECREF(item);
-        Py_ssize_t pos = (Py_ssize_t)(i % cap);
-        list_put(v->done, pos, Py_True);
-        if (i == c->s[S_FETCH_BLOCKER]) {
-            SET(c, S_FETCH_BLOCKER, -1);
-            SET(c, S_FETCH_RESUME, cycle + v->misp_penalty);
-        }
-        PyObject *deps = PyList_GET_ITEM(v->waiters, pos);
-        if (deps == Py_None) {
-            continue;
-        }
-        if (!PyList_Check(deps)) {
-            PyErr_SetString(PyExc_TypeError, "_waiters must hold lists");
-            goto error;
-        }
-        Py_INCREF(deps);
-        list_put(v->waiters, pos, Py_None);
-        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(deps); k++) {
-            PyObject *dep = PyList_GET_ITEM(deps, k);
-            long long d, left;
-            if (trace_index(v, dep, &d) < 0) {
-                Py_DECREF(deps);
-                goto error;
-            }
-            Py_ssize_t dpos = (Py_ssize_t)(d % cap);
-            if (list_ll(v->pending, dpos, &left) < 0
-                || list_put_ll(v->pending, dpos, left - 1) < 0) {
-                Py_DECREF(deps);
-                goto error;
-            }
-            if (left - 1) {
-                continue;
-            }
-            /* Last operand arrived: book a unit from this cycle on, schedule
-             * the result. */
-            Py_INCREF(dep);
-            int failed = book_and_schedule(v, cycle, v->itypes[d], dep,
-                                           &next_local);
-            Py_DECREF(dep);
-            if (failed) {
-                Py_DECREF(deps);
-                goto error;
-            }
-        }
-        Py_DECREF(deps);
-    }
-    Py_DECREF(iter);
-    if (PyErr_Occurred()) {
-        return -1;
-    }
-    SET(c, S_NEXT_LOCAL, next_local);
     return 0;
+}
 
-error:
-    Py_DECREF(iter);
-    return -1;
+/* One pass of OutOfOrderCore._complete_at's loop: the trace index ``i``. */
+static int
+complete_one(Ctx *c, long long i, long long cycle)
+{
+    View *v = c->v;
+    long long cap = v->cap;
+    Py_ssize_t pos = (Py_ssize_t)(i % cap);
+    list_put(v->done, pos, Py_True);
+    if (i == c->s[S_FETCH_BLOCKER]) {
+        SET(c, S_FETCH_BLOCKER, -1);
+        SET(c, S_FETCH_RESUME, cycle + v->misp_penalty);
+    }
+    PyObject *deps = PyList_GET_ITEM(v->waiters, pos);
+    if (deps == Py_None) {
+        return 0;
+    }
+    if (!PyList_Check(deps)) {
+        PyErr_SetString(PyExc_TypeError, "_waiters must hold lists");
+        return -1;
+    }
+    Py_INCREF(deps);
+    list_put(v->waiters, pos, Py_None);
+    int failed = 0;
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(deps) && !failed; k++) {
+        long long d, left;
+        if (trace_index(v, PyList_GET_ITEM(deps, k), &d) < 0) {
+            failed = 1;
+            break;
+        }
+        Py_ssize_t dpos = (Py_ssize_t)(d % cap);
+        failed = list_ll(v->pending, dpos, &left) < 0
+            || list_put_ll(v->pending, dpos, left - 1) < 0
+            /* Last operand arrived: book a unit from this cycle on (the
+             * waiter dispatched before it), schedule the result. */
+            || (left == 1 && book_and_schedule(c, d, cycle, cycle) < 0);
+    }
+    Py_DECREF(deps);
+    return failed ? -1 : 0;
 }
 
 /* OutOfOrderCore._do_commit: the number of entries retired, or -1. */
@@ -1026,7 +1150,6 @@ dispatch(Ctx *c, long long now)
         return 0;  /* trace exhausted */
     }
     long long cap = v->cap;
-    long long next_local = c->s[S_NEXT_LOCAL];
     /* Constant across the loop: dispatch grows ptr and rob_len together. */
     long long first = ptr - c->s[S_ROB_LEN];
     while (ptr < stop) {
@@ -1077,8 +1200,7 @@ dispatch(Ctx *c, long long now)
         }
         else {
             /* Operands ready: book a unit, schedule the result. */
-            failed = book_and_schedule(v, now + 1, v->itypes[ptr], item,
-                                       &next_local);
+            failed = book_and_schedule(c, ptr, now + 1, now);
         }
         Py_DECREF(item);
         if (failed) {
@@ -1094,24 +1216,122 @@ dispatch(Ctx *c, long long now)
     }
     SET(c, S_PTR, ptr);
     SET(c, S_ROB_LEN, ptr - first);
-    SET(c, S_NEXT_LOCAL, next_local);
     return ptr - start;
 }
 
-/* ``schedule.pop(key, None)``: a new reference, or NULL (error set or not). */
-static PyObject *
-pop_bucket(PyObject *schedule, PyObject *key)
+/* What OutOfOrderCore._do_load_issues binds before its loop. */
+typedef struct {
+    PyObject *hierarchy, *provider, *stats, *tracer;
+} Issue;
+
+static void
+issue_close(Issue *s)
 {
-    PyObject *bucket = PyDict_GetItemWithError(schedule, key);
-    if (bucket == NULL) {
-        return NULL;
+    Py_XDECREF(s->hierarchy);
+    Py_XDECREF(s->provider);
+    Py_XDECREF(s->stats);
+    Py_XDECREF(s->tracer);
+}
+
+static int
+issue_open(Ctx *c, Issue *s)
+{
+    PyObject *names[] = {str_hierarchy, str_provider, str_stats, str_tracer};
+    PyObject **slots[] = {&s->hierarchy, &s->provider, &s->stats, &s->tracer};
+    s->hierarchy = s->provider = s->stats = s->tracer = NULL;
+    for (int k = 0; k < 4; k++) {
+        PyObject *value = dict_attr(c->dict, names[k]);
+        if (value == NULL) {
+            issue_close(s);
+            return -1;
+        }
+        Py_INCREF(value);
+        *slots[k] = value;
     }
-    Py_INCREF(bucket);
-    if (PyDict_DelItem(schedule, key) < 0) {
-        Py_DECREF(bucket);
-        return NULL;
+    return 0;
+}
+
+/* ``a, b = value``: new references. */
+static int
+unpack2(PyObject *value, PyObject **a, PyObject **b)
+{
+    PyObject *items = PySequence_Tuple(value);
+    if (items == NULL) {
+        return -1;
     }
-    return bucket;
+    if (PyTuple_GET_SIZE(items) != 2) {
+        PyErr_Format(PyExc_ValueError,
+                     PyTuple_GET_SIZE(items) > 2
+                         ? "too many values to unpack (expected 2)"
+                         : "not enough values to unpack (expected 2, got %zd)",
+                     PyTuple_GET_SIZE(items));
+        Py_DECREF(items);
+        return -1;
+    }
+    *a = PyTuple_GET_ITEM(items, 0);
+    *b = PyTuple_GET_ITEM(items, 1);
+    Py_INCREF(*a);
+    Py_INCREF(*b);
+    Py_DECREF(items);
+    return 0;
+}
+
+/* One pass of OutOfOrderCore._do_load_issues' loop: the load ``i``. */
+static int
+issue_load(Ctx *c, Issue *s, long long i, PyObject *now_obj, long long now)
+{
+    View *v = c->v;
+    PyObject *pc = NULL, *result = NULL, *critical = NULL, *magnitude = NULL;
+    PyObject *addr = NULL, *callback = NULL, *handle = NULL;
+    int failed = 1;
+    if ((pc = PyLong_FromUnsignedLong(v->pcs[i])) == NULL) {
+        goto done;
+    }
+    PyObject *annotate_args[] = {s->provider, pc};
+    if ((result = call_out(c, str_annotate, annotate_args, 2)) == NULL
+        || unpack2(result, &critical, &magnitude) < 0
+        || (addr = PyLong_FromUnsignedLongLong(v->addrs[i])) == NULL
+        || (callback = completion_new(c->core, i)) == NULL) {
+        goto done;
+    }
+    PyObject *load_args[] = {s->hierarchy, v->core_id, pc, addr, critical,
+                             magnitude, callback, now_obj};
+    if ((handle = call_out(c, str_load, load_args, 8)) == NULL) {
+        goto done;
+    }
+    if (handle == Py_None) {
+        /* L1 MSHRs full: replay next cycle through a fresh port slot. */
+        failed = book_and_schedule(c, i, now + 1, now) < 0;
+        goto done;
+    }
+    list_put(v->handle, (Py_ssize_t)(i % v->cap), handle);
+    int truth = PyObject_IsTrue(critical);
+    if (truth < 0) {
+        goto done;
+    }
+    if (truth) {
+        if (stat_add(s->stats, str_critical_loads_sent, 1) < 0) {
+            goto done;
+        }
+        if (s->tracer != Py_None) {
+            PyObject *args[] = {s->tracer, now_obj, v->core_id, pc,
+                                magnitude};
+            if (call_out_discard(c, str_prediction, args, 5) < 0) {
+                goto done;
+            }
+        }
+    }
+    failed = stat_add(s->stats, str_loads, 1) < 0;
+
+done:
+    Py_XDECREF(pc);
+    Py_XDECREF(result);
+    Py_XDECREF(critical);
+    Py_XDECREF(magnitude);
+    Py_XDECREF(addr);
+    Py_XDECREF(callback);
+    Py_XDECREF(handle);
+    return failed ? -1 : 0;
 }
 
 /* OutOfOrderCore.step */
@@ -1119,34 +1339,43 @@ static int
 step(Ctx *c, PyObject *now_obj, long long now)
 {
     View *v = c->v;
-    PyObject *bucket = pop_bucket(v->wake, now_obj);
-    if (bucket == NULL && PyErr_Occurred()) {
-        return -1;
-    }
-    if (bucket != NULL) {
-        int truth = PyObject_IsTrue(bucket);
-        int failed = truth < 0 || (truth && complete_at(c, bucket, now) < 0);
-        Py_DECREF(bucket);
-        if (failed) {
+    long long next_local = c->s[S_NEXT_LOCAL];
+    if (next_local <= now) {
+        if (next_local < now) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "core %S: cycle %lld was scheduled but not stepped",
+                         v->core_id, next_local);
             return -1;
         }
-    }
-    bucket = pop_bucket(v->load_issue, now_obj);
-    if (bucket == NULL && PyErr_Occurred()) {
-        return -1;
-    }
-    if (bucket != NULL) {
-        /* The Python _do_load_issues may lower _next_local: read the
-         * scalars again after it. */
-        PyObject *args[] = {c->core, bucket, now_obj};
-        int truth = PyObject_IsTrue(bucket);
-        int failed = truth < 0
-            || (truth
-                && (call_out_discard(c, str_do_load_issues, args, 3) < 0
-                    || load_scalars(c) < 0));
-        Py_DECREF(bucket);
-        if (failed) {
-            return -1;
+        /* Completions first: they may add loads to this cycle's issues. */
+        long long slot = now & v->mask, i, next;
+        if (v->ring[R_WAKE_HEAD][slot] >= 0) {
+            if (take_bucket(c, v->ring[R_WAKE_HEAD], now, &i) < 0
+                || complete_begin(c, now) < 0) {
+                return -1;
+            }
+            for (; i >= 0; i = next) {
+                if (bucket_next(v, i, &next) < 0
+                    || complete_one(c, i, now) < 0) {
+                    return -1;
+                }
+            }
+        }
+        if (v->ring[R_ISSUE_HEAD][slot] >= 0) {
+            Issue s;
+            if (take_bucket(c, v->ring[R_ISSUE_HEAD], now, &i) < 0
+                || issue_open(c, &s) < 0) {
+                return -1;
+            }
+            int failed = 0;
+            for (; i >= 0 && !failed; i = next) {
+                failed = bucket_next(v, i, &next) < 0
+                    || issue_load(c, &s, i, now_obj, now) < 0;
+            }
+            issue_close(&s);
+            if (failed) {
+                return -1;
+            }
         }
     }
     if (commit(c, now_obj, now) < 0 || dispatch(c, now) < 0) {
@@ -1162,18 +1391,6 @@ step(Ctx *c, PyObject *now_obj, long long now)
     Py_DECREF(provider);
     if (failed) {
         return -1;
-    }
-    long long prune_at;
-    if (dict_ll(c->dict, str_prune_at, &prune_at) < 0) {
-        return -1;
-    }
-    if (now >= prune_at) {
-        /* The first stepped cycle at or past the boundary, not the
-         * boundary itself: the batched engine steps few such cycles. */
-        PyObject *args[] = {c->core, now_obj};
-        if (call_out_discard(c, str_prune_fu_bookings, args, 2) < 0) {
-            return -1;
-        }
     }
     PyObject *stats = dict_attr(c->dict, str_stats);
     PyObject *cycles = stats ? PyLong_FromLongLong(now + 1) : NULL;
@@ -1267,16 +1484,115 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return leave(&c, none_unless(step(&c, args[1], now) < 0));
 }
 
+/* The next trace index of the iterator ``iter`` into ``*i``: 1, or 0 at
+ * its end, or -1. */
+static int
+next_index(View *v, PyObject *iter, long long *i)
+{
+    PyObject *item = PyIter_Next(iter);
+    if (item == NULL) {
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    int failed = trace_index(v, item, i) < 0;
+    Py_DECREF(item);
+    return failed ? -1 : 1;
+}
+
 static PyObject *
 k_complete_at(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    long long cycle;
+    long long cycle, i;
     Ctx c;
     if (check_args("complete_at", nargs, 3) < 0 || as_ll(args[2], &cycle) < 0
         || enter(&c, args[0]) < 0) {
         return NULL;
     }
-    return leave(&c, none_unless(complete_at(&c, args[1], cycle) < 0));
+    PyObject *iter = complete_begin(&c, cycle) < 0 ? NULL
+                                                   : PyObject_GetIter(args[1]);
+    int more = iter == NULL ? -1 : 1;
+    while (more > 0 && (more = next_index(c.v, iter, &i)) > 0) {
+        more = complete_one(&c, i, cycle) < 0 ? -1 : 1;
+    }
+    Py_XDECREF(iter);
+    return leave(&c, none_unless(more < 0));
+}
+
+static PyObject *
+k_load_issues(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now, i;
+    Issue s;
+    Ctx c;
+    if (check_args("load_issues", nargs, 3) < 0 || as_ll(args[2], &now) < 0
+        || enter(&c, args[0]) < 0) {
+        return NULL;
+    }
+    if (issue_open(&c, &s) < 0) {
+        return leave(&c, NULL);
+    }
+    PyObject *iter = PyObject_GetIter(args[1]);
+    int more = iter == NULL ? -1 : 1;
+    while (more > 0 && (more = next_index(c.v, iter, &i)) > 0) {
+        more = issue_load(&c, &s, i, args[2], now) < 0 ? -1 : 1;
+    }
+    Py_XDECREF(iter);
+    issue_close(&s);
+    return leave(&c, none_unless(more < 0));
+}
+
+static PyObject *
+k_book_and_schedule(PyObject *module, PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    long long i, earliest, now;
+    Ctx c;
+    if (check_args("book_and_schedule", nargs, 4) < 0
+        || as_ll(args[2], &earliest) < 0 || as_ll(args[3], &now) < 0
+        || enter(&c, args[0]) < 0) {
+        return NULL;
+    }
+    return leave(&c, none_unless(
+        trace_index(c.v, args[1], &i) < 0
+        || book_and_schedule(&c, i, earliest, now) < 0));
+}
+
+static PyObject *
+k_take_bucket(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now, i, next;
+    Ctx c;
+    if (check_args("take_bucket", nargs, 3) < 0 || as_ll(args[2], &now) < 0
+        || enter(&c, args[0]) < 0) {
+        return NULL;
+    }
+    PyObject *wake = dict_attr(c.dict, str_wake_head);
+    PyObject *issue = wake ? dict_attr(c.dict, str_issue_head) : NULL;
+    if (issue == NULL) {
+        return leave(&c, NULL);
+    }
+    if (args[1] != wake && args[1] != issue) {
+        PyErr_SetString(PyExc_TypeError,
+                        "take_bucket() takes the core's _wake_head or "
+                        "_issue_head");
+        return leave(&c, NULL);
+    }
+    long long *head = c.v->ring[args[1] == wake ? R_WAKE_HEAD : R_ISSUE_HEAD];
+    PyObject *bucket = PyList_New(0);
+    if (bucket == NULL || take_bucket(&c, head, now, &i) < 0) {
+        Py_XDECREF(bucket);
+        return leave(&c, NULL);
+    }
+    for (; i >= 0; i = next) {
+        PyObject *item = PyLong_FromLongLong(i);
+        int failed = item == NULL || PyList_Append(bucket, item) < 0
+            || bucket_next(c.v, i, &next) < 0;
+        Py_XDECREF(item);
+        if (failed) {
+            Py_DECREF(bucket);
+            return leave(&c, NULL);
+        }
+    }
+    return leave(&c, bucket);
 }
 
 static PyObject *
@@ -1305,15 +1621,69 @@ k_dispatch(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return leave(&c, dispatched < 0 ? NULL : PyLong_FromLongLong(dispatched));
 }
 
+/* Completion.__call__(cycle) */
+static PyObject *
+completion_call(PyObject *callable, PyObject *const *args, size_t nargsf,
+                PyObject *kwnames)
+{
+    Completion *self = (Completion *)callable;
+    long long cycle;
+    Ctx c;
+    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a completion takes no keyword arguments");
+        return NULL;
+    }
+    if (check_args("completion", PyVectorcall_NARGS(nargsf), 1) < 0
+        || as_ll(args[0], &cycle) < 0) {
+        return NULL;
+    }
+    PyObject *core = self->core;
+    if (core == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "the completion is cleared");
+        return NULL;
+    }
+    Py_INCREF(core);
+    PyObject *result = NULL;
+    if (enter(&c, core) == 0) {
+        result = leave(&c, none_unless(
+            complete_begin(&c, cycle) < 0
+            || complete_one(&c, self->index, cycle) < 0));
+    }
+    Py_DECREF(core);
+    return result;
+}
+
+static PyTypeObject CompletionType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cpu._kernel.Completion",
+    .tp_basicsize = sizeof(Completion),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+        | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "A load's completion callback: call it with the cycle its "
+              "data returns.",
+    .tp_vectorcall_offset = offsetof(Completion, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_traverse = (traverseproc)completion_traverse,
+    .tp_clear = (inquiry)completion_clear,
+    .tp_dealloc = (destructor)completion_dealloc,
+};
+
+#define METHOD(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))k_##name, METH_FASTCALL, doc}
+
 static PyMethodDef kernel_methods[] = {
-    {"step", (PyCFunction)(void (*)(void))k_step, METH_FASTCALL,
-     "step(core, now): OutOfOrderCore.step"},
-    {"complete_at", (PyCFunction)(void (*)(void))k_complete_at, METH_FASTCALL,
-     "complete_at(core, finished, cycle): OutOfOrderCore._complete_at"},
-    {"commit", (PyCFunction)(void (*)(void))k_commit, METH_FASTCALL,
-     "commit(core, now): OutOfOrderCore._do_commit"},
-    {"dispatch", (PyCFunction)(void (*)(void))k_dispatch, METH_FASTCALL,
-     "dispatch(core, now): OutOfOrderCore._do_dispatch"},
+    METHOD(step, "step(core, now): OutOfOrderCore.step"),
+    METHOD(complete_at, "complete_at(core, finished, cycle): "
+                        "OutOfOrderCore._complete_at"),
+    METHOD(load_issues, "load_issues(core, issues, now): "
+                        "OutOfOrderCore._do_load_issues"),
+    METHOD(commit, "commit(core, now): OutOfOrderCore._do_commit"),
+    METHOD(dispatch, "dispatch(core, now): OutOfOrderCore._do_dispatch"),
+    METHOD(book_and_schedule, "book_and_schedule(core, i, earliest, now): "
+                              "OutOfOrderCore._book_and_schedule"),
+    METHOD(take_bucket, "take_bucket(core, head, now): "
+                        "OutOfOrderCore._take_bucket"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -1341,7 +1711,8 @@ PyInit__kernel(void)
     }
     if ((small_zero = PyLong_FromLong(0)) == NULL
         || (small_minus_one = PyLong_FromLong(-1)) == NULL
-        || PyType_Ready(&ViewType) < 0) {
+        || PyType_Ready(&ViewType) < 0
+        || PyType_Ready(&CompletionType) < 0) {
         return NULL;
     }
     return PyModule_Create(&kernel_module);

@@ -19,14 +19,19 @@ issued loads, block starts, and blocked-commit stall times — plus direct-
 consumer counts for the CLPT comparator.
 
 :meth:`OutOfOrderCore.step` and the stages it runs every busy cycle
-(``_complete_at``, ``_do_commit``, ``_do_dispatch``) are also compiled
-(``_kernel.c``, built by :mod:`repro.cpu.native`).  Each opens with one
-guard that hands the call to the kernel when it is loaded; the Python body
-after the guard is the reference the kernel transliterates, and the core
-when no compiler is available.
+(``_complete_at``, ``_do_load_issues``, ``_do_commit``, ``_do_dispatch``
+and the ring helpers ``_book_and_schedule`` and ``_take_bucket``) are also
+compiled (``_kernel.c``, built by :mod:`repro.cpu.native`).  Each opens
+with one guard that hands the call to the kernel when it is loaded; the
+Python body after the guard is the reference the kernel transliterates,
+and the core when no compiler is available.  Both work on the same
+storage: the cycle-keyed tables are fixed-size rings in ``array("q")``
+buffers (see :func:`ring_size`).
 """
 
 from __future__ import annotations
+
+from array import array
 
 from repro.config import CoreConfig
 from repro.cpu import native
@@ -44,8 +49,28 @@ def implementation() -> str:
 
 # Sentinel for "no locally scheduled wake/issue pending" (see _next_local).
 _FAR = 1 << 62
-# Functional-unit bookings are pruned once per 16384 cycles (see step).
-_PRUNE_MASK = 16383
+
+
+def ring_size(config: CoreConfig) -> int:
+    """Slots in each of a core's cycle rings: a power of two.
+
+    The rings (functional-unit reservations and the two schedules) serve
+    cycles from the current one on.  A booking starts at the current
+    cycle or the next, and every unit it queues behind is held by another
+    in-flight ROB entry, so it lands at most ``ceil(rob_entries / units)
+    + 1`` cycles ahead; a completion is scheduled at most the largest
+    fixed latency after that.  The ring is the smallest power of two
+    above that reach.
+    """
+    units = min(
+        config.int_units, config.fp_units, config.branch_units,
+        config.load_ports, config.store_ports,
+    )
+    reach = (
+        -(-config.rob_entries // units) + 1
+        + max(config.int_latency, config.fp_latency, config.branch_latency, 1)
+    )
+    return 1 << reach.bit_length()
 
 # Dispatch classes precomputed per trace index (_dclass): the per-cycle
 # dispatch gate only needs "load / store / mispredicted branch / other",
@@ -129,14 +154,9 @@ class OutOfOrderCore:
         self._handle = [None] * cap  # hierarchy access, set at issue
         self._consumers = [0] * cap  # direct consumers (the CLPT count)
         self._bstart = [-1] * cap  # cycle the load began blocking commit
-        # Trace indices per cycle: deterministic-latency completions, and
-        # loads scheduled to access the cache.
-        self._wake: dict[int, list[int]] = {}
-        self._load_issue: dict[int, list[int]] = {}
         # Per-itype tables, indexed by the itype codes INT..STORE (0..4):
-        # functional-unit reservations (cycle -> issues booked), their
-        # caps, and fixed latencies (loads complete when data returns).
-        self._fu_booked: list[dict[int, int]] = [{} for _ in range(5)]
+        # functional units and fixed latencies (loads complete when data
+        # returns).
         self._fu_caps = (
             config.int_units, config.fp_units, config.branch_units,
             config.load_ports, config.store_ports,
@@ -144,7 +164,27 @@ class OutOfOrderCore:
         self._latency = (
             config.int_latency, config.fp_latency, config.branch_latency, 0, 1,
         )
-        self._prune_at = _PRUNE_MASK + 1
+        # Cycle rings: slot ``c & _ring_mask`` serves cycle ``c``, for
+        # every cycle from the current one to the ring's reach (see
+        # ring_size; an insert beyond it raises).  Per itype, the units
+        # booked at cycle ``c`` when the slot's tag is ``c``, else none.
+        ring = ring_size(config)
+        self._ring_mask = ring - 1
+        self._fu_tag = tuple(array("q", [-1]) * ring for _ in range(5))
+        self._fu_count = tuple(array("q", [0]) * ring for _ in range(5))
+        # The two schedules, deterministic-latency completions and loads
+        # due to access the cache: per slot, the first and last trace
+        # index of the cycle's bucket (head -1: empty), in the order they
+        # were scheduled, chained through ``_link`` at their ring
+        # positions (an entry sits in at most one bucket at a time).
+        self._wake_head = array("q", [-1]) * ring
+        self._wake_tail = array("q", [-1]) * ring
+        self._issue_head = array("q", [-1]) * ring
+        self._issue_tail = array("q", [-1]) * ring
+        self._link = array("q", [-1]) * cap
+        # A schedule ring with no bucket, never written: comparing against
+        # it spares the Python bodies a slot-by-slot scan of empty rings.
+        self._empty_ring = array("q", [-1]) * ring
         self._lq_used = 0
         self._sq_used = 0
         # Trace index of the mispredicted branch fetch waits on, or -1.
@@ -160,11 +200,10 @@ class OutOfOrderCore:
                 dclass[i] = _DC_MISP_BRANCH
             i = misp.find(1, i + 1)
         self._dclass = dclass
-        # Conservative lower bound on the earliest cycle in _wake /
-        # _load_issue.  Inserts lower it eagerly; consumers recompute the
-        # exact minimum when the bound goes stale (<= current cycle).
-        # Purely derived state — never observable in results.
-        self._next_local = 0
+        # Earliest cycle with a bucket in either schedule, or _FAR: inserts
+        # lower it, taking a bucket moves it to the next one.  Purely
+        # derived state — never observable in results.
+        self._next_local = _FAR
         # Hot-path copies of per-run-constant configuration (attribute
         # loads off ``self`` are cheaper than two-level ``config`` reads
         # in the per-cycle stages).
@@ -201,17 +240,86 @@ class OutOfOrderCore:
     def _rob_occupancy(self) -> int:
         return self._rob_len
 
-    def _book_fu(self, itype: int, earliest: int) -> int:
-        """Reserve a functional-unit slot of ``itype`` at or after ``earliest``."""
-        booked = self._fu_booked[itype]
-        cap = self._fu_caps[itype]
+    def _book_and_schedule(self, i: int, earliest: int, now: int) -> None:
+        """Book a functional unit for the trace index ``i`` at or after
+        cycle ``earliest`` and schedule it: a load's cache access at the
+        booked cycle, anything else's completion its fixed latency later.
+
+        ``now`` is the current cycle.  A cycle ``now`` plus the ring size
+        or later would land on a live slot, so it raises RuntimeError
+        before anything is written.
+        """
+        if _kernel is not None:
+            return _kernel.book_and_schedule(self, i, earliest, now)
+        itype = self.trace.itypes[i]
+        tags = self._fu_tag[itype]
+        counts = self._fu_count[itype]
+        limit = self._fu_caps[itype]
+        mask = self._ring_mask
         cycle = earliest
-        used = booked.get(cycle, 0)
-        while used >= cap:
+        slot = cycle & mask
+        used = counts[slot] if tags[slot] == cycle else 0
+        while used >= limit:
             cycle += 1
-            used = booked.get(cycle, 0)
-        booked[cycle] = used + 1
-        return cycle
+            slot = cycle & mask
+            used = counts[slot] if tags[slot] == cycle else 0
+        if itype == LOAD:
+            at = cycle
+            head = self._issue_head
+            tail = self._issue_tail
+        else:
+            at = cycle + self._latency[itype]
+            head = self._wake_head
+            tail = self._wake_tail
+        if at - now > mask:
+            raise RuntimeError(
+                f"core {self.core_id}: cycle {at} is beyond its "
+                f"{mask + 1}-slot cycle rings at cycle {now}"
+            )
+        tags[slot] = cycle
+        counts[slot] = used + 1
+        link = self._link
+        cap = self._rob_entries
+        slot = at & mask
+        if head[slot] < 0:
+            head[slot] = i
+        else:
+            link[tail[slot] % cap] = i
+        tail[slot] = i
+        link[i % cap] = -1
+        if at < self._next_local:
+            self._next_local = at
+
+    def _take_bucket(self, head, now: int) -> list[int]:
+        """Empty the bucket of cycle ``now`` in the schedule ``head``
+        (``_wake_head`` or ``_issue_head``); return its trace indices in
+        the order they were scheduled.  ``_next_local`` moves to the
+        earliest cycle still scheduled."""
+        if _kernel is not None:
+            return _kernel.take_bucket(self, head, now)
+        mask = self._ring_mask
+        slot = now & mask
+        i = head[slot]
+        head[slot] = -1
+        # Every scheduled cycle lies in [now, now + ring size).
+        wake = self._wake_head
+        issue = self._issue_head
+        empty = self._empty_ring
+        first = _FAR
+        if wake != empty or issue != empty:
+            for cycle in range(now, now + mask + 1):
+                slot = cycle & mask
+                if wake[slot] >= 0 or issue[slot] >= 0:
+                    first = cycle
+                    break
+        self._next_local = first
+        link = self._link
+        cap = self._rob_entries
+        bucket = []
+        while i >= 0:
+            bucket.append(i)
+            i = link[i % cap]
+        return bucket
 
     # ----------------------------------------------------------- completions
 
@@ -220,6 +328,13 @@ class OutOfOrderCore:
         issue every dependent whose last operand that was."""
         if _kernel is not None:
             return _kernel.complete_at(self, finished, cycle)
+        clock = self.stats.cycles
+        if cycle < clock:
+            # The rings serve cycles from the current one on.
+            raise RuntimeError(
+                f"core {self.core_id}: completion at cycle {cycle}, "
+                f"before its clock {clock}"
+            )
         self.skip_until = 0  # completions can unblock commit/dispatch
         hook = self._wake_hook
         if hook is not None:
@@ -228,11 +343,7 @@ class OutOfOrderCore:
         waiters = self._waiters
         cap = self._rob_entries
         pending_col = self._pending
-        itypes = self.trace.itypes
-        fu_booked = self._fu_booked
-        fu_caps = self._fu_caps
-        latency = self._latency
-        next_local = self._next_local
+        schedule = self._book_and_schedule
         for i in finished:
             pos = i % cap
             done[pos] = True
@@ -247,41 +358,19 @@ class OutOfOrderCore:
                 dpos = d % cap
                 left = pending_col[dpos] - 1
                 pending_col[dpos] = left
-                if left:
-                    continue
-                # Last operand arrived: book a unit from this cycle on (the
-                # waiter dispatched before it), schedule the result.
-                issue = cycle
-                itype = itypes[d]
-                booked = fu_booked[itype]
-                limit = fu_caps[itype]
-                used = booked.get(issue, 0)
-                while used >= limit:
-                    issue += 1
-                    used = booked.get(issue, 0)
-                booked[issue] = used + 1
-                if itype == LOAD:
-                    sched = self._load_issue
-                else:
-                    sched = self._wake
-                    issue += latency[itype]
-                bucket = sched.get(issue)
-                if bucket is None:
-                    # repro-lint: disable=PERF001 one owned list per cycle
-                    sched[issue] = [d]
-                else:
-                    bucket.append(d)
-                if issue < next_local:
-                    next_local = issue
-        self._next_local = next_local
+                if not left:
+                    # Last operand arrived: book a unit from this cycle on
+                    # (the waiter dispatched before it), schedule the result.
+                    schedule(d, cycle, cycle)
 
     # ---------------------------------------------------------------- stages
 
     def _do_load_issues(self, issues, now: int) -> None:
         """Send the loads ``issues`` (trace indices) to the hierarchy."""
+        if _kernel is not None:
+            return _kernel.load_issues(self, issues, now)
         hierarchy = self.hierarchy
         provider = self.provider
-        load_issue = self._load_issue
         core_id = self.core_id
         stats = self.stats
         tracer = self.tracer
@@ -304,14 +393,7 @@ class OutOfOrderCore:
             )
             if handle is None:
                 # L1 MSHRs full: replay next cycle through a fresh port slot.
-                retry = self._book_fu(LOAD, now + 1)
-                if retry < self._next_local:
-                    self._next_local = retry
-                bucket = load_issue.get(retry)
-                if bucket is None:
-                    # repro-lint: disable=PERF001 fresh owned bucket, first retry only
-                    bucket = load_issue[retry] = []
-                bucket.append(i)
+                self._book_and_schedule(i, now + 1, now)
                 continue
             handles[i % cap] = handle
             if critical:
@@ -418,10 +500,7 @@ class OutOfOrderCore:
         cap = self._rob_entries
         waiters = self._waiters
         consumers = self._consumers
-        fu_booked = self._fu_booked
-        fu_caps = self._fu_caps
-        latency = self._latency
-        next_local = self._next_local
+        schedule = self._book_and_schedule
         stats = self.stats
         # Constant across the loop: dispatch grows ptr and rob_len together.
         first = ptr - self._rob_len
@@ -475,28 +554,7 @@ class OutOfOrderCore:
                 self._pending[pos] = pending
             else:
                 # Operands ready: book a unit, schedule the result.
-                issue = now + 1
-                itype = itypes[ptr]
-                booked = fu_booked[itype]
-                limit = fu_caps[itype]
-                used = booked.get(issue, 0)
-                while used >= limit:
-                    issue += 1
-                    used = booked.get(issue, 0)
-                booked[issue] = used + 1
-                if itype == LOAD:
-                    sched = self._load_issue
-                else:
-                    sched = self._wake
-                    issue += latency[itype]
-                bucket = sched.get(issue)
-                if bucket is None:
-                    # repro-lint: disable=PERF001 one owned list per cycle
-                    sched[issue] = [ptr]
-                else:
-                    bucket.append(ptr)
-                if issue < next_local:
-                    next_local = issue
+                schedule(ptr, now + 1, now)
             ptr += 1
             if cls == _DC_MISP_BRANCH:
                 # Fetch stalls until the branch resolves, plus the refill
@@ -505,7 +563,6 @@ class OutOfOrderCore:
                 break
         self._ptr = ptr
         self._rob_len = ptr - first
-        self._next_local = next_local
         return ptr - start
 
     # ------------------------------------------------------------------ step
@@ -516,19 +573,23 @@ class OutOfOrderCore:
             return _kernel.step(self, now)
         if self.done:
             return
-        finished = self._wake.pop(now, None)
-        if finished:
-            self._complete_at(finished, now)
-        issues = self._load_issue.pop(now, None)
-        if issues:
-            self._do_load_issues(issues, now)
+        if self._next_local <= now:
+            if self._next_local < now:
+                raise RuntimeError(
+                    f"core {self.core_id}: cycle {self._next_local} was "
+                    f"scheduled but not stepped"
+                )
+            # Completions first: they may add loads to this cycle's issues.
+            slot = now & self._ring_mask
+            if self._wake_head[slot] >= 0:
+                self._complete_at(self._take_bucket(self._wake_head, now), now)
+            if self._issue_head[slot] >= 0:
+                self._do_load_issues(
+                    self._take_bucket(self._issue_head, now), now
+                )
         self._do_commit(now)
         self._do_dispatch(now)
         self.provider.tick(now)
-        if now >= self._prune_at:
-            # The first stepped cycle at or past the boundary, not the
-            # boundary itself: the batched engine steps few such cycles.
-            self._prune_fu_bookings(now)
         self.stats.cycles = now + 1
         if self._ptr >= self._n and not self._rob_len:
             self.done = True
@@ -539,7 +600,7 @@ class OutOfOrderCore:
     # instead of one step() per cycle.  Soundness rests on the batchability
     # certificates (DESIGN.md section 5.7): during a span in which no global
     # event runs and no other core steps, the only state this core observes
-    # changing is its own — local wakes (_wake/_load_issue), which the span
+    # changing is its own — local wakes (the two schedules), which the span
     # is clamped to, and global events the span's own cycles schedule, which
     # are re-checked after every consumed cycle.  Between local wakes a
     # cycle is step() minus its empty schedules, so every counter, provider
@@ -554,22 +615,9 @@ class OutOfOrderCore:
         core is active.  At least one cycle is always consumed.
         """
         events = self.events
-        wake_sched = self._wake
-        load_issue = self._load_issue
         c = now
         while True:
-            # Exact earliest local wake/load-issue, recomputed when the
-            # eager lower bound has gone stale.
-            nl = self._next_local
-            if nl <= c:
-                nl = _FAR
-                if wake_sched:
-                    nl = min(wake_sched)
-                if load_issue:
-                    m = min(load_issue)
-                    if m < nl:
-                        nl = m
-                self._next_local = nl
+            nl = self._next_local  # earliest local wake or load issue
             if nl <= c:
                 # Completions or load issues due this cycle: full step.
                 self.step(c)
@@ -612,8 +660,8 @@ class OutOfOrderCore:
 
         Caller guarantees no local wake or load issue falls inside the
         span, so each cycle is the per-cycle commit and dispatch stages
-        and the provider tick — :meth:`step` without its schedule lookups
-        (empty here) and FU-table prune.  Stops after the first cycle that
+        and the provider tick — :meth:`step` without its schedules (empty
+        here).  Stops after the first cycle that
         neither retires nor dispatches (the skip path bulk-accounts quiet
         stretches), and shrinks ``end`` to wakes this span's dispatches
         schedule and to events its commits and ticks schedule.
@@ -709,13 +757,9 @@ class OutOfOrderCore:
                     return None  # dispatch proceeds next cycle
 
         # Quiescent: gather the cycles at which stepping could matter again.
-        wake = None
-        if self._wake:
-            wake = min(self._wake)
-        if self._load_issue:
-            first = min(self._load_issue)
-            if wake is None or first < wake:
-                wake = first
+        wake = self._next_local
+        if wake == _FAR:
+            wake = None
         if fetch_resume and (wake is None or fetch_resume < wake):
             wake = fetch_resume
         tick = next_tick(now)
@@ -768,18 +812,6 @@ class OutOfOrderCore:
             stats.rob_full_cycles += skipped
         if lq_full:
             stats.lq_full_cycles += skipped
-
-    def _prune_fu_bookings(self, now: int) -> None:
-        """Drop functional-unit reservations for cycles already past
-        and set the next prune at the next 16384-cycle boundary.  Called
-        at the end of a step, so every later booking looks up only cycles
-        after ``now``."""
-        for itype, booked in enumerate(self._fu_booked):
-            if len(booked) > 64:
-                self._fu_booked[itype] = {
-                    c: n for c, n in booked.items() if c > now
-                }
-        self._prune_at = (now | _PRUNE_MASK) + 1
 
     # -------------------------------------------------------------- telemetry
 

@@ -105,6 +105,21 @@ class TestSystemConfig:
         d = DramConfig().scaled(ranks_per_channel=1)
         assert d.ranks_per_channel == 1
 
+    @pytest.mark.parametrize("field", [
+        "int_units", "fp_units", "branch_units", "load_ports",
+        "store_ports", "int_latency", "fp_latency", "branch_latency",
+    ])
+    def test_core_rejects_no_units_and_no_latency(self, field):
+        """A type with no unit never issues: the run would hang inside
+        one step, where no cycle cap can stop it.  A zero latency would
+        complete in a cycle whose completions already ran."""
+        with pytest.raises(ValueError, match=f"CoreConfig.{field} must be "
+                                             "at least 1, not 0"):
+            CoreConfig(**{field: 0})
+        with pytest.raises(ValueError, match=field):
+            CoreConfig().scaled(**{field: -1})
+        assert getattr(CoreConfig(**{field: 1}), field) == 1
+
     @pytest.mark.parametrize(
         "config",
         [DDR3_2133, DramConfig(), CoreConfig(), L1D_DEFAULT,

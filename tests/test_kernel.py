@@ -1,8 +1,9 @@
 """The compiled kernels and their loader; the core's kernel
 (``repro/cpu/_kernel.c``) held to its Python bodies.
 
-``OutOfOrderCore.step``, ``_complete_at``, ``_do_commit`` and
-``_do_dispatch`` hand each call to the core's kernel when it is loaded;
+``OutOfOrderCore.step``, ``_complete_at``, ``_do_load_issues``,
+``_do_commit``, ``_do_dispatch``, ``_book_and_schedule`` and
+``_take_bucket`` hand each call to the core's kernel when it is loaded;
 the Python body after the guard is the reference.  This module pins the
 loader for both kernels (where each is built, that loading one compiles
 nothing, that a compile error selects the Python bodies, that a build
@@ -270,6 +271,38 @@ def _mixed_trace(n=3000, seed=5):
     return trace
 
 
+def rings(core, now):
+    """The core's cycle rings as of cycle ``now``: per schedule, each
+    cycle's bucket in order, and per itype each cycle's booked units,
+    over the cycles ``[now, now + ring size)`` the rings serve; then every
+    ring buffer as it stands, stale slots included."""
+    mask = core._ring_mask
+    cycles = range(now, now + mask + 1)
+    link, cap = core._link, core._rob_entries
+
+    def bucket(head, cycle):
+        entries, i = [], head[cycle & mask]
+        while i >= 0:
+            entries.append(i)
+            i = link[i % cap]
+        return entries
+
+    schedules = [
+        [(cycle, bucket(head, cycle)) for cycle in cycles
+         if head[cycle & mask] >= 0]
+        for head in (core._wake_head, core._issue_head)
+    ]
+    booked = [
+        [(cycle, counts[cycle & mask]) for cycle in cycles
+         if tags[cycle & mask] == cycle]
+        for tags, counts in zip(core._fu_tag, core._fu_count)
+    ]
+    buffers = [list(ring) for ring in (
+        *core._fu_tag, *core._fu_count, core._wake_head, core._wake_tail,
+        core._issue_head, core._issue_tail, link)]
+    return schedules, booked, buffers
+
+
 class _Machine(CoreHarness):
     """One core with a CBP-64 provider and a recording tracer on its own
     single-core memory system."""
@@ -286,24 +319,20 @@ class _Machine(CoreHarness):
                                for w in c._waiters],
             list(c._consumers), list(c._bstart),
             [h is None for h in c._handle],
-            list(c._wake.items()), list(c._load_issue.items()),
-            [list(b.items()) for b in c._fu_booked],
-            c._next_local, c._prune_at, c.skip_until,
+            rings(c, self.now), c._next_local, c.skip_until,
             list(c.tracer.records),
         )
 
 
 def test_stages_match_the_python_bodies_cycle_by_cycle(kernel, monkeypatch):
-    """Lockstep: after every cycle, every column, schedule (in insertion
-    order), FU table, scalar, statistic and tracer record of the kernel's
-    core equals the Python bodies' core.  The trace reaches every stall
-    the stages count, and a short prune interval the FU-table prune."""
+    """Lockstep: after every cycle, every column, schedule bucket (in
+    order), FU booking, ring buffer, scalar, statistic and tracer record
+    of the kernel's core equals the Python bodies' core.  The trace
+    reaches every stall the stages count, and wraps the rings many
+    times."""
     config = SystemConfig(cores=1)
-    monkeypatch.setattr(core, "_PRUNE_MASK", 255)
     trace = _mixed_trace()
     compiled, python = _Machine(trace, config), _Machine(trace, config)
-    for machine in (compiled, python):
-        machine.core._prune_at = 256
     cycles = 0
     while not (compiled.core.done and python.core.done):
         compiled.step()
@@ -315,11 +344,36 @@ def test_stages_match_the_python_bodies_cycle_by_cycle(kernel, monkeypatch):
         assert cycles < 200_000, "run did not finish"
     stats = python.core.stats
     assert stats.committed == len(trace)
+    assert cycles > 8 * (python.core._ring_mask + 1)
     for counter in ("lq_full_cycles", "sq_full_cycles", "rob_full_cycles",
                     "dispatch_stall_cycles", "blocking_dram_loads",
                     "critical_loads_sent"):
         assert getattr(stats, counter), counter
     assert python.core.tracer.records
+
+
+def test_stages_called_through_their_guards_match(kernel, monkeypatch):
+    """``step`` runs the kernel's completion and load-issue stages
+    directly; called through their guards, ``_complete_at`` and
+    ``_do_load_issues`` leave the state their Python bodies leave."""
+    trace = _mixed_trace(400)
+    states = []
+    for use_kernel in (True, False):
+        monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
+        machine = _Machine(trace, SystemConfig(cores=1))
+        for _ in range(60):
+            machine.step()
+        c = machine.core
+        cap = c._rob_entries
+        rob = range(c._ptr - c._rob_len, c._ptr)
+        producers = [i for i in rob if c._waiters[i % cap]][:3]
+        loads = [i for i in rob if trace.itypes[i] == LOAD
+                 and not c._done[i % cap]][:2]
+        assert producers and loads
+        c._complete_at(producers, machine.now)
+        c._do_load_issues(loads, machine.now)
+        states.append(machine.state())
+    assert states[0] == states[1]
 
 
 def test_call_out_exceptions_propagate_unchanged(kernel, monkeypatch):
@@ -352,23 +406,30 @@ def test_call_out_exceptions_propagate_unchanged(kernel, monkeypatch):
 def test_internal_error_leaves_the_state_the_python_bodies_leave(
     kernel, monkeypatch
 ):
-    """Dispatch fails on the INT after a load: the load's LQ entry is
-    taken (the Python body writes it at once), the dispatch pointer is
-    not (written after the loop), on both paths."""
+    """Dispatch overflows two-slot cycle rings at the INT after a load:
+    the load's LQ entry, FU booking and load issue are taken (the Python
+    body writes them at once), the dispatch pointer is not (written after
+    the loop), and the INT's booking and completion are not written at
+    all, on both paths."""
     trace = Trace("two")
     trace.append(LOAD, 1, 1 << 20)
     trace.append(INT, 2)
+    monkeypatch.setattr(core, "ring_size", lambda config: 2)
     states = []
     for use_kernel in (True, False):
         monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
         machine = _Machine(trace, SystemConfig(cores=1))
-        machine.core._fu_booked[INT] = None
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(RuntimeError, match="cycle 2 is beyond its "
+                                               "2-slot cycle rings"):
             machine.step()
-        states.append(machine.core.det_state())
+        states.append(machine.state())
     assert states[0] == states[1]
-    assert states[0][5] == 1  # _lq_used
-    assert states[0][2] == 0  # _ptr
+    det_state = states[0][0]
+    schedules, booked, _buffers = states[0][8]
+    assert det_state[5] == 1  # _lq_used
+    assert det_state[2] == 0  # _ptr
+    assert schedules == [[], [(1, [0])]]
+    assert booked == [[], [], [], [(1, 1)], []]
 
 
 # ------------------------------------------------------------- end to end

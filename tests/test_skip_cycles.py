@@ -124,25 +124,33 @@ class TestBitIdentity:
         )
         assert result_fingerprint(naive) == result_fingerprint(fast)
 
-    def test_fu_bookings_pruned_like_naive(self):
-        """Functional-unit reservations for past cycles are pruned once
-        per 16384 cycles.  The batched engine steps few of those boundary
-        cycles, so it prunes at the first cycle it steps past each one:
-        over a run that crosses several boundaries it must hold no more
-        entries than the naive engine, with identical results."""
+    def test_cycle_rings_keep_their_storage_over_long_runs(self):
+        """Functional-unit reservations and schedules live in fixed
+        rings that the cycle wraps many times over: over a run of more
+        than four 16384-cycle spans both engines give identical results,
+        and every ring is still the buffer built with the core, at its
+        built length."""
         from repro.workloads.multiprog import bundle_traces
 
         config = SystemConfig.multiprogrammed_default()
         traces = bundle_traces("RFGI", 66_000, seed=1)
         solo = [traces[0]] + [Trace(name="idle")] * (config.cores - 1)
-        held, prints = {}, {}
+        prints = {}
         for engine in ("naive", "batched"):
             system = System(config, solo, scheduler="par-bs")
+            core = system.cores[0]
+
+            def rings():
+                return [*core._fu_tag, *core._fu_count, core._wake_head,
+                        core._wake_tail, core._issue_head, core._issue_tail]
+
+            built = rings()
             result = system.run(engine=engine)
             assert result.cycles > 4 * 16384
-            held[engine] = sum(len(t) for t in system.cores[0]._fu_booked)
+            assert all(now is then for now, then in zip(rings(), built))
+            assert {len(ring) for ring in built} == {core._ring_mask + 1}
+            assert len(core._link) == config.core.rob_entries
             prints[engine] = result_fingerprint(result)
-        assert held["batched"] <= held["naive"]
         assert prints["batched"] == prints["naive"]
 
 
