@@ -78,6 +78,12 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "earliest cycle in the two schedules, lowered by every insert and "
         "recomputed from the rings when a bucket is taken, so it is fully "
         "derived state (see _wake_head)",
+    ("OutOfOrderCore", "_tick_at"):
+        "cycle the provider's next tick is due: its next_tick_cycle "
+        "answer, cached at construction and after each real tick, so it "
+        "is derived from provider state; a tick that runs at another "
+        "cycle changes provider state, whose effects reach the chain "
+        "through the criticality of later requests",
     ("OutOfOrderCore", "_wake_head"):
         "completion schedule ring (first entry of each cycle's bucket); "
         "folded indirectly via the det_state occupancy words and the "

@@ -122,7 +122,8 @@ VAR_CLASS_SEEDS: dict[str, str] = {
     "memory": "MemorySystem", "memsys": "MemorySystem",
     "hierarchy": "MemoryHierarchy",
     "scheduler": "Scheduler",
-    "events": "EventQueue",
+    # The compiled queue's reference body, whose effects it shares.
+    "events": "HeapEventQueue",
 }
 
 

@@ -23,6 +23,16 @@ from repro.core.clpt import CriticalLoadPredictionTable
 class CriticalityProvider:
     """Base provider: nothing is ever critical (plain FR-FCFS machine)."""
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if (cls.tick is not CriticalityProvider.tick
+                and cls.next_tick_cycle is CriticalityProvider.next_tick_cycle):
+            # The core would never run such a tick (see next_tick_cycle).
+            raise TypeError(
+                f"{cls.__name__} overrides tick but not next_tick_cycle: "
+                "a provider whose tick does work must say when it is due"
+            )
+
     def annotate(self, pc: int) -> tuple[bool, int]:
         """Criticality (flag, magnitude) to attach to a load's request."""
         return (False, 0)
@@ -41,16 +51,20 @@ class CriticalityProvider:
         """A dynamic load retired with ``count`` direct consumers."""
 
     def tick(self, cycle: int) -> None:
-        """Per-cycle housekeeping hook (table resets)."""
+        """Housekeeping hook (table resets), run at the cycles
+        :meth:`next_tick_cycle` names."""
 
     def next_tick_cycle(self, now: int) -> int | None:
         """Earliest future cycle at which :meth:`tick` does real work.
 
-        ``None`` means tick is a no-op (or time-insensitive), letting the
-        system skip dead cycles without consulting this provider.  Providers
-        whose ``tick`` has per-cycle effects must override this, or runs
-        with cycle skipping enabled will not be bit-identical to the naive
-        cycle-by-cycle loop.
+        The core calls :meth:`tick` only at cycles at or after this
+        answer, on both engines: it asks once when it is built (with
+        ``now`` -1) and again after each real tick, and caches the answer
+        until then.  So the answer may change only inside :meth:`tick`.
+        ``None`` means tick is a no-op: it never runs.  A subclass that
+        overrides :meth:`tick` must override this too (class creation
+        raises ``TypeError`` otherwise); a duck-typed provider without
+        this method ticks every cycle and its core is never skipped.
         """
         return None
 

@@ -26,10 +26,18 @@
  *   clock (stats.cycles) and a scheduled cycle that was never stepped
  *   raise RuntimeError, on both paths.
  * - Scalars.  _ptr, _rob_len, _lq_used, _sq_used, _fetch_blocker,
- *   _fetch_resume and _next_local are read from the core's __dict__ when
- *   a stage is entered, kept in C while it runs, and written back before
- *   every call out of the kernel and on return, so every caller and
- *   callee sees the values the Python bodies would have written.
+ *   _fetch_resume, _next_local and _tick_at are C fields of CoreBase, the
+ *   base type of OutOfOrderCore, and the 13 counters of the core's stats
+ *   are C fields of StatsBase, the base type of CoreStats.  Member
+ *   descriptors of the same names expose them to Python.  The kernel
+ *   updates them in place where the Python bodies assign them, so every
+ *   caller and callee sees the values the Python bodies would have
+ *   written, also when a stage raises.  A core that is not a CoreBase,
+ *   or stats that are not a StatsBase, raise TypeError.
+ * - Ticks.  provider.tick(now) runs only at cycles at or after _tick_at:
+ *   the provider's next_tick_cycle (the core's _next_tick), asked after
+ *   each real tick.  A provider without one has _next_tick None, and
+ *   _tick_at stays 0: it ticks every cycle.
  * - Calls out.  Hierarchy load/store/can_accept_store, the provider's
  *   hooks, the tracer and the wake hook stay Python calls, looked up by
  *   name on each call (as the Python bodies do), in the bodies' order and
@@ -45,9 +53,16 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#if PY_VERSION_HEX < 0x030C0000
+#include <structmember.h>
+#endif
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+#ifndef Py_T_LONGLONG
+#define Py_T_LONGLONG T_LONGLONG
+#endif
 
 /* Instruction types (repro.cpu.instruction). */
 #define LOAD 3
@@ -61,17 +76,6 @@
 #define FAR (1LL << 62)
 
 /* ------------------------------------------------------------------ names */
-
-enum {
-    S_PTR, S_ROB_LEN, S_LQ_USED, S_SQ_USED,
-    S_FETCH_BLOCKER, S_FETCH_RESUME, S_NEXT_LOCAL, N_SCALARS
-};
-
-static const char *const scalar_names[N_SCALARS] = {
-    "_ptr", "_rob_len", "_lq_used", "_sq_used",
-    "_fetch_blocker", "_fetch_resume", "_next_local",
-};
-static PyObject *scalar_keys[N_SCALARS];
 
 /* Interned attribute and method names, as NAME(identifier, text). */
 #define NAMES(NAME)                                                        \
@@ -95,26 +99,77 @@ static PyObject *scalar_keys[N_SCALARS];
     NAME(on_block_start, "on_block_start")                                \
     NAME(on_blocked_commit, "on_blocked_commit")                          \
     NAME(on_load_consumers, "on_load_consumers") NAME(tick, "tick")       \
-    NAME(annotate, "annotate") NAME(load, "load")                         \
-    NAME(can_accept_store, "can_accept_store") NAME(store, "store")       \
-    NAME(block_episode, "block_episode") NAME(prediction, "prediction")   \
-    NAME(went_to_dram, "went_to_dram") NAME(txn, "txn")                   \
-    NAME(cycles, "cycles") NAME(committed, "committed")                   \
-    NAME(loads, "loads") NAME(critical_loads_sent, "critical_loads_sent") \
-    NAME(total_block_stall, "total_block_stall")                          \
-    NAME(sq_full_cycles, "sq_full_cycles")                                \
-    NAME(blocking_loads, "blocking_loads")                                \
-    NAME(blocking_dram_loads, "blocking_dram_loads")                      \
-    NAME(blocked_cycles, "blocked_cycles")                                \
-    NAME(blocked_dram_cycles, "blocked_dram_cycles")                      \
-    NAME(dispatch_stall_cycles, "dispatch_stall_cycles")                  \
-    NAME(rob_full_cycles, "rob_full_cycles")                              \
-    NAME(lq_full_cycles, "lq_full_cycles")
+    NAME(next_tick, "_next_tick") NAME(annotate, "annotate")              \
+    NAME(load, "load") NAME(can_accept_store, "can_accept_store")         \
+    NAME(store, "store") NAME(block_episode, "block_episode")             \
+    NAME(prediction, "prediction") NAME(went_to_dram, "went_to_dram")     \
+    NAME(txn, "txn")
 
 #define DECLARE_NAME(id, text) static PyObject *str_##id;
 NAMES(DECLARE_NAME)
 
 static PyObject *small_zero, *small_minus_one;
+
+/* ------------------------------------------------------------ base types */
+
+/* The base type of OutOfOrderCore: its scalars (see core.py). */
+typedef struct {
+    PyObject_HEAD
+    long long ptr, rob_len, lq_used, sq_used, fetch_blocker, fetch_resume,
+        next_local, tick_at;
+} CoreBase;
+
+#define CORE_MEMBER(name) \
+    {"_" #name, Py_T_LONGLONG, offsetof(CoreBase, name), 0, NULL}
+
+static PyMemberDef core_members[] = {
+    CORE_MEMBER(ptr), CORE_MEMBER(rob_len), CORE_MEMBER(lq_used),
+    CORE_MEMBER(sq_used), CORE_MEMBER(fetch_blocker),
+    CORE_MEMBER(fetch_resume), CORE_MEMBER(next_local),
+    CORE_MEMBER(tick_at), {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject CoreBaseType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cpu._kernel.CoreBase",
+    .tp_basicsize = sizeof(CoreBase),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The scalars of an OutOfOrderCore, as C fields.",
+    .tp_members = core_members,
+    .tp_new = PyType_GenericNew,
+};
+
+/* The base type of CoreStats: its counters (see core.py). */
+typedef struct {
+    PyObject_HEAD
+    long long committed, cycles, loads, blocking_loads, blocking_dram_loads,
+        blocked_cycles, blocked_dram_cycles, total_block_stall,
+        lq_full_cycles, sq_full_cycles, rob_full_cycles,
+        dispatch_stall_cycles, critical_loads_sent;
+} StatsBase;
+
+#define STATS_MEMBER(name) \
+    {#name, Py_T_LONGLONG, offsetof(StatsBase, name), 0, NULL}
+
+static PyMemberDef stats_members[] = {
+    STATS_MEMBER(committed), STATS_MEMBER(cycles), STATS_MEMBER(loads),
+    STATS_MEMBER(blocking_loads), STATS_MEMBER(blocking_dram_loads),
+    STATS_MEMBER(blocked_cycles), STATS_MEMBER(blocked_dram_cycles),
+    STATS_MEMBER(total_block_stall), STATS_MEMBER(lq_full_cycles),
+    STATS_MEMBER(sq_full_cycles), STATS_MEMBER(rob_full_cycles),
+    STATS_MEMBER(dispatch_stall_cycles), STATS_MEMBER(critical_loads_sent),
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject StatsBaseType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cpu._kernel.StatsBase",
+    .tp_basicsize = sizeof(StatsBase),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The counters of a CoreStats, as C fields.",
+    .tp_members = stats_members,
+    .tp_new = PyType_GenericNew,
+};
 
 /* ------------------------------------------------------------------- View */
 
@@ -446,30 +501,24 @@ error:
 
 /* -------------------------------------------------------------- call state */
 
-/* One kernel call: the core, its __dict__, its View and its scalars. */
+/* One kernel call: the core, its __dict__ and its View. */
 typedef struct {
-    PyObject *core;  /* borrowed: the caller's argument */
+    CoreBase *core;  /* borrowed: the caller's argument */
     PyObject *dict;
     View *v;
-    long long s[N_SCALARS];
-    unsigned dirty;  /* scalars changed since the last write-back */
 } Ctx;
-
-#define SET(c, k, x)                                \
-    do {                                            \
-        long long x_ = (x);                         \
-        if ((c)->s[k] != x_) {                      \
-            (c)->s[k] = x_;                         \
-            (c)->dirty |= 1u << (k);                \
-        }                                           \
-    } while (0)
 
 static int
 ctx_open(Ctx *c, PyObject *core)
 {
-    c->core = core;
+    if (!PyObject_TypeCheck(core, &CoreBaseType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "the core kernel takes an OutOfOrderCore built on "
+                     "CoreBase, not '%s'", Py_TYPE(core)->tp_name);
+        return -1;
+    }
+    c->core = (CoreBase *)core;
     c->v = NULL;
-    c->dirty = 0;
     c->dict = PyObject_GenericGetDict(core, NULL);
     if (c->dict == NULL) {
         return -1;
@@ -510,107 +559,52 @@ ctx_close(Ctx *c)
     Py_DECREF(c->dict);
 }
 
-/* Read the scalars from the core, checking the ranges the kernel indexes
- * by: 0 <= _rob_len <= min(_ptr, cap) and _ptr <= n. */
+/* Check the ranges the kernel indexes by: 0 <= _rob_len <= min(_ptr, cap)
+ * and _ptr <= n. */
 static int
-load_scalars(Ctx *c)
+check_scalars(Ctx *c)
 {
-    for (int k = 0; k < N_SCALARS; k++) {
-        if (dict_ll(c->dict, scalar_keys[k], &c->s[k]) < 0) {
-            return -1;
-        }
-    }
-    long long ptr = c->s[S_PTR], rob_len = c->s[S_ROB_LEN];
+    long long ptr = c->core->ptr, rob_len = c->core->rob_len;
     if (ptr < 0 || ptr > c->v->n || rob_len < 0 || rob_len > ptr
         || rob_len > c->v->cap) {
         PyErr_SetString(PyExc_RuntimeError, "core ROB state out of range");
         return -1;
     }
-    c->dirty = 0;
     return 0;
 }
 
-static int
-write_back(Ctx *c)
+/* Borrowed ``core.stats``, or NULL with an exception set. */
+static StatsBase *
+stats_of(Ctx *c)
 {
-    for (int k = 0; c->dirty; k++) {
-        unsigned bit = 1u << k;
-        if (!(c->dirty & bit)) {
-            continue;
-        }
-        PyObject *value = PyLong_FromLongLong(c->s[k]);
-        if (value == NULL) {
-            return -1;
-        }
-        int failed = PyDict_SetItem(c->dict, scalar_keys[k], value);
-        Py_DECREF(value);
-        if (failed) {
-            return -1;
-        }
-        c->dirty &= ~bit;
-    }
-    return 0;
-}
-
-/* Write the scalars back with an exception set, keeping that exception:
- * the core holds what the Python bodies would have left when it raised. */
-static void
-write_back_raising(Ctx *c)
-{
-    if (!c->dirty) {
-        return;
-    }
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = PyErr_GetRaisedException();
-    if (write_back(c) < 0) {
-        PyErr_Clear();
-    }
-    PyErr_SetRaisedException(exc);
-#else
-    PyObject *type, *value, *tb;
-    PyErr_Fetch(&type, &value, &tb);
-    if (write_back(c) < 0) {
-        PyErr_Clear();
-    }
-    PyErr_Restore(type, value, tb);
-#endif
-}
-
-/* ``args[0].name(*args[1:nargs])`` after writing the scalars back; a new
- * reference.  The callee may change ``args[0]`` while it runs. */
-static PyObject *
-call_out(Ctx *c, PyObject *name, PyObject **args, size_t nargs)
-{
-    if (c->dirty && write_back(c) < 0) {
+    PyObject *stats = dict_attr(c->dict, str_stats);
+    if (stats != NULL && !PyObject_TypeCheck(stats, &StatsBaseType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "the core's stats must be a CoreStats built on "
+                     "StatsBase, not '%s'", Py_TYPE(stats)->tp_name);
         return NULL;
     }
+    return (StatsBase *)stats;
+}
+
+/* ``args[0].name(*args[1:nargs])``; a new reference.  The callee may
+ * change ``args[0]`` and the core while it runs. */
+static PyObject *
+call_out(PyObject *name, PyObject **args, size_t nargs)
+{
     return PyObject_VectorcallMethod(
         name, args, nargs | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
 }
 
 static int
-call_out_discard(Ctx *c, PyObject *name, PyObject **args, size_t nargs)
+call_out_discard(PyObject *name, PyObject **args, size_t nargs)
 {
-    PyObject *result = call_out(c, name, args, nargs);
+    PyObject *result = call_out(name, args, nargs);
     if (result == NULL) {
         return -1;
     }
     Py_DECREF(result);
     return 0;
-}
-
-/* ``stats.name += delta`` */
-static int
-stat_add(PyObject *stats, PyObject *name, long long delta)
-{
-    PyObject *value = PyObject_GetAttr(stats, name);
-    PyObject *step = value ? PyLong_FromLongLong(delta) : NULL;
-    PyObject *sum = step ? PyNumber_InPlaceAdd(value, step) : NULL;
-    Py_XDECREF(step);
-    Py_XDECREF(value);
-    int failed = sum == NULL || PyObject_SetAttr(stats, name, sum) < 0;
-    Py_XDECREF(sum);
-    return failed ? -1 : 0;
 }
 
 /* ``list[index] = value`` for a list the View owns (index in range). */
@@ -734,8 +728,8 @@ book_and_schedule(Ctx *c, long long i, long long earliest, long long now)
     }
     tail[slot] = i;
     link[i % v->cap] = -1;
-    if (at < c->s[S_NEXT_LOCAL]) {
-        SET(c, S_NEXT_LOCAL, at);
+    if (at < c->core->next_local) {
+        c->core->next_local = at;
     }
     return 0;
 }
@@ -762,7 +756,7 @@ take_bucket(Ctx *c, long long *head, long long now, long long *first)
             break;
         }
     }
-    SET(c, S_NEXT_LOCAL, next);
+    c->core->next_local = next;
     return ring_index(v, *first);
 }
 
@@ -825,14 +819,11 @@ completion_dealloc(Completion *self)
 static int
 complete_begin(Ctx *c, long long cycle)
 {
-    PyObject *stats = dict_attr(c->dict, str_stats);
-    PyObject *value = stats ? PyObject_GetAttr(stats, str_cycles) : NULL;
-    long long clock;
-    int failed = value == NULL || as_ll(value, &clock) < 0;
-    Py_XDECREF(value);
-    if (failed) {
+    StatsBase *stats = stats_of(c);
+    if (stats == NULL) {
         return -1;
     }
+    long long clock = stats->cycles;
     if (cycle < clock) {
         /* The rings serve cycles from the current one on. */
         PyErr_Format(PyExc_RuntimeError,
@@ -848,11 +839,8 @@ complete_begin(Ctx *c, long long cycle)
         return -1;
     }
     if (hook != Py_None) {
-        if (c->dirty && write_back(c) < 0) {
-            return -1;
-        }
         Py_INCREF(hook);
-        PyObject *result = PyObject_CallOneArg(hook, c->core);
+        PyObject *result = PyObject_CallOneArg(hook, (PyObject *)c->core);
         Py_DECREF(hook);
         if (result == NULL) {
             return -1;
@@ -870,9 +858,9 @@ complete_one(Ctx *c, long long i, long long cycle)
     long long cap = v->cap;
     Py_ssize_t pos = (Py_ssize_t)(i % cap);
     list_put(v->done, pos, Py_True);
-    if (i == c->s[S_FETCH_BLOCKER]) {
-        SET(c, S_FETCH_BLOCKER, -1);
-        SET(c, S_FETCH_RESUME, cycle + v->misp_penalty);
+    if (i == c->core->fetch_blocker) {
+        c->core->fetch_blocker = -1;
+        c->core->fetch_resume = cycle + v->misp_penalty;
     }
     PyObject *deps = PyList_GET_ITEM(v->waiters, pos);
     if (deps == Py_None) {
@@ -907,20 +895,21 @@ static long long
 commit(Ctx *c, PyObject *now_obj, long long now)
 {
     View *v = c->v;
-    long long rob_len = c->s[S_ROB_LEN];
+    CoreBase *core = c->core;
+    long long rob_len = core->rob_len;
     if (!rob_len) {
         return 0;
     }
-    PyObject *stats = dict_attr(c->dict, str_stats);
+    StatsBase *stats = stats_of(c);
     PyObject *provider = stats ? dict_attr(c->dict, str_provider) : NULL;
     if (provider == NULL) {
         return -1;
     }
-    Py_INCREF(stats);
+    Py_INCREF((PyObject *)stats);
     Py_INCREF(provider);
     PyObject *pc = NULL, *a = NULL, *b = NULL, *handle = NULL;
     long long cap = v->cap;
-    long long head = c->s[S_PTR] - rob_len, first = head;
+    long long head = core->ptr - rob_len, first = head;
     long long stop = head + (rob_len < v->commit_width ? rob_len
                                                         : v->commit_width);
     while (head < stop) {
@@ -941,8 +930,8 @@ commit(Ctx *c, PyObject *now_obj, long long now)
             }
             if (start >= 0) {
                 long long stall = now - start;
-                if (stat_add(stats, str_total_block_stall, stall) < 0
-                    || (b = PyLong_FromLongLong(stall)) == NULL) {
+                stats->total_block_stall += stall;
+                if ((b = PyLong_FromLongLong(stall)) == NULL) {
                     goto error;
                 }
                 PyObject *tracer = dict_attr(c->dict, str_tracer);
@@ -955,7 +944,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
                     }
                     Py_INCREF(tracer);
                     PyObject *args[] = {tracer, a, v->core_id, pc, b};
-                    int failed = call_out_discard(c, str_block_episode, args,
+                    int failed = call_out_discard(str_block_episode, args,
                                                   5);
                     Py_DECREF(tracer);
                     Py_CLEAR(a);
@@ -964,7 +953,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
                     }
                 }
                 PyObject *args[] = {provider, pc, b, now_obj};
-                if (call_out_discard(c, str_on_blocked_commit, args, 4) < 0) {
+                if (call_out_discard(str_on_blocked_commit, args, 4) < 0) {
                     goto error;
                 }
                 Py_CLEAR(b);
@@ -973,14 +962,14 @@ commit(Ctx *c, PyObject *now_obj, long long now)
             a = PyList_GET_ITEM(v->consumers, pos);
             Py_INCREF(a);
             PyObject *args[] = {provider, pc, a};
-            if (call_out_discard(c, str_on_load_consumers, args, 3) < 0) {
+            if (call_out_discard(str_on_load_consumers, args, 3) < 0) {
                 goto error;
             }
             Py_CLEAR(a);
             Py_CLEAR(pc);
             list_put(v->consumers, pos, small_zero);
             list_put(v->handle, pos, Py_None);
-            SET(c, S_LQ_USED, c->s[S_LQ_USED] - 1);
+            core->lq_used -= 1;
         }
         else if (itype == STORE) {
             PyObject *hierarchy = dict_attr(c->dict, str_hierarchy);
@@ -989,7 +978,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
             }
             Py_INCREF(hierarchy);
             PyObject *args[] = {hierarchy, v->core_id};
-            PyObject *result = call_out(c, str_can_accept_store, args, 2);
+            PyObject *result = call_out(str_can_accept_store, args, 2);
             int accepts = result ? PyObject_IsTrue(result) : -1;
             Py_XDECREF(result);
             if (accepts <= 0) {
@@ -998,16 +987,14 @@ commit(Ctx *c, PyObject *now_obj, long long now)
                     goto error;
                 }
                 /* Store buffer full: commit stalls until it drains. */
-                if (stat_add(stats, str_sq_full_cycles, 1) < 0) {
-                    goto error;
-                }
+                stats->sq_full_cycles += 1;
                 break;
             }
-            SET(c, S_SQ_USED, c->s[S_SQ_USED] - 1);
+            core->sq_used -= 1;
             a = PyLong_FromUnsignedLongLong(v->addrs[head]);
             PyObject *store_args[] = {hierarchy, v->core_id, a, now_obj};
             int failed = a == NULL
-                || call_out_discard(c, str_store, store_args, 4) < 0;
+                || call_out_discard(str_store, store_args, 4) < 0;
             Py_DECREF(hierarchy);
             Py_CLEAR(a);
             if (failed) {
@@ -1018,10 +1005,8 @@ commit(Ctx *c, PyObject *now_obj, long long now)
     }
     long long committed = head - first;
     if (committed) {
-        SET(c, S_ROB_LEN, rob_len - committed);
-        if (stat_add(stats, str_committed, committed) < 0) {
-            goto error;
-        }
+        core->rob_len = rob_len - committed;
+        stats->committed += committed;
     }
     if (head < stop && v->itypes[head] == LOAD) {
         /* An incomplete load blocks the head; only DRAM-bound loads count
@@ -1045,29 +1030,30 @@ commit(Ctx *c, PyObject *now_obj, long long now)
             }
         }
         if (dram_bound && start < 0) {
-            if (list_put_ll(v->bstart, pos, now) < 0
-                || stat_add(stats, str_blocking_loads, 1) < 0
-                || stat_add(stats, str_blocking_dram_loads, 1) < 0
-                || (pc = PyLong_FromUnsignedLong(v->pcs[head])) == NULL
+            if (list_put_ll(v->bstart, pos, now) < 0) {
+                goto error;
+            }
+            stats->blocking_loads += 1;
+            stats->blocking_dram_loads += 1;
+            if ((pc = PyLong_FromUnsignedLong(v->pcs[head])) == NULL
                 || (a = PyObject_GetAttr(handle, str_txn)) == NULL) {
                 goto error;
             }
             PyObject *args[] = {provider, pc, now_obj, a};
-            if (call_out_discard(c, str_on_block_start, args, 4) < 0) {
+            if (call_out_discard(str_on_block_start, args, 4) < 0) {
                 goto error;
             }
             Py_CLEAR(a);
             Py_CLEAR(pc);
         }
         Py_CLEAR(handle);
-        if (stat_add(stats, str_blocked_cycles, 1) < 0
-            || (dram_bound
-                && stat_add(stats, str_blocked_dram_cycles, 1) < 0)) {
-            goto error;
+        stats->blocked_cycles += 1;
+        if (dram_bound) {
+            stats->blocked_dram_cycles += 1;
         }
     }
     Py_DECREF(provider);
-    Py_DECREF(stats);
+    Py_DECREF((PyObject *)stats);
     return committed;
 
 error:
@@ -1076,7 +1062,7 @@ error:
     Py_XDECREF(b);
     Py_XDECREF(handle);
     Py_DECREF(provider);
-    Py_DECREF(stats);
+    Py_DECREF((PyObject *)stats);
     return -1;
 }
 
@@ -1132,16 +1118,16 @@ static long long
 dispatch(Ctx *c, long long now)
 {
     View *v = c->v;
-    PyObject *stats;
-    if (c->s[S_FETCH_BLOCKER] >= 0 || now < c->s[S_FETCH_RESUME]) {
-        stats = dict_attr(c->dict, str_stats);
-        if (stats == NULL
-            || stat_add(stats, str_dispatch_stall_cycles, 1) < 0) {
+    CoreBase *core = c->core;
+    StatsBase *stats;
+    if (core->fetch_blocker >= 0 || now < core->fetch_resume) {
+        if ((stats = stats_of(c)) == NULL) {
             return -1;
         }
+        stats->dispatch_stall_cycles += 1;
         return 0;
     }
-    long long ptr = c->s[S_PTR], start = ptr;
+    long long ptr = core->ptr, start = ptr;
     long long stop = ptr + v->fetch_width;
     if (stop > v->n) {
         stop = v->n;
@@ -1151,32 +1137,31 @@ dispatch(Ctx *c, long long now)
     }
     long long cap = v->cap;
     /* Constant across the loop: dispatch grows ptr and rob_len together. */
-    long long first = ptr - c->s[S_ROB_LEN];
+    long long first = ptr - core->rob_len;
     while (ptr < stop) {
         if (ptr - first >= cap) {
-            stats = dict_attr(c->dict, str_stats);
-            if (stats == NULL || stat_add(stats, str_rob_full_cycles, 1) < 0) {
+            if ((stats = stats_of(c)) == NULL) {
                 return -1;
             }
+            stats->rob_full_cycles += 1;
             break;
         }
         int cls = v->dclass[ptr];
         if (cls == DC_LOAD) {
-            if (c->s[S_LQ_USED] >= v->lq_entries) {
-                stats = dict_attr(c->dict, str_stats);
-                if (stats == NULL
-                    || stat_add(stats, str_lq_full_cycles, 1) < 0) {
+            if (core->lq_used >= v->lq_entries) {
+                if ((stats = stats_of(c)) == NULL) {
                     return -1;
                 }
+                stats->lq_full_cycles += 1;
                 break;
             }
-            SET(c, S_LQ_USED, c->s[S_LQ_USED] + 1);
+            core->lq_used += 1;
         }
         else if (cls == DC_STORE) {
-            if (c->s[S_SQ_USED] >= v->sq_entries) {
+            if (core->sq_used >= v->sq_entries) {
                 break;
             }
-            SET(c, S_SQ_USED, c->s[S_SQ_USED] + 1);
+            core->sq_used += 1;
         }
         PyObject *item = PyLong_FromLongLong(ptr);
         if (item == NULL) {
@@ -1210,18 +1195,19 @@ dispatch(Ctx *c, long long now)
         if (cls == DC_MISP_BRANCH) {
             /* Fetch stalls until the branch resolves, plus the refill
              * penalty (applied when the branch completes). */
-            SET(c, S_FETCH_BLOCKER, ptr - 1);
+            core->fetch_blocker = ptr - 1;
             break;
         }
     }
-    SET(c, S_PTR, ptr);
-    SET(c, S_ROB_LEN, ptr - first);
+    core->ptr = ptr;
+    core->rob_len = ptr - first;
     return ptr - start;
 }
 
 /* What OutOfOrderCore._do_load_issues binds before its loop. */
 typedef struct {
-    PyObject *hierarchy, *provider, *stats, *tracer;
+    PyObject *hierarchy, *provider, *tracer;
+    StatsBase *stats;
 } Issue;
 
 static void
@@ -1229,7 +1215,7 @@ issue_close(Issue *s)
 {
     Py_XDECREF(s->hierarchy);
     Py_XDECREF(s->provider);
-    Py_XDECREF(s->stats);
+    Py_XDECREF((PyObject *)s->stats);
     Py_XDECREF(s->tracer);
 }
 
@@ -1237,10 +1223,13 @@ static int
 issue_open(Ctx *c, Issue *s)
 {
     PyObject *names[] = {str_hierarchy, str_provider, str_stats, str_tracer};
-    PyObject **slots[] = {&s->hierarchy, &s->provider, &s->stats, &s->tracer};
-    s->hierarchy = s->provider = s->stats = s->tracer = NULL;
+    PyObject **slots[] = {&s->hierarchy, &s->provider,
+                          (PyObject **)&s->stats, &s->tracer};
+    s->hierarchy = s->provider = s->tracer = NULL;
+    s->stats = NULL;
     for (int k = 0; k < 4; k++) {
-        PyObject *value = dict_attr(c->dict, names[k]);
+        PyObject *value = names[k] == str_stats
+            ? (PyObject *)stats_of(c) : dict_attr(c->dict, names[k]);
         if (value == NULL) {
             issue_close(s);
             return -1;
@@ -1288,15 +1277,15 @@ issue_load(Ctx *c, Issue *s, long long i, PyObject *now_obj, long long now)
         goto done;
     }
     PyObject *annotate_args[] = {s->provider, pc};
-    if ((result = call_out(c, str_annotate, annotate_args, 2)) == NULL
+    if ((result = call_out(str_annotate, annotate_args, 2)) == NULL
         || unpack2(result, &critical, &magnitude) < 0
         || (addr = PyLong_FromUnsignedLongLong(v->addrs[i])) == NULL
-        || (callback = completion_new(c->core, i)) == NULL) {
+        || (callback = completion_new((PyObject *)c->core, i)) == NULL) {
         goto done;
     }
     PyObject *load_args[] = {s->hierarchy, v->core_id, pc, addr, critical,
                              magnitude, callback, now_obj};
-    if ((handle = call_out(c, str_load, load_args, 8)) == NULL) {
+    if ((handle = call_out(str_load, load_args, 8)) == NULL) {
         goto done;
     }
     if (handle == Py_None) {
@@ -1310,18 +1299,17 @@ issue_load(Ctx *c, Issue *s, long long i, PyObject *now_obj, long long now)
         goto done;
     }
     if (truth) {
-        if (stat_add(s->stats, str_critical_loads_sent, 1) < 0) {
-            goto done;
-        }
+        s->stats->critical_loads_sent += 1;
         if (s->tracer != Py_None) {
             PyObject *args[] = {s->tracer, now_obj, v->core_id, pc,
                                 magnitude};
-            if (call_out_discard(c, str_prediction, args, 5) < 0) {
+            if (call_out_discard(str_prediction, args, 5) < 0) {
                 goto done;
             }
         }
     }
-    failed = stat_add(s->stats, str_loads, 1) < 0;
+    s->stats->loads += 1;
+    failed = 0;
 
 done:
     Py_XDECREF(pc);
@@ -1334,12 +1322,51 @@ done:
     return failed ? -1 : 0;
 }
 
+/* OutOfOrderCore._tick: provider.tick(now), then the cycle the next tick
+ * is due, from _next_tick (the provider's next_tick_cycle) if it has one. */
+static int
+tick(Ctx *c, PyObject *now_obj)
+{
+    PyObject *provider = dict_attr(c->dict, str_provider);
+    if (provider == NULL) {
+        return -1;
+    }
+    Py_INCREF(provider);
+    PyObject *tick_args[] = {provider, now_obj};
+    int failed = call_out_discard(str_tick, tick_args, 2);
+    Py_DECREF(provider);
+    if (failed) {
+        return -1;
+    }
+    PyObject *next_tick = dict_attr(c->dict, str_next_tick);
+    if (next_tick == NULL) {
+        return -1;
+    }
+    if (next_tick == Py_None) {
+        return 0;
+    }
+    Py_INCREF(next_tick);
+    PyObject *due = PyObject_CallOneArg(next_tick, now_obj);
+    Py_DECREF(next_tick);
+    if (due == NULL) {
+        return -1;
+    }
+    long long at = FAR;
+    failed = due != Py_None && as_ll(due, &at) < 0;
+    Py_DECREF(due);
+    if (failed) {
+        return -1;
+    }
+    c->core->tick_at = at;
+    return 0;
+}
+
 /* OutOfOrderCore.step */
 static int
 step(Ctx *c, PyObject *now_obj, long long now)
 {
     View *v = c->v;
-    long long next_local = c->s[S_NEXT_LOCAL];
+    long long next_local = c->core->next_local;
     if (next_local <= now) {
         if (next_local < now) {
             PyErr_Format(PyExc_RuntimeError,
@@ -1378,31 +1405,16 @@ step(Ctx *c, PyObject *now_obj, long long now)
             }
         }
     }
-    if (commit(c, now_obj, now) < 0 || dispatch(c, now) < 0) {
+    if (commit(c, now_obj, now) < 0 || dispatch(c, now) < 0
+        || (now >= c->core->tick_at && tick(c, now_obj) < 0)) {
         return -1;
     }
-    PyObject *provider = dict_attr(c->dict, str_provider);
-    if (provider == NULL) {
+    StatsBase *stats = stats_of(c);
+    if (stats == NULL) {
         return -1;
     }
-    Py_INCREF(provider);
-    PyObject *tick_args[] = {provider, now_obj};
-    int failed = call_out_discard(c, str_tick, tick_args, 2);
-    Py_DECREF(provider);
-    if (failed) {
-        return -1;
-    }
-    PyObject *stats = dict_attr(c->dict, str_stats);
-    PyObject *cycles = stats ? PyLong_FromLongLong(now + 1) : NULL;
-    if (cycles == NULL) {
-        return -1;
-    }
-    failed = PyObject_SetAttr(stats, str_cycles, cycles);
-    Py_DECREF(cycles);
-    if (failed) {
-        return -1;
-    }
-    if (c->s[S_PTR] >= v->n && !c->s[S_ROB_LEN]) {
+    stats->cycles = now + 1;
+    if (c->core->ptr >= v->n && !c->core->rob_len) {
         return PyDict_SetItem(c->dict, str_done, Py_True);
     }
     return 0;
@@ -1421,30 +1433,24 @@ check_args(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return 0;
 }
 
-/* Open a call on ``core`` with its scalars loaded. */
+/* Open a call on ``core``, its scalars checked. */
 static int
 enter(Ctx *c, PyObject *core)
 {
     if (ctx_open(c, core) < 0) {
         return -1;
     }
-    if (load_scalars(c) < 0) {
+    if (check_scalars(c) < 0) {
         ctx_close(c);
         return -1;
     }
     return 0;
 }
 
-/* Write the scalars back and close; ``result`` on success, else NULL. */
+/* Close; ``result`` on success, else NULL. */
 static PyObject *
 leave(Ctx *c, PyObject *result)
 {
-    if (result == NULL) {
-        write_back_raising(c);
-    }
-    else if (write_back(c) < 0) {
-        Py_CLEAR(result);
-    }
     ctx_close(c);
     return result;
 }
@@ -1477,7 +1483,7 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_RETURN_NONE;
     }
-    if (load_scalars(&c) < 0) {
+    if (check_scalars(&c) < 0) {
         ctx_close(&c);
         return NULL;
     }
@@ -1703,17 +1709,25 @@ PyInit__kernel(void)
         return NULL;                                               \
     }
     NAMES(INTERN_NAME)
-    for (int k = 0; k < N_SCALARS; k++) {
-        scalar_keys[k] = PyUnicode_InternFromString(scalar_names[k]);
-        if (scalar_keys[k] == NULL) {
-            return NULL;
-        }
-    }
     if ((small_zero = PyLong_FromLong(0)) == NULL
         || (small_minus_one = PyLong_FromLong(-1)) == NULL
         || PyType_Ready(&ViewType) < 0
-        || PyType_Ready(&CompletionType) < 0) {
+        || PyType_Ready(&CompletionType) < 0
+        || PyType_Ready(&CoreBaseType) < 0
+        || PyType_Ready(&StatsBaseType) < 0) {
         return NULL;
     }
-    return PyModule_Create(&kernel_module);
+    PyObject *module = PyModule_Create(&kernel_module);
+    if (module == NULL) {
+        return NULL;
+    }
+    Py_INCREF(&CoreBaseType);
+    Py_INCREF(&StatsBaseType);
+    if (PyModule_AddObject(module, "CoreBase", (PyObject *)&CoreBaseType) < 0
+        || PyModule_AddObject(module, "StatsBase",
+                              (PyObject *)&StatsBaseType) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -26,7 +26,10 @@ with one guard that hands the call to the kernel when it is loaded; the
 Python body after the guard is the reference the kernel transliterates,
 and the core when no compiler is available.  Both work on the same
 storage: the cycle-keyed tables are fixed-size rings in ``array("q")``
-buffers (see :func:`ring_size`).
+buffers (see :func:`ring_size`), and with the kernel loaded the core's
+scalars and its :class:`CoreStats` counters are C fields of the
+kernel's base types ``CoreBase`` and ``StatsBase``, which the Python
+bodies read and write as attributes.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ from repro.core.provider import CriticalityProvider, NaiveForwardingProvider
 
 #: The compiled stages, or None: the Python bodies are the core.
 _kernel = native.CPU.load()
+
+#: The counters of :class:`CoreStats`, in declaration order.
+_STAT_FIELDS = (
+    "committed", "cycles", "loads", "blocking_loads", "blocking_dram_loads",
+    "blocked_cycles", "blocked_dram_cycles", "total_block_stall",
+    "lq_full_cycles", "sq_full_cycles", "rob_full_cycles",
+    "dispatch_stall_cycles", "critical_loads_sent",
+)
 
 
 def implementation() -> str:
@@ -88,30 +99,44 @@ _DC_OF_ITYPE = bytes(
 )
 
 
-class CoreStats:
-    """Per-core counters for Figures 1/6/9 and predictor studies."""
+class _Counters:
+    """The counters of :class:`CoreStats` as Python slots, all zero: its
+    base when the kernel is not loaded (the kernel's ``StatsBase`` holds
+    them as C fields otherwise)."""
+
+    __slots__ = _STAT_FIELDS
 
     def __init__(self):
-        self.committed = 0
-        self.cycles = 0
-        self.loads = 0
-        self.blocking_loads = 0
-        self.blocking_dram_loads = 0
-        self.blocked_cycles = 0
-        self.blocked_dram_cycles = 0
-        self.total_block_stall = 0
-        self.lq_full_cycles = 0
-        self.sq_full_cycles = 0
-        self.rob_full_cycles = 0
-        self.dispatch_stall_cycles = 0
-        self.critical_loads_sent = 0
+        for name in _STAT_FIELDS:
+            setattr(self, name, 0)
+
+
+def _core_stats(values) -> CoreStats:
+    """A :class:`CoreStats` holding ``values`` in ``FIELDS`` order: how a
+    pickled one is read, into the class of the reading process."""
+    stats = CoreStats()
+    for name, value in zip(CoreStats.FIELDS, values):
+        setattr(stats, name, value)
+    return stats
+
+
+class CoreStats(_Counters if _kernel is None else _kernel.StatsBase):
+    """Per-core counters for Figures 1/6/9 and predictor studies."""
+
+    __slots__ = ()
+
+    #: Every counter, the fields ``result_fingerprint`` reads.
+    FIELDS = _STAT_FIELDS
 
     @property
     def ipc(self) -> float:
         return self.committed / self.cycles if self.cycles else 0.0
 
+    def __reduce__(self):
+        return _core_stats, (tuple(getattr(self, n) for n in self.FIELDS),)
 
-class OutOfOrderCore:
+
+class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
     """One core executing one trace against the shared hierarchy."""
 
     def __init__(
@@ -226,8 +251,16 @@ class OutOfOrderCore:
         # always bit-identical, so this can't change results.
         self.plan_defer = 0
         # Duck-typed providers without next_tick_cycle have unknown tick
-        # semantics; such cores are never skipped (skip_plan bails).
+        # semantics: they tick every cycle and are never skipped
+        # (skip_plan bails).
         self._next_tick = getattr(self.provider, "next_tick_cycle", None)
+        # The provider's tick runs only at cycles at or after this one:
+        # its next_tick_cycle, asked here and after each real tick (see
+        # _tick); _FAR when it says none.  Derived from provider state.
+        self._tick_at = 0
+        if self._next_tick is not None:
+            due = self._next_tick(-1)
+            self._tick_at = _FAR if due is None else due
         # Wake subscription (batched engine): installed while the core is
         # quiescent; called whenever ``skip_until`` is cleared so the
         # engine learns about external wakes without scanning cores.
@@ -589,10 +622,21 @@ class OutOfOrderCore:
                 )
         self._do_commit(now)
         self._do_dispatch(now)
-        self.provider.tick(now)
+        if now >= self._tick_at:
+            self._tick(now)
         self.stats.cycles = now + 1
         if self._ptr >= self._n and not self._rob_len:
             self.done = True
+
+    def _tick(self, now: int) -> None:
+        """Run the provider's tick at ``now``, then cache the cycle its
+        next tick is due in ``_tick_at`` (step and _do_window tick only
+        from that cycle on)."""
+        self.provider.tick(now)
+        next_tick = self._next_tick
+        if next_tick is not None:
+            due = next_tick(now)
+            self._tick_at = _FAR if due is None else due
 
     # ------------------------------------------------------ windowed stepping
     #
@@ -660,18 +704,18 @@ class OutOfOrderCore:
 
         Caller guarantees no local wake or load issue falls inside the
         span, so each cycle is the per-cycle commit and dispatch stages
-        and the provider tick — :meth:`step` without its schedules (empty
-        here).  Stops after the first cycle that
+        and the provider tick when due — :meth:`step` without its
+        schedules (empty here).  Stops after the first cycle that
         neither retires nor dispatches (the skip path bulk-accounts quiet
         stretches), and shrinks ``end`` to wakes this span's dispatches
         schedule and to events its commits and ticks schedule.
         """
-        provider = self.provider
         events = self.events
         c = now
         while c < end:
             busy = self._do_commit(c) + self._do_dispatch(c)
-            provider.tick(c)
+            if c >= self._tick_at:
+                self._tick(c)
             c += 1
             if self._ptr >= self._n and not self._rob_len:
                 self.done = True
@@ -708,8 +752,7 @@ class OutOfOrderCore:
         returns ``None`` so skipping stays conservative (and therefore
         bit-identical to the cycle-by-cycle loop).
         """
-        next_tick = self._next_tick
-        if next_tick is None:
+        if self._next_tick is None:
             return None  # provider tick semantics unknown: never skip
         blocked = blocked_dram = sq_full = stall = rob_full = lq_full = 0
 
@@ -762,8 +805,8 @@ class OutOfOrderCore:
             wake = None
         if fetch_resume and (wake is None or fetch_resume < wake):
             wake = fetch_resume
-        tick = next_tick(now)
-        if tick is not None:
+        tick = self._tick_at  # the provider's answer, cached at its tick
+        if tick != _FAR:
             tick = max(tick, now + 1)
             if wake is None or tick < wake:
                 wake = tick

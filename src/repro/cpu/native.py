@@ -1,6 +1,6 @@
 """Build and load the compiled kernels: the core's per-cycle stages
-(``cpu/_kernel.c``) and the cache hierarchy's per-access path
-(``cache/_kernel.c``).
+(``cpu/_kernel.c``), the cache hierarchy's per-access path
+(``cache/_kernel.c``) and the event queue (``sim/_kernel.c``).
 
 Each kernel is a CPython C-API extension built from its package's own
 source, with the interpreter's own compiler and headers as ``sysconfig``
@@ -145,6 +145,10 @@ CPU = Kernel(os.path.join(_PACKAGES, "cpu", "_kernel.c"), "repro.cpu._kernel")
 #: The cache hierarchy's per-access path (:mod:`repro.cache.hierarchy`).
 CACHE = Kernel(
     os.path.join(_PACKAGES, "cache", "_kernel.c"), "repro.cache._kernel"
+)
+#: The event queue (:mod:`repro.sim.events`).
+EVENTS = Kernel(
+    os.path.join(_PACKAGES, "sim", "_kernel.c"), "repro.sim._kernel"
 )
 
 

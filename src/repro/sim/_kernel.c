@@ -1,0 +1,319 @@
+/* Compiled event queue of the simulator (repro.sim.events).
+ *
+ * EventQueue here is the base type of repro.sim.events.EventQueue: a
+ * binary min-heap of (cycle, seq, fn) entries in a C array, ordered by
+ * (cycle, seq).  schedule, run_due, next_cycle, clear, pending and
+ * __len__ are C methods that do what HeapEventQueue (the heapq body in
+ * events.py, the reference and the no-compiler fallback) does:
+ *
+ * - schedule(cycle, fn) numbers the event with the next sequence number
+ *   (the first is 1), so events of one cycle fire in scheduling order;
+ *   clear() drops every event and the numbering goes on.
+ * - run_due(now) pops the earliest event and calls it while one at or
+ *   before ``now`` remains, so a callback's own events at or before
+ *   ``now`` fire in the same call (the reentrancy contract in
+ *   HeapEventQueue.run_due).  An event is popped before its callback
+ *   runs, and nothing in the heap is held across a callback, which may
+ *   schedule, clear or run the queue.  An exception from a callback
+ *   propagates unchanged; the events still due stay queued.
+ * - Cycles are C long long: a cycle that is not an int, or beyond one,
+ *   raises TypeError or OverflowError.
+ *
+ * The queue is GC-tracked: the callbacks close over the models that
+ * scheduled them.  Python subclasses it so that the methods stay class
+ * attributes that a tracer can wrap by name.
+ *
+ * Built by repro.cpu.native with the interpreter's compiler and headers;
+ * it uses only the C API of CPython 3.9 and later.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+typedef struct {
+    long long cycle, seq;
+    PyObject *fn;
+} Entry;
+
+typedef struct {
+    PyObject_HEAD
+    Entry *heap;
+    Py_ssize_t n, cap;
+    long long seq;
+} Queue;
+
+static inline int
+before(const Entry *a, const Entry *b)
+{
+    return a->cycle < b->cycle || (a->cycle == b->cycle && a->seq < b->seq);
+}
+
+static void
+sift_up(Entry *heap, Py_ssize_t k)
+{
+    Entry item = heap[k];
+    while (k > 0) {
+        Py_ssize_t parent = (k - 1) >> 1;
+        if (!before(&item, &heap[parent])) {
+            break;
+        }
+        heap[k] = heap[parent];
+        k = parent;
+    }
+    heap[k] = item;
+}
+
+static void
+sift_down(Entry *heap, Py_ssize_t n, Py_ssize_t k)
+{
+    Entry item = heap[k];
+    for (;;) {
+        Py_ssize_t child = 2 * k + 1;
+        if (child >= n) {
+            break;
+        }
+        if (child + 1 < n && before(&heap[child + 1], &heap[child])) {
+            child += 1;
+        }
+        if (!before(&heap[child], &item)) {
+            break;
+        }
+        heap[k] = heap[child];
+        k = child;
+    }
+    heap[k] = item;
+}
+
+/* Remove the earliest entry; its callback is the caller's reference. */
+static Entry
+pop(Queue *self)
+{
+    Entry first = self->heap[0];
+    self->n -= 1;
+    if (self->n > 0) {
+        self->heap[0] = self->heap[self->n];
+        sift_down(self->heap, self->n, 0);
+    }
+    return first;
+}
+
+static PyObject *
+queue_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    if (PyTuple_GET_SIZE(args) || (kwds != NULL && PyDict_GET_SIZE(kwds))) {
+        PyErr_SetString(PyExc_TypeError, "EventQueue() takes no arguments");
+        return NULL;
+    }
+    Queue *self = (Queue *)type->tp_alloc(type, 0);
+    if (self != NULL) {
+        self->heap = NULL;
+        self->n = self->cap = 0;
+        self->seq = 0;
+    }
+    return (PyObject *)self;
+}
+
+static int
+queue_traverse(Queue *self, visitproc visit, void *arg)
+{
+    for (Py_ssize_t k = 0; k < self->n; k++) {
+        Py_VISIT(self->heap[k].fn);
+    }
+    return 0;
+}
+
+/* Drop every entry.  The array is detached first: releasing a callback
+ * may run code that schedules into this queue. */
+static int
+queue_clear(Queue *self)
+{
+    Entry *heap = self->heap;
+    Py_ssize_t n = self->n;
+    self->heap = NULL;
+    self->n = self->cap = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        Py_DECREF(heap[k].fn);
+    }
+    PyMem_Free(heap);
+    return 0;
+}
+
+static void
+queue_dealloc(Queue *self)
+{
+    PyObject_GC_UnTrack(self);
+    queue_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+as_cycle(PyObject *value, long long *out)
+{
+    long long x = PyLong_AsLongLong(value);
+    if (x == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    *out = x;
+    return 0;
+}
+
+/* EventQueue.schedule(cycle, fn) */
+static PyObject *
+queue_schedule(Queue *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long cycle;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "schedule() takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (as_cycle(args[0], &cycle) < 0) {
+        return NULL;
+    }
+    if (self->n == self->cap) {
+        Py_ssize_t cap = self->cap ? 2 * self->cap : 64;
+        Entry *heap = PyMem_Realloc(self->heap, cap * sizeof(Entry));
+        if (heap == NULL) {
+            return PyErr_NoMemory();
+        }
+        self->heap = heap;
+        self->cap = cap;
+    }
+    self->seq += 1;
+    Entry *slot = &self->heap[self->n];
+    slot->cycle = cycle;
+    slot->seq = self->seq;
+    Py_INCREF(args[1]);
+    slot->fn = args[1];
+    self->n += 1;
+    sift_up(self->heap, self->n - 1);
+    Py_RETURN_NONE;
+}
+
+/* EventQueue.run_due(now): the number of events fired. */
+static PyObject *
+queue_run_due(Queue *self, PyObject *now_obj)
+{
+    long long now, fired = 0;
+    if (as_cycle(now_obj, &now) < 0) {
+        return NULL;
+    }
+    while (self->n > 0 && self->heap[0].cycle <= now) {
+        PyObject *fn = pop(self).fn;
+        PyObject *result = PyObject_CallNoArgs(fn);
+        Py_DECREF(fn);
+        if (result == NULL) {
+            return NULL;
+        }
+        Py_DECREF(result);
+        fired += 1;
+    }
+    return PyLong_FromLongLong(fired);
+}
+
+/* EventQueue.next_cycle() */
+static PyObject *
+queue_next_cycle(Queue *self, PyObject *unused)
+{
+    if (self->n == 0) {
+        Py_RETURN_NONE;
+    }
+    return PyLong_FromLongLong(self->heap[0].cycle);
+}
+
+/* EventQueue.clear() */
+static PyObject *
+queue_clear_method(Queue *self, PyObject *unused)
+{
+    queue_clear(self);
+    Py_RETURN_NONE;
+}
+
+/* EventQueue.pending(): the pending events as sorted (cycle, seq, fn). */
+static PyObject *
+queue_pending(Queue *self, PyObject *unused)
+{
+    PyObject *events = PyList_New(self->n);
+    if (events == NULL) {
+        return NULL;
+    }
+    for (Py_ssize_t k = 0; k < self->n; k++) {
+        Entry *e = &self->heap[k];
+        PyObject *item = Py_BuildValue("(LLO)", e->cycle, e->seq, e->fn);
+        if (item == NULL) {
+            Py_DECREF(events);
+            return NULL;
+        }
+        PyList_SET_ITEM(events, k, item);
+    }
+    /* Sequence numbers are unique, so no two items compare their fn. */
+    if (PyList_Sort(events) < 0) {
+        Py_DECREF(events);
+        return NULL;
+    }
+    return events;
+}
+
+static Py_ssize_t
+queue_len(Queue *self)
+{
+    return self->n;
+}
+
+static PyMethodDef queue_methods[] = {
+    {"schedule", (PyCFunction)(void (*)(void))queue_schedule, METH_FASTCALL,
+     "schedule(cycle, fn): run fn() when the clock reaches cycle."},
+    {"run_due", (PyCFunction)queue_run_due, METH_O,
+     "run_due(now): fire every event at or before now; return the count."},
+    {"next_cycle", (PyCFunction)queue_next_cycle, METH_NOARGS,
+     "next_cycle(): the earliest pending event's cycle, or None."},
+    {"clear", (PyCFunction)queue_clear_method, METH_NOARGS,
+     "clear(): drop every pending event (numbering goes on)."},
+    {"pending", (PyCFunction)queue_pending, METH_NOARGS,
+     "pending(): the pending events as a sorted list of (cycle, seq, fn)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods queue_as_sequence = {
+    .sq_length = (lenfunc)queue_len,
+};
+
+static PyTypeObject QueueType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._kernel.EventQueue",
+    .tp_basicsize = sizeof(Queue),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Min-heap of (cycle, seq, fn) callbacks.",
+    .tp_new = queue_new,
+    .tp_traverse = (traverseproc)queue_traverse,
+    .tp_clear = (inquiry)queue_clear,
+    .tp_dealloc = (destructor)queue_dealloc,
+    .tp_methods = queue_methods,
+    .tp_as_sequence = &queue_as_sequence,
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "Compiled event queue of repro.sim.events.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    if (PyType_Ready(&QueueType) < 0) {
+        return NULL;
+    }
+    PyObject *module = PyModule_Create(&kernel_module);
+    if (module == NULL) {
+        return NULL;
+    }
+    Py_INCREF(&QueueType);
+    if (PyModule_AddObject(module, "EventQueue", (PyObject *)&QueueType) < 0) {
+        Py_DECREF(&QueueType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
+}

@@ -3,14 +3,25 @@
 Events scheduled for the same cycle fire in scheduling order (a
 monotonically increasing sequence number breaks heap ties), which keeps
 whole-system runs reproducible.
+
+:class:`EventQueue` is the queue the simulator builds.  It derives from
+a compiled heap (``_kernel.c``, built by :mod:`repro.cpu.native`) when
+that loads, and from :class:`HeapEventQueue` otherwise: the heapq body
+below, which is the compiled queue's reference.  Both make the same
+calls in the same order; no option chooses the path.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from repro.cpu import native
 
-class EventQueue:
+#: The compiled queue, or None: :class:`HeapEventQueue` is the queue.
+_kernel = native.EVENTS.load()
+
+
+class HeapEventQueue:
     """Min-heap of ``(cycle, seq, fn)`` callbacks."""
 
     def __init__(self):
@@ -59,5 +70,20 @@ class EventQueue:
         """Cycle of the earliest pending event, or None if empty."""
         return self._heap[0][0] if self._heap else None
 
+    def pending(self) -> list:
+        """The pending events as a sorted list of ``(cycle, seq, fn)``."""
+        return sorted(self._heap)
+
     def __len__(self) -> int:
         return len(self._heap)
+
+
+class EventQueue(HeapEventQueue if _kernel is None else _kernel.EventQueue):
+    """The simulator's event queue (see the module docstring).  Its
+    methods stay class attributes, which a tracer wraps by name."""
+
+
+def implementation() -> str:
+    """``"compiled"`` when :class:`EventQueue` is the compiled heap, else
+    ``"python"``."""
+    return "python" if issubclass(EventQueue, HeapEventQueue) else "compiled"

@@ -103,7 +103,8 @@ def _freeze(value):
 def _stat_items(obj):
     if obj is None:
         return ()
-    slots = getattr(type(obj), "__slots__", None)
+    cls = type(obj)
+    slots = getattr(cls, "FIELDS", None) or getattr(cls, "__slots__", None)
     items = (
         ((k, getattr(obj, k)) for k in slots)
         if slots

@@ -35,7 +35,7 @@ from repro.core.provider import (
 from repro.cpu.core import OutOfOrderCore
 from repro.dram.controller import MemorySystem
 from repro.sched.registry import make_scheduler_factory
-from repro.sim.events import EventQueue
+from repro.sim import events as _events
 from repro.sim.stats import SimResult
 from repro.telemetry import Telemetry
 
@@ -100,7 +100,7 @@ class System:
             )
         self.config = config
         self.label = label or scheduler
-        self.events = EventQueue()
+        self.events = _events.EventQueue()
         self.memory = MemorySystem(
             config.dram, make_scheduler_factory(scheduler, **(scheduler_kwargs or {}))
         )

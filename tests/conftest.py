@@ -49,6 +49,15 @@ def python_cache(monkeypatch):
 
 
 @pytest.fixture
+def python_events(monkeypatch):
+    """Build every System's event queue from the heapq reference instead
+    of the compiled heap."""
+    from repro.sim import events
+
+    monkeypatch.setattr(events, "EventQueue", events.HeapEventQueue)
+
+
+@pytest.fixture
 def dram_config():
     return DramConfig()
 

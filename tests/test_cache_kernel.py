@@ -140,7 +140,7 @@ class Machine:
             _stats(h.stats),
             h.det_state(),
             [(cycle, seq, self.describe(fn))
-             for cycle, seq, fn in sorted(self.events._heap)],
+             for cycle, seq, fn in self.events.pending()],
             list(self.log),
             self.memory.pending(),
         )

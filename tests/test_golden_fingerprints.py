@@ -8,9 +8,9 @@ recorded: total cycles, the determinism-chain digest, and a short
 digest of the whole ``result_fingerprint``.  A change that is meant to
 be bit-identical (a refactor or an optimisation) must leave every
 value here untouched on both engines, on the compiled kernels (the
-core's per-cycle stages and the cache hierarchy's per-access path) and
-on each kernel's Python bodies alike; a change that is meant to alter
-results re-records them and says why.
+core's per-cycle stages, the cache hierarchy's per-access path and the
+event queue) and on each kernel's Python bodies alike; a change that is
+meant to alter results re-records them and says why.
 
 Scale: 600 measured + 100 warm-up instructions per core, seed 7, with
 the telemetry and determinism knobs at their defaults.
@@ -26,6 +26,7 @@ from repro.cache import hierarchy
 from repro.config import DramConfig, SimScale, SystemConfig
 from repro.core.cbp import CbpMetric
 from repro.cpu import core, native
+from repro.sim import events
 from repro.sim.engine import RunSpec
 from repro.sim.runner import (
     run_application_alone,
@@ -183,27 +184,43 @@ def test_python_cache_matches_recorded_values(
     assert observed(run()) == expected
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_python_events_matches_recorded_values(
+    default_knobs, python_events, monkeypatch, name, engine
+):
+    """The same values from the heapq reference of the compiled event
+    queue."""
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    run, expected = GOLDEN[name]
+    assert observed(run()) == expected
+
+
 def test_failed_build_selects_the_python_core(
     default_knobs, monkeypatch, tmp_path
 ):
     """With the compiler call failing and no built kernel on disk,
-    loading selects the Python bodies of both kernels, and every
+    loading selects the Python bodies of all three kernels, and every
     recorded value holds on both engines."""
 
     def no_compiler(argv):
         raise FileNotFoundError(argv[0])
 
     monkeypatch.setattr(native, "_compile", no_compiler)
-    for spec, owner in ((native.CPU, core), (native.CACHE, hierarchy)):
+    for spec, owner in ((native.CPU, core), (native.CACHE, hierarchy),
+                        (native.EVENTS, events)):
         monkeypatch.setattr(spec, "failure", spec.failure)
         monkeypatch.setattr(spec, "build_dir", str(tmp_path / spec.stem))
         kernel = spec.load()
         assert kernel is None
         assert "cannot build the kernel" in spec.failure
         monkeypatch.setattr(owner, "_kernel", kernel)
+    # The queue's class is chosen when its module loads; this is the one
+    # a module load without the kernel builds on.
+    monkeypatch.setattr(events, "EventQueue", events.HeapEventQueue)
     assert not list(tmp_path.iterdir())
-    assert (core.implementation(), hierarchy.implementation()) == (
-        "python", "python")
+    assert (core.implementation(), hierarchy.implementation(),
+            events.implementation()) == ("python", "python", "python")
     for engine in ENGINES:
         monkeypatch.setenv("REPRO_ENGINE", engine)
         for name in sorted(GOLDEN):

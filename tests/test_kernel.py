@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import importlib.machinery
 import os
+import pickle
 import random
 import shlex
 import shutil
@@ -36,16 +37,19 @@ from repro.config import SimScale, SystemConfig
 from repro.core.provider import CbpProvider
 from repro.cpu import core, native
 from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE, Trace
+from repro.sim import events
 from repro.sim.runner import (
     run_multiprogrammed_workload,
     run_parallel_workload,
 )
-from repro.sim.stats import result_fingerprint
+from repro.sim.stats import _stat_items, result_fingerprint
 from repro.sim.system import ENGINES
 from tests.test_core import CoreHarness
+from tests.test_golden_fingerprints import _Quiet
 
 #: Each kernel and the module whose ``_kernel`` it is.
-KERNELS = ((native.CPU, core), (native.CACHE, hierarchy))
+KERNELS = ((native.CPU, core), (native.CACHE, hierarchy),
+           (native.EVENTS, events))
 
 
 def _compiler_found() -> bool:
@@ -103,7 +107,7 @@ class TestLoad:
             assert path.parent == Path(spec.source).parent / "__pycache__"
             assert module.__name__ == spec.module
         assert [spec.module for spec, _ in kernels] == [
-            "repro.cpu._kernel", "repro.cache._kernel"]
+            "repro.cpu._kernel", "repro.cache._kernel", "repro.sim._kernel"]
 
     def test_loading_a_built_kernel_runs_no_compiler(self, kernels,
                                                      monkeypatch):
@@ -304,22 +308,23 @@ def rings(core, now):
 
 
 class _Machine(CoreHarness):
-    """One core with a CBP-64 provider and a recording tracer on its own
-    single-core memory system."""
+    """One core with a CBP-64 provider (or ``provider``) and a recording
+    tracer on its own single-core memory system."""
 
-    def __init__(self, trace, config):
-        super().__init__(trace, config, CbpProvider(entries=64))
+    def __init__(self, trace, config, provider=None):
+        super().__init__(trace, config, provider or CbpProvider(entries=64))
         self.core.tracer = _Recorder()
 
     def state(self):
         c = self.core
         return (
-            c.det_state(), dict(vars(c.stats)), list(c._done),
-            list(c._pending), [None if w is None else list(w)
-                               for w in c._waiters],
+            c.det_state(),
+            {name: getattr(c.stats, name) for name in c.stats.FIELDS},
+            list(c._done), list(c._pending),
+            [None if w is None else list(w) for w in c._waiters],
             list(c._consumers), list(c._bstart),
             [h is None for h in c._handle],
-            rings(c, self.now), c._next_local, c.skip_until,
+            rings(c, self.now), c._next_local, c._tick_at, c.skip_until,
             list(c.tracer.records),
         )
 
@@ -378,7 +383,8 @@ def test_stages_called_through_their_guards_match(kernel, monkeypatch):
 
 def test_call_out_exceptions_propagate_unchanged(kernel, monkeypatch):
     """A provider hook that raises surfaces from ``step`` as itself, and
-    leaves the same core state on both paths."""
+    leaves the same core state on both paths.  The CBP resets every 40
+    cycles, so its tick is due at the raising cycle."""
 
     class Boom(Exception):
         pass
@@ -388,7 +394,8 @@ def test_call_out_exceptions_propagate_unchanged(kernel, monkeypatch):
     states = []
     for use_kernel in (True, False):
         monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
-        machine = _Machine(trace, config)
+        machine = _Machine(trace, config,
+                           CbpProvider(entries=64, reset_interval=40))
         for _ in range(40):
             machine.step()
 
@@ -430,6 +437,55 @@ def test_internal_error_leaves_the_state_the_python_bodies_leave(
     assert det_state[2] == 0  # _ptr
     assert schedules == [[], [(1, [0])]]
     assert booked == [[], [], [], [(1, 1)], []]
+
+
+def test_the_kernel_refuses_a_core_not_built_on_core_base(kernel):
+    """Every entry point takes only a core whose scalars are CoreBase
+    fields, and a core's stats must be StatsBase fields."""
+
+    class Duck:
+        pass
+
+    calls = {
+        "step": lambda c: kernel.step(c, 0),
+        "complete_at": lambda c: kernel.complete_at(c, (), 0),
+        "load_issues": lambda c: kernel.load_issues(c, (), 0),
+        "commit": lambda c: kernel.commit(c, 0),
+        "dispatch": lambda c: kernel.dispatch(c, 0),
+        "book_and_schedule": lambda c: kernel.book_and_schedule(c, 0, 1, 0),
+        "take_bucket": lambda c: kernel.take_bucket(c, None, 0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match="CoreBase"):
+            call(Duck())
+    machine = _Machine(_mixed_trace(50), SystemConfig(cores=1))
+    machine.core.stats = Duck()
+    with pytest.raises(TypeError, match="StatsBase"):
+        kernel.step(machine.core, 0)
+
+
+def test_core_stats_pickle_into_the_readers_class(kernel, monkeypatch):
+    """A pickled CoreStats is read into the CoreStats of the reading
+    process, compiled or Python, with every counter kept."""
+
+    class PythonCoreStats(core._Counters):
+        __slots__ = ()
+        FIELDS = core.CoreStats.FIELDS
+        __reduce__ = core.CoreStats.__reduce__
+
+    compiled = core.CoreStats()
+    for k, name in enumerate(compiled.FIELDS):
+        setattr(compiled, name, 7 * k + 1)
+    written = pickle.dumps(compiled)
+    monkeypatch.setattr(core, "CoreStats", PythonCoreStats)
+    read = pickle.loads(written)
+    assert type(read) is PythonCoreStats
+    assert _stat_items(read) == _stat_items(compiled)
+    written = pickle.dumps(read)
+    monkeypatch.undo()
+    back = pickle.loads(written)
+    assert type(back) is core.CoreStats
+    assert _stat_items(back) == _stat_items(compiled)
 
 
 # ------------------------------------------------------------- end to end
@@ -482,3 +538,69 @@ def test_compiled_core_matches_python_bodies(kernel, name, engine, tmp_path,
             result.trace_events, _stream_digest(stream),
         ))
     assert observed[0] == observed[1]
+
+
+class _CountingCbp(CbpProvider):
+    """CBP-64 with a reset interval, logging the cycles it ticks at."""
+
+    def __init__(self, ticks, **kwargs):
+        super().__init__(**kwargs)
+        self.ticks = ticks
+
+    def tick(self, cycle):
+        self.ticks.append(cycle)
+        super().tick(cycle)
+
+
+class _CountingQuiet(_Quiet):
+    """The goldens' duck-typed provider, logging the cycles it ticks at."""
+
+    def __init__(self, ticks):
+        self.ticks = ticks
+
+    def tick(self, cycle):
+        self.ticks.append(cycle)
+
+
+def _tick_logs(kernel, monkeypatch, provider):
+    """Per path and engine: the finish cycles of an fft run whose cores
+    get ``provider(log)``, and each core's tick log."""
+    observed = {}
+    for use_kernel in (True, False):
+        monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
+        for engine in ENGINES:
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            logs = {}
+            result = run_parallel_workload(
+                "fft", "casras-crit",
+                lambda core_id: provider(logs.setdefault(core_id, [])),
+                scale=SCALE,
+            )
+            observed[use_kernel, engine] = (
+                result.finish_cycles, [logs[i] for i in sorted(logs)])
+    return observed
+
+
+def test_a_due_tick_runs_at_the_same_cycles_on_every_path(kernel,
+                                                          monkeypatch):
+    """A CBP that resets every 300 cycles ticks at its resets, and only
+    there, on the kernel and on the Python bodies, on both engines."""
+    observed = _tick_logs(kernel, monkeypatch, lambda log: _CountingCbp(
+        log, entries=64, reset_interval=300))
+    first = observed[True, "naive"]
+    assert all(value == first for value in observed.values())
+    finish, logs = first
+    for end, ticks in zip(finish, logs):
+        assert ticks == list(range(300, end, 300))
+    assert any(logs)
+
+
+def test_a_duck_typed_provider_ticks_every_cycle(kernel, monkeypatch):
+    """A provider without ``next_tick_cycle`` ticks at every cycle its
+    core steps, on both paths and both engines."""
+    observed = _tick_logs(kernel, monkeypatch, _CountingQuiet)
+    first = observed[True, "naive"]
+    assert all(value == first for value in observed.values())
+    finish, logs = first
+    for end, ticks in zip(finish, logs):
+        assert ticks == list(range(end))

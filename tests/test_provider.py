@@ -96,3 +96,60 @@ class TestNaiveForwarding:
         p = NaiveForwardingProvider()
         p.on_block_start(5, 100, None)
         assert p.promotions == 0
+
+
+class TestTickContract:
+    """The core runs a provider's tick only when its next_tick_cycle says
+    it is due, so a provider whose tick does work must say when."""
+
+    def test_overriding_tick_alone_raises(self):
+        import pytest
+
+        with pytest.raises(TypeError, match="next_tick_cycle"):
+            class Resetting(CriticalityProvider):
+                def tick(self, cycle):
+                    pass
+
+    def test_overriding_both_or_inheriting_an_answer_is_accepted(self):
+        class Due(CriticalityProvider):
+            def tick(self, cycle):
+                pass
+
+            def next_tick_cycle(self, now):
+                return now + 1
+
+        class Logged(CbpProvider):
+            def tick(self, cycle):
+                super().tick(cycle)
+
+        assert Due().next_tick_cycle(4) == 5
+        assert Logged(reset_interval=9).next_tick_cycle(0) == 9
+
+    def test_every_registered_provider_keeps_the_contract(self):
+        """Every provider the package defines overrides tick only with
+        next_tick_cycle; the kinds the figures use never tick, and CBP
+        with a reset interval ticks at its resets."""
+        from repro.cpu.core import _FAR
+        from repro.sim.system import make_provider_factory
+        from tests.test_core import CoreHarness
+        from tests.conftest import make_compute_trace
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        defined = [cls for cls in subclasses(CriticalityProvider)
+                   if cls.__module__.startswith("repro.")]
+        assert len(defined) >= 5
+        for cls in defined:
+            assert (cls.tick is CriticalityProvider.tick
+                    or cls.next_tick_cycle
+                    is not CriticalityProvider.next_tick_cycle), cls
+        specs = [(None, _FAR), (("cbp", {}), _FAR), (("clpt", {}), _FAR),
+                 (("naive", {}), _FAR), (("fields", {}), _FAR),
+                 (("cbp", {"reset_interval": 500}), 500)]
+        for spec, due in specs:
+            provider = make_provider_factory(spec)(0)
+            harness = CoreHarness(make_compute_trace(20), provider=provider)
+            assert harness.core._tick_at == due, spec
