@@ -38,6 +38,15 @@ _PRIME_POW = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 _CHECKPOINT_CAP = 4096
 
 
+def _event_kernel():
+    """The compiled event kernel (``sim/_kernel.c``), whose ``fold``
+    backs :meth:`DetChain.sample`, or None.  Imported at the call:
+    :mod:`repro.sim` imports the models, which import this package."""
+    from repro.sim import events
+
+    return events._kernel
+
+
 def interval() -> int:
     """Sampling period in CPU cycles from the environment (0 = disabled)."""
     raw = os.environ.get("REPRO_DETCHAIN_EVERY", "")
@@ -79,29 +88,35 @@ class DetChain:
     def sample(self, cycle: int, state: tuple) -> None:
         """Fold one sample: the cycle number, then every state word.
 
-        The fold is inlined (rather than one :meth:`_fold` call per
-        word) because chain sampling sits on every engine loop's hot
-        path — a ~500-word snapshot is folded every interval.  Most
-        words are small, so each word's bytes above its last nonzero one
-        are folded by one multiply (see ``_PRIME_POW``).
+        Chain sampling sits on every engine loop's hot path (a snapshot
+        of about 1,300 words on the 8-core cells is folded every
+        interval), so the fold runs in the event kernel's ``fold`` when
+        that kernel is loaded.  The loop below is its reference and the
+        fallback: inlined (rather than one :meth:`_fold` call per word),
+        and since most words are small, each word's bytes above its last
+        nonzero one are folded by one multiply (see ``_PRIME_POW``).
         """
         h = self.digest
-        prime = _FNV_PRIME
-        mask = _MASK64
-        prime_pow = _PRIME_POW
-        v = cycle & mask
-        for _ in range(8):
-            h = ((h ^ (v & 0xFF)) * prime) & mask
-            v >>= 8
-        for value in state:
-            v = value & mask
-            zeros = 8
-            while v:
+        kernel = _event_kernel()
+        if kernel is not None:
+            h = kernel.fold(h, cycle, state)
+        else:
+            prime = _FNV_PRIME
+            mask = _MASK64
+            prime_pow = _PRIME_POW
+            v = cycle & mask
+            for _ in range(8):
                 h = ((h ^ (v & 0xFF)) * prime) & mask
                 v >>= 8
-                zeros -= 1
-            if zeros:
-                h = (h * prime_pow[zeros]) & mask
+            for value in state:
+                v = value & mask
+                zeros = 8
+                while v:
+                    h = ((h ^ (v & 0xFF)) * prime) & mask
+                    v >>= 8
+                    zeros -= 1
+                if zeros:
+                    h = (h * prime_pow[zeros]) & mask
         self.digest = h
         self.samples += 1
         if self.samples % self._keep_stride == 0:

@@ -127,14 +127,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "wiring-time engine callback installed while the core is "
         "quiescent (see MemoryHierarchy._wake_core); not simulation "
         "state — it only tells the wake-driven loop to revisit",
-    # -- Bank -------------------------------------------------------------
-    ("Bank", "row_hits"):
-        "row-locality statistic; excluded from the chain by design "
-        "(statistics are settled lazily, see detchain)",
-    ("Bank", "row_misses"):
-        "row-locality statistic (see row_hits)",
-    ("Bank", "row_conflicts"):
-        "row-locality statistic (see row_hits)",
     # -- MemorySystem -----------------------------------------------------
     ("MemorySystem", "_chan_wake"):
         "wake-driven clocking bookkeeping: derived from enqueue times "

@@ -1,6 +1,7 @@
 """Build and load the compiled kernels: the core's per-cycle stages
 (``cpu/_kernel.c``), the cache hierarchy's per-access path
-(``cache/_kernel.c``) and the event queue (``sim/_kernel.c``).
+(``cache/_kernel.c``), the event queue (``sim/_kernel.c``) and the DRAM
+controller's per-edge path (``dram/_kernel.c``).
 
 Each kernel is a CPython C-API extension built from its package's own
 source, with the interpreter's own compiler and headers as ``sysconfig``
@@ -149,6 +150,10 @@ CACHE = Kernel(
 #: The event queue (:mod:`repro.sim.events`).
 EVENTS = Kernel(
     os.path.join(_PACKAGES, "sim", "_kernel.c"), "repro.sim._kernel"
+)
+#: The DRAM controller's per-edge path (:mod:`repro.dram.controller`).
+DRAM = Kernel(
+    os.path.join(_PACKAGES, "dram", "_kernel.c"), "repro.dram._kernel"
 )
 
 

@@ -31,9 +31,6 @@ class Bank:
         "cas_ready",
         "pre_ready",
         "_t",
-        "row_hits",
-        "row_misses",
-        "row_conflicts",
         "opened_by",
         "last_use",
     )
@@ -53,9 +50,6 @@ class Bank:
         self.cas_ready = 0
         self.pre_ready = 0
         self._t = timings
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
 
     # -- state queries -----------------------------------------------------
 
@@ -79,21 +73,18 @@ class Bank:
         self.cas_ready = max(self.cas_ready, now + t.tRCD)
         self.pre_ready = max(self.pre_ready, now + t.tRAS)
         self.act_ready = max(self.act_ready, now + t.tRC)
-        self.row_misses += 1
 
     def do_read(self, now: int) -> None:
         t = self._t
         # PRE must wait read-to-precharge.
         self.pre_ready = max(self.pre_ready, now + t.tRTP)
         self.last_use = now
-        self.row_hits += 1
 
     def do_write(self, now: int) -> None:
         t = self._t
         # Write recovery: data lands at now+tWL, occupies burst, then tWR.
         self.pre_ready = max(self.pre_ready, now + t.tWL + t.burst_cycles + t.tWR)
         self.last_use = now
-        self.row_hits += 1
 
     def do_precharge(self, now: int) -> None:
         """Close the open row; caller has verified ``now >= pre_ready``."""
@@ -101,7 +92,6 @@ class Bank:
         self.open_row = None
         self.opened_by = -1
         self.act_ready = max(self.act_ready, now + t.tRP)
-        self.row_conflicts += 1
 
     def block_until(self, cycle: int) -> None:
         """Make the bank unavailable until ``cycle`` (used by refresh)."""

@@ -16,18 +16,38 @@ Write handling: writes (dirty L2 evictions) sit in a separate write queue
 and are drained in batches when the queue passes a high watermark or the
 read queue is empty — standard practice that keeps the read path (the
 paper's subject) clean.
+
+The per-edge path (:meth:`ChannelController.step` with the refresh
+service, drain hysteresis, candidate building and command execution it
+runs, :meth:`~ChannelController.next_wake_window`,
+:meth:`~ChannelController.account_window`, and :meth:`MemorySystem.step`
+and :meth:`~MemorySystem.step_window`) is also compiled (``_kernel.c``,
+built by :mod:`repro.cpu.native`); each of those methods opens with one
+guard that hands the call to the kernel, and its Python body after the
+guard is the kernel's reference and the fallback where no compiler
+exists.  No option chooses the path.
 """
 
 from __future__ import annotations
 
 from repro.analysis.protocol import maybe_attach
 from repro.config import DramConfig
+from repro.cpu import native
 from repro.dram.addressmap import AddressMap
 from repro.dram.bank import Bank
 from repro.dram.channel import ChannelTiming
 from repro.dram.command import CandidateCommand, CommandKind
 from repro.dram.transaction import Transaction
 from repro.telemetry.registry import LatencyHistogram
+
+#: The compiled per-edge path, or None: the Python bodies run.
+_kernel = native.DRAM.load()
+
+
+def implementation() -> str:
+    """``"compiled"`` when the kernel runs the controller's per-edge
+    path, else ``"python"``."""
+    return "python" if _kernel is None else "compiled"
 
 
 class ChannelStats:
@@ -136,6 +156,8 @@ class ChannelController:
 
     def step(self, now: int) -> None:
         """Issue at most one command on this channel at DRAM cycle ``now``."""
+        if _kernel is not None:
+            return _kernel.step(self, now)
         stats = self.stats
         nreads = len(self.read_queue)
         # Sample occupancy every DRAM cycle (empty cycles included), so
@@ -200,6 +222,8 @@ class ChannelController:
         hysteresis flips ``_draining`` (det_state) cycle by cycle, and a
         refresh sequence issues multi-cycle command trains.
         """
+        if _kernel is not None:
+            return _kernel.next_wake_window(self, dram_now)
         if self.write_queue or self._draining or any(self._refresh_due):
             return self.next_wake(dram_now)
         reads = self.read_queue
@@ -233,6 +257,8 @@ class ChannelController:
         bulk against the constant queue, exactly as :meth:`step` would
         have accumulated them one cycle at a time.
         """
+        if _kernel is not None:
+            return _kernel.account_window(self, cycles)
         if cycles <= 0:
             return
         stats = self.stats
@@ -613,6 +639,8 @@ class MemorySystem:
         Completion delivery happens through each transaction's callback,
         which receives the DRAM cycle at which its data burst ends.
         """
+        if _kernel is not None:
+            return _kernel.memory_step(self, cpu_now)
         if cpu_now % self._ratio:
             return
         dram_now = cpu_now // self._ratio
@@ -650,6 +678,8 @@ class MemorySystem:
         the determinism chain and never sampled by telemetry (see
         :meth:`ChannelController.register_metrics`).
         """
+        if _kernel is not None:
+            return _kernel.step_window(self, cpu_now)
         if cpu_now % self._ratio:
             return
         dram_now = cpu_now // self._ratio

@@ -1,4 +1,5 @@
-/* Compiled event queue of the simulator (repro.sim.events).
+/* Compiled event queue of the simulator (repro.sim.events), and the
+ * determinism chain's fold (repro.analysis.detchain).
  *
  * EventQueue here is the base type of repro.sim.events.EventQueue: a
  * binary min-heap of (cycle, seq, fn) entries in a C array, ordered by
@@ -22,6 +23,12 @@
  * The queue is GC-tracked: the callbacks close over the models that
  * scheduled them.  Python subclasses it so that the methods stay class
  * attributes that a tracer can wrap by name.
+ *
+ * fold(digest, cycle, words) is the determinism chain's FNV-1a fold
+ * (repro.analysis.detchain.DetChain.sample, whose Python loop is the
+ * reference): the cycle, then each word, each taken mod 2**64 as
+ * ``value & (2**64 - 1)`` takes it (negative and wider ints included),
+ * folded eight bytes at a time, least significant first.
  *
  * Built by repro.cpu.native with the interpreter's compiler and headers;
  * it uses only the C API of CPython 3.9 and later.
@@ -278,6 +285,66 @@ static PySequenceMethods queue_as_sequence = {
     .sq_length = (lenfunc)queue_len,
 };
 
+#define FNV_PRIME 0x100000001B3ULL
+
+/* Fold the eight bytes of ``v`` into ``h``, least significant first. */
+static inline unsigned long long
+fold_word(unsigned long long h, unsigned long long v)
+{
+    for (int k = 0; k < 8; k++) {
+        h = (h ^ (v & 0xFF)) * FNV_PRIME;
+        v >>= 8;
+    }
+    return h;
+}
+
+/* ``value & (2**64 - 1)``, or -1 with an error set. */
+static int
+word(PyObject *value, unsigned long long *out)
+{
+    unsigned long long x = PyLong_AsUnsignedLongLongMask(value);
+    if (x == (unsigned long long)-1 && PyErr_Occurred()) {
+        return -1;
+    }
+    *out = x;
+    return 0;
+}
+
+/* fold(digest, cycle, words): the digest after folding one sample. */
+static PyObject *
+kernel_fold(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    unsigned long long h, v;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "fold() takes 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (word(args[0], &h) < 0 || word(args[1], &v) < 0) {
+        return NULL;
+    }
+    h = fold_word(h, v);
+    PyObject *words = PySequence_Fast(args[2], "words must be iterable");
+    if (words == NULL) {
+        return NULL;
+    }
+    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(words); k++) {
+        if (word(PySequence_Fast_GET_ITEM(words, k), &v) < 0) {
+            Py_DECREF(words);
+            return NULL;
+        }
+        h = fold_word(h, v);
+    }
+    Py_DECREF(words);
+    return PyLong_FromUnsignedLongLong(h);
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"fold", (PyCFunction)(void (*)(void))kernel_fold, METH_FASTCALL,
+     "fold(digest, cycle, words): the det-chain digest after one sample."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyTypeObject QueueType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._kernel.EventQueue",
@@ -295,8 +362,10 @@ static PyTypeObject QueueType = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled event queue of repro.sim.events.",
+    .m_doc = "Compiled event queue of repro.sim.events, and the "
+             "determinism chain's fold.",
     .m_size = -1,
+    .m_methods = kernel_methods,
 };
 
 PyMODINIT_FUNC

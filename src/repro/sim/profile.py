@@ -3,10 +3,10 @@
 Runs the same workload once per engine (``--engines``, default ``all``:
 every registered engine) and reports wall clock, cycles/second, and
 speedup over the naive reference (or the first engine listed when naive
-is absent), and which core, cache hierarchy and event queue ran them:
-``compiled`` when the core's per-cycle stages (the hierarchy's
-per-access path, the queue's heap) ran in its kernel, ``python`` on
-their Python bodies.
+is absent), and which core, cache hierarchy, event queue and DRAM
+controller ran them: ``compiled`` when the core's per-cycle stages (the
+hierarchy's per-access path, the queue's heap, the controller's per-edge
+path) ran in its kernel, ``python`` on their Python bodies.
 The runs must also agree on the determinism chain and result
 fingerprint, so the comparison doubles as a cheap cross-engine identity
 check; the command exits 1 when they diverge, and when a run stopped at
@@ -45,6 +45,7 @@ def compare_engines(spec, engines: str = "all") -> dict:
     """
     from repro.cache import hierarchy
     from repro.cpu import core
+    from repro.dram import controller
     from repro.sim import engine, events, runner
     from repro.sim.stats import result_fingerprint
     from repro.sim.system import ENGINES
@@ -91,6 +92,7 @@ def compare_engines(spec, engines: str = "all") -> dict:
         "core": core.implementation(),
         "cache": hierarchy.implementation(),
         "events": events.implementation(),
+        "dram": controller.implementation(),
         "max_cycles": runner._max_cycles(spec.scale),
         "runs": [
             {k: v for k, v in run.items() if k != "fingerprint"}
@@ -104,7 +106,8 @@ def compare_engines(spec, engines: str = "all") -> dict:
 def _print_comparison(report: dict) -> None:
     print(f"{report['label']}: engine comparison on the {report['core']} "
           f"core and the {report['cache']} cache hierarchy, with the "
-          f"{report['events']} event queue")
+          f"{report['events']} event queue and the {report['dram']} DRAM "
+          "controller")
     print(f"  {'engine':<8} {'wall':>8} {'cycles/s':>12} {'speedup':>8}  identical")
     for run in report["runs"]:
         print(f"  {run['engine']:<8} {run['wall_seconds']:>7.2f}s "

@@ -51,10 +51,21 @@ def python_cache(monkeypatch):
 @pytest.fixture
 def python_events(monkeypatch):
     """Build every System's event queue from the heapq reference instead
-    of the compiled heap."""
+    of the compiled heap, and fold the determinism chain in its Python
+    loop instead of the event kernel's ``fold``."""
     from repro.sim import events
 
     monkeypatch.setattr(events, "EventQueue", events.HeapEventQueue)
+    monkeypatch.setattr(events, "_kernel", None)
+
+
+@pytest.fixture
+def python_dram(monkeypatch):
+    """Run the DRAM controller's Python bodies instead of its compiled
+    per-edge path."""
+    from repro.dram import controller
+
+    monkeypatch.setattr(controller, "_kernel", None)
 
 
 @pytest.fixture

@@ -8,8 +8,9 @@ recorded: total cycles, the determinism-chain digest, and a short
 digest of the whole ``result_fingerprint``.  A change that is meant to
 be bit-identical (a refactor or an optimisation) must leave every
 value here untouched on both engines, on the compiled kernels (the
-core's per-cycle stages, the cache hierarchy's per-access path and the
-event queue) and on each kernel's Python bodies alike; a change that is
+core's per-cycle stages, the cache hierarchy's per-access path, the
+event queue with the determinism chain's fold, and the DRAM controller's
+per-edge path) and on each kernel's Python bodies alike; a change that is
 meant to alter results re-records them and says why.
 
 Scale: 600 measured + 100 warm-up instructions per core, seed 7, with
@@ -26,6 +27,7 @@ from repro.cache import hierarchy
 from repro.config import DramConfig, SimScale, SystemConfig
 from repro.core.cbp import CbpMetric
 from repro.cpu import core, native
+from repro.dram import controller
 from repro.sim import events
 from repro.sim.engine import RunSpec
 from repro.sim.runner import (
@@ -186,11 +188,23 @@ def test_python_cache_matches_recorded_values(
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_python_dram_matches_recorded_values(
+    default_knobs, python_dram, monkeypatch, name, engine
+):
+    """The same values from the Python bodies of the DRAM controller's
+    compiled per-edge path."""
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    run, expected = GOLDEN[name]
+    assert observed(run()) == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_python_events_matches_recorded_values(
     default_knobs, python_events, monkeypatch, name, engine
 ):
     """The same values from the heapq reference of the compiled event
-    queue."""
+    queue and the Python loop of the determinism chain's fold."""
     monkeypatch.setenv("REPRO_ENGINE", engine)
     run, expected = GOLDEN[name]
     assert observed(run()) == expected
@@ -200,7 +214,7 @@ def test_failed_build_selects_the_python_core(
     default_knobs, monkeypatch, tmp_path
 ):
     """With the compiler call failing and no built kernel on disk,
-    loading selects the Python bodies of all three kernels, and every
+    loading selects the Python bodies of all four kernels, and every
     recorded value holds on both engines."""
 
     def no_compiler(argv):
@@ -208,7 +222,7 @@ def test_failed_build_selects_the_python_core(
 
     monkeypatch.setattr(native, "_compile", no_compiler)
     for spec, owner in ((native.CPU, core), (native.CACHE, hierarchy),
-                        (native.EVENTS, events)):
+                        (native.EVENTS, events), (native.DRAM, controller)):
         monkeypatch.setattr(spec, "failure", spec.failure)
         monkeypatch.setattr(spec, "build_dir", str(tmp_path / spec.stem))
         kernel = spec.load()
@@ -220,7 +234,8 @@ def test_failed_build_selects_the_python_core(
     monkeypatch.setattr(events, "EventQueue", events.HeapEventQueue)
     assert not list(tmp_path.iterdir())
     assert (core.implementation(), hierarchy.implementation(),
-            events.implementation()) == ("python", "python", "python")
+            events.implementation(), controller.implementation()) == (
+        "python", "python", "python", "python")
     for engine in ENGINES:
         monkeypatch.setenv("REPRO_ENGINE", engine)
         for name in sorted(GOLDEN):

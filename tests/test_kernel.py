@@ -5,13 +5,14 @@
 ``_do_commit``, ``_do_dispatch``, ``_book_and_schedule`` and
 ``_take_bucket`` hand each call to the core's kernel when it is loaded;
 the Python body after the guard is the reference.  This module pins the
-loader for both kernels (where each is built, that loading one compiles
+loader for every kernel (where each is built, that loading one compiles
 nothing, that a compile error selects the Python bodies, that a build
 prunes the builds it supersedes) and holds the core's kernel to its
 reference: cycle by cycle on one core, and end to end with every
-telemetry stream on.  ``test_cache_kernel.py`` does the same for the
-cache hierarchy's kernel, and ``test_golden_fingerprints.py`` pins both
-kernels and both sets of Python bodies against recorded values.
+telemetry stream on.  ``test_cache_kernel.py`` and
+``test_dram_kernel.py`` do the same for the cache hierarchy's and the
+DRAM controller's kernels, and ``test_golden_fingerprints.py`` pins every
+kernel and each set of Python bodies against recorded values.
 
 Compiled cases skip only where no C compiler exists; where one does, a
 kernel that did not load fails them.
@@ -37,6 +38,7 @@ from repro.config import SimScale, SystemConfig
 from repro.core.provider import CbpProvider
 from repro.cpu import core, native
 from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE, Trace
+from repro.dram import controller
 from repro.sim import events
 from repro.sim.runner import (
     run_multiprogrammed_workload,
@@ -49,7 +51,7 @@ from tests.test_golden_fingerprints import _Quiet
 
 #: Each kernel and the module whose ``_kernel`` it is.
 KERNELS = ((native.CPU, core), (native.CACHE, hierarchy),
-           (native.EVENTS, events))
+           (native.EVENTS, events), (native.DRAM, controller))
 
 
 def _compiler_found() -> bool:
@@ -76,13 +78,13 @@ def kernel():
 
 @pytest.fixture
 def kernels():
-    """Both loaded kernels, as ``(spec, module)`` pairs."""
+    """Every loaded kernel, as ``(spec, module)`` pairs."""
     return [(spec, loaded(spec, owner)) for spec, owner in KERNELS]
 
 
 @pytest.fixture
 def isolated_loader(monkeypatch, tmp_path):
-    """Both kernels building into their own directories under
+    """Every kernel building into its own directory under
     ``tmp_path`` (never the packages' ``__pycache__``), with their
     failure notes restored afterwards."""
     for spec, _owner in KERNELS:
@@ -107,7 +109,8 @@ class TestLoad:
             assert path.parent == Path(spec.source).parent / "__pycache__"
             assert module.__name__ == spec.module
         assert [spec.module for spec, _ in kernels] == [
-            "repro.cpu._kernel", "repro.cache._kernel", "repro.sim._kernel"]
+            "repro.cpu._kernel", "repro.cache._kernel", "repro.sim._kernel",
+            "repro.dram._kernel"]
 
     def test_loading_a_built_kernel_runs_no_compiler(self, kernels,
                                                      monkeypatch):

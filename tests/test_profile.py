@@ -8,6 +8,7 @@ import os
 from repro.__main__ import main
 from repro.cache import hierarchy
 from repro.cpu import core
+from repro.dram import controller
 from repro.sim import events, runner, stats
 from repro.sim.system import ENGINES
 
@@ -68,14 +69,17 @@ def test_report_names_the_core_that_ran(tmp_path, capsys, monkeypatch):
         "python" if hierarchy._kernel is None else "compiled")
     assert report["events"] == (
         "python" if events._kernel is None else "compiled")
+    assert report["dram"] == (
+        "python" if controller._kernel is None else "compiled")
     assert all(run["hit_max_cycles"] is False for run in report["runs"])
     monkeypatch.setattr(core, "_kernel", None)
     monkeypatch.setattr(hierarchy, "_kernel", None)
     monkeypatch.setattr(events, "EventQueue", events.HeapEventQueue)
+    monkeypatch.setattr(controller, "_kernel", None)
     code, report = _profile(tmp_path)
     assert code == 0
-    assert (report["core"], report["cache"], report["events"]) == (
-        "python", "python", "python")
+    assert (report["core"], report["cache"], report["events"],
+            report["dram"]) == ("python", "python", "python", "python")
     assert ("engine comparison on the python core and the python cache "
-            "hierarchy, with the python event queue"
-            ) in capsys.readouterr().out
+            "hierarchy, with the python event queue and the python DRAM "
+            "controller") in capsys.readouterr().out
