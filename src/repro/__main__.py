@@ -54,8 +54,10 @@ def _add_engine_choice(parser: argparse.ArgumentParser, text: str) -> None:
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     _add_engine_choice(parser, "simulation loop: naive cycle-by-cycle "
-                               "(the reference) or batched (windowed "
-                               "models; the default) — bit-identical")
+                               "(the reference and the default; its cycles "
+                               "run in a compiled loop where the kernels "
+                               "build) or batched (windowed models) — "
+                               "bit-identical")
     parser.add_argument("--verify-skip", action="store_true",
                         help="cross-check every run against the other "
                              "engine (env REPRO_VERIFY_SKIP)")

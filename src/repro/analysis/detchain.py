@@ -126,10 +126,18 @@ class DetChain:
                 self._keep_stride *= 2
 
     def finalize(self, cycle: int, state: tuple) -> None:
-        """Fold the end-of-run state as a final, always-kept checkpoint."""
-        self._fold(cycle)
-        for value in state:
-            self._fold(value)
+        """Fold the end-of-run state as a final, always-kept checkpoint.
+
+        The fold runs in the event kernel's ``fold`` when that kernel is
+        loaded, and in the per-word Python loop below otherwise (the same
+        arithmetic as :meth:`sample`)."""
+        kernel = _event_kernel()
+        if kernel is not None:
+            self.digest = kernel.fold(self.digest, cycle, state)
+        else:
+            self._fold(cycle)
+            for value in state:
+                self._fold(value)
         self.checkpoints.append((cycle, self.digest))
 
     def fold_words(self, cycle: int, state: tuple) -> None:

@@ -39,9 +39,13 @@
  *   _m_decisions is set) and on_command; each transaction's callback;
  *   the sanitizer's hooks and trace.command when attached; next_wake on
  *   next_wake_window's fallback; and, from MemorySystem, each channel's
- *   account_window, step and next_wake_window stay Python calls, looked
- *   up by name on every call, in the bodies' order and with their
- *   arguments.  Exceptions they raise propagate unchanged.
+ *   account_window and next_wake_window stay Python calls, looked up by
+ *   name on every call, in the bodies' order and with their arguments.
+ *   Exceptions they raise propagate unchanged.  MemorySystem steps a
+ *   channel here, without the ChannelController.step frame, while
+ *   ``channel.step`` resolves to the class's own function
+ *   (controller._CHANNEL_STEP, bound with the models): neither the class
+ *   nor the channel replaces it.  Otherwise it calls step by name too.
  * - Range.  Cycles are C long long within +-2**62 (OverflowError
  *   beyond), and counters must stay below 2**63.  Bank coordinates
  *   outside the controller's geometry raise IndexError, where the Python
@@ -172,10 +176,12 @@ static Model HIST = {"repro.telemetry.registry", "LatencyHistogram",
                      hist_slots, N_H};
 static Model *const models[] = {&BANK, &TXN, &TIMING, &STATS, &CAND, &HIST};
 
-/* Bound with the models: the controller class, CommandKind's members, the
- * deque type, the defaults of CandidateCommand.__init__ (blocked_by_hits,
- * hit_is_critical, row_idle) and the bucket count. */
+/* Bound with the models: the controller class and its own step function
+ * (_CHANNEL_STEP), CommandKind's members, the deque type, the defaults of
+ * CandidateCommand.__init__ (blocked_by_hits, hit_is_critical, row_idle)
+ * and the bucket count. */
 static PyTypeObject *controller_type, *deque_type;
+static PyObject *own_step;
 enum { KIND_ACT, KIND_PRE, KIND_READ, KIND_WRITE, N_KIND };
 static PyObject *kinds[N_KIND];
 static PyObject *cand_defaults;
@@ -554,6 +560,11 @@ bind_models(void)
                             "row_idle");
             return -1;
         }
+    }
+    if (own_step == NULL
+        && (own_step = module_attr("repro.dram.controller",
+                                   "_CHANNEL_STEP")) == NULL) {
+        return -1;
     }
     PyObject *controller = module_attr("repro.dram.controller",
                                        "ChannelController");
@@ -1891,24 +1902,17 @@ nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     return 0;
 }
 
-/* step(controller, now): ChannelController.step */
-static PyObject *
-k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* ChannelController.step on the opened controller ``c``: 0 or -1. */
+static int
+channel_step(Ctl *c, PyObject *now_obj)
 {
-    if (!nargs_ok("step", nargs, 2)) {
-        return NULL;
-    }
-    Ctl c;
     long long now;
-    PyObject *now_obj = args[1], *candidates = NULL, *sched = NULL;
-    PyObject *chosen = NULL, *result = NULL;
-    if (ctl_open(&c, args[0]) < 0) {
-        return NULL;
-    }
+    PyObject *candidates = NULL, *sched = NULL, *chosen = NULL;
+    int result = -1;
     if (as_cycle(now_obj, &now) < 0) {
-        goto done;
+        return -1;
     }
-    View *v = c.v;
+    View *v = c->v;
     Py_ssize_t nreads = PyList_GET_SIZE(v->read_queue);
     /* Sample occupancy every DRAM cycle (empty cycles included). */
     if (add_ll(v->stats, &STATS, S_OCCUPANCY, nreads) < 0
@@ -1925,29 +1929,29 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
     }
-    int used = service_refresh(&c, now, now_obj);
+    int used = service_refresh(c, now, now_obj);
     if (used < 0) {
         goto done;
     }
     if (used || (!PyList_GET_SIZE(v->read_queue)
                  && !PyList_GET_SIZE(v->write_queue))) {
-        result = Py_None;
+        result = 0;
         goto done;
     }
-    if ((candidates = build_candidates(&c, now)) == NULL) {
+    if ((candidates = build_candidates(c, now)) == NULL) {
         goto done;
     }
     if (!PyList_GET_SIZE(candidates)) {
-        result = Py_None;
+        result = 0;
         goto done;
     }
-    if ((sched = scheduler(&c)) == NULL) {
+    if ((sched = scheduler(c)) == NULL) {
         goto done;
     }
-    PyObject *select_args[3] = {candidates, args[0], now_obj};
+    PyObject *select_args[3] = {candidates, c->self, now_obj};
     chosen = call_method(str_select, sched, select_args, 3);
     Py_CLEAR(sched);
-    if (chosen == NULL || (sched = scheduler(&c)) == NULL) {
+    if (chosen == NULL || (sched = scheduler(c)) == NULL) {
         goto done;
     }
     PyObject *decisions = PyObject_GetAttr(sched, str_m_decisions);
@@ -1958,7 +1962,7 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_DECREF(decisions);
     if (counting) {
         Py_CLEAR(sched);
-        if ((sched = scheduler(&c)) == NULL
+        if ((sched = scheduler(c)) == NULL
             || call_void(str_note_decision, sched, &chosen, 1) < 0) {
             goto done;
         }
@@ -1966,21 +1970,38 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (chosen != Py_None) {
         Py_CLEAR(sched);
         PyObject *command_args[2] = {chosen, now_obj};
-        if (execute(&c, chosen, now, now_obj) < 0
-            || (sched = scheduler(&c)) == NULL
+        if (execute(c, chosen, now, now_obj) < 0
+            || (sched = scheduler(c)) == NULL
             || call_void(str_on_command, sched, command_args, 2) < 0) {
             goto done;
         }
     }
-    result = Py_None;
+    result = 0;
 
 done:
-    Py_XINCREF(result);
     Py_XDECREF(sched);
     Py_XDECREF(chosen);
     Py_XDECREF(candidates);
-    ctl_close(&c);
     return result;
+}
+
+/* step(controller, now): ChannelController.step */
+static PyObject *
+k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (!nargs_ok("step", nargs, 2)) {
+        return NULL;
+    }
+    Ctl c;
+    if (ctl_open(&c, args[0]) < 0) {
+        return NULL;
+    }
+    int failed = channel_step(&c, args[1]);
+    ctl_close(&c);
+    if (failed) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
 }
 
 /* next_wake_window(controller, dram_now): ChannelController.next_wake_window */
@@ -2110,6 +2131,47 @@ done:
     return result;
 }
 
+/* ``channel.step(dram_obj)``: 0 or -1.  The step runs here, with no Python
+ * frame, while ``channel.step`` resolves to the class's own
+ * ChannelController.step (neither the class nor the channel replaces it);
+ * otherwise it is called by name, so a wrapper sees every call. */
+static int
+step_channel(PyObject *channel, PyObject *dram_obj)
+{
+    if (bind_models() < 0) {
+        return -1;
+    }
+    PyObject *step = PyObject_GetAttr((PyObject *)Py_TYPE(channel), str_step);
+    int own = step == own_step;
+    Py_XDECREF(step);
+    if (own) {
+        PyObject *dict = PyObject_GenericGetDict(channel, NULL);
+        if (dict == NULL) {
+            return -1;
+        }
+        PyObject *mine = PyDict_GetItemWithError(dict, str_step);
+        Py_DECREF(dict);
+        if (mine == NULL && PyErr_Occurred()) {
+            return -1;
+        }
+        own = mine == NULL;
+    }
+    else if (step == NULL) {
+        /* The call by name raises the lookup's error again. */
+        PyErr_Clear();
+    }
+    if (!own) {
+        return call_void(str_step, channel, &dram_obj, 1);
+    }
+    Ctl c;
+    if (ctl_open(&c, channel) < 0) {
+        return -1;
+    }
+    int failed = channel_step(&c, dram_obj);
+    ctl_close(&c);
+    return failed;
+}
+
 /* The DRAM edge ``cpu_now`` falls on, or 0 when it is not an edge (-1 on
  * error); ``*dict`` is a new reference to the memory system's __dict__. */
 static int
@@ -2165,7 +2227,7 @@ k_memory_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(channels); i++) {
         PyObject *channel = PyList_GET_ITEM(channels, i);
         Py_INCREF(channel);
-        int failed = call_void(str_step, channel, &dram_obj, 1);
+        int failed = step_channel(channel, dram_obj);
         Py_DECREF(channel);
         if (failed) {
             goto done;
@@ -2235,7 +2297,7 @@ k_step_window(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             Py_XDECREF(gap);
         }
         PyObject *next = NULL;
-        failed = failed || call_void(str_step, channel, &dram_obj, 1) < 0
+        failed = failed || step_channel(channel, dram_obj) < 0
             || set_item(settled, i, PyLong_FromLongLong(dram_now + 1)) < 0
             || (next = call_method(str_next_wake_window, channel, &dram_obj,
                                    1)) == NULL

@@ -543,6 +543,14 @@ class ChannelController:
         self.scheduler.register_metrics(registry, f"{prefix}.sched")
 
 
+#: The class's own :meth:`ChannelController.step`.  The kernel's
+#: :meth:`MemorySystem.step` and :meth:`~MemorySystem.step_window` run a
+#: channel's step in C, without this function's frame, while
+#: ``channel.step`` still resolves to it; a ``step`` replaced on the class
+#: or set on the channel is called by name, so a tracer sees every call.
+_CHANNEL_STEP = ChannelController.step
+
+
 class MemorySystem:
     """All channels plus the CPU-clock/DRAM-clock boundary.
 

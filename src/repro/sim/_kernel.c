@@ -1,5 +1,6 @@
-/* Compiled event queue of the simulator (repro.sim.events), and the
- * determinism chain's fold (repro.analysis.detchain).
+/* Compiled event queue of the simulator (repro.sim.events), the
+ * determinism chain's fold (repro.analysis.detchain) and the naive
+ * engine's cycle loop (repro.sim.system).
  *
  * EventQueue here is the base type of repro.sim.events.EventQueue: a
  * binary min-heap of (cycle, seq, fn) entries in a C array, ordered by
@@ -25,10 +26,39 @@
  * attributes that a tracer can wrap by name.
  *
  * fold(digest, cycle, words) is the determinism chain's FNV-1a fold
- * (repro.analysis.detchain.DetChain.sample, whose Python loop is the
- * reference): the cycle, then each word, each taken mod 2**64 as
- * ``value & (2**64 - 1)`` takes it (negative and wider ints included),
- * folded eight bytes at a time, least significant first.
+ * (repro.analysis.detchain.DetChain.sample and finalize, whose Python
+ * loops are the reference): the cycle, then each word, each taken mod
+ * 2**64 as ``value & (2**64 - 1)`` takes it (negative and wider ints
+ * included), folded eight bytes at a time, least significant first.
+ *
+ * run_cycles(system, step, memory_step, now, remaining, stop, cap) is the
+ * naive engine's cycle loop (repro.sim.system.System._run_naive, whose
+ * Python body is the reference and the fallback).  From cycle ``now`` it
+ * runs, cycle after cycle, what that body runs:
+ *
+ * - the cap: at the top of a cycle at or past ``cap`` (None: no cap) it
+ *   returns before running the cycle;
+ * - run_due(now) on the system's queue, which must be this file's heap;
+ * - memory_step(memory, now), the DRAM kernel's MemorySystem.step;
+ * - for each core of system.cores that is not ``done``, in list order,
+ *   step(core, now), the core kernel's OutOfOrderCore.step; a core that is
+ *   ``done`` after it sets system._finish_cycles[core.core_id] to now + 1
+ *   and counts ``remaining`` down;
+ * - at the sample cycle ``stop`` (None: none) it returns after the core
+ *   phase, leaving the det-chain fold and the clock's advance to the
+ *   caller; otherwise system._now = now + 1 ends the cycle, and it returns
+ *   once ``remaining`` is 0.
+ *
+ * It returns (now, remaining, sampled): ``sampled`` is True at ``stop``.
+ * step and memory_step are called by vectorcall, so no Python frame sits
+ * between them; the events, the cores' hooks and the schedulers call out
+ * to Python as they do from the Python loop.  PyErr_CheckSignals() runs at
+ * the top of every cycle, so Python signal handlers run on the Python
+ * loop's cadence, and an exception from any call or handler propagates
+ * with _now, _finish_cycles and every model as the Python loop leaves
+ * them.  The caller chooses this loop only while nothing it bypasses is
+ * replaced and no telemetry sampler or stream is attached
+ * (System._compiled_loop).
  *
  * Built by repro.cpu.native with the interpreter's compiler and headers;
  * it uses only the C API of CPython 3.9 and later.
@@ -197,23 +227,31 @@ queue_schedule(Queue *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* EventQueue.run_due(now): the number of events fired. */
-static PyObject *
-queue_run_due(Queue *self, PyObject *now_obj)
+/* Fire every event at or before ``now``: the number fired, or -1. */
+static long long
+run_due(Queue *self, long long now)
 {
-    long long now, fired = 0;
-    if (as_cycle(now_obj, &now) < 0) {
-        return NULL;
-    }
+    long long fired = 0;
     while (self->n > 0 && self->heap[0].cycle <= now) {
         PyObject *fn = pop(self).fn;
         PyObject *result = PyObject_CallNoArgs(fn);
         Py_DECREF(fn);
         if (result == NULL) {
-            return NULL;
+            return -1;
         }
         Py_DECREF(result);
         fired += 1;
+    }
+    return fired;
+}
+
+/* EventQueue.run_due(now): the number of events fired. */
+static PyObject *
+queue_run_due(Queue *self, PyObject *now_obj)
+{
+    long long now, fired;
+    if (as_cycle(now_obj, &now) < 0 || (fired = run_due(self, now)) < 0) {
+        return NULL;
     }
     return PyLong_FromLongLong(fired);
 }
@@ -339,9 +377,171 @@ kernel_fold(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromUnsignedLongLong(h);
 }
 
+static PyTypeObject QueueType;
+
+/* Interned attribute names, as NAME(identifier, text). */
+#define NAMES(NAME)                                                        \
+    NAME(events, "events") NAME(memory, "memory") NAME(cores, "cores")    \
+    NAME(finish, "_finish_cycles") NAME(now, "_now") NAME(done, "done")   \
+    NAME(core_id, "core_id")
+
+#define DECLARE_NAME(id, text) static PyObject *str_##id;
+NAMES(DECLARE_NAME)
+
+/* ``core.done`` as a truth value: 1, 0 or -1. */
+static int
+is_done(PyObject *core)
+{
+    PyObject *done = PyObject_GetAttr(core, str_done);
+    if (done == NULL) {
+        return -1;
+    }
+    int truth = PyObject_IsTrue(done);
+    Py_DECREF(done);
+    return truth;
+}
+
+/* ``fn(obj, now)`` by vectorcall, its result discarded: 0 or -1. */
+static int
+call_step(PyObject *fn, PyObject *obj, PyObject *now_obj)
+{
+    PyObject *args[2] = {obj, now_obj};
+    PyObject *result = PyObject_Vectorcall(fn, args, 2, NULL);
+    if (result == NULL) {
+        return -1;
+    }
+    Py_DECREF(result);
+    return 0;
+}
+
+/* One core's turn of the core phase: step it unless it is done, and
+ * record the cycle it finishes at.  0 or -1. */
+static int
+core_turn(PyObject *core, PyObject *step, PyObject *now_obj, long long now,
+          PyObject *finish, long long *remaining)
+{
+    int done = is_done(core);
+    if (done) {
+        return done < 0 ? -1 : 0;
+    }
+    if (call_step(step, core, now_obj) < 0 || (done = is_done(core)) < 0) {
+        return -1;
+    }
+    if (done) {
+        PyObject *core_id = PyObject_GetAttr(core, str_core_id);
+        PyObject *end = core_id ? PyLong_FromLongLong(now + 1) : NULL;
+        int failed = end == NULL || PyObject_SetItem(finish, core_id, end) < 0;
+        Py_XDECREF(end);
+        Py_XDECREF(core_id);
+        if (failed) {
+            return -1;
+        }
+        *remaining -= 1;
+    }
+    return 0;
+}
+
+/* A cycle argument that may be None (``*set`` is then 0). */
+static int
+optional_cycle(PyObject *value, long long *out, int *set)
+{
+    *set = value != Py_None;
+    return *set ? as_cycle(value, out) : 0;
+}
+
+/* run_cycles(system, step, memory_step, now, remaining, stop, cap) */
+static PyObject *
+kernel_run_cycles(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now, remaining, stop = 0, cap = 0;
+    int has_stop, has_cap, sampled = 0;
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError,
+                     "run_cycles() takes 7 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *system = args[0], *step = args[1], *memory_step = args[2];
+    if (as_cycle(args[3], &now) < 0 || as_cycle(args[4], &remaining) < 0
+        || optional_cycle(args[5], &stop, &has_stop) < 0
+        || optional_cycle(args[6], &cap, &has_cap) < 0) {
+        return NULL;
+    }
+    PyObject *events = NULL, *memory = NULL, *cores = NULL, *finish = NULL;
+    PyObject *now_obj = NULL, *result = NULL;
+    if ((events = PyObject_GetAttr(system, str_events)) == NULL
+        || (memory = PyObject_GetAttr(system, str_memory)) == NULL
+        || (cores = PyObject_GetAttr(system, str_cores)) == NULL
+        || (finish = PyObject_GetAttr(system, str_finish)) == NULL) {
+        goto done;
+    }
+    if (!PyObject_TypeCheck(events, &QueueType) || !PyList_Check(cores)) {
+        PyErr_SetString(PyExc_TypeError, "the compiled loop runs a compiled "
+                        "EventQueue and a list of cores");
+        goto done;
+    }
+    if ((now_obj = PyLong_FromLongLong(now)) == NULL) {
+        goto done;
+    }
+    for (;;) {
+        if (PyErr_CheckSignals() < 0) {
+            goto done;
+        }
+        if (has_cap && now >= cap) {
+            break;
+        }
+        if (run_due((Queue *)events, now) < 0
+            || call_step(memory_step, memory, now_obj) < 0) {
+            goto done;
+        }
+        /* The list is read at every turn, as a for loop over it reads it. */
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cores); i++) {
+            PyObject *core = PyList_GET_ITEM(cores, i);
+            Py_INCREF(core);
+            int failed = core_turn(core, step, now_obj, now, finish,
+                                   &remaining);
+            Py_DECREF(core);
+            if (failed) {
+                goto done;
+            }
+        }
+        if (has_stop && now == stop) {
+            sampled = 1;
+            break;
+        }
+        PyObject *next = PyLong_FromLongLong(now + 1);
+        if (next == NULL) {
+            goto done;
+        }
+        Py_DECREF(now_obj);
+        now_obj = next;
+        if (PyObject_SetAttr(system, str_now, now_obj) < 0) {
+            goto done;
+        }
+        now += 1;
+        if (!remaining) {
+            break;
+        }
+    }
+    result = Py_BuildValue("(LLO)", now, remaining,
+                           sampled ? Py_True : Py_False);
+
+done:
+    Py_XDECREF(now_obj);
+    Py_XDECREF(finish);
+    Py_XDECREF(cores);
+    Py_XDECREF(memory);
+    Py_XDECREF(events);
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"fold", (PyCFunction)(void (*)(void))kernel_fold, METH_FASTCALL,
      "fold(digest, cycle, words): the det-chain digest after one sample."},
+    {"run_cycles", (PyCFunction)(void (*)(void))kernel_run_cycles,
+     METH_FASTCALL,
+     "run_cycles(system, step, memory_step, now, remaining, stop, cap): "
+     "the naive engine's cycles, up to a sample cycle, the cap or the end; "
+     "returns (now, remaining, sampled)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -362,8 +562,8 @@ static PyTypeObject QueueType = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled event queue of repro.sim.events, and the "
-             "determinism chain's fold.",
+    .m_doc = "Compiled event queue of repro.sim.events, the determinism "
+             "chain's fold and the naive engine's cycle loop.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -371,6 +571,13 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
+#define INTERN(id, text)                                                    \
+    if (str_##id == NULL                                                    \
+        && (str_##id = PyUnicode_InternFromString(text)) == NULL) {         \
+        return NULL;                                                        \
+    }
+    NAMES(INTERN)
+#undef INTERN
     if (PyType_Ready(&QueueType) < 0) {
         return NULL;
     }

@@ -459,7 +459,7 @@ def verify_determinism(spec: RunSpec, subprocess: bool = True) -> dict:
     """Run ``spec`` on every engine and compare determinism hash-chains.
 
     The reference run uses the spec's engine (default: the resolved
-    session engine, normally ``batched``) in-process; it is compared
+    session engine, normally ``naive``) in-process; it is compared
     against (a) the other loop implementation in-process and (b) the
     reference engine in a freshly forked worker process.
     Returns a report dict: ``ok``, the reference ``chain`` digest, and a

@@ -6,7 +6,11 @@ speedup over the naive reference (or the first engine listed when naive
 is absent), and which core, cache hierarchy, event queue and DRAM
 controller ran them: ``compiled`` when the core's per-cycle stages (the
 hierarchy's per-access path, the queue's heap, the controller's per-edge
-path) ran in its kernel, ``python`` on their Python bodies.
+path) ran in its kernel, ``python`` on their Python bodies.  It also
+reports which loop ran each run's cycles (``loop``, with the cycles each
+path took in ``loop_cycles``): ``compiled`` when all of them ran in the
+event kernel's cycle loop, ``python`` when all ran in a Python loop (the
+batched engine's, or the naive engine's body), else ``mixed``.
 The runs must also agree on the determinism chain and result
 fingerprint, so the comparison doubles as a cheap cross-engine identity
 check; the command exits 1 when they diverge, and when a run stopped at
@@ -47,6 +51,7 @@ def compare_engines(spec, engines: str = "all") -> dict:
     from repro.cpu import core
     from repro.dram import controller
     from repro.sim import engine, events, runner
+    from repro.sim import system as system_mod
     from repro.sim.stats import result_fingerprint
     from repro.sim.system import ENGINES
 
@@ -59,14 +64,21 @@ def compare_engines(spec, engines: str = "all") -> dict:
         pinned = dataclasses.replace(spec, engine=name)
         # Read the fingerprint under the run's REPRO_ENGINE as well, as a
         # statistic that depends on the engine would be read.
+        totals = dict(system_mod.loop_totals)
         with engine.exported(pinned):
             start = hostclock.now()
             result = engine.run_one(pinned)
             wall = hostclock.now() - start
             fingerprint = result_fingerprint(result)
+        loop_cycles = {
+            path: system_mod.loop_totals[path] - cycles
+            for path, cycles in totals.items()
+        }
         runs.append(
             {
                 "engine": name,
+                "loop": _loop_taken(loop_cycles),
+                "loop_cycles": loop_cycles,
                 "wall_seconds": round(wall, 4),
                 "cycles": result.cycles,
                 "hit_max_cycles": result.hit_max_cycles,
@@ -93,6 +105,7 @@ def compare_engines(spec, engines: str = "all") -> dict:
         "cache": hierarchy.implementation(),
         "events": events.implementation(),
         "dram": controller.implementation(),
+        "loop": system_mod.loop_implementation(),
         "max_cycles": runner._max_cycles(spec.scale),
         "runs": [
             {k: v for k, v in run.items() if k != "fingerprint"}
@@ -103,14 +116,23 @@ def compare_engines(spec, engines: str = "all") -> dict:
     return report
 
 
+def _loop_taken(loop_cycles: dict) -> str:
+    """``compiled`` or ``python`` when one path ran every cycle, else
+    ``mixed``."""
+    ran = [path for path, cycles in loop_cycles.items() if cycles]
+    return ran[0] if len(ran) == 1 else "mixed"
+
+
 def _print_comparison(report: dict) -> None:
     print(f"{report['label']}: engine comparison on the {report['core']} "
           f"core and the {report['cache']} cache hierarchy, with the "
-          f"{report['events']} event queue and the {report['dram']} DRAM "
-          "controller")
-    print(f"  {'engine':<8} {'wall':>8} {'cycles/s':>12} {'speedup':>8}  identical")
+          f"{report['events']} event queue, the {report['dram']} DRAM "
+          f"controller and the {report['loop']} cycle loop")
+    print(f"  {'engine':<8} {'loop':<9} {'wall':>8} {'cycles/s':>12} "
+          f"{'speedup':>8}  identical")
     for run in report["runs"]:
-        print(f"  {run['engine']:<8} {run['wall_seconds']:>7.2f}s "
+        print(f"  {run['engine']:<8} {run['loop']:<9} "
+              f"{run['wall_seconds']:>7.2f}s "
               f"{run['cycles_per_second']:>12,.0f} {run['speedup']:>7.2f}x  "
               f"{'yes' if run['identical'] else 'NO — DIVERGED'}")
     if not report["identical"]:

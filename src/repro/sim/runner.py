@@ -6,7 +6,9 @@ tools and tests) call it; it is the only place a ``System`` is built.
 Environment knobs (also settable via ``python -m repro`` flags):
 
 * ``REPRO_ENGINE``        — loop implementation: ``naive`` (cycle by
-  cycle, the reference) or ``batched`` (wake-driven windows; default);
+  cycle, the reference and the default, its cycles in the event kernel's
+  compiled loop where the kernels build) or ``batched`` (wake-driven
+  windows);
 * ``REPRO_VERIFY_SKIP=1`` — run every simulation twice (the selected
   engine plus the other one) and assert bit-identical results.
 """
@@ -54,9 +56,9 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
     """Run a system built by ``make_system()``, honouring the env knobs.
 
     Wall-clock time is recorded on the result; with ``REPRO_VERIFY_SKIP``
-    a second system is built and run on a reference engine (``naive``
-    unless that is the engine under test, then ``batched``) and the two
-    results are cross-checked for bit-identity.
+    a second system is built and run on the other engine (``batched``
+    when the engine under test is ``naive``, the default, else
+    ``naive``) and the two results are cross-checked for bit-identity.
     """
     engine = System.resolve_engine(None)
     # Wall-clock observability only (the sanctioned host clock): never

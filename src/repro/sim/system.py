@@ -3,8 +3,12 @@
 Two loop implementations produce bit-identical results (same
 determinism chain, result fingerprint, and streamed telemetry bytes):
 
-* ``naive``   — the reference: step every component every cycle;
-* ``batched`` — the default: a wake-driven loop that visits only cycles
+* ``naive``   — the default and the reference: step every component
+  every cycle.  Between det-chain samples its cycles run in the event
+  kernel's compiled loop (``run_cycles`` in ``sim/_kernel.c``) while
+  :meth:`System._compiled_loop` allows; the Python loop body in
+  :meth:`System._run_naive` is that loop's reference and its fallback;
+* ``batched`` — a wake-driven loop that visits only cycles
   where something can happen, tracking skipping cores in a wake heap
   and idle DRAM channels by registered wakes, plus model-level
   windowing: a single active core steps whole ready-windows in one call
@@ -12,7 +16,7 @@ determinism chain, result fingerprint, and streamed telemetry bytes):
   cycles at which no command can legally issue
   (:meth:`ChannelController.next_wake_window`), leaning on the
   batchability certificates (see :meth:`_run_batched` and DESIGN.md
-  §5.7).
+  §5.7).  It stays selectable until ROADMAP item 4 deletes it.
 
 Select with ``System.run(engine=...)``, ``REPRO_ENGINE``, or the
 ``--engine`` CLI flag.
@@ -32,7 +36,9 @@ from repro.core.provider import (
     NaiveForwardingProvider,
     NullProvider,
 )
+from repro.cpu import core as _core
 from repro.cpu.core import OutOfOrderCore
+from repro.dram import controller as _controller
 from repro.dram.controller import MemorySystem
 from repro.sched.registry import make_scheduler_factory
 from repro.sim import events as _events
@@ -46,6 +52,41 @@ _FOREVER = 1 << 62
 #: CLI, ``verify_determinism``, and ``profile --engines all`` enumerate
 #: this tuple rather than hard-coding engine names.
 ENGINES = ("naive", "batched")
+
+#: The entry points the compiled loop calls without their Python frames,
+#: as their classes define them.  The loop runs a System only while its
+#: cores and memory system still resolve ``step`` to these (see
+#: :meth:`System._compiled_loop`).
+_CORE_STEP = OutOfOrderCore.step
+_MEMORY_STEP = MemorySystem.step
+
+#: Simulated cycles each loop ran in this process, summed over every
+#: finished run's :attr:`System.loop_cycles`: host-side only, like wall
+#: time (``repro profile`` reports each run's share).
+loop_totals = {"compiled": 0, "python": 0}
+
+
+def _loop_kernels():
+    """``(run_cycles, step, memory_step)`` of the event, core and DRAM
+    kernels, or None when any of them is not loaded."""
+    loop, cpu, dram = _events._kernel, _core._kernel, _controller._kernel
+    if loop is None or cpu is None or dram is None:
+        return None
+    return loop.run_cycles, cpu.step, dram.memory_step
+
+
+def loop_implementation() -> str:
+    """``"compiled"`` when the naive engine's cycles can run in the event
+    kernel's loop (the core, DRAM and event kernels are loaded), else
+    ``"python"``."""
+    return "python" if _loop_kernels() is None else "compiled"
+
+
+def _resolves_to(obj, name: str, original) -> bool:
+    """Whether ``obj.name`` is ``original``: the class attribute is not
+    replaced and the instance sets none of its own."""
+    return (getattr(type(obj), name, None) is original
+            and name not in getattr(obj, "__dict__", ()))
 
 
 def make_provider_factory(spec):
@@ -121,6 +162,9 @@ class System:
             for i in range(config.cores)
         ]
         self._finish_cycles = [0] * config.cores
+        #: Simulated cycles run by the compiled loop and by a Python loop
+        #: (host-side only: no result or fingerprint reads them).
+        self.loop_cycles = {"compiled": 0, "python": 0}
         for core_id, trace in enumerate(traces):
             ranges = getattr(trace, "prewarm", None)
             if ranges:
@@ -153,9 +197,9 @@ class System:
     @staticmethod
     def resolve_engine(engine: str | None) -> str:
         """Pick the loop implementation: explicit argument, then the
-        ``REPRO_ENGINE`` environment knob, then the default (``batched``)."""
+        ``REPRO_ENGINE`` environment knob, then the default (``naive``)."""
         if engine is None:
-            engine = os.environ.get("REPRO_ENGINE", "").strip() or "batched"
+            engine = os.environ.get("REPRO_ENGINE", "").strip() or "naive"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}: expected one of "
@@ -253,8 +297,41 @@ class System:
                         f"{stream.next_flush}"
                     )
 
+    def _compiled_loop(self, sampler, stream):
+        """``(run_cycles, step, memory_step)`` while the compiled loop may
+        run this System's cycles, else None (DESIGN.md §6).
+
+        It may while the core, DRAM and event kernels are loaded, no
+        telemetry sampler or stream is attached, and no entry point it
+        calls without a Python frame is replaced on its class or set on
+        the instance: ``EventQueue.run_due``, ``MemorySystem.step`` and
+        each core's ``OutOfOrderCore.step``.  A tracer that wraps one of
+        them therefore sees every call, on the Python loop.
+        """
+        if sampler is not None or stream is not None:
+            return None
+        kernels = _loop_kernels()
+        if kernels is None:
+            return None
+        if not (_resolves_to(self.events, "run_due",
+                             _events._kernel.EventQueue.run_due)
+                and _resolves_to(self.memory, "step", _MEMORY_STEP)):
+            return None
+        for core in self.cores:
+            if not _resolves_to(core, "step", _CORE_STEP):
+                return None
+        return kernels
+
     def _run_naive(self, max_cycles: int | None = None) -> SimResult:
-        """The reference loop: step every component every cycle."""
+        """The reference loop: step every component every cycle.
+
+        While :meth:`_compiled_loop` allows, the event kernel's
+        ``run_cycles`` runs the cycles up to the next det-chain sample,
+        the cap or the end of the run in C, the same calls in the same
+        order as the Python body below; control comes back here for each
+        sample, and the guard is checked again.  Once it fails, the rest
+        of the run takes the Python body, the reference and the fallback.
+        """
         cores = self.cores
         events = self.events
         memory = self.memory
@@ -273,19 +350,33 @@ class System:
         # and are interleaved in cycle order (see _fold_telemetry).
         sampler = self.telemetry.sampler
         stream = self.telemetry.stream
+        start = now
+        compiled = self._compiled_loop(sampler, stream)
         while remaining:
             if max_cycles is not None and now >= max_cycles:
                 hit_cap = True
                 break
-            events.run_due(now)
-            memory.step(now)
-            for core in cores:
-                if core.done:
+            if compiled is not None:
+                run_cycles, step, memory_step = compiled
+                span = now
+                now, remaining, sampled = run_cycles(
+                    self, step, memory_step, now, remaining,
+                    next_sample if chain is not None else None, max_cycles,
+                )
+                self.loop_cycles["compiled"] += now + sampled - span
+                compiled = self._compiled_loop(sampler, stream)
+                if not sampled:
                     continue
-                core.step(now)
-                if core.done:
-                    finish[core.core_id] = now + 1
-                    remaining -= 1
+            else:
+                events.run_due(now)
+                memory.step(now)
+                for core in cores:
+                    if core.done:
+                        continue
+                    core.step(now)
+                    if core.done:
+                        finish[core.core_id] = now + 1
+                        remaining -= 1
             if chain is not None and next_sample == now:
                 chain.sample(now, detchain.snapshot(self))
                 next_sample += every
@@ -293,6 +384,7 @@ class System:
             if sampler is not None or stream is not None:
                 self._fold_telemetry(sampler, stream, nxt)
             self._now = now = nxt
+        self.loop_cycles["python"] += now - start - self.loop_cycles["compiled"]
         return self._finish_run(now, hit_cap, chain, sampler)
 
     def _run_batched(self, max_cycles: int | None = None) -> SimResult:
@@ -346,7 +438,7 @@ class System:
         memory._batched = True
         finish = self._finish_cycles
         remaining = len(cores)
-        now = self._now
+        now = start = self._now
         hit_cap = False
         forever = _FOREVER
         every = detchain.interval()
@@ -514,6 +606,7 @@ class System:
         for core in cores:
             core._wake_hook = None
         memory.settle_idle(now)
+        self.loop_cycles["python"] += now - start
         return self._finish_run(now, hit_cap, chain, sampler)
 
     def _check_core_ledger(self) -> None:
@@ -546,6 +639,8 @@ class System:
 
         if chain is not None:
             chain.finalize(now, detchain.snapshot(self))
+        for path, cycles in self.loop_cycles.items():
+            loop_totals[path] += cycles
         recorder = self.telemetry.trace
         result = SimResult(
             label=self.label,

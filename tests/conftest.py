@@ -69,6 +69,18 @@ def python_dram(monkeypatch):
 
 
 @pytest.fixture
+def python_loop(monkeypatch):
+    """Run the naive engine's cycles on the Python loop body of
+    ``System._run_naive``, with every kernel loaded, instead of the event
+    kernel's compiled loop."""
+    from repro.sim.system import System
+
+    monkeypatch.setattr(
+        System, "_compiled_loop", lambda self, sampler, stream: None
+    )
+
+
+@pytest.fixture
 def dram_config():
     return DramConfig()
 

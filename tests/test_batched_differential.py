@@ -1,6 +1,6 @@
 """Differential and property harness for the batched (windowed) engine.
 
-The default engine (``--engine batched``) steps the core and DRAM
+The batched engine (``--engine batched``) steps the core and DRAM
 models over whole ready-windows instead of cycle by cycle, citing the
 batchability certificates at every shortcut site.  This module is the
 gate that keeps it honest:

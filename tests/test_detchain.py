@@ -160,7 +160,7 @@ class TestSkipIdentity:
     def test_skip_equals_naive(self, case, monkeypatch):
         monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "256")
         naive = make_system(**case).run(engine="naive")
-        fast = make_system(**case).run()
+        fast = make_system(**case).run(engine="batched")
         assert naive.det_chain == fast.det_chain
         assert naive.det_checkpoints == fast.det_checkpoints
         assert naive.det_chain is not None
@@ -191,7 +191,10 @@ class TestVerifyDeterminism:
         from repro.sim.engine import RunSpec, verify_determinism
 
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        spec = RunSpec(kind="parallel", workload="fft", scale=SCALE)
+        # The reference is the batched engine, so the naive loop is the
+        # in-process comparison.
+        spec = RunSpec(kind="parallel", workload="fft", scale=SCALE,
+                       engine="batched")
         report = verify_determinism(spec, subprocess=False)
         assert report["ok"]
         assert report["chain"] is not None

@@ -10,8 +10,10 @@ and clock edges over tiny geometries, under every registered scheduler,
 and compared after every step; the streams run again with the protocol
 sanitizer and a trace recorder attached.  End-to-end runs are compared
 with every telemetry stream on, and a scheduler that returns a command
-of another kind, a raising call out, the classes the kernel refuses and
-the determinism chain's compiled fold are pinned too.
+of another kind, a raising call out, the classes the kernel refuses, a
+channel ``step`` replaced on the class or the channel (called by name)
+and the determinism chain's compiled fold (``sample`` and ``finalize``)
+are pinned too.
 
 Compiled cases skip only where no C compiler exists; where one does, a
 kernel that did not load fails them.
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.detchain import DetChain
-from repro.config import DDR3_2133, DramConfig, SimScale
+from repro.config import DDR3_2133, DramConfig, SimScale, SystemConfig
 from repro.cpu import native
 from repro.dram import controller
 from repro.dram.addressmap import DramLocation
@@ -44,8 +46,9 @@ from repro.sim.runner import (
     run_parallel_workload,
 )
 from repro.sim.stats import result_fingerprint
-from repro.sim.system import ENGINES
+from repro.sim.system import ENGINES, System
 from repro.telemetry.registry import LatencyHistogram, MetricRegistry
+from repro.workloads.parallel import parallel_traces
 from tests.test_kernel import loaded
 
 
@@ -455,6 +458,53 @@ def test_compiled_controller_matches_python_bodies(kernel, name, engine,
     assert observed[0] == observed[1]
 
 
+def _channel_steps(engine, where):
+    """Run 2-core fft with ``ChannelController.step`` wrapped on the
+    class or on channel 1; the wrapper's calls per channel and the
+    result's fingerprint."""
+    calls = Counter()
+
+    def counting(step):
+        def wrapper(*args):
+            channel = args[0] if where == "class" else channel_one
+            calls[channel.channel_id] += 1
+            return step(*args)
+
+        return wrapper
+
+    system = System(
+        SystemConfig(cores=2, dram=DramConfig(channels=2)),
+        parallel_traces("fft", 2, 400, seed=5),
+    )
+    channel_one = system.memory.channels[1]
+    with pytest.MonkeyPatch.context() as mp:
+        if where == "class":
+            mp.setattr(ChannelController, "step",
+                       counting(ChannelController.step))
+        else:
+            channel_one.step = counting(channel_one.step)
+        result = system.run(engine=engine)
+    return calls, result_fingerprint(result)
+
+
+@pytest.mark.parametrize("where", ("class", "instance"))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_replaced_channel_step_is_called_by_name(kernel, monkeypatch,
+                                                   engine, where):
+    """``MemorySystem.step`` and ``step_window`` run a channel's step in C
+    only while ``channel.step`` is the class's own function: a ``step``
+    replaced on the class or set on a channel sees every call the Python
+    bodies make, and the result is unchanged."""
+    observed = []
+    for on in (True, False):
+        use(monkeypatch, kernel, on)
+        observed.append(_channel_steps(engine, where))
+    (calls, fingerprint), (python_calls, python_fingerprint) = observed
+    assert fingerprint == python_fingerprint
+    assert calls == python_calls
+    assert sorted(calls) == ([0, 1] if where == "class" else [1])
+
+
 # --------------------------------------------------------- det-chain fold
 
 WORDS = st.one_of(st.integers(-(1 << 70), 1 << 70), st.booleans(),
@@ -485,3 +535,30 @@ def test_the_compiled_fold_equals_the_python_loop(monkeypatch):
     same_digest()
     with pytest.raises(TypeError):
         kernel.fold(0, 0, (1.5,))
+
+
+def test_finalize_folds_through_the_kernel(monkeypatch):
+    """``DetChain.finalize`` folds the end-of-run state through the event
+    kernel's ``fold`` when it is loaded: the digest and the checkpoints
+    equal those of its per-word Python loop, after any samples."""
+    kernel = loaded(native.EVENTS, events)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 1 << 40),
+                              st.lists(WORDS, max_size=12)), max_size=4),
+           st.integers(-(1 << 70), 1 << 70), st.lists(WORDS, max_size=40))
+    def same_chain(samples, cycle, words):
+        chains = []
+        for use_kernel in (kernel, None):
+            monkeypatch.setattr(events, "_kernel", use_kernel)
+            chain = DetChain(1)
+            for at, state in samples:
+                chain.sample(at, tuple(state))
+            chain.finalize(cycle, tuple(words))
+            chains.append(chain)
+        compiled, python = chains
+        assert compiled.digest == python.digest
+        assert compiled.checkpoints == python.checkpoints
+        assert compiled.checkpoints[-1] == (cycle, python.digest)
+
+    same_chain()

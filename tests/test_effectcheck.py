@@ -67,11 +67,12 @@ class TestEnvKnob:
 
 class TestCertificatesHoldAtRuntime:
     def test_instrumented_run_is_clean_and_bit_identical(self):
-        bare = make_system().run(max_cycles=400_000)
+        # The batched engine is the one that calls the certified hooks.
+        bare = make_system().run(max_cycles=400_000, engine="batched")
         system = make_system()
         wrapped = instrument_system(system)
         assert wrapped >= 7  # 2 channels x 3 + 2 cores + hierarchy
-        checked = system.run(max_cycles=400_000)
+        checked = system.run(max_cycles=400_000, engine="batched")
         assert not checked.hit_max_cycles
         assert checked.cycles == bare.cycles
         assert checked.finish_cycles == bare.finish_cycles
@@ -86,9 +87,10 @@ class TestCertificatesHoldAtRuntime:
 
 class TestInjectedViolation:
     def test_mutating_next_wake_is_caught(self):
-        # The default (batched) engine reads each channel's wake through
+        # The batched engine reads each channel's wake through
         # next_wake_window after every step; next_wake is only its
-        # fallback during write drains and refreshes.
+        # fallback during write drains and refreshes.  The naive engine,
+        # the default, never calls it, so the run pins the batched one.
         system = make_system()
         channel = system.memory.channels[0]
         real = channel.next_wake_window
@@ -100,7 +102,7 @@ class TestInjectedViolation:
         channel.next_wake_window = poisoned
         instrument_system(system)
         with pytest.raises(EffectViolation) as err:
-            system.run(max_cycles=400_000)
+            system.run(max_cycles=400_000, engine="batched")
         assert "next_wake_window" in str(err.value)
 
     def test_sampling_still_catches_repeated_mutation(self):

@@ -132,15 +132,17 @@ def test_incremental_det_state_matches_scan_after_real_run():
 
 
 class TestEngineSelection:
-    def test_resolve_engine_defaults_to_batched(self, monkeypatch):
+    def test_resolve_engine_defaults_to_naive(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         assert ENGINES == ("naive", "batched")
-        assert System.resolve_engine(None) == "batched"
-        assert System.resolve_engine("naive") == "naive"
+        assert System.resolve_engine(None) == "naive"
+        assert System.resolve_engine("batched") == "batched"
 
     def test_resolve_engine_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "naive")
-        assert System.resolve_engine(None) == "naive"
+        # The environment names the engine that is not the default, so
+        # the knob is seen to be read.
+        monkeypatch.setenv("REPRO_ENGINE", "batched")
+        assert System.resolve_engine(None) == "batched"
 
     def test_unknown_engine_rejected(self):
         # Retired engine names are rejected like any other.
@@ -153,7 +155,7 @@ class TestEngineSelection:
 
         base = RunSpec(kind="parallel", workload="fft", scale=SCALE)
         pinned = RunSpec(
-            kind="parallel", workload="fft", scale=SCALE, engine="naive"
+            kind="parallel", workload="fft", scale=SCALE, engine="batched"
         )
         assert spec_key(base) == spec_key(pinned)
 

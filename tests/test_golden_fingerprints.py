@@ -9,9 +9,10 @@ digest of the whole ``result_fingerprint``.  A change that is meant to
 be bit-identical (a refactor or an optimisation) must leave every
 value here untouched on both engines, on the compiled kernels (the
 core's per-cycle stages, the cache hierarchy's per-access path, the
-event queue with the determinism chain's fold, and the DRAM controller's
-per-edge path) and on each kernel's Python bodies alike; a change that is
-meant to alter results re-records them and says why.
+event queue with the determinism chain's fold and the naive engine's
+cycle loop, and the DRAM controller's per-edge path), on the naive
+engine's Python loop body, and on each kernel's Python bodies alike; a
+change that is meant to alter results re-records them and says why.
 
 Scale: 600 measured + 100 warm-up instructions per core, seed 7, with
 the telemetry and determinism knobs at their defaults.
@@ -158,6 +159,18 @@ def default_knobs(monkeypatch):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_matches_recorded_values(default_knobs, monkeypatch, name, engine):
     monkeypatch.setenv("REPRO_ENGINE", engine)
+    run, expected = GOLDEN[name]
+    assert observed(run()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_python_loop_matches_recorded_values(
+    default_knobs, python_loop, monkeypatch, name
+):
+    """The same values from the naive engine's Python loop body with every
+    kernel loaded (the test above runs the naive engine's cycles in the
+    event kernel's compiled loop wherever the kernels build)."""
+    monkeypatch.setenv("REPRO_ENGINE", "naive")
     run, expected = GOLDEN[name]
     assert observed(run()) == expected
 

@@ -10,7 +10,7 @@ from repro.cache import hierarchy
 from repro.cpu import core
 from repro.dram import controller
 from repro.sim import events, runner, stats
-from repro.sim.system import ENGINES
+from repro.sim.system import ENGINES, loop_implementation
 
 
 def _profile(tmp_path):
@@ -71,7 +71,19 @@ def test_report_names_the_core_that_ran(tmp_path, capsys, monkeypatch):
         "python" if events._kernel is None else "compiled")
     assert report["dram"] == (
         "python" if controller._kernel is None else "compiled")
+    assert report["loop"] == loop_implementation()
     assert all(run["hit_max_cycles"] is False for run in report["runs"])
+    # The naive engine's cycles take the loop the kernels allow; the
+    # batched engine's loop is Python.
+    loops = {run["engine"]: (run["loop"], run["loop_cycles"], run["cycles"])
+             for run in report["runs"]}
+    for engine, path in (("naive", report["loop"]), ("batched", "python")):
+        taken, cycles_by_path, cycles = loops[engine]
+        assert taken == path
+        assert cycles_by_path == {
+            "compiled": cycles if path == "compiled" else 0,
+            "python": cycles if path == "python" else 0,
+        }
     monkeypatch.setattr(core, "_kernel", None)
     monkeypatch.setattr(hierarchy, "_kernel", None)
     monkeypatch.setattr(events, "EventQueue", events.HeapEventQueue)
@@ -79,7 +91,9 @@ def test_report_names_the_core_that_ran(tmp_path, capsys, monkeypatch):
     code, report = _profile(tmp_path)
     assert code == 0
     assert (report["core"], report["cache"], report["events"],
-            report["dram"]) == ("python", "python", "python", "python")
+            report["dram"], report["loop"]) == (
+        "python", "python", "python", "python", "python")
+    assert all(run["loop"] == "python" for run in report["runs"])
     assert ("engine comparison on the python core and the python cache "
-            "hierarchy, with the python event queue and the python DRAM "
-            "controller") in capsys.readouterr().out
+            "hierarchy, with the python event queue, the python DRAM "
+            "controller and the python cycle loop") in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""The default (batched) loop must be bit-identical to the naive loop.
+"""The batched loop must be bit-identical to the naive loop (the default).
 
 ``System.run()`` jumps over dead cycles and windows stalled ones; every
 counter, finish cycle, and channel statistic must nonetheless come out
@@ -44,7 +44,7 @@ def _parallel_system(app="fft", scheduler="fr-fcfs", provider_spec=None,
 
 def _both_modes(make_system, max_cycles=None):
     naive = make_system().run(max_cycles=max_cycles, engine="naive")
-    fast = make_system().run(max_cycles=max_cycles)
+    fast = make_system().run(max_cycles=max_cycles, engine="batched")
     return naive, fast
 
 
@@ -156,7 +156,7 @@ class TestBitIdentity:
 
 class TestRunnerKnobs:
     def test_no_skip_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "naive")
+        monkeypatch.setenv("REPRO_ENGINE", "batched")
         forced = run_parallel_workload("fft", scale=SCALE)
         monkeypatch.delenv("REPRO_ENGINE")
         default = run_parallel_workload("fft", scale=SCALE)

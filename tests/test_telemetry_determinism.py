@@ -41,7 +41,7 @@ def telemetry_on(monkeypatch):
 class TestSkipIdentity:
     def test_samples_and_trace_identical_across_modes(self, telemetry_on):
         naive = _system().run(engine="naive")
-        fast = _system().run()
+        fast = _system().run(engine="batched")
         assert naive.sample_cycles, "sampler produced nothing"
         assert naive.trace_events, "trace produced nothing"
         assert naive.sample_cycles == fast.sample_cycles
@@ -56,7 +56,7 @@ class TestSkipIdentity:
                            provider_spec=("cbp", {"entries": 64}))
 
         naive = make().run(engine="naive")
-        fast = make().run()
+        fast = make().run(engine="batched")
         assert result_fingerprint(naive) == result_fingerprint(fast)
         # The criticality path exercises the prediction trace family.
         assert any(e[0] == "pred" for e in naive.trace_events)
@@ -64,7 +64,7 @@ class TestSkipIdentity:
     def test_histograms_identical_across_modes(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         naive = _system().run(engine="naive")
-        fast = _system().run()
+        fast = _system().run(engine="batched")
         assert naive.hierarchy.noncrit_latency.state() == \
             fast.hierarchy.noncrit_latency.state()
         for a, b in zip(naive.channels, fast.channels):
@@ -76,7 +76,7 @@ class TestSkipIdentity:
 
         monkeypatch.setattr(sampler_mod, "_SAMPLE_CAP", 16)
         naive = _system().run(engine="naive")
-        fast = _system().run()
+        fast = _system().run(engine="batched")
         assert len(naive.sample_cycles) < 32
         assert naive.sample_cycles == fast.sample_cycles
         assert naive.timeseries == fast.timeseries
