@@ -10,16 +10,11 @@
     python -m repro profile fft                # engine timing + identity
     python -m repro stats fft --sample-every 256   # telemetry summaries
     python -m repro trace fft --out timeline.json  # Chrome/Perfetto trace
-    python -m repro trace fft --stream DIR         # stream events while running
-    python -m repro trace --from-stream DIR        # finalize a streamed trace
-    python -m repro trace --from-stream DIR --follow   # tail raw events live
-    python -m repro watch DIR                      # live dashboard of a stream
 
 ``run``, ``stats``, ``trace`` and ``experiment`` accept engine flags:
-``--engine naive|batched`` (loop implementation), ``--verify-skip``
-(run everything on both engines and assert bit-identical results),
-and ``--stream DIR`` (spill telemetry to a stream directory during the
-run); ``experiment`` also takes ``--jobs N`` (worker processes) and
+``--engine naive|batched`` (loop implementation) and ``--verify-skip``
+(run everything on both engines and assert bit-identical results);
+``experiment`` also takes ``--jobs N`` (worker processes) and
 ``--no-cache`` (bypass the on-disk result cache).  Each is the CLI face
 of the corresponding ``REPRO_*`` environment variable.
 """
@@ -41,8 +36,6 @@ def _apply_engine_flags(args) -> None:
         os.environ["REPRO_ENGINE"] = args.engine
     if getattr(args, "verify_skip", False):
         os.environ["REPRO_VERIFY_SKIP"] = "1"
-    if getattr(args, "stream", None):
-        os.environ["REPRO_STREAM_DIR"] = args.stream
 
 
 def _add_engine_choice(parser: argparse.ArgumentParser, text: str) -> None:
@@ -61,10 +54,19 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verify-skip", action="store_true",
                         help="cross-check every run against the other "
                              "engine (env REPRO_VERIFY_SKIP)")
-    parser.add_argument("--stream", default=None, metavar="DIR",
-                        help="stream telemetry to DIR during the run "
-                             "(env REPRO_STREAM_DIR; watch it live with "
-                             "`python -m repro watch DIR`)")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_list(args) -> int:
@@ -216,10 +218,11 @@ def _cmd_stats(args) -> int:
               f"(every {args.sample_every or 'REPRO_SAMPLE_EVERY'} cycles); "
               f"use --csv to dump them")
     if result.trace_dropped:
+        total = len(result.trace_events) + result.trace_dropped
         print(f"warning: event-trace ring wrapped — the oldest "
               f"{result.trace_dropped:,} events were dropped, so the "
               f"trace covers only a tail window of the run (metrics "
-              f"above are unaffected); stream with REPRO_STREAM_DIR to "
+              f"above are unaffected); set REPRO_TRACE_CAP={total} to "
               f"keep every event", file=sys.stderr)
     return 0
 
@@ -227,39 +230,14 @@ def _cmd_stats(args) -> int:
 def _cmd_trace(args) -> int:
     import json
 
-    from repro.telemetry import stream as stream_mod
     from repro.telemetry.trace import (
         to_chrome_trace,
         to_jsonl,
         validate_chrome_trace,
     )
 
-    if args.from_stream:
-        if args.follow:
-            from repro.telemetry.monitor import follow_events
-
-            return follow_events(args.from_stream)
-        try:
-            summary = stream_mod.finalize_chrome(
-                args.from_stream, args.out, allow_torn=args.allow_torn
-            )
-        except stream_mod.StreamError as exc:
-            # torn tails and corrupt directories are user-facing
-            # conditions, not bugs: report them, don't traceback
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        suffix = (" (torn tail skipped)"
-                  if summary["status"] != "complete" else "")
-        print(f"{summary['events']} streamed events -> {args.out}{suffix} "
-              f"(load in Perfetto / chrome://tracing)")
-        return 0
-
-    if not args.app:
-        print("error: an app is required unless --from-stream is given",
-              file=sys.stderr)
-        return 2
     os.environ["REPRO_TRACE"] = "1"
-    if args.cap:
+    if args.cap is not None:
         os.environ["REPRO_TRACE_CAP"] = str(args.cap)
     result = _run_for_telemetry(args)
     if result is None:
@@ -280,13 +258,10 @@ def _cmd_trace(args) -> int:
     print(f"{len(result.trace_events)} events{dropped} -> {args.out} "
           f"(load in Perfetto / chrome://tracing)")
     if result.trace_dropped:
-        stream_hint = (
-            f" — rerun with --stream DIR then "
-            f"`trace --from-stream DIR` to keep every event"
-        )
+        total = len(result.trace_events) + result.trace_dropped
         print(f"warning: ring wrapped; {args.out} is a tail window "
-              f"(otherData.truncated = true){stream_hint}",
-              file=sys.stderr)
+              f"(otherData.truncated = true) — rerun with --cap {total} "
+              f"to keep every event", file=sys.stderr)
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
             fh.write(to_jsonl(result.trace_events))
@@ -298,17 +273,6 @@ def _cmd_profile(args) -> int:
     from repro.sim.profile import main as profile_main
 
     return profile_main(args, _spec(args))
-
-
-def _cmd_watch(args) -> int:
-    from repro.telemetry.monitor import watch
-
-    return watch(
-        args.dir,
-        interval=args.interval,
-        once=args.once,
-        frames=args.frames,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="run one workload with the event trace enabled"
     )
-    trace_p.add_argument("app", nargs="?", default=None,
-                         help="workload to run (omit with --from-stream)")
+    trace_p.add_argument("app")
     trace_p.add_argument("--scheduler", default="fr-fcfs")
     trace_p.add_argument("--cbp", type=int, default=64,
                          help="CBP entries (0 disables the predictor)")
@@ -382,30 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Chrome trace_event JSON output path")
     trace_p.add_argument("--jsonl", default=None, metavar="PATH",
                          help="also write raw events as JSON lines")
-    trace_p.add_argument("--cap", type=int, default=0, metavar="N",
-                         help="ring-buffer capacity (env REPRO_TRACE_CAP)")
-    trace_p.add_argument("--from-stream", default=None, metavar="DIR",
-                         help="finalize a streamed run's JSONL segments "
-                              "into --out instead of running anything")
-    trace_p.add_argument("--follow", action="store_true",
-                         help="with --from-stream: tail raw event lines "
-                              "from a live stream instead of exporting")
-    trace_p.add_argument("--allow-torn", action="store_true",
-                         help="with --from-stream: export the sealed "
-                              "prefix of an unfinished/crashed stream")
+    trace_p.add_argument("--cap", type=_positive_int, default=None,
+                         metavar="N",
+                         help="ring-buffer capacity, at least 1 "
+                              "(env REPRO_TRACE_CAP)")
     _add_engine_flags(trace_p)
-
-    watch_p = sub.add_parser(
-        "watch",
-        help="live dashboard over a streaming run's sampled series",
-    )
-    watch_p.add_argument("dir", help="the run's REPRO_STREAM_DIR")
-    watch_p.add_argument("--interval", type=float, default=1.0,
-                         metavar="SECONDS", help="refresh period")
-    watch_p.add_argument("--once", action="store_true",
-                         help="render a single frame and exit")
-    watch_p.add_argument("--frames", type=int, default=None, metavar="N",
-                         help="exit after N refreshes (for CI)")
 
     prof_p = sub.add_parser(
         "profile",
@@ -459,7 +403,6 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
         "stats": _cmd_stats,
         "trace": _cmd_trace,
-        "watch": _cmd_watch,
         "profile": _cmd_profile,
         "check-determinism": _cmd_check_determinism,
     }

@@ -57,8 +57,7 @@
  * loop's cadence, and an exception from any call or handler propagates
  * with _now, _finish_cycles and every model as the Python loop leaves
  * them.  The caller chooses this loop only while nothing it bypasses is
- * replaced and no telemetry sampler or stream is attached
- * (System._compiled_loop).
+ * replaced and no telemetry sampler is attached (System._compiled_loop).
  *
  * Built by repro.cpu.native with the interpreter's compiler and headers;
  * it uses only the C API of CPython 3.9 and later.

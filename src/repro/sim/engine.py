@@ -16,9 +16,7 @@ is part of the key too: a run cached without sampling must not satisfy a
 request that expects time-series on the result.  Since both loop
 implementations (naive, batched) are bit-identical, the engine
 selection (``RunSpec.engine`` / ``REPRO_ENGINE``) is deliberately *not*
-part of the key — and neither is the telemetry
-*streaming* configuration (``REPRO_STREAM_DIR`` / ``RunSpec.stream_dir``),
-which only mirrors telemetry to disk.
+part of the key.
 
 Environment knobs:
 
@@ -72,15 +70,6 @@ class RunSpec:
     :mod:`repro.workloads.scenario`).  One body runs every kind
     (:func:`repro.sim.runner.run_spec`).
 
-    ``stream_dir`` requests live telemetry streaming
-    (:mod:`repro.telemetry.stream`) into that directory for this run.
-    It is *not* part of the cache key — streaming changes where
-    telemetry lands, never the simulated outcome — so a streamed run
-    and an unstreamed run share a cache slot.  When the engine
-    satisfies a streaming spec from the cache it writes a
-    ``cache-replay`` marker manifest instead, so ``repro watch`` can
-    explain why no stream is coming.
-
     ``engine`` pins the loop implementation (``naive``/``batched``)
     for this run; ``None`` defers to ``REPRO_ENGINE`` and the default.
     It is *not* part of the cache key: both engines produce
@@ -96,7 +85,6 @@ class RunSpec:
     scheduler_kwargs: dict | None = None
     slot: int | None = None
     label: str | None = None
-    stream_dir: str | None = None
     engine: str | None = None
 
 
@@ -271,54 +259,34 @@ def _pickle_result(result: SimResult) -> bytes:
 
 @contextlib.contextmanager
 def exported(spec: RunSpec):
-    """Export the spec's ``stream_dir`` / ``engine`` as ``REPRO_STREAM_DIR``
-    / ``REPRO_ENGINE`` for the duration of the block, then restore both.
-    """
-    overrides = {}
-    if spec.stream_dir is not None:
-        overrides["REPRO_STREAM_DIR"] = spec.stream_dir
-    if spec.engine is not None:
-        overrides["REPRO_ENGINE"] = spec.engine
-    saved = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
+    """Export the spec's ``engine`` as ``REPRO_ENGINE`` for the duration
+    of the block, then restore it."""
+    if spec.engine is None:
+        yield
+        return
+    saved = os.environ.get("REPRO_ENGINE")
+    os.environ["REPRO_ENGINE"] = spec.engine
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_ENGINE", None)
+        else:
+            os.environ["REPRO_ENGINE"] = saved
 
 
 def run_one(spec: RunSpec) -> SimResult:
     """Execute one spec in-process (no caching), through the runner's one
     body (:func:`repro.sim.runner.run_spec`).
 
-    A spec with ``stream_dir`` or ``engine`` set exports it for the
-    duration of the run (:func:`exported`), so those requests survive
-    the trip through worker processes.
+    A spec with ``engine`` set exports it for the duration of the run
+    (:func:`exported`), so the request survives the trip through worker
+    processes.
     """
     from repro.sim.runner import run_spec
 
     with exported(spec):
         return run_spec(spec)
-
-
-def _requested_stream_dir(spec: RunSpec) -> str | None:
-    """Where this spec wants telemetry streamed, if anywhere."""
-    return spec.stream_dir or os.environ.get("REPRO_STREAM_DIR") or None
-
-
-def _mark_cache_replay(spec: RunSpec) -> None:
-    """A cache hit streams nothing; leave a marker for `repro watch`."""
-    directory = _requested_stream_dir(spec)
-    if directory is not None:
-        from repro.telemetry import stream as stream_mod
-
-        stream_mod.write_cache_replay_manifest(
-            directory, spec.label or spec.workload
-        )
 
 
 def run_one_cached(spec: RunSpec, cache: bool | None = None) -> SimResult:
@@ -404,7 +372,6 @@ def run_many(
             if hit is not None:
                 results[i] = hit
                 records[i] = _metric(spec, key, hit, "disk")
-                _mark_cache_replay(spec)
                 continue
         pending[key] = [i]
 

@@ -75,31 +75,6 @@ def _fmt(value) -> str:
 
 # ------------------------------------------------------------- telemetry
 
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values, width: int = 40) -> str:
-    """Unicode block-character sparkline of a numeric series.
-
-    Renders the last ``width`` values scaled to the min/max of that
-    window (a flat series renders as a flat low line).  Used by the
-    ``repro watch`` live monitor; ignores non-numeric entries.
-    """
-    numeric = [v for v in values if isinstance(v, (int, float))]
-    if not numeric:
-        return ""
-    window = numeric[-width:]
-    lo = min(window)
-    hi = max(window)
-    span = hi - lo
-    if span == 0:
-        return _SPARK_CHARS[0] * len(window)
-    top = len(_SPARK_CHARS) - 1
-    return "".join(
-        _SPARK_CHARS[int((v - lo) / span * top)] for v in window
-    )
-
-
 def _is_histogram_summary(value) -> bool:
     return isinstance(value, dict) and "p99" in value and "buckets" in value
 

@@ -68,18 +68,7 @@ def _run_system(make_system, max_cycles: int) -> SimResult:
     result.wall_seconds = hostclock.now() - start
     if _env_flag("REPRO_VERIFY_SKIP"):
         reference = "naive" if engine != "naive" else "batched"
-        # The cross-check run must not clobber the primary run's streamed
-        # telemetry (its stream would be bit-identical anyway — that is
-        # the point of the check — but rewriting it would confuse a live
-        # `repro watch` tailing the directory).
-        saved_stream = os.environ.pop("REPRO_STREAM_DIR", None)
-        try:
-            other = make_system().run(
-                max_cycles=max_cycles, engine=reference
-            )
-        finally:
-            if saved_stream is not None:
-                os.environ["REPRO_STREAM_DIR"] = saved_stream
+        other = make_system().run(max_cycles=max_cycles, engine=reference)
         if result_fingerprint(result) != result_fingerprint(other):
             from repro.analysis.detchain import first_divergence
 

@@ -1,7 +1,7 @@
 """System: cores + hierarchy + memory, and the global cycle loop.
 
 Two loop implementations produce bit-identical results (same
-determinism chain, result fingerprint, and streamed telemetry bytes):
+determinism chain and result fingerprint):
 
 * ``naive``   — the default and the reference: step every component
   every cycle.  Between det-chain samples its cycles run in the event
@@ -187,7 +187,6 @@ class System:
             for channel in self.memory.channels:
                 channel.trace = recorder
             self.hierarchy.trace = recorder
-        self.telemetry.begin_stream(self.label)
         # Purity-certificate cross-check (REPRO_VERIFY_EFFECTS=1): bracket
         # certified window-invariant hooks with det_state snapshots so an
         # undeclared mutation fails at the call, not as a later chain split.
@@ -218,26 +217,14 @@ class System:
         docstring); both are bit-identical, so the choice only affects
         wall clock.
 
-        When a streaming writer is attached (``REPRO_STREAM_DIR``) the
-        stream is finalized on success and aborted — torn tail removed,
-        manifest marked ``failed`` — on any failure, so a crashed run
-        never leaves an ambiguous half-written stream behind.
-
         A System runs once: a successful run ends by releasing its pending
         events and in-flight callbacks (:meth:`_release`), leaving its
         state readable but no longer steppable.
         """
-        engine = self.resolve_engine(engine)
-        stream = self.telemetry.stream
-        if stream is None:
-            result = self._dispatch(engine, max_cycles)
+        if self.resolve_engine(engine) == "batched":
+            result = self._run_batched(max_cycles)
         else:
-            try:
-                result = self._dispatch(engine, max_cycles)
-            except BaseException:
-                stream.abort()
-                raise
-            stream.finalize(result.cycles, result.trace_dropped)
+            result = self._run_naive(max_cycles)
         self._release()
         return result
 
@@ -259,56 +246,18 @@ class System:
             if isinstance(provider, NaiveForwardingProvider):
                 provider.bind_defer(None)
 
-    def _dispatch(self, engine: str, max_cycles: int | None) -> SimResult:
-        if engine == "batched":
-            return self._run_batched(max_cycles)
-        return self._run_naive(max_cycles)
-
-    def _fold_telemetry(self, sampler, stream, limit: int) -> None:
-        """Fold sampler and stream-flush points, interleaved on the
-        virtual cycle axis.
-
-        The naive loop reaches this once per cycle, so a sample at cycle
-        P lands *before* a flush point at P seals the segment.  The
-        batched loop calls it with a whole jumped window as ``limit``;
-        stepping the two point streams in merged cycle order (sample
-        first on ties) reproduces that per-cycle interleaving exactly,
-        keeping streamed segment boundaries bit-identical across engines.
-        """
-        if stream is None:
-            sampler.sample_upto(limit)
-            return
-        while True:
-            next_s = sampler.next_sample if sampler is not None else _FOREVER
-            point = min(next_s, stream.next_flush)
-            if point >= limit:
-                break
-            if next_s == point:
-                sampler.sample_upto(point + 1)
-            if stream.next_flush <= point:
-                stream.flush_upto(point + 1)
-                if stream.next_flush <= point:
-                    # A flush that does not advance the next flush point
-                    # would spin this loop forever; surface the stuck
-                    # cycle instead of hanging the worker.
-                    raise RuntimeError(
-                        f"telemetry stream stalled at cycle {point}: "
-                        f"flush_upto({point + 1}) left next_flush at "
-                        f"{stream.next_flush}"
-                    )
-
-    def _compiled_loop(self, sampler, stream):
+    def _compiled_loop(self, sampler):
         """``(run_cycles, step, memory_step)`` while the compiled loop may
         run this System's cycles, else None (DESIGN.md §6).
 
         It may while the core, DRAM and event kernels are loaded, no
-        telemetry sampler or stream is attached, and no entry point it
+        telemetry sampler is attached, and no entry point it
         calls without a Python frame is replaced on its class or set on
         the instance: ``EventQueue.run_due``, ``MemorySystem.step`` and
         each core's ``OutOfOrderCore.step``.  A tracer that wraps one of
         them therefore sees every call, on the Python loop.
         """
-        if sampler is not None or stream is not None:
+        if sampler is not None:
             return None
         kernels = _loop_kernels()
         if kernels is None:
@@ -346,12 +295,10 @@ class System:
         every = detchain.interval()
         chain = detchain.DetChain(every) if every else None
         next_sample = every
-        # Interval sampler and stream-flush points live on the same axis
-        # and are interleaved in cycle order (see _fold_telemetry).
+        # The interval sampler's points live on the same axis.
         sampler = self.telemetry.sampler
-        stream = self.telemetry.stream
         start = now
-        compiled = self._compiled_loop(sampler, stream)
+        compiled = self._compiled_loop(sampler)
         while remaining:
             if max_cycles is not None and now >= max_cycles:
                 hit_cap = True
@@ -364,7 +311,7 @@ class System:
                     next_sample if chain is not None else None, max_cycles,
                 )
                 self.loop_cycles["compiled"] += now + sampled - span
-                compiled = self._compiled_loop(sampler, stream)
+                compiled = self._compiled_loop(sampler)
                 if not sampled:
                     continue
             else:
@@ -381,8 +328,8 @@ class System:
                 chain.sample(now, detchain.snapshot(self))
                 next_sample += every
             nxt = now + 1
-            if sampler is not None or stream is not None:
-                self._fold_telemetry(sampler, stream, nxt)
+            if sampler is not None:
+                sampler.sample_upto(nxt)
             self._now = now = nxt
         self.loop_cycles["python"] += now - start - self.loop_cycles["compiled"]
         return self._finish_run(now, hit_cap, chain, sampler)
@@ -410,7 +357,7 @@ class System:
           which no event, DRAM edge, or parked-core wake can intervene.
           Windowed stages replay the per-cycle stages exactly, but they
           *do* change state cycle by cycle, so — unlike quiescent jumps —
-          a window may only end at a det-chain/sampler/stream fold point,
+          a window may only end at a det-chain/sampler fold point,
           never span one: fold points read end-of-cycle state on the
           virtual axis, and the limit computation clamps to the next one.
         * **DRAM channels** register timing-aware wakes
@@ -422,9 +369,9 @@ class System:
         * **Events** run only when the queue's head is due.
 
         When every live core is skipping, the loop jumps to the next
-        cycle at which anything can happen.  Det-chain, sampler, and
-        stream fold points due inside a jump fold the same constant state
-        the naive loop would have read cycle by cycle.  The engine
+        cycle at which anything can happen.  Det-chain and sampler fold
+        points due inside a jump fold the same constant state the naive
+        loop would have read cycle by cycle.  The engine
         differential suite and ``REPRO_VERIFY_SKIP`` hold the loop to
         bit-identity with the naive one.
 
@@ -445,8 +392,6 @@ class System:
         chain = detchain.DetChain(every) if every else None
         next_sample = every
         sampler = self.telemetry.sampler
-        stream = self.telemetry.stream
-        fold_telemetry = sampler is not None or stream is not None
 
         wake_heap: list = []  # (skip_until, core_id); stale entries dropped
         woken: list = []  # skipping cores whose wake hook fired
@@ -512,8 +457,6 @@ class System:
                     target = next_sample + 1
                 if sampler is not None and sampler.next_sample + 1 < target:
                     target = sampler.next_sample + 1
-                if stream is not None and stream.next_flush + 1 < target:
-                    target = stream.next_flush + 1
                 if max_cycles is not None and target > max_cycles:
                     target = max_cycles
                 if core._quiet_deltas is not None:
@@ -600,8 +543,8 @@ class System:
                 while next_sample < nxt:
                     chain.sample(next_sample, state)
                     next_sample += every
-            if fold_telemetry:
-                self._fold_telemetry(sampler, stream, nxt)
+            if sampler is not None:
+                sampler.sample_upto(nxt)
             self._now = now = nxt
         for core in cores:
             core._wake_hook = None

@@ -13,10 +13,7 @@ One :class:`Telemetry` bundle is built per simulated
   :class:`~repro.telemetry.sampler.IntervalSampler` (0 = off, default);
 * ``REPRO_TRACE=1`` turns on the bounded
   :class:`~repro.telemetry.trace.TraceRecorder`
-  (capacity ``REPRO_TRACE_CAP``);
-* ``REPRO_STREAM_DIR=<dir>`` attaches the
-  :class:`~repro.telemetry.stream.StreamWriter`, spilling every trace
-  event and sampled row to JSONL segments on disk during the run.
+  (capacity ``REPRO_TRACE_CAP``).
 
 :func:`config_fingerprint` digests those knobs for the engine's cache
 key so runs cached under one telemetry config are never replayed as
@@ -25,7 +22,6 @@ another's.
 
 from __future__ import annotations
 
-from repro.telemetry import stream as stream_mod
 from repro.telemetry import trace as trace_mod
 from repro.telemetry.registry import (
     Counter,
@@ -42,13 +38,11 @@ __all__ = [
     "MetricRegistry",
     "IntervalSampler",
     "TraceRecorder",
-    "StreamWriter",
     "Telemetry",
     "config_fingerprint",
 ]
 
 TraceRecorder = trace_mod.TraceRecorder
-StreamWriter = stream_mod.StreamWriter
 
 
 def config_fingerprint() -> dict:
@@ -56,12 +50,7 @@ def config_fingerprint() -> dict:
 
     Sampling and tracing change what a ``SimResult`` carries (not the
     simulated outcome), so two runs under different telemetry configs
-    must not share a cache slot.  The streaming knobs
-    (``REPRO_STREAM_DIR`` & friends) are deliberately **excluded**:
-    streaming only changes where telemetry additionally lands on disk,
-    never what the run computes or what the result carries, so a
-    streamed and an unstreamed run may share a cache slot (like the
-    skip setting).
+    must not share a cache slot.
     """
     return {
         "sample_every": sample_interval(),
@@ -71,26 +60,19 @@ def config_fingerprint() -> dict:
 
 
 class Telemetry:
-    """Per-system bundle of registry + optional sampler/trace/stream."""
+    """Per-system bundle of registry + optional sampler/trace."""
 
-    __slots__ = ("registry", "sampler", "trace", "stream")
+    __slots__ = ("registry", "sampler", "trace")
 
     def __init__(
         self,
         registry: MetricRegistry | None = None,
         sampler: IntervalSampler | None = None,
         trace: TraceRecorder | None = None,
-        stream: StreamWriter | None = None,
     ):
         self.registry = registry if registry is not None else MetricRegistry()
         self.sampler = sampler
         self.trace = trace
-        self.stream = stream
-        if stream is not None:
-            if trace is not None:
-                trace.writer = stream
-            if sampler is not None:
-                sampler.emit = stream.sample
 
     @classmethod
     def from_env(cls) -> "Telemetry":
@@ -99,18 +81,9 @@ class Telemetry:
             registry=MetricRegistry(),
             sampler=IntervalSampler(every) if every else None,
             trace=TraceRecorder() if trace_mod.enabled() else None,
-            stream=StreamWriter.from_env(),
         )
 
     def bind_sampler(self) -> None:
         """Freeze the sampled-instrument set (after all registrations)."""
         if self.sampler is not None:
             self.sampler.bind(self.registry.sampled_items())
-
-    def begin_stream(self, label: str) -> None:
-        """Open the stream directory (after ``bind_sampler``)."""
-        if self.stream is not None:
-            names = (
-                list(self.sampler.series) if self.sampler is not None else []
-            )
-            self.stream.begin(label, names)

@@ -41,10 +41,9 @@ def interval() -> int:
 class IntervalSampler:
     """Periodic reader of the registry's ``sampled`` instruments."""
 
-    __slots__ = ("every", "next_sample", "cycles", "series", "_sources",
-                 "emit")
+    __slots__ = ("every", "next_sample", "cycles", "series", "_sources")
 
-    def __init__(self, every: int, emit=None):
+    def __init__(self, every: int):
         if every < 1:
             raise ValueError(f"sampling interval must be >= 1, got {every}")
         self.every = every
@@ -52,11 +51,6 @@ class IntervalSampler:
         self.cycles: list[int] = []
         self.series: dict[str, list] = {}
         self._sources: list[tuple[list, object]] = []
-        #: Optional streaming callback ``emit(cycle, values)`` invoked at
-        #: every sample point with the freshly-read row, *before* any
-        #: decimation — the stream keeps what the bounded in-memory series
-        #: later thin out.
-        self.emit = emit
 
     def bind(self, sampled_items) -> None:
         """Attach the registry's ``sampled`` instruments (once, at build)."""
@@ -75,14 +69,8 @@ class IntervalSampler:
         """
         while self.next_sample < limit:
             self.cycles.append(self.next_sample)
-            if self.emit is None:
-                for store, instrument in self._sources:
-                    store.append(instrument.read())
-            else:
-                row = [instrument.read() for _, instrument in self._sources]
-                for (store, _), value in zip(self._sources, row):
-                    store.append(value)
-                self.emit(self.next_sample, row)
+            for store, instrument in self._sources:
+                store.append(instrument.read())
             self.next_sample += self.every
             if len(self.cycles) >= _SAMPLE_CAP:
                 self._decimate()

@@ -2,8 +2,8 @@
 
 Enabled with ``REPRO_TRACE=1`` (capacity ``REPRO_TRACE_CAP``, default
 65536 events, drop-oldest).  Four event families are recorded, all at
-cycles the fast-forwarding loop provably steps, so the trace stream is
-bit-identical between skip and no-skip runs:
+cycles the fast-forwarding loop provably steps, so the recorded events
+are bit-identical between skip and no-skip runs:
 
 * DRAM commands (ACT/PRE/READ/WRITE/REF) from every channel controller;
 * ROB-head block episodes (a DRAM-bound load stalling commit, measured
@@ -58,24 +58,16 @@ class TraceRecorder:
 
     All timestamps are CPU cycles (DRAM-domain recorders convert at the
     call site), so every lane shares one time axis.
-
-    When a streaming ``writer`` (:class:`repro.telemetry.stream.
-    StreamWriter`) is attached, every event is also spilled to disk
-    *before* the ring applies its drop-oldest policy, so the stream is
-    always a superset of the ring and never loses events to wrapping.
     """
 
-    __slots__ = ("events", "capacity", "dropped", "writer")
+    __slots__ = ("events", "capacity", "dropped")
 
-    def __init__(self, cap: int | None = None, writer=None):
+    def __init__(self, cap: int | None = None):
         self.capacity = cap if cap is not None else capacity()
         self.events: deque = deque(maxlen=self.capacity)
         self.dropped = 0
-        self.writer = writer
 
     def _push(self, event: tuple) -> None:
-        if self.writer is not None:
-            self.writer.event(event)
         if len(self.events) == self.capacity:
             self.dropped += 1
         self.events.append(event)
@@ -193,25 +185,6 @@ def _chrome_record(d: dict, named_pids: dict, named_tids: dict) -> dict:
     raise ValueError(f"unknown trace event type {kind!r}")
 
 
-def _metadata_records(named_pids: dict, named_tids: dict) -> list[dict]:
-    metadata: list[dict] = []
-    for pid, name in sorted(named_pids.items()):
-        metadata.append({"name": "process_name", "ph": "M", "pid": pid,
-                         "tid": 0, "args": {"name": name}})
-    for (pid, tid), name in sorted(named_tids.items()):
-        metadata.append({"name": "thread_name", "ph": "M", "pid": pid,
-                         "tid": tid, "args": {"name": name}})
-    return metadata
-
-
-def _other_data(label: str, dropped: int) -> dict:
-    other = {"source": label, "clock": "cpu-cycles",
-             "truncated": dropped > 0}
-    if dropped:
-        other["dropped_events"] = dropped
-    return other
-
-
 def to_chrome_trace(events, label: str = "repro", dropped: int = 0) -> dict:
     """Chrome ``trace_event`` document (JSON-serialisable dict).
 
@@ -225,59 +198,33 @@ def to_chrome_trace(events, label: str = "repro", dropped: int = 0) -> dict:
 
     ``dropped`` is the ring's drop-oldest count: when non-zero, the
     document carries ``otherData.truncated = true`` so a partial window
-    is never silently presented as the whole run (stream the run via
-    ``REPRO_STREAM_DIR`` to capture every event instead).
+    is never silently presented as the whole run (raise the ring's
+    capacity, ``REPRO_TRACE_CAP`` or ``repro trace --cap``, to keep
+    every event instead).
     """
     named_pids: dict[int, str] = {}
     named_tids: dict[tuple[int, int], str] = {}
     trace_events = [
         _chrome_record(d, named_pids, named_tids) for d in _event_dicts(events)
     ]
+    metadata = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": name}}
+        for pid, name in sorted(named_pids.items())
+    ] + [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": name}}
+        for (pid, tid), name in sorted(named_tids.items())
+    ]
+    other = {"source": label, "clock": "cpu-cycles",
+             "truncated": dropped > 0}
+    if dropped:
+        other["dropped_events"] = dropped
     return {
-        "traceEvents": _metadata_records(named_pids, named_tids)
-        + trace_events,
+        "traceEvents": metadata + trace_events,
         "displayTimeUnit": "ms",
-        "otherData": _other_data(label, dropped),
+        "otherData": other,
     }
-
-
-class ChromeTraceWriter:
-    """Incremental Chrome ``trace_event`` writer for streamed traces.
-
-    Emits the same document schema as :func:`to_chrome_trace`, but one
-    record at a time into an open file handle, so arbitrarily long
-    streamed traces finalize in bounded memory: lane-name metadata is
-    accumulated while events are appended and written on
-    :meth:`finalize` (Chrome/Perfetto accept metadata anywhere in the
-    stream).
-    """
-
-    def __init__(self, fh, label: str = "repro"):
-        self._fh = fh
-        self._label = label
-        self._named_pids: dict[int, str] = {}
-        self._named_tids: dict[tuple[int, int], str] = {}
-        self._count = 0
-        self._fh.write('{"traceEvents": [')
-
-    def add(self, record: dict) -> None:
-        """Append one event dict (the :func:`event_dict` shape)."""
-        chrome = _chrome_record(record, self._named_pids, self._named_tids)
-        prefix = ",\n" if self._count else "\n"
-        self._fh.write(prefix + json.dumps(chrome, sort_keys=True))
-        self._count += 1
-
-    def finalize(self, dropped: int = 0) -> None:
-        """Write lane metadata and close the document."""
-        for meta in _metadata_records(self._named_pids, self._named_tids):
-            prefix = ",\n" if self._count else "\n"
-            self._fh.write(prefix + json.dumps(meta, sort_keys=True))
-            self._count += 1
-        self._fh.write("\n], ")
-        self._fh.write('"displayTimeUnit": "ms", "otherData": ')
-        self._fh.write(json.dumps(_other_data(self._label, dropped),
-                                  sort_keys=True))
-        self._fh.write("}\n")
 
 
 _VALID_PHASES = {"X", "i", "M"}

@@ -2,7 +2,7 @@
 
 Several processes share rendezvous files: the engine result cache
 (``run_many`` workers and concurrent sweeps race the same content hash),
-stream ``MANIFEST.json`` files, and the ``REPRO_RUN_LOG`` metrics log.
+the compiled kernels' builds, and the ``REPRO_RUN_LOG`` metrics log.
 Every guarantee the repo sells — parse-clean artifacts after a SIGKILL,
 identical cache bytes whichever racing writer wins, whole log records
 from concurrent appenders — reduces to two idioms:
@@ -26,8 +26,8 @@ makes the contract checkable.
 
 Durability note: ``os.replace`` guarantees atomicity; making the new
 *name* survive a power failure would additionally need an fsync of the
-directory.  The artifacts here are all reconstructible (caches, stream
-manifests, observability logs), so we match the repo's long-standing
+directory.  The artifacts here are all reconstructible (caches, kernel
+builds, observability logs), so we match the repo's long-standing
 choice: file contents are fsync'd, directory entries are not.
 """
 

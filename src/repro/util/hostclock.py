@@ -11,8 +11,8 @@ boundary auditable in one place:
 * this file is the only module allowlisted by DET002, so a raw
   ``time.perf_counter()`` anywhere else in the tree still fires;
 * nothing returned here may be folded into ``SimResult.metrics``, the
-  determinism chain, ``result_fingerprint``, streamed telemetry bytes,
-  or an engine cache key (see DESIGN.md §5.5).
+  determinism chain, ``result_fingerprint`` or an engine cache key (see
+  DESIGN.md §5.5).
 """
 
 from __future__ import annotations

@@ -15,11 +15,14 @@ level of detail the memory-scheduling experiments are sensitive to:
   others are latency-bound at any instant).
 
 Values are chosen from the workload descriptions in the paper (Tables 2
-and 4) and the general literature on these suites, then calibrated so the
-simulated machine sits near the paper's reported operating point
-(Figure 1's ~6% blocking loads / ~49% blocked cycles under FR-FCFS,
-moderate queue contention).  EXPERIMENTS.md discusses remaining fidelity
-gaps.
+and 4) and the general literature on these suites, then calibrated
+toward the paper's reported operating point (Figure 1: 6.1% of dynamic
+loads block the ROB head and 48.6% of cycles are blocked under FR-FCFS,
+with moderate queue contention).  The machine does not sit there: the
+recorded Figure 1 (``benchmarks/results/fig1.txt``, 12k instructions per
+core) averages 4.66% blocking loads and 70.69% blocked cycles, 64.2-76.7%
+per app, so these apps are more memory-bound than the paper's.
+EXPERIMENTS.md discusses this and the remaining fidelity gaps.
 """
 
 from __future__ import annotations

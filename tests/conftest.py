@@ -75,9 +75,7 @@ def python_loop(monkeypatch):
     kernel's compiled loop."""
     from repro.sim.system import System
 
-    monkeypatch.setattr(
-        System, "_compiled_loop", lambda self, sampler, stream: None
-    )
+    monkeypatch.setattr(System, "_compiled_loop", lambda self, sampler: None)
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ it is loaded; the Python body after the guard is the reference.  A
 compiled and a Python hierarchy are driven in lockstep with the same
 Hypothesis-generated stream of loads, stores and event drains over tiny
 geometries, and compared after every step; end-to-end runs are compared
-with every telemetry stream on; a raising call out and the core-count
-limit of the kernel's sharer masks are pinned too.
+with the sampler and the event trace on; a raising call out and the
+core-count limit of the kernel's sharer masks are pinned too.
 
 Compiled cases skip only where no C compiler exists; where one does, a
 kernel that did not load fails them.
@@ -419,10 +419,10 @@ RUNS = {
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_compiled_cache_matches_python_bodies(kernel, name, engine, tmp_path,
+def test_compiled_cache_matches_python_bodies(kernel, name, engine,
                                               monkeypatch):
     """Same result fingerprint, det-chain checkpoints, sampled series and
-    event trace with every telemetry stream on."""
+    event trace with the sampler and the event trace on."""
     monkeypatch.setenv("REPRO_ENGINE", engine)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_SAMPLE_EVERY", "64")

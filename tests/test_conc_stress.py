@@ -8,7 +8,7 @@ real writers to certify the persistence contract at runtime:
   (one complete pickle, identical fingerprints — satellite of the
   ``store_cached`` atomic-replace conversion);
 * a SIGKILL mid-``write_json`` leaves the old-or-new snapshot, never a
-  partial (mirrors ``test_stream_crash.py`` for the manifest path);
+  partial;
 * concurrent ``REPRO_RUN_LOG``-style appenders never tear or drop a
   record (regression for the buffered-append ``_write_run_log`` bug).
 """

@@ -47,7 +47,7 @@ SCALE = SimScale(instructions_per_core=400, warmup_instructions=0, seed=11)
 
 #: Knobs that attach telemetry or change what a run folds.
 _KNOBS = ("REPRO_DETCHAIN_EVERY", "REPRO_SAMPLE_EVERY", "REPRO_TRACE",
-          "REPRO_STREAM_DIR", "REPRO_VERIFY_EFFECTS", "REPRO_ENGINE")
+          "REPRO_VERIFY_EFFECTS", "REPRO_ENGINE")
 
 PROVIDERS = {
     "null": None,
@@ -82,7 +82,7 @@ def _fft_system(cores=4, scheduler="fr-fcfs", provider=None,
 
 def _on_python_loop(system):
     """``system`` with its compiled loop refused, as a fallback does."""
-    system._compiled_loop = lambda sampler, stream: None
+    system._compiled_loop = lambda sampler: None
     return system
 
 
@@ -291,15 +291,13 @@ def test_a_replaced_entry_point_takes_the_python_loop(
         assert calls == list(range(result.cycles))
 
 
-@pytest.mark.parametrize("trigger", ("sampler", "stream", "cpu kernel",
+@pytest.mark.parametrize("trigger", ("sampler", "cpu kernel",
                                      "dram kernel", "event kernel"))
 def test_telemetry_or_a_missing_kernel_takes_the_python_loop(
-    monkeypatch, tmp_path, trigger
+    monkeypatch, trigger
 ):
     if trigger == "sampler":
         monkeypatch.setenv("REPRO_SAMPLE_EVERY", "64")
-    elif trigger == "stream":
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(tmp_path))
     else:
         owner = {"cpu kernel": core_mod, "dram kernel": controller,
                  "event kernel": events}[trigger]

@@ -9,11 +9,11 @@ with the same Hypothesis-generated stream of enqueues, criticality bumps
 and clock edges over tiny geometries, under every registered scheduler,
 and compared after every step; the streams run again with the protocol
 sanitizer and a trace recorder attached.  End-to-end runs are compared
-with every telemetry stream on, and a scheduler that returns a command
-of another kind, a raising call out, the classes the kernel refuses, a
-channel ``step`` replaced on the class or the channel (called by name)
-and the determinism chain's compiled fold (``sample`` and ``finalize``)
-are pinned too.
+with the sampler and the event trace on, and a scheduler that returns a
+command of another kind, a raising call out, the classes the kernel
+refuses, a channel ``step`` replaced on the class or the channel (called
+by name) and the determinism chain's compiled fold (``sample`` and
+``finalize``) are pinned too.
 
 Compiled cases skip only where no C compiler exists; where one does, a
 kernel that did not load fails them.
@@ -439,7 +439,7 @@ RUNS = {
 def test_compiled_controller_matches_python_bodies(kernel, name, engine,
                                                    monkeypatch):
     """Same result fingerprint, det-chain checkpoints, sampled series and
-    event trace with every telemetry stream and the sanitizer on."""
+    event trace with the sampler, the event trace and the sanitizer on."""
     monkeypatch.setenv("REPRO_ENGINE", engine)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_SANITIZE", "1")

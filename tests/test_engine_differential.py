@@ -1,23 +1,19 @@
 """Cross-engine differential oracle: naive vs batched.
 
 The two loop implementations in :mod:`repro.sim.system` must be
-bit-identical — same determinism chain, same result fingerprint, and
-byte-identical streamed telemetry segments on disk.  The per-scheduler
+bit-identical — same determinism chain, same result fingerprint, same
+sampled series and event trace.  The per-scheduler
 identity lives in ``test_batched_differential.py``; this module pins
 the ``max_cycles`` cap path (a capped run breaks out of the loop
 mid-flight, which must not perturb telemetry folding) and engine
 selection.
 
 The capped-run cases run on the core's compiled stages and again on
-their Python bodies.  The satellite regressions ride along: the
-shared-kwargs aliasing fix in ``make_provider_factory`` and the stall
-guard in ``_fold_telemetry``.
+their Python bodies.  The shared-kwargs aliasing fix in
+``make_provider_factory`` rides along.
 """
 
 from __future__ import annotations
-
-import hashlib
-from pathlib import Path
 
 import pytest
 
@@ -46,14 +42,6 @@ def _make_system(scheduler="fr-fcfs"):
     )
 
 
-def _stream_digest(directory) -> dict[str, str]:
-    """Name -> sha256 of every streamed segment file (raw on-disk bytes)."""
-    return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(Path(directory).glob("*.jsonl"))
-    }
-
-
 @pytest.fixture
 def telemetry_on(monkeypatch):
     monkeypatch.setenv("REPRO_SAMPLE_EVERY", "64")
@@ -68,33 +56,29 @@ class TestMaxCyclesCap:
 
     CAP = 500  # the uncapped fft run at this scale takes ~730 cycles
 
-    def _run(self, engine, stream_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(stream_dir))
-        return _make_system().run(max_cycles=self.CAP, engine=engine)
-
-    def test_capped_runs_identical_across_engines(
-        self, telemetry_on, tmp_path, monkeypatch
-    ):
-        results = {}
-        digests = {}
-        for engine in ENGINES:
-            stream_dir = tmp_path / engine
-            results[engine] = self._run(engine, stream_dir, monkeypatch)
-            digests[engine] = _stream_digest(stream_dir)
+    def test_capped_runs_identical_across_engines(self, telemetry_on):
+        results = {
+            engine: _make_system().run(max_cycles=self.CAP, engine=engine)
+            for engine in ENGINES
+        }
         reference = results["naive"]
         assert reference.hit_max_cycles, "cap too high to exercise the break"
         assert reference.cycles == self.CAP
         assert reference.sample_cycles, "sampler produced nothing under cap"
+        assert reference.trace_events, "trace recorded nothing under cap"
+        # An unwrapped ring holds every event the run recorded.
+        assert reference.trace_dropped == 0
         for engine in ENGINES[1:]:
             other = results[engine]
             assert other.hit_max_cycles
             assert other.det_chain == reference.det_chain, engine
             assert other.sample_cycles == reference.sample_cycles, engine
             assert other.timeseries == reference.timeseries, engine
+            assert other.trace_events == reference.trace_events, engine
+            assert other.trace_dropped == reference.trace_dropped, engine
             assert result_fingerprint(other) == result_fingerprint(
                 reference
             ), engine
-            assert digests[engine] == digests["naive"], engine
 
     def test_cap_on_detchain_boundary(self, monkeypatch):
         """A cap landing exactly on a chain-sample cycle must fold the
@@ -185,30 +169,3 @@ class TestProviderFactoryAliasing:
     def test_separate_instances_per_core(self):
         factory = make_provider_factory(("cbp", {"entries": 16}))
         assert factory(0) is not factory(1)
-
-
-class TestFoldTelemetryStallGuard:
-    """A stream whose flush_upto never advances must raise, not hang."""
-
-    class _StalledStream:
-        next_flush = 100
-
-        def flush_upto(self, limit):  # never advances next_flush
-            pass
-
-    def test_stalled_stream_raises_with_cycle(self):
-        system = _make_system()
-        with pytest.raises(RuntimeError, match="stalled at cycle 100"):
-            system._fold_telemetry(None, self._StalledStream(), 1_000)
-
-    def test_advancing_fake_stream_is_fine(self):
-        class Advancing:
-            next_flush = 100
-
-            def flush_upto(self, limit):
-                self.next_flush = limit + 100
-
-        system = _make_system()
-        stream = Advancing()
-        system._fold_telemetry(None, stream, 1_000)
-        assert stream.next_flush >= 1_000

@@ -48,7 +48,7 @@ CBP64 = ("cbp", {"entries": 64})
 _KNOBS = (
     "REPRO_ENGINE", "REPRO_VERIFY_SKIP", "REPRO_VERIFY_EFFECTS",
     "REPRO_DETCHAIN_EVERY", "REPRO_SAMPLE_EVERY", "REPRO_TRACE",
-    "REPRO_TRACE_CAP", "REPRO_STREAM_DIR",
+    "REPRO_TRACE_CAP",
 )
 
 

@@ -8,8 +8,8 @@ the Python body after the guard is the reference.  This module pins the
 loader for every kernel (where each is built, that loading one compiles
 nothing, that a compile error selects the Python bodies, that a build
 prunes the builds it supersedes) and holds the core's kernel to its
-reference: cycle by cycle on one core, and end to end with every
-telemetry stream on.  ``test_cache_kernel.py`` and
+reference: cycle by cycle on one core, and end to end with the
+sampler and the event trace on.  ``test_cache_kernel.py`` and
 ``test_dram_kernel.py`` do the same for the cache hierarchy's and the
 DRAM controller's kernels, and ``test_golden_fingerprints.py`` pins every
 kernel and each set of Python bodies against recorded values.
@@ -510,20 +510,13 @@ RUNS = {
 }
 
 
-def _stream_digest(directory: Path) -> dict[str, str]:
-    return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(directory.glob("*.jsonl"))
-    }
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_compiled_core_matches_python_bodies(kernel, name, engine, tmp_path,
+def test_compiled_core_matches_python_bodies(kernel, name, engine,
                                              monkeypatch):
-    """Same result fingerprint, det-chain checkpoints, sampled series,
-    event trace and streamed segment bytes with every telemetry stream
-    on."""
+    """Same result fingerprint, det-chain checkpoints, sampled series
+    and event trace, every event of the run included, with the sampler
+    and the event trace on."""
     monkeypatch.setenv("REPRO_ENGINE", engine)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_SAMPLE_EVERY", "64")
@@ -531,14 +524,14 @@ def test_compiled_core_matches_python_bodies(kernel, name, engine, tmp_path,
     observed = []
     for use_kernel in (True, False):
         monkeypatch.setattr(core, "_kernel", kernel if use_kernel else None)
-        stream = tmp_path / ("compiled" if use_kernel else "python")
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(stream))
         result = RUNS[name]()
         assert not result.hit_max_cycles
+        # An unwrapped ring holds every event the run recorded.
+        assert result.trace_dropped == 0
         observed.append((
             result_fingerprint(result), result.det_chain,
             result.det_checkpoints, result.sample_cycles, result.timeseries,
-            result.trace_events, _stream_digest(stream),
+            result.trace_events,
         ))
     assert observed[0] == observed[1]
 

@@ -37,15 +37,10 @@ def no_collector():
 
 
 @pytest.mark.parametrize("max_cycles", [None, CAP], ids=["complete", "capped"])
-@pytest.mark.parametrize("stream", [False, True], ids=["plain", "streamed"])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_finished_system_freed_without_collector(
-    engine, stream, max_cycles, tmp_path, monkeypatch, no_collector
+    engine, max_cycles, no_collector
 ):
-    if stream:
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(tmp_path))
-    else:
-        monkeypatch.delenv("REPRO_STREAM_DIR", raising=False)
     config = SystemConfig.parallel_default()
     traces = parallel_traces("fft", config.cores, INSTRUCTIONS, seed=1)
     system = System(config, traces, scheduler="fr-fcfs")

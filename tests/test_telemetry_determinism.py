@@ -10,13 +10,11 @@ one of them at once.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.config import SimScale, SystemConfig
 from repro.sim.stats import result_fingerprint
-from repro.sim.system import ENGINES, System
+from repro.sim.system import System
 from repro.workloads.parallel import parallel_traces
 
 SCALE = SimScale(instructions_per_core=800, warmup_instructions=0, seed=11)
@@ -126,100 +124,6 @@ class TestDisabledPath:
         result = _system().run()
         assert len(result.trace_events) == 32
         assert result.trace_dropped > 0
-
-
-def _stream_digest(directory) -> dict[str, bytes]:
-    """Every stream artifact's bytes, keyed by file name."""
-    import pathlib
-
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(pathlib.Path(directory).iterdir())
-    }
-
-
-class TestStreamingSkipIdentity:
-    """Streamed segments are bit-identical across loop modes/processes.
-
-    Segment seals happen either at record counts (a pure function of the
-    mode-invariant record stream) or at flush points folded on the
-    virtual cycle axis, so the bytes on disk — including segment
-    boundaries and the manifest — must not depend on how the loop got
-    there.
-    """
-
-    @pytest.fixture
-    def stream_env(self, monkeypatch, telemetry_on):
-        # Small segments + a flush cadence that lands inside fast-forward
-        # windows, to exercise both seal triggers.
-        monkeypatch.setenv("REPRO_STREAM_SEGMENT", "64")
-        monkeypatch.setenv("REPRO_STREAM_FLUSH_EVERY", "500")
-
-    def test_streams_identical_across_modes(self, stream_env, tmp_path,
-                                            monkeypatch):
-        digests = {}
-        for engine in ENGINES:
-            directory = tmp_path / engine
-            monkeypatch.setenv("REPRO_STREAM_DIR", str(directory))
-            digests[engine] = (
-                _system().run(engine=engine), _stream_digest(directory)
-            )
-        naive, naive_files = digests["naive"]
-        fast, fast_files = digests["batched"]
-        assert len(naive_files) > 2, "expected multiple sealed segments"
-        assert naive_files == fast_files
-        assert result_fingerprint(naive) == result_fingerprint(fast)
-
-    def test_stream_identical_from_fresh_subprocess(self, stream_env,
-                                                    tmp_path, monkeypatch):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.sim.engine import RunSpec, run_one
-
-        inline_dir = tmp_path / "inline"
-        child_dir = tmp_path / "child"
-        monkeypatch.delenv("REPRO_STREAM_DIR", raising=False)
-        spec = RunSpec(kind="parallel", workload="fft", scale=SCALE,
-                       stream_dir=str(inline_dir))
-        run_one(spec)
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            pool.submit(
-                run_one,
-                RunSpec(kind="parallel", workload="fft", scale=SCALE,
-                        stream_dir=str(child_dir)),
-            ).result()
-        assert _stream_digest(inline_dir) == _stream_digest(child_dir)
-
-    def test_streaming_leaves_results_untouched(self, stream_env, tmp_path,
-                                                monkeypatch):
-        """Enabling the stream must not perturb the simulation."""
-        monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "256")
-        monkeypatch.delenv("REPRO_STREAM_DIR", raising=False)
-        plain = _system().run()
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(tmp_path / "s"))
-        streamed = _system().run()
-        assert plain.det_chain is not None
-        assert plain.det_chain == streamed.det_chain
-        assert result_fingerprint(plain) == result_fingerprint(streamed)
-
-    def test_verify_skip_does_not_clobber_stream(self, stream_env, tmp_path,
-                                                 monkeypatch):
-        from repro.sim.runner import run_parallel_workload
-        from repro.telemetry import stream as stream_mod
-
-        directory = tmp_path / "verify"
-        monkeypatch.setenv("REPRO_STREAM_DIR", str(directory))
-        monkeypatch.setenv("REPRO_VERIFY_SKIP", "1")
-        result = run_parallel_workload("fft", scale=SCALE)
-        manifest = stream_mod.read_manifest(directory)
-        assert manifest["status"] == "complete"
-        assert manifest["cycles"] == result.cycles
-        streamed = sum(1 for _ in stream_mod.iter_records(directory))
-        assert streamed == len(result.trace_events)
-        # The reference run hides the stream knob; it must come back.
-        assert os.environ["REPRO_STREAM_DIR"] == str(directory)
 
 
 class TestDetStateCoverage:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import pytest
 
 from repro.telemetry.trace import (
-    ChromeTraceWriter,
     TraceRecorder,
-    event_dict,
     to_chrome_trace,
     to_jsonl,
     validate_chrome_trace,
@@ -142,46 +142,38 @@ class TestTruncationMarker:
         assert main(["stats", "fft", "--instructions", "400"]) == 0
         assert "ring wrapped" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-3", "many"])
+    def test_trace_cli_rejects_a_cap_below_one(self, monkeypatch, capsys,
+                                                cap):
+        """A bad ``--cap`` is a usage error (exit 2) at parse time: no
+        run starts and the ring's capacity knob is left alone."""
+        from repro.__main__ import main
 
-class TestIncrementalWriter:
-    """The streaming Chrome writer must match the one-shot exporter."""
+        monkeypatch.setenv("REPRO_TRACE_CAP", "64")
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "fft", "--cap", cap])
+        assert exc.value.code == 2
+        assert "argument --cap" in capsys.readouterr().err
+        assert os.environ["REPRO_TRACE_CAP"] == "64"
 
-    def _one_shot(self, events, dropped=0):
-        return to_chrome_trace(events, label="unit", dropped=dropped)
+    def test_trace_cli_warning_names_a_cap_that_keeps_every_event(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro.__main__ import main
 
-    def _incremental(self, events, dropped=0):
-        import io
-
-        fh = io.StringIO()
-        writer = ChromeTraceWriter(fh, label="unit")
-        for event in events:
-            writer.add(event_dict(event))
-        writer.finalize(dropped=dropped)
-        return json.loads(fh.getvalue())
-
-    @pytest.mark.parametrize("dropped", [0, 7])
-    def test_matches_one_shot_exporter(self, dropped):
-        """Same records, metadata, and otherData — position of the lane
-        metadata inside traceEvents is the only allowed difference."""
-        events = _sample_recorder().events
-        inc = self._incremental(events, dropped)
-        ref = self._one_shot(events, dropped)
-        def key(record):
-            return json.dumps(record, sort_keys=True)
-        assert sorted(map(key, inc.pop("traceEvents"))) == \
-            sorted(map(key, ref.pop("traceEvents")))
-        assert inc == ref  # displayTimeUnit + otherData (incl. truncated)
-
-    def test_empty_stream_still_valid_json(self):
-        import io
-
-        fh = io.StringIO()
-        writer = ChromeTraceWriter(fh, label="empty")
-        writer.finalize()
-        doc = json.loads(fh.getvalue())
-        assert doc["otherData"]["truncated"] is False
-        # Only metadata lanes; the schema validator tolerates that.
-        assert all(e["ph"] == "M" for e in doc["traceEvents"])
+        # trace sets both for itself; keep them scoped to this test.
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_TRACE_CAP", "64")
+        out = tmp_path / "t.json"
+        argv = ["trace", "fft", "--instructions", "400", "--out", str(out)]
+        assert main([*argv, "--cap", "32"]) == 0
+        err = capsys.readouterr().err
+        assert "ring wrapped" in err
+        assert json.loads(out.read_text())["otherData"]["truncated"] is True
+        cap = re.search(r"--cap (\d+)", err).group(1)
+        assert main([*argv, "--cap", cap]) == 0
+        assert "ring wrapped" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["otherData"]["truncated"] is False
 
 
 class TestValidator:

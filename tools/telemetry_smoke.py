@@ -1,27 +1,26 @@
 #!/usr/bin/env python3
 """Telemetry smoke check: traced + sampled run must produce valid output,
-and the disabled path must stay cheap.
+and the disabled knobs must keep the hot loop untouched.
 
-Four gates, run by CI's ``telemetry`` job:
+Three gates, run by CI's ``telemetry`` job:
 
 1. A short run with ``REPRO_TRACE=1`` and ``REPRO_SAMPLE_EVERY`` set must
    yield a Chrome ``trace_event`` document that passes
    :func:`repro.telemetry.trace.validate_chrome_trace`, non-empty latency
    histograms, and an aligned sample/time-series matrix.
-2. Streaming: the same run with ``REPRO_STREAM_DIR`` set and a ring cap
-   small enough to wrap must stream *every* event (ring tail a byte
-   suffix of the stream), leave a ``complete`` manifest, and finalize to
-   a schema-valid Chrome document whose ``otherData`` carries the
-   ``truncated`` marker.
-3. The same run with telemetry disabled must carry *no* telemetry
-   artifacts (empty series, trace, and no stream directory writes) —
-   the knobs actually gate.
-4. Overhead guard: the telemetry-disabled run's wall clock must stay
-   within ``--max-overhead`` (default 1.10) of the fastest of three
-   baseline-shaped repeats, catching accidental hot-loop work behind
-   disabled knobs.
+2. The same run with telemetry disabled must carry *no* telemetry
+   artifacts (empty series and trace) — the knobs actually gate.
+3. Hot-loop work behind a disabled knob: where the compiled cycle loop
+   is available (``repro.sim.system.loop_implementation()``), the
+   telemetry-disabled run and a trace-only run (``REPRO_TRACE=1``, no
+   sampler) must run every cycle on it — their ``loop_totals`` deltas
+   count no Python-loop cycle.  Only a sampler sends a run to the Python
+   loop.
 
-    python tools/telemetry_smoke.py [--instructions 2000] [--max-overhead 1.1]
+The disabled run is repeated three times and its wall-clock spread
+printed, for information only.
+
+    python tools/telemetry_smoke.py [--app fft] [--instructions 2000]
 """
 
 import argparse
@@ -94,114 +93,70 @@ def traced_run_is_valid(app, instructions) -> int:
     return failures
 
 
-def streamed_run_is_complete(app, instructions) -> int:
-    import shutil
-    import tempfile
+def _timed_run(app, instructions):
+    """One run: its result, host wall seconds, and the cycles it put on
+    each loop (the ``loop_totals`` delta)."""
+    from repro.sim import system
 
-    from repro.telemetry import stream as stream_mod
-    from repro.telemetry.trace import to_jsonl, validate_chrome_trace
-
-    directory = Path(tempfile.mkdtemp(prefix="repro-stream-smoke-"))
-    os.environ.update({
-        "REPRO_TRACE": "1",
-        "REPRO_TRACE_CAP": "128",
-        "REPRO_SAMPLE_EVERY": "256",
-        "REPRO_STREAM_DIR": str(directory),
-        "REPRO_STREAM_SEGMENT": "64",
-    })
-    try:
-        result = _run(app, instructions)
-    finally:
-        for knob in ("REPRO_TRACE", "REPRO_TRACE_CAP", "REPRO_SAMPLE_EVERY",
-                     "REPRO_STREAM_DIR", "REPRO_STREAM_SEGMENT"):
-            del os.environ[knob]
-
-    failures = 0
-    try:
-        manifest = stream_mod.read_manifest(directory)
-        if manifest["status"] != "complete":
-            print(f"FAIL stream manifest status {manifest['status']!r}")
-            failures += 1
-
-        streamed = "".join(
-            json.dumps(r, sort_keys=True) + "\n"
-            for r in stream_mod.iter_records(directory, "events")
-        )
-        total = len(streamed.splitlines())
-        expected = len(result.trace_events) + result.trace_dropped
-        if result.trace_dropped == 0:
-            print("FAIL ring did not wrap; raise --instructions")
-            failures += 1
-        if total != expected or not streamed.endswith(
-            to_jsonl(result.trace_events)
-        ):
-            print(f"FAIL stream lost events ({total} streamed, "
-                  f"{expected} emitted)")
-            failures += 1
-        else:
-            print(f"ok   stream kept all {total} events "
-                  f"(ring held {len(result.trace_events)}, "
-                  f"{result.trace_dropped} dropped from it)")
-
-        out = directory / "chrome.json"
-        summary = stream_mod.finalize_chrome(directory, out)
-        doc = json.loads(out.read_text())
-        problems = validate_chrome_trace(doc)
-        if problems or summary["events"] != total:
-            for problem in problems[:10]:
-                print(f"FAIL streamed chrome schema: {problem}")
-            failures += 1
-        elif not doc["otherData"]["truncated"]:
-            print("FAIL truncated marker missing from streamed export")
-            failures += 1
-        else:
-            print(f"ok   streamed chrome export valid "
-                  f"({summary['events']} events, truncated marker set)")
-
-        cycles, series = stream_mod.read_samples(directory)
-        if cycles != result.sample_cycles or not series:
-            print("FAIL streamed samples disagree with in-memory series")
-            failures += 1
-        else:
-            print(f"ok   {len(cycles)} streamed samples x "
-                  f"{len(series)} series match the run")
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-    return failures
+    before = dict(system.loop_totals)
+    # repro-lint: disable=DET002 host wall-clock is the quantity under test
+    t0 = time.perf_counter()
+    result = _run(app, instructions)
+    # repro-lint: disable=DET002 host wall-clock is the quantity under test
+    wall = time.perf_counter() - t0
+    loops = {path: system.loop_totals[path] - before[path] for path in before}
+    return result, wall, loops
 
 
-def disabled_run_is_clean_and_cheap(app, instructions, max_overhead) -> int:
-    for knob in ("REPRO_TRACE", "REPRO_SAMPLE_EVERY", "REPRO_STREAM_DIR"):
+def disabled_run_is_clean(app, instructions) -> int:
+    """Gate 2, and the wall-clock spread of three disabled runs."""
+    for knob in ("REPRO_TRACE", "REPRO_SAMPLE_EVERY"):
         os.environ.pop(knob, None)
 
     failures = 0
     walls = []
-    result = None
     for _ in range(3):
-        # repro-lint: disable=DET002 host wall-clock is the quantity under test
-        t0 = time.perf_counter()
-        result = _run(app, instructions)
-        # repro-lint: disable=DET002 host wall-clock is the quantity under test
-        walls.append(time.perf_counter() - t0)
+        result, wall, _ = _timed_run(app, instructions)
+        walls.append(wall)
 
     if result.sample_cycles or result.timeseries or result.trace_events:
         print("FAIL disabled telemetry still produced artifacts")
         failures += 1
     else:
         print("ok   disabled path carries no telemetry artifacts")
+    print(f"info wall clocks {', '.join(f'{w:.3f}s' for w in walls)} "
+          f"(spread {max(walls) / min(walls):.2f}x)")
+    return failures
 
-    # The fastest repeat is the least-noisy estimate of both quantities;
-    # comparing best-of-3 against best-of-3 bounds registry overhead
-    # without a pre-telemetry checkout to diff against.
-    best = min(walls)
-    worst = max(walls)
-    ratio = worst / best if best else 1.0
-    print(f"ok   wall clocks {', '.join(f'{w:.3f}s' for w in walls)} "
-          f"(spread {ratio:.2f}x, guard {max_overhead:.2f}x)")
-    if ratio > max_overhead * 2:
-        # Spread alone this wide on identical runs means the machine is
-        # too noisy for the guard to mean anything; report, don't fail.
-        print("warn noisy host; overhead guard skipped")
+
+def untraced_loops_stay_compiled(app, instructions) -> int:
+    """Gate 3: no Python-loop cycle without a sampler."""
+    from repro.sim.system import loop_implementation
+
+    if loop_implementation() != "compiled":
+        print("skip compiled-loop gate: the cycle loop's kernels are not "
+              "loaded, so every run takes the Python loop")
+        return 0
+    # Knobs that move a run off the compiled loop on purpose.
+    for knob in ("REPRO_SAMPLE_EVERY", "REPRO_ENGINE", "REPRO_VERIFY_SKIP"):
+        os.environ.pop(knob, None)
+
+    failures = 0
+    for name, trace in (("telemetry disabled", None), ("trace only", "1")):
+        if trace is not None:
+            os.environ["REPRO_TRACE"] = trace
+        try:
+            _, _, loops = _timed_run(app, instructions)
+        finally:
+            os.environ.pop("REPRO_TRACE", None)
+        if loops["python"] or not loops["compiled"]:
+            print(f"FAIL {name}: {loops['python']:,} of "
+                  f"{loops['python'] + loops['compiled']:,} cycles on the "
+                  f"Python loop")
+            failures += 1
+        else:
+            print(f"ok   {name}: all {loops['compiled']:,} cycles on the "
+                  f"compiled loop")
     return failures
 
 
@@ -209,14 +164,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--app", default="fft")
     parser.add_argument("--instructions", type=int, default=2_000)
-    parser.add_argument("--max-overhead", type=float, default=1.10)
     args = parser.parse_args()
 
     failures = traced_run_is_valid(args.app, args.instructions)
-    failures += streamed_run_is_complete(args.app, args.instructions)
-    failures += disabled_run_is_clean_and_cheap(
-        args.app, args.instructions, args.max_overhead
-    )
+    failures += disabled_run_is_clean(args.app, args.instructions)
+    failures += untraced_loops_stay_compiled(args.app, args.instructions)
     if failures:
         print(f"{failures} telemetry smoke failure(s)")
         return 1
