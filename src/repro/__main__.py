@@ -38,6 +38,33 @@ def _apply_engine_flags(args) -> None:
         os.environ["REPRO_VERIFY_SKIP"] = "1"
 
 
+def _apply_telemetry_flags(args) -> None:
+    """Translate ``stats --sample-every`` and ``trace --cap`` into the env
+    vars the telemetry reads; absent, the env vars apply as they are."""
+    if getattr(args, "sample_every", None) is not None:
+        os.environ["REPRO_SAMPLE_EVERY"] = str(args.sample_every)
+    if getattr(args, "cap", None) is not None:
+        os.environ["REPRO_TRACE_CAP"] = str(args.cap)
+
+
+#: The subcommands that simulate, so read the telemetry env vars.
+_SIMULATING = ("run", "experiment", "stats", "trace", "profile",
+               "check-determinism")
+
+
+def _telemetry_knob_error() -> str | None:
+    """Why ``REPRO_SAMPLE_EVERY`` or ``REPRO_TRACE_CAP`` is unusable, or
+    None: checked before a run starts, not when its System is built."""
+    from repro.telemetry import sampler, trace
+
+    try:
+        sampler.interval()
+        trace.capacity()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _add_engine_choice(parser: argparse.ArgumentParser, text: str) -> None:
     from repro.sim.system import ENGINES
 
@@ -193,8 +220,6 @@ def _cmd_stats(args) -> int:
         timeseries_to_csv,
     )
 
-    if args.sample_every:
-        os.environ["REPRO_SAMPLE_EVERY"] = str(args.sample_every)
     result = _run_for_telemetry(args)
     if result is None:
         return 1
@@ -237,8 +262,6 @@ def _cmd_trace(args) -> int:
     )
 
     os.environ["REPRO_TRACE"] = "1"
-    if args.cap is not None:
-        os.environ["REPRO_TRACE_CAP"] = str(args.cap)
     result = _run_for_telemetry(args)
     if result is None:
         return 1
@@ -323,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CBP entries (0 disables the predictor)")
     stats_p.add_argument("--instructions", type=int, default=8_000)
     stats_p.add_argument("--seed", type=int, default=1)
-    stats_p.add_argument("--sample-every", type=int, default=0, metavar="N",
-                         help="interval-sample every N cycles "
+    stats_p.add_argument("--sample-every", type=_positive_int, default=None,
+                         metavar="N",
+                         help="interval-sample every N cycles, at least 1 "
                               "(env REPRO_SAMPLE_EVERY)")
     stats_p.add_argument("--csv", action="store_true",
                          help="dump the sampled time-series as CSV")
@@ -397,6 +421,12 @@ def main(argv=None) -> int:
         return analyze_main(argv[1:])
     args = build_parser().parse_args(argv)
     _apply_engine_flags(args)
+    _apply_telemetry_flags(args)
+    if args.command in _SIMULATING:
+        problem = _telemetry_knob_error()
+        if problem is not None:
+            print(f"repro {args.command}: error: {problem}", file=sys.stderr)
+            return 2
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

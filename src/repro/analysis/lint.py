@@ -608,10 +608,10 @@ class RawPersistenceRule(Rule):
                 and chain[1] in self._RENAMES
             ):
                 message = (f"raw os.{chain[-1]}() outside repro.util.atomicio;"
-                           f" call atomicio.write_bytes/write_text/write_json")
+                           f" call atomicio.write_bytes/write_json")
             elif "a" in self._open_mode(node, chain, os_aliases):
                 message = ("append-mode open: buffered writes can interleave "
-                           "with another process's; call atomicio.append_line"
+                           "with another process's; call atomicio.append_records"
                            "/append_jsonl")
             else:
                 continue

@@ -1,37 +1,52 @@
 /* Compiled per-access path of the cache hierarchy (repro.cache.hierarchy).
  *
- * MemoryHierarchy.load, store, can_accept_store, _access_l2,
+ * MemoryHierarchy.load, store, can_accept_store, _access_l2, _dram_fill,
  * _install_l2_fill, _fill_l1_and_respond, _resolve_remote_copies,
  * _invalidate_remote, _evict_l1_line and _evict_l2_line each open with one
  * guard that hands the call to the function of the same name here; the
  * Python body after the guard is the reference this file transliterates,
  * statement for statement.  Inside the kernel the handlers call each other
  * directly, and the array and MSHR operations they use
- * (SetAssociativeCache.lookup/peek/insert/invalidate/set_state/set_dirty,
- * MshrFile.get/allocate/release) are C copies of the Python methods,
- * which stay the reference and serve every Python caller.
+ * (SetAssociativeCache.find/lookup/peek/insert/invalidate/set_state/
+ * set_dirty, MshrFile.get/allocate/release) are C copies of the Python
+ * methods, which stay the reference and serve every Python caller.
  *
- * The kernel keeps no state of its own: it works on the models' objects,
- * so det_state, det_state_scan, prewarm and both engines see the same
- * state whichever path ran.
+ * The kernel works on the models' own storage, so det_state,
+ * det_state_scan, prewarm and both engines see the same state whichever
+ * path ran.
  *
- * - Containers.  Each cache's columns (where, tag, lru, state, dirty,
- *   fill), each MSHR file's _entries, and the hierarchy's _dir,
- *   _prefetched_lines, _store_backlog, stats, events and memsys are bound
- *   once per hierarchy in a GC-tracked View, kept in the hierarchy's
- *   attribute _kernel_view.  The models bind each of them once in
- *   __init__ and only mutate them in place.  The View holds the state and
- *   dirty byte arrays as buffers, so they cannot be resized while the
- *   hierarchy lives, and holds no reference to the hierarchy itself.
- * - Scalars.  A cache's clock, _resident and _dirty_lines are read from
- *   its __dict__ when the kernel first touches it in a call, kept in C,
- *   and written back before every call out of the kernel and on return
- *   (also when raising).  checksum is an unbounded Python int: the kernel
- *   sums each call's changes in a C delta, exactly (it folds the delta
- *   into the Python int before it could overflow), and adds it at
- *   write-back.
- * - Calls out.  events.schedule (with the same functools.partial
- *   callbacks), memsys.make_transaction and presettle, the core's
+ * - Columns.  A cache's tag, lru and fill are array("q") columns and its
+ *   state and dirty bytearrays.  The kernel binds all five as buffers,
+ *   with each MSHR file's _entries and the hierarchy's _dir,
+ *   _prefetched_lines, _store_backlog, stats, events and memsys, once per
+ *   hierarchy in a GC-tracked View kept in the hierarchy's attribute
+ *   _kernel_view.  The models bind each of them once in __init__ and only
+ *   mutate them in place; the held buffers keep the columns from being
+ *   resized while the hierarchy lives.  A line is found by scanning the
+ *   fill[set] live slots of its own set, as SetAssociativeCache.find does.
+ * - Scalars.  A cache's clock, _resident and _dirty_lines are C fields of
+ *   CacheBase, the base type of SetAssociativeCache, and the ten counters
+ *   of HierarchyStats are C fields of StatsBase, its base type.  Member
+ *   descriptors of the same names expose them to Python.  checksum, an
+ *   exact unbounded int, is a CacheBase attribute too: the kernel sums its
+ *   changes in a C long long and folds them into the int before they could
+ *   overflow, and reading the attribute folds them.  The kernel updates
+ *   all of them in place where the Python bodies assign them, so every
+ *   caller and callee sees the values the Python bodies would have
+ *   written, also when a call raises.  A cache that is not a CacheBase,
+ *   or stats that are not a StatsBase, raise TypeError.
+ * - Events.  What the Python bodies schedule as functools.partial (the L1
+ *   hit's completion call, _access_l2, the store retry,
+ *   _fill_l1_and_respond and _install_l2_fill) and the _dram_fill callback
+ *   a DRAM transaction carries are Events here: GC-tracked callables
+ *   holding their target and arguments, which they expose as func and
+ *   args.  An Event for one of those handlers runs it here, without its
+ *   Python frame, while the hierarchy resolves the handler's name to
+ *   MemoryHierarchy's own function (hierarchy._EVENT_HANDLERS): neither
+ *   the class nor the instance replaces it.  Otherwise it calls the
+ *   handler by name, so a wrapper sees every call.
+ * - Calls out.  events.schedule (with the Events above),
+ *   memsys.make_transaction, dram_to_cpu and presettle, the core's
  *   completion callbacks, _now, _wake_core, _trace_cache (when a recorder
  *   is attached), LatencyHistogram.record, _train_prefetcher (when the
  *   prefetcher is on: off, it returns without touching anything),
@@ -56,6 +71,7 @@
 #endif
 #include <limits.h>
 #include <stdarg.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -66,6 +82,9 @@
 #define MAX_CORES 64
 #ifndef Py_T_OBJECT_EX
 #define Py_T_OBJECT_EX T_OBJECT_EX
+#endif
+#ifndef Py_T_LONGLONG
+#define Py_T_LONGLONG T_LONGLONG
 #endif
 /* Clocks below this keep 131 * clock inside a long long. */
 #define CLOCK_LIMIT (1LL << 55)
@@ -85,15 +104,12 @@
     NAME(store_buffer_entries, "store_buffer_entries")                     \
     NAME(trace, "trace") NAME(prefetcher, "prefetcher")                    \
     NAME(config, "config") NAME(enabled, "enabled")                        \
-    NAME(where, "where") NAME(tag, "tag") NAME(lru, "lru")                 \
-    NAME(state, "state") NAME(dirty, "dirty") NAME(fill, "fill")           \
+    NAME(tag, "tag") NAME(lru, "lru") NAME(fill, "fill")                   \
+    NAME(state, "state") NAME(dirty, "dirty")                              \
     NAME(line_bytes, "line_bytes") NAME(ways, "ways")                      \
-    NAME(num_sets, "num_sets") NAME(clock, "clock")                        \
-    NAME(checksum, "checksum") NAME(resident, "_resident")                 \
-    NAME(dirty_lines, "_dirty_lines") NAME(entries, "_entries")            \
-    NAME(capacity, "capacity") NAME(line_addr, "line_addr")                \
-    NAME(waiters, "waiters") NAME(txn, "txn") NAME(rfo, "rfo")             \
-    NAME(pc, "pc") NAME(issue_cycle, "issue_cycle")                        \
+    NAME(num_sets, "num_sets") NAME(entries, "_entries")                   \
+    NAME(capacity, "capacity") NAME(waiters, "waiters") NAME(txn, "txn")   \
+    NAME(rfo, "rfo") NAME(pc, "pc") NAME(issue_cycle, "issue_cycle")       \
     NAME(critical, "critical") NAME(went_to_dram, "went_to_dram")          \
     NAME(magnitude, "magnitude") NAME(schedule, "schedule")                \
     NAME(now, "_now") NAME(wake_core, "_wake_core")                        \
@@ -103,17 +119,12 @@
     NAME(enqueue_with_retry, "_enqueue_with_retry")                        \
     NAME(writeback, "_writeback")                                          \
     NAME(train_prefetcher, "_train_prefetcher")                            \
-    NAME(presettle, "presettle")                                           \
+    NAME(presettle, "presettle") NAME(dram_to_cpu, "dram_to_cpu")          \
     NAME(make_transaction, "make_transaction") NAME(record, "record")      \
     NAME(access_l2, "_access_l2")                                          \
     NAME(fill_l1_and_respond, "_fill_l1_and_respond")                      \
-    NAME(dram_fill, "_dram_fill") NAME(store, "store")                     \
-    NAME(loads, "loads") NAME(l1_load_hits, "l1_load_hits")                \
-    NAME(l2_load_hits, "l2_load_hits") NAME(dram_loads, "dram_loads")      \
-    NAME(stores, "stores") NAME(interventions, "interventions")            \
-    NAME(invalidations, "invalidations")                                   \
-    NAME(prefetches_useful, "prefetches_useful")                           \
-    NAME(crit_latency, "crit_latency")                                     \
+    NAME(dram_fill, "_dram_fill") NAME(install_l2_fill, "_install_l2_fill") \
+    NAME(store, "store") NAME(crit_latency, "crit_latency")                \
     NAME(noncrit_latency, "noncrit_latency")                               \
     NAME(pc_latency, "pc_latency") NAME(is_write, "is_write")              \
     NAME(core, "core") NAME(callback, "callback")                          \
@@ -127,7 +138,6 @@ NAMES(DECLARE_NAME)
 static PyObject *small_zero, *small_one, *small_minus_one;
 /* Keyword names of the calls out that take keywords. */
 static PyObject *kw_make_transaction, *kw_event_phase, *kw_is_miss;
-static PyObject *partial_type;
 
 /* The model classes the kernel builds or reads, bound on the first View
  * (the modules are fully imported by then). */
@@ -137,6 +147,18 @@ static long long intervention_penalty, retry_interval;
 enum { LA_PC, LA_ISSUE_CYCLE, LA_CRITICAL, LA_TXN, LA_WENT, N_LA };
 enum { ME_LINE_ADDR, ME_WAITERS, ME_TXN, ME_RFO, N_ME };
 static Py_ssize_t la_offset[N_LA], me_offset[N_ME];
+
+/* What an Event calls: a callable with its arguments (EV_CALL), or one of
+ * the hierarchy's handlers, in the order of hierarchy._EVENT_HANDLERS. */
+enum {
+    EV_CALL, EV_ACCESS_L2, EV_FILL, EV_STORE, EV_DRAM_FILL, EV_INSTALL,
+    N_KINDS
+};
+/* Per handler: its name, its argument count (the hierarchy's excluded) and
+ * MemoryHierarchy's own function. */
+static PyObject *handler_name[N_KINDS];
+static const int handler_nargs[N_KINDS] = {0, 5, 4, 4, 2, 2};
+static PyObject *own_handler[N_KINDS];
 
 /* ----------------------------------------------------------------- helpers */
 
@@ -167,18 +189,6 @@ dict_ll(PyObject *dict, PyObject *name, long long *out)
 {
     PyObject *value = dict_attr(dict, name);
     return value == NULL ? -1 : as_ll(value, out);
-}
-
-static int
-put_ll(PyObject *dict, PyObject *name, long long x)
-{
-    PyObject *value = PyLong_FromLongLong(x);
-    if (value == NULL) {
-        return -1;
-    }
-    int failed = PyDict_SetItem(dict, name, value);
-    Py_DECREF(value);
-    return failed;
 }
 
 /* ``a % b`` and ``a // b`` with Python's floor semantics (b > 0). */
@@ -327,7 +337,8 @@ module_ll(const char *module, const char *name, long long *out)
     return failed;
 }
 
-/* Bind the model classes and constants once per process. */
+/* Bind the model classes, constants and MemoryHierarchy's own event
+ * handlers once per process. */
 static int
 bind_models(void)
 {
@@ -345,8 +356,10 @@ bind_models(void)
     PyObject *me = la ? module_attr("repro.cache.mshr", "MshrEntry") : NULL;
     PyObject *hit = me ? module_attr(hierarchy, "L1_HIT") : NULL;
     PyObject *hist = hit ? module_attr(hierarchy, "LatencyHistogram") : NULL;
+    PyObject *handlers = hist ? module_attr(hierarchy, "_EVENT_HANDLERS")
+                              : NULL;
     long long shared, modified;
-    if (hist == NULL
+    if (handlers == NULL
         || module_ll(hierarchy, "INTERVENTION_PENALTY",
                      &intervention_penalty) < 0
         || module_ll(hierarchy, "RETRY_INTERVAL", &retry_interval) < 0
@@ -358,6 +371,12 @@ bind_models(void)
         PyErr_SetString(PyExc_ValueError, "state codes differ from the C");
         goto error;
     }
+    if (!PyTuple_CheckExact(handlers)
+        || PyTuple_GET_SIZE(handlers) != N_KINDS - 1) {
+        PyErr_SetString(PyExc_TypeError, "_EVENT_HANDLERS must be a tuple "
+                                         "of the handlers Events run");
+        goto error;
+    }
     if (!PyType_Check(la) || !PyType_Check(me)
         || bind_slots((PyTypeObject *)la, la_names, la_offset, N_LA) < 0
         || bind_slots((PyTypeObject *)me, me_names, me_offset, N_ME) < 0) {
@@ -366,6 +385,11 @@ bind_models(void)
         }
         goto error;
     }
+    for (int kind = 1; kind < N_KINDS; kind++) {
+        own_handler[kind] = PyTuple_GET_ITEM(handlers, kind - 1);
+        Py_INCREF(own_handler[kind]);
+    }
+    Py_DECREF(handlers);
     load_access_type = (PyTypeObject *)la;
     mshr_entry_type = (PyTypeObject *)me;
     l1_hit = hit;
@@ -377,25 +401,164 @@ error:
     Py_XDECREF(me);
     Py_XDECREF(hit);
     Py_XDECREF(hist);
+    Py_XDECREF(handlers);
     return -1;
 }
 
+/* ------------------------------------------------------------- base types */
+
+/* The base type of SetAssociativeCache: its scalars (see base.py).  The
+ * checksum is ``sum + ck`` exactly: the kernel adds to ``ck`` and folds it
+ * into the int ``sum`` (NULL for 0) before it could overflow. */
+typedef struct {
+    PyObject_HEAD
+    long long clock, resident, dirty_lines, ck;
+    PyObject *sum;
+} CacheBase;
+
+/* ``sum += ck; ck = 0`` */
+static int
+ck_fold(CacheBase *o)
+{
+    if (!o->ck) {
+        return 0;
+    }
+    PyObject *delta = PyLong_FromLongLong(o->ck);
+    if (delta == NULL) {
+        return -1;
+    }
+    PyObject *sum = delta;
+    if (o->sum != NULL) {
+        sum = PyNumber_Add(o->sum, delta);
+        Py_DECREF(delta);
+        if (sum == NULL) {
+            return -1;
+        }
+    }
+    Py_XSETREF(o->sum, sum);
+    o->ck = 0;
+    return 0;
+}
+
+/* ``checksum += term``, exactly. */
+static int
+ck_add(CacheBase *o, long long term)
+{
+    if (((term > 0 && o->ck > LLONG_MAX - term)
+         || (term < 0 && o->ck < LLONG_MIN - term))
+        && ck_fold(o) < 0) {
+        return -1;
+    }
+    o->ck += term;
+    return 0;
+}
+
+static PyObject *
+checksum_get(CacheBase *o, void *closure)
+{
+    if (ck_fold(o) < 0) {
+        return NULL;
+    }
+    if (o->sum == NULL) {
+        return PyLong_FromLong(0);
+    }
+    Py_INCREF(o->sum);
+    return o->sum;
+}
+
+static int
+checksum_set(CacheBase *o, PyObject *value, void *closure)
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete checksum");
+        return -1;
+    }
+    PyObject *sum = PyNumber_Index(value);
+    if (sum == NULL) {
+        return -1;
+    }
+    Py_XSETREF(o->sum, sum);
+    o->ck = 0;
+    return 0;
+}
+
+static void
+cache_base_dealloc(CacheBase *o)
+{
+    Py_CLEAR(o->sum);
+    Py_TYPE(o)->tp_free((PyObject *)o);
+}
+
+static PyMemberDef cache_members[] = {
+    {"clock", Py_T_LONGLONG, offsetof(CacheBase, clock), 0, NULL},
+    {"_resident", Py_T_LONGLONG, offsetof(CacheBase, resident), 0, NULL},
+    {"_dirty_lines", Py_T_LONGLONG, offsetof(CacheBase, dirty_lines), 0,
+     NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef cache_getset[] = {
+    {"checksum", (getter)checksum_get, (setter)checksum_set,
+     "The exact per-line checksum of the det-state words.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject CacheBaseType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cache._kernel.CacheBase",
+    .tp_basicsize = sizeof(CacheBase),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The scalars of a SetAssociativeCache, as C fields.",
+    .tp_members = cache_members,
+    .tp_getset = cache_getset,
+    .tp_dealloc = (destructor)cache_base_dealloc,
+    .tp_new = PyType_GenericNew,
+};
+
+/* The base type of HierarchyStats: its counters (see hierarchy.py). */
+typedef struct {
+    PyObject_HEAD
+    long long loads, l1_load_hits, l2_load_hits, dram_loads, stores,
+        writebacks, interventions, invalidations, prefetches_issued,
+        prefetches_useful;
+} StatsBase;
+
+#define STATS_MEMBER(name) \
+    {#name, Py_T_LONGLONG, offsetof(StatsBase, name), 0, NULL}
+
+static PyMemberDef stats_members[] = {
+    STATS_MEMBER(loads), STATS_MEMBER(l1_load_hits),
+    STATS_MEMBER(l2_load_hits), STATS_MEMBER(dram_loads),
+    STATS_MEMBER(stores), STATS_MEMBER(writebacks),
+    STATS_MEMBER(interventions), STATS_MEMBER(invalidations),
+    STATS_MEMBER(prefetches_issued), STATS_MEMBER(prefetches_useful),
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject StatsBaseType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cache._kernel.StatsBase",
+    .tp_basicsize = sizeof(StatsBase),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The counters of a HierarchyStats, as C fields.",
+    .tp_members = stats_members,
+    .tp_new = PyType_GenericNew,
+};
+
 /* ------------------------------------------------------------------- View */
 
-/* One SetAssociativeCache: its columns, geometry and, while open, its
- * scalars (see the header). */
+/* A cache's columns, in the order they are bound. */
+enum { COL_TAG, COL_LRU, COL_FILL, COL_STATE, COL_DIRTY, N_COLS };
+
+/* One SetAssociativeCache: its scalars, columns and geometry. */
 typedef struct {
-    PyObject *dict, *where, *tag, *lru, *fill, *state_obj, *dirty_obj;
-    Py_buffer state_buf, dirty_buf;
-    int held;  /* buffers acquired */
+    CacheBase *obj;
+    Py_buffer bufs[N_COLS];
+    unsigned held;  /* bit c: bufs[c] acquired */
+    long long *tag, *lru, *fill;
     uint8_t *state, *dirty;
     long long line_bytes, ways, num_sets, slots;
-    int open;
-    unsigned changed;  /* scalars changed since opening, C_* bits */
-    long long clock, resident, dirty_lines, ck;
 } Cache;
-
-enum { C_CLOCK = 1, C_RESIDENT = 2, C_DIRTY_LINES = 4 };
 
 /* One MshrFile. */
 typedef struct {
@@ -408,9 +571,8 @@ typedef struct {
     Py_ssize_t ncores;
     Cache *caches;  /* the L1s by core id, then the L2 */
     Mshr *mshrs;    /* the L1 files by core id, then the L2's */
-    int *open_list; /* indices of the open caches */
-    int n_open;
-    PyObject *events, *memsys, *dir, *prefetched, *backlog, *stats;
+    StatsBase *stats;
+    PyObject *events, *memsys, *dir, *prefetched, *backlog;
     long long l1_line, l2_line, l1_hit_lat, l2_half, l2_delay;
     int prefetch_on;
 } View;
@@ -425,13 +587,12 @@ view_traverse(View *self, visitproc visit, void *arg)
     if (self->caches != NULL) {
         for (Py_ssize_t i = 0; i < N_CACHES(self); i++) {
             Cache *k = &self->caches[i];
-            Py_VISIT(k->dict);
-            Py_VISIT(k->where);
-            Py_VISIT(k->tag);
-            Py_VISIT(k->lru);
-            Py_VISIT(k->fill);
-            Py_VISIT(k->state_obj);
-            Py_VISIT(k->dirty_obj);
+            Py_VISIT(k->obj);
+            for (int col = 0; col < N_COLS; col++) {
+                if (k->held & (1u << col)) {
+                    Py_VISIT(k->bufs[col].obj);
+                }
+            }
         }
     }
     if (self->mshrs != NULL) {
@@ -439,25 +600,25 @@ view_traverse(View *self, visitproc visit, void *arg)
             Py_VISIT(self->mshrs[i].entries);
         }
     }
+    Py_VISIT(self->stats);
     Py_VISIT(self->events);
     Py_VISIT(self->memsys);
     Py_VISIT(self->dir);
     Py_VISIT(self->prefetched);
     Py_VISIT(self->backlog);
-    Py_VISIT(self->stats);
     return 0;
 }
 
 static void
-release_buffers(Cache *k)
+release_columns(Cache *k)
 {
-    if (k->held > 1) {
-        PyBuffer_Release(&k->dirty_buf);
-    }
-    if (k->held > 0) {
-        PyBuffer_Release(&k->state_buf);
+    for (int col = 0; col < N_COLS; col++) {
+        if (k->held & (1u << col)) {
+            PyBuffer_Release(&k->bufs[col]);
+        }
     }
     k->held = 0;
+    k->tag = k->lru = k->fill = NULL;
     k->state = k->dirty = NULL;
 }
 
@@ -466,15 +627,8 @@ view_clear(View *self)
 {
     if (self->caches != NULL) {
         for (Py_ssize_t i = 0; i < N_CACHES(self); i++) {
-            Cache *k = &self->caches[i];
-            release_buffers(k);
-            Py_CLEAR(k->dict);
-            Py_CLEAR(k->where);
-            Py_CLEAR(k->tag);
-            Py_CLEAR(k->lru);
-            Py_CLEAR(k->fill);
-            Py_CLEAR(k->state_obj);
-            Py_CLEAR(k->dirty_obj);
+            release_columns(&self->caches[i]);
+            Py_CLEAR(self->caches[i].obj);
         }
     }
     if (self->mshrs != NULL) {
@@ -482,12 +636,12 @@ view_clear(View *self)
             Py_CLEAR(self->mshrs[i].entries);
         }
     }
+    Py_CLEAR(self->stats);
     Py_CLEAR(self->events);
     Py_CLEAR(self->memsys);
     Py_CLEAR(self->dir);
     Py_CLEAR(self->prefetched);
     Py_CLEAR(self->backlog);
-    Py_CLEAR(self->stats);
     return 0;
 }
 
@@ -498,7 +652,6 @@ view_dealloc(View *self)
     view_clear(self);
     PyMem_Free(self->caches);
     PyMem_Free(self->mshrs);
-    PyMem_Free(self->open_list);
     PyObject_GC_Del(self);
 }
 
@@ -545,16 +698,24 @@ instance_dict(PyObject *obj)
     return PyObject_GenericGetDict(obj, NULL);
 }
 
+/* Bind the column ``dict[name]`` of ``items`` items of struct format
+ * ``format`` as the cache's buffer ``col``. */
 static int
-bind_buffer(PyObject *column, Py_buffer *buf, long long slots,
-            const char *name)
+bind_column(Cache *k, int col, PyObject *dict, PyObject *name,
+            long long items, const char *format)
 {
-    if (PyObject_GetBuffer(column, buf, PyBUF_WRITABLE) < 0) {
+    PyObject *column = dict_attr(dict, name);
+    Py_buffer *buf = &k->bufs[col];
+    if (column == NULL
+        || PyObject_GetBuffer(column, buf, PyBUF_WRITABLE | PyBUF_FORMAT)
+               < 0) {
         return -1;
     }
-    if (buf->len != slots) {
-        PyBuffer_Release(buf);
-        PyErr_Format(PyExc_TypeError, "%s must hold %lld bytes", name, slots);
+    k->held |= 1u << col;
+    if (buf->format == NULL || strcmp(buf->format, format) != 0
+        || buf->len != items * buf->itemsize) {
+        PyErr_Format(PyExc_TypeError, "%U must hold %lld items of format "
+                     "'%s'", name, items, format);
         return -1;
     }
     return 0;
@@ -563,38 +724,41 @@ bind_buffer(PyObject *column, Py_buffer *buf, long long slots,
 static int
 bind_cache(Cache *k, PyObject *cache)
 {
-    if ((k->dict = instance_dict(cache)) == NULL
-        || dict_ll(k->dict, str_line_bytes, &k->line_bytes) < 0
-        || dict_ll(k->dict, str_ways, &k->ways) < 0
-        || dict_ll(k->dict, str_num_sets, &k->num_sets) < 0) {
+    if (!PyObject_TypeCheck(cache, &CacheBaseType)) {
+        PyErr_Format(PyExc_TypeError, "the hierarchy's caches must be "
+                     "CacheBase, not '%s'", Py_TYPE(cache)->tp_name);
         return -1;
     }
-    if (k->line_bytes <= 0 || k->ways <= 0 || k->num_sets <= 0
-        || k->ways > PY_SSIZE_T_MAX / k->num_sets) {
+    Py_INCREF(cache);
+    k->obj = (CacheBase *)cache;
+    PyObject *dict = instance_dict(cache);
+    if (dict == NULL) {
+        return -1;
+    }
+    int failed = dict_ll(dict, str_line_bytes, &k->line_bytes) < 0
+        || dict_ll(dict, str_ways, &k->ways) < 0
+        || dict_ll(dict, str_num_sets, &k->num_sets) < 0;
+    if (!failed && (k->line_bytes <= 0 || k->ways <= 0 || k->num_sets <= 0
+                    || k->ways > PY_SSIZE_T_MAX / 8 / k->num_sets)) {
         PyErr_SetString(PyExc_ValueError, "cache geometry out of range");
+        failed = 1;
+    }
+    k->slots = failed ? 0 : k->ways * k->num_sets;
+    failed = failed
+        || bind_column(k, COL_TAG, dict, str_tag, k->slots, "q") < 0
+        || bind_column(k, COL_LRU, dict, str_lru, k->slots, "q") < 0
+        || bind_column(k, COL_FILL, dict, str_fill, k->num_sets, "q") < 0
+        || bind_column(k, COL_STATE, dict, str_state, k->slots, "B") < 0
+        || bind_column(k, COL_DIRTY, dict, str_dirty, k->slots, "B") < 0;
+    Py_DECREF(dict);
+    if (failed) {
         return -1;
     }
-    k->slots = k->ways * k->num_sets;
-    if ((k->where = bind_exact(k->dict, str_where, &PyDict_Type)) == NULL
-        || (k->tag = bind_exact(k->dict, str_tag, &PyList_Type)) == NULL
-        || (k->lru = bind_exact(k->dict, str_lru, &PyList_Type)) == NULL
-        || (k->fill = bind_exact(k->dict, str_fill, &PyList_Type)) == NULL
-        || (k->state_obj = bind_exact(k->dict, str_state,
-                                      &PyByteArray_Type)) == NULL
-        || (k->dirty_obj = bind_exact(k->dict, str_dirty,
-                                      &PyByteArray_Type)) == NULL) {
-        return -1;
-    }
-    if (bind_buffer(k->state_obj, &k->state_buf, k->slots, "state") < 0) {
-        return -1;
-    }
-    k->held = 1;
-    if (bind_buffer(k->dirty_obj, &k->dirty_buf, k->slots, "dirty") < 0) {
-        return -1;
-    }
-    k->held = 2;
-    k->state = k->state_buf.buf;
-    k->dirty = k->dirty_buf.buf;
+    k->tag = k->bufs[COL_TAG].buf;
+    k->lru = k->bufs[COL_LRU].buf;
+    k->fill = k->bufs[COL_FILL].buf;
+    k->state = k->bufs[COL_STATE].buf;
+    k->dirty = k->bufs[COL_DIRTY].buf;
     return 0;
 }
 
@@ -654,15 +818,13 @@ view_bind(PyObject *dict)
         return NULL;
     }
     self->ncores = ncores;
-    self->n_open = 0;
     self->caches = PyMem_Calloc(ncores + 1, sizeof(Cache));
     self->mshrs = PyMem_Calloc(ncores + 1, sizeof(Mshr));
-    self->open_list = PyMem_Calloc(ncores + 1, sizeof(int));
+    self->stats = NULL;
     self->events = self->memsys = self->dir = self->prefetched = NULL;
-    self->backlog = self->stats = NULL;
+    self->backlog = NULL;
     PyObject_GC_Track(self);
-    if (self->caches == NULL || self->mshrs == NULL
-        || self->open_list == NULL) {
+    if (self->caches == NULL || self->mshrs == NULL) {
         PyErr_NoMemory();
         goto error;
     }
@@ -679,7 +841,17 @@ view_bind(PyObject *dict)
         }
     }
     PyObject *stats = dict_attr(dict, str_stats);
-    PyObject *prefetcher = stats ? dict_attr(dict, str_prefetcher) : NULL;
+    if (stats == NULL) {
+        goto error;
+    }
+    if (!PyObject_TypeCheck(stats, &StatsBaseType)) {
+        PyErr_Format(PyExc_TypeError, "the hierarchy's stats must be "
+                     "StatsBase, not '%s'", Py_TYPE(stats)->tp_name);
+        goto error;
+    }
+    Py_INCREF(stats);
+    self->stats = (StatsBase *)stats;
+    PyObject *prefetcher = dict_attr(dict, str_prefetcher);
     PyObject *config = prefetcher
         ? PyObject_GetAttr(prefetcher, str_config) : NULL;
     PyObject *enabled = config ? PyObject_GetAttr(config, str_enabled) : NULL;
@@ -689,7 +861,7 @@ view_bind(PyObject *dict)
     }
     self->prefetch_on = PyObject_IsTrue(enabled);
     Py_DECREF(enabled);
-    if (self->prefetch_on < 0 || (self->stats = instance_dict(stats)) == NULL
+    if (self->prefetch_on < 0
         || (self->dir = bind_exact(dict, str_dir, &PyDict_Type)) == NULL
         || (self->prefetched = bind_exact(dict, str_prefetched,
                                           &PySet_Type)) == NULL
@@ -762,134 +934,33 @@ error:
     return -1;
 }
 
-/* ------------------------------------------------------- cache scalars */
-
-/* Read the cache's scalars into C for the rest of this call. */
-static int
-cache_open(View *v, Cache *k)
+static PyObject *
+ctx_close(Ctx *c, PyObject *result)
 {
-    if (k->open) {
-        return 0;
-    }
-    if (PyList_GET_SIZE(k->tag) != k->slots
-        || PyList_GET_SIZE(k->lru) != k->slots
-        || PyList_GET_SIZE(k->fill) != k->num_sets) {
-        PyErr_SetString(PyExc_RuntimeError, "a cache column was resized");
-        return -1;
-    }
-    if (dict_ll(k->dict, str_clock, &k->clock) < 0
-        || dict_ll(k->dict, str_resident, &k->resident) < 0
-        || dict_ll(k->dict, str_dirty_lines, &k->dirty_lines) < 0) {
-        return -1;
-    }
-    if (k->clock < 0 || k->clock >= CLOCK_LIMIT - 1) {
-        PyErr_SetString(PyExc_OverflowError, "cache clock out of range");
-        return -1;
-    }
-    k->ck = 0;
-    k->changed = 0;
-    k->open = 1;
-    v->open_list[v->n_open++] = (int)(k - v->caches);
-    return 0;
-}
-
-/* ``checksum += ck`` on the Python int. */
-static int
-ck_flush(Cache *k)
-{
-    if (!k->ck) {
-        return 0;
-    }
-    PyObject *old = dict_attr(k->dict, str_checksum);
-    PyObject *delta = old ? PyLong_FromLongLong(k->ck) : NULL;
-    PyObject *sum = delta ? PyNumber_Add(old, delta) : NULL;
-    Py_XDECREF(delta);
-    int failed = sum == NULL
-        || PyDict_SetItem(k->dict, str_checksum, sum) < 0;
-    Py_XDECREF(sum);
-    if (!failed) {
-        k->ck = 0;
-    }
-    return failed ? -1 : 0;
-}
-
-/* ``checksum += term``, exactly. */
-static int
-ck_add(Cache *k, long long term)
-{
-    if ((term > 0 && k->ck > LLONG_MAX - term)
-        || (term < 0 && k->ck < LLONG_MIN - term)) {
-        if (ck_flush(k) < 0) {
-            return -1;
-        }
-    }
-    k->ck += term;
-    return 0;
-}
-
-static int
-cache_close(Cache *k)
-{
-    k->open = 0;
-    if ((k->changed & C_CLOCK && put_ll(k->dict, str_clock, k->clock) < 0)
-        || (k->changed & C_RESIDENT
-            && put_ll(k->dict, str_resident, k->resident) < 0)
-        || (k->changed & C_DIRTY_LINES
-            && put_ll(k->dict, str_dirty_lines, k->dirty_lines) < 0)
-        || ck_flush(k) < 0) {
-        k->ck = 0;
-        return -1;
-    }
-    return 0;
-}
-
-/* Write every open cache's scalars back. */
-static int
-close_all(View *v)
-{
-    int failed = 0;
-    while (v->n_open) {
-        Cache *k = &v->caches[v->open_list[--v->n_open]];
-        if (cache_close(k) < 0) {
-            failed = -1;
-        }
-    }
-    return failed;
-}
-
-/* The same with an exception set, keeping that exception: the caches hold
- * what the Python bodies would have left when it was raised. */
-static void
-close_all_raising(View *v)
-{
-    if (!v->n_open) {
-        return;
-    }
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = PyErr_GetRaisedException();
-    if (close_all(v) < 0) {
-        PyErr_Clear();
-    }
-    PyErr_SetRaisedException(exc);
-#else
-    PyObject *type, *value, *tb;
-    PyErr_Fetch(&type, &value, &tb);
-    if (close_all(v) < 0) {
-        PyErr_Clear();
-    }
-    PyErr_Restore(type, value, tb);
-#endif
+    Py_DECREF(c->v);
+    Py_DECREF(c->dict);
+    return result;
 }
 
 /* ------------------------------------------------------- cache columns */
 
-/* ``lru[slot]``, a stamp below CLOCK_LIMIT. */
-static inline int
-lru_at(Cache *k, Py_ssize_t slot, long long *out)
+/* The next LRU stamp, ``clock + 1``, made the clock; -1 with
+ * OverflowError at CLOCK_LIMIT. */
+static inline long long
+next_stamp(CacheBase *o)
 {
-    if (as_ll(PyList_GET_ITEM(k->lru, slot), out) < 0) {
+    if (o->clock < 0 || o->clock >= CLOCK_LIMIT - 1) {
+        PyErr_SetString(PyExc_OverflowError, "cache clock out of range");
         return -1;
     }
+    return ++o->clock;
+}
+
+/* ``lru[slot]``, a stamp below CLOCK_LIMIT. */
+static inline int
+stamp_at(Cache *k, Py_ssize_t slot, long long *out)
+{
+    *out = k->lru[slot];
     if (*out < 0 || *out >= CLOCK_LIMIT) {
         PyErr_SetString(PyExc_OverflowError, "LRU stamp out of range");
         return -1;
@@ -897,98 +968,74 @@ lru_at(Cache *k, Py_ssize_t slot, long long *out)
     return 0;
 }
 
-static inline int
-list_set_ll(PyObject *list, Py_ssize_t index, long long x)
+/* The line covering ``addr``: ``addr - addr % line_bytes``. */
+static inline long long
+line_of(Cache *k, long long addr)
 {
-    PyObject *value = PyLong_FromLongLong(x);
-    if (value == NULL) {
+    return addr - floor_mod(addr, k->line_bytes);
+}
+
+/* The set of ``line`` and its live slot count, checked. */
+static inline int
+set_of(Cache *k, long long line, long long *index, long long *used)
+{
+    *index = floor_mod(floor_div(line, k->line_bytes), k->num_sets);
+    *used = k->fill[*index];
+    if (*used < 0 || *used > k->ways) {
+        PyErr_SetString(PyExc_IndexError, "set fill out of range");
         return -1;
     }
-    PyObject *old = PyList_GET_ITEM(list, index);
-    PyList_SET_ITEM(list, index, value);
-    Py_DECREF(old);
     return 0;
 }
 
-static inline void
-list_set(PyObject *list, Py_ssize_t index, PyObject *value)
-{
-    PyObject *old = PyList_GET_ITEM(list, index);
-    Py_INCREF(value);
-    PyList_SET_ITEM(list, index, value);
-    Py_DECREF(old);
-}
-
-/* The line of ``k`` covering the address ``addr`` (``key`` is its int) as a
- * new reference, its value in ``*line``. */
-static PyObject *
-line_key(Cache *k, long long addr, PyObject *key, long long *line)
-{
-    long long offset = floor_mod(addr, k->line_bytes);
-    *line = addr - offset;
-    if (!offset) {
-        Py_INCREF(key);
-        return key;
-    }
-    return PyLong_FromLongLong(*line);
-}
-
-/* The slot ``where`` maps the line ``key`` to: -1 if absent, -2 on error. */
+/* SetAssociativeCache.find: the slot holding ``line``, -1 if none, -2 on
+ * error. */
 static Py_ssize_t
-where_get(Cache *k, PyObject *key)
+cache_find(Cache *k, long long line)
 {
-    PyObject *value = PyDict_GetItemWithError(k->where, key);
-    if (value == NULL) {
-        return PyErr_Occurred() ? -2 : -1;
-    }
-    long long slot;
-    if (as_ll(value, &slot) < 0) {
+    long long index, used;
+    if (set_of(k, line, &index, &used) < 0) {
         return -2;
     }
-    if (slot < 0 || slot >= k->slots) {
-        PyErr_Format(PyExc_IndexError, "slot %lld out of range", slot);
-        return -2;
+    long long base = index * k->ways;
+    const long long *tag = k->tag + base;
+    for (long long way = 0; way < used; way++) {
+        if (tag[way] == line) {
+            return (Py_ssize_t)(base + way);
+        }
     }
-    return (Py_ssize_t)slot;
+    return -1;
 }
 
 /* SetAssociativeCache.peek */
-static Py_ssize_t
-cache_peek(Cache *k, long long addr, PyObject *addr_obj)
+static inline Py_ssize_t
+cache_peek(Cache *k, long long addr)
 {
-    long long line;
-    PyObject *key = line_key(k, addr, addr_obj, &line);
-    if (key == NULL) {
-        return -2;
-    }
-    Py_ssize_t slot = where_get(k, key);
-    Py_DECREF(key);
-    return slot;
+    return cache_find(k, line_of(k, addr));
 }
 
 /* The LRU touch of SetAssociativeCache.lookup on a resident ``slot``. */
 static int
-cache_touch(View *v, Cache *k, Py_ssize_t slot)
+cache_touch(Cache *k, Py_ssize_t slot)
 {
     long long old;
-    if (cache_open(v, k) < 0 || lru_at(k, slot, &old) < 0) {
+    if (stamp_at(k, slot, &old) < 0) {
         return -1;
     }
-    long long clock = k->clock + 1;
-    k->clock = clock;
-    k->changed |= C_CLOCK;
-    if (ck_add(k, 131 * (clock - old)) < 0) {
+    long long clock = next_stamp(k->obj);
+    if (clock < 0 || ck_add(k->obj, 131 * (clock - old)) < 0) {
         return -1;
     }
-    return list_set_ll(k->lru, slot, clock);
+    k->lru[slot] = clock;
+    return 0;
 }
 
 /* SetAssociativeCache.lookup */
 static Py_ssize_t
-cache_lookup(View *v, Cache *k, long long addr, PyObject *addr_obj)
+cache_lookup(Cache *k, long long addr)
 {
-    Py_ssize_t slot = cache_peek(k, addr, addr_obj);
-    if (slot >= 0 && cache_touch(v, k, slot) < 0) {
+    Py_ssize_t slot = cache_peek(k, addr);
+    if (slot >= 0 && cache_touch(k, slot) < 0) {
         return -2;
     }
     return slot;
@@ -996,10 +1043,9 @@ cache_lookup(View *v, Cache *k, long long addr, PyObject *addr_obj)
 
 /* SetAssociativeCache.set_state */
 static int
-cache_set_state(View *v, Cache *k, Py_ssize_t slot, int state)
+cache_set_state(Cache *k, Py_ssize_t slot, int state)
 {
-    if (cache_open(v, k) < 0
-        || ck_add(k, 7 * (long long)(state - k->state[slot])) < 0) {
+    if (ck_add(k->obj, 7 * (long long)(state - k->state[slot])) < 0) {
         return -1;
     }
     k->state[slot] = (uint8_t)state;
@@ -1007,25 +1053,20 @@ cache_set_state(View *v, Cache *k, Py_ssize_t slot, int state)
 }
 
 /* SetAssociativeCache.set_dirty */
-static int
-cache_set_dirty(View *v, Cache *k, Py_ssize_t slot, int dirty)
+static void
+cache_set_dirty(Cache *k, Py_ssize_t slot, int dirty)
 {
     if (k->dirty[slot] != dirty) {
-        if (cache_open(v, k) < 0) {
-            return -1;
-        }
-        k->dirty_lines += dirty ? 1 : -1;
-        k->changed |= C_DIRTY_LINES;
+        k->obj->dirty_lines += dirty ? 1 : -1;
         k->dirty[slot] = (uint8_t)dirty;
     }
-    return 0;
 }
 
-/* A line leaving a cache: its address (a new reference, NULL if none left),
- * coherence state and dirty bit. */
+/* A line leaving a cache: its address, coherence state and dirty bit
+ * (``left`` 0 if none left). */
 typedef struct {
-    PyObject *line;
-    int state, dirty;
+    int left, state, dirty;
+    long long line;
 } Gone;
 
 /* ``checksum -= line + 131 * lru[slot] + 7 * state[slot]`` */
@@ -1033,204 +1074,117 @@ static int
 ck_remove(Cache *k, long long line, Py_ssize_t slot)
 {
     long long stamp;
-    if (lru_at(k, slot, &stamp) < 0) {
+    if (stamp_at(k, slot, &stamp) < 0) {
         return -1;
     }
-    return ck_add(k, -line) < 0 || ck_add(k, -131 * stamp) < 0
-        || ck_add(k, -7 * (long long)k->state[slot]) < 0 ? -1 : 0;
+    return ck_add(k->obj, -line) < 0 || ck_add(k->obj, -131 * stamp) < 0
+        || ck_add(k->obj, -7 * (long long)k->state[slot]) < 0 ? -1 : 0;
 }
 
 /* SetAssociativeCache.insert; the victim, if any, in ``*victim``. */
 static int
-cache_insert(View *v, Cache *k, long long addr, PyObject *addr_obj,
-             int state, int dirty, Gone *victim)
+cache_insert(Cache *k, long long addr, int state, int dirty, Gone *victim)
 {
-    victim->line = NULL;
-    long long line;
-    PyObject *key = line_key(k, addr, addr_obj, &line);
-    if (key == NULL) {
+    CacheBase *o = k->obj;
+    victim->left = 0;
+    long long line = line_of(k, addr);
+    long long clock = next_stamp(o);
+    if (clock < 0) {
         return -1;
     }
-    if (cache_open(v, k) < 0) {
-        goto error;
-    }
-    long long clock = k->clock + 1;
-    k->clock = clock;
-    k->changed |= C_CLOCK;
-    Py_ssize_t slot = where_get(k, key);
+    Py_ssize_t slot = cache_find(k, line);
     if (slot == -2) {
-        goto error;
+        return -1;
     }
     if (slot >= 0) {
         long long stamp;
-        if (lru_at(k, slot, &stamp) < 0
-            || ck_add(k, 7 * (long long)(state - k->state[slot])) < 0
-            || ck_add(k, 131 * (clock - stamp)) < 0) {
-            goto error;
+        if (stamp_at(k, slot, &stamp) < 0
+            || ck_add(o, 7 * (long long)(state - k->state[slot])) < 0
+            || ck_add(o, 131 * (clock - stamp)) < 0) {
+            return -1;
         }
         k->state[slot] = (uint8_t)state;
-        if (list_set_ll(k->lru, slot, clock) < 0) {
-            goto error;
-        }
+        k->lru[slot] = clock;
         if (dirty && !k->dirty[slot]) {
             k->dirty[slot] = 1;
-            k->dirty_lines += 1;
-            k->changed |= C_DIRTY_LINES;
+            o->dirty_lines += 1;
         }
-        Py_DECREF(key);
         return 0;
     }
-    long long index = floor_mod(floor_div(line, k->line_bytes), k->num_sets);
-    long long base = index * k->ways, used;
-    if (as_ll(PyList_GET_ITEM(k->fill, index), &used) < 0) {
-        goto error;
+    long long index, used;
+    if (set_of(k, line, &index, &used) < 0) {
+        return -1;
     }
-    if (used < 0 || used > k->ways) {
-        PyErr_SetString(PyExc_IndexError, "set fill out of range");
-        goto error;
-    }
+    long long base = index * k->ways;
     if (used < k->ways) {
         slot = (Py_ssize_t)(base + used);
-        if (list_set_ll(k->fill, index, used + 1) < 0) {
-            goto error;
-        }
-        k->resident += 1;
-        k->changed |= C_RESIDENT;
+        k->fill[index] = used + 1;
+        o->resident += 1;
     }
     else {
         /* The set's minimum-LRU slot (stamps are unique). */
         long long best = 0, stamp;
         slot = -1;
         for (long long s = base; s < base + k->ways; s++) {
-            if (lru_at(k, s, &stamp) < 0) {
-                goto error;
+            if (stamp_at(k, s, &stamp) < 0) {
+                return -1;
             }
             if (slot < 0 || stamp < best) {
                 best = stamp;
                 slot = (Py_ssize_t)s;
             }
         }
-        PyObject *old = PyList_GET_ITEM(k->tag, slot);
-        long long old_line;
-        if (as_ll(old, &old_line) < 0) {
-            goto error;
-        }
-        Py_INCREF(old);
-        victim->line = old;
+        victim->left = 1;
+        victim->line = k->tag[slot];
         victim->state = k->state[slot];
         victim->dirty = k->dirty[slot];
-        if (PyDict_DelItem(k->where, old) < 0) {
-            goto error;
-        }
-        k->dirty_lines -= k->dirty[slot];
-        k->changed |= C_DIRTY_LINES;
-        if (ck_remove(k, old_line, slot) < 0) {
-            goto error;
+        o->dirty_lines -= k->dirty[slot];
+        if (ck_remove(k, victim->line, slot) < 0) {
+            return -1;
         }
     }
-    PyObject *slot_obj = PyLong_FromSsize_t(slot);
-    if (slot_obj == NULL) {
-        goto error;
-    }
-    int failed = PyDict_SetItem(k->where, key, slot_obj);
-    Py_DECREF(slot_obj);
-    if (failed) {
-        goto error;
-    }
-    list_set(k->tag, slot, key);
-    if (list_set_ll(k->lru, slot, clock) < 0) {
-        goto error;
-    }
+    k->tag[slot] = line;
+    k->lru[slot] = clock;
     k->state[slot] = (uint8_t)state;
     k->dirty[slot] = (uint8_t)dirty;
     if (dirty) {
-        k->dirty_lines += 1;
-        k->changed |= C_DIRTY_LINES;
+        o->dirty_lines += 1;
     }
-    Py_DECREF(key);
-    return ck_add(k, line) < 0 || ck_add(k, 131 * clock) < 0
-        || ck_add(k, 7 * (long long)state) < 0 ? -1 : 0;
-
-error:
-    Py_CLEAR(victim->line);
-    Py_DECREF(key);
-    return -1;
+    return ck_add(o, line) < 0 || ck_add(o, 131 * clock) < 0
+        || ck_add(o, 7 * (long long)state) < 0 ? -1 : 0;
 }
 
-/* SetAssociativeCache.invalidate; ``gone->line`` is NULL if the line was
- * not resident. */
+/* SetAssociativeCache.invalidate; ``gone->left`` is 0 if the line was not
+ * resident. */
 static int
-cache_invalidate(View *v, Cache *k, long long addr, PyObject *addr_obj,
-                 Gone *gone)
+cache_invalidate(Cache *k, long long addr, Gone *gone)
 {
-    gone->line = NULL;
-    long long line;
-    PyObject *key = line_key(k, addr, addr_obj, &line);
-    if (key == NULL) {
-        return -1;
-    }
-    Py_ssize_t slot = where_get(k, key);
+    CacheBase *o = k->obj;
+    gone->left = 0;
+    long long line = line_of(k, addr);
+    Py_ssize_t slot = cache_find(k, line);
     if (slot < 0) {
-        Py_DECREF(key);
         return slot == -2 ? -1 : 0;
     }
-    if (cache_open(v, k) < 0) {
-        Py_DECREF(key);
-        return -1;
-    }
-    /* The popped slot int: ``where[moved]`` takes it below. */
-    PyObject *slot_obj = PyDict_GetItemWithError(k->where, key);
-    if (slot_obj == NULL) {
-        Py_DECREF(key);
-        return -1;
-    }
-    Py_INCREF(slot_obj);
-    if (PyDict_DelItem(k->where, key) < 0) {
-        goto error;
-    }
-    gone->line = key;  /* takes the reference */
-    key = NULL;
+    gone->left = 1;
+    gone->line = line;
     gone->state = k->state[slot];
     gone->dirty = k->dirty[slot];
-    k->resident -= 1;
-    k->dirty_lines -= k->dirty[slot];
-    k->changed |= C_RESIDENT | C_DIRTY_LINES;
+    o->resident -= 1;
+    o->dirty_lines -= k->dirty[slot];
     if (ck_remove(k, line, slot) < 0) {
-        goto error;
+        return -1;
     }
-    long long index = slot / k->ways, used;
-    if (as_ll(PyList_GET_ITEM(k->fill, index), &used) < 0) {
-        goto error;
-    }
-    if (used < 1 || used > k->ways) {
-        PyErr_SetString(PyExc_IndexError, "set fill out of range");
-        goto error;
-    }
-    Py_ssize_t last = (Py_ssize_t)(index * k->ways + used - 1);
-    if (list_set_ll(k->fill, index, used - 1) < 0) {
-        goto error;
-    }
+    long long index = slot / k->ways;
+    Py_ssize_t last = (Py_ssize_t)(index * k->ways + k->fill[index] - 1);
+    k->fill[index] -= 1;
     if (slot != last) {
-        PyObject *moved = PyList_GET_ITEM(k->tag, last);
-        Py_INCREF(moved);
-        list_set(k->tag, slot, moved);
-        list_set(k->lru, slot, PyList_GET_ITEM(k->lru, last));
+        k->tag[slot] = k->tag[last];
+        k->lru[slot] = k->lru[last];
         k->state[slot] = k->state[last];
         k->dirty[slot] = k->dirty[last];
-        int failed = PyDict_SetItem(k->where, moved, slot_obj);
-        Py_DECREF(moved);
-        if (failed) {
-            goto error;
-        }
     }
-    Py_DECREF(slot_obj);
     return 0;
-
-error:
-    Py_XDECREF(key);
-    Py_DECREF(slot_obj);
-    Py_CLEAR(gone->line);
-    return -1;
 }
 
 /* ------------------------------------------------------------ MSHR files */
@@ -1312,79 +1266,22 @@ append_waiter(PyObject *entry, PyObject *item)
 
 /* ------------------------------------------------------------- calls out */
 
-/* ``args[0].name(*args[1:])`` (the last names in ``kwnames`` by keyword)
- * after writing every open cache back; a new reference. */
+/* ``args[0].name(*args[1:])`` (the last names in ``kwnames`` by keyword);
+ * a new reference. */
 static PyObject *
-call_out(View *v, PyObject *name, PyObject **args, size_t nargs,
-         PyObject *kwnames)
+call_out(PyObject *name, PyObject **args, size_t nargs, PyObject *kwnames)
 {
-    if (close_all(v) < 0) {
-        return NULL;
-    }
     return PyObject_VectorcallMethod(
         name, args, nargs | PY_VECTORCALL_ARGUMENTS_OFFSET, kwnames);
 }
 
 static int
-call_out_discard(View *v, PyObject *name, PyObject **args, size_t nargs,
+call_out_discard(PyObject *name, PyObject **args, size_t nargs,
                  PyObject *kwnames)
 {
-    PyObject *result = call_out(v, name, args, nargs, kwnames);
+    PyObject *result = call_out(name, args, nargs, kwnames);
     Py_XDECREF(result);
     return result == NULL ? -1 : 0;
-}
-
-/* ``fn(*args)`` after writing every open cache back. */
-static int
-call_fn(View *v, PyObject *fn, PyObject **args, size_t nargs)
-{
-    if (close_all(v) < 0) {
-        return -1;
-    }
-    PyObject *result = PyObject_Vectorcall(fn, args, nargs, NULL);
-    Py_XDECREF(result);
-    return result == NULL ? -1 : 0;
-}
-
-/* ``functools.partial(fn, *args)`` */
-static PyObject *
-make_partial(PyObject *fn, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *items[6];
-    items[0] = fn;
-    for (Py_ssize_t k = 0; k < nargs; k++) {
-        items[k + 1] = args[k];
-    }
-    return PyObject_Vectorcall(partial_type, items, nargs + 1, NULL);
-}
-
-/* ``self.events.schedule(cycle, partial(fn, *args))`` */
-static int
-schedule(View *v, PyObject *cycle, PyObject *fn, PyObject *const *args,
-         Py_ssize_t nargs)
-{
-    PyObject *callback = make_partial(fn, args, nargs);
-    if (callback == NULL) {
-        return -1;
-    }
-    PyObject *call[] = {v->events, cycle, callback};
-    int failed = call_out_discard(v, str_schedule, call, 3, NULL);
-    Py_DECREF(callback);
-    return failed;
-}
-
-/* The same with ``self.<method>`` (a bound method) as ``fn``. */
-static int
-schedule_method(Ctx *c, PyObject *cycle, PyObject *method,
-                PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *fn = PyObject_GetAttr(c->hier, method);
-    if (fn == NULL) {
-        return -1;
-    }
-    int failed = schedule(c->v, cycle, fn, args, nargs);
-    Py_DECREF(fn);
-    return failed;
 }
 
 /* ``self.<method>(*args)`` */
@@ -1396,7 +1293,7 @@ call_self(Ctx *c, PyObject *method, PyObject **args, size_t nargs)
     for (size_t k = 0; k < nargs; k++) {
         call[k + 1] = args[k];
     }
-    return call_out_discard(c->v, method, call, nargs + 1, NULL);
+    return call_out_discard(method, call, nargs + 1, NULL);
 }
 
 /* ``self._trace_cache(kind, core, line[, now])`` when a recorder is
@@ -1420,17 +1317,6 @@ trace_cache(Ctx *c, PyObject *kind, long long core, PyObject *line,
     int failed = call_self(c, str_trace_cache, args, now ? 4 : 3);
     Py_DECREF(core_obj);
     return failed;
-}
-
-/* ``self.stats.<name> += delta`` */
-static int
-stat_add(View *v, PyObject *name, PyObject *delta)
-{
-    PyObject *value = dict_attr(v->stats, name);
-    PyObject *sum = value ? PyNumber_InPlaceAdd(value, delta) : NULL;
-    int failed = sum == NULL || PyDict_SetItem(v->stats, name, sum) < 0;
-    Py_XDECREF(sum);
-    return failed ? -1 : 0;
 }
 
 /* ``self._store_backlog[core] += delta`` */
@@ -1462,6 +1348,147 @@ drain_one(Ctx *c, long long core, PyObject *core_obj)
     }
     PyObject *args[] = {core_obj};
     return call_self(c, str_wake_core, args, 1);
+}
+
+/* ------------------------------------------------------------------ events */
+
+#define EVENT_ARGS 5
+
+/* A scheduled call: ``target(*args)`` (EV_CALL), or the hierarchy
+ * ``target``'s handler of that kind with ``args`` (see the header). */
+typedef struct {
+    PyObject_HEAD
+    PyObject *target;
+    PyObject *args[EVENT_ARGS];
+    int kind, nargs;
+    vectorcallfunc vectorcall;
+} Event;
+
+static PyTypeObject EventType;
+static PyObject *event_call(PyObject *callable, PyObject *const *args,
+                            size_t nargsf, PyObject *kwnames);
+
+static PyObject *
+event_new(int kind, PyObject *target, PyObject *const *args, int nargs)
+{
+    Event *self = PyObject_GC_New(Event, &EventType);
+    if (self == NULL) {
+        return NULL;
+    }
+    Py_INCREF(target);
+    self->target = target;
+    for (int k = 0; k < nargs; k++) {
+        Py_INCREF(args[k]);
+        self->args[k] = args[k];
+    }
+    self->kind = kind;
+    self->nargs = nargs;
+    self->vectorcall = event_call;
+    PyObject_GC_Track(self);
+    return (PyObject *)self;
+}
+
+static int
+event_traverse(Event *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->target);
+    for (int k = 0; k < self->nargs; k++) {
+        Py_VISIT(self->args[k]);
+    }
+    return 0;
+}
+
+static int
+event_clear(Event *self)
+{
+    Py_CLEAR(self->target);
+    for (int k = 0; k < self->nargs; k++) {
+        Py_CLEAR(self->args[k]);
+    }
+    self->nargs = 0;
+    return 0;
+}
+
+static void
+event_dealloc(Event *self)
+{
+    PyObject_GC_UnTrack(self);
+    event_clear(self);
+    PyObject_GC_Del(self);
+}
+
+/* Event.func: the callable, or the hierarchy's bound handler. */
+static PyObject *
+event_func(Event *self, void *closure)
+{
+    if (self->target == NULL) {
+        Py_RETURN_NONE;
+    }
+    if (self->kind == EV_CALL) {
+        Py_INCREF(self->target);
+        return self->target;
+    }
+    return PyObject_GetAttr(self->target, handler_name[self->kind]);
+}
+
+/* Event.args */
+static PyObject *
+event_args(Event *self, void *closure)
+{
+    PyObject *args = PyTuple_New(self->nargs);
+    if (args == NULL) {
+        return NULL;
+    }
+    for (int k = 0; k < self->nargs; k++) {
+        Py_INCREF(self->args[k]);
+        PyTuple_SET_ITEM(args, k, self->args[k]);
+    }
+    return args;
+}
+
+static PyGetSetDef event_getset[] = {
+    {"func", (getter)event_func, NULL, "What the event calls.", NULL},
+    {"args", (getter)event_args, NULL, "The arguments it passes first.",
+     NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject EventType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cache._kernel.Event",
+    .tp_basicsize = sizeof(Event),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+        | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "A call the hierarchy scheduled: func(*args, *more).",
+    .tp_vectorcall_offset = offsetof(Event, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_getset = event_getset,
+    .tp_traverse = (traverseproc)event_traverse,
+    .tp_clear = (inquiry)event_clear,
+    .tp_dealloc = (destructor)event_dealloc,
+};
+
+/* ``self.events.schedule(cycle, Event(kind, target, *args))`` */
+static int
+schedule_event(View *v, PyObject *cycle, int kind, PyObject *target,
+               PyObject *const *args, int nargs)
+{
+    PyObject *event = event_new(kind, target, args, nargs);
+    if (event == NULL) {
+        return -1;
+    }
+    PyObject *call[] = {v->events, cycle, event};
+    int failed = call_out_discard(str_schedule, call, 3, NULL);
+    Py_DECREF(event);
+    return failed;
+}
+
+/* The same with the hierarchy's handler of ``kind``. */
+static int
+schedule_handler(Ctx *c, PyObject *cycle, int kind, PyObject *const *args)
+{
+    return schedule_event(c->v, cycle, kind, c->hier, args,
+                          handler_nargs[kind]);
 }
 
 /* ------------------------------------------------------------- directory */
@@ -1527,17 +1554,14 @@ static int
 dirty_l2_line(View *v, long long line)
 {
     Cache *l2 = L2_OF(v);
-    long long line64 = line - floor_mod(line, v->l2_line);
-    PyObject *key = PyLong_FromLongLong(line64);
-    if (key == NULL) {
-        return -1;
-    }
-    Py_ssize_t slot = cache_peek(l2, line64, key);
-    Py_DECREF(key);
+    Py_ssize_t slot = cache_peek(l2, line - floor_mod(line, v->l2_line));
     if (slot == -2) {
         return -1;
     }
-    return slot >= 0 ? cache_set_dirty(v, l2, slot, 1) : 0;
+    if (slot >= 0) {
+        cache_set_dirty(l2, slot, 1);
+    }
+    return 0;
 }
 
 /* ----------------------------------------------------- coherence, evictions */
@@ -1546,8 +1570,7 @@ dirty_l2_line(View *v, long long line)
  * remote copies resolved, ``*penalty`` raised on an intervention. */
 static int
 resolve_line(Ctx *c, long long core, long long line32, PyObject *key,
-             long long line64, PyObject *line64_obj, int is_rfo,
-             long long *penalty)
+             long long line64, int is_rfo, long long *penalty)
 {
     View *v = c->v;
     uint64_t sharers;
@@ -1567,7 +1590,7 @@ resolve_line(Ctx *c, long long core, long long line32, PyObject *key,
             return -1;
         }
         Cache *l1 = &v->caches[other];
-        Py_ssize_t slot = cache_peek(l1, line32, key);
+        Py_ssize_t slot = cache_peek(l1, line32);
         if (slot == -2) {
             return -1;
         }
@@ -1578,20 +1601,20 @@ resolve_line(Ctx *c, long long core, long long line32, PyObject *key,
         if (l1->state[slot] == MODIFIED) {
             /* Writeback to L2, downgrade (or invalidate on RFO). */
             Cache *l2 = L2_OF(v);
-            Py_ssize_t l2slot = cache_peek(l2, line64, line64_obj);
-            if (l2slot == -2
-                || (l2slot >= 0 && cache_set_dirty(v, l2, l2slot, 1) < 0)) {
+            Py_ssize_t l2slot = cache_peek(l2, line64);
+            if (l2slot == -2) {
                 return -1;
+            }
+            if (l2slot >= 0) {
+                cache_set_dirty(l2, l2slot, 1);
             }
             *penalty = intervention_penalty;
-            if (stat_add(v, str_interventions, small_one) < 0) {
-                return -1;
-            }
+            v->stats->interventions += 1;
             if (!is_rfo) {
-                if (cache_set_state(v, l1, slot, SHARED) < 0
-                    || cache_set_dirty(v, l1, slot, 0) < 0) {
+                if (cache_set_state(l1, slot, SHARED) < 0) {
                     return -1;
                 }
+                cache_set_dirty(l1, slot, 0);
                 continue;
             }
         }
@@ -1600,13 +1623,12 @@ resolve_line(Ctx *c, long long core, long long line32, PyObject *key,
         }
         /* RFO: the remote copy goes. */
         Gone gone;
-        if (cache_invalidate(v, l1, line32, key, &gone) < 0) {
+        if (cache_invalidate(l1, line32, &gone) < 0) {
             return -1;
         }
-        Py_XDECREF(gone.line);
         sharers ^= bit;
-        if (stat_add(v, str_invalidations, small_one) < 0
-            || trace_cache(c, str_inval, other, key, NULL) < 0) {
+        v->stats->invalidations += 1;
+        if (trace_cache(c, str_inval, other, key, NULL) < 0) {
             return -1;
         }
     }
@@ -1616,8 +1638,7 @@ resolve_line(Ctx *c, long long core, long long line32, PyObject *key,
 /* MemoryHierarchy._resolve_remote_copies: the extra latency, or -1.
  * Sharers are visited in ascending core id. */
 static long long
-resolve_remote_copies(Ctx *c, long long core, long long line64,
-                      PyObject *line64_obj, int is_rfo)
+resolve_remote_copies(Ctx *c, long long core, long long line64, int is_rfo)
 {
     View *v = c->v;
     long long penalty = 0;
@@ -1627,8 +1648,8 @@ resolve_remote_copies(Ctx *c, long long core, long long line64,
         if (key == NULL) {
             return -1;
         }
-        int failed = resolve_line(c, core, line32, key, line64, line64_obj,
-                                  is_rfo, &penalty);
+        int failed = resolve_line(c, core, line32, key, line64, is_rfo,
+                                  &penalty);
         Py_DECREF(key);
         if (failed) {
             return -1;
@@ -1662,14 +1683,15 @@ invalidate_remote(Ctx *c, long long core, long long line32, PyObject *key,
         int other;
         Gone gone;
         if (sharer(v, bit, &other) < 0
-            || cache_invalidate(v, &v->caches[other], line32, key, &gone) < 0) {
+            || cache_invalidate(&v->caches[other], line32, &gone) < 0) {
             return -1;
         }
-        if (gone.line != NULL) {
-            Py_DECREF(gone.line);
-            if ((gone.state == MODIFIED && dirty_l2_line(v, line32) < 0)
-                || stat_add(v, str_invalidations, small_one) < 0
-                || trace_cache(c, str_inval, other, key, now) < 0) {
+        if (gone.left) {
+            if (gone.state == MODIFIED && dirty_l2_line(v, line32) < 0) {
+                return -1;
+            }
+            v->stats->invalidations += 1;
+            if (trace_cache(c, str_inval, other, key, now) < 0) {
                 return -1;
             }
         }
@@ -1679,27 +1701,24 @@ invalidate_remote(Ctx *c, long long core, long long line32, PyObject *key,
 
 /* MemoryHierarchy._evict_l1_line */
 static int
-evict_l1_line(Ctx *c, long long core, PyObject *line_obj, int state,
-              int dirty)
+evict_l1_line(Ctx *c, long long core, long long line, int state, int dirty)
 {
     View *v = c->v;
-    long long line;
-    uint64_t sharers;
-    int present;
-    if (as_ll(line_obj, &line) < 0
-        || dir_get(v, line_obj, &sharers, &present) < 0) {
+    PyObject *key = PyLong_FromLongLong(line);
+    if (key == NULL) {
         return -1;
     }
-    if (present) {
+    uint64_t sharers;
+    int present;
+    int failed = dir_get(v, key, &sharers, &present) < 0;
+    if (!failed && present) {
         sharers &= ~((uint64_t)1 << core);
-        if (sharers) {
-            if (dir_set(v, line_obj, sharers) < 0) {
-                return -1;
-            }
-        }
-        else if (PyDict_DelItem(v->dir, line_obj) < 0) {
-            return -1;
-        }
+        failed = sharers ? dir_set(v, key, sharers) < 0
+                         : PyDict_DelItem(v->dir, key) < 0;
+    }
+    Py_DECREF(key);
+    if (failed) {
+        return -1;
     }
     if (dirty || state == MODIFIED) {
         return dirty_l2_line(v, line);
@@ -1709,13 +1728,9 @@ evict_l1_line(Ctx *c, long long core, PyObject *line_obj, int state,
 
 /* MemoryHierarchy._evict_l2_line */
 static int
-evict_l2_line(Ctx *c, PyObject *line64_obj, int dirty)
+evict_l2_line(Ctx *c, long long line64, int dirty)
 {
     View *v = c->v;
-    long long line64;
-    if (as_ll(line64_obj, &line64) < 0) {
-        return -1;
-    }
     /* Inclusive L2: back-invalidate every covered L1 line everywhere, in
      * ascending core id. */
     for (long long line32 = line64; line32 < line64 + v->l2_line;
@@ -1737,18 +1752,16 @@ evict_l2_line(Ctx *c, PyObject *line64_obj, int dirty)
             int core;
             Gone gone;
             if (sharer(v, bit, &core) < 0
-                || cache_invalidate(v, &v->caches[core], line32, key,
-                                    &gone) < 0) {
+                || cache_invalidate(&v->caches[core], line32, &gone) < 0) {
                 Py_DECREF(key);
                 return -1;
             }
-            if (gone.line != NULL) {
-                Py_DECREF(gone.line);
+            if (gone.left) {
                 if (gone.state == MODIFIED || gone.dirty) {
                     dirty = 1;
                 }
-                if (stat_add(v, str_invalidations, small_one) < 0
-                    || trace_cache(c, str_inval, core, key, NULL) < 0) {
+                v->stats->invalidations += 1;
+                if (trace_cache(c, str_inval, core, key, NULL) < 0) {
                     Py_DECREF(key);
                     return -1;
                 }
@@ -1756,17 +1769,18 @@ evict_l2_line(Ctx *c, PyObject *line64_obj, int dirty)
         }
         Py_DECREF(key);
     }
-    if (PySet_Discard(v->prefetched, line64_obj) < 0) {
+    PyObject *key64 = PyLong_FromLongLong(line64);
+    if (key64 == NULL) {
         return -1;
     }
-    if (dirty) {
-        PyObject *args[] = {line64_obj};
-        if (trace_cache(c, str_dirty_evict, -1, line64_obj, NULL) < 0
-            || call_self(c, str_writeback, args, 1) < 0) {
-            return -1;
-        }
+    int failed = PySet_Discard(v->prefetched, key64) < 0;
+    if (!failed && dirty) {
+        PyObject *args[] = {key64};
+        failed = trace_cache(c, str_dirty_evict, -1, key64, NULL) < 0
+            || call_self(c, str_writeback, args, 1) < 0;
     }
-    return 0;
+    Py_DECREF(key64);
+    return failed ? -1 : 0;
 }
 
 /* ----------------------------------------------------------------- loads */
@@ -1793,34 +1807,34 @@ load(Ctx *c, PyObject *const *a)
     }
     Cache *l1 = &v->caches[core];
     long long line32 = address - floor_mod(address, v->l1_line);
-    PyObject *key = PyLong_FromLongLong(line32);
-    if (key == NULL) {
+    Py_ssize_t slot = cache_find(l1, line32);
+    if (slot == -2) {
         return NULL;
     }
-    PyObject *entry = NULL, *handle = NULL, *cycle = NULL;
-    Py_ssize_t slot = where_get(l1, key);
-    if (slot == -2) {
-        goto error;
-    }
+    PyObject *key = NULL, *entry = NULL, *handle = NULL, *cycle = NULL;
     if (slot >= 0) {
         /* L1 hit. */
-        if (cache_touch(v, l1, slot) < 0
-            || stat_add(v, str_loads, small_one) < 0
-            || stat_add(v, str_l1_load_hits, small_one) < 0
-            || (cycle = PyLong_FromLongLong(now + v->l1_hit_lat)) == NULL
-            || schedule(v, cycle, callback, &cycle, 1) < 0) {
+        if (cache_touch(l1, slot) < 0) {
+            return NULL;
+        }
+        v->stats->loads += 1;
+        v->stats->l1_load_hits += 1;
+        if ((cycle = PyLong_FromLongLong(now + v->l1_hit_lat)) == NULL
+            || schedule_event(v, cycle, EV_CALL, callback, &cycle, 1) < 0) {
             goto error;
         }
         Py_DECREF(cycle);
-        Py_DECREF(key);
         Py_INCREF(l1_hit);
         return l1_hit;
+    }
+    if ((key = PyLong_FromLongLong(line32)) == NULL) {
+        return NULL;
     }
     Mshr *mshr = &v->mshrs[core];
     entry = mshr_get(mshr, key);
     if (entry != NULL) {
-        if (stat_add(v, str_loads, small_one) < 0
-            || (handle = new_load_access(pc, now_obj, critical)) == NULL
+        v->stats->loads += 1;
+        if ((handle = new_load_access(pc, now_obj, critical)) == NULL
             || append_waiter(entry, PyTuple_Pack(2, handle, callback)) < 0) {
             goto error;
         }
@@ -1872,14 +1886,14 @@ load(Ctx *c, PyObject *const *a)
         Py_DECREF(key);
         Py_RETURN_NONE;
     }
-    if (stat_add(v, str_loads, small_one) < 0
-        || (handle = new_load_access(pc, now_obj, critical)) == NULL
+    v->stats->loads += 1;
+    if ((handle = new_load_access(pc, now_obj, critical)) == NULL
         || append_waiter(entry, PyTuple_Pack(2, handle, callback)) < 0
         || (cycle = PyLong_FromLongLong(now + v->l2_delay)) == NULL) {
         goto error;
     }
     PyObject *args[] = {core_obj, key, critical, magnitude, Py_False};
-    if (schedule_method(c, cycle, str_access_l2, args, 5) < 0) {
+    if (schedule_handler(c, cycle, EV_ACCESS_L2, args) < 0) {
         goto error;
     }
     Py_DECREF(cycle);
@@ -1891,7 +1905,7 @@ error:
     Py_XDECREF(cycle);
     Py_XDECREF(handle);
     Py_XDECREF(entry);
-    Py_DECREF(key);
+    Py_XDECREF(key);
     return NULL;
 }
 
@@ -1931,34 +1945,34 @@ store(Ctx *c, PyObject *core_obj, PyObject *address_obj, PyObject *now_obj,
         || as_ll(address_obj, &address) < 0 || as_ll(now_obj, &now) < 0) {
         return -1;
     }
-    if (!retry && stat_add(v, str_stores, small_one) < 0) {
-        return -1;
+    if (!retry) {
+        v->stats->stores += 1;
     }
     Cache *l1 = &v->caches[core];
     long long line32 = address - floor_mod(address, v->l1_line);
+    Py_ssize_t slot = cache_find(l1, line32);
+    if (slot == -2) {
+        return -1;
+    }
     PyObject *key = PyLong_FromLongLong(line32);
     if (key == NULL) {
         return -1;
     }
     PyObject *entry = NULL, *cycle = NULL;
-    Py_ssize_t slot = where_get(l1, key);
-    if (slot == -2) {
-        goto error;
-    }
     if (slot >= 0) {
-        if (cache_touch(v, l1, slot) < 0
+        if (cache_touch(l1, slot) < 0
             || (retry && drain_one(c, core, core_obj) < 0)) {
             goto error;
         }
         if (l1->state[slot] != MODIFIED) {
             /* Upgrade S -> M: invalidate remote sharers. */
             if (invalidate_remote(c, core, line32, key, now_obj) < 0
-                || cache_set_state(v, l1, slot, MODIFIED) < 0) {
+                || cache_set_state(l1, slot, MODIFIED) < 0) {
                 goto error;
             }
         }
-        if (!l1->dirty[slot] && cache_set_dirty(v, l1, slot, 1) < 0) {
-            goto error;
+        if (!l1->dirty[slot]) {
+            cache_set_dirty(l1, slot, 1);
         }
         Py_DECREF(key);
         return 0;
@@ -1990,7 +2004,7 @@ store(Ctx *c, PyObject *core_obj, PyObject *address_obj, PyObject *now_obj,
             goto error;
         }
         PyObject *args[] = {core_obj, address_obj, cycle, Py_True};
-        if (schedule_method(c, cycle, str_store, args, 4) < 0) {
+        if (schedule_handler(c, cycle, EV_STORE, args) < 0) {
             goto error;
         }
         Py_DECREF(cycle);
@@ -2004,7 +2018,7 @@ store(Ctx *c, PyObject *core_obj, PyObject *address_obj, PyObject *now_obj,
         goto error;
     }
     PyObject *args[] = {core_obj, key, Py_False, small_zero, Py_True};
-    if (schedule_method(c, cycle, str_access_l2, args, 5) < 0) {
+    if (schedule_handler(c, cycle, EV_ACCESS_L2, args) < 0) {
         goto error;
     }
     Py_DECREF(cycle);
@@ -2028,7 +2042,7 @@ access_l2(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
 {
     View *v = c->v;
     PyObject *args0[] = {c->hier};
-    PyObject *now_obj = call_out(v, str_now, args0, 1, NULL);
+    PyObject *now_obj = call_out(str_now, args0, 1, NULL);
     if (now_obj == NULL) {
         return -1;
     }
@@ -2043,15 +2057,14 @@ access_l2(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
     if ((key64 = PyLong_FromLongLong(line64)) == NULL) {
         goto error;
     }
-    Py_ssize_t slot = cache_lookup(v, L2_OF(v), line64, key64);
+    Py_ssize_t slot = cache_lookup(L2_OF(v), line64);
     if (slot == -2) {
         goto error;
     }
     int hit = slot >= 0;
     if (v->prefetch_on) {
         PyObject *args[] = {c->hier, key64, hit ? Py_False : Py_True};
-        if (call_out_discard(v, str_train_prefetcher, args, 2,
-                             kw_is_miss) < 0) {
+        if (call_out_discard(str_train_prefetcher, args, 2, kw_is_miss) < 0) {
             goto error;
         }
     }
@@ -2062,21 +2075,25 @@ access_l2(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
     if (hit) {
         int prefetched = PySet_Contains(v->prefetched, key64);
         if (prefetched < 0
-            || (prefetched
-                && (PySet_Discard(v->prefetched, key64) < 0
-                    || stat_add(v, str_prefetches_useful, small_one) < 0))) {
+            || (prefetched && PySet_Discard(v->prefetched, key64) < 0)) {
             goto error;
         }
-        long long penalty = resolve_remote_copies(c, core, line64, key64,
-                                                  is_rfo);
-        if (penalty < 0
-            || (!is_rfo && stat_add(v, str_l2_load_hits, small_one) < 0)
-            || (cycle = PyLong_FromLongLong(now + v->l2_half + penalty))
-                   == NULL) {
+        if (prefetched) {
+            v->stats->prefetches_useful += 1;
+        }
+        long long penalty = resolve_remote_copies(c, core, line64, is_rfo);
+        if (penalty < 0) {
+            goto error;
+        }
+        if (!is_rfo) {
+            v->stats->l2_load_hits += 1;
+        }
+        if ((cycle = PyLong_FromLongLong(now + v->l2_half + penalty))
+            == NULL) {
             goto error;
         }
         PyObject *args[] = {core_obj, line32_obj, is_rfo_obj, cycle};
-        if (schedule_method(c, cycle, str_fill_l1_and_respond, args, 4) < 0) {
+        if (schedule_handler(c, cycle, EV_FILL, args) < 0) {
             goto error;
         }
         goto done;
@@ -2108,7 +2125,7 @@ access_l2(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
                 /* Batched engine: settle the channel's open gap before
                  * the flag flips (no-op in the per-cycle engines). */
                 PyObject *args[] = {v->memsys, txn, now_obj, Py_True};
-                if (call_out_discard(v, str_presettle, args, 3,
+                if (call_out_discard(str_presettle, args, 3,
                                      kw_event_phase) < 0) {
                     goto error;
                 }
@@ -2136,24 +2153,19 @@ access_l2(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
         }
         PyObject *args[] = {core_obj, line32_obj, critical, magnitude,
                             is_rfo_obj};
-        if (schedule_method(c, cycle, str_access_l2, args, 5) < 0) {
+        if (schedule_handler(c, cycle, EV_ACCESS_L2, args) < 0) {
             goto error;
         }
         goto done;
     }
     if (append_waiter(entry, PyTuple_Pack(3, core_obj, line32_obj,
-                                          is_rfo_obj)) < 0) {
-        goto error;
-    }
-    PyObject *fill = PyObject_GetAttr(c->hier, str_dram_fill);
-    callback = fill ? make_partial(fill, &key64, 1) : NULL;
-    Py_XDECREF(fill);
-    if (callback == NULL) {
+                                          is_rfo_obj)) < 0
+        || (callback = event_new(EV_DRAM_FILL, c->hier, &key64, 1)) == NULL) {
         goto error;
     }
     PyObject *args[] = {v->memsys, key64, Py_False, core_obj, critical,
                         magnitude, callback};
-    txn = call_out(v, str_make_transaction, args, 2, kw_make_transaction);
+    txn = call_out(str_make_transaction, args, 2, kw_make_transaction);
     if (txn == NULL
         || slot_set(entry, mshr_entry_type, me_offset[ME_TXN], str_txn,
                     txn) < 0) {
@@ -2186,6 +2198,21 @@ error:
 }
 
 /* ----------------------------------------------------------- DRAM return */
+
+/* MemoryHierarchy._dram_fill */
+static int
+dram_fill(Ctx *c, PyObject *line64_obj, PyObject *dram_done)
+{
+    PyObject *args[] = {c->v->memsys, dram_done};
+    PyObject *cpu_done = call_out(str_dram_to_cpu, args, 2, NULL);
+    if (cpu_done == NULL) {
+        return -1;
+    }
+    PyObject *install[] = {line64_obj, cpu_done};
+    int failed = schedule_handler(c, cpu_done, EV_INSTALL, install);
+    Py_DECREF(cpu_done);
+    return failed;
+}
 
 /* The item ``index`` of ``waiters`` as a tuple of ``n``: a new reference. */
 static PyObject *
@@ -2224,23 +2251,12 @@ install_l2_fill(Ctx *c, PyObject *line64_obj, PyObject *now_obj)
     if (entry == NULL) {
         return -1;
     }
-    PyObject *waiters = NULL, *respond_at = NULL, *fill = NULL;
+    PyObject *waiters = NULL, *respond_at = NULL;
     Gone victim;
     if (trace_cache(c, str_l2_fill, -1, line64_obj, NULL) < 0
-        || cache_insert(v, L2_OF(v), line64, line64_obj, SHARED, 0,
-                        &victim) < 0) {
-        goto error;
-    }
-    if (victim.line != NULL) {
-        int failed = evict_l2_line(c, victim.line, victim.dirty);
-        Py_DECREF(victim.line);
-        if (failed) {
-            goto error;
-        }
-    }
-    if ((respond_at = PyLong_FromLongLong(now + v->l2_half)) == NULL
-        || (fill = PyObject_GetAttr(c->hier, str_fill_l1_and_respond))
-               == NULL
+        || cache_insert(L2_OF(v), line64, SHARED, 0, &victim) < 0
+        || (victim.left && evict_l2_line(c, victim.line, victim.dirty) < 0)
+        || (respond_at = PyLong_FromLongLong(now + v->l2_half)) == NULL
         || (waiters = entry_waiters(entry)) == NULL) {
         goto error;
     }
@@ -2252,25 +2268,22 @@ install_l2_fill(Ctx *c, PyObject *line64_obj, PyObject *now_obj)
         PyObject *args[] = {PyTuple_GET_ITEM(item, 0),
                             PyTuple_GET_ITEM(item, 1),
                             PyTuple_GET_ITEM(item, 2), respond_at};
-        int failed = schedule(v, respond_at, fill, args, 4);
+        int failed = schedule_handler(c, respond_at, EV_FILL, args);
         Py_DECREF(item);
         if (failed) {
             goto error;
         }
     }
-    if (PyList_GET_SIZE(waiters)
-        && stat_add(v, str_dram_loads, small_one) < 0) {
-        goto error;
+    if (PyList_GET_SIZE(waiters)) {
+        v->stats->dram_loads += 1;
     }
     Py_DECREF(waiters);
-    Py_DECREF(fill);
     Py_DECREF(respond_at);
     Py_DECREF(entry);
     return 0;
 
 error:
     Py_XDECREF(waiters);
-    Py_XDECREF(fill);
     Py_XDECREF(respond_at);
     Py_DECREF(entry);
     return -1;
@@ -2281,11 +2294,11 @@ error:
 static int
 record_latency(Ctx *c, PyObject *handle, PyObject *now_obj)
 {
-    View *v = c->v;
+    PyObject *stats = (PyObject *)c->v->stats;
     PyObject *issue = slot_get(handle, load_access_type,
                                la_offset[LA_ISSUE_CYCLE], str_issue_cycle);
     PyObject *latency = issue ? PyNumber_Subtract(now_obj, issue) : NULL;
-    PyObject *pc = NULL, *hist = NULL;
+    PyObject *pc = NULL, *hist = NULL, *pc_latency = NULL;
     Py_XDECREF(issue);
     if (latency == NULL) {
         return -1;
@@ -2295,23 +2308,18 @@ record_latency(Ctx *c, PyObject *handle, PyObject *now_obj)
     if (critical < 0) {
         goto error;
     }
-    PyObject *histogram = dict_attr(
-        v->stats, critical ? str_crit_latency : str_noncrit_latency);
+    PyObject *histogram = PyObject_GetAttr(
+        stats, critical ? str_crit_latency : str_noncrit_latency);
     if (histogram == NULL) {
         goto error;
     }
     PyObject *args[] = {histogram, latency};
-    Py_INCREF(histogram);
-    int failed = call_out_discard(v, str_record, args, 2, NULL);
+    int failed = call_out_discard(str_record, args, 2, NULL);
     Py_DECREF(histogram);
-    if (failed) {
+    if (failed || (pc_latency = PyObject_GetAttr(stats, str_pc_latency))
+                      == NULL) {
         goto error;
     }
-    PyObject *pc_latency = dict_attr(v->stats, str_pc_latency);
-    if (pc_latency == NULL) {
-        goto error;
-    }
-    Py_INCREF(pc_latency);
     pc = slot_get(handle, load_access_type, la_offset[LA_PC], str_pc);
     if (pc != NULL && PyDict_CheckExact(pc_latency)) {
         hist = PyDict_GetItemWithError(pc_latency, pc);
@@ -2319,10 +2327,8 @@ record_latency(Ctx *c, PyObject *handle, PyObject *now_obj)
             Py_INCREF(hist);
         }
         else if (!PyErr_Occurred()) {
-            hist = NULL;
-            if (close_all(v) == 0
-                && (hist = PyObject_CallNoArgs(latency_histogram)) != NULL
-                && PyDict_SetItem(pc_latency, pc, hist) < 0) {
+            hist = PyObject_CallNoArgs(latency_histogram);
+            if (hist != NULL && PyDict_SetItem(pc_latency, pc, hist) < 0) {
                 Py_CLEAR(hist);
             }
         }
@@ -2333,22 +2339,23 @@ record_latency(Ctx *c, PyObject *handle, PyObject *now_obj)
     else if (pc != NULL) {
         PyErr_SetString(PyExc_TypeError, "pc_latency must be a dict");
     }
-    Py_DECREF(pc_latency);
     if (hist == NULL) {
         goto error;
     }
     PyObject *record[] = {hist, latency};
-    if (call_out_discard(v, str_record, record, 2, NULL) < 0) {
+    if (call_out_discard(str_record, record, 2, NULL) < 0) {
         goto error;
     }
     Py_DECREF(hist);
     Py_DECREF(pc);
+    Py_DECREF(pc_latency);
     Py_DECREF(latency);
     return 0;
 
 error:
     Py_XDECREF(hist);
     Py_XDECREF(pc);
+    Py_XDECREF(pc_latency);
     Py_DECREF(latency);
     return -1;
 }
@@ -2374,27 +2381,17 @@ fill_l1_and_respond(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
     if (rfo == 0 && entry != NULL) {
         rfo = slot_true(entry, mshr_entry_type, me_offset[ME_RFO], str_rfo);
     }
-    if (rfo < 0
-        || (rfo && invalidate_remote(c, core, line32, line32_obj,
-                                     Py_None) < 0)) {
-        goto error;
-    }
     Gone victim;
-    if (cache_insert(v, &v->caches[core], line32, line32_obj,
-                     rfo ? MODIFIED : SHARED, rfo, &victim) < 0) {
-        goto error;
-    }
-    if (victim.line != NULL) {
-        int failed = evict_l1_line(c, core, victim.line, victim.state,
-                                   victim.dirty);
-        Py_DECREF(victim.line);
-        if (failed) {
-            goto error;
-        }
-    }
     uint64_t sharers;
     int present;
-    if (dir_get(v, line32_obj, &sharers, &present) < 0
+    if (rfo < 0
+        || (rfo && invalidate_remote(c, core, line32, line32_obj,
+                                     Py_None) < 0)
+        || cache_insert(&v->caches[core], line32, rfo ? MODIFIED : SHARED,
+                        rfo, &victim) < 0
+        || (victim.left && evict_l1_line(c, core, victim.line, victim.state,
+                                         victim.dirty) < 0)
+        || dir_get(v, line32_obj, &sharers, &present) < 0
         || dir_set(v, line32_obj, sharers | ((uint64_t)1 << core)) < 0) {
         goto error;
     }
@@ -2416,8 +2413,14 @@ fill_l1_and_respond(Ctx *c, PyObject *core_obj, PyObject *line32_obj,
         if (callback != Py_None) {
             int went = slot_true(handle, load_access_type, la_offset[LA_WENT],
                                  str_went_to_dram);
-            failed = went < 0 || (went && record_latency(c, handle, now_obj) < 0)
-                || call_fn(v, callback, &now_obj, 1) < 0;
+            if (went < 0 || (went && record_latency(c, handle, now_obj) < 0)) {
+                failed = 1;
+            }
+            else {
+                PyObject *result = PyObject_CallOneArg(callback, now_obj);
+                failed = result == NULL;
+                Py_XDECREF(result);
+            }
         }
         Py_DECREF(item);
         if (failed) {
@@ -2434,6 +2437,117 @@ error:
     Py_XDECREF(released);
     Py_XDECREF(entry);
     return -1;
+}
+
+/* ----------------------------------------------------------- event calls */
+
+/* Whether the call's hierarchy resolves the handler of ``kind`` to
+ * MemoryHierarchy's own function: its class does not replace it and the
+ * instance sets none of its own (-1 on error). */
+static int
+owns_handler(Ctx *c, int kind)
+{
+    PyObject *name = handler_name[kind];
+    PyObject *fn = PyObject_GetAttr((PyObject *)Py_TYPE(c->hier), name);
+    if (fn == NULL) {
+        /* The call by name raises the lookup's error again. */
+        PyErr_Clear();
+        return 0;
+    }
+    int own = fn == own_handler[kind];
+    Py_DECREF(fn);
+    if (!own) {
+        return 0;
+    }
+    PyObject *mine = PyDict_GetItemWithError(c->dict, name);
+    if (mine == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    return mine == NULL;
+}
+
+/* The hierarchy handler of ``kind`` on the arguments ``a``, here. */
+static int
+run_handler(Ctx *c, int kind, PyObject *const *a)
+{
+    switch (kind) {
+    case EV_ACCESS_L2:
+        return access_l2(c, a[0], a[1], a[2], a[3], a[4]);
+    case EV_FILL:
+        return fill_l1_and_respond(c, a[0], a[1], a[2], a[3]);
+    case EV_STORE:
+        return store(c, a[0], a[1], a[2], a[3]);
+    case EV_DRAM_FILL:
+        return dram_fill(c, a[0], a[1]);
+    default:
+        return install_l2_fill(c, a[0], a[1]);
+    }
+}
+
+static PyObject *
+none_unless(int failed)
+{
+    if (failed) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+/* Event.__call__(*more) */
+static PyObject *
+event_call(PyObject *callable, PyObject *const *args, size_t nargsf,
+           PyObject *kwnames)
+{
+    Event *self = (Event *)callable;
+    Py_ssize_t more = PyVectorcall_NARGS(nargsf);
+    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "an event takes no keyword arguments");
+        return NULL;
+    }
+    if (self->target == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "the event is cleared");
+        return NULL;
+    }
+    Py_ssize_t n = self->nargs + more;
+    if (n > EVENT_ARGS) {
+        PyErr_SetString(PyExc_TypeError, "too many arguments for an event");
+        return NULL;
+    }
+    /* The target, then every argument: the call's own references, as a
+     * callee may clear the event. */
+    PyObject *call[1 + EVENT_ARGS];
+    call[0] = self->target;
+    for (int k = 0; k < self->nargs; k++) {
+        call[1 + k] = self->args[k];
+    }
+    for (Py_ssize_t k = 0; k < more; k++) {
+        call[1 + self->nargs + k] = args[k];
+    }
+    for (Py_ssize_t k = 0; k <= n; k++) {
+        Py_INCREF(call[k]);
+    }
+    int kind = self->kind;
+    PyObject *result = NULL;
+    Ctx c;
+    if (kind == EV_CALL) {
+        result = PyObject_Vectorcall(
+            call[0], call + 1, n | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    }
+    else if (ctx_open(&c, call[0]) == 0) {
+        int own = n == handler_nargs[kind] ? owns_handler(&c, kind) : 0;
+        if (own > 0) {
+            result = none_unless(run_handler(&c, kind, call + 1) < 0);
+        }
+        ctx_close(&c, NULL);
+        if (own == 0) {
+            result = call_out(handler_name[kind], call, n + 1, NULL);
+        }
+    }
+    for (Py_ssize_t k = 0; k <= n; k++) {
+        Py_DECREF(call[k]);
+    }
+    return result;
 }
 
 /* ------------------------------------------------------------ entry points */
@@ -2460,31 +2574,6 @@ enter(Ctx *c, const char *name, PyObject *const *args, Py_ssize_t nargs,
     return ctx_open(c, args[0]);
 }
 
-/* Write every open cache back and close; ``result`` on success, else
- * NULL. */
-static PyObject *
-leave(Ctx *c, PyObject *result)
-{
-    if (result == NULL) {
-        close_all_raising(c->v);
-    }
-    else if (close_all(c->v) < 0) {
-        Py_CLEAR(result);
-    }
-    Py_DECREF(c->v);
-    Py_DECREF(c->dict);
-    return result;
-}
-
-static PyObject *
-none_unless(int failed)
-{
-    if (failed) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
 static PyObject *
 k_load(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -2492,7 +2581,7 @@ k_load(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (enter(&c, "load", args, nargs, 8) < 0) {
         return NULL;
     }
-    return leave(&c, load(&c, args + 1));
+    return ctx_close(&c, load(&c, args + 1));
 }
 
 static PyObject *
@@ -2502,8 +2591,8 @@ k_store(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (enter(&c, "store", args, nargs, 5) < 0) {
         return NULL;
     }
-    return leave(&c, none_unless(store(&c, args[1], args[2], args[3],
-                                       args[4]) < 0));
+    return ctx_close(&c, none_unless(store(&c, args[1], args[2], args[3],
+                                           args[4]) < 0));
 }
 
 static PyObject *
@@ -2513,7 +2602,7 @@ k_can_accept_store(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (enter(&c, "can_accept_store", args, nargs, 2) < 0) {
         return NULL;
     }
-    return leave(&c, can_accept_store(&c, args[1]));
+    return ctx_close(&c, can_accept_store(&c, args[1]));
 }
 
 static PyObject *
@@ -2523,8 +2612,18 @@ k_access_l2(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (enter(&c, "access_l2", args, nargs, 6) < 0) {
         return NULL;
     }
-    return leave(&c, none_unless(access_l2(&c, args[1], args[2], args[3],
-                                           args[4], args[5]) < 0));
+    return ctx_close(&c, none_unless(access_l2(&c, args[1], args[2], args[3],
+                                               args[4], args[5]) < 0));
+}
+
+static PyObject *
+k_dram_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    if (enter(&c, "dram_fill", args, nargs, 3) < 0) {
+        return NULL;
+    }
+    return ctx_close(&c, none_unless(dram_fill(&c, args[1], args[2]) < 0));
 }
 
 static PyObject *
@@ -2534,7 +2633,8 @@ k_install_l2_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (enter(&c, "install_l2_fill", args, nargs, 3) < 0) {
         return NULL;
     }
-    return leave(&c, none_unless(install_l2_fill(&c, args[1], args[2]) < 0));
+    return ctx_close(&c, none_unless(install_l2_fill(&c, args[1],
+                                                     args[2]) < 0));
 }
 
 static PyObject *
@@ -2545,8 +2645,8 @@ k_fill_l1_and_respond(PyObject *module, PyObject *const *args,
     if (enter(&c, "fill_l1_and_respond", args, nargs, 5) < 0) {
         return NULL;
     }
-    return leave(&c, none_unless(fill_l1_and_respond(&c, args[1], args[2],
-                                                     args[3], args[4]) < 0));
+    return ctx_close(&c, none_unless(fill_l1_and_respond(
+        &c, args[1], args[2], args[3], args[4]) < 0));
 }
 
 static PyObject *
@@ -2561,11 +2661,10 @@ k_resolve_remote_copies(PyObject *module, PyObject *const *args,
     int is_rfo = PyObject_IsTrue(args[3]);
     if (is_rfo < 0 || core_index(c.v, args[1], &core) < 0
         || as_ll(args[2], &line64) < 0) {
-        return leave(&c, NULL);
+        return ctx_close(&c, NULL);
     }
-    long long penalty = resolve_remote_copies(&c, core, line64, args[2],
-                                              is_rfo);
-    return leave(&c, penalty < 0 ? NULL : PyLong_FromLongLong(penalty));
+    long long penalty = resolve_remote_copies(&c, core, line64, is_rfo);
+    return ctx_close(&c, penalty < 0 ? NULL : PyLong_FromLongLong(penalty));
 }
 
 static PyObject *
@@ -2577,41 +2676,116 @@ k_invalidate_remote(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (core_index(c.v, args[1], &core) < 0 || as_ll(args[2], &line32) < 0) {
-        return leave(&c, NULL);
+        return ctx_close(&c, NULL);
     }
-    return leave(&c, none_unless(invalidate_remote(&c, core, line32, args[2],
-                                                   args[3]) < 0));
+    return ctx_close(&c, none_unless(invalidate_remote(
+        &c, core, line32, args[2], args[3]) < 0));
 }
 
 static PyObject *
 k_evict_l1_line(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Ctx c;
-    long long core, state;
+    long long core, line, state;
     if (enter(&c, "evict_l1_line", args, nargs, 5) < 0) {
         return NULL;
     }
     int dirty = PyObject_IsTrue(args[4]);
     if (dirty < 0 || core_index(c.v, args[1], &core) < 0
-        || as_ll(args[3], &state) < 0) {
-        return leave(&c, NULL);
+        || as_ll(args[2], &line) < 0 || as_ll(args[3], &state) < 0) {
+        return ctx_close(&c, NULL);
     }
-    return leave(&c, none_unless(evict_l1_line(&c, core, args[2], (int)state,
-                                               dirty) < 0));
+    return ctx_close(&c, none_unless(evict_l1_line(&c, core, line,
+                                                   (int)state, dirty) < 0));
 }
 
 static PyObject *
 k_evict_l2_line(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Ctx c;
+    long long line64;
     if (enter(&c, "evict_l2_line", args, nargs, 3) < 0) {
         return NULL;
     }
     int dirty = PyObject_IsTrue(args[2]);
-    if (dirty < 0) {
-        return leave(&c, NULL);
+    if (dirty < 0 || as_ll(args[1], &line64) < 0) {
+        return ctx_close(&c, NULL);
     }
-    return leave(&c, none_unless(evict_l2_line(&c, args[1], dirty) < 0));
+    return ctx_close(&c, none_unless(evict_l2_line(&c, line64, dirty) < 0));
+}
+
+/* ---------------------------------------------------------------- set-up */
+
+/* The cache ``cache`` bound on its own for one set-up call; release with
+ * cache_unbind. */
+static int
+cache_bind(Cache *k, PyObject *cache)
+{
+    memset(k, 0, sizeof *k);
+    if (bind_cache(k, cache) == 0) {
+        return 0;
+    }
+    release_columns(k);
+    Py_CLEAR(k->obj);
+    return -1;
+}
+
+static PyObject *
+cache_unbind(Cache *k, PyObject *result)
+{
+    release_columns(k);
+    Py_CLEAR(k->obj);
+    return result;
+}
+
+/* SetAssociativeCache._fill_run(line, count, index, used): whether it
+ * installed the run, which it does unless a set holds its line of it. */
+static PyObject *
+k_fill_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Cache k;
+    long long line, count, index, used;
+    if (check_args("fill_run", nargs, 5) < 0 || as_ll(args[1], &line) < 0
+        || as_ll(args[2], &count) < 0 || as_ll(args[3], &index) < 0
+        || as_ll(args[4], &used) < 0 || cache_bind(&k, args[0]) < 0) {
+        return NULL;
+    }
+    CacheBase *o = k.obj;
+    if (index < 0 || count < 0 || index > k.num_sets - count || used < 0
+        || used >= k.ways) {
+        PyErr_SetString(PyExc_IndexError, "run of sets out of range");
+        return cache_unbind(&k, NULL);
+    }
+    if (line < 0 || count > (LLONG_MAX - line) / k.line_bytes
+        || o->clock < 0 || o->clock >= CLOCK_LIMIT - 1 - count) {
+        PyErr_SetString(PyExc_OverflowError, "line or clock out of range");
+        return cache_unbind(&k, NULL);
+    }
+    long long stop = line + count * k.line_bytes;
+    for (long long set = index; set < index + count; set++) {
+        const long long *tag = k.tag + set * k.ways;
+        for (long long way = 0; way < used; way++) {
+            if (tag[way] >= line && tag[way] < stop) {
+                return cache_unbind(&k, PyBool_FromLong(0));
+            }
+        }
+    }
+    for (long long n = 0; n < count; n++) {
+        Py_ssize_t slot = (Py_ssize_t)((index + n) * k.ways + used);
+        long long addr = line + n * k.line_bytes, stamp = o->clock + 1 + n;
+        k.tag[slot] = addr;
+        k.lru[slot] = stamp;
+        k.state[slot] = SHARED;
+        k.dirty[slot] = 0;
+        k.fill[index + n] = used + 1;
+        if (ck_add(o, addr) < 0 || ck_add(o, 131 * stamp) < 0
+            || ck_add(o, 7 * SHARED) < 0) {
+            return cache_unbind(&k, NULL);
+        }
+    }
+    o->clock += count;
+    o->resident += count;
+    return cache_unbind(&k, PyBool_FromLong(1));
 }
 
 #define METHOD(name, doc)                                                 \
@@ -2626,6 +2800,8 @@ static PyMethodDef kernel_methods[] = {
                              "MemoryHierarchy.can_accept_store"),
     METHOD(access_l2, "access_l2(h, core, line32, critical, magnitude, "
                       "is_rfo): MemoryHierarchy._access_l2"),
+    METHOD(dram_fill, "dram_fill(h, line64, dram_done): "
+                      "MemoryHierarchy._dram_fill"),
     METHOD(install_l2_fill, "install_l2_fill(h, line64, now): "
                             "MemoryHierarchy._install_l2_fill"),
     METHOD(fill_l1_and_respond, "fill_l1_and_respond(h, core, line32, "
@@ -2640,6 +2816,8 @@ static PyMethodDef kernel_methods[] = {
                           "MemoryHierarchy._evict_l1_line"),
     METHOD(evict_l2_line, "evict_l2_line(h, line64, dirty): "
                           "MemoryHierarchy._evict_l2_line"),
+    METHOD(fill_run, "fill_run(cache, line, count, index, used): "
+                     "SetAssociativeCache._fill_run"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -2678,6 +2856,11 @@ PyInit__kernel(void)
         return NULL;                                               \
     }
     NAMES(INTERN_NAME)
+    handler_name[EV_ACCESS_L2] = str_access_l2;
+    handler_name[EV_FILL] = str_fill_l1_and_respond;
+    handler_name[EV_STORE] = str_store;
+    handler_name[EV_DRAM_FILL] = str_dram_fill;
+    handler_name[EV_INSTALL] = str_install_l2_fill;
     if ((small_zero = PyLong_FromLong(0)) == NULL
         || (small_one = PyLong_FromLong(1)) == NULL
         || (small_minus_one = PyLong_FromLong(-1)) == NULL
@@ -2686,22 +2869,26 @@ PyInit__kernel(void)
                 str_callback)) == NULL
         || (kw_event_phase = names_tuple(1, str_event_phase)) == NULL
         || (kw_is_miss = names_tuple(1, str_is_miss)) == NULL
-        || PyType_Ready(&ViewType) < 0) {
-        return NULL;
-    }
-    PyObject *functools = PyImport_ImportModule("functools");
-    if (functools == NULL) {
-        return NULL;
-    }
-    partial_type = PyObject_GetAttrString(functools, "partial");
-    Py_DECREF(functools);
-    if (partial_type == NULL) {
+        || PyType_Ready(&ViewType) < 0 || PyType_Ready(&EventType) < 0
+        || PyType_Ready(&CacheBaseType) < 0
+        || PyType_Ready(&StatsBaseType) < 0) {
         return NULL;
     }
     PyObject *module = PyModule_Create(&kernel_module);
-    if (module != NULL && PyModule_AddIntConstant(module, "MAX_CORES",
-                                                  MAX_CORES) < 0) {
-        Py_CLEAR(module);
+    if (module == NULL) {
+        return NULL;
+    }
+    Py_INCREF(&CacheBaseType);
+    Py_INCREF(&StatsBaseType);
+    Py_INCREF(&EventType);
+    if (PyModule_AddIntConstant(module, "MAX_CORES", MAX_CORES) < 0
+        || PyModule_AddObject(module, "CacheBase",
+                              (PyObject *)&CacheBaseType) < 0
+        || PyModule_AddObject(module, "StatsBase",
+                              (PyObject *)&StatsBaseType) < 0
+        || PyModule_AddObject(module, "Event", (PyObject *)&EventType) < 0) {
+        Py_DECREF(module);
+        return NULL;
     }
     return module;
 }

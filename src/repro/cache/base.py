@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from array import array
+from itertools import groupby
 
 from repro.config import CacheConfig
+from repro.cpu import native
+
+#: The cache hierarchy's kernel, or None.  Its ``CacheBase`` holds a
+#: cache's scalars as C fields; :mod:`repro.cache.hierarchy` runs its
+#: per-access path.
+_kernel = native.CACHE.load()
 
 #: Coherence-state codes held in the ``state`` column: the ``ord()`` of
 #: the state letter, so the det-state checksum is the one letters gave.
@@ -12,18 +19,21 @@ SHARED = ord("S")
 MODIFIED = ord("M")
 
 
-class SetAssociativeCache:
+class SetAssociativeCache(object if _kernel is None else _kernel.CacheBase):
     """Tag array + LRU state.  Addresses are byte addresses; the cache
     computes its own line/set decomposition from its configuration.
 
     Lines live in per-slot columns, slot ``set * ways + way``: ``tag``
-    (line address), ``lru`` (recency stamp), ``state`` (coherence-state
-    code) and ``dirty`` (0/1).  ``where`` maps each resident line to its
-    slot.  A set's resident lines always fill its first ``fill[set]``
-    slots; :meth:`invalidate` moves the set's last line into the hole.
-    The victim of a full set is its minimum-LRU slot: every touch and
-    insert takes a fresh ``clock`` value, so stamps are unique and the
-    victim does not depend on slot order.
+    (line address) and ``lru`` (recency stamp), both ``array("q")``, and
+    ``state`` (coherence-state code) and ``dirty`` (0/1), both
+    ``bytearray``.  A set's resident lines always fill its first
+    ``fill[set]`` slots (``fill`` is an ``array("q")`` too);
+    :meth:`invalidate` moves the set's last line into the hole.  So each
+    resident line sits in exactly one slot of its own set, and
+    :meth:`find` locates it by scanning that set's live slots.  The victim
+    of a full set is its minimum-LRU slot: every touch and insert takes a
+    fresh ``clock`` value, so stamps are unique and the victim does not
+    depend on slot order.
 
     The determinism-chain words (resident count, dirty count, per-line
     checksum) are maintained incrementally on every mutation instead of
@@ -31,7 +41,10 @@ class SetAssociativeCache:
     full walk survives as :meth:`det_state_scan`, which also checks the
     slot layout, and is asserted equal to the incremental words in the
     test suite.  ``MemoryHierarchy`` touches L1 hits inline, so it
-    writes ``clock``, ``checksum`` and ``lru`` directly.
+    writes ``clock``, ``checksum`` and ``lru`` directly.  With the kernel
+    loaded, its ``CacheBase`` holds ``clock``, ``_resident`` and
+    ``_dirty_lines`` as C fields and ``checksum`` as an exact int, all
+    read and written as attributes.
     """
 
     def __init__(self, config: CacheConfig):
@@ -39,15 +52,12 @@ class SetAssociativeCache:
         self.line_bytes = config.line_bytes
         self.ways = config.ways
         self.num_sets = config.sets
-        if self.num_sets <= 0:
-            raise ValueError(f"degenerate cache geometry: {config}")
         slots = self.num_sets * self.ways
-        self.where: dict[int, int] = {}
-        self.tag = [0] * slots
-        self.lru = [0] * slots
+        self.tag = array("q", (0,)) * slots
+        self.lru = array("q", (0,)) * slots
         self.state = bytearray(slots)
         self.dirty = bytearray(slots)
-        self.fill = [0] * self.num_sets
+        self.fill = array("q", (0,)) * self.num_sets
         # Incremental det-state words (see det_state).
         self.clock = 0
         self.checksum = 0
@@ -59,12 +69,22 @@ class SetAssociativeCache:
     def line_addr(self, address: int) -> int:
         return address - (address % self.line_bytes)
 
+    def find(self, line: int) -> int | None:
+        """The slot holding the line-aligned address ``line``, or None: a
+        scan of the live slots of its set."""
+        index = (line // self.line_bytes) % self.num_sets
+        base = index * self.ways
+        live = self.tag[base:base + self.fill[index]]
+        if line in live:
+            return base + live.index(line)
+        return None
+
     # -- operations ------------------------------------------------------------
 
     def lookup(self, address: int) -> int | None:
         """Return the slot of the line covering ``address`` and touch its
         LRU stamp; None on a miss."""
-        slot = self.where.get(address - address % self.line_bytes)
+        slot = self.find(address - address % self.line_bytes)
         if slot is not None:
             clock = self.clock + 1
             self.clock = clock
@@ -74,7 +94,7 @@ class SetAssociativeCache:
 
     def peek(self, address: int) -> int | None:
         """Lookup without touching LRU."""
-        return self.where.get(address - address % self.line_bytes)
+        return self.find(address - address % self.line_bytes)
 
     def insert(
         self, address: int, state: int = SHARED, dirty: bool = False
@@ -91,7 +111,7 @@ class SetAssociativeCache:
         lru = self.lru
         states = self.state
         dirties = self.dirty
-        slot = self.where.get(line)
+        slot = self.find(line)
         if slot is not None:
             self.checksum += 7 * (state - states[slot]) + 131 * (clock - lru[slot])
             states[slot] = state
@@ -110,13 +130,12 @@ class SetAssociativeCache:
             self.fill[index] = used + 1
             self._resident += 1
         else:
-            slot = lru.index(min(lru[base:base + ways]), base, base + ways)
+            stamps = lru[base:base + ways]
+            slot = base + stamps.index(min(stamps))
             old = self.tag[slot]
-            del self.where[old]
             victim = (old, states[slot], dirties[slot])
             self._dirty_lines -= dirties[slot]
             self.checksum -= old + 131 * lru[slot] + 7 * states[slot]
-        self.where[line] = slot
         self.tag[slot] = line
         lru[slot] = clock
         states[slot] = state
@@ -146,7 +165,6 @@ class SetAssociativeCache:
         num_sets = self.num_sets
         ways = self.ways
         fill = self.fill
-        where = self.where
         victims = []
         line = first
         index = (first // line_bytes) % num_sets
@@ -155,55 +173,66 @@ class SetAssociativeCache:
             for used, run in groupby(fill[index:end]):
                 count = len(list(run))  # repro-lint: disable=PERF001 one list per run of sets, not per line
                 run_stop = line + count * line_bytes
-                # One int per line, shared by the tag column and ``where``
-                # as the per-line loop shares it.
-                lines = list(range(line, run_stop, line_bytes))  # repro-lint: disable=PERF001 one list per run of sets, not per line
-                if used < ways and where.keys().isdisjoint(lines):
-                    self._fill_run(lines, index, used)
-                else:
-                    self._insert_lines(lines, index, victims)
+                if used >= ways or not self._fill_run(line, count, index,
+                                                      used):
+                    self._insert_lines(
+                        range(line, run_stop, line_bytes), index, victims
+                    )
                 line = run_stop
                 index += count
             index = 0
         return victims
 
-    def _fill_run(self, lines: list[int], index: int, used: int) -> None:
-        """Install ``lines`` in sets ``index``, ``index + 1``, ..., which
-        each hold ``used < ways`` lines and none of ``lines``: line k takes
-        slot ``(index + k) * ways + used``, so every column takes one
-        stride-``ways`` slice write and the det-state words a closed form."""
-        count = len(lines)
+    def _fill_run(self, line: int, count: int, index: int, used: int) -> bool:
+        """Install the ``count`` lines from ``line`` in sets ``index``,
+        ``index + 1``, ..., which each hold ``used < ways`` lines, unless
+        a set already holds its line of the run; returns whether it did.
+
+        Within a sweep a set can hold only its own line of the run, so
+        the check is whether a live slot holds a line in the run's address
+        range: one stride-``ways`` slice per live way, tested by its
+        extremes and, if they straddle the range, line by line.  Line k
+        takes slot ``(index + k) * ways + used``, so every column takes one
+        stride-``ways`` slice write and the det-state words a closed
+        form."""
+        if _kernel is not None:
+            return _kernel.fill_run(self, line, count, index, used)
         ways = self.ways
+        line_bytes = self.line_bytes
+        stop = line + count * line_bytes
+        window = range(line, stop)
+        for way in range(used):
+            start = index * ways + way
+            column = self.tag[start:start + count * ways:ways]
+            if (min(column) < stop and max(column) >= line
+                    and any(map(window.__contains__, column))):
+                return False
         clock = self.clock
         first_slot = index * ways + used
-        slots = range(first_slot, first_slot + count * ways, ways)
         span = slice(first_slot, first_slot + count * ways, ways)
-        # ``where`` first, so its table grows before the stamps' ints
-        # exist: a lower peak of memory while a machine is built.
-        self.where.update(zip(lines, slots))
-        self.tag[span] = lines
-        self.lru[span] = range(clock + 1, clock + count + 1)
+        self.tag[span] = array("q", range(line, stop, line_bytes))
+        self.lru[span] = array("q", range(clock + 1, clock + count + 1))
         self.state[span] = bytes((SHARED,)) * count
         self.dirty[span] = bytes(count)
-        self.fill[index:index + count] = repeat(used + 1, count)
+        self.fill[index:index + count] = array("q", (used + 1,)) * count
         self.clock = clock + count
         self._resident += count
         # Lines, stamps and states summed in closed form: the lines step
         # by ``line_bytes``, the stamps by one.
         self.checksum += (
-            count * lines[0] + self.line_bytes * count * (count - 1) // 2
+            count * line + line_bytes * count * (count - 1) // 2
             + 131 * (count * clock + count * (count + 1) // 2)
             + 7 * SHARED * count
         )
+        return True
 
     def _insert_lines(
-        self, lines: list[int], index: int, victims: list[tuple[int, int, int]]
+        self, lines, index: int, victims: list[tuple[int, int, int]]
     ) -> None:
         """One :meth:`insert` per line of ``lines``, which fall in sets
         ``index``, ``index + 1``, ..., with the columns and det-state
         words in locals; appends each victim to ``victims``."""
         ways = self.ways
-        where = self.where
         tag = self.tag
         lru = self.lru
         states = self.state
@@ -215,26 +244,26 @@ class SetAssociativeCache:
         checksum = self.checksum
         for line in lines:
             clock += 1
-            slot = where.get(line)
-            if slot is not None:
+            base = index * ways
+            used = fill[index]
+            live = tag[base:base + used]
+            if line in live:
+                slot = base + live.index(line)
                 checksum += 7 * (SHARED - states[slot]) + 131 * (clock - lru[slot])
                 states[slot] = SHARED
                 lru[slot] = clock
             else:
-                base = index * ways
-                used = fill[index]
                 if used < ways:
                     slot = base + used
                     fill[index] = used + 1
                     resident += 1
                 else:
-                    slot = lru.index(min(lru[base:base + ways]), base, base + ways)
+                    stamps = lru[base:base + ways]
+                    slot = base + stamps.index(min(stamps))
                     old = tag[slot]
-                    del where[old]
                     victims.append((old, states[slot], dirties[slot]))
                     dirty_lines -= dirties[slot]
                     checksum -= old + 131 * lru[slot] + 7 * states[slot]
-                where[line] = slot
                 tag[slot] = line
                 lru[slot] = clock
                 states[slot] = SHARED
@@ -250,7 +279,7 @@ class SetAssociativeCache:
         """Remove the line covering ``address``; returns its
         ``(line_addr, state, dirty)`` if it was resident."""
         line = address - address % self.line_bytes
-        slot = self.where.pop(line, None)
+        slot = self.find(line)
         if slot is None:
             return None
         lru = self.lru
@@ -264,12 +293,10 @@ class SetAssociativeCache:
         last = index * self.ways + self.fill[index] - 1
         self.fill[index] -= 1
         if slot != last:
-            moved = self.tag[last]
-            self.tag[slot] = moved
+            self.tag[slot] = self.tag[last]
             lru[slot] = lru[last]
             states[slot] = states[last]
             dirties[slot] = dirties[last]
-            self.where[moved] = slot
         return gone
 
     # -- mediated line mutation ----------------------------------------------
@@ -307,33 +334,37 @@ class SetAssociativeCache:
         Reference implementation for the incremental bookkeeping; the
         equivalence test drives a workload and asserts
         ``det_state() == det_state_scan()`` for every cache.  The walk
-        also checks the slot layout, raising ``AssertionError`` unless
-        each set's first ``fill`` slots hold lines of that set whose
-        ``where`` entry points back at them, and ``where`` holds nothing
-        else.
+        also checks the slot layout that :meth:`find` relies on, raising
+        ``AssertionError`` unless each set holds at most ``ways`` lines,
+        in its first ``fill`` slots, all distinct and all lines of that
+        set.
         """
-        where = self.where
         tag = self.tag
         ways = self.ways
+        line_bytes = self.line_bytes
         resident = 0
         dirty = 0
         checksum = 0
         for index, used in enumerate(self.fill):
-            if used > ways:
-                raise AssertionError(f"set {index} holds {used} > {ways} lines")
-            for slot in range(index * ways, index * ways + used):
+            if not 0 <= used <= ways:
+                raise AssertionError(
+                    f"set {index} holds {used} lines, not 0 to {ways}"
+                )
+            base = index * ways
+            lines = tag[base:base + used]
+            if len(set(lines)) != used:
+                raise AssertionError(
+                    f"set {index} holds a line twice: {lines.tolist()}"
+                )
+            for slot in range(base, base + used):
                 line = tag[slot]
-                if (where.get(line) != slot
-                        or (line // self.line_bytes) % self.num_sets != index):
+                if (line % line_bytes
+                        or (line // line_bytes) % self.num_sets != index):
                     raise AssertionError(
-                        f"slot {slot} of set {index} holds line {line:#x}, "
-                        f"which where maps to {where.get(line)}"
+                        f"slot {slot} of set {index} holds {line:#x}, "
+                        f"which is not a line of that set"
                     )
                 resident += 1
                 dirty += self.dirty[slot]
                 checksum += line + 131 * self.lru[slot] + 7 * self.state[slot]
-        if resident != len(where):
-            raise AssertionError(
-                f"where holds {len(where)} lines, the sets {resident}"
-            )
         return [self.clock, resident, dirty, checksum]

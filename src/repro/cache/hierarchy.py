@@ -24,24 +24,30 @@ handlers) is also compiled (``_kernel.c``, built by
 :mod:`repro.cpu.native`).  Each of those methods opens with one guard
 that hands the call to the kernel when it is loaded; the Python body
 after the guard is the reference the kernel transliterates, and the
-hierarchy when no compiler is available.
+hierarchy when no compiler is available.  Both work on the same storage:
+the caches' typed columns, and with the kernel loaded the caches' scalars
+and :class:`HierarchyStats`' counters as C fields.  Where a Python body
+schedules a ``functools.partial`` of a handler, the kernel schedules an
+event that runs the handler in C while the hierarchy resolves its name to
+the function in :data:`_EVENT_HANDLERS`, and calls it by name otherwise.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
+from repro.cache import base as _base
 from repro.cache.base import MODIFIED, SHARED, SetAssociativeCache
 from repro.cache.mshr import MshrFile
 from repro.cache.prefetcher import StreamPrefetcher
 from repro.config import SystemConfig
-from repro.cpu import native
 from repro.dram.transaction import Transaction
 from repro.telemetry.registry import LatencyHistogram
 
 #: The compiled per-access path, or None: the Python bodies are the
-#: hierarchy.
-_kernel = native.CACHE.load()
+#: hierarchy.  :mod:`repro.cache.base` loads it, as its cache array
+#: derives from the kernel's ``CacheBase``.
+_kernel = _base._kernel
 
 
 def implementation() -> str:
@@ -85,20 +91,45 @@ class _L1Hit:
 L1_HIT = _L1Hit()
 
 
-class HierarchyStats:
-    """Aggregate counters the experiments consume."""
+#: The integer counters of :class:`HierarchyStats`, in declaration order.
+_COUNTERS = (
+    "loads", "l1_load_hits", "l2_load_hits", "dram_loads", "stores",
+    "writebacks", "interventions", "invalidations", "prefetches_issued",
+    "prefetches_useful",
+)
+
+
+class _Counters:
+    """The counters of :class:`HierarchyStats` as Python slots, all zero:
+    its base when the kernel is not loaded (the kernel's ``StatsBase``
+    holds them as C fields otherwise)."""
+
+    __slots__ = _COUNTERS
 
     def __init__(self):
-        self.loads = 0
-        self.l1_load_hits = 0
-        self.l2_load_hits = 0
-        self.dram_loads = 0
-        self.stores = 0
-        self.writebacks = 0
-        self.interventions = 0
-        self.invalidations = 0
-        self.prefetches_issued = 0
-        self.prefetches_useful = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+
+
+def _hierarchy_stats(values) -> HierarchyStats:
+    """A :class:`HierarchyStats` holding ``values`` in ``FIELDS`` order: how
+    a pickled one is read, into the class of the reading process."""
+    stats = HierarchyStats()
+    for name, value in zip(HierarchyStats.FIELDS, values):
+        setattr(stats, name, value)
+    return stats
+
+
+class HierarchyStats(_Counters if _kernel is None else _kernel.StatsBase):
+    """Aggregate counters the experiments consume."""
+
+    __slots__ = ("crit_latency", "noncrit_latency", "pc_latency")
+
+    #: Every counter and histogram, the fields ``result_fingerprint`` reads.
+    FIELDS = _COUNTERS + __slots__
+
+    def __init__(self):
+        super().__init__()
         # L2-miss (DRAM-serviced) load latency distributions, split by
         # issue-time criticality — Figure 6's quantity plus its tails.
         # `total`/`count` are exact, so means are bit-identical to the
@@ -119,6 +150,9 @@ class HierarchyStats:
     def l2_hit_rate(self) -> float:
         total = self.l2_demand_accesses
         return self.l2_load_hits / total if total else 0.0
+
+    def __reduce__(self):
+        return _hierarchy_stats, (tuple(getattr(self, n) for n in self.FIELDS),)
 
 
 class MemoryHierarchy:
@@ -188,7 +222,7 @@ class MemoryHierarchy:
         stats = self.stats
         l1 = self.l1[core]
         line32 = address - address % self._l1_line
-        slot = l1.where.get(line32)
+        slot = l1.find(line32)
         if slot is not None:
             # L1 hit: the LRU touch of SetAssociativeCache.lookup, inline.
             clock = l1.clock + 1
@@ -243,7 +277,7 @@ class MemoryHierarchy:
             self.stats.stores += 1
         l1 = self.l1[core]
         line32 = address - address % self._l1_line
-        slot = l1.where.get(line32)
+        slot = l1.find(line32)
         if slot is not None:
             # The LRU touch of SetAssociativeCache.lookup, inline.
             clock = l1.clock + 1
@@ -382,6 +416,8 @@ class MemoryHierarchy:
     # ----------------------------------------------------------- DRAM return
 
     def _dram_fill(self, line64, dram_done) -> None:
+        if _kernel is not None:
+            return _kernel.dram_fill(self, line64, dram_done)
         cpu_done = self.memsys.dram_to_cpu(dram_done)
         self.events.schedule(cpu_done, partial(self._install_l2_fill, line64, cpu_done))
 
@@ -599,9 +635,9 @@ class MemoryHierarchy:
         """
         l1 = self.l1[core]
         l2 = self.l2
-        resident = l1.where
         directory = self._dir
         bit = 1 << core
+        capacity = l1.ways * l1.num_sets
         for base, nbytes, level in ranges:
             stop = base + nbytes
             for line64, _state, dirty in l2.insert_range(
@@ -616,10 +652,13 @@ class MemoryHierarchy:
             # Line by line, a line's directory bit is set at its insert
             # and cleared again if a later insert of the range evicts it,
             # so the final bit is set exactly for the lines still
-            # resident.
-            for line32 in range(first, stop, self._l1_line):
-                if line32 in resident:
-                    directory[line32] = directory.get(line32, 0) | bit
+            # resident: the range's last ``capacity`` lines.  Each line
+            # takes a newer stamp than any line already in its set, so a
+            # set evicts the range's lines only in order, once its ways
+            # are full.
+            lines = range(first, stop, self._l1_line)
+            for line32 in lines[max(0, len(lines) - capacity):]:
+                directory[line32] = directory.get(line32, 0) | bit
 
     def _covered_l1_lines(self, line64: int):
         return range(line64, line64 + self._l2_line, self._l1_line)
@@ -702,3 +741,17 @@ class MemoryHierarchy:
         for mshr in self.l1_mshr:
             mshr.abandon()
         self.l2_mshr.abandon()
+
+
+#: The handlers the kernel schedules as events, as :class:`MemoryHierarchy`
+#: defines them.  An event runs its handler in C, without the Python
+#: frame, while the hierarchy still resolves the name to this function; a
+#: handler replaced on the class or set on the instance is called by
+#: name, so a wrapper sees every call (DESIGN.md §6).
+_EVENT_HANDLERS = (
+    MemoryHierarchy._access_l2,
+    MemoryHierarchy._fill_l1_and_respond,
+    MemoryHierarchy.store,
+    MemoryHierarchy._dram_fill,
+    MemoryHierarchy._install_l2_fill,
+)

@@ -225,6 +225,24 @@ class CacheConfig:
     round_trip_latency: int
     mshr_entries: int
 
+    def __post_init__(self):
+        # A line is found by scanning the live slots of its set, so every
+        # cache needs a set of at least one way; a zero round trip
+        # completes a load in the cycle whose completions already ran.
+        for name in ("size_bytes", "line_bytes", "ways",
+                     "round_trip_latency", "mshr_entries"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"CacheConfig.{name} must be at least 1, "
+                    f"not {getattr(self, name)}"
+                )
+        if self.sets < 1:
+            raise ValueError(
+                f"CacheConfig holds no set: size_bytes {self.size_bytes} "
+                f"is below one set of {self.ways} ways of "
+                f"{self.line_bytes}-byte lines"
+            )
+
     @property
     def sets(self) -> int:
         return self.size_bytes // (self.line_bytes * self.ways)
@@ -261,6 +279,15 @@ class SystemConfig:
     l2: CacheConfig = L2_DEFAULT
     dram: DramConfig = DramConfig()
     prefetcher: PrefetcherConfig = PrefetcherConfig()
+
+    def __post_init__(self):
+        # The inclusive L2 holds whole L1 lines, and each L2 line covers a
+        # whole number of them (MemoryHierarchy._covered_l1_lines).
+        if self.l2.line_bytes % self.l1d.line_bytes:
+            raise ValueError(
+                f"SystemConfig.l2.line_bytes ({self.l2.line_bytes}) must be "
+                f"a multiple of l1d.line_bytes ({self.l1d.line_bytes})"
+            )
 
     def scaled(self, **changes) -> "SystemConfig":
         return dataclasses.replace(self, **changes)

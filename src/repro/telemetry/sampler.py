@@ -35,7 +35,11 @@ def interval() -> int:
         raise ValueError(
             f"REPRO_SAMPLE_EVERY must be an integer, got {raw!r}"
         ) from None
-    return max(0, value)
+    if value < 0:
+        raise ValueError(
+            f"REPRO_SAMPLE_EVERY must be 0 (off) or positive, got {value}"
+        )
+    return value
 
 
 class IntervalSampler:

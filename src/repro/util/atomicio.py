@@ -77,11 +77,6 @@ def write_bytes(path: str | os.PathLike, payload: bytes) -> None:
         raise
 
 
-def write_text(path: str | os.PathLike, text: str) -> None:
-    """Atomically replace ``path`` with ``text`` (UTF-8)."""
-    write_bytes(path, text.encode("utf-8"))
-
-
 def write_json(path: str | os.PathLike, obj, indent: int | None = 1) -> None:
     """Atomically replace ``path`` with deterministic JSON.
 
@@ -91,18 +86,6 @@ def write_json(path: str | os.PathLike, obj, indent: int | None = 1) -> None:
     """
     text = json.dumps(obj, sort_keys=True, indent=indent) + "\n"
     write_bytes(path, text.encode("utf-8"))
-
-
-def append_line(path: str | os.PathLike, line: str) -> None:
-    """Append one complete line as a single ``O_APPEND`` write.
-
-    ``line`` must not contain interior newlines; the trailing newline is
-    added here so the record on disk is exactly one write — concurrent
-    appenders from other processes cannot tear it.
-    """
-    if "\n" in line:
-        raise ValueError("append_line takes one record without newlines")
-    append_records(path, [line])
 
 
 def append_records(path: str | os.PathLike, lines: list[str]) -> None:

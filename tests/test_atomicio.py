@@ -28,12 +28,12 @@ class TestWriteReplace:
 
     def test_overwrite_replaces_content(self, tmp_path):
         target = tmp_path / "artifact.txt"
-        atomicio.write_text(target, "old")
-        atomicio.write_text(target, "new")
-        assert target.read_text() == "new"
+        atomicio.write_bytes(target, b"old")
+        atomicio.write_bytes(target, b"new")
+        assert target.read_bytes() == b"new"
 
     def test_no_tmp_litter_after_success(self, tmp_path):
-        atomicio.write_text(tmp_path / "a.txt", "x")
+        atomicio.write_bytes(tmp_path / "a.txt", b"x")
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
     def test_failed_write_preserves_old_and_cleans_tmp(self, tmp_path):
@@ -65,8 +65,8 @@ class TestWriteReplace:
 class TestAppend:
     def test_append_line_accumulates(self, tmp_path):
         log = tmp_path / "log"
-        atomicio.append_line(log, "one")
-        atomicio.append_line(log, "two")
+        atomicio.append_records(log, ["one"])
+        atomicio.append_records(log, ["two"])
         assert log.read_text() == "one\ntwo\n"
 
     def test_append_records_is_one_write_per_line(self, tmp_path):
@@ -92,7 +92,7 @@ class TestAppend:
 
     def test_append_creates_parent_file_with_sane_mode(self, tmp_path):
         log = tmp_path / "log"
-        atomicio.append_line(log, "x")
+        atomicio.append_records(log, ["x"])
         assert os.access(log, os.R_OK)
 
 

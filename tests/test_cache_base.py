@@ -36,7 +36,7 @@ class TestBasics:
         """peek leaves the LRU stamps and det_state unchanged."""
         c = small_cache()
         c.insert(0)
-        stamps = list(c.lru)
+        stamps = c.lru[:]
         words = c.det_state()
         assert c.peek(0) is not None
         assert c.lru == stamps
@@ -155,13 +155,33 @@ class TestDetStateIncremental:
             assert c.det_state() == c.det_state_scan()
 
     def test_scan_checks_the_slot_layout(self):
-        """A fill count that disagrees with ``where`` is caught even
-        though the incremental words cannot see it."""
+        """A fill count above the set's ways is caught even though the
+        incremental words cannot see it."""
         c = small_cache(ways=2, sets=1)
         c.insert(0)
         c.insert(64)
-        c.fill[0] = 1   # slot 1 still holds line 64, which where maps to it
-        with pytest.raises(AssertionError):
+        c.fill[0] = 3
+        with pytest.raises(AssertionError, match="holds 3 lines"):
+            c.det_state_scan()
+
+    def test_scan_catches_a_line_held_twice(self):
+        """A set whose live slots hold one line twice fails the scan:
+        :meth:`find` would see only the first copy."""
+        c = small_cache(ways=2, sets=2)
+        c.insert(0)
+        c.insert(128)
+        c.tag[1] = 0   # set 0's second slot now repeats its first
+        with pytest.raises(AssertionError, match="holds a line twice"):
+            c.det_state_scan()
+
+    def test_scan_catches_a_line_in_another_set(self):
+        """A line in a slot of a set it does not map to fails the scan:
+        :meth:`find` looks for it in its own set only."""
+        c = small_cache(ways=2, sets=2)
+        c.insert(0)
+        c.tag[0] = 64   # line 64 belongs to set 1
+        assert c.peek(64) is None
+        with pytest.raises(AssertionError, match="not a line of that set"):
             c.det_state_scan()
 
 

@@ -16,17 +16,23 @@ kernel that did not load fails them.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import hierarchy
+from repro.cache.base import SetAssociativeCache
 from repro.cache.hierarchy import L1_HIT, LoadAccess, MemoryHierarchy
 from repro.config import (
+    L1D_DEFAULT,
+    L2_DEFAULT,
     CacheConfig,
+    DramConfig,
     PrefetcherConfig,
     SimScale,
     SystemConfig,
@@ -40,10 +46,17 @@ from repro.sim.runner import (
     run_multiprogrammed_workload,
     run_parallel_workload,
 )
-from repro.sim.stats import result_fingerprint
-from repro.sim.system import ENGINES
+from repro.sim.stats import _stat_items, result_fingerprint
+from repro.sim.system import ENGINES, System
 from repro.telemetry.registry import LatencyHistogram
+from repro.workloads.parallel import parallel_traces
 from tests.test_kernel import loaded
+
+
+#: What the hierarchy schedules: partials from the Python bodies, events
+#: from the kernel.
+EVENTS = (functools.partial,) + (
+    () if hierarchy._kernel is None else (hierarchy._kernel.Event,))
 
 
 @pytest.fixture
@@ -96,11 +109,17 @@ class Machine:
         return not len(self.events) and not self.memory.pending()
 
     def describe(self, obj):
-        """A comparable stand-in for an event callback or its argument."""
-        if isinstance(obj, functools.partial):
-            return ("partial", self.describe(obj.func),
-                    tuple(self.describe(a) for a in obj.args),
-                    sorted(obj.keywords.items()))
+        """A comparable stand-in for an event callback or its argument: a
+        kernel event and the partial the Python body schedules in its
+        place read the same."""
+        if isinstance(obj, EVENTS):
+            assert not getattr(obj, "keywords", None), obj
+            func, args = obj.func, tuple(obj.args)
+            # A partial of a partial is flattened, as functools does.
+            while isinstance(func, functools.partial):
+                func, args = func.func, func.args + args
+            return ("event", self.describe(func),
+                    tuple(self.describe(a) for a in args))
         if inspect.ismethod(obj):
             owner = obj.__self__
             name = ("hier" if owner is self.hier
@@ -127,9 +146,9 @@ class Machine:
         caches = [*h.l1, h.l2]
         mshrs = [*h.l1_mshr, h.l2_mshr]
         return (
-            [(list(c.where.items()), list(c.tag), list(c.lru),
-              bytes(c.state), bytes(c.dirty), list(c.fill), c.det_state(),
-              c.det_state_scan()) for c in caches],
+            [(list(c.tag), list(c.lru), bytes(c.state), bytes(c.dirty),
+              list(c.fill), c.det_state(), c.det_state_scan())
+             for c in caches],
             list(h._dir.items()),
             sorted(h._prefetched_lines),
             list(h._store_backlog),
@@ -152,7 +171,8 @@ def _histogram(hist):
 
 def _stats(stats):
     values = {}
-    for name, value in vars(stats).items():
+    for name in type(stats).FIELDS:
+        value = getattr(stats, name)
         if isinstance(value, LatencyHistogram):
             value = _histogram(value)
         elif isinstance(value, dict):
@@ -243,7 +263,7 @@ def _apply(machine, token, op):
 def test_hierarchy_matches_the_python_bodies_step_by_step(kernel,
                                                           monkeypatch):
     """Lockstep: after every load, store, store-buffer query and drain,
-    every cache column, ``where``, ``fill``, the directory, the MSHR files
+    every cache column, ``fill``, the directory, the MSHR files
     (det-state and waiters), store backlogs, statistics and histograms,
     ``det_state``, ``det_state_scan`` and the scheduled events (cycle,
     callback target, arguments) of the compiled hierarchy equal the Python
@@ -439,3 +459,143 @@ def test_compiled_cache_matches_python_bodies(kernel, name, engine,
             result.trace_events,
         ))
     assert observed[0] == observed[1]
+
+
+# ------------------------------------------------------ storage and events
+
+
+def test_caches_and_counters_are_kernel_storage(kernel):
+    """With the kernel loaded a cache's scalars and the hierarchy's
+    counters are C fields of the kernel's base types, and a cache keeps
+    its lines in typed columns with no line-to-slot map."""
+    assert issubclass(SetAssociativeCache, kernel.CacheBase)
+    assert issubclass(hierarchy.HierarchyStats, kernel.StatsBase)
+    machine = Machine(SystemConfig(cores=2), 4)
+    machine.load(0, 1, 4096, False, 0)
+    machine.run(400)
+    machine.load(1, 1, 4096, False, 0)
+    view = machine.hier.__dict__["_kernel_view"]
+    assert type(view).__name__ == "View"
+    for cache in (*machine.hier.l1, machine.hier.l2):
+        assert not hasattr(cache, "where")
+        assert {column.typecode for column in
+                (cache.tag, cache.lru, cache.fill)} == {"q"}
+        assert cache.det_state() == cache.det_state_scan()
+    assert machine.hier.l1[1].det_state()[1] == 1
+
+
+def test_hierarchy_stats_pickle_into_the_readers_class(kernel, monkeypatch):
+    """A pickled HierarchyStats is read into the HierarchyStats of the
+    reading process, compiled or Python, with every counter and histogram
+    kept: the disk cache stores it in each result."""
+
+    class PythonHierarchyStats(hierarchy._Counters):
+        __slots__ = hierarchy.HierarchyStats.__slots__
+        FIELDS = hierarchy.HierarchyStats.FIELDS
+        __reduce__ = hierarchy.HierarchyStats.__reduce__
+
+    compiled = hierarchy.HierarchyStats()
+    for k, name in enumerate(hierarchy._COUNTERS):
+        setattr(compiled, name, 7 * k + 1)
+    compiled.crit_latency.record(240)
+    compiled.noncrit_latency.record(96)
+    compiled.pc_latency[17] = LatencyHistogram()
+    compiled.pc_latency[17].record(240)
+    assert len(compiled.FIELDS) == 13
+    written = pickle.dumps(compiled)
+    monkeypatch.setattr(hierarchy, "HierarchyStats", PythonHierarchyStats)
+    read = pickle.loads(written)
+    assert type(read) is PythonHierarchyStats
+    assert _stat_items(read) == _stat_items(compiled)
+    written = pickle.dumps(read)
+    monkeypatch.undo()
+    back = pickle.loads(written)
+    assert type(back) is hierarchy.HierarchyStats
+    assert _stat_items(back) == _stat_items(compiled)
+
+
+#: The handlers the kernel schedules as events, beside the core's
+#: completion call it schedules for an L1 hit.
+HANDLERS = ("_access_l2", "_fill_l1_and_respond", "store")
+
+
+def _retrying_system():
+    """4-core radix with L1 and L2 MSHR files so small that stores and L2
+    accesses wait for a free entry: every kind of event occurs."""
+    config = SystemConfig(
+        cores=4, dram=DramConfig(channels=2),
+        l1d=dataclasses.replace(L1D_DEFAULT, mshr_entries=4),
+        l2=dataclasses.replace(L2_DEFAULT, mshr_entries=2),
+    )
+    traces = parallel_traces("radix", 4, 1500, seed=5)
+    return System(config, traces, scheduler="fr-fcfs", provider_spec=CBP64)
+
+
+def _target(func) -> str:
+    """A scheduled call's target: the method's name, else its type's."""
+    method = getattr(func, "__func__", None)
+    return type(func).__name__ if method is None else method.__name__
+
+
+def _count_events(monkeypatch):
+    """``(scheduled, fired)``: every call scheduled from here on, and
+    every one of those that ran, counted as ``(type, target)``, such as
+    ``("Event", "store")`` for a kernel event running ``store``."""
+    scheduled, fired = Counter(), Counter()
+    schedule = EventQueue.schedule
+
+    def counting(queue, cycle, fn):
+        key = type(fn).__name__, _target(getattr(fn, "func", fn))
+        scheduled[key] += 1
+
+        def fire():
+            fired[key] += 1
+            return fn()
+
+        return schedule(queue, cycle, fire)
+
+    monkeypatch.setattr(EventQueue, "schedule", counting)
+    return scheduled, fired
+
+
+def test_a_compiled_run_schedules_no_partials(kernel, monkeypatch):
+    """The kernel schedules each handler call and each L1 hit's
+    completion as a kernel event, never as a functools.partial."""
+    counts, _fired = _count_events(monkeypatch)
+    result = _retrying_system().run()
+    assert not result.hit_max_cycles
+    assert [key for key in counts if key[0] == "partial"
+            and key[1] in HANDLERS + ("Completion",)] == []
+    assert all(counts["Event", name] > 0
+               for name in HANDLERS + ("Completion", "_install_l2_fill"))
+
+
+@pytest.mark.parametrize("where", ("class", "instance"))
+@pytest.mark.parametrize("name", HANDLERS)
+def test_a_replaced_handler_sees_every_event(kernel, monkeypatch, name,
+                                             where):
+    """A handler replaced on the class, or set on the instance, is called
+    by name for every event that stands for it (and ``store`` for every
+    commit too), and the run's fingerprint is the unwrapped run's."""
+    _scheduled, fired = _count_events(monkeypatch)
+    reference = _retrying_system().run()
+    expected = fired["Event", name]
+    if name == "store":
+        expected += reference.hierarchy.stores
+    system = _retrying_system()
+    original = getattr(MemoryHierarchy, name)
+    calls = []
+
+    def wrapper(hier, *args):
+        calls.append(args)
+        return original(hier, *args)
+
+    if where == "class":
+        monkeypatch.setattr(MemoryHierarchy, name, wrapper)
+    else:
+        setattr(system.hierarchy, name,
+                functools.partial(wrapper, system.hierarchy))
+    result = system.run()
+    assert result_fingerprint(result) == result_fingerprint(reference)
+    assert fired["Event", name] > 0
+    assert len(calls) == expected

@@ -73,6 +73,38 @@ class TestCacheConfig:
                         round_trip_latency=3, mshr_entries=4)
         assert c.sets == 8
 
+    @pytest.mark.parametrize("field", [
+        "size_bytes", "line_bytes", "ways", "round_trip_latency",
+        "mshr_entries",
+    ])
+    def test_cache_rejects_a_field_below_one(self, field):
+        """A cache needs a set to scan, and a zero L1 round trip completes
+        a load in a cycle whose completions already ran."""
+        with pytest.raises(ValueError, match=f"CacheConfig.{field} must be "
+                                             "at least 1, not 0"):
+            dataclasses.replace(L1D_DEFAULT, **{field: 0})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(L2_DEFAULT, **{field: -1})
+
+    def test_cache_rejects_a_geometry_with_no_set(self):
+        with pytest.raises(ValueError, match="holds no set"):
+            CacheConfig(size_bytes=127, line_bytes=32, ways=4,
+                        round_trip_latency=3, mshr_entries=4)
+        assert dataclasses.replace(L1D_DEFAULT, size_bytes=128).sets == 1
+
+    def test_l2_lines_must_hold_whole_l1_lines(self):
+        """An L2 line smaller than an L1 line, or not a multiple of one,
+        cannot hold the L1 lines an inclusive L2 covers."""
+        for line in (16, 48):
+            with pytest.raises(ValueError, match="multiple of l1d.line_bytes"):
+                SystemConfig(l2=dataclasses.replace(L2_DEFAULT,
+                                                    line_bytes=line))
+        with pytest.raises(ValueError, match="multiple of l1d.line_bytes"):
+            SystemConfig().scaled(
+                l1d=dataclasses.replace(L1D_DEFAULT, line_bytes=128))
+        assert SystemConfig(l2=dataclasses.replace(
+            L2_DEFAULT, line_bytes=32)).l2.line_bytes == 32
+
 
 class TestSystemConfig:
     def test_parallel_default_is_table1_table3_machine(self):

@@ -15,14 +15,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import base
 from repro.cache.base import MODIFIED, SetAssociativeCache
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import CacheConfig, SystemConfig
 from repro.dram.controller import MemorySystem
 from repro.sched.frfcfs import FrFcfsScheduler
 from repro.sim.events import EventQueue
+from repro.cpu import native
 from repro.workloads.multiprog import BUNDLES, bundle_traces
 from repro.workloads.parallel import parallel_traces
+from tests.test_kernel import loaded
 
 L1_LINE = 32
 L2_LINE = 64
@@ -124,6 +127,22 @@ def test_bulk_prewarm_matches_per_line_reference(geometry, dirty, plan):
     _run_both(geometry, dirty, plan)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.tuples(
+        st.sampled_from([1, 2, 4]), st.sampled_from([1, 2]),
+        st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4]),
+    ),
+    plan=st.lists(st.tuples(st.integers(0, 1), _ranges), min_size=1, max_size=4),
+)
+def test_python_bulk_fill_matches_per_line_reference(geometry, plan):
+    """The same with the Python bodies of the bulk fill and its check,
+    which the cache kernel's ``fill_run`` replaces."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(base, "_kernel", None)
+        _run_both(geometry, [(2, 64)], plan)
+
+
 def test_overflowing_ranges_evict_and_reinsert():
     """A pinned case that does everything the property is there for:
     both levels overflow, L2 victims back-invalidate L1 copies of both
@@ -173,8 +192,9 @@ def test_full_size_machines_match_per_line_reference(workload, monkeypatch):
     """The real machines with real ranges: one parallel app's eight
     threads on the Table 1 8-core machine, and two bundles on the 4-core
     machine, whose warm ranges wrap the L2 and leave its sets unevenly
-    filled.  Every run of sets goes in by slice writes, and each resident
-    L2 line's tag entry is its ``where`` key, one int object per line."""
+    filled.  Every run of sets goes in by slice writes, and the L2's
+    columns stay typed arrays of their full length: no int object per
+    line."""
     if workload in BUNDLES:
         config = SystemConfig.multiprogrammed_default()
         traces = bundle_traces(workload, 100)
@@ -196,5 +216,29 @@ def test_full_size_machines_match_per_line_reference(workload, monkeypatch):
     _assert_same(bulk, ref)
     assert per_line == []
     l2 = bulk.l2
-    assert len(l2.where) == sum(l2.fill) > 0
-    assert all(l2.tag[slot] is line for line, slot in l2.where.items())
+    assert sum(l2.fill) > 0
+    assert [(c.typecode, len(c)) for c in (l2.tag, l2.lru, l2.fill)] == [
+        ("q", l2.ways * l2.num_sets)] * 2 + [("q", l2.num_sets)]
+
+
+@pytest.mark.parametrize("workload", ["fft", "AELV"])
+def test_compiled_bulk_fill_matches_its_python_body(workload, monkeypatch):
+    """``_fill_run`` runs in the cache kernel where it loads; on the
+    full-size machines its Python body, which runs without a compiler,
+    leaves the same caches, directory and queues."""
+    loaded(native.CACHE, base)
+    if workload in BUNDLES:
+        config = SystemConfig.multiprogrammed_default()
+        traces = bundle_traces(workload, 100)
+    else:
+        config = SystemConfig.parallel_default()
+        traces = parallel_traces(workload, config.cores, 100)
+    compiled = _machine(config)
+    for core, trace in enumerate(traces):
+        compiled.prewarm(core, trace.prewarm)
+    monkeypatch.setattr(base, "_kernel", None)
+    python = _machine(config)
+    for core, trace in enumerate(traces):
+        python.prewarm(core, trace.prewarm)
+    _assert_same(compiled, python)
+    assert compiled.l2.det_state()[1] > 0

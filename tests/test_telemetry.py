@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.telemetry import Telemetry, config_fingerprint
@@ -199,6 +201,14 @@ class TestIntervalSampler:
         with pytest.raises(ValueError):
             sample_interval()
 
+    def test_env_interval_rejects_a_negative_value(self, monkeypatch):
+        """0 turns sampling off; below 0 is an error, not a silent 0."""
+        monkeypatch.setenv("REPRO_SAMPLE_EVERY", "0")
+        assert sample_interval() == 0
+        monkeypatch.setenv("REPRO_SAMPLE_EVERY", "-5")
+        with pytest.raises(ValueError, match="0 .off. or positive, got -5"):
+            sample_interval()
+
 
 class TestTraceRecorder:
     def test_ring_drops_oldest(self):
@@ -264,3 +274,60 @@ class TestTelemetryBundle:
         plain = spec_key(spec)
         monkeypatch.setenv("REPRO_SAMPLE_EVERY", "64")
         assert spec_key(spec) != plain
+
+
+class TestCliKnobs:
+    """A bad telemetry knob is a one-line usage error (exit 2) before any
+    run starts, from the flag or from the environment."""
+
+    @pytest.fixture(autouse=True)
+    def _scoped_knobs(self, monkeypatch):
+        # The CLI writes its flags into these; keep them to each test.
+        for name in ("REPRO_SAMPLE_EVERY", "REPRO_TRACE_CAP", "REPRO_TRACE"):
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize("value", ["-5", "0", "often"])
+    def test_sample_every_flag_below_one_is_a_usage_error(self, capsys,
+                                                          value):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "fft", "--sample-every", value])
+        assert exc.value.code == 2
+        assert "argument --sample-every" in capsys.readouterr().err
+        assert "REPRO_SAMPLE_EVERY" not in os.environ
+
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_SAMPLE_EVERY", "abc"), ("REPRO_SAMPLE_EVERY", "-5"),
+        ("REPRO_TRACE_CAP", "0"), ("REPRO_TRACE_CAP", "xyz"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["run", "fft"], ["experiment", "fig4"], ["stats", "fft"],
+        ["trace", "fft", "--out", os.devnull], ["profile", "fft"],
+        ["check-determinism", "fft"],
+    ], ids=lambda argv: argv[0])
+    def test_a_bad_env_knob_stops_every_simulating_command(
+        self, monkeypatch, capsys, argv, name, value
+    ):
+        from repro.__main__ import main
+        from repro.sim import engine
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "run_one", no_run)
+        monkeypatch.setattr(engine, "run_many", no_run)
+        monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {argv[0]}: error: {name} must be")
+
+    def test_the_flag_overrides_a_bad_env_value(self, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_SAMPLE_EVERY", "abc")
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(["stats", "fft", "--instructions", "400",
+                     "--sample-every", "64"]) == 0
+        assert "samples x" in capsys.readouterr().out
