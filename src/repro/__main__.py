@@ -65,6 +65,19 @@ def _telemetry_knob_error() -> str | None:
     return None
 
 
+def _scale_knob_error() -> str | None:
+    """Why ``REPRO_INSTRUCTIONS`` or ``REPRO_SEEDS`` is unusable for an
+    experiment, or None: checked before its first run."""
+    from repro.experiments.common import default_seeds, experiment_scale
+
+    try:
+        experiment_scale()
+        default_seeds()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _add_engine_choice(parser: argparse.ArgumentParser, text: str) -> None:
     from repro.sim.system import ENGINES
 
@@ -83,16 +96,30 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "engine (env REPRO_VERIFY_SKIP)")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _cbp_entries(text: str) -> int:
+    """argparse type for ``--cbp``: 0 (no predictor) or a power of two."""
+    value = _int(text)
+    if value < 0 or value & (value - 1):
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (no predictor) or a power of two, got {value}"
+        )
     return value
 
 
@@ -310,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one parallel workload")
     run_p.add_argument("app")
     run_p.add_argument("--scheduler", default="casras-crit")
-    run_p.add_argument("--cbp", type=int, default=64,
+    run_p.add_argument("--cbp", type=_cbp_entries, default=64,
                        help="CBP entries (0 disables the predictor)")
-    run_p.add_argument("--instructions", type=int, default=12_000)
+    run_p.add_argument("--instructions", type=_positive_int, default=12_000)
     run_p.add_argument("--seed", type=int, default=1)
     _add_engine_flags(run_p)
 
@@ -342,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats_p.add_argument("app")
     stats_p.add_argument("--scheduler", default="fr-fcfs")
-    stats_p.add_argument("--cbp", type=int, default=64,
+    stats_p.add_argument("--cbp", type=_cbp_entries, default=64,
                          help="CBP entries (0 disables the predictor)")
-    stats_p.add_argument("--instructions", type=int, default=8_000)
+    stats_p.add_argument("--instructions", type=_positive_int, default=8_000)
     stats_p.add_argument("--seed", type=int, default=1)
     stats_p.add_argument("--sample-every", type=_positive_int, default=None,
                          metavar="N",
@@ -361,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument("app")
     trace_p.add_argument("--scheduler", default="fr-fcfs")
-    trace_p.add_argument("--cbp", type=int, default=64,
+    trace_p.add_argument("--cbp", type=_cbp_entries, default=64,
                          help="CBP entries (0 disables the predictor)")
-    trace_p.add_argument("--instructions", type=int, default=4_000)
+    trace_p.add_argument("--instructions", type=_positive_int, default=4_000)
     trace_p.add_argument("--seed", type=int, default=1)
     trace_p.add_argument("--out", default="timeline.json",
                          help="Chrome trace_event JSON output path")
@@ -381,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof_p.add_argument("app", help="parallel workload to time")
     prof_p.add_argument("--scheduler", default="fr-fcfs")
-    prof_p.add_argument("--cbp", type=int, default=0,
+    prof_p.add_argument("--cbp", type=_cbp_entries, default=0,
                         help="CBP entries (0 disables the predictor)")
-    prof_p.add_argument("--instructions", type=int, default=12_000)
+    prof_p.add_argument("--instructions", type=_positive_int, default=12_000)
     prof_p.add_argument("--seed", type=int, default=1)
     prof_p.add_argument("--engines", default="all", metavar="A,B,...",
                         help="engines to time; speedups are reported vs "
@@ -398,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     det_p.add_argument("app", help="parallel workload to check")
     det_p.add_argument("--scheduler", default="fr-fcfs")
-    det_p.add_argument("--instructions", type=int, default=4_000)
+    det_p.add_argument("--instructions", type=_positive_int, default=4_000)
     det_p.add_argument("--seed", type=int, default=1)
     det_p.add_argument("--no-subprocess", action="store_true",
                        help="skip the fresh-subprocess comparison")
@@ -424,6 +451,8 @@ def main(argv=None) -> int:
     _apply_telemetry_flags(args)
     if args.command in _SIMULATING:
         problem = _telemetry_knob_error()
+        if problem is None and args.command == "experiment":
+            problem = _scale_knob_error()
         if problem is not None:
             print(f"repro {args.command}: error: {problem}", file=sys.stderr)
             return 2

@@ -108,10 +108,16 @@ ALLOWLIST: dict[tuple[str, str], str] = {
         "ROB column: in-flight producer count of a waiting entry, which "
         "issues when it reaches zero; a divergence moves that entry's "
         "completion and so the ROB-head/committed det_state words",
-    ("OutOfOrderCore", "_waiters"):
-        "ROB column: entries parked on an in-flight producer, emptied "
-        "when it completes; a lost or extra waiter moves a completion "
-        "(see _pending)",
+    ("OutOfOrderCore", "_wait_head"):
+        "ROB column: first operand parked on an in-flight producer, "
+        "its chain emptied when it completes; a lost or extra waiter "
+        "moves a completion (see _pending)",
+    ("OutOfOrderCore", "_wait_tail"):
+        "ROB column: last operand parked on an in-flight producer "
+        "(see _wait_head)",
+    ("OutOfOrderCore", "_wait_next"):
+        "chain links of the parked operands, one per operand slot "
+        "(see _wait_head)",
     ("OutOfOrderCore", "_handle"):
         "ROB column: a load's hierarchy access, reset at retire; the "
         "access itself is chained via the MSHR and channel det_state",

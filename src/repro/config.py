@@ -322,6 +322,20 @@ class SimScale:
     warmup_instructions: int = 2_000
     seed: int = 1
 
+    def __post_init__(self):
+        # A horizon of no measured instruction would still simulate the
+        # warm-up and report its IPC as a result.
+        if self.instructions_per_core < 1:
+            raise ValueError(
+                f"SimScale.instructions_per_core must be at least 1, "
+                f"not {self.instructions_per_core}"
+            )
+        if self.warmup_instructions < 0:
+            raise ValueError(
+                f"SimScale.warmup_instructions must be at least 0, "
+                f"not {self.warmup_instructions}"
+            )
+
     def scaled(self, **changes) -> "SimScale":
         return dataclasses.replace(self, **changes)
 

@@ -9,13 +9,21 @@
  * step_window, det_state, the run-end ledger and both engines read the
  * same state whichever path ran.
  *
- * - Containers.  The ROB columns (_done, _pending, _waiters, _consumers,
- *   _bstart, _handle), the cycle rings and the trace's typed columns are
- *   bound once per core in a View, kept in the core's attribute
- *   _kernel_view.  The core binds each of them once in __init__ and only
- *   mutates them in place.  The View holds the trace's columns and the
- *   rings as buffers, so none of them can be resized while the core
- *   lives.
+ * - Containers.  The ROB columns (_done, _pending, the dependency chains
+ *   _wait_head, _wait_tail and _wait_next, and the load columns
+ *   _consumers, _bstart and _handle), the cycle rings and the trace's
+ *   typed columns are bound once per core in a View, kept in the core's
+ *   field _kernel_view (read-only to Python) and bound from the instance
+ *   __dict__ on the core's first kernel call.  The core binds each of
+ *   them once in __init__ and only mutates them in place.  The View holds
+ *   the trace's columns, the rings and every ROB column but the load
+ *   columns (lists) as buffers, so none of them can be resized while the
+ *   core lives.
+ * - Dependencies.  A producer's waiting operands form a FIFO chain of
+ *   operand codes (2 * trace index, plus 1 for dep2) from _wait_head to
+ *   _wait_tail at its ROB position, linked through _wait_next at each
+ *   code modulo 2 * rob_entries: dispatch order, dep1 before dep2, and a
+ *   consumer twice when both its operands name the producer.
  * - Rings.  Slot c & _ring_mask serves cycle c, for every cycle from the
  *   current one to the ring's reach (ring_size in core.py): per itype the
  *   units booked at c when the slot's tag (_fu_tag) is c (_fu_count), and
@@ -25,23 +33,41 @@
  *   the current cycle plus the ring size, a completion before the core's
  *   clock (stats.cycles) and a scheduled cycle that was never stepped
  *   raise RuntimeError, on both paths.
- * - Scalars.  _ptr, _rob_len, _lq_used, _sq_used, _fetch_blocker,
- *   _fetch_resume, _next_local and _tick_at are C fields of CoreBase, the
- *   base type of OutOfOrderCore, and the 13 counters of the core's stats
- *   are C fields of StatsBase, the base type of CoreStats.  Member
- *   descriptors of the same names expose them to Python.  The kernel
- *   updates them in place where the Python bodies assign them, so every
- *   caller and callee sees the values the Python bodies would have
- *   written, also when a stage raises.  A core that is not a CoreBase,
- *   or stats that are not a StatsBase, raise TypeError.
+ * - Fields.  CoreBase, the base type of OutOfOrderCore, holds the core's
+ *   scalars _ptr, _rob_len, _lq_used, _sq_used, _fetch_blocker,
+ *   _fetch_resume, _next_local and _tick_at as C long longs, and the
+ *   objects it reads every cycle, done, stats, provider, hierarchy,
+ *   tracer, _wake_hook, skip_until, _next_tick and _kernel_view, as
+ *   object fields; the 13 counters of the core's stats are C fields of
+ *   StatsBase, the base type of CoreStats.  Member descriptors of the
+ *   same names expose them to Python (an unset object field raises
+ *   AttributeError, as a missing instance attribute does), and stats'
+ *   setter refuses a value that is not a StatsBase, so the kernel reads
+ *   every field without a lookup or a type check.  CoreBase is
+ *   GC-tracked, as the objects close cycles back to the core.  The
+ *   kernel updates the fields in place where the Python bodies assign
+ *   them, so every caller and callee sees the values the Python bodies
+ *   would have written, also when a stage raises.  A core that is not a
+ *   CoreBase raises TypeError.
  * - Ticks.  provider.tick(now) runs only at cycles at or after _tick_at:
  *   the provider's next_tick_cycle (the core's _next_tick), asked after
  *   each real tick.  A provider without one has _next_tick None, and
  *   _tick_at stays 0: it ticks every cycle.
  * - Calls out.  Hierarchy load/store/can_accept_store, the provider's
  *   hooks, the tracer and the wake hook stay Python calls, looked up by
- *   name on each call (as the Python bodies do), in the bodies' order and
- *   with their arguments.  Exceptions they raise propagate unchanged.
+ *   name on each call (as the Python bodies do; a tracer or an effect
+ *   check may wrap any of them), in the bodies' order and with their
+ *   arguments, on the objects the core's fields hold.  Exceptions they
+ *   raise propagate unchanged.
+ * - Load handles.  Commit reads a blocked load's handle.went_to_dram and
+ *   handle.txn at LoadAccess's slot offsets, taken from its member
+ *   descriptors once per process, when the handle is exactly a
+ *   LoadAccess, and as False and None when it is L1_HIT; any other
+ *   handle is read by attribute.
+ * - Core phase.  core_phase(cores, finish, now) is the naive engine's
+ *   core phase for the compiled cycle loop (run_cycles in sim/_kernel.c):
+ *   each core of the list that is not done, in order, runs step here,
+ *   and one that is done after it sets finish[core_id] = now + 1.
  * - Completions.  The callback a load hands the hierarchy is a
  *   Completion: a GC-tracked callable holding the core and the trace
  *   index, which runs _complete_at((index,), cycle) here when called with
@@ -63,6 +89,12 @@
 #ifndef Py_T_LONGLONG
 #define Py_T_LONGLONG T_LONGLONG
 #endif
+#ifndef Py_T_OBJECT_EX
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#endif
+#ifndef Py_READONLY
+#define Py_READONLY READONLY
+#endif
 
 /* Instruction types (repro.cpu.instruction). */
 #define LOAD 3
@@ -79,17 +111,14 @@
 
 /* Interned attribute and method names, as NAME(identifier, text). */
 #define NAMES(NAME)                                                        \
-    NAME(kernel_view, "_kernel_view") NAME(done, "done")                  \
-    NAME(stats, "stats") NAME(provider, "provider")                       \
-    NAME(hierarchy, "hierarchy") NAME(tracer, "tracer")                   \
-    NAME(wake_hook, "_wake_hook") NAME(skip_until, "skip_until")          \
     NAME(trace, "trace") NAME(dclass, "_dclass") NAME(core_id, "core_id") \
     NAME(rob_entries, "_rob_entries") NAME(n, "_n")                       \
     NAME(fetch_width, "_fetch_width") NAME(commit_width, "_commit_width") \
     NAME(lq_entries, "_lq_entries") NAME(sq_entries, "_sq_entries")       \
     NAME(misp_penalty, "_misp_penalty") NAME(fu_caps, "_fu_caps")         \
     NAME(latency, "_latency") NAME(done_col, "_done")                     \
-    NAME(pending, "_pending") NAME(waiters, "_waiters")                   \
+    NAME(pending, "_pending") NAME(wait_head, "_wait_head")               \
+    NAME(wait_tail, "_wait_tail") NAME(wait_next, "_wait_next")           \
     NAME(consumers, "_consumers") NAME(bstart, "_bstart")                 \
     NAME(handle, "_handle") NAME(ring_mask, "_ring_mask")                 \
     NAME(wake_head, "_wake_head") NAME(wake_tail, "_wake_tail")           \
@@ -99,7 +128,7 @@
     NAME(on_block_start, "on_block_start")                                \
     NAME(on_blocked_commit, "on_blocked_commit")                          \
     NAME(on_load_consumers, "on_load_consumers") NAME(tick, "tick")       \
-    NAME(next_tick, "_next_tick") NAME(annotate, "annotate")              \
+    NAME(annotate, "annotate")                                            \
     NAME(load, "load") NAME(can_accept_store, "can_accept_store")         \
     NAME(store, "store") NAME(block_episode, "block_episode")             \
     NAME(prediction, "prediction") NAME(went_to_dram, "went_to_dram")     \
@@ -112,30 +141,133 @@ static PyObject *small_zero, *small_minus_one;
 
 /* ------------------------------------------------------------ base types */
 
-/* The base type of OutOfOrderCore: its scalars (see core.py). */
+/* The base type of OutOfOrderCore: its scalars and the objects it reads
+ * every cycle (see core.py). */
 typedef struct {
     PyObject_HEAD
     long long ptr, rob_len, lq_used, sq_used, fetch_blocker, fetch_resume,
         next_local, tick_at;
+    PyObject *done, *stats, *provider, *hierarchy, *tracer, *wake_hook,
+        *skip_until, *next_tick, *kernel_view;
 } CoreBase;
 
 #define CORE_MEMBER(name) \
     {"_" #name, Py_T_LONGLONG, offsetof(CoreBase, name), 0, NULL}
+#define CORE_OBJECT(name, field, flags) \
+    {name, Py_T_OBJECT_EX, offsetof(CoreBase, field), flags, NULL}
 
 static PyMemberDef core_members[] = {
     CORE_MEMBER(ptr), CORE_MEMBER(rob_len), CORE_MEMBER(lq_used),
     CORE_MEMBER(sq_used), CORE_MEMBER(fetch_blocker),
     CORE_MEMBER(fetch_resume), CORE_MEMBER(next_local),
-    CORE_MEMBER(tick_at), {NULL, 0, 0, 0, NULL},
+    CORE_MEMBER(tick_at), CORE_OBJECT("done", done, 0),
+    CORE_OBJECT("provider", provider, 0),
+    CORE_OBJECT("hierarchy", hierarchy, 0),
+    CORE_OBJECT("tracer", tracer, 0),
+    CORE_OBJECT("_wake_hook", wake_hook, 0),
+    CORE_OBJECT("skip_until", skip_until, 0),
+    CORE_OBJECT("_next_tick", next_tick, 0),
+    CORE_OBJECT("_kernel_view", kernel_view, Py_READONLY),
+    {NULL, 0, 0, 0, NULL},
 };
+
+static PyTypeObject StatsBaseType;
+
+/* Borrowed object field ``value`` of ``core``, or NULL with AttributeError
+ * set when it is unset. */
+static inline PyObject *
+field(CoreBase *core, PyObject *value, const char *name)
+{
+    if (value == NULL) {
+        PyErr_Format(PyExc_AttributeError,
+                     "'%s' object has no attribute '%s'",
+                     Py_TYPE(core)->tp_name, name);
+    }
+    return value;
+}
+
+static PyObject *
+core_get_stats(CoreBase *self, void *closure)
+{
+    PyObject *stats = field(self, self->stats, "stats");
+    Py_XINCREF(stats);
+    return stats;
+}
+
+/* core.stats = value: only a StatsBase, so the kernel reads its counters
+ * without a check. */
+static int
+core_set_stats(CoreBase *self, PyObject *value, void *closure)
+{
+    if (value != NULL && !PyObject_TypeCheck(value, &StatsBaseType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "the core's stats must be a CoreStats built on "
+                     "StatsBase, not '%s'", Py_TYPE(value)->tp_name);
+        return -1;
+    }
+    PyObject *old = self->stats;
+    Py_XINCREF(value);
+    self->stats = value;
+    Py_XDECREF(old);
+    return 0;
+}
+
+static PyGetSetDef core_getset[] = {
+    {"stats", (getter)core_get_stats, (setter)core_set_stats,
+     "The core's CoreStats.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static int
+core_traverse(CoreBase *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->done);
+    Py_VISIT(self->stats);
+    Py_VISIT(self->provider);
+    Py_VISIT(self->hierarchy);
+    Py_VISIT(self->tracer);
+    Py_VISIT(self->wake_hook);
+    Py_VISIT(self->skip_until);
+    Py_VISIT(self->next_tick);
+    Py_VISIT(self->kernel_view);
+    return 0;
+}
+
+static int
+core_clear(CoreBase *self)
+{
+    Py_CLEAR(self->done);
+    Py_CLEAR(self->stats);
+    Py_CLEAR(self->provider);
+    Py_CLEAR(self->hierarchy);
+    Py_CLEAR(self->tracer);
+    Py_CLEAR(self->wake_hook);
+    Py_CLEAR(self->skip_until);
+    Py_CLEAR(self->next_tick);
+    Py_CLEAR(self->kernel_view);
+    return 0;
+}
+
+static void
+core_dealloc(CoreBase *self)
+{
+    PyObject_GC_UnTrack(self);
+    core_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
 
 static PyTypeObject CoreBaseType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.cpu._kernel.CoreBase",
     .tp_basicsize = sizeof(CoreBase),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
-    .tp_doc = "The scalars of an OutOfOrderCore, as C fields.",
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The scalars of an OutOfOrderCore and the objects it reads "
+              "every cycle, as C fields.",
     .tp_members = core_members,
+    .tp_getset = core_getset,
+    .tp_traverse = (traverseproc)core_traverse,
+    .tp_clear = (inquiry)core_clear,
+    .tp_dealloc = (destructor)core_dealloc,
     .tp_new = PyType_GenericNew,
 };
 
@@ -181,12 +313,15 @@ enum {
     R_FU_TAG, R_FU_COUNT = R_FU_TAG + N_ITYPES,
     N_RINGS = R_FU_COUNT + N_ITYPES
 };
-#define N_BUFFERS (N_COLUMNS + N_RINGS)
+/* The dependency columns: _done (a bytearray), _pending, _wait_head,
+ * _wait_tail and _wait_next (each an array("q")). */
+#define N_DEPS 5
+#define N_BUFFERS (N_COLUMNS + N_RINGS + N_DEPS)
 
 typedef struct {
     PyObject_HEAD
-    /* ROB columns: lists of length cap, one slot per ring position. */
-    PyObject *done, *pending, *waiters, *consumers, *bstart, *handle;
+    /* The load columns: lists of length cap, one slot per ring position. */
+    PyObject *consumers, *bstart, *handle;
     PyObject *core_id;
     Py_buffer buffers[N_BUFFERS];
     int held;  /* buffers acquired so far */
@@ -195,6 +330,11 @@ typedef struct {
     const uint64_t *addrs;
     const uint16_t *dep1, *dep2;
     long long *ring[N_RINGS];
+    /* The dependency columns: per ring position, done, the operands still
+     * pending and the head and tail of the chain of operand codes waiting
+     * on it, linked through wait_next (2 * cap slots). */
+    uint8_t *done;
+    long long *pending, *wait_head, *wait_tail, *wait_next;
     long long cap, n, fetch_width, commit_width, lq_entries, sq_entries,
         misp_penalty, mask;
     long long fu_caps[N_ITYPES], latency[N_ITYPES];
@@ -203,9 +343,6 @@ typedef struct {
 static int
 view_traverse(View *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->done);
-    Py_VISIT(self->pending);
-    Py_VISIT(self->waiters);
     Py_VISIT(self->consumers);
     Py_VISIT(self->bstart);
     Py_VISIT(self->handle);
@@ -216,9 +353,6 @@ view_traverse(View *self, visitproc visit, void *arg)
 static int
 view_clear(View *self)
 {
-    Py_CLEAR(self->done);
-    Py_CLEAR(self->pending);
-    Py_CLEAR(self->waiters);
     Py_CLEAR(self->consumers);
     Py_CLEAR(self->bstart);
     Py_CLEAR(self->handle);
@@ -338,24 +472,33 @@ bind_column(View *self, PyObject *column, const char *name,
     return view->buf;
 }
 
-/* Acquire the next buffer of ``self`` on the ring ``ring``: exactly
- * ``size`` writable items of type 'q'. */
-static long long *
-bind_ring(View *self, PyObject *ring, PyObject *name, Py_ssize_t size)
+/* Acquire the next buffer of ``self`` on the writable ``array``: exactly
+ * ``size`` items of struct ``format`` (one letter), ``itemsize`` bytes
+ * each. */
+static void *
+bind_array(View *self, PyObject *array, PyObject *name, Py_ssize_t size,
+           const char *format, Py_ssize_t itemsize)
 {
     Py_buffer *view = &self->buffers[self->held];
-    if (PyObject_GetBuffer(ring, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+    if (PyObject_GetBuffer(array, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
         return NULL;
     }
     self->held++;
-    if (view->itemsize != sizeof(long long) || view->format == NULL
-        || strcmp(view->format, "q") != 0
-        || view->len != size * (Py_ssize_t)sizeof(long long)) {
-        PyErr_Format(PyExc_TypeError, "%U must hold %zd items of type 'q'",
-                     name, size);
+    if (view->itemsize != itemsize || view->format == NULL
+        || strcmp(view->format, format) != 0
+        || view->len != size * itemsize) {
+        PyErr_Format(PyExc_TypeError, "%U must hold %zd items of type '%s'",
+                     name, size, format);
         return NULL;
     }
     return view->buf;
+}
+
+/* A ring or dependency column: exactly ``size`` items of type 'q'. */
+static long long *
+bind_ring(View *self, PyObject *ring, PyObject *name, Py_ssize_t size)
+{
+    return bind_array(self, ring, name, size, "q", sizeof(long long));
 }
 
 /* Bind the rings in R_* order. */
@@ -397,14 +540,113 @@ bind_rings(View *self, PyObject *dict)
     return 0;
 }
 
+/* Bind the dependency columns: _done, then the others. */
+static int
+bind_deps(View *self, PyObject *dict)
+{
+    Py_ssize_t cap = (Py_ssize_t)self->cap;
+    PyObject *done = dict_attr(dict, str_done_col);
+    if (done == NULL
+        || (self->done = bind_array(self, done, str_done_col, cap, "B", 1))
+               == NULL) {
+        return -1;
+    }
+    PyObject *names[] = {str_pending, str_wait_head, str_wait_tail,
+                         str_wait_next};
+    long long **columns[] = {&self->pending, &self->wait_head,
+                             &self->wait_tail, &self->wait_next};
+    for (int k = 0; k < N_DEPS - 1; k++) {
+        PyObject *value = dict_attr(dict, names[k]);
+        Py_ssize_t size = columns[k] == &self->wait_next ? 2 * cap : cap;
+        if (value == NULL
+            || (*columns[k] = bind_ring(self, value, names[k], size))
+                   == NULL) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* The load handles the commit stage reads by slot (see "Load handles"
+ * above): LoadAccess, its slots' offsets and L1_HIT, bound with the first
+ * View. */
+enum { LA_WENT, LA_TXN, N_LA };
+static PyTypeObject *load_access_type;
+static Py_ssize_t la_offset[N_LA];
+static PyObject *l1_hit;
+
+static int
+bind_handles(void)
+{
+    if (load_access_type != NULL) {
+        return 0;
+    }
+    PyObject *module = PyImport_ImportModule("repro.cache.hierarchy");
+    if (module == NULL) {
+        return -1;
+    }
+    PyObject *type = PyObject_GetAttrString(module, "LoadAccess");
+    PyObject *hit = type ? PyObject_GetAttrString(module, "L1_HIT") : NULL;
+    Py_DECREF(module);
+    if (hit == NULL) {
+        goto error;
+    }
+    if (!PyType_Check(type)) {
+        PyErr_SetString(PyExc_TypeError, "LoadAccess must be a class");
+        goto error;
+    }
+    PyObject *names[N_LA] = {str_went_to_dram, str_txn};
+    for (int k = 0; k < N_LA; k++) {
+        PyObject *descr = PyDict_GetItemWithError(
+            ((PyTypeObject *)type)->tp_dict, names[k]);
+        if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            || ((PyMemberDescrObject *)descr)->d_member->type
+                   != Py_T_OBJECT_EX) {
+            if (!PyErr_Occurred()) {
+                PyErr_Format(PyExc_TypeError,
+                             "LoadAccess.%U is not an object slot",
+                             names[k]);
+            }
+            goto error;
+        }
+        la_offset[k] = ((PyMemberDescrObject *)descr)->d_member->offset;
+    }
+    load_access_type = (PyTypeObject *)type;
+    l1_hit = hit;
+    return 0;
+
+error:
+    Py_XDECREF(type);
+    Py_XDECREF(hit);
+    return -1;
+}
+
+/* ``handle.went_to_dram`` (LA_WENT) or ``handle.txn`` (LA_TXN): a new
+ * reference, read at its slot when ``handle`` is exactly a LoadAccess. */
+static PyObject *
+handle_get(PyObject *handle, int k)
+{
+    if (Py_IS_TYPE(handle, load_access_type)) {
+        PyObject *value = *(PyObject **)((char *)handle + la_offset[k]);
+        if (value != NULL) {
+            Py_INCREF(value);
+            return value;
+        }
+    }
+    return PyObject_GetAttr(handle, k == LA_WENT ? str_went_to_dram
+                                                 : str_txn);
+}
+
 static PyObject *
 view_bind(PyObject *dict)
 {
+    if (bind_handles() < 0) {
+        return NULL;
+    }
     View *self = PyObject_GC_New(View, &ViewType);
     if (self == NULL) {
         return NULL;
     }
-    self->done = self->pending = self->waiters = NULL;
     self->consumers = self->bstart = self->handle = self->core_id = NULL;
     self->held = 0;
     PyObject_GC_Track(self);
@@ -434,10 +676,7 @@ view_bind(PyObject *dict)
         goto error;
     }
     Py_ssize_t cap = (Py_ssize_t)self->cap;
-    if ((self->done = bind_list(dict, str_done_col, cap)) == NULL
-        || (self->pending = bind_list(dict, str_pending, cap)) == NULL
-        || (self->waiters = bind_list(dict, str_waiters, cap)) == NULL
-        || (self->consumers = bind_list(dict, str_consumers, cap)) == NULL
+    if ((self->consumers = bind_list(dict, str_consumers, cap)) == NULL
         || (self->bstart = bind_list(dict, str_bstart, cap)) == NULL
         || (self->handle = bind_list(dict, str_handle, cap)) == NULL) {
         goto error;
@@ -487,7 +726,7 @@ view_bind(PyObject *dict)
     self->addrs = bufs[B_ADDRS];
     self->dep1 = bufs[B_DEP1];
     self->dep2 = bufs[B_DEP2];
-    if (bind_rings(self, dict) < 0) {
+    if (bind_rings(self, dict) < 0 || bind_deps(self, dict) < 0) {
         goto error;
     }
     return (PyObject *)self;
@@ -501,62 +740,101 @@ error:
 
 /* -------------------------------------------------------------- call state */
 
-/* One kernel call: the core, its __dict__ and its View. */
+/* The last type found to derive from CoreBase, held: a core of exactly
+ * this type needs no walk of its MRO. */
+static PyTypeObject *core_type;
+
+static int
+check_core(PyObject *core)
+{
+    PyTypeObject *type = Py_TYPE(core);
+    if (type == core_type) {
+        return 0;
+    }
+    if (!PyType_IsSubtype(type, &CoreBaseType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "the core kernel takes an OutOfOrderCore built on "
+                     "CoreBase, not '%s'", type->tp_name);
+        return -1;
+    }
+    Py_INCREF(type);
+    Py_XSETREF(core_type, type);
+    return 0;
+}
+
+/* The object field ``member`` of the call's core, Python name ``name``. */
+#define FIELD(c, member, name) field((c)->core, (c)->core->member, name)
+
+/* ``core.field = value`` for an object field. */
+static inline void
+field_put(PyObject **slot, PyObject *value)
+{
+    PyObject *old = *slot;
+    Py_INCREF(value);
+    *slot = value;
+    Py_XDECREF(old);
+}
+
+/* ``core.done`` as a truth value: 1, 0 or -1. */
+static inline int
+is_done(CoreBase *core)
+{
+    PyObject *done = field(core, core->done, "done");
+    if (done == Py_False || done == Py_True) {
+        return done == Py_True;
+    }
+    if (done == NULL) {
+        return -1;
+    }
+    Py_INCREF(done);
+    int truth = PyObject_IsTrue(done);
+    Py_DECREF(done);
+    return truth;
+}
+
+/* One kernel call: the core and its View. */
 typedef struct {
     CoreBase *core;  /* borrowed: the caller's argument */
-    PyObject *dict;
     View *v;
 } Ctx;
 
 static int
 ctx_open(Ctx *c, PyObject *core)
 {
-    if (!PyObject_TypeCheck(core, &CoreBaseType)) {
-        PyErr_Format(PyExc_TypeError,
-                     "the core kernel takes an OutOfOrderCore built on "
-                     "CoreBase, not '%s'", Py_TYPE(core)->tp_name);
+    if (check_core(core) < 0) {
         return -1;
     }
-    c->core = (CoreBase *)core;
-    c->v = NULL;
-    c->dict = PyObject_GenericGetDict(core, NULL);
-    if (c->dict == NULL) {
-        return -1;
-    }
-    PyObject *view = PyDict_GetItemWithError(c->dict, str_kernel_view);
-    if (view != NULL && Py_IS_TYPE(view, &ViewType)) {
-        Py_INCREF(view);
-    }
-    else {
-        if (PyErr_Occurred()) {
-            goto error;
+    CoreBase *self = (CoreBase *)core;
+    c->core = self;
+    PyObject *view = self->kernel_view;
+    if (view == NULL) {
+        /* The first call binds the View from the instance __dict__. */
+        PyObject *dict = PyObject_GenericGetDict(core, NULL);
+        if (dict == NULL) {
+            return -1;
         }
-        view = view_bind(c->dict);
-        if (view == NULL
-            || PyDict_SetItem(c->dict, str_kernel_view, view) < 0) {
-            Py_XDECREF(view);
-            goto error;
+        view = view_bind(dict);
+        Py_DECREF(dict);
+        if (view == NULL) {
+            return -1;
         }
+        self->kernel_view = view;
     }
+    Py_INCREF(view);
     c->v = (View *)view;
-    if (c->v->done == NULL) {
+    if (c->v->consumers == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         "the core's kernel view is cleared");
-        goto error;
+        Py_CLEAR(c->v);
+        return -1;
     }
     return 0;
-
-error:
-    Py_CLEAR(c->v);
-    Py_CLEAR(c->dict);
-    return -1;
 }
 
 static void
 ctx_close(Ctx *c)
 {
     Py_DECREF(c->v);
-    Py_DECREF(c->dict);
 }
 
 /* Check the ranges the kernel indexes by: 0 <= _rob_len <= min(_ptr, cap)
@@ -574,17 +852,10 @@ check_scalars(Ctx *c)
 }
 
 /* Borrowed ``core.stats``, or NULL with an exception set. */
-static StatsBase *
+static inline StatsBase *
 stats_of(Ctx *c)
 {
-    PyObject *stats = dict_attr(c->dict, str_stats);
-    if (stats != NULL && !PyObject_TypeCheck(stats, &StatsBaseType)) {
-        PyErr_Format(PyExc_TypeError,
-                     "the core's stats must be a CoreStats built on "
-                     "StatsBase, not '%s'", Py_TYPE(stats)->tp_name);
-        return NULL;
-    }
-    return (StatsBase *)stats;
+    return (StatsBase *)field(c->core, c->core->stats, "stats");
 }
 
 /* ``args[0].name(*args[1:nargs])``; a new reference.  The callee may
@@ -831,10 +1102,8 @@ complete_begin(Ctx *c, long long cycle)
                      "%lld", c->v->core_id, cycle, clock);
         return -1;
     }
-    if (PyDict_SetItem(c->dict, str_skip_until, small_zero) < 0) {
-        return -1;
-    }
-    PyObject *hook = dict_attr(c->dict, str_wake_hook);
+    field_put(&c->core->skip_until, small_zero);
+    PyObject *hook = FIELD(c, wake_hook, "_wake_hook");
     if (hook == NULL) {
         return -1;
     }
@@ -855,39 +1124,39 @@ static int
 complete_one(Ctx *c, long long i, long long cycle)
 {
     View *v = c->v;
-    long long cap = v->cap;
+    long long cap = v->cap, slots = 2 * cap;
     Py_ssize_t pos = (Py_ssize_t)(i % cap);
-    list_put(v->done, pos, Py_True);
+    v->done[pos] = 1;
     if (i == c->core->fetch_blocker) {
         c->core->fetch_blocker = -1;
         c->core->fetch_resume = cycle + v->misp_penalty;
     }
-    PyObject *deps = PyList_GET_ITEM(v->waiters, pos);
-    if (deps == Py_None) {
+    long long code = v->wait_head[pos];
+    if (code < 0) {
         return 0;
     }
-    if (!PyList_Check(deps)) {
-        PyErr_SetString(PyExc_TypeError, "_waiters must hold lists");
-        return -1;
-    }
-    Py_INCREF(deps);
-    list_put(v->waiters, pos, Py_None);
-    int failed = 0;
-    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(deps) && !failed; k++) {
-        long long d, left;
-        if (trace_index(v, PyList_GET_ITEM(deps, k), &d) < 0) {
-            failed = 1;
-            break;
-        }
+    v->wait_head[pos] = -1;
+    while (code >= 0) {
+        long long d = code >> 1;
         Py_ssize_t dpos = (Py_ssize_t)(d % cap);
-        failed = list_ll(v->pending, dpos, &left) < 0
-            || list_put_ll(v->pending, dpos, left - 1) < 0
+        long long left = v->pending[dpos] - 1;
+        v->pending[dpos] = left;
+        long long following = v->wait_next[code % slots];
+        if (!left) {
             /* Last operand arrived: book a unit from this cycle on (the
              * waiter dispatched before it), schedule the result. */
-            || (left == 1 && book_and_schedule(c, d, cycle, cycle) < 0);
+            if (d >= v->n) {
+                PyErr_Format(PyExc_IndexError,
+                             "trace index %lld out of range", d);
+                return -1;
+            }
+            if (book_and_schedule(c, d, cycle, cycle) < 0) {
+                return -1;
+            }
+        }
+        code = following;
     }
-    Py_DECREF(deps);
-    return failed ? -1 : 0;
+    return 0;
 }
 
 /* OutOfOrderCore._do_commit: the number of entries retired, or -1. */
@@ -901,7 +1170,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
         return 0;
     }
     StatsBase *stats = stats_of(c);
-    PyObject *provider = stats ? dict_attr(c->dict, str_provider) : NULL;
+    PyObject *provider = stats ? FIELD(c, provider, "provider") : NULL;
     if (provider == NULL) {
         return -1;
     }
@@ -914,11 +1183,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
                                                         : v->commit_width);
     while (head < stop) {
         Py_ssize_t pos = (Py_ssize_t)(head % cap);
-        int done = PyObject_IsTrue(PyList_GET_ITEM(v->done, pos));
-        if (done < 0) {
-            goto error;
-        }
-        if (!done) {
+        if (!v->done[pos]) {
             break;
         }
         int itype = v->itypes[head];
@@ -934,7 +1199,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
                 if ((b = PyLong_FromLongLong(stall)) == NULL) {
                     goto error;
                 }
-                PyObject *tracer = dict_attr(c->dict, str_tracer);
+                PyObject *tracer = FIELD(c, tracer, "tracer");
                 if (tracer == NULL) {
                     goto error;
                 }
@@ -972,7 +1237,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
             core->lq_used -= 1;
         }
         else if (itype == STORE) {
-            PyObject *hierarchy = dict_attr(c->dict, str_hierarchy);
+            PyObject *hierarchy = FIELD(c, hierarchy, "hierarchy");
             if (hierarchy == NULL) {
                 goto error;
             }
@@ -1015,8 +1280,8 @@ commit(Ctx *c, PyObject *now_obj, long long now)
         handle = PyList_GET_ITEM(v->handle, pos);
         Py_INCREF(handle);
         int dram_bound = 0;
-        if (handle != Py_None) {
-            PyObject *went = PyObject_GetAttr(handle, str_went_to_dram);
+        if (handle != Py_None && handle != l1_hit) {
+            PyObject *went = handle_get(handle, LA_WENT);
             dram_bound = went ? PyObject_IsTrue(went) : -1;
             Py_XDECREF(went);
             if (dram_bound < 0) {
@@ -1036,7 +1301,7 @@ commit(Ctx *c, PyObject *now_obj, long long now)
             stats->blocking_loads += 1;
             stats->blocking_dram_loads += 1;
             if ((pc = PyLong_FromUnsignedLong(v->pcs[head])) == NULL
-                || (a = PyObject_GetAttr(handle, str_txn)) == NULL) {
+                || (a = handle_get(handle, LA_TXN)) == NULL) {
                 goto error;
             }
             PyObject *args[] = {provider, pc, now_obj, a};
@@ -1066,11 +1331,12 @@ error:
     return -1;
 }
 
-/* The dependency on producer ``p`` of the entry ``item`` being dispatched
- * (see the Python body); adds one to ``*pending`` if ``p`` is in flight. */
+/* The dependency on producer ``p`` of the operand ``code`` (2 * trace
+ * index, plus 1 for dep2) of the entry being dispatched (see the Python
+ * body); adds one to ``*pending`` if ``p`` is in flight. */
 static int
 resolve_operand(View *v, long long p, long long ptr, long long first,
-                PyObject *item, int *pending)
+                long long code, int *pending)
 {
     if (!(p < ptr && p >= first)) {
         return 0;
@@ -1084,31 +1350,20 @@ resolve_operand(View *v, long long p, long long ptr, long long first,
             return -1;
         }
     }
-    int done = PyObject_IsTrue(PyList_GET_ITEM(v->done, ppos));
-    if (done < 0) {
-        return -1;
-    }
-    if (done) {
+    if (v->done[ppos]) {
         return 0;
     }
-    PyObject *deps = PyList_GET_ITEM(v->waiters, ppos);
-    if (deps == Py_None) {
-        deps = PyList_New(1);
-        if (deps == NULL) {
-            return -1;
-        }
-        Py_INCREF(item);
-        PyList_SET_ITEM(deps, 0, item);
-        PyObject *old = PyList_GET_ITEM(v->waiters, ppos);
-        PyList_SET_ITEM(v->waiters, ppos, deps);
-        Py_DECREF(old);
+    long long slots = 2 * v->cap;
+    v->wait_next[code % slots] = -1;
+    if (v->wait_head[ppos] < 0) {
+        v->wait_head[ppos] = code;
     }
-    else if (!PyList_Check(deps) || PyList_Append(deps, item) < 0) {
-        if (!PyErr_Occurred()) {
-            PyErr_SetString(PyExc_TypeError, "_waiters must hold lists");
-        }
-        return -1;
+    else {
+        /* Python's modulo: a tail is never negative under a head. */
+        long long last = v->wait_tail[ppos] % slots;
+        v->wait_next[last < 0 ? last + slots : last] = code;
     }
+    v->wait_tail[ppos] = code;
     *pending += 1;
     return 0;
 }
@@ -1163,32 +1418,22 @@ dispatch(Ctx *c, long long now)
             }
             core->sq_used += 1;
         }
-        PyObject *item = PyLong_FromLongLong(ptr);
-        if (item == NULL) {
-            return -1;
-        }
         /* Producer p is in flight iff p >= first, and then sits at ring
          * position p % cap; a retired producer is long complete. */
         int pending = 0;
-        if (resolve_operand(v, ptr - v->dep1[ptr], ptr, first, item,
+        if (resolve_operand(v, ptr - v->dep1[ptr], ptr, first, 2 * ptr,
                             &pending) < 0
-            || resolve_operand(v, ptr - v->dep2[ptr], ptr, first, item,
-                               &pending) < 0) {
-            Py_DECREF(item);
+            || resolve_operand(v, ptr - v->dep2[ptr], ptr, first,
+                               2 * ptr + 1, &pending) < 0) {
             return -1;
         }
         Py_ssize_t pos = (Py_ssize_t)(ptr % cap);
-        list_put(v->done, pos, Py_False);
-        int failed;
+        v->done[pos] = 0;
         if (pending) {
-            failed = list_put_ll(v->pending, pos, pending);
+            v->pending[pos] = pending;
         }
-        else {
+        else if (book_and_schedule(c, ptr, now + 1, now) < 0) {
             /* Operands ready: book a unit, schedule the result. */
-            failed = book_and_schedule(c, ptr, now + 1, now);
-        }
-        Py_DECREF(item);
-        if (failed) {
             return -1;
         }
         ptr += 1;
@@ -1222,21 +1467,18 @@ issue_close(Issue *s)
 static int
 issue_open(Ctx *c, Issue *s)
 {
-    PyObject *names[] = {str_hierarchy, str_provider, str_stats, str_tracer};
-    PyObject **slots[] = {&s->hierarchy, &s->provider,
-                          (PyObject **)&s->stats, &s->tracer};
     s->hierarchy = s->provider = s->tracer = NULL;
     s->stats = NULL;
-    for (int k = 0; k < 4; k++) {
-        PyObject *value = names[k] == str_stats
-            ? (PyObject *)stats_of(c) : dict_attr(c->dict, names[k]);
-        if (value == NULL) {
-            issue_close(s);
-            return -1;
-        }
-        Py_INCREF(value);
-        *slots[k] = value;
+    if ((s->hierarchy = FIELD(c, hierarchy, "hierarchy")) == NULL
+        || (s->provider = FIELD(c, provider, "provider")) == NULL
+        || (s->stats = stats_of(c)) == NULL
+        || (s->tracer = FIELD(c, tracer, "tracer")) == NULL) {
+        return -1;
     }
+    Py_INCREF(s->hierarchy);
+    Py_INCREF(s->provider);
+    Py_INCREF((PyObject *)s->stats);
+    Py_INCREF(s->tracer);
     return 0;
 }
 
@@ -1327,7 +1569,7 @@ done:
 static int
 tick(Ctx *c, PyObject *now_obj)
 {
-    PyObject *provider = dict_attr(c->dict, str_provider);
+    PyObject *provider = FIELD(c, provider, "provider");
     if (provider == NULL) {
         return -1;
     }
@@ -1338,7 +1580,7 @@ tick(Ctx *c, PyObject *now_obj)
     if (failed) {
         return -1;
     }
-    PyObject *next_tick = dict_attr(c->dict, str_next_tick);
+    PyObject *next_tick = FIELD(c, next_tick, "_next_tick");
     if (next_tick == NULL) {
         return -1;
     }
@@ -1415,7 +1657,7 @@ step(Ctx *c, PyObject *now_obj, long long now)
     }
     stats->cycles = now + 1;
     if (c->core->ptr >= v->n && !c->core->rob_len) {
-        return PyDict_SetItem(c->dict, str_done, Py_True);
+        field_put(&c->core->done, Py_True);
     }
     return 0;
 }
@@ -1474,8 +1716,7 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         || ctx_open(&c, args[0]) < 0) {
         return NULL;
     }
-    PyObject *done = dict_attr(c.dict, str_done);
-    int truth = done ? PyObject_IsTrue(done) : -1;
+    int truth = is_done(c.core);
     if (truth) {
         ctx_close(&c);
         if (truth < 0) {
@@ -1488,6 +1729,72 @@ k_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     return leave(&c, none_unless(step(&c, args[1], now) < 0));
+}
+
+/* One core's turn of the core phase: step it unless it is done, and
+ * record the cycle it finishes at.  0 or -1. */
+static int
+core_turn(PyObject *core, PyObject *now_obj, long long now, PyObject *finish,
+          long long *finished)
+{
+    CoreBase *self = (CoreBase *)core;
+    int done = is_done(self);
+    if (done) {
+        return done < 0 ? -1 : 0;
+    }
+    Ctx c;
+    if (enter(&c, core) < 0) {
+        return -1;
+    }
+    int failed = step(&c, now_obj, now) < 0;
+    ctx_close(&c);
+    if (failed || (done = is_done(self)) < 0) {
+        return -1;
+    }
+    if (done) {
+        PyObject *core_id = PyObject_GetAttr(core, str_core_id);
+        PyObject *end = core_id ? PyLong_FromLongLong(now + 1) : NULL;
+        failed = end == NULL || PyObject_SetItem(finish, core_id, end) < 0;
+        Py_XDECREF(end);
+        Py_XDECREF(core_id);
+        if (failed) {
+            return -1;
+        }
+        *finished += 1;
+    }
+    return 0;
+}
+
+/* core_phase(cores, finish, now): the naive engine's core phase at cycle
+ * ``now``; returns how many cores finished. */
+static PyObject *
+k_core_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now, finished = 0;
+    if (check_args("core_phase", nargs, 3) < 0 || as_ll(args[2], &now) < 0) {
+        return NULL;
+    }
+    PyObject *cores = args[0];
+    if (!PyList_Check(cores)) {
+        PyErr_Format(PyExc_TypeError,
+                     "core_phase() takes a list of cores, not '%s'",
+                     Py_TYPE(cores)->tp_name);
+        return NULL;
+    }
+    /* The list is read at every turn, as a for loop over it reads it. */
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cores); i++) {
+        PyObject *core = PyList_GET_ITEM(cores, i);
+        if (check_core(core) < 0) {
+            return NULL;
+        }
+        Py_INCREF(core);
+        int failed = core_turn(core, args[2], now, args[1], &finished);
+        Py_DECREF(core);
+        if (failed) {
+            return NULL;
+        }
+    }
+    return PyLong_FromLongLong(finished);
 }
 
 /* The next trace index of the iterator ``iter`` into ``*i``: 1, or 0 at
@@ -1571,8 +1878,10 @@ k_take_bucket(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         || enter(&c, args[0]) < 0) {
         return NULL;
     }
-    PyObject *wake = dict_attr(c.dict, str_wake_head);
-    PyObject *issue = wake ? dict_attr(c.dict, str_issue_head) : NULL;
+    PyObject *dict = PyObject_GenericGetDict(args[0], NULL);
+    PyObject *wake = dict ? dict_attr(dict, str_wake_head) : NULL;
+    PyObject *issue = wake ? dict_attr(dict, str_issue_head) : NULL;
+    Py_XDECREF(dict);  /* the core holds both rings */
     if (issue == NULL) {
         return leave(&c, NULL);
     }
@@ -1680,6 +1989,10 @@ static PyTypeObject CompletionType = {
 
 static PyMethodDef kernel_methods[] = {
     METHOD(step, "step(core, now): OutOfOrderCore.step"),
+    METHOD(core_phase, "core_phase(cores, finish, now): step each core of "
+                       "the list that is not done, setting finish[core_id] "
+                       "= now + 1 for each that finishes; returns how many "
+                       "finished"),
     METHOD(complete_at, "complete_at(core, finished, cycle): "
                         "OutOfOrderCore._complete_at"),
     METHOD(load_issues, "load_issues(core, issues, now): "

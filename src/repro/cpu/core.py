@@ -26,10 +26,12 @@ with one guard that hands the call to the kernel when it is loaded; the
 Python body after the guard is the reference the kernel transliterates,
 and the core when no compiler is available.  Both work on the same
 storage: the cycle-keyed tables are fixed-size rings in ``array("q")``
-buffers (see :func:`ring_size`), and with the kernel loaded the core's
-scalars and its :class:`CoreStats` counters are C fields of the
-kernel's base types ``CoreBase`` and ``StatsBase``, which the Python
-bodies read and write as attributes.
+buffers (see :func:`ring_size`), the dependency columns are a
+``bytearray`` and ``array("q")`` chains, and with the kernel loaded the
+core's scalars, the objects it reads every cycle and its
+:class:`CoreStats` counters are C fields of the kernel's base types
+``CoreBase`` and ``StatsBase``, which the Python bodies read and write
+as attributes.
 """
 
 from __future__ import annotations
@@ -162,19 +164,25 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
         # [_ptr - _rob_len, _ptr), so index ``i`` occupies the fixed ring
         # position ``i % rob_entries`` — no head pointer, no index map, no
         # compaction.  An entry's static fields are read from the trace's
-        # own columns; its dynamic fields are the columns below, one list
-        # slot per ring position (DESIGN.md §6).
+        # own columns; its dynamic fields are the columns below, one slot
+        # per ring position (DESIGN.md §6).
         cap = config.rob_entries
         self._rob_len = 0
-        # Set when the entry completes, cleared when the next one
-        # dispatches into its slot.  A completion is recorded at the cycle
-        # it is processed, and completions run before dispatch, so a done
+        # 1 when the entry completes, 0 when the next one dispatches into
+        # its slot.  A completion is recorded at the cycle it is
+        # processed, and completions run before dispatch, so a done
         # producer never constrains a consumer's issue cycle.
-        self._done = [False] * cap
+        self._done = bytearray(cap)
         # Producers still in flight; written only for an entry waiting on one.
-        self._pending = [0] * cap
-        # Trace indices of the entries waiting on this one, or None.
-        self._waiters: list[list[int] | None] = [None] * cap
+        self._pending = array("q", [0]) * cap
+        # The entries waiting on each one, in dispatch order and dep1
+        # before dep2: a FIFO chain of operand codes (2 * trace index, plus
+        # 1 for dep2) from _wait_head to _wait_tail at the producer's
+        # position (head -1: none), linked through _wait_next at each
+        # code modulo 2 * rob_entries, the slot of that entry's operand.
+        self._wait_head = array("q", [-1]) * cap
+        self._wait_tail = array("q", [-1]) * cap
+        self._wait_next = array("q", [-1]) * (2 * cap)
         # Load-only columns, reset when the load retires:
         self._handle = [None] * cap  # hierarchy access, set at issue
         self._consumers = [0] * cap  # direct consumers (the CLPT count)
@@ -373,28 +381,33 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
         if hook is not None:
             hook(self)
         done = self._done
-        waiters = self._waiters
+        wait_head = self._wait_head
+        wait_next = self._wait_next
         cap = self._rob_entries
+        slots = 2 * cap
         pending_col = self._pending
         schedule = self._book_and_schedule
         for i in finished:
             pos = i % cap
-            done[pos] = True
+            done[pos] = 1
             if i == self._fetch_blocker:
                 self._fetch_blocker = -1
                 self._fetch_resume = cycle + self._misp_penalty
-            deps = waiters[pos]
-            if deps is None:
+            code = wait_head[pos]
+            if code < 0:
                 continue
-            waiters[pos] = None
-            for d in deps:
+            wait_head[pos] = -1
+            while code >= 0:
+                d = code >> 1
                 dpos = d % cap
                 left = pending_col[dpos] - 1
                 pending_col[dpos] = left
+                following = wait_next[code % slots]
                 if not left:
                     # Last operand arrived: book a unit from this cycle on
                     # (the waiter dispatched before it), schedule the result.
                     schedule(d, cycle, cycle)
+                code = following
 
     # ---------------------------------------------------------------- stages
 
@@ -508,8 +521,8 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
     def _do_dispatch(self, now: int) -> int:
         """Dispatch up to ``fetch_width`` instructions; return how many.
 
-        Operands are resolved here: a producer still in flight gets the
-        new entry on its waiter list, and an entry whose operands are all
+        Operands are resolved here: a producer still in flight chains the
+        new entry's operand on its waiters, and an entry whose operands are all
         done books its functional unit and schedules its completion (or
         its cache access) at once.
         """
@@ -531,7 +544,10 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
         dclass = self._dclass
         done = self._done
         cap = self._rob_entries
-        waiters = self._waiters
+        slots = 2 * cap
+        wait_head = self._wait_head
+        wait_tail = self._wait_tail
+        wait_next = self._wait_next
         consumers = self._consumers
         schedule = self._book_and_schedule
         stats = self.stats
@@ -554,6 +570,7 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
             pending = 0
             # Producer ``p`` is in flight iff p >= first, and then sits at
             # ring position p % cap; a retired producer is long complete.
+            # A producer not done yet chains the operand's code at its tail.
             p = ptr - dep1[ptr]
             if p < ptr and p >= first:
                 ppos = p % cap
@@ -561,12 +578,13 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
                     # Direct-consumer count, as CLPT tracks at rename.
                     consumers[ppos] += 1
                 if not done[ppos]:
-                    deps = waiters[ppos]
-                    if deps is None:
-                        # repro-lint: disable=PERF001 one owned list per producer
-                        waiters[ppos] = [ptr]
+                    code = 2 * ptr
+                    wait_next[code % slots] = -1
+                    if wait_head[ppos] < 0:
+                        wait_head[ppos] = code
                     else:
-                        deps.append(ptr)
+                        wait_next[wait_tail[ppos] % slots] = code
+                    wait_tail[ppos] = code
                     pending = 1
             p = ptr - dep2[ptr]
             if p < ptr and p >= first:
@@ -574,15 +592,16 @@ class OutOfOrderCore(object if _kernel is None else _kernel.CoreBase):
                 if itypes[p] == LOAD:
                     consumers[ppos] += 1
                 if not done[ppos]:
-                    deps = waiters[ppos]
-                    if deps is None:
-                        # repro-lint: disable=PERF001 one owned list per producer
-                        waiters[ppos] = [ptr]
+                    code = 2 * ptr + 1
+                    wait_next[code % slots] = -1
+                    if wait_head[ppos] < 0:
+                        wait_head[ppos] = code
                     else:
-                        deps.append(ptr)
+                        wait_next[wait_tail[ppos] % slots] = code
+                    wait_tail[ppos] = code
                     pending += 1
             pos = ptr % cap
-            done[pos] = False
+            done[pos] = 0
             if pending:
                 self._pending[pos] = pending
             else:

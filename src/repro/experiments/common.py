@@ -22,8 +22,23 @@ from repro.sim.engine import RunSpec
 from repro.workloads.parallel import PARALLEL_APP_NAMES
 
 
+def _env_count(name: str, default: int) -> int:
+    """The environment variable ``name`` as a count of at least 1, or
+    ``default`` when it is unset or empty; ValueError otherwise."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def experiment_scale(seed: int = 1) -> SimScale:
-    instructions = int(os.environ.get("REPRO_INSTRUCTIONS", "12000"))
+    instructions = _env_count("REPRO_INSTRUCTIONS", 12_000)
     warmup = max(500, instructions // 10)
     return SimScale(
         instructions_per_core=instructions, warmup_instructions=warmup, seed=seed
@@ -31,7 +46,7 @@ def experiment_scale(seed: int = 1) -> SimScale:
 
 
 def default_seeds() -> tuple[int, ...]:
-    n = int(os.environ.get("REPRO_SEEDS", "1"))
+    n = _env_count("REPRO_SEEDS", 1)
     return tuple(range(1, n + 1))
 
 

@@ -31,33 +31,37 @@
  * 2**64 as ``value & (2**64 - 1)`` takes it (negative and wider ints
  * included), folded eight bytes at a time, least significant first.
  *
- * run_cycles(system, step, memory_step, now, remaining, stop, cap) is the
- * naive engine's cycle loop (repro.sim.system.System._run_naive, whose
- * Python body is the reference and the fallback).  From cycle ``now`` it
- * runs, cycle after cycle, what that body runs:
+ * run_cycles(system, core_phase, memory_step, now, remaining, stop, cap)
+ * is the naive engine's cycle loop (repro.sim.system.System._run_naive,
+ * whose Python body is the reference and the fallback).  From cycle
+ * ``now`` it runs, cycle after cycle, what that body runs:
  *
  * - the cap: at the top of a cycle at or past ``cap`` (None: no cap) it
  *   returns before running the cycle;
  * - run_due(now) on the system's queue, which must be this file's heap;
  * - memory_step(memory, now), the DRAM kernel's MemorySystem.step;
- * - for each core of system.cores that is not ``done``, in list order,
- *   step(core, now), the core kernel's OutOfOrderCore.step; a core that is
- *   ``done`` after it sets system._finish_cycles[core.core_id] to now + 1
- *   and counts ``remaining`` down;
+ * - core_phase(system.cores, system._finish_cycles, now), the core
+ *   kernel's core phase: for each core of the list that is not ``done``,
+ *   in list order, OutOfOrderCore.step's kernel, and for a core that is
+ *   ``done`` after it _finish_cycles[core.core_id] = now + 1; it returns
+ *   how many finished, and ``remaining`` counts down by that;
  * - at the sample cycle ``stop`` (None: none) it returns after the core
  *   phase, leaving the det-chain fold and the clock's advance to the
  *   caller; otherwise system._now = now + 1 ends the cycle, and it returns
  *   once ``remaining`` is 0.
  *
  * It returns (now, remaining, sampled): ``sampled`` is True at ``stop``.
- * step and memory_step are called by vectorcall, so no Python frame sits
- * between them; the events, the cores' hooks and the schedulers call out
- * to Python as they do from the Python loop.  PyErr_CheckSignals() runs at
- * the top of every cycle, so Python signal handlers run on the Python
- * loop's cadence, and an exception from any call or handler propagates
- * with _now, _finish_cycles and every model as the Python loop leaves
- * them.  The caller chooses this loop only while nothing it bypasses is
- * replaced and no telemetry sampler is attached (System._compiled_loop).
+ * core_phase and memory_step are called by vectorcall, once per cycle
+ * each, so no Python frame sits between them and the models; the events,
+ * the cores' hooks and the schedulers call out to Python as they do from
+ * the Python loop.  PyErr_CheckSignals() runs at the top of every cycle,
+ * so Python signal handlers run on the Python loop's cadence, and an
+ * exception from any call or handler propagates with _now,
+ * _finish_cycles and every model as the Python loop leaves them.  The
+ * caller chooses this loop only while nothing it bypasses is replaced
+ * and no telemetry sampler is attached (System._compiled_loop): each
+ * core's step must resolve to OutOfOrderCore.step, checked when the run
+ * starts and again each time this function returns.
  *
  * Built by repro.cpu.native with the interpreter's compiler and headers;
  * it uses only the C API of CPython 3.9 and later.
@@ -381,64 +385,10 @@ static PyTypeObject QueueType;
 /* Interned attribute names, as NAME(identifier, text). */
 #define NAMES(NAME)                                                        \
     NAME(events, "events") NAME(memory, "memory") NAME(cores, "cores")    \
-    NAME(finish, "_finish_cycles") NAME(now, "_now") NAME(done, "done")   \
-    NAME(core_id, "core_id")
+    NAME(finish, "_finish_cycles") NAME(now, "_now")
 
 #define DECLARE_NAME(id, text) static PyObject *str_##id;
 NAMES(DECLARE_NAME)
-
-/* ``core.done`` as a truth value: 1, 0 or -1. */
-static int
-is_done(PyObject *core)
-{
-    PyObject *done = PyObject_GetAttr(core, str_done);
-    if (done == NULL) {
-        return -1;
-    }
-    int truth = PyObject_IsTrue(done);
-    Py_DECREF(done);
-    return truth;
-}
-
-/* ``fn(obj, now)`` by vectorcall, its result discarded: 0 or -1. */
-static int
-call_step(PyObject *fn, PyObject *obj, PyObject *now_obj)
-{
-    PyObject *args[2] = {obj, now_obj};
-    PyObject *result = PyObject_Vectorcall(fn, args, 2, NULL);
-    if (result == NULL) {
-        return -1;
-    }
-    Py_DECREF(result);
-    return 0;
-}
-
-/* One core's turn of the core phase: step it unless it is done, and
- * record the cycle it finishes at.  0 or -1. */
-static int
-core_turn(PyObject *core, PyObject *step, PyObject *now_obj, long long now,
-          PyObject *finish, long long *remaining)
-{
-    int done = is_done(core);
-    if (done) {
-        return done < 0 ? -1 : 0;
-    }
-    if (call_step(step, core, now_obj) < 0 || (done = is_done(core)) < 0) {
-        return -1;
-    }
-    if (done) {
-        PyObject *core_id = PyObject_GetAttr(core, str_core_id);
-        PyObject *end = core_id ? PyLong_FromLongLong(now + 1) : NULL;
-        int failed = end == NULL || PyObject_SetItem(finish, core_id, end) < 0;
-        Py_XDECREF(end);
-        Py_XDECREF(core_id);
-        if (failed) {
-            return -1;
-        }
-        *remaining -= 1;
-    }
-    return 0;
-}
 
 /* A cycle argument that may be None (``*set`` is then 0). */
 static int
@@ -448,7 +398,7 @@ optional_cycle(PyObject *value, long long *out, int *set)
     return *set ? as_cycle(value, out) : 0;
 }
 
-/* run_cycles(system, step, memory_step, now, remaining, stop, cap) */
+/* run_cycles(system, core_phase, memory_step, now, remaining, stop, cap) */
 static PyObject *
 kernel_run_cycles(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -459,7 +409,8 @@ kernel_run_cycles(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                      "run_cycles() takes 7 arguments (%zd given)", nargs);
         return NULL;
     }
-    PyObject *system = args[0], *step = args[1], *memory_step = args[2];
+    PyObject *system = args[0], *core_phase = args[1];
+    PyObject *memory_step = args[2];
     if (as_cycle(args[3], &now) < 0 || as_cycle(args[4], &remaining) < 0
         || optional_cycle(args[5], &stop, &has_stop) < 0
         || optional_cycle(args[6], &cap, &has_cap) < 0) {
@@ -488,21 +439,25 @@ kernel_run_cycles(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (has_cap && now >= cap) {
             break;
         }
-        if (run_due((Queue *)events, now) < 0
-            || call_step(memory_step, memory, now_obj) < 0) {
+        if (run_due((Queue *)events, now) < 0) {
             goto done;
         }
-        /* The list is read at every turn, as a for loop over it reads it. */
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cores); i++) {
-            PyObject *core = PyList_GET_ITEM(cores, i);
-            Py_INCREF(core);
-            int failed = core_turn(core, step, now_obj, now, finish,
-                                   &remaining);
-            Py_DECREF(core);
-            if (failed) {
-                goto done;
-            }
+        PyObject *memory_args[] = {memory, now_obj};
+        PyObject *out = PyObject_Vectorcall(memory_step, memory_args, 2, NULL);
+        if (out == NULL) {
+            goto done;
         }
+        Py_DECREF(out);
+        /* The core phase returns how many cores finished. */
+        PyObject *phase_args[] = {cores, finish, now_obj};
+        long long finished;
+        out = PyObject_Vectorcall(core_phase, phase_args, 3, NULL);
+        int failed = out == NULL || as_cycle(out, &finished) < 0;
+        Py_XDECREF(out);
+        if (failed) {
+            goto done;
+        }
+        remaining -= finished;
         if (has_stop && now == stop) {
             sampled = 1;
             break;
@@ -538,7 +493,8 @@ static PyMethodDef kernel_methods[] = {
      "fold(digest, cycle, words): the det-chain digest after one sample."},
     {"run_cycles", (PyCFunction)(void (*)(void))kernel_run_cycles,
      METH_FASTCALL,
-     "run_cycles(system, step, memory_step, now, remaining, stop, cap): "
+     "run_cycles(system, core_phase, memory_step, now, remaining, stop, "
+     "cap): "
      "the naive engine's cycles, up to a sample cycle, the cap or the end; "
      "returns (now, remaining, sampled)."},
     {NULL, NULL, 0, NULL},

@@ -67,12 +67,12 @@ loop_totals = {"compiled": 0, "python": 0}
 
 
 def _loop_kernels():
-    """``(run_cycles, step, memory_step)`` of the event, core and DRAM
-    kernels, or None when any of them is not loaded."""
+    """``(run_cycles, core_phase, memory_step)`` of the event, core and
+    DRAM kernels, or None when any of them is not loaded."""
     loop, cpu, dram = _events._kernel, _core._kernel, _controller._kernel
     if loop is None or cpu is None or dram is None:
         return None
-    return loop.run_cycles, cpu.step, dram.memory_step
+    return loop.run_cycles, cpu.core_phase, dram.memory_step
 
 
 def loop_implementation() -> str:
@@ -247,8 +247,8 @@ class System:
                 provider.bind_defer(None)
 
     def _compiled_loop(self, sampler):
-        """``(run_cycles, step, memory_step)`` while the compiled loop may
-        run this System's cycles, else None (DESIGN.md §6).
+        """``(run_cycles, core_phase, memory_step)`` while the compiled
+        loop may run this System's cycles, else None (DESIGN.md §6).
 
         It may while the core, DRAM and event kernels are loaded, no
         telemetry sampler is attached, and no entry point it
@@ -304,10 +304,10 @@ class System:
                 hit_cap = True
                 break
             if compiled is not None:
-                run_cycles, step, memory_step = compiled
+                run_cycles, core_phase, memory_step = compiled
                 span = now
                 now, remaining, sampled = run_cycles(
-                    self, step, memory_step, now, remaining,
+                    self, core_phase, memory_step, now, remaining,
                     next_sample if chain is not None else None, max_cycles,
                 )
                 self.loop_cycles["compiled"] += now + sampled - span

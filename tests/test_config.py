@@ -208,3 +208,20 @@ class TestSimScale:
     def test_scaled(self):
         s = SimScale().scaled(seed=9)
         assert s.seed == 9
+
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_rejects_a_horizon_below_one(self, instructions):
+        """A horizon of no instruction would simulate the warm-up alone
+        and report its IPC as a result."""
+        with pytest.raises(ValueError, match="SimScale.instructions_per_core "
+                                             "must be at least 1"):
+            SimScale(instructions_per_core=instructions)
+        with pytest.raises(ValueError, match="instructions_per_core"):
+            SimScale().scaled(instructions_per_core=instructions)
+
+    def test_rejects_a_negative_warmup(self):
+        with pytest.raises(ValueError, match="SimScale.warmup_instructions "
+                                             "must be at least 0, not -1"):
+            SimScale(warmup_instructions=-1)
+        assert SimScale(instructions_per_core=1,
+                        warmup_instructions=0).warmup_instructions == 0

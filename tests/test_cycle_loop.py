@@ -169,6 +169,30 @@ def test_caps_around_a_sample(compiled, monkeypatch, cap):
     assert runs[0][0] == cap and runs[0][-1]
 
 
+@pytest.mark.parametrize("cap", (None, 300))
+def test_the_core_phase_runs_once_per_compiled_cycle(compiled, monkeypatch,
+                                                     cap):
+    """The loop has no per-core path: it calls the core kernel's core
+    phase once per cycle it runs, across det-chain samples and a cap,
+    and the result is the unwrapped run's."""
+    monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "64")
+    reference = _fft_system()
+    expected = _outcome(reference, reference.run(max_cycles=cap))
+    run_cycles, core_phase, memory_step = system_mod._loop_kernels()
+    calls = []
+
+    def counting(cores, finish, now):
+        calls.append(now)
+        return core_phase(cores, finish, now)
+
+    monkeypatch.setattr(system_mod, "_loop_kernels",
+                        lambda: (run_cycles, counting, memory_step))
+    system = _fft_system()
+    assert _outcome(system, system.run(max_cycles=cap)) == expected
+    assert calls == list(range(expected[0]))
+    assert len(calls) == system.loop_cycles["compiled"]
+
+
 # -------------------------------------------------------- failure paths
 
 
@@ -369,13 +393,12 @@ def prof_timer():
 
 def test_the_loop_checks_signals_every_cycle(compiled, prof_timer):
     """A cycle loop that calls no Python code still runs a pending
-    handler: with C callables for the steps and an empty queue, the
-    handler's KeyboardInterrupt stops the loop after one timer interval,
-    at the top of a cycle, with the clock at the cycles it finished."""
+    handler: with C callables for both phases (the core kernel's own
+    core phase on no cores) and an empty queue, the handler's
+    KeyboardInterrupt stops the loop after one timer interval, at the
+    top of a cycle, with the clock at the cycles it finished."""
     machine = types.SimpleNamespace(
-        events=EventQueue(), memory=0,
-        cores=[types.SimpleNamespace(done=False, core_id=0)],
-        _finish_cycles=[0], _now=0,
+        events=EventQueue(), memory=0, cores=[], _finish_cycles=[0], _now=0,
     )
 
     def interrupt(signum, frame):
@@ -387,8 +410,8 @@ def test_the_loop_checks_signals_every_cycle(compiled, prof_timer):
     with pytest.raises(KeyboardInterrupt):
         # Without the check this spins through 5 * 10**7 cycles (seconds)
         # and returns at the cap.
-        events._kernel.run_cycles(machine, operator.is_, operator.is_,
-                                  0, 1, None, 5 * 10**7)
+        events._kernel.run_cycles(machine, core_mod._kernel.core_phase,
+                                  operator.is_, 0, 1, None, 5 * 10**7)
     assert time.process_time() - start < 5
     assert machine._now > 0 and machine._finish_cycles == [0]
 
@@ -399,7 +422,8 @@ def test_handlers_fire_during_a_compiled_run(compiled, monkeypatch,
     fired = []
     interval = 0.002
     prof_timer(lambda signum, frame: fired.append(signum), interval)
-    system = _fft_system(cores=8, instructions=3000)
+    # Long enough to stay well above the floor below on a fast loop.
+    system = _fft_system(cores=8, instructions=12000)
     start = time.process_time()
     result = system.run()
     spent = time.process_time() - start
@@ -438,7 +462,8 @@ def test_an_interrupt_leaves_the_python_loops_state(compiled, monkeypatch):
 def test_a_timer_interrupt_stops_a_compiled_run(compiled, monkeypatch,
                                                prof_timer):
     monkeypatch.setenv("REPRO_DETCHAIN_EVERY", "0")
-    full = _fft_system(cores=8, instructions=3000).run().cycles
+    # Long enough to outlast three ticks on a fast loop.
+    full = _fft_system(cores=8, instructions=12000).run().cycles
     ticks = []
 
     def interrupt(signum, frame):
@@ -447,7 +472,7 @@ def test_a_timer_interrupt_stops_a_compiled_run(compiled, monkeypatch,
             signal.setitimer(signal.ITIMER_PROF, 0, 0)
             raise KeyboardInterrupt
 
-    system = _fft_system(cores=8, instructions=3000)
+    system = _fft_system(cores=8, instructions=12000)
     prof_timer(interrupt, 0.005)
     with pytest.raises(KeyboardInterrupt):
         system.run()

@@ -103,6 +103,55 @@ class TestCli:
         assert "speedup" in out
         clear_trace_cache()
 
+    @pytest.mark.parametrize("value", ["0", "-5", "many"])
+    @pytest.mark.parametrize("command", ["run", "stats", "trace", "profile",
+                                         "check-determinism"])
+    def test_instructions_below_one_is_a_usage_error(self, capsys, command,
+                                                     value):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "fft", "--instructions", value])
+        assert exc.value.code == 2
+        assert "argument --instructions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["48", "-3", "3", "x"])
+    @pytest.mark.parametrize("command", ["run", "stats", "trace", "profile"])
+    def test_cbp_takes_zero_or_a_power_of_two(self, capsys, command, value):
+        from repro.__main__ import build_parser, main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "fft", "--cbp", value])
+        assert exc.value.code == 2
+        assert "argument --cbp" in capsys.readouterr().err
+        for entries in (0, 1, 64, 1024):
+            args = build_parser().parse_args([command, "fft", "--cbp",
+                                              str(entries)])
+            assert args.cbp == entries
+
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_INSTRUCTIONS", "-50"), ("REPRO_INSTRUCTIONS", "0"),
+        ("REPRO_INSTRUCTIONS", "lots"), ("REPRO_SEEDS", "0"),
+        ("REPRO_SEEDS", "-2"), ("REPRO_SEEDS", "two"),
+    ])
+    def test_a_bad_scale_knob_stops_an_experiment(self, monkeypatch, capsys,
+                                                  name, value):
+        """A bad horizon or seed count is a one-line usage error before
+        any run, not a table of 1.000s or a traceback."""
+        from repro.__main__ import main
+        from repro.sim import engine
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "run_one", no_run)
+        monkeypatch.setattr(engine, "run_many", no_run)
+        monkeypatch.setenv(name, value)
+        assert main(["experiment", "fig4"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro experiment: error: {name} must be")
+
     @pytest.mark.parametrize("command", ["run", "stats", "trace"])
     def test_capped_run_fails_loudly(self, capsys, monkeypatch, tmp_path,
                                      command):

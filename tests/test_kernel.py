@@ -20,6 +20,7 @@ kernel that did not load fails them.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.machinery
 import os
@@ -29,13 +30,15 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+import types
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.cache import hierarchy
 from repro.config import SimScale, SystemConfig
-from repro.core.provider import CbpProvider
+from repro.core.provider import CbpProvider, CriticalityProvider
 from repro.cpu import core, native
 from repro.cpu.instruction import BRANCH, FP, INT, LOAD, STORE, Trace
 from repro.dram import controller
@@ -324,7 +327,7 @@ class _Machine(CoreHarness):
             c.det_state(),
             {name: getattr(c.stats, name) for name in c.stats.FIELDS},
             list(c._done), list(c._pending),
-            [None if w is None else list(w) for w in c._waiters],
+            (list(c._wait_head), list(c._wait_tail), list(c._wait_next)),
             list(c._consumers), list(c._bstart),
             [h is None for h in c._handle],
             rings(c, self.now), c._next_local, c._tick_at, c.skip_until,
@@ -374,7 +377,7 @@ def test_stages_called_through_their_guards_match(kernel, monkeypatch):
         c = machine.core
         cap = c._rob_entries
         rob = range(c._ptr - c._rob_len, c._ptr)
-        producers = [i for i in rob if c._waiters[i % cap]][:3]
+        producers = [i for i in rob if c._wait_head[i % cap] >= 0][:3]
         loads = [i for i in rob if trace.itypes[i] == LOAD
                  and not c._done[i % cap]][:2]
         assert producers and loads
@@ -444,7 +447,8 @@ def test_internal_error_leaves_the_state_the_python_bodies_leave(
 
 def test_the_kernel_refuses_a_core_not_built_on_core_base(kernel):
     """Every entry point takes only a core whose scalars are CoreBase
-    fields, and a core's stats must be StatsBase fields."""
+    fields, and a core's stats must be StatsBase fields: assigning any
+    other stats is refused at once."""
 
     class Duck:
         pass
@@ -462,9 +466,105 @@ def test_the_kernel_refuses_a_core_not_built_on_core_base(kernel):
         with pytest.raises(TypeError, match="CoreBase"):
             call(Duck())
     machine = _Machine(_mixed_trace(50), SystemConfig(cores=1))
-    machine.core.stats = Duck()
     with pytest.raises(TypeError, match="StatsBase"):
-        kernel.step(machine.core, 0)
+        machine.core.stats = Duck()
+
+
+#: The objects a core reads every cycle: C fields of ``CoreBase``.
+_OBJECT_FIELDS = ("done", "stats", "provider", "hierarchy", "tracer",
+                  "_wake_hook", "skip_until", "_next_tick", "_kernel_view")
+
+
+def _bare_core():
+    """A core on a stand-in hierarchy, its View bound by one kernel call
+    that does nothing (an empty ROB commits nothing)."""
+    c = core.OutOfOrderCore(0, SystemConfig(cores=1).core, _mixed_trace(20),
+                            types.SimpleNamespace(), CriticalityProvider())
+    assert core._kernel.commit(c, 0) == 0
+    return c
+
+
+def test_the_core_objects_are_fields_not_dict_entries(kernel):
+    """A built core keeps none of the objects it reads every cycle in its
+    ``__dict__``; each reads back through its descriptor, and only the
+    kernel sets ``_kernel_view``."""
+    machine = _Machine(_mixed_trace(200), SystemConfig(cores=1))
+    for _ in range(50):
+        machine.step()
+    c = machine.core
+    assert not set(_OBJECT_FIELDS) & set(vars(c))
+    for name in _OBJECT_FIELDS:
+        assert isinstance(getattr(type(c), name), types.GetSetDescriptorType
+                          if name == "stats" else types.MemberDescriptorType)
+    assert type(c._kernel_view).__name__ == "View"
+    assert (c.done, c.skip_until, c._wake_hook) == (False, 0, None)
+    assert isinstance(c.stats, core.CoreStats) and c.stats.cycles == 50
+    assert isinstance(c.provider, CbpProvider)
+    assert c.hierarchy is machine.hier and isinstance(c.tracer, _Recorder)
+    assert c._next_tick == c.provider.next_tick_cycle
+    with pytest.raises(AttributeError):
+        c._kernel_view = None
+    fresh = core.OutOfOrderCore.__new__(core.OutOfOrderCore)
+    with pytest.raises(AttributeError, match="has no attribute 'stats'"):
+        fresh.stats
+    with pytest.raises(AttributeError, match="_kernel_view"):
+        fresh._kernel_view
+
+
+@pytest.mark.parametrize("name", _OBJECT_FIELDS)
+def test_a_cycle_through_each_object_field_is_collected(kernel, name):
+    """A reference cycle that runs from the core through one object field
+    and back keeps the core alive without the collector and is freed by
+    it: ``CoreBase`` traverses that field."""
+
+    class Stats(core.CoreStats):
+        pass  # a __dict__ to hold the core
+
+    c = _bare_core()
+    ref = weakref.ref(c)
+    if name == "_kernel_view":
+        # Only the View holds the handle column now; the core sits in it.
+        handles = vars(c).pop("_handle")
+        handles[0] = c
+        del handles
+    elif name == "stats":
+        c.stats = Stats()
+        c.stats.core = c
+    elif name == "provider":
+        c.provider.core = c
+    elif name == "hierarchy":
+        c.hierarchy.core = c
+    elif name in ("_wake_hook", "_next_tick"):
+        setattr(c, name, lambda *args, c=c: c)
+    else:
+        setattr(c, name, [c])
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        del c
+        assert ref() is not None, "no cycle through the field"
+        gc.collect()
+        assert ref() is None, f"the collector kept a core cycle via {name}"
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_the_core_phase_refuses_what_is_not_a_list_of_cores(kernel):
+    machine = _Machine(_mixed_trace(50), SystemConfig(cores=1))
+    finish = [0]
+    with pytest.raises(TypeError, match="list of cores"):
+        kernel.core_phase((machine.core,), finish, 0)
+
+    class Duck:
+        done = False
+        core_id = 0
+
+    with pytest.raises(TypeError, match="CoreBase"):
+        kernel.core_phase([machine.core, Duck()], finish, 0)
+    assert machine.core.stats.cycles == 1  # the core before it ran
+    assert kernel.core_phase([], finish, 0) == 0 and finish == [0]
 
 
 def test_core_stats_pickle_into_the_readers_class(kernel, monkeypatch):
